@@ -1,5 +1,6 @@
 //! Failure-model kernels: instance sampling (sparse geometric-gap vs
-//! dense), repair, contraction, and certification throughput.
+//! dense), repair, the sliced pair-blocking estimator, contraction, and
+//! certification throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::certify::certify_with_budget;
@@ -10,6 +11,7 @@ use ft_failure::contraction::contract;
 use ft_failure::{FailureInstance, FailureModel, SlicedFailureMask};
 use ft_graph::gen::rng;
 use ft_graph::Digraph;
+use ft_sim::{pair_blocking_estimate, Fabric};
 use std::hint::black_box;
 
 fn bench_sampling(c: &mut Criterion) {
@@ -64,6 +66,16 @@ fn bench_repair(c: &mut Criterion) {
     });
 }
 
+fn bench_pair_blocking(c: &mut Criterion) {
+    // 32 sliced blocks of sample → §4 repair → reach on 𝒩 ν = 2: the
+    // estimator behind every ftexp cell's `static_p` column
+    let fabric = Fabric::ftn_reduced(2, 8, 8, 1.0);
+    let model = FailureModel::symmetric(0.02);
+    c.bench_function("pair_blocking_ftn_nu2", |b| {
+        b.iter(|| black_box(pair_blocking_estimate(&fabric, &model, 2048, 7)))
+    });
+}
+
 fn bench_certify(c: &mut Criterion) {
     let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
     let model = FailureModel::symmetric(1e-3);
@@ -89,6 +101,7 @@ criterion_group!(
     bench_sampling,
     bench_sliced_sampling,
     bench_repair,
+    bench_pair_blocking,
     bench_certify,
     bench_contraction
 );

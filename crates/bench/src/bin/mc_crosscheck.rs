@@ -6,18 +6,71 @@
 //! seeding discipline (lane *i* of a block is bit-identical to the
 //! *i*-th consecutive scalar sample from the block RNG), plus the
 //! block-partition guarantee that thread counts never change results.
-//! Exits nonzero (assert) on any mismatch.
+//! The last leg holds the one §4 repair every fabric takes against
+//! `ft-core`'s `Survivor` on 𝒩. Exits nonzero (assert) on any mismatch.
 
+use ft_core::repair::Survivor;
 use ft_failure::montecarlo::{
     mc_event_probability_parallel, mc_sliced_event_probability_parallel, LaneVerdict, TrialScratch,
 };
 use ft_failure::reliability::{bridge, Connectivity};
-use ft_failure::{FailureInstance, FailureModel, SlicedFailureMask};
+use ft_failure::sliced::LANES;
+use ft_failure::{block_seed, FailureInstance, FailureModel, SlicedFailureMask};
 use ft_graph::ids::v;
 use ft_graph::sliced::sliced_reach_into;
 use ft_graph::traversal::{bfs_into, Direction};
-use ft_graph::DiGraph;
+use ft_graph::{DiGraph, Digraph};
 use ft_sim::{pair_blocking_estimate, pair_blocking_estimate_scalar, Fabric};
+
+/// Sliced blocks the `Survivor` oracle leg checks.
+const ORACLE_BLOCKS: usize = 8;
+
+/// Checks [`ORACLE_BLOCKS`] sliced blocks on 𝒩, dealt round-robin to
+/// `threads` workers: per lane, `Fabric::alive_mask_into` and the lane
+/// of `Fabric::alive_words_into` must both equal
+/// `Survivor::routable_alive`. Returns the discarded vertices summed
+/// over all lanes.
+fn survivor_oracle_leg(fabric: &Fabric, model: &FailureModel, seed: u64, threads: usize) -> u64 {
+    let Fabric::Ftn(ftn) = fabric else {
+        panic!("the Survivor oracle is defined on 𝒩 only");
+    };
+    let m = fabric.net().num_edges();
+    let check_blocks = |first: usize| -> u64 {
+        let mut sliced = SlicedFailureMask::new();
+        let mut lane_inst = FailureInstance::perfect(m);
+        let (mut words, mut mask) = (Vec::new(), Vec::new());
+        let mut discarded = 0;
+        for b in (first..ORACLE_BLOCKS).step_by(threads) {
+            let mut rng = ft_graph::gen::rng(block_seed(seed, b as u64));
+            model.sample_sliced_into(&mut rng, m, &mut sliced);
+            fabric.alive_words_into(&sliced, &mut words);
+            for lane in 0..LANES {
+                sliced.extract_lane_into(lane, lane_inst.mask_mut());
+                let oracle = Survivor::new(ftn, &lane_inst).routable_alive();
+                fabric.alive_mask_into(&lane_inst, &mut mask);
+                assert_eq!(mask, oracle, "block {b} lane {lane}: scalar repair");
+                assert!(
+                    words
+                        .iter()
+                        .zip(&oracle)
+                        .all(|(w, &a)| (w >> lane) & 1 == u64::from(a)),
+                    "block {b} lane {lane}: sliced repair"
+                );
+                discarded += oracle.iter().filter(|&&a| !a).count() as u64;
+            }
+        }
+        discarded
+    };
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| scope.spawn(move || check_blocks(t)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("oracle worker panicked"))
+            .sum()
+    })
+}
 
 fn main() {
     let trials = 20_070; // non-multiple of 64: exercises the scalar tail
@@ -96,8 +149,7 @@ fn main() {
         estimates[0].p()
     );
 
-    // 3. the ft-sim snapshot estimator, including the ftn Survivor
-    //    scalar-fallback path
+    // 3. the ft-sim snapshot estimator
     for fabric in [Fabric::clos_strict(2, 3), Fabric::ftn_reduced(1, 8, 4, 1.0)] {
         let sliced = pair_blocking_estimate(&fabric, &model, trials, seed);
         let scalar = pair_blocking_estimate_scalar(&fabric, &model, trials, seed);
@@ -108,6 +160,22 @@ fn main() {
             sliced.p()
         );
     }
+
+    // 4. the Survivor oracle on 𝒩: the one §4 repair every fabric takes
+    //    (scalar mask and every lane of the sliced words) against
+    //    ft-core's two-step construction, blocks dealt to 1 and 4
+    //    threads sharing one fabric
+    let fabric = Fabric::ftn_reduced(1, 8, 4, 1.0);
+    let discarded: Vec<u64> = [4, 1]
+        .into_iter()
+        .map(|threads| survivor_oracle_leg(&fabric, &model, seed, threads))
+        .collect();
+    assert_eq!(discarded[0], discarded[1], "oracle leg differs by threads");
+    println!(
+        "repair oracle {}: {ORACLE_BLOCKS} blocks x {LANES} lanes, {} vertex-lanes discarded (sliced == scalar == Survivor, 1 and 4 threads)",
+        fabric.label(),
+        discarded[0]
+    );
 
     println!("mc_crosscheck: all sliced estimates exactly equal their scalar references");
 }

@@ -99,15 +99,13 @@ impl<'a> Survivor<'a> {
     pub fn routable_alive(&self) -> Vec<bool> {
         let g = self.ftn.net();
         let mut alive = self.alive.clone();
-        let inputs = g.inputs();
-        let outputs = g.outputs();
-        let is_terminal = |v: VertexId| inputs.contains(&v) || outputs.contains(&v);
+        let is_terminal = g.terminal_mask();
         for &e in &self.dead_terminal_edges {
             let (t, h) = g.endpoints(e);
-            if !is_terminal(t) {
+            if !is_terminal[t.index()] {
                 alive[t.index()] = false;
             }
-            if !is_terminal(h) {
+            if !is_terminal[h.index()] {
                 alive[h.index()] = false;
             }
         }

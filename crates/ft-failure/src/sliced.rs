@@ -48,6 +48,14 @@
 //! whose planes become nonzero and [`reset`](SlicedFailureMask::reset)
 //! re-zeroes exactly those, making a sparse block O(failures) end to
 //! end. Dense fills mark the mask dense and reset by memset.
+//!
+//! A sparse fill is a stream of writes to random switches, so its cost
+//! is memory and branch behaviour, not drawing. The two planes are
+//! therefore stored interleaved (`[open, closed]` per switch: one cache
+//! line per touch, and the first-touch test reads what the write needs
+//! anyway), and the write itself has no branch on the data — the plane
+//! is picked by index, and the log slot is written unconditionally with
+//! only the log *length* depending on whether the touch was the first.
 
 use crate::mask::FailureMask;
 use crate::model::{FailureModel, SwitchState};
@@ -76,13 +84,17 @@ pub fn block_seed(seed: u64, block: u64) -> u64 {
 /// one of closed bits (bit *i* = lane *i*).
 #[derive(Clone, Debug, Default)]
 pub struct SlicedFailureMask {
-    open: Vec<u64>,
-    closed: Vec<u64>,
-    len: usize,
-    /// Switches with a nonzero `open | closed` word, each exactly once.
-    /// Ascending after a dense fill, unordered after a sparse one
-    /// (lane-major filling revisits positions).
+    /// `[open, closed]` per switch, interleaved: a sparse fill lands on
+    /// a random switch, and both of its words share one cache line.
+    planes: Vec<[u64; 2]>,
+    /// First-touch log: `dirty[..dirty_len]` are the switches with a
+    /// nonzero `open | closed` word, each exactly once. Ascending after
+    /// a dense fill, unordered after a sparse one (lane-major filling
+    /// revisits positions). Kept one slot longer than `planes` (once
+    /// sized), so a fill can always write slot `dirty_len` and advance
+    /// only on a first touch — no branch on the data.
     dirty: Vec<u32>,
+    dirty_len: usize,
     /// Whether the last fill was dense (reset by memset) or sparse
     /// (reset via `dirty`).
     dense: bool,
@@ -98,69 +110,68 @@ impl SlicedFailureMask {
     /// allocations. After a sparse fill this is O(failed switches), not
     /// O(m) — the point of the dirty list.
     pub fn reset(&mut self, m: usize) {
-        if m != self.len {
-            self.open.clear();
-            self.open.resize(m, 0);
-            self.closed.clear();
-            self.closed.resize(m, 0);
+        if self.dirty.len() != m + 1 {
+            self.planes.clear();
+            self.planes.resize(m, [0; 2]);
+            self.dirty.clear();
+            self.dirty.resize(m + 1, 0);
         } else if self.dense {
-            self.open.fill(0);
-            self.closed.fill(0);
+            self.planes.fill([0; 2]);
         } else {
-            for &i in &self.dirty {
-                self.open[i as usize] = 0;
-                self.closed[i as usize] = 0;
+            for &i in &self.dirty[..self.dirty_len] {
+                self.planes[i as usize] = [0; 2];
             }
         }
-        self.dirty.clear();
+        self.dirty_len = 0;
         self.dense = false;
-        self.len = m;
     }
 
     /// Number of switches covered (per lane).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.planes.len()
     }
 
     /// Whether the mask covers zero switches.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.planes.is_empty()
     }
 
     /// Lanes in which switch `i` open-failed.
     #[inline]
     pub fn open_word(&self, i: usize) -> u64 {
-        self.open[i]
+        self.planes[i][0]
     }
 
     /// Lanes in which switch `i` closed-failed.
     #[inline]
     pub fn closed_word(&self, i: usize) -> u64 {
-        self.closed[i]
+        self.planes[i][1]
     }
 
     /// Lanes in which switch `i` failed either way.
     #[inline]
     pub fn failed_word(&self, i: usize) -> u64 {
-        self.open[i] | self.closed[i]
+        let [open, closed] = self.planes[i];
+        open | closed
     }
 
     /// Lanes in which switch `i` still conducts (normal or closed) —
     /// the edge-traversability word for the reachability kernel.
     #[inline]
     pub fn usable_word(&self, i: usize) -> u64 {
-        !self.open[i]
+        !self.planes[i][0]
     }
 
     /// State of switch `i` in lane `lane`.
     #[inline]
     pub fn lane_state(&self, i: usize, lane: usize) -> SwitchState {
         debug_assert!(lane < LANES);
-        if (self.open[i] >> lane) & 1 != 0 {
+        let [open, closed] = self.planes[i];
+        if (open >> lane) & 1 != 0 {
             SwitchState::Open
-        } else if (self.closed[i] >> lane) & 1 != 0 {
+        } else if (closed >> lane) & 1 != 0 {
             SwitchState::Closed
         } else {
             SwitchState::Normal
@@ -172,7 +183,7 @@ impl SlicedFailureMask {
     /// passes (repair masks, contraction) iterate this instead of all
     /// `m` switches.
     pub fn iter_failed_switches(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dirty.iter().map(|&i| i as usize)
+        self.dirty[..self.dirty_len].iter().map(|&i| i as usize)
     }
 
     /// Unpacks lane `lane` into a scalar [`FailureMask`] — the bridge
@@ -181,30 +192,36 @@ impl SlicedFailureMask {
     /// scalar-side). O(failed switches).
     pub fn extract_lane_into(&self, lane: usize, out: &mut FailureMask) {
         debug_assert!(lane < LANES);
-        out.reset(self.len);
+        out.reset(self.len());
         let bit = 1u64 << lane;
-        for &i in &self.dirty {
-            let i = i as usize;
-            if self.open[i] & bit != 0 {
+        for i in self.iter_failed_switches() {
+            let [open, closed] = self.planes[i];
+            if open & bit != 0 {
                 out.set(i, SwitchState::Open);
-            } else if self.closed[i] & bit != 0 {
+            } else if closed & bit != 0 {
                 out.set(i, SwitchState::Closed);
             }
         }
     }
 
     /// Sets lane `lane` of switch `i` (sparse fills; keeps the dirty
-    /// invariant).
+    /// invariant). Branch-free on the data: which plane and whether the
+    /// touch is the switch's first are coin flips to a branch predictor,
+    /// so the plane is picked by index and the log by [`Self::log_touch`].
     #[inline]
     fn set_lane(&mut self, i: usize, lane_bit: u64, open: bool) {
-        if self.open[i] | self.closed[i] == 0 {
-            self.dirty.push(i as u32);
-        }
-        if open {
-            self.open[i] |= lane_bit;
-        } else {
-            self.closed[i] |= lane_bit;
-        }
+        let words = &mut self.planes[i];
+        let fresh = words[0] | words[1] == 0;
+        words[usize::from(!open)] |= lane_bit;
+        self.log_touch(i, fresh);
+    }
+
+    /// Appends `i` to the first-touch log iff `fresh`: the slot is
+    /// written either way and only the length depends on `fresh`.
+    #[inline]
+    fn log_touch(&mut self, i: usize, fresh: bool) {
+        self.dirty[self.dirty_len] = i as u32;
+        self.dirty_len += usize::from(fresh);
     }
 }
 
@@ -235,8 +252,13 @@ impl FailureModel {
                 let mut i = 0usize;
                 loop {
                     let u: f64 = rng.random();
-                    // skip ~ Geometric(p): non-failures before the next failure
-                    let skip = (u.ln() / ln_q).floor();
+                    // ⌊skip⌋ ~ Geometric(p): non-failures before the next
+                    // failure. The scalar loop floors the quotient; here
+                    // the comparison and the cast do it (for an integer k,
+                    // x ≥ k ⟺ ⌊x⌋ ≥ k, and `as usize` truncates a
+                    // quotient that is never negative) — same values, no
+                    // libm `floor` call per failure.
+                    let skip = u.ln() / ln_q;
                     if skip >= (m - i) as f64 {
                         break;
                     }
@@ -299,13 +321,9 @@ impl FailureModel {
                     break; // exhausted: U == t exactly ⇒ not below
                 }
             }
-            let open = lt_o;
-            let closed = lt_f & !lt_o;
-            out.open[i] = open;
-            out.closed[i] = closed;
-            if open | closed != 0 {
-                out.dirty.push(i as u32);
-            }
+            let (open, closed) = (lt_o, lt_f & !lt_o);
+            out.planes[i] = [open, closed];
+            out.log_touch(i, open | closed != 0);
         }
         out.dense = true;
     }
@@ -395,21 +413,58 @@ mod tests {
         assert_eq!(sliced.iter_failed_switches().count(), 0);
     }
 
+    /// The first-touch log lists exactly the switches with a nonzero
+    /// word, each once.
+    fn assert_dirty_exact(sliced: &SlicedFailureMask, what: &str) {
+        let logged = sliced.iter_failed_switches().count();
+        let mut dirty: Vec<usize> = sliced.iter_failed_switches().collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        assert_eq!(dirty.len(), logged, "{what}: dupes");
+        assert_eq!(dirty, brute_dirty(sliced), "{what}");
+    }
+
     #[test]
     fn dirty_list_matches_brute_force_in_both_regimes() {
         let mut sliced = SlicedFailureMask::new();
         for eps in [0.001, 0.02, 0.1, 0.3] {
             let model = FailureModel::symmetric(eps);
             model.sample_sliced_into(&mut rng(17), 700, &mut sliced);
-            let mut dirty: Vec<usize> = sliced.iter_failed_switches().collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            assert_eq!(
-                dirty.len(),
-                sliced.iter_failed_switches().count(),
-                "eps {eps}: dupes"
-            );
-            assert_eq!(dirty, brute_dirty(&sliced), "eps {eps}");
+            assert_dirty_exact(&sliced, &format!("eps {eps}"));
+        }
+    }
+
+    #[test]
+    fn first_touch_log_survives_its_edge_cases() {
+        // sparse right under the cutoff: over 64 lanes every one of a
+        // few switches is touched, most of them many times — the log
+        // fills to its last slot and repeat touches must not advance it
+        let saturating = FailureModel::new(0.03, FailureModel::DENSE_CUTOFF - 0.03 - 1e-9);
+        assert!(saturating.total() < FailureModel::DENSE_CUTOFF);
+        let sparse = FailureModel::symmetric(0.005);
+        let dense = FailureModel::symmetric(0.2);
+        let mut sliced = SlicedFailureMask::new();
+        // one mask reused throughout: m = 0 and m = 1, every switch
+        // dirty, shrink and regrow, dense → sparse → dense
+        let steps = [
+            (&saturating, 0),
+            (&saturating, 1),
+            (&saturating, 12),
+            (&dense, 12),
+            (&sparse, 12),
+            (&dense, 900),
+            (&sparse, 900),
+            (&saturating, 5),
+            (&dense, 0),
+            (&sparse, 300),
+        ];
+        for (step, (model, m)) in steps.into_iter().enumerate() {
+            model.sample_sliced_into(&mut rng(40 + step as u64), m, &mut sliced);
+            assert_eq!(sliced.len(), m, "step {step}");
+            assert_dirty_exact(&sliced, &format!("step {step} (m = {m})"));
+            if std::ptr::eq(model, &saturating) {
+                assert_eq!(sliced.iter_failed_switches().count(), m, "step {step}");
+            }
         }
     }
 
@@ -429,10 +484,7 @@ mod tests {
         assert_eq!(sliced.len(), 100);
         sparse.sample_sliced_into(&mut rng(4), 900, &mut sliced);
         assert_eq!(sliced.len(), 900);
-        assert_eq!(
-            brute_dirty(&sliced).len(),
-            sliced.iter_failed_switches().count()
-        );
+        assert_dirty_exact(&sliced, "regrown");
     }
 
     #[test]

@@ -28,6 +28,8 @@ pub struct StagedNetwork {
     csr: OnceLock<Csr>,
     /// Lazily built per-vertex stage table + unit-staged flag.
     staging: OnceLock<(Vec<u32>, bool)>,
+    /// Lazily built per-vertex terminal flags (see [`Self::terminal_mask`]).
+    terminal_mask: OnceLock<Vec<bool>>,
     /// Lazily computed backward-level budget for the bidirectional
     /// point-to-point search (see [`Self::backward_budget`]).
     bwd_budget: OnceLock<u32>,
@@ -108,6 +110,21 @@ impl StagedNetwork {
     /// instead of binary-searching the stage ranges per vertex.
     pub fn stage_table(&self) -> &[u32] {
         &self.staging().0
+    }
+
+    /// Flat per-vertex terminal flags: `terminal_mask()[v.index()]` is
+    /// true iff `v` is an input or an output. Built on first use and
+    /// cached, like [`Self::stage_table`]; the §4 repair discipline
+    /// (terminals are exempt from discarding) reads it once per failed
+    /// switch, so per-trial and per-block repair passes allocate nothing.
+    pub fn terminal_mask(&self) -> &[bool] {
+        self.terminal_mask.get_or_init(|| {
+            let mut mask = vec![false; self.graph.num_vertices()];
+            for &t in self.inputs.iter().chain(&self.outputs) {
+                mask[t.index()] = true;
+            }
+            mask
+        })
     }
 
     /// Whether every switch joins *adjacent* stages
@@ -285,6 +302,7 @@ impl StagedNetwork {
             outputs: self.inputs.clone(),
             csr: OnceLock::new(),
             staging: OnceLock::new(),
+            terminal_mask: OnceLock::new(),
             bwd_budget: OnceLock::new(),
             flow_kernel: OnceLock::new(),
         }
@@ -422,6 +440,7 @@ impl StagedBuilder {
             outputs: self.outputs,
             csr: OnceLock::new(),
             staging: OnceLock::new(),
+            terminal_mask: OnceLock::new(),
             bwd_budget: OnceLock::new(),
             flow_kernel: OnceLock::new(),
         }
@@ -533,6 +552,23 @@ mod tests {
             assert_eq!(s as usize, m.stage_of(v(u as u32)));
         }
         assert!(m.is_unit_staged());
+    }
+
+    #[test]
+    fn terminal_mask_flags_exactly_inputs_and_outputs() {
+        // input 0 → internal 1 → output 2
+        let mut b = StagedBuilder::new();
+        for _ in 0..3 {
+            b.add_stage(1);
+        }
+        b.add_edge(v(0), v(1));
+        b.add_edge(v(1), v(2));
+        b.set_inputs(vec![v(0)]);
+        b.set_outputs(vec![v(2)]);
+        let net = b.finish();
+        assert_eq!(net.terminal_mask(), [true, false, true]);
+        assert_eq!(net.mirror().terminal_mask(), [true, false, true]);
+        assert!(crossbar().terminal_mask().iter().all(|&t| t));
     }
 
     #[test]

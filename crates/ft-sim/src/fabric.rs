@@ -5,17 +5,18 @@
 //! faulty; repair discards faulty *internal* vertices (terminals are
 //! exempt, per §6's definition of faultiness); a failed switch incident
 //! to a terminal is masked by discarding its internal endpoint instead.
-//! For the fault-tolerant network 𝒩 this is exactly
-//! [`Survivor::routable_alive`]; for the classical fabrics the same
-//! rule is applied generically. A fabric where some switch joins two
-//! terminals directly (the crossbar) cannot express that switch's
-//! failure as a vertex discard, so such fabrics only support fault-free
-//! scenarios — the scenario validator enforces this.
+//! That is one local predicate — a vertex survives iff it is a terminal
+//! or no incident switch failed — and every fabric, the fault-tolerant
+//! network 𝒩 included, takes the same implementation of it
+//! ([`generic_routable_alive_into`] and its lane-parallel form);
+//! `ft_core`'s `Survivor::routable_alive` is the test oracle that pins
+//! the equality on 𝒩. A fabric where some switch joins two terminals
+//! directly (the crossbar) cannot express that switch's failure as a
+//! vertex discard, so such fabrics only support fault-free scenarios —
+//! the scenario validator enforces this.
 
 use ft_core::network::FtNetwork;
 use ft_core::params::Params;
-use ft_core::repair::Survivor;
-use ft_failure::sliced::LANES;
 use ft_failure::{AliveTracker, FailureInstance, SlicedFailureMask};
 use ft_graph::{Digraph, EdgeId, StagedNetwork};
 use ft_networks::{crossbar, Benes, Clos, Multibutterfly};
@@ -105,9 +106,9 @@ impl Fabric {
     /// switch failure: true iff no switch joins two terminals directly.
     pub fn supports_faults(&self) -> bool {
         let g = self.net();
-        let is_terminal = terminal_mask(g);
+        let is_terminal = g.terminal_mask();
         (0..g.num_edges()).all(|e| {
-            let (t, h) = g.endpoints(ft_graph::EdgeId::from(e));
+            let (t, h) = g.endpoints(EdgeId::from(e));
             !is_terminal[t.index()] || !is_terminal[h.index()]
         })
     }
@@ -121,45 +122,23 @@ impl Fabric {
     }
 
     /// Like [`alive_mask`](Fabric::alive_mask), writing into a
-    /// caller-held buffer so Monte Carlo trial loops can reuse one
-    /// allocation (the 𝒩 path still builds its `Survivor` internally).
+    /// caller-held buffer: Monte Carlo trial loops reuse one allocation
+    /// and the call itself allocates nothing, on every fabric.
     pub fn alive_mask_into(&self, inst: &FailureInstance, out: &mut Vec<bool>) {
-        match self {
-            Fabric::Ftn(f) => *out = Survivor::new(f, inst).routable_alive(),
-            _ => generic_routable_alive_into(self.net(), inst, out),
-        }
+        generic_routable_alive_into(self.net(), inst, out);
     }
 
     /// Lane-parallel form of [`alive_mask_into`](Fabric::alive_mask_into)
     /// for a 64-trial block: writes one lane word per vertex (bit *i*
-    /// set ⇔ alive in lane *i*). The generic §4 discipline is computed
-    /// directly on the failed-switch word planes — O(switches failed in
-    /// any lane), all 64 lanes at once. The 𝒩 fabric's repair needs the
-    /// full `Survivor` construction, so it takes the documented **scalar
-    /// fallback**: each lane is unpacked and repaired individually, and
-    /// the per-lane masks are bit-identical to
+    /// set ⇔ alive in lane *i*). The §4 discipline is computed directly
+    /// on the failed-switch word planes — O(switches failed in any
+    /// lane), all 64 lanes at once, no allocation once `out` has grown —
+    /// on every fabric. Lane *i* is bit-identical to
     /// [`alive_mask`](Fabric::alive_mask) of the unpacked instance
-    /// (pinned by the transpose-equivalence tests).
+    /// (pinned by the transpose-equivalence tests, and against the
+    /// `Survivor` oracle on 𝒩).
     pub fn alive_words_into(&self, sliced: &SlicedFailureMask, out: &mut Vec<u64>) {
-        match self {
-            Fabric::Ftn(f) => {
-                let g = self.net();
-                out.clear();
-                out.resize(g.num_vertices(), 0);
-                let mut lane_inst = FailureInstance::perfect(g.num_edges());
-                for lane in 0..LANES {
-                    sliced.extract_lane_into(lane, lane_inst.mask_mut());
-                    let alive = Survivor::new(f, &lane_inst).routable_alive();
-                    let bit = 1u64 << lane;
-                    for (w, a) in out.iter_mut().zip(alive) {
-                        if a {
-                            *w |= bit;
-                        }
-                    }
-                }
-            }
-            _ => generic_routable_alive_words_into(self.net(), sliced, out),
-        }
+        generic_routable_alive_words_into(self.net(), sliced, out);
     }
 
     /// Incremental counterpart of [`alive_mask`](Fabric::alive_mask): a
@@ -168,7 +147,7 @@ impl Fabric {
     /// from-scratch computation. The discipline is the same local
     /// predicate for every fabric (a vertex is alive iff it is a
     /// terminal or has no incident failed switch; for 𝒩 this equals
-    /// [`Survivor::routable_alive`] — see `Survivor::alive_tracker`),
+    /// `Survivor::routable_alive` — see `Survivor::alive_tracker`),
     /// which is what makes a fault/repair event O(1) instead of
     /// O(V + E). The engine's debug assertions and the interleaving
     /// proptests pin the equivalence.
@@ -176,14 +155,6 @@ impl Fabric {
         let g = self.net();
         AliveTracker::new(g, g.inputs().iter().chain(g.outputs()).copied(), inst)
     }
-}
-
-fn terminal_mask(g: &StagedNetwork) -> Vec<bool> {
-    let mut is_terminal = vec![false; g.num_vertices()];
-    for &t in g.inputs().iter().chain(g.outputs()) {
-        is_terminal[t.index()] = true;
-    }
-    is_terminal
 }
 
 /// The generic §4 repair discipline on a staged network: faulty
@@ -199,7 +170,7 @@ pub fn generic_routable_alive(g: &StagedNetwork, inst: &FailureInstance) -> Vec<
 /// Buffer-reusing form of [`generic_routable_alive`].
 pub fn generic_routable_alive_into(g: &StagedNetwork, inst: &FailureInstance, out: &mut Vec<bool>) {
     assert_eq!(inst.len(), g.num_edges(), "instance/network size mismatch");
-    let is_terminal = terminal_mask(g);
+    let is_terminal = g.terminal_mask();
     out.clear();
     out.resize(g.num_vertices(), true);
     for e in inst.failed_edges() {
@@ -226,7 +197,7 @@ pub fn generic_routable_alive_words_into(
         g.num_edges(),
         "instance/network size mismatch"
     );
-    let is_terminal = terminal_mask(g);
+    let is_terminal = g.terminal_mask();
     out.clear();
     out.resize(g.num_vertices(), !0u64);
     for s in sliced.iter_failed_switches() {

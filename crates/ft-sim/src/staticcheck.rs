@@ -33,12 +33,13 @@ const PAIR_STREAM_SALT: u64 = 0x517C_C1B7_2722_0A95;
 /// Bit-sliced: trials run in [`LANES`]-sized blocks under the
 /// [`block_seed`] discipline. Each block samples one
 /// [`SlicedFailureMask`], computes the per-vertex alive lane words
-/// ([`Fabric::alive_words_into`] — lane-parallel for generic fabrics,
-/// per-lane `Survivor` fallback for 𝒩), draws the 64 terminal pairs
-/// from a salted side stream, and answers all 64 blocking verdicts with
-/// **one** lane-parallel sweep whose sources carry per-lane bits (lanes
-/// starting at the same input share a source word). The
-/// `trials % LANES` tail runs scalar. Deterministic per
+/// ([`Fabric::alive_words_into`] — lane-parallel on every fabric, 𝒩
+/// included), draws the 64 terminal pairs from a salted side stream,
+/// and answers all 64 blocking verdicts with **one** lane-parallel
+/// sweep whose sources carry per-lane bits (lanes starting at the same
+/// input share a source word). Sample → repair → reach reuse the
+/// buffers of the first block, so the block loop allocates nothing
+/// after it. The `trials % LANES` tail runs scalar. Deterministic per
 /// `(fabric, model, trials, seed)`; [`pair_blocking_estimate_scalar`]
 /// is the pinned reference, exactly equal in the sparse sampling
 /// regime.
@@ -190,7 +191,8 @@ mod tests {
     #[test]
     fn sliced_equals_scalar_exactly_in_sparse_regime() {
         // non-multiple-of-64 trial count exercises the scalar tail;
-        // the ftn fabric exercises the per-lane Survivor fallback
+        // the ftn fabric takes the same lane-parallel repair as the
+        // others (tests/repair_oracle.rs pins it against `Survivor`)
         let model = FailureModel::symmetric(0.01);
         for fabric in [
             Fabric::clos_strict(2, 3),

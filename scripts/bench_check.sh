@@ -55,7 +55,9 @@ bfs_forward_ftn_nu2_reused
 dinic_repair_nu2
 push_relabel_repair_nu2
 mc_bridge_10k_sliced
+sample_sliced_1M_edges/eps0.001
 sample_sliced_1M_edges/eps0.2
+pair_blocking_ftn_nu2
 serve_connects_per_sec
 "
 for b in $REQUIRED_BENCHES; do
