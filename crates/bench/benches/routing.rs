@@ -10,6 +10,7 @@ use ft_failure::{FailureInstance, FailureModel};
 use ft_graph::gen::{random_permutation, rng};
 use ft_graph::Digraph;
 use ft_networks::{Benes, CircuitRouter};
+use rand::Rng;
 use std::hint::black_box;
 
 fn bench_greedy_perm(c: &mut Criterion) {
@@ -71,6 +72,33 @@ fn bench_connect_only(c: &mut Criterion) {
     });
 }
 
+/// The same pair loop with a seeded 30 % of the inner vertices taken
+/// out (dead and busy look alike to the search): the regime where both
+/// cones shrink and the search has to step over unusable successors.
+fn bench_connect_half_busy(c: &mut Criterion) {
+    let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
+    let net = ftn.net();
+    let mut r = rng(5);
+    let usable: Vec<bool> = net
+        .terminal_mask()
+        .iter()
+        .map(|&terminal| terminal || !r.random_bool(0.3))
+        .collect();
+    let mut router = CircuitRouter::with_alive_mask(net, usable);
+    let n = ftn.n();
+    let mut k = 0usize;
+    c.bench_function("router_connect_pair_ftn_nu2_half_busy", |b| {
+        b.iter(|| {
+            k = (k + 1) % n;
+            // a blocked pair is a search too: it floods until a cone dies
+            match black_box(router.connect(ftn.input(k), ftn.output((k + 1) % n))) {
+                Ok(id) => router.disconnect(id),
+                Err(_) => false,
+            }
+        })
+    });
+}
+
 fn bench_churn(c: &mut Criterion) {
     let ftn = FtNetwork::build(Params::reduced(1, 8, 8, 1.0));
     let mut r = rng(4);
@@ -88,6 +116,7 @@ criterion_group!(
     bench_greedy_perm_on_survivor,
     bench_looping,
     bench_connect_only,
+    bench_connect_half_busy,
     bench_churn
 );
 criterion_main!(benches);

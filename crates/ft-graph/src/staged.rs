@@ -30,9 +30,6 @@ pub struct StagedNetwork {
     staging: OnceLock<(Vec<u32>, bool)>,
     /// Lazily built per-vertex terminal flags (see [`Self::terminal_mask`]).
     terminal_mask: OnceLock<Vec<bool>>,
-    /// Lazily computed backward-level budget for the bidirectional
-    /// point-to-point search (see [`Self::backward_budget`]).
-    bwd_budget: OnceLock<u32>,
     /// Lazily chosen max-flow kernel for disjoint-path queries on this
     /// topology (see [`Self::flow_kernel`]).
     flow_kernel: OnceLock<crate::maxflow::FlowKernel>,
@@ -142,97 +139,30 @@ impl StagedNetwork {
         self.staging().1
     }
 
-    /// Backward-level budget for the bidirectional point-to-point
-    /// search ([`crate::traversal::bibfs_into`]) on this topology,
-    /// computed once and cached.
+    /// Backward-level budget the bidirectional point-to-point search
+    /// ([`crate::traversal::bibfs_into`]) should run with on this
+    /// topology: how many levels its backward cone may grow.
     ///
-    /// The budget is a *pure function of the network* — derived from a
-    /// cost model evaluated on the all-idle topology, never from any
-    /// router's busy state — so every search uses the same value, and
-    /// it cannot change search results anyway (only work; exactness
-    /// holds for every budget). The model measures, per stage, the
-    /// forward flood cost from a representative input (Σ out-degree)
-    /// and the backward cone cost/benefit from a representative output
-    /// (Σ in-degree to grow the cone, Σ out-degree as the cone-pruned
-    /// forward cost), then picks the meet stage minimising the total.
-    /// Because the model ignores early exit and busy-state shrinkage —
-    /// both of which erode marginal pruning gains — backward levels are
-    /// spent only when the modelled win is decisive (≥ a third):
-    /// fabrics with narrow output cones (Clos egress groups, butterfly
-    /// sub-trees) get a deep meet, while expander-like fabrics whose
-    /// cones saturate a stage in a hop or two (the paper's 𝒩 at ν = 1)
-    /// get 0, i.e. an early-exit forward search.
+    /// The search floods only until its two frontiers are adjacent and
+    /// then reads the path off the cone (a scan that stops at the first
+    /// hit plus one vertex per remaining stage), so its cost is the two
+    /// floods, and its own "grow the smaller frontier" rule already
+    /// splits those by the frontier sizes of the search at hand —
+    /// busy state and dead vertices included, which no static analysis
+    /// of the idle topology sees. A cap can only override that rule, and
+    /// none measured better on a committed fabric (crossbar, Clos, Beneš,
+    /// multibutterfly, 𝒩 at ν = 1 and 2, idle to 90 % loaded), so there is
+    /// none: the budget is `u32::MAX` everywhere. It cannot change search
+    /// results in any case — exactness holds for every budget.
     pub fn backward_budget(&self) -> u32 {
-        *self.bwd_budget.get_or_init(|| {
-            let (Some(&input), Some(&output)) = (self.inputs.first(), self.outputs.first()) else {
-                return 0;
-            };
-            let csr = self.csr();
-            let stage_tab = self.stage_table();
-            let ns = self.num_stages();
-            let s0 = stage_tab[input.index()] as usize;
-            let sl = stage_tab[output.index()] as usize;
-            if sl <= s0 {
-                return 0;
-            }
-            // Per-stage scan costs of the two structural floods.
-            let mut ws = crate::workspace::TraversalWorkspace::new();
-            let mut fcost = vec![0u64; ns];
-            traversal::bfs_into(
-                csr,
-                &[input],
-                traversal::Direction::Forward,
-                |_| true,
-                |_| true,
-                &mut ws,
-            );
-            for &v in ws.order() {
-                fcost[stage_tab[v.index()] as usize] += csr.out_degree(v) as u64;
-            }
-            let (mut bin, mut bout) = (vec![0u64; ns], vec![0u64; ns]);
-            traversal::bfs_into(
-                csr,
-                &[output],
-                traversal::Direction::Backward,
-                |_| true,
-                |_| true,
-                &mut ws,
-            );
-            for &v in ws.order() {
-                let k = stage_tab[v.index()] as usize;
-                bin[k] += csr.in_degree(v) as u64;
-                bout[k] += csr.out_degree(v) as u64;
-            }
-            // Meet stage minimising: unpruned forward below the meet +
-            // cone-pruned forward above it + cone growth.
-            let (mut best_m, mut best) = (sl, u64::MAX);
-            let mut at_sl = 0;
-            for m in (s0 + 1)..=sl {
-                let unpruned: u64 = fcost[s0..m].iter().sum();
-                let pruned: u64 = bout[m..sl].iter().sum();
-                let backward: u64 = bin[m + 1..=sl].iter().sum();
-                let total = unpruned + pruned + backward;
-                if total < best {
-                    best = total;
-                    best_m = m;
-                }
-                if m == sl {
-                    at_sl = total;
-                }
-            }
-            if 3 * best > 2 * at_sl {
-                best_m = sl;
-            }
-            (sl - best_m) as u32
-        })
+        u32::MAX
     }
 
     /// The max-flow kernel disjoint-path queries on this topology should
-    /// run, computed once from the same static cost-model discipline as
-    /// [`Self::backward_budget`] — a pure function of the network, never
-    /// of any query's busy state, so every caller agrees and the choice
-    /// cannot change results (the kernels are equivalent; only work
-    /// differs).
+    /// run, computed once from a static cost model — a pure function of
+    /// the network, never of any query's busy state, so every caller
+    /// agrees and the choice cannot change results (the kernels are
+    /// equivalent; only work differs).
     ///
     /// The model mirrors [`crate::maxflow::FlowKernel::resolve`] on the
     /// vertex-split flow instance every disjoint-path query builds:
@@ -303,7 +233,6 @@ impl StagedNetwork {
             csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
-            bwd_budget: OnceLock::new(),
             flow_kernel: OnceLock::new(),
         }
     }
@@ -441,7 +370,6 @@ impl StagedBuilder {
             csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
-            bwd_budget: OnceLock::new(),
             flow_kernel: OnceLock::new(),
         }
     }

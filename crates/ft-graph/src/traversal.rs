@@ -133,10 +133,7 @@ pub fn bfs_into<G: Digraph>(
     ws.begin(g.num_vertices());
     for &s in sources {
         if !ws.is_touched(s.index()) && vertex_ok(s) {
-            ws.touch(s.index());
-            ws.dist[s.index()] = 0;
-            ws.parent[s.index()] = EdgeId::NONE.0;
-            ws.queue.push(s);
+            ws.discover(s, EdgeId::NONE, 0);
         }
     }
     let mut head = 0;
@@ -165,10 +162,7 @@ pub fn bfs_into<G: Digraph>(
                             continue;
                         }
                         if !ws.is_touched(w.index()) && vertex_ok(w) {
-                            ws.touch(w.index());
-                            ws.dist[w.index()] = du + 1;
-                            ws.parent[w.index()] = e.0;
-                            ws.queue.push(w);
+                            ws.discover(w, e, du + 1);
                         }
                     }
                 }
@@ -179,10 +173,7 @@ pub fn bfs_into<G: Digraph>(
                         }
                         let w = g.other_endpoint(e, u);
                         if !ws.is_touched(w.index()) && vertex_ok(w) {
-                            ws.touch(w.index());
-                            ws.dist[w.index()] = du + 1;
-                            ws.parent[w.index()] = e.0;
-                            ws.queue.push(w);
+                            ws.discover(w, e, du + 1);
                         }
                     }
                 }
@@ -192,48 +183,24 @@ pub fn bfs_into<G: Digraph>(
 }
 
 /// Expands the forward frontier entries `range` of `fwd` one stage,
-/// discovering heads that pass `ok` (and, when `prune` is given, are
-/// touched in it — the complete backward cone). Returns `true` the
-/// instant `target` is discovered; the parent chain to `target` is then
-/// final, so stopping early reconstructs the identical path.
+/// discovering every head that passes `ok`.
 fn expand_forward_stage<G: Digraph>(
     g: &G,
     fwd: &mut TraversalWorkspace,
     range: std::ops::Range<usize>,
-    target: VertexId,
     mut ok: impl FnMut(VertexId) -> bool,
-    prune: Option<&TraversalWorkspace>,
-) -> bool {
+) {
     #[inline(always)]
     fn visit(
         fwd: &mut TraversalWorkspace,
-        prune: Option<&TraversalWorkspace>,
         ok: &mut impl FnMut(VertexId) -> bool,
         e: EdgeId,
         w: VertexId,
         du: u32,
-        target: VertexId,
-    ) -> bool {
-        if fwd.is_touched(w.index()) || !ok(w) {
-            return false;
+    ) {
+        if !fwd.is_touched(w.index()) && ok(w) {
+            fwd.discover(w, e, du + 1);
         }
-        if let Some(cone) = prune {
-            if !cone.is_touched(w.index()) {
-                // Provably cannot reach the target. Mark it seen
-                // (without enqueueing) so the other edges into it
-                // short-circuit on the stamp instead of re-running the
-                // filter — never expanded, never on the path, so the
-                // backtracked result is untouched.
-                fwd.touch(w.index());
-                fwd.parent[w.index()] = EdgeId::NONE.0;
-                return false;
-            }
-        }
-        fwd.touch(w.index());
-        fwd.dist[w.index()] = du + 1;
-        fwd.parent[w.index()] = e.0;
-        fwd.queue.push(w);
-        w == target
     }
 
     for qi in range {
@@ -244,22 +211,39 @@ fn expand_forward_stage<G: Digraph>(
             // CSR fast path: neighbour read off the parallel slice.
             Some(heads) => {
                 for (&e, &w) in edges.iter().zip(heads) {
-                    if visit(fwd, prune, &mut ok, e, w, du, target) {
-                        return true;
-                    }
+                    visit(fwd, &mut ok, e, w, du);
                 }
             }
             None => {
                 for &e in edges {
                     let w = g.other_endpoint(e, u);
-                    if visit(fwd, prune, &mut ok, e, w, du, target) {
-                        return true;
-                    }
+                    visit(fwd, &mut ok, e, w, du);
                 }
             }
         }
     }
-    false
+}
+
+/// The first out-edge of `u`, in out-edge order, whose head lies in
+/// `cone` (is touched there), with that head.
+#[inline(always)]
+fn first_cone_edge<G: Digraph>(
+    g: &G,
+    u: VertexId,
+    cone: &TraversalWorkspace,
+) -> Option<(EdgeId, VertexId)> {
+    let edges = g.out_edge_slice(u);
+    match g.out_head_slice(u) {
+        Some(heads) => edges
+            .iter()
+            .zip(heads)
+            .find(|(_, w)| cone.is_touched(w.index()))
+            .map(|(&e, &w)| (e, w)),
+        None => edges
+            .iter()
+            .map(|&e| (e, g.other_endpoint(e, u)))
+            .find(|(_, w)| cone.is_touched(w.index())),
+    }
 }
 
 /// Expands the backward frontier entries `range` of `bwd` one level
@@ -281,10 +265,7 @@ fn expand_backward_level<G: Digraph>(
         du: u32,
     ) {
         if !bwd.is_touched(w.index()) && ok(w) {
-            bwd.touch(w.index());
-            bwd.dist[w.index()] = du + 1;
-            bwd.parent[w.index()] = e.0;
-            bwd.queue.push(w);
+            bwd.discover(w, e, du + 1);
         }
     }
 
@@ -326,39 +307,57 @@ fn expand_backward_level<G: Digraph>(
 /// same tie-breaks — so callers whose downstream behaviour depends on
 /// the exact path (the deterministic simulation engine, whose event
 /// fingerprints are pinned) can switch kernels without perturbing a
-/// single event. Two facts make the backward prune invisible:
+/// single event. The search floods forward from `source` and backward
+/// from `target` until the forward frontier (stage `m − 1`) is adjacent
+/// to the backward cone (stages `m..=sL`), then reads the path off the
+/// cone without expanding anything further. Three facts make that the
+/// BFS path:
 ///
-/// 1. **Closure.** If a vertex reaches `target` through `vertex_ok`
-///    vertices, so does each of its `vertex_ok` in-neighbours (via that
-///    vertex). Pruning to "reaches `target`" therefore never removes a
-///    potential discoverer of a surviving vertex.
+/// 1. **Rank order is lexicographic order.** Call a path's *key* its
+///    sequence of out-edge positions. A forward BFS discovers a stage
+///    in the order (rank of the discoverer, position of the discovering
+///    edge), so by induction over stages the queue order within a stage
+///    is the lexicographic order of the vertices' smallest-key paths,
+///    the parent chain of a vertex *is* its smallest-key path, and the
+///    path BFS returns for `target` is the smallest-key `vertex_ok`
+///    path from `source` to `target`. The unpruned forward flood of
+///    Phase 1 produces the frontier in exactly that order.
 /// 2. **Stage-completeness.** Unit staging means a vertex at stage `s`
 ///    can reach the stage-`sL` target only in exactly `sL − s` hops, so
 ///    once the backward cone has been expanded `j` levels it is
 ///    *complete* for every stage `≥ sL − j`: cone membership there *is*
-///    target-reachability. The forward search is pruned only at those
-///    stages.
+///    target-reachability through `vertex_ok` vertices.
+/// 3. **Min-rank hit, then greedy descent.** The smallest-key path
+///    crosses the frontier stage at the lowest-ranked frontier vertex
+///    that has a cone successor (a lower-ranked one would give a
+///    smaller key; one without a cone successor cannot reach `target`),
+///    and from there on each step takes the first out-edge whose head
+///    is in the cone — any earlier edge leads out of the cone, any
+///    later one has a larger key. Parallel edges fall out of the same
+///    rule: the first edge position wins.
 ///
-/// By induction over stages the pruned forward search discovers every
-/// surviving (target-reaching) vertex via the same first-discoverer
-/// edge, in the same relative order, as the unpruned search — pruned
-/// vertices can never appear on the backtracked path, so the path and
-/// the blocked verdict coincide. Pinned by proptests against [`bfs`].
+/// If no frontier vertex has a cone successor, no path crosses stage
+/// `m` and the verdict is blocked, exactly when a full flood would not
+/// reach `target`. Pinned by proptests against [`bfs`] and, on 𝒩
+/// itself, by `ft-networks/tests/route_oracle.rs`.
+///
+/// # Work counter
+///
+/// [`crate::KernelStats::bibfs_pops`] counts the vertices whose edge
+/// lists the search scanned: every vertex expanded in Phase 1 (both
+/// directions), every frontier vertex tested in Phase 2 up to and
+/// including the hit, and every descent vertex short of `target`.
 ///
 /// # Backward budget
 ///
 /// `max_backward_levels` caps how many levels the backward cone may
-/// grow. The cap trades pruning power against backward scan cost and
-/// **cannot affect the result** (any correct prune is invisible —
-/// exactness holds for every budget, which the proptests sample):
-/// fabrics with narrow output cones (Clos egress groups, butterfly
-/// sub-trees) profit from a deep meet, while expander-like fabrics
-/// whose cones saturate a stage in one or two hops (the paper's 𝒩)
-/// should pass a small budget or `0`, degrading gracefully to an
-/// early-exit forward search pruned only at the target's own stage.
-/// Callers that route many times over one topology should derive the
-/// budget from a one-off structural analysis (see
-/// `CircuitRouter::backward_budget` in `ft-networks`).
+/// grow; `0` degrades to a forward flood up to the stage before the
+/// target's, `u32::MAX` leaves the choice to Phase 1's "grow the
+/// smaller frontier" rule. The cap **cannot affect the result** —
+/// exactness holds for every budget, which the proptests sample —
+/// only which side does the flooding. Callers that route many times
+/// over one topology take it from
+/// [`crate::StagedNetwork::backward_budget`].
 ///
 /// `vertex_ok` must be a pure predicate: it is consulted in an
 /// unspecified order and from both directions.
@@ -380,10 +379,7 @@ pub fn bibfs_into<G: Digraph>(
     if !vertex_ok(source) || !vertex_ok(target) {
         return false;
     }
-    fwd.touch(source.index());
-    fwd.dist[source.index()] = 0;
-    fwd.parent[source.index()] = EdgeId::NONE.0;
-    fwd.queue.push(source);
+    fwd.discover(source, EdgeId::NONE, 0);
     if source == target {
         return true;
     }
@@ -391,10 +387,7 @@ pub fn bibfs_into<G: Digraph>(
     if sl <= s0 {
         return false; // stages only increase along unit-staged edges
     }
-    bwd.touch(target.index());
-    bwd.dist[target.index()] = 0;
-    bwd.parent[target.index()] = EdgeId::NONE.0;
-    bwd.queue.push(target);
+    bwd.discover(target, EdgeId::NONE, 0);
 
     // Stages `meet..=sl` have a complete backward cone in `bwd`.
     let mut meet = sl;
@@ -402,9 +395,7 @@ pub fn bibfs_into<G: Digraph>(
     let (mut fhead, mut bhead) = (0usize, 0usize);
 
     // Phase 1: grow whichever frontier is currently smaller until they
-    // are adjacent (or the backward budget is spent). Forward expansion
-    // below the meet stage cannot be pruned (no backward information
-    // exists there yet).
+    // are adjacent (the backward one only while its budget lasts).
     while fstage + 1 < meet {
         let flen = fwd.queue.len() - fhead;
         let blen = bwd.queue.len() - bhead;
@@ -423,9 +414,7 @@ pub fn bibfs_into<G: Digraph>(
         } else {
             let end = fwd.queue.len();
             fwd.stats.bibfs_pops += (end - fhead) as u64;
-            if expand_forward_stage(g, fwd, fhead..end, target, &mut vertex_ok, None) {
-                return true; // adjacent-stage source/target pairs
-            }
+            expand_forward_stage(g, fwd, fhead..end, &mut vertex_ok);
             fhead = end;
             fstage += 1;
             if fwd.queue.len() == fhead {
@@ -434,19 +423,31 @@ pub fn bibfs_into<G: Digraph>(
         }
     }
 
-    // Phase 2: forward expansion pruned to the backward cone, stopping
-    // the instant the target is discovered.
-    loop {
-        let end = fwd.queue.len();
-        if fhead == end {
-            return false;
+    // Phase 2: the first frontier vertex, in queue order, with an edge
+    // into the cone is on the BFS path; the rest of the path is the
+    // greedy descent through the cone. Nothing else is expanded.
+    let end = fwd.queue.len();
+    for qi in fhead..end {
+        let mut u = fwd.queue[qi];
+        let Some(mut hit) = first_cone_edge(g, u, bwd) else {
+            continue;
+        };
+        fwd.stats.bibfs_pops += (qi + 1 - fhead) as u64;
+        loop {
+            let (e, w) = hit;
+            let dw = fwd.dist[u.index()] + 1;
+            fwd.discover(w, e, dw);
+            if w == target {
+                return true;
+            }
+            fwd.stats.bibfs_pops += 1;
+            u = w;
+            hit = first_cone_edge(g, u, bwd)
+                .expect("a cone vertex short of the target has a cone successor");
         }
-        fwd.stats.bibfs_pops += (end - fhead) as u64;
-        if expand_forward_stage(g, fwd, fhead..end, target, &mut vertex_ok, Some(bwd)) {
-            return true;
-        }
-        fhead = end;
     }
+    fwd.stats.bibfs_pops += (end - fhead) as u64;
+    false
 }
 
 /// BFS forward from a single source with no filters.
@@ -702,145 +703,207 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bibfs_matches_bfs_on_small_staged_net() {
-        use crate::staged::StagedBuilder;
-        // 3 stages, 2 wide, fully wired: plenty of equal-length paths,
-        // so the tie-break rules are what is under test.
-        let mut b = StagedBuilder::new();
-        let s0 = b.add_stage(2);
-        let s1 = b.add_stage(2);
-        let s2 = b.add_stage(2);
-        for t in s0.clone() {
-            for h in s1.clone() {
-                b.add_edge(v(t), v(h));
-            }
+    /// A unit-staged network with the given stage widths (ids run stage
+    /// by stage) and `(tail, head)` switches, in edge-id order.
+    fn staged(widths: &[usize], edges: &[(u32, u32)]) -> crate::StagedNetwork {
+        let mut b = crate::staged::StagedBuilder::new();
+        let ranges: Vec<_> = widths.iter().map(|&w| b.add_stage(w)).collect();
+        for &(t, h) in edges {
+            b.add_edge(v(t), v(h));
         }
-        for t in s1.clone() {
-            for h in s2.clone() {
-                b.add_edge(v(t), v(h));
-            }
-        }
-        b.set_inputs(s0.map(v).collect());
-        b.set_outputs(s2.map(v).collect());
+        b.set_inputs(ranges[0].clone().map(v).collect());
+        b.set_outputs(ranges[ranges.len() - 1].clone().map(v).collect());
         let net = b.finish();
         assert!(net.is_unit_staged());
+        net
+    }
+
+    /// Runs `bibfs_into` under every budget in `budgets`, checks verdict,
+    /// path and parent edges against the full forward flood, and returns
+    /// that flood's path.
+    fn check_bibfs(
+        net: &crate::StagedNetwork,
+        (src, dst): (u32, u32),
+        budgets: &[u32],
+        ok: impl Fn(VertexId) -> bool,
+    ) -> Option<Vec<VertexId>> {
         let csr = net.csr();
         let (mut rws, mut fwd, mut bwd) = (
             TraversalWorkspace::new(),
             TraversalWorkspace::new(),
             TraversalWorkspace::new(),
         );
+        bfs_into(csr, &[v(src)], Direction::Forward, |_| true, &ok, &mut rws);
+        let want = rws.path_to(csr, v(dst));
+        for &budget in budgets {
+            let tab = net.stage_table();
+            let got = bibfs_into(csr, v(src), v(dst), tab, budget, &ok, &mut fwd, &mut bwd);
+            assert_eq!(got, want.is_some(), "budget {budget}");
+            if let Some(path) = &want {
+                assert_eq!(
+                    fwd.path_to(csr, v(dst)).as_ref(),
+                    Some(path),
+                    "budget {budget}"
+                );
+                for &u in path {
+                    assert_eq!(fwd.parent_edge(u), rws.parent_edge(u), "budget {budget}");
+                    assert_eq!(fwd.dist(u), rws.dist(u), "budget {budget}");
+                }
+            }
+        }
+        want
+    }
+
+    const BUDGETS: [u32; 4] = [0, 1, 2, u32::MAX];
+
+    #[test]
+    fn bibfs_matches_bfs_on_small_staged_net() {
+        // 3 stages, 2 wide, fully wired: plenty of equal-length paths,
+        // so the tie-break rules are what is under test.
+        let full = |a: [u32; 2], b: [u32; 2]| a.into_iter().flat_map(move |t| b.map(|h| (t, h)));
+        let edges: Vec<_> = full([0, 1], [2, 3]).chain(full([2, 3], [4, 5])).collect();
+        let net = staged(&[2, 2, 2], &edges);
         // every pair, under every single-vertex knockout of stage 1
         for knockout in [None, Some(v(2)), Some(v(3))] {
-            let ok = |u: VertexId| Some(u) != knockout;
-            for src in 0..2u32 {
-                for dst in 4..6u32 {
-                    bfs_into(csr, &[v(src)], Direction::Forward, |_| true, ok, &mut rws);
-                    let want = rws.path_to(csr, v(dst));
-                    // every budget must give the identical answer
-                    for budget in [0, 1, u32::MAX] {
-                        let got = bibfs_into(
-                            csr,
-                            v(src),
-                            v(dst),
-                            net.stage_table(),
-                            budget,
-                            ok,
-                            &mut fwd,
-                            &mut bwd,
-                        );
-                        assert_eq!(got, want.is_some());
-                        if got {
-                            assert_eq!(fwd.path_to(csr, v(dst)).unwrap(), want.clone().unwrap());
-                        }
-                    }
+            for src in 0..2 {
+                for dst in 4..6 {
+                    check_bibfs(&net, (src, dst), &BUDGETS, |u| Some(u) != knockout);
                 }
             }
         }
     }
 
     #[test]
-    fn bibfs_edge_cases() {
-        use crate::staged::StagedBuilder;
-        // a 2-stage (adjacent source/target) network
-        let mut b = StagedBuilder::new();
-        let s0 = b.add_stage(2);
-        let s1 = b.add_stage(2);
-        b.add_edge(v(s0.start), v(s1.start));
-        b.set_inputs(s0.clone().map(v).collect());
-        b.set_outputs(s1.clone().map(v).collect());
-        let net = b.finish();
+    fn bibfs_hit_on_last_edge_of_last_frontier_vertex() {
+        // Stage 1 = {2, 3, 4}, stage 2 = {5, 6, 7}; only 7 reaches the
+        // target 8, and only the last out-edge of the last frontier
+        // vertex (4) enters it.
+        let edges = [
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (2, 5),
+            (2, 6),
+            (3, 5),
+            (3, 6),
+            (4, 5),
+            (4, 6),
+            (4, 7),
+            (7, 8),
+            (1, 2),
+        ];
+        let net = staged(&[2, 3, 3, 2], &edges);
+        let path = check_bibfs(&net, (0, 8), &BUDGETS, |_| true);
+        assert_eq!(path, Some(vec![v(0), v(4), v(7), v(8)]));
+        // 9 is an output nothing feeds: the cone dies at once
+        assert_eq!(check_bibfs(&net, (0, 9), &BUDGETS, |_| true), None);
+    }
+
+    #[test]
+    fn bibfs_parallel_edges_first_edge_id_wins() {
+        // e1 and e2 both join 1 → 2, e3 and e4 both join 2 → 3: whether
+        // the scan or the descent crosses them, the lower id is the parent.
+        let net = staged(&[1, 1, 1, 1], &[(0, 1), (1, 2), (1, 2), (2, 3), (2, 3)]);
         let csr = net.csr();
         let (mut fwd, mut bwd) = (TraversalWorkspace::new(), TraversalWorkspace::new());
-        let tab = net.stage_table();
+        for budget in BUDGETS {
+            let tab = net.stage_table();
+            assert!(bibfs_into(
+                csr,
+                v(0),
+                v(3),
+                tab,
+                budget,
+                |_| true,
+                &mut fwd,
+                &mut bwd
+            ));
+            assert_eq!(fwd.parent_edge(v(2)), e(1), "budget {budget}");
+            assert_eq!(fwd.parent_edge(v(3)), e(3), "budget {budget}");
+        }
+        check_bibfs(&net, (0, 3), &BUDGETS, |_| true);
+    }
+
+    #[test]
+    fn bibfs_frontier_and_cone_disjoint_is_blocked() {
+        // 0 → 2 → 4 and 3 → 5 → 6: both floods are non-empty at every
+        // stage, but no frontier vertex has an edge into the cone.
+        let net = staged(
+            &[2, 2, 2, 2],
+            &[(0, 2), (2, 4), (1, 3), (3, 5), (5, 7), (4, 6)],
+        );
+        assert_eq!(check_bibfs(&net, (0, 7), &BUDGETS, |_| true), None);
+        assert!(check_bibfs(&net, (1, 7), &BUDGETS, |_| true).is_some());
+        // … and blocked by the filter alone
+        assert_eq!(check_bibfs(&net, (1, 7), &BUDGETS, |u| u != v(5)), None);
+    }
+
+    #[test]
+    fn bibfs_descent_skips_non_cone_successors() {
+        // 1's successors are 2, 3, 4, 5 in edge order; 2 and 3 are dead
+        // ends, 4 is filtered out, 5 is its only cone successor. Budget 0
+        // floods forward to stage 2 and scans; larger budgets descend
+        // from 1 past the three non-cone heads.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (1, 5),
+            (4, 6),
+            (5, 6),
+            (6, 7),
+        ];
+        let net = staged(&[1, 1, 4, 1, 1], &edges);
+        let path = check_bibfs(&net, (0, 7), &[0, 1, 2, 3, u32::MAX], |u| u != v(4));
+        assert_eq!(path, Some(vec![v(0), v(1), v(5), v(6), v(7)]));
+    }
+
+    #[test]
+    fn bibfs_counts_scanned_vertices() {
+        // Chain 0 → 1 → 2 → 3 → 4. Budget 0: three forward stages (3
+        // pops), then the frontier vertex 3 is tested and hits (1 pop).
+        // Uncapped: ties grow the cone, so backward pops 4, 3 and 2;
+        // Phase 2 tests the frontier vertex 0 and descends over 1, 2
+        // and 3 — seven in all.
+        let net = staged(&[1, 1, 1, 1, 1], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        for (budget, pops) in [(0, 4), (u32::MAX, 7)] {
+            let (mut fwd, mut bwd) = (TraversalWorkspace::new(), TraversalWorkspace::new());
+            let tab = net.stage_table();
+            assert!(bibfs_into(
+                net.csr(),
+                v(0),
+                v(4),
+                tab,
+                budget,
+                |_| true,
+                &mut fwd,
+                &mut bwd
+            ));
+            let total = fwd.stats().bibfs_pops + bwd.stats().bibfs_pops;
+            assert_eq!(total, pops, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn bibfs_edge_cases() {
+        // a 2-stage (adjacent source/target, `sl == s0 + 1`) network
+        let net = staged(&[2, 2], &[(0, 2)]);
         // direct edge: found
-        assert!(bibfs_into(
-            csr,
-            v(0),
-            v(2),
-            tab,
-            u32::MAX,
-            |_| true,
-            &mut fwd,
-            &mut bwd
-        ));
-        assert_eq!(fwd.path_to(csr, v(2)).unwrap(), vec![v(0), v(2)]);
+        let path = check_bibfs(&net, (0, 2), &BUDGETS, |_| true);
+        assert_eq!(path, Some(vec![v(0), v(2)]));
         // absent edge: blocked
-        assert!(!bibfs_into(
-            csr,
-            v(1),
-            v(3),
-            tab,
-            u32::MAX,
-            |_| true,
-            &mut fwd,
-            &mut bwd
-        ));
+        assert_eq!(check_bibfs(&net, (1, 3), &BUDGETS, |_| true), None);
         // busy source / busy target: blocked
-        assert!(!bibfs_into(
-            csr,
-            v(0),
-            v(2),
-            tab,
-            u32::MAX,
-            |u| u != v(0),
-            &mut fwd,
-            &mut bwd
-        ));
-        assert!(!bibfs_into(
-            csr,
-            v(0),
-            v(2),
-            tab,
-            u32::MAX,
-            |u| u != v(2),
-            &mut fwd,
-            &mut bwd
-        ));
+        assert_eq!(check_bibfs(&net, (0, 2), &BUDGETS, |u| u != v(0)), None);
+        assert_eq!(check_bibfs(&net, (0, 2), &BUDGETS, |u| u != v(2)), None);
         // source == target is trivially reachable
-        assert!(bibfs_into(
-            csr,
-            v(0),
-            v(0),
-            tab,
-            u32::MAX,
-            |_| true,
-            &mut fwd,
-            &mut bwd
-        ));
-        assert_eq!(fwd.path_to(csr, v(0)).unwrap(), vec![v(0)]);
+        assert_eq!(
+            check_bibfs(&net, (0, 0), &BUDGETS, |_| true),
+            Some(vec![v(0)])
+        );
         // target at an earlier stage than the source: unreachable
-        assert!(!bibfs_into(
-            csr,
-            v(2),
-            v(0),
-            tab,
-            u32::MAX,
-            |_| true,
-            &mut fwd,
-            &mut bwd
-        ));
+        assert_eq!(check_bibfs(&net, (2, 0), &BUDGETS, |_| true), None);
     }
 
     #[test]

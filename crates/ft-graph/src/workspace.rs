@@ -35,9 +35,10 @@ pub struct KernelStats {
     /// Epoch-stamped workspace resets (`begin` calls): one per
     /// traversal started, the O(1)-clear discipline's unit of work.
     pub epoch_resets: u64,
-    /// Vertices popped off the bidirectional route search's frontiers
-    /// ([`crate::traversal::bibfs_into`], both cones) — the dominant
-    /// cost of a `connect` attempt.
+    /// Vertices whose edge lists the bidirectional route search
+    /// scanned ([`crate::traversal::bibfs_into`]: both floods, the
+    /// frontier vertices tested for a cone hit, the descent) — the
+    /// dominant cost of a `connect` attempt.
     pub bibfs_pops: u64,
     /// Worklist pops of the 64-lane sliced reachability sweep.
     pub sliced_pops: u64,
@@ -123,6 +124,16 @@ impl TraversalWorkspace {
     #[inline(always)]
     pub(crate) fn touch(&mut self, i: usize) {
         self.stamp[i] = self.epoch;
+    }
+
+    /// Records `v` as discovered over edge `e` at distance `dist`
+    /// ([`EdgeId::NONE`] for a source) and appends it to the queue.
+    #[inline(always)]
+    pub(crate) fn discover(&mut self, v: VertexId, e: EdgeId, dist: u32) {
+        self.touch(v.index());
+        self.dist[v.index()] = dist;
+        self.parent[v.index()] = e.0;
+        self.queue.push(v);
     }
 
     /// Whether `v` was reached by the last traversal.

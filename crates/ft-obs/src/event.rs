@@ -117,11 +117,19 @@ impl Observer for Noop {
 /// Numbers are rendered with Rust's shortest-round-trip float formatting
 /// and keys appear in a fixed order per event kind, so the same event
 /// stream always produces the same bytes — `trace_diff` compares traces
-/// line-by-line on that guarantee.
+/// line-by-line on that guarantee. Only the two `f64` fields go through
+/// `core::fmt`; integers, booleans and keys are pushed directly, and the
+/// `{"t":…,"seq":…,"ev":"` stamp is rendered once per `(time, seq)` — the
+/// engine emits several events under one stamp (arrival + connect,
+/// fault + kills + reroutes).
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuf {
     buf: String,
     lines: u64,
+    /// The rendered stamp of `stamp_key`.
+    stamp: String,
+    /// `(time.to_bits(), seq)` of the event `stamp` was rendered for.
+    stamp_key: Option<(u64, u64)>,
 }
 
 impl TraceBuf {
@@ -133,7 +141,9 @@ impl TraceBuf {
     /// before running it, so a multi-seed trace file concatenated in
     /// seed order is self-describing (and independent of thread count).
     pub fn begin_seed(&mut self, seed: u64) {
-        let _ = writeln!(self.buf, "{{\"ev\":\"seed\",\"seed\":{seed}}}");
+        self.buf.push_str("{\"ev\":\"seed\",\"seed\":");
+        push_uint(&mut self.buf, seed);
+        self.buf.push_str("}\n");
         self.lines += 1;
     }
 
@@ -151,26 +161,64 @@ impl TraceBuf {
     }
 }
 
+/// Appends `n` in decimal, as `{n}` would.
+fn push_uint(buf: &mut String, n: impl Into<u64>) {
+    let mut n = n.into();
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends `key` (a literal `,"name":`) and then `n`.
+fn push_field(buf: &mut String, key: &str, n: u32) {
+    buf.push_str(key);
+    push_uint(buf, n);
+}
+
+fn push_bool(buf: &mut String, key: &str, b: bool) {
+    buf.push_str(key);
+    buf.push_str(if b { "true" } else { "false" });
+}
+
 fn push_path(buf: &mut String, path: &[u32]) {
-    buf.push('[');
-    for (i, v) in path.iter().enumerate() {
+    buf.push_str(",\"path\":[");
+    for (i, &v) in path.iter().enumerate() {
         if i > 0 {
             buf.push(',');
         }
-        let _ = write!(buf, "{v}");
+        push_uint(buf, v);
     }
     buf.push(']');
 }
 
 impl Observer for TraceBuf {
     fn event(&mut self, time: f64, seq: u64, ev: &TraceEvent<'_>) {
+        let key = Some((time.to_bits(), seq));
+        if self.stamp_key != key {
+            self.stamp_key = key;
+            self.stamp.clear();
+            let _ = write!(self.stamp, "{{\"t\":{time},\"seq\":");
+            push_uint(&mut self.stamp, seq);
+            self.stamp.push_str(",\"ev\":\"");
+        }
         let buf = &mut self.buf;
-        let _ = write!(buf, "{{\"t\":{time},\"seq\":{seq},\"ev\":\"{}\"", ev.tag());
+        buf.push_str(&self.stamp);
+        buf.push_str(ev.tag());
+        buf.push('"');
         match *ev {
             TraceEvent::Arrival { src, dst }
             | TraceEvent::BusyReject { src, dst }
             | TraceEvent::Block { src, dst } => {
-                let _ = write!(buf, ",\"src\":{src},\"dst\":{dst}");
+                push_field(buf, ",\"src\":", src);
+                push_field(buf, ",\"dst\":", dst);
             }
             TraceEvent::Connect {
                 token,
@@ -178,27 +226,26 @@ impl Observer for TraceBuf {
                 dst,
                 path,
             } => {
-                let _ = write!(
-                    buf,
-                    ",\"token\":{token},\"src\":{src},\"dst\":{dst},\"path\":"
-                );
+                push_field(buf, ",\"token\":", token);
+                push_field(buf, ",\"src\":", src);
+                push_field(buf, ",\"dst\":", dst);
                 push_path(buf, path);
             }
             TraceEvent::Hangup { token } | TraceEvent::Retry { token } => {
-                let _ = write!(buf, ",\"token\":{token}");
+                push_field(buf, ",\"token\":", token);
             }
             TraceEvent::Fault {
                 switch,
                 open,
                 episode,
             } => {
-                let _ = write!(
-                    buf,
-                    ",\"switch\":{switch},\"open\":{open},\"episode\":{episode}"
-                );
+                push_field(buf, ",\"switch\":", switch);
+                push_bool(buf, ",\"open\":", open);
+                push_bool(buf, ",\"episode\":", episode);
             }
             TraceEvent::Kill { token, slot } => {
-                let _ = write!(buf, ",\"token\":{token},\"slot\":{slot}");
+                push_field(buf, ",\"token\":", token);
+                push_field(buf, ",\"slot\":", slot);
             }
             TraceEvent::Reroute {
                 token,
@@ -207,17 +254,19 @@ impl Observer for TraceBuf {
                 ok,
                 path,
             } => {
-                let _ = write!(
-                    buf,
-                    ",\"token\":{token},\"src\":{src},\"dst\":{dst},\"ok\":{ok},\"path\":"
-                );
+                push_field(buf, ",\"token\":", token);
+                push_field(buf, ",\"src\":", src);
+                push_field(buf, ",\"dst\":", dst);
+                push_bool(buf, ",\"ok\":", ok);
                 push_path(buf, path);
             }
             TraceEvent::Shed { token, src, dst } => {
-                let _ = write!(buf, ",\"token\":{token},\"src\":{src},\"dst\":{dst}");
+                push_field(buf, ",\"token\":", token);
+                push_field(buf, ",\"src\":", src);
+                push_field(buf, ",\"dst\":", dst);
             }
             TraceEvent::Repair { switch } => {
-                let _ = write!(buf, ",\"switch\":{switch}");
+                push_field(buf, ",\"switch\":", switch);
             }
             TraceEvent::RecoveryClose { span } => {
                 let _ = write!(buf, ",\"span\":{span}");
@@ -237,6 +286,140 @@ mod tests {
         assert_eq!(std::mem::size_of::<Noop>(), 0);
         const { assert!(!Noop::ENABLED) };
         const { assert!(TraceBuf::ENABLED) };
+    }
+
+    /// The `format!` rendering `TraceBuf` must reproduce byte for byte.
+    fn reference_line(time: f64, seq: u64, ev: &TraceEvent<'_>) -> String {
+        let tag = ev.tag();
+        let list = |path: &[u32]| {
+            let items: Vec<String> = path.iter().map(u32::to_string).collect();
+            format!("[{}]", items.join(","))
+        };
+        let fields = match *ev {
+            TraceEvent::Arrival { src, dst }
+            | TraceEvent::BusyReject { src, dst }
+            | TraceEvent::Block { src, dst } => format!("\"src\":{src},\"dst\":{dst}"),
+            TraceEvent::Connect {
+                token,
+                src,
+                dst,
+                path,
+            } => format!(
+                "\"token\":{token},\"src\":{src},\"dst\":{dst},\"path\":{}",
+                list(path)
+            ),
+            TraceEvent::Hangup { token } | TraceEvent::Retry { token } => {
+                format!("\"token\":{token}")
+            }
+            TraceEvent::Fault {
+                switch,
+                open,
+                episode,
+            } => format!("\"switch\":{switch},\"open\":{open},\"episode\":{episode}"),
+            TraceEvent::Kill { token, slot } => format!("\"token\":{token},\"slot\":{slot}"),
+            TraceEvent::Reroute {
+                token,
+                src,
+                dst,
+                ok,
+                path,
+            } => format!(
+                "\"token\":{token},\"src\":{src},\"dst\":{dst},\"ok\":{ok},\"path\":{}",
+                list(path)
+            ),
+            TraceEvent::Shed { token, src, dst } => {
+                format!("\"token\":{token},\"src\":{src},\"dst\":{dst}")
+            }
+            TraceEvent::Repair { switch } => format!("\"switch\":{switch}"),
+            TraceEvent::RecoveryClose { span } => format!("\"span\":{span}"),
+        };
+        format!("{{\"t\":{time},\"seq\":{seq},\"ev\":\"{tag}\",{fields}}}\n")
+    }
+
+    #[test]
+    fn every_variant_renders_as_format_would() {
+        const M: u32 = u32::MAX;
+        let long: Vec<u32> = (0..300).map(|i| i * 14_316_557).collect();
+        let paths: [&[u32]; 4] = [&[], &[0], &[M, 0, 10, 99, 100], &long];
+        let mut events = vec![
+            TraceEvent::Hangup { token: 0 },
+            TraceEvent::Hangup { token: M },
+            TraceEvent::Retry { token: 9 },
+            TraceEvent::Retry {
+                token: 1_000_000_000,
+            },
+            TraceEvent::Kill { token: 0, slot: M },
+            TraceEvent::Kill { token: M, slot: 0 },
+            TraceEvent::Repair { switch: 0 },
+            TraceEvent::Repair { switch: M },
+            TraceEvent::RecoveryClose { span: 0.0 },
+            TraceEvent::RecoveryClose { span: 7.75 },
+            TraceEvent::RecoveryClose { span: 1e-7 },
+            TraceEvent::RecoveryClose { span: 1.0e21 },
+        ];
+        for (src, dst) in [(0, 0), (M, M), (0, M), (19, 100)] {
+            events.push(TraceEvent::Arrival { src, dst });
+            events.push(TraceEvent::BusyReject { src, dst });
+            events.push(TraceEvent::Block { src, dst });
+            events.push(TraceEvent::Shed {
+                token: dst,
+                src,
+                dst: src,
+            });
+            for path in paths {
+                events.push(TraceEvent::Connect {
+                    token: src,
+                    src: dst,
+                    dst,
+                    path,
+                });
+                events.push(TraceEvent::Reroute {
+                    token: dst,
+                    src,
+                    dst,
+                    ok: !path.is_empty(),
+                    path,
+                });
+            }
+        }
+        for (open, episode) in [(false, false), (false, true), (true, false), (true, true)] {
+            events.push(TraceEvent::Fault {
+                switch: M - u32::from(open),
+                open,
+                episode,
+            });
+        }
+        // Stamps: repeats (the cached case), seq alone moving, time alone
+        // moving, both extremes, and -0.0 vs 0.0 (equal as floats, not
+        // as rendered text).
+        let stamps = [
+            (0.0, 0),
+            (0.0, 0),
+            (-0.0, 0),
+            (0.0, 1),
+            (0.5, 1),
+            (0.5, 1),
+            (1.0e-9, u64::MAX),
+            (123_456.789_012_345, 10_000_000_000),
+            (f64::MAX, 18_446_744_073_709_551_614),
+        ];
+        let mut got = TraceBuf::new();
+        let mut want = String::new();
+        for seed in [0, 7, u64::MAX] {
+            got.begin_seed(seed);
+            want.push_str(&format!("{{\"ev\":\"seed\",\"seed\":{seed}}}\n"));
+            for (i, ev) in events.iter().enumerate() {
+                // walk the stamps slowly so most of them repeat
+                let (time, seq) = stamps[(i / 3) % stamps.len()];
+                got.event(time, seq, ev);
+                want.push_str(&reference_line(time, seq, ev));
+            }
+        }
+        assert_eq!(got.lines(), 3 * (events.len() as u64 + 1));
+        for (g, w) in got.as_str().lines().zip(want.lines()) {
+            assert_eq!(g, w);
+        }
+        assert_eq!(got.as_str(), want);
     }
 
     #[test]

@@ -320,7 +320,7 @@ pub fn run_seed_obs<O: Observer>(
         cfg,
         router: CircuitRouter::new(net),
         stage_tab: net.stage_table(),
-        injector: cfg.faults.build(cfg, fabric),
+        injector: cfg.faults.build(cfg),
         inst,
         healthy: m,
         fault_epoch: 0,

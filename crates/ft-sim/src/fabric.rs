@@ -160,14 +160,8 @@ impl Fabric {
 /// The generic §4 repair discipline on a staged network: faulty
 /// internal vertices (any incident failed switch) are discarded,
 /// terminals are exempt, and a failed terminal-incident switch is
-/// masked by discarding its internal endpoint.
-pub fn generic_routable_alive(g: &StagedNetwork, inst: &FailureInstance) -> Vec<bool> {
-    let mut alive = Vec::new();
-    generic_routable_alive_into(g, inst, &mut alive);
-    alive
-}
-
-/// Buffer-reusing form of [`generic_routable_alive`].
+/// masked by discarding its internal endpoint. Writes into a
+/// caller-held buffer and allocates nothing once it has grown.
 pub fn generic_routable_alive_into(g: &StagedNetwork, inst: &FailureInstance, out: &mut Vec<bool>) {
     assert_eq!(inst.len(), g.num_edges(), "instance/network size mismatch");
     let is_terminal = g.terminal_mask();
@@ -185,7 +179,7 @@ pub fn generic_routable_alive_into(g: &StagedNetwork, inst: &FailureInstance, ou
 }
 
 /// Lane-parallel generic §4 repair: per lane identical to
-/// [`generic_routable_alive`], computed for all 64 lanes from the
+/// [`generic_routable_alive_into`], computed for all 64 lanes from the
 /// failed-switch word planes in one pass over the failed switches.
 pub fn generic_routable_alive_words_into(
     g: &StagedNetwork,

@@ -44,7 +44,6 @@
 //! kills — is configured independently by [`RetryPolicy`].
 
 use crate::engine::SimConfig;
-use crate::fabric::Fabric;
 use crate::workload::exp_draw;
 use ft_failure::{FailureInstance, SwitchState};
 use ft_graph::{Digraph, EdgeId, StagedNetwork};
@@ -129,7 +128,7 @@ impl FaultSpec {
     }
 
     /// Instantiates the injector for one seed's run.
-    pub fn build(&self, cfg: &SimConfig, fabric: &Fabric) -> Box<dyn FaultInjector> {
+    pub fn build(&self, cfg: &SimConfig) -> Box<dyn FaultInjector> {
         let open_share = cfg.fault_open_share;
         match *self {
             FaultSpec::Iid => Box::new(IidExp {
@@ -158,19 +157,11 @@ impl FaultSpec {
                 victims: Vec::new(),
                 cursor: 0,
             }),
-            FaultSpec::Targeted { rate } => {
-                let g = fabric.net();
-                let mut is_terminal = vec![false; g.num_vertices()];
-                for &t in g.inputs().iter().chain(g.outputs()) {
-                    is_terminal[t.index()] = true;
-                }
-                Box::new(Targeted {
-                    rate,
-                    open_share,
-                    next_start: None,
-                    is_terminal,
-                })
-            }
+            FaultSpec::Targeted { rate } => Box::new(Targeted {
+                rate,
+                open_share,
+                next_start: None,
+            }),
         }
     }
 }
@@ -580,7 +571,6 @@ struct Targeted {
     rate: f64,
     open_share: f64,
     next_start: Option<f64>,
-    is_terminal: Vec<bool>,
 }
 
 impl FaultInjector for Targeted {
@@ -602,6 +592,7 @@ impl FaultInjector for Targeted {
     fn strike(&mut self, _now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<Strike> {
         self.next_start = None;
         let g = ctx.net;
+        let is_terminal = g.terminal_mask();
         // Damage of failing switch e: how many live circuits cross the
         // internal endpoints its discard would newly kill (each vertex
         // carries at most one circuit, so the score is 0..=2), then how
@@ -618,7 +609,7 @@ impl FaultInjector for Targeted {
             let mut discards = 0u32;
             let mut seen: Option<SessionId> = None;
             for v in [t, h] {
-                if self.is_terminal[v.index()] || !ctx.alive[v.index()] {
+                if is_terminal[v.index()] || !ctx.alive[v.index()] {
                     continue;
                 }
                 discards += 1;

@@ -51,6 +51,7 @@ sim_churn_100k_calls_faulty
 reroute_storm
 reroute_storm_mincost
 router_connect_pair_ftn_nu2
+router_connect_pair_ftn_nu2_half_busy
 bfs_forward_ftn_nu2_reused
 dinic_repair_nu2
 push_relabel_repair_nu2

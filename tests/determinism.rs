@@ -386,6 +386,57 @@ buckets = 4
     );
 }
 
+/// The route search's work counter is deterministic too, and unlike the
+/// fingerprints it is *meant* to move when the search gets cheaper: a
+/// kernel change must leave every fingerprint above untouched and show
+/// up here, as a reviewed diff of `SeedOutcome.kernel.bibfs_pops`
+/// (CHANGES.md records old → new). One seed on the benchmark's 𝒩 under
+/// hotspot traffic with i.i.d. faults, one on a strict Clos under stage
+/// storms; events and fingerprints ride along so a counter diff can be
+/// told apart from a changed run.
+#[test]
+fn route_search_work_counters_are_pinned() {
+    use fault_tolerant_switching::sim;
+
+    const FTN_HOTSPOT: &str = "\
+network = ftn 2 8 8 1.0
+pattern = hotspot 0.25 0.5
+arrival_rate = 100
+holding = exp 0.08
+fault_rate = 0.0001
+mttr = 1
+duration = 30
+seeds = 1
+seed_base = 3
+buckets = 4
+";
+    let out = &sim::run_scenario_text(FTN_HOTSPOT)
+        .expect("hotspot scenario parses")
+        .outcomes[0];
+    assert_eq!((out.seed, out.events), (3, 4482), "hotspot events");
+    assert_eq!(out.fingerprint, 0xfb072f92f3634571, "hotspot fingerprint");
+    assert_eq!(out.kernel.bibfs_pops, 359_405, "hotspot bibfs_pops");
+
+    const CLOS_STORM: &str = "\
+network = clos-strict 4 4
+arrival_rate = 6
+holding = exp 1.0
+faults = storm 0.05 2 2
+retry = budget 3 backoff 0.5 shed 16
+mttr = 3
+duration = 120
+seeds = 1
+seed_base = 1
+buckets = 4
+";
+    let out = &sim::run_scenario_text(CLOS_STORM)
+        .expect("storm scenario parses")
+        .outcomes[0];
+    assert_eq!((out.seed, out.events), (1, 2079), "storm events");
+    assert_eq!(out.fingerprint, 0x39443581943615db, "storm fingerprint");
+    assert_eq!(out.kernel.bibfs_pops, 2_076, "storm bibfs_pops");
+}
+
 /// The `ftexp` grid runner extends the same contract to whole studies:
 /// the aggregate JSON and CSV tables must be byte-identical across
 /// worker counts AND across a cache-cold vs cache-warm run, and the
