@@ -55,8 +55,8 @@ fn bench_dinic_random_dag(c: &mut Criterion) {
 /// path count on the ν = 2 fault-tolerant network under a deterministic
 /// ~10% switch outage — once per flow kernel. `dinic_repair_nu2` pins Dinic,
 /// `push_relabel_repair_nu2` pins FIFO push-relabel; together they keep
-/// the `FlowKernel::Auto` cost model honest: whichever the selector
-/// picks for this topology must be the one these numbers say is faster.
+/// the default honest: Dinic stays the default while it is the faster
+/// of the two here.
 fn bench_repair_kernels(c: &mut Criterion) {
     let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
     let net = ftn.net();

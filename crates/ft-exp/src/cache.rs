@@ -15,6 +15,7 @@
 
 use crate::result::{CellData, SeedRow};
 use ft_failure::Estimate;
+use ft_obs::fnv1a;
 use std::path::{Path, PathBuf};
 
 /// Format tag written to (and required of) every cache file. Bumped to
@@ -27,17 +28,6 @@ use std::path::{Path, PathBuf};
 /// histogram, so structure checks alone cannot catch every torn tail)
 /// — older files are clean misses.
 const VERSION: &str = "ftexp cell-cache v5";
-
-/// FNV-1a over raw bytes — the checksum in the trailing `ok` line.
-/// Same constants as [`crate::grid::cell_hash`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
 
 /// The cache file path for a cell hash.
 pub fn cell_path(dir: &Path, hash: u64) -> PathBuf {

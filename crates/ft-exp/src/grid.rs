@@ -278,12 +278,7 @@ pub fn canonical_cell_text(s: &Scenario, static_trials: u64) -> String {
 /// FNV-1a content hash of the canonical cell text: the cache key, and
 /// the seed of the cell's static cross-check estimator.
 pub fn cell_hash(s: &Scenario, static_trials: u64) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in canonical_cell_text(s, static_trials).bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
+    ft_obs::fnv1a(canonical_cell_text(s, static_trials).as_bytes())
 }
 
 /// The directive spelling of a traffic pattern (inverse of the parser).

@@ -21,10 +21,11 @@
 //!   wins on dense flow instances where Dinic's level-graph rebuilds
 //!   dominate.
 //!
-//! [`FlowKernel`] selects between them; `Auto` applies a static density
-//! cost model (see [`FlowKernel::resolve`]). The portfolio is also its
-//! own oracle: `tests/kernel_equiv.rs` pins that every kernel agrees on
-//! every instance.
+//! [`FlowKernel`] selects between them. Dinic wins on every committed
+//! fabric, so nothing in the workspace selects push-relabel but the
+//! differential oracle: `tests/kernel_equiv.rs`, `kernel_crosscheck`
+//! and the `repair_nu2` bench pair pin that the kernels agree on every
+//! instance.
 
 use crate::ids::{EdgeId, VertexId};
 use crate::workspace::TraversalWorkspace;
@@ -452,46 +453,16 @@ impl PrWorkspace {
 /// pure performance choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FlowKernel {
-    /// Resolve per instance from the static density cost model
-    /// ([`FlowKernel::resolve`]).
-    #[default]
-    Auto,
     /// Dinic's blocking-flow algorithm — O(E·√V) on unit capacities,
     /// and the only kernel with a cheap early stop (`limit`).
+    #[default]
     Dinic,
     /// FIFO push-relabel with gap + global-relabel heuristics — wins on
     /// dense instances where Dinic's per-phase level rebuilds dominate.
+    /// `limit` queries run Dinic all the same: push-relabel must run to
+    /// completion to leave a usable residual, so it cannot honour an
+    /// early stop.
     PushRelabel,
-}
-
-/// Arcs-per-node density at which `Auto` switches to push-relabel.
-/// Below this, Dinic's O(E·√V) unit-capacity bound is unbeatable; at or
-/// above it the level-graph rebuild cost (E per phase) overtakes
-/// push-relabel's locality. Calibrated on the committed fabric families
-/// by the `repair_nu2` bench pair: degree-2 Beneš/butterfly instances
-/// stay on Dinic, the ν = 2 𝒩 repair flows (degree ≈ 8) switch.
-const PR_DENSITY: usize = 4;
-
-impl FlowKernel {
-    /// Resolves the kernel for a flow instance with `nodes` nodes and
-    /// `arcs` forward arcs. `limit` queries always resolve to Dinic —
-    /// push-relabel must run to completion to leave a usable residual,
-    /// so it cannot honour an early stop.
-    pub fn resolve(self, nodes: usize, arcs: usize, limit: Option<u32>) -> FlowKernel {
-        if limit.is_some() {
-            return FlowKernel::Dinic;
-        }
-        match self {
-            FlowKernel::Auto => {
-                if arcs >= PR_DENSITY * nodes.max(1) {
-                    FlowKernel::PushRelabel
-                } else {
-                    FlowKernel::Dinic
-                }
-            }
-            k => k,
-        }
-    }
 }
 
 /// Result of a vertex-disjoint path computation.
@@ -610,11 +581,10 @@ pub fn vertex_disjoint_paths_into<G: Digraph>(
         *arc = fnet.add_arc(2 * t.index() as u32 + 1, 2 * h.index() as u32, 1);
     }
 
-    let count = match opts
-        .kernel
-        .resolve(fnet.num_nodes(), fnet.num_arcs(), opts.limit)
-    {
-        FlowKernel::PushRelabel => fnet.push_relabel_into(ss, tt, &mut fw.prw),
+    let count = match opts.kernel {
+        FlowKernel::PushRelabel if opts.limit.is_none() => {
+            fnet.push_relabel_into(ss, tt, &mut fw.prw)
+        }
         _ => fnet.max_flow_into(ss, tt, opts.limit, &mut fw.ws),
     };
     if opts.count_only {
@@ -987,7 +957,7 @@ mod tests {
     fn kernel_dispatch_agrees_on_disjoint_paths() {
         let g = diamond();
         let mut fw = FlowWorkspace::new();
-        for kernel in [FlowKernel::Auto, FlowKernel::Dinic, FlowKernel::PushRelabel] {
+        for kernel in [FlowKernel::Dinic, FlowKernel::PushRelabel] {
             let r = vertex_disjoint_paths_into(
                 &g,
                 &[v(0)],
@@ -1009,22 +979,34 @@ mod tests {
 
     #[test]
     fn kernel_resolution_rules() {
-        // limit forces Dinic whatever was asked
-        for k in [FlowKernel::Auto, FlowKernel::Dinic, FlowKernel::PushRelabel] {
-            assert_eq!(k.resolve(10, 1000, Some(1)), FlowKernel::Dinic);
+        // Two disjoint paths 0 → 2 and 1 → 3: a limit of 1 stops at
+        // the first whatever kernel was asked for (the early stop is
+        // Dinic's), and without a limit both kernels find both.
+        let mut g = DiGraph::new();
+        g.add_vertices(4);
+        g.add_edge(v(0), v(2));
+        g.add_edge(v(1), v(3));
+        let mut fw = FlowWorkspace::new();
+        for kernel in [FlowKernel::Dinic, FlowKernel::PushRelabel] {
+            for (limit, expect) in [(Some(1), 1), (None, 2)] {
+                let opts = DisjointOptions {
+                    limit,
+                    count_only: true,
+                    kernel,
+                };
+                let r = vertex_disjoint_paths_into(
+                    &g,
+                    &[v(0), v(1)],
+                    &[v(2), v(3)],
+                    |_| true,
+                    |_| true,
+                    opts,
+                    &mut fw,
+                );
+                assert_eq!(r.count, expect, "{kernel:?} limit {limit:?}");
+            }
         }
-        // explicit kernels stick without a limit
-        assert_eq!(FlowKernel::Dinic.resolve(10, 1000, None), FlowKernel::Dinic);
-        assert_eq!(
-            FlowKernel::PushRelabel.resolve(10, 10, None),
-            FlowKernel::PushRelabel
-        );
-        // Auto follows the density model
-        assert_eq!(FlowKernel::Auto.resolve(100, 100, None), FlowKernel::Dinic);
-        assert_eq!(
-            FlowKernel::Auto.resolve(100, 100 * PR_DENSITY, None),
-            FlowKernel::PushRelabel
-        );
+        assert_eq!(FlowKernel::default(), FlowKernel::Dinic);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the failure experiments sample subsets anyway.
 
 use crate::ids::{EdgeId, VertexId};
-use crate::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowKernel, FlowWorkspace};
+use crate::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowWorkspace};
 use crate::Digraph;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -21,27 +21,11 @@ pub fn max_disjoint_paths<G: Digraph>(g: &G, sources: &[VertexId], sinks: &[Vert
 }
 
 /// [`max_disjoint_paths`] with a caller-owned [`FlowWorkspace`] — use in
-/// trial loops so repeated queries allocate nothing. Runs the kernel the
-/// static cost model picks for the instance; callers holding a
-/// [`crate::StagedNetwork`] can pin the cached per-topology choice via
-/// [`max_disjoint_paths_with_kernel_into`].
+/// trial loops so repeated queries allocate nothing.
 pub fn max_disjoint_paths_into<G: Digraph>(
     g: &G,
     sources: &[VertexId],
     sinks: &[VertexId],
-    fw: &mut FlowWorkspace,
-) -> u32 {
-    max_disjoint_paths_with_kernel_into(g, sources, sinks, FlowKernel::Auto, fw)
-}
-
-/// [`max_disjoint_paths_into`] with an explicit max-flow kernel — the
-/// §3/§4 verification loops pass `StagedNetwork::flow_kernel()` here so
-/// every query on a topology reuses its one cached cost-model decision.
-pub fn max_disjoint_paths_with_kernel_into<G: Digraph>(
-    g: &G,
-    sources: &[VertexId],
-    sinks: &[VertexId],
-    kernel: FlowKernel,
     fw: &mut FlowWorkspace,
 ) -> u32 {
     vertex_disjoint_paths_into(
@@ -52,8 +36,7 @@ pub fn max_disjoint_paths_with_kernel_into<G: Digraph>(
         |_| true,
         DisjointOptions {
             count_only: true,
-            limit: None,
-            kernel,
+            ..Default::default()
         },
         fw,
     )
@@ -84,9 +67,7 @@ pub fn fully_linkable_into<G: Digraph>(
         DisjointOptions {
             count_only: true,
             limit: Some(r),
-            // Early-stop queries always resolve to Dinic (push-relabel
-            // has no cheap `limit` cutoff), so Auto is exact here.
-            kernel: FlowKernel::Auto,
+            ..Default::default()
         },
         fw,
     )
@@ -205,16 +186,7 @@ pub fn min_vertex_cut<G: Digraph>(
         let (t, h) = g.endpoints(EdgeId::from(eid));
         fnet.add_arc(2 * t.index() as u32 + 1, 2 * h.index() as u32, INF);
     }
-    // Both kernels terminate with a valid max-flow residual, so the cut
-    // read below is kernel-independent; let the cost model pick.
-    match FlowKernel::Auto.resolve(fnet.num_nodes(), fnet.num_arcs(), None) {
-        FlowKernel::PushRelabel => {
-            fnet.push_relabel(ss, tt);
-        }
-        _ => {
-            fnet.max_flow(ss, tt, None);
-        }
-    }
+    fnet.max_flow(ss, tt, None);
     let side = fnet.min_cut_source_side(ss);
     let mut cut = Vec::new();
     for vid in 0..n {

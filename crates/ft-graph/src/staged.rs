@@ -30,9 +30,6 @@ pub struct StagedNetwork {
     staging: OnceLock<(Vec<u32>, bool)>,
     /// Lazily built per-vertex terminal flags (see [`Self::terminal_mask`]).
     terminal_mask: OnceLock<Vec<bool>>,
-    /// Lazily chosen max-flow kernel for disjoint-path queries on this
-    /// topology (see [`Self::flow_kernel`]).
-    flow_kernel: OnceLock<crate::maxflow::FlowKernel>,
 }
 
 impl StagedNetwork {
@@ -158,29 +155,6 @@ impl StagedNetwork {
         u32::MAX
     }
 
-    /// The max-flow kernel disjoint-path queries on this topology should
-    /// run, computed once from a static cost model — a pure function of
-    /// the network, never of any query's busy state, so every caller
-    /// agrees and the choice cannot change results (the kernels are
-    /// equivalent; only work differs).
-    ///
-    /// The model mirrors [`crate::maxflow::FlowKernel::resolve`] on the
-    /// vertex-split flow instance every disjoint-path query builds:
-    /// `2V + 2` flow nodes and `V + E + terminals` forward arcs. Dense
-    /// fabrics (the ν ≥ 2 𝒩 repair flows, high-degree expanders) resolve
-    /// to push-relabel; sparse ones (Beneš, butterflies, Clos at small
-    /// `n`) keep Dinic.
-    pub fn flow_kernel(&self) -> crate::maxflow::FlowKernel {
-        *self.flow_kernel.get_or_init(|| {
-            let nodes = 2 * self.graph.num_vertices() + 2;
-            let arcs = self.graph.num_vertices()
-                + self.graph.num_edges()
-                + self.inputs.len()
-                + self.outputs.len();
-            crate::maxflow::FlowKernel::Auto.resolve(nodes, arcs, None)
-        })
-    }
-
     fn staging(&self) -> &(Vec<u32>, bool) {
         self.staging.get_or_init(|| {
             let mut table = vec![0u32; self.graph.num_vertices()];
@@ -233,7 +207,6 @@ impl StagedNetwork {
             csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
-            flow_kernel: OnceLock::new(),
         }
     }
 
@@ -370,7 +343,6 @@ impl StagedBuilder {
             csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
-            flow_kernel: OnceLock::new(),
         }
     }
 }
@@ -497,21 +469,6 @@ mod tests {
         assert_eq!(net.terminal_mask(), [true, false, true]);
         assert_eq!(net.mirror().terminal_mask(), [true, false, true]);
         assert!(crossbar().terminal_mask().iter().all(|&t| t));
-    }
-
-    #[test]
-    fn flow_kernel_choice_is_cached_and_matches_the_cost_model() {
-        let net = crossbar();
-        let expect = crate::maxflow::FlowKernel::Auto.resolve(
-            2 * net.graph().num_vertices() + 2,
-            net.graph().num_vertices() + net.graph().num_edges() + 4,
-            None,
-        );
-        assert_eq!(net.flow_kernel(), expect);
-        // a 2×2 crossbar's split instance is sparse: Dinic
-        assert_eq!(net.flow_kernel(), crate::maxflow::FlowKernel::Dinic);
-        // mirrors recompute (and agree — the model is direction-blind)
-        assert_eq!(net.mirror().flow_kernel(), net.flow_kernel());
     }
 
     #[test]

@@ -41,9 +41,28 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::R
     })
 }
 
+/// FNV-1a 64 over raw bytes: the checksum in the trailing `ok` line of
+/// the checksummed text formats (ftexp cell cache, ftserve snapshot)
+/// and the ftexp cell content hash.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01B3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir =

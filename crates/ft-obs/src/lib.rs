@@ -30,7 +30,7 @@ pub mod event;
 pub mod hist;
 pub mod profile;
 
-pub use atomicio::write_atomic;
+pub use atomicio::{fnv1a, write_atomic};
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{Noop, Observer, TraceBuf, TraceEvent};
 pub use hist::{bucket_index, bucket_lower_edge, Hist, NUM_BUCKETS};

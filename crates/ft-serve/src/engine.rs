@@ -1,11 +1,11 @@
 //! The single-writer engine thread.
 //!
-//! All routing state — the [`CircuitRouter`], the cumulative
-//! [`FailureInstance`], the §4 [`AliveTracker`](ft_failure::AliveTracker)
-//! — is owned by ONE
-//! thread that drains a bounded job queue. Frontends never touch the
-//! router; they encode requests into [`Job`]s and try-send them. A full
-//! queue is *backpressure*: connect attempts are shed at the frontend
+//! All routing state — one [`SwitchingCore`], the same router, failure
+//! states, §4 repair mask and fault → kill-wave → revive code the
+//! simulator drives — is owned by ONE thread that drains a bounded job
+//! queue. Frontends never touch it; they encode requests into [`Job`]s
+//! and try-send them. A full queue is *backpressure*: connect attempts
+//! are shed at the frontend
 //! with [`Status::Shed`] (mirroring the simulator's
 //! `RetryPolicy::Backoff` shed ladder), control requests block. This
 //! preserves the simulator's admission discipline — jobs execute in one
@@ -14,7 +14,7 @@
 //! the engine never wedges, it degrades.
 //!
 //! Topology reloads are generational: the engine drains the current
-//! router (stopping admission for the duration of one queue pass),
+//! core (stopping admission for the duration of one queue pass),
 //! swaps in the freshly built fabric, then *migrates* every live
 //! circuit onto it in ascending circuit-id order, counting the ones the
 //! new topology cannot carry as dropped. Counters and histograms
@@ -26,11 +26,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
-use ft_failure::{FailureInstance, SwitchState};
+use ft_failure::SwitchState;
 use ft_graph::{Digraph, EdgeId};
-use ft_networks::{CircuitRouter, RouteError, SessionId};
+use ft_networks::{RouteError, SessionId};
 use ft_obs::Hist;
-use ft_sim::{Fabric, FabricSpec};
+use ft_sim::{CoreBuffers, Fabric, FabricSpec, SwitchingCore};
 
 use crate::protocol::{Request, Response, Status};
 use crate::snapshot::Snapshot;
@@ -178,12 +178,21 @@ struct Persistent {
     /// recorded once at admission — reload migration re-places circuits
     /// without re-recording, so `count()` tracks `connected`.
     path_hist: Hist,
-    /// Live circuits by client id → terminal pair; `BTreeMap` so
-    /// migration order is deterministic.
-    endpoints: BTreeMap<u64, (u32, u32)>,
+    /// Live circuits by client id; `BTreeMap` so migration order is
+    /// deterministic.
+    circuits: BTreeMap<u64, Circuit>,
     generations: u64,
     restored: bool,
     jobs_since_snapshot: u64,
+}
+
+/// One live circuit: its terminal pair (what a reload migrates) and
+/// its session in the current generation's core (rewritten by the
+/// migration).
+struct Circuit {
+    src: u32,
+    dst: u32,
+    sid: SessionId,
 }
 
 /// Runs the engine to completion on the calling thread. Returns the
@@ -202,7 +211,7 @@ pub fn run(
     let mut state = Persistent {
         counters: Counters::default(),
         path_hist: Hist::new(),
-        endpoints: BTreeMap::new(),
+        circuits: BTreeMap::new(),
         generations: 0,
         restored: false,
         jobs_since_snapshot: 0,
@@ -339,8 +348,8 @@ fn render_metrics(
     line.finish()
 }
 
-/// One generation: a router bound to `fabric` serving jobs until
-/// reload, shutdown, or disconnect.
+/// One generation: a switching core bound to `fabric` serving jobs
+/// until reload, shutdown, or disconnect.
 fn run_generation(
     fabric: &Fabric,
     rx: &Receiver<Job>,
@@ -350,50 +359,35 @@ fn run_generation(
     pending_migration: Option<(u64, Sender<Response>)>,
 ) -> GenExit {
     let started = Instant::now();
-    let net = fabric.net();
-    let mut router = CircuitRouter::new(net);
-    let mut inst = FailureInstance::perfect(net.num_edges());
-    let mut tracker = fabric.alive_tracker(&inst);
-    // Client circuit id → live session, and the reverse by router slot.
-    let mut sessions: BTreeMap<u64, SessionId> = BTreeMap::new();
+    let mut core = SwitchingCore::new(fabric, CoreBuffers::default());
+    let num_switches = core.net().num_edges();
+    let n = fabric.terminals();
+    // Client circuit id holding each router slot.
     let mut slot_owner: Vec<Option<u64>> = Vec::new();
-    let mut failed_count: usize = 0;
-    let mut delta: Vec<ft_graph::VertexId> = Vec::new();
-    let mut scratch: Vec<SessionId> = Vec::new();
 
     // Migrate the previous generation's circuits onto the new fabric,
     // ascending circuit id (BTreeMap order) so the outcome is a pure
     // function of the live set — not of arrival history.
     let (mut migrated, mut dropped) = (0u32, 0u32);
-    let survivors: Vec<(u64, u32, u32)> = state
-        .endpoints
-        .iter()
-        .map(|(&id, &(src, dst))| (id, src, dst))
-        .collect();
-    for (id, src, dst) in survivors {
-        let n = fabric.terminals();
-        let placed = if (src as usize) < n && (dst as usize) < n {
-            router
-                .connect(net.inputs()[src as usize], net.outputs()[dst as usize])
-                .ok()
+    state.circuits.retain(|&id, c| {
+        let placed = if (c.src as usize) < n && (c.dst as usize) < n {
+            core.admit(c.src as usize, c.dst as usize).ok()
         } else {
             None
         };
         match placed {
             Some(sid) => {
-                sessions.insert(id, sid);
+                c.sid = sid;
                 claim_slot(&mut slot_owner, sid, id);
                 // No path_hist record here: the circuit was already
                 // counted at admission, and a circuit surviving N
                 // reloads must not weigh N+1 times.
                 migrated += 1;
             }
-            None => {
-                state.endpoints.remove(&id);
-                dropped += 1;
-            }
+            None => dropped += 1,
         }
-    }
+        placed.is_some()
+    });
     if let Some((tag, reply)) = pending_migration {
         state.counters.migrated += u64::from(migrated);
         state.counters.migrate_dropped += u64::from(dropped);
@@ -430,24 +424,22 @@ fn run_generation(
         match job.req {
             Request::Connect { tag, src, dst, .. } => {
                 state.counters.offered += 1;
-                let n = fabric.terminals();
                 // The entry API doesn't fit: the insert is conditional
-                // on `router.connect` succeeding in a later branch.
+                // on `core.admit` succeeding in a later branch.
                 #[allow(clippy::map_entry)]
-                let resp = if sessions.contains_key(&tag) {
+                let resp = if state.circuits.contains_key(&tag) {
                     state.counters.duplicate += 1;
                     Response::new(Status::DuplicateId, tag)
                 } else if (src as usize) >= n || (dst as usize) >= n {
                     state.counters.bad_arg += 1;
                     Response::new(Status::BadArg, tag)
                 } else {
-                    match router.connect(net.inputs()[src as usize], net.outputs()[dst as usize]) {
+                    match core.admit(src as usize, dst as usize) {
                         Ok(sid) => {
                             state.counters.connected += 1;
-                            sessions.insert(tag, sid);
+                            state.circuits.insert(tag, Circuit { src, dst, sid });
                             claim_slot(&mut slot_owner, sid, tag);
-                            state.endpoints.insert(tag, (src, dst));
-                            let hops = router.session_path(sid).map_or(0, |p| p.len());
+                            let hops = core.router().session_path(sid).map_or(0, |p| p.len());
                             state.path_hist.record(hops as f64);
                             Response::ok(tag, (hops as u32).to_le_bytes().to_vec())
                         }
@@ -464,12 +456,11 @@ fn run_generation(
                 let _ = reply.send(resp);
             }
             Request::Disconnect { tag } => {
-                let resp = match sessions.remove(&tag) {
-                    Some(sid) => {
-                        let released = router.disconnect(sid);
-                        debug_assert!(released, "session map out of sync with router");
+                let resp = match state.circuits.remove(&tag) {
+                    Some(Circuit { sid, .. }) => {
+                        let released = core.release(sid, |_| {});
+                        debug_assert!(released, "circuit table out of sync with router");
                         slot_owner[sid.0 as usize] = None;
-                        state.endpoints.remove(&tag);
                         state.counters.disconnected += 1;
                         Response::new(Status::Ok, tag)
                     }
@@ -481,87 +472,45 @@ fn run_generation(
                 let _ = reply.send(resp);
             }
             Request::Fault { tag, switch, open } => {
-                let resp = if (switch as usize) >= net.num_edges() || !fabric.supports_faults() {
+                let mode = if open {
+                    SwitchState::Open
+                } else {
+                    SwitchState::Closed
+                };
+                let resp = if (switch as usize) >= num_switches || !fabric.supports_faults() {
                     state.counters.bad_arg += 1;
                     Response::new(Status::BadArg, tag)
-                } else {
-                    let e = EdgeId(switch);
-                    if !inst.is_normal(e) {
-                        state.counters.fault_noops += 1;
-                        Response::new(Status::Noop, tag)
-                    } else {
-                        state.counters.faults += 1;
-                        inst.set_state(
-                            e,
-                            if open {
-                                SwitchState::Open
-                            } else {
-                                SwitchState::Closed
-                            },
-                        );
-                        let (t, h) = net.graph().endpoints(e);
-                        delta.clear();
-                        tracker.fail_edge(t, h, &mut delta);
-                        // Crossing circuits die in ascending slot order —
-                        // same discipline as the simulator's kill wave.
-                        scratch.clear();
-                        for &v in &delta {
-                            if let Some(sid) = router.session_through(v) {
-                                if !scratch.contains(&sid) {
-                                    scratch.push(sid);
-                                }
-                            }
+                } else if let Some(killed) = core.fail(EdgeId(switch), mode, |_| {}) {
+                    state.counters.faults += 1;
+                    for sid in killed {
+                        if let Some(owner) = slot_owner[sid.0 as usize].take() {
+                            state.circuits.remove(&owner);
                         }
-                        scratch.sort_unstable_by_key(|sid| sid.0);
-                        let mut kill_count = 0u32;
-                        for &sid in &scratch {
-                            let torn = router.disconnect(sid);
-                            debug_assert!(torn);
-                            if let Some(owner) = slot_owner[sid.0 as usize].take() {
-                                sessions.remove(&owner);
-                                state.endpoints.remove(&owner);
-                            }
-                            state.counters.killed += 1;
-                            kill_count += 1;
-                        }
-                        let mut already = Vec::new();
-                        for &v in &delta {
-                            router.kill_vertex_into(v, &mut already);
-                        }
-                        debug_assert!(already.is_empty(), "kills after release");
-                        failed_count += 1;
-                        Response::ok(tag, kill_count.to_le_bytes().to_vec())
                     }
+                    state.counters.killed += killed.len() as u64;
+                    Response::ok(tag, (killed.len() as u32).to_le_bytes().to_vec())
+                } else {
+                    state.counters.fault_noops += 1;
+                    Response::new(Status::Noop, tag)
                 };
                 let _ = reply.send(resp);
             }
             Request::Repair { tag, switch } => {
-                let resp = if (switch as usize) >= net.num_edges() || !fabric.supports_faults() {
+                let resp = if (switch as usize) >= num_switches || !fabric.supports_faults() {
                     state.counters.bad_arg += 1;
                     Response::new(Status::BadArg, tag)
-                } else {
-                    let e = EdgeId(switch);
-                    if inst.is_normal(e) {
-                        state.counters.repair_noops += 1;
-                        Response::new(Status::Noop, tag)
-                    } else {
-                        state.counters.repairs += 1;
-                        inst.set_state(e, SwitchState::Normal);
-                        let (t, h) = net.graph().endpoints(e);
-                        delta.clear();
-                        tracker.repair_edge(t, h, &mut delta);
-                        for &v in &delta {
-                            router.revive_vertex(v);
-                        }
-                        failed_count -= 1;
-                        if failed_count == 0 {
-                            // The fabric is whole again: one recovery
-                            // episode closed (the smoke test's headline
-                            // robustness counter).
-                            state.counters.recovery_episodes += 1;
-                        }
-                        Response::new(Status::Ok, tag)
+                } else if core.repair(EdgeId(switch)) {
+                    state.counters.repairs += 1;
+                    if core.failed() == 0 {
+                        // The fabric is whole again: one recovery
+                        // episode closed (the smoke test's headline
+                        // robustness counter).
+                        state.counters.recovery_episodes += 1;
                     }
+                    Response::new(Status::Ok, tag)
+                } else {
+                    state.counters.repair_noops += 1;
+                    Response::new(Status::Noop, tag)
                 };
                 let _ = reply.send(resp);
             }
@@ -571,8 +520,8 @@ fn run_generation(
                     state,
                     shared,
                     cfg,
-                    router.active_sessions(),
-                    failed_count,
+                    core.router().active_sessions(),
+                    core.failed(),
                     started,
                 );
                 let _ = reply.send(Response::ok(tag, text.into_bytes()));
@@ -580,16 +529,16 @@ fn run_generation(
             Request::Reload { tag, spec } => match FabricSpec::parse(&spec) {
                 Ok(fs) => {
                     state.counters.reloads += 1;
-                    if failed_count > 0 {
+                    if core.failed() > 0 {
                         // A reload swaps in a whole fabric, closing any
                         // open degradation episode.
                         state.counters.recovery_episodes += 1;
                     }
                     // Drain: tear the live circuits out of the old
-                    // router cleanly; their endpoints stay registered
+                    // core cleanly; their endpoints stay registered
                     // for migration onto the new fabric.
-                    let drained = router.drain();
-                    debug_assert_eq!(drained.len(), sessions.len());
+                    let drained = core.drain();
+                    debug_assert_eq!(drained.len(), state.circuits.len());
                     return GenExit::Reload {
                         fabric: Box::new(fs.build()),
                         tag,
@@ -858,6 +807,43 @@ mod tests {
             report.contains(&format!("\"killed\": {total_killed}")),
             "{report}"
         );
+    }
+
+    #[test]
+    fn fault_answers_the_kill_count_of_an_identically_loaded_core() {
+        let (fabric, cfg, _) = boot();
+        let twin = FabricSpec::parse("clos-strict 4 4").unwrap().build();
+        let mut core = SwitchingCore::new(&twin, CoreBuffers::default());
+        let (tx, _report) = spawn(fabric, cfg);
+        let n = twin.terminals() as u32;
+        for src in 0..n {
+            let (tag, dst, deadline_ms) = (u64::from(src), (src * 5 + 3) % n, 0);
+            let connect = Request::Connect {
+                tag,
+                src,
+                dst,
+                deadline_ms,
+            };
+            assert_eq!(ask(&tx, connect).status, Status::Ok);
+            core.admit(src as usize, dst as usize).unwrap();
+        }
+        let mut total = 0;
+        for switch in 0..twin.net().num_edges() as u32 {
+            let (tag, open) = (1000 + u64::from(switch), switch % 2 == 0);
+            let r = ask(&tx, Request::Fault { tag, switch, open });
+            assert_eq!(r.status, Status::Ok);
+            let mode = if open {
+                SwitchState::Open
+            } else {
+                SwitchState::Closed
+            };
+            let expect = core.fail(EdgeId(switch), mode, |_| {}).unwrap().len() as u32;
+            let got = u32::from_le_bytes(r.body[..4].try_into().unwrap());
+            assert_eq!(got, expect, "switch {switch}");
+            total += got;
+        }
+        assert_eq!(total, n, "with every switch failed every circuit has died");
+        ask(&tx, Request::Shutdown { tag: 0 });
     }
 
     #[test]

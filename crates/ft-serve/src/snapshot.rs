@@ -10,10 +10,11 @@
 //! which are lost by design — the format trades a bounded counter gap
 //! for zero write amplification on the admission path).
 //!
-//! Format (`ftserve snapshot v1`):
+//! Format (`ftserve snapshot v2`; v1 differed only in a checksum that
+//! multiplied by a wrong FNV prime, and loads as a clean miss):
 //!
 //! ```text
-//! ftserve snapshot v1
+//! ftserve snapshot v2
 //! fields <n>
 //! <key> <u64>        (exactly n lines, fixed order)
 //! hist <compact histogram string>
@@ -29,20 +30,10 @@
 //! with it, every proper prefix is detectably torn.
 
 use crate::engine::Counters;
-use ft_obs::Hist;
+use ft_obs::{fnv1a, Hist};
 
 /// Magic first line; bump on any layout change.
-const VERSION: &str = "ftserve snapshot v1";
-
-/// FNV-1a 64 over the snapshot body, for the trailing `ok` line.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
+const VERSION: &str = "ftserve snapshot v2";
 
 /// A parsed (or about-to-be-written) snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -183,7 +174,11 @@ mod tests {
     fn wrong_version_count_or_garbage_is_a_miss() {
         let s = sample();
         let text = s.render();
-        assert_eq!(Snapshot::parse(&text.replace("v1", "v0")), None);
+        assert_eq!(Snapshot::parse(&text.replace("v2", "v1")), None);
+        // a stale header is a miss even under a valid checksum
+        let body = text[..text.rfind("ok ").unwrap()].replace("v2", "v1");
+        let stale = format!("{body}ok {:016x}\n", fnv1a(body.as_bytes()));
+        assert_eq!(Snapshot::parse(&stale), None);
         assert_eq!(Snapshot::parse(&text.replace("fields ", "fields 9")), None);
         assert_eq!(Snapshot::parse(&format!("{text}extra\n")), None);
         assert_eq!(Snapshot::parse(&text.replace("offered", "ofefred")), None);
@@ -198,7 +193,7 @@ mod tests {
         let s = sample();
         s.write(&path).unwrap();
         assert_eq!(Snapshot::load(&path), Some(s));
-        std::fs::write(&path, "ftserve snapshot v1\nfields 2\n").unwrap();
+        std::fs::write(&path, "ftserve snapshot v2\nfields 2\n").unwrap();
         assert_eq!(Snapshot::load(&path), None, "torn file degrades");
         assert_eq!(Snapshot::load(&dir.join("missing.snap")), None);
         std::fs::remove_dir_all(&dir).ok();

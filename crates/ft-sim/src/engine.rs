@@ -1,6 +1,6 @@
 //! The deterministic discrete-event engine.
 //!
-//! One [`run_seed`] drives a [`CircuitRouter`] through virtual time:
+//! One [`run_seed`] drives a [`SwitchingCore`] through virtual time:
 //! Poisson call arrivals (optionally burst-modulated) draw terminal
 //! pairs from the traffic pattern and holding times from the holding
 //! distribution; a pluggable [`FaultInjector`] decides which switches
@@ -8,9 +8,9 @@
 //! next-failure ~ `Exp(healthy · rate)`, resampled — valid by
 //! memorylessness — whenever the healthy count changes; storms, bursts
 //! and the targeted adversary are the correlated alternatives); each
-//! fault recomputes the §4 repair mask, kills the circuits crossing
-//! discarded vertices and runs them through the [`RetryPolicy`]
-//! degradation ladder; repairs restore switches after `Exp(mttr)`.
+//! fault goes through [`SwitchingCore::fail`], and the circuits it
+//! kills run through the [`RetryPolicy`] degradation ladder; repairs
+//! restore switches after `Exp(mttr)`.
 //!
 //! Everything randomized flows through one seeded RNG in event order,
 //! so a `(scenario, seed)` pair reproduces a byte-identical event
@@ -27,15 +27,16 @@
 //! [`Noop`] the monomorphized emission sites vanish entirely (the
 //! golden fingerprints and the gated sim benches pin that).
 
+use crate::core::{CoreBuffers, SwitchingCore};
 use crate::events::{Event, EventKind, EventQueue};
 use crate::fabric::Fabric;
-use crate::inject::{FaultInjector, FaultSpec, InjectCtx, RerouteMode, RetryPolicy, Strike};
+use crate::inject::{FaultInjector, FaultSpec, RerouteMode, RetryPolicy};
 use crate::metrics::{Bucket, Metrics};
 use crate::workload::{exp_draw, HoldingTime, TrafficPattern};
-use ft_failure::{AliveTracker, FailureInstance, SwitchState};
+use ft_failure::SwitchState;
 use ft_graph::gen::{random_permutation, rng};
-use ft_graph::{Digraph, EdgeId, KernelStats, VertexId};
-use ft_networks::{CircuitRouter, MincostBatch, RouteError, SessionId};
+use ft_graph::{EdgeId, KernelStats};
+use ft_networks::{MincostBatch, RouteError, SessionId};
 use ft_obs::{Hist, Noop, Observer, TraceEvent};
 use rand::rngs::SmallRng;
 
@@ -119,9 +120,9 @@ pub struct SeedOutcome {
 /// Reusable per-worker buffers: one allocation set serves every seed a
 /// sweep worker runs (the `mc_event_probability_parallel` discipline:
 /// one RNG + one workspace per worker). Besides the queue and call
-/// table this holds the fault-path scratch — the incremental repair
-/// mask and the killed/victim/delta buffers — so a fault or repair
-/// event allocates nothing.
+/// table this holds the fault-path scratch — the switching core's
+/// buffers (lent to each seed's [`SwitchingCore`]) and the victim
+/// records — so a fault or repair event allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SimWorkspace {
     queue: EventQueue,
@@ -137,15 +138,12 @@ pub struct SimWorkspace {
     calls: Vec<Option<Call>>,
     pending: Vec<PendingCall>,
     busy_now: Vec<u64>,
-    /// Incrementally maintained §4 routable alive-mask.
-    tracker: AliveTracker,
-    /// Sessions killed by the event being processed (ascending slot).
-    killed: Vec<SessionId>,
-    /// Their drained call records (drained before any reroute can
-    /// reuse a freed slot).
+    /// The switching core's repair mask and kill-wave scratch, taken
+    /// for the length of a seed and put back after it.
+    core: CoreBuffers,
+    /// Call records of the sessions the current fault killed (drained
+    /// before any reroute can reuse a freed slot).
     victims: Vec<Call>,
-    /// Vertices whose liveness the event flipped (≤ 2: the endpoints).
-    delta: Vec<VertexId>,
     /// Dense histogram scratch, `bucket * rows + row` (bucket-major so
     /// the per-arrival occupancy sweep — every stage near the same
     /// occupancy bucket — touches adjacent words): rows `0..stages`
@@ -202,16 +200,14 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01B3;
 
 struct Engine<'a, O: Observer> {
-    fabric: &'a Fabric,
     cfg: &'a SimConfig,
     rng: SmallRng,
-    router: CircuitRouter<'a>,
+    /// Router, failure states and repair mask of the fabric under test.
+    core: SwitchingCore<'a>,
     /// Cached per-vertex stage table (per-stage occupancy accounting).
     stage_tab: &'a [u32],
     /// The configured fault process (which switch fails next, when).
     injector: Box<dyn FaultInjector>,
-    inst: FailureInstance,
-    healthy: usize,
     fault_epoch: u32,
     arrival_epoch: u32,
     burst_on: bool,
@@ -285,9 +281,7 @@ pub fn run_seed_obs<O: Observer>(
     ws.pending.clear();
     ws.busy_now.clear();
     ws.busy_now.resize(num_stages, 0);
-    ws.killed.clear();
     ws.victims.clear();
-    ws.delta.clear();
     ws.dense_hist
         .resize((num_stages + 2) * ft_obs::NUM_BUCKETS, 0);
     ws.dense_touched.clear();
@@ -306,23 +300,11 @@ pub fn run_seed_obs<O: Observer>(
         ..Metrics::default()
     };
 
-    let m = net.num_edges();
-    let inst = FailureInstance::perfect(m);
-    // Synchronise the incremental repair mask to the clean slate; it is
-    // then maintained O(1) per fault/repair event for the whole run.
-    ws.tracker.reset_for(
-        net,
-        net.inputs().iter().chain(net.outputs()).copied(),
-        &inst,
-    );
     let mut engine = Engine {
-        fabric,
         cfg,
-        router: CircuitRouter::new(net),
+        core: SwitchingCore::new(fabric, std::mem::take(&mut ws.core)),
         stage_tab: net.stage_table(),
         injector: cfg.faults.build(cfg),
-        inst,
-        healthy: m,
         fault_epoch: 0,
         arrival_epoch: 0,
         burst_on: false,
@@ -347,12 +329,14 @@ pub fn run_seed_obs<O: Observer>(
     engine.schedule_initial();
     engine.run();
     engine.flush_hists();
+    let kernel = engine.core.router().kernel_stats();
+    engine.ws.core = engine.core.into_buffers();
     SeedOutcome {
         seed,
         metrics: engine.metrics,
         fingerprint: engine.fingerprint,
         events: engine.events,
-        kernel: engine.router.kernel_stats(),
+        kernel,
     }
 }
 
@@ -408,42 +392,20 @@ impl<'a, O: Observer> Engine<'a, O> {
     fn take_path(&mut self, id: SessionId) -> Vec<u32> {
         let mut p = std::mem::take(&mut self.trace_path);
         p.clear();
-        if let Some(path) = self.router.session_path(id) {
+        if let Some(path) = self.core.router().session_path(id) {
             p.extend(path.iter().map(|v| v.0));
         }
         p
-    }
-
-    /// Asks the injector for its next fault time (the trait-call wrapper
-    /// assembling the read-only context from disjoint engine fields).
-    fn injector_next_fault(&mut self) -> Option<f64> {
-        let ctx = InjectCtx {
-            net: self.fabric.net(),
-            inst: &self.inst,
-            alive: self.ws.tracker.alive(),
-            router: &self.router,
-            healthy: self.healthy,
-        };
-        self.injector.next_fault(self.now, &ctx, &mut self.rng)
-    }
-
-    /// Asks the injector to pick the victim of a fault firing now.
-    fn injector_strike(&mut self) -> Option<Strike> {
-        let ctx = InjectCtx {
-            net: self.fabric.net(),
-            inst: &self.inst,
-            alive: self.ws.tracker.alive(),
-            router: &self.router,
-            healthy: self.healthy,
-        };
-        self.injector.strike(self.now, &ctx, &mut self.rng)
     }
 
     fn schedule_initial(&mut self) {
         let mean = 1.0 / self.arrival_rate();
         let dt = exp_draw(&mut self.rng, mean);
         self.push_arrival(dt, 0);
-        if let Some(t) = self.injector_next_fault() {
+        if let Some(t) = self
+            .injector
+            .next_fault(self.now, &self.core, &mut self.rng)
+        {
             self.ws.queue.push(t, EventKind::Fault { epoch: 0 });
         }
         if let Some((_, mean_off, _)) = self.cfg.pattern.burst_params() {
@@ -597,7 +559,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             .queue
             .push(hangup_time, EventKind::Hangup { slot: id.0, token });
         let mut vertices = 0u64;
-        if let Some(path) = self.router.session_path(id) {
+        if let Some(path) = self.core.router().session_path(id) {
             vertices = path.len() as u64;
             for &v in path {
                 self.ws.busy_now[self.stage_tab[v.index()] as usize] += 1;
@@ -612,10 +574,8 @@ impl<'a, O: Observer> Engine<'a, O> {
             return; // stale draw from before a rate change
         }
         self.schedule_next_arrival();
-        let n = self.fabric.terminals();
+        let n = self.core.fabric().terminals();
         let (src, dst) = self.cfg.pattern.sample_pair(&mut self.rng, n, &self.perm);
-        let input = self.fabric.net().inputs()[src];
-        let output = self.fabric.net().outputs()[dst];
         let measured = self.measured();
         if measured {
             self.metrics.offered += 1;
@@ -640,15 +600,15 @@ impl<'a, O: Observer> Engine<'a, O> {
             dst: dst as u32,
         });
         let pops_before = if measured {
-            self.router.kernel_stats().bibfs_pops
+            self.core.router().kernel_stats().bibfs_pops
         } else {
             0
         };
-        let attempt = self.router.connect(input, output);
+        let attempt = self.core.admit(src, dst);
         if measured {
             // Setup cost in bibfs frontier pops: the deterministic
             // search-effort analogue of setup latency.
-            let pops = self.router.kernel_stats().bibfs_pops - pops_before;
+            let pops = self.core.router().kernel_stats().bibfs_pops - pops_before;
             let row = self.metrics.stage_occupancy_hist.len();
             self.dense_record(row, pops as f64);
         }
@@ -686,10 +646,10 @@ impl<'a, O: Observer> Engine<'a, O> {
                     dst: dst as u32,
                 });
             }
-            Err(_) => {
+            Err(RouteError::InputUnavailable(v) | RouteError::OutputUnavailable(v)) => {
                 // Terminals are exempt from repair discards, so an
                 // unavailable terminal is a busy terminal.
-                debug_assert!(self.router.is_alive(input) && self.router.is_alive(output));
+                debug_assert!(self.core.router().is_alive(v));
                 if measured {
                     self.metrics.rejected_busy += 1;
                 }
@@ -716,24 +676,13 @@ impl<'a, O: Observer> Engine<'a, O> {
         let id = SessionId(slot);
         let (busy_now, stage_tab) = (&mut self.ws.busy_now, self.stage_tab);
         let torn_down = self
-            .router
-            .disconnect_visit(id, |v| busy_now[stage_tab[v.index()] as usize] -= 1);
+            .core
+            .release(id, |v| busy_now[stage_tab[v.index()] as usize] -= 1);
         debug_assert!(torn_down);
         self.active_now -= 1;
         if self.measured() {
             self.metrics.completed += 1;
         }
-    }
-
-    /// Debug-only oracle: the incrementally maintained repair mask must
-    /// be bit-identical to the from-scratch recompute after every event.
-    #[cfg(debug_assertions)]
-    fn assert_mask_matches_scratch(&self) {
-        assert_eq!(
-            self.ws.tracker.alive(),
-            self.fabric.alive_mask(&self.inst),
-            "incremental repair mask diverged from scratch recompute"
-        );
     }
 
     /// Recomputes the degraded indicator (failed switches present or
@@ -744,7 +693,7 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// baseline). Episodes still open at the end of the run contribute
     /// to `degraded_time` but not to the closed-interval samples.
     fn update_degraded(&mut self) {
-        let degraded = self.healthy < self.inst.len() || !self.ws.pending.is_empty();
+        let degraded = self.core.failed() > 0 || !self.ws.pending.is_empty();
         if degraded == self.degraded_now {
             return;
         }
@@ -763,10 +712,10 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 
     fn on_fault(&mut self, epoch: u32) {
-        if epoch != self.fault_epoch || self.healthy == 0 {
+        if epoch != self.fault_epoch || self.core.healthy() == 0 {
             return; // stale draw from before a healthy-count change
         }
-        let Some(strike) = self.injector_strike() else {
+        let Some(strike) = self.injector.strike(self.now, &self.core, &mut self.rng) else {
             // No viable victim (e.g. a storm whose target group came up
             // empty): the event is a no-op, but the process continues.
             self.reschedule_faults();
@@ -774,12 +723,6 @@ impl<'a, O: Observer> Engine<'a, O> {
         };
         self.churn_epoch += 1;
         let e = strike.edge;
-        debug_assert!(
-            self.inst.is_normal(e),
-            "strike hit an already-failed switch"
-        );
-        self.inst.set_state(e, strike.state);
-        self.healthy -= 1;
         self.emit(TraceEvent::Fault {
             switch: e.index() as u32,
             open: matches!(strike.state, SwitchState::Open),
@@ -791,66 +734,38 @@ impl<'a, O: Observer> Engine<'a, O> {
                 self.metrics.storms += 1;
             }
         }
-        // Delta-update the repair mask: one switch transition can only
-        // discard its (≤ 2) endpoints, so the event touches the killed
-        // circuits' paths and nothing else — no O(V + E) recompute, no
-        // whole-table session rescan, no allocation.
-        let (t, h) = self.fabric.net().graph().endpoints(e);
-        self.ws.delta.clear();
-        self.ws.tracker.fail_edge(t, h, &mut self.ws.delta);
-        #[cfg(debug_assertions)]
-        self.assert_mask_matches_scratch();
-        // Collect the crossing circuits in ascending slot order BEFORE
-        // releasing any: the wholesale-mask path killed in slot order,
-        // and both the reroute order and the router's free-list (slot
-        // reuse) are fingerprint-relevant.
-        self.ws.killed.clear();
-        for i in 0..self.ws.delta.len() {
-            let v = self.ws.delta[i];
-            if let Some(id) = self.router.session_through(v) {
-                if !self.ws.killed.contains(&id) {
-                    self.ws.killed.push(id);
-                }
-            }
-        }
-        self.ws.killed.sort_unstable_by_key(|id| id.0);
-        for i in 0..self.ws.killed.len() {
-            let id = self.ws.killed[i];
-            let (busy_now, stage_tab) = (&mut self.ws.busy_now, self.stage_tab);
-            let torn_down = self
-                .router
-                .disconnect_visit(id, |v| busy_now[stage_tab[v.index()] as usize] -= 1);
-            debug_assert!(torn_down);
-        }
-        // Withdraw the newly-dead vertices from routing (their circuits
-        // are already released, so no further kills happen here).
-        for i in 0..self.ws.delta.len() {
-            let v = self.ws.delta[i];
-            self.router.kill_vertex_into(v, &mut self.ws.killed);
-        }
         let measured = self.measured();
+        let (busy_now, stage_tab) = (&mut self.ws.busy_now, self.stage_tab);
+        let killed = self
+            .core
+            .fail(e, strike.state, |v| {
+                busy_now[stage_tab[v.index()] as usize] -= 1
+            })
+            .expect("strike hit an already-failed switch");
         // Drain every victim's call record BEFORE attempting reroutes:
         // a reroute may reuse any just-freed slot (free-list order is
         // unspecified), and admitting into a later victim's slot would
         // otherwise clobber its record mid-loop.
         self.ws.victims.clear();
-        for i in 0..self.ws.killed.len() {
-            let id = self.ws.killed[i];
+        for &id in killed {
             let call = self.ws.calls[id.0 as usize]
                 .take()
                 .expect("killed session had no call record");
-            self.emit(TraceEvent::Kill {
-                token: call.token,
-                slot: id.0,
-            });
+            // Not `self.emit`: `killed` keeps the core borrowed.
+            if O::ENABLED {
+                let kill = TraceEvent::Kill {
+                    token: call.token,
+                    slot: id.0,
+                };
+                self.obs.event(self.now, self.cur_seq, &kill);
+            }
             self.ws.victims.push(call);
         }
         // Min-cost mode snapshots the idle fabric ONCE per kill wave
         // (after the victims' paths were released above) and places the
         // wave's reroutes by successive min-cost augmentations on it.
-        let mincost = matches!(self.cfg.reroute, RerouteMode::Mincost);
-        if mincost && !self.ws.victims.is_empty() {
-            self.router.begin_mincost_batch(&mut self.ws.batch);
+        if self.cfg.reroute == RerouteMode::Mincost && !self.ws.victims.is_empty() {
+            self.core.router().begin_mincost_batch(&mut self.ws.batch);
         }
         for i in 0..self.ws.victims.len() {
             let call = self.ws.victims[i];
@@ -859,7 +774,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
             self.bucket().dropped += 1;
             self.active_now -= 1;
-            self.route_after_kill(call, measured, mincost);
+            self.route_after_kill(call, measured);
         }
         if self.cfg.mttr > 0.0 {
             let dt = exp_draw(&mut self.rng, self.cfg.mttr);
@@ -872,26 +787,29 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 
     /// The degradation ladder's admission step for one killed call: an
-    /// immediate reroute attempt — greedy search or min-cost batch
-    /// placement per `mincost` — then, per the retry policy, either
-    /// park in the pending queue for repair-triggered retries, or
-    /// schedule deterministic exponential-backoff retries (shedding
-    /// outright when the queue is past the overload threshold).
-    fn route_after_kill(&mut self, call: Call, counted: bool, mincost: bool) {
+    /// immediate reroute attempt by the configured planner — greedy
+    /// search or min-cost batch placement — then, per the retry policy,
+    /// either park in the pending queue for repair-triggered retries,
+    /// or schedule deterministic exponential-backoff retries (shedding
+    /// outright when the queue is past the overload threshold). Later
+    /// attempts are always greedy: the batch snapshot is only valid
+    /// within the wave that built it.
+    fn route_after_kill(&mut self, call: Call, counted: bool) {
+        let waiting = PendingCall {
+            src: call.src,
+            dst: call.dst,
+            hangup_time: call.hangup_time,
+            killed_at_epoch: self.churn_epoch,
+            killed_at_time: self.now,
+            counted,
+            token: 0,
+            retries_left: 0,
+            next_delay: 0.0,
+        };
         match self.cfg.retry {
             RetryPolicy::OnRepair => {
-                if !self.kill_time_attempt(call, counted, mincost) {
-                    self.ws.pending.push(PendingCall {
-                        src: call.src,
-                        dst: call.dst,
-                        hangup_time: call.hangup_time,
-                        killed_at_epoch: self.churn_epoch,
-                        killed_at_time: self.now,
-                        counted,
-                        token: 0,
-                        retries_left: 0,
-                        next_delay: 0.0,
-                    });
+                if !self.try_reroute(self.cfg.reroute, waiting) {
+                    self.ws.pending.push(waiting);
                 }
             }
             RetryPolicy::Backoff {
@@ -913,7 +831,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     }
                     return;
                 }
-                if self.kill_time_attempt(call, counted, mincost) {
+                if self.try_reroute(self.cfg.reroute, waiting) {
                     return;
                 }
                 if budget == 0 {
@@ -928,15 +846,10 @@ impl<'a, O: Observer> Engine<'a, O> {
                     .checked_add(1)
                     .expect("retry token overflow");
                 self.ws.pending.push(PendingCall {
-                    src: call.src,
-                    dst: call.dst,
-                    hangup_time: call.hangup_time,
-                    killed_at_epoch: self.churn_epoch,
-                    killed_at_time: self.now,
-                    counted,
                     token,
                     retries_left: budget - 1,
                     next_delay: base * 2.0,
+                    ..waiting
                 });
                 self.ws
                     .queue
@@ -958,14 +871,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             if p.counted {
                 self.metrics.abandoned += 1;
             }
-        } else if self.try_reroute_inner(
-            p.src,
-            p.dst,
-            p.hangup_time,
-            p.killed_at_epoch,
-            p.killed_at_time,
-            p.counted,
-        ) {
+        } else if self.try_reroute(RerouteMode::Greedy, p) {
             self.ws.pending.remove(pos);
         } else if p.retries_left > 0 {
             let entry = &mut self.ws.pending[pos];
@@ -985,26 +891,15 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 
     fn on_repair(&mut self, edge: EdgeId) {
-        debug_assert!(!self.inst.is_normal(edge));
         self.churn_epoch += 1;
-        self.inst.set_state(edge, SwitchState::Normal);
-        self.healthy += 1;
+        // A repair kills nothing, so occupancy is untouched.
+        let repaired = self.core.repair(edge);
+        debug_assert!(repaired, "repair of a switch that was not failed");
         self.emit(TraceEvent::Repair {
             switch: edge.index() as u32,
         });
         if self.measured() {
             self.metrics.repairs += 1;
-        }
-        // Delta-update: a repair can only revive the switch's endpoints
-        // (it kills nothing, so occupancy is untouched).
-        let (t, h) = self.fabric.net().graph().endpoints(edge);
-        self.ws.delta.clear();
-        self.ws.tracker.repair_edge(t, h, &mut self.ws.delta);
-        #[cfg(debug_assertions)]
-        self.assert_mask_matches_scratch();
-        for i in 0..self.ws.delta.len() {
-            let v = self.ws.delta[i];
-            self.router.revive_vertex(v);
         }
         self.reschedule_faults();
         if matches!(self.cfg.retry, RetryPolicy::OnRepair) {
@@ -1019,14 +914,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     }
                     return false;
                 }
-                !self.try_reroute_inner(
-                    p.src,
-                    p.dst,
-                    p.hangup_time,
-                    p.killed_at_epoch,
-                    p.killed_at_time,
-                    p.counted,
-                )
+                !self.try_reroute(RerouteMode::Greedy, *p)
             });
             debug_assert!(self.ws.pending.is_empty());
             self.ws.pending = waiting;
@@ -1041,157 +929,75 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// their remembered schedules.
     fn reschedule_faults(&mut self) {
         self.fault_epoch += 1;
-        if let Some(t) = self.injector_next_fault() {
+        if let Some(t) = self
+            .injector
+            .next_fault(self.now, &self.core, &mut self.rng)
+        {
             let epoch = self.fault_epoch;
             self.ws.queue.push(t, EventKind::Fault { epoch });
         }
     }
 
-    /// The immediate reroute attempt of one kill-wave victim: greedy
-    /// per-victim search, or a min-cost placement on the wave's batch
-    /// snapshot. Later attempts (backoff retries, on-repair drains) are
-    /// always greedy — the batch snapshot is only valid within the
-    /// wave that built it.
-    fn kill_time_attempt(&mut self, call: Call, counted: bool, mincost: bool) -> bool {
-        if mincost {
-            self.try_mincost_place(
-                call.src,
-                call.dst,
-                call.hangup_time,
-                self.churn_epoch,
-                self.now,
-                counted,
-            )
-        } else {
-            self.try_reroute_inner(
-                call.src,
-                call.dst,
-                call.hangup_time,
-                self.churn_epoch,
-                self.now,
-                counted,
-            )
-        }
-    }
-
-    /// Attempts to place a killed call by one min-cost augmentation on
-    /// the current kill wave's batch snapshot. A successful placement
-    /// is committed (same bookkeeping as a greedy reroute) and counts
-    /// as one `moved` operation; a failed probe is planning-only — it
-    /// touches neither the fabric nor the metrics beyond the trace
-    /// event, which is the mode's minimal-disruption guarantee.
-    fn try_mincost_place(
-        &mut self,
-        src: usize,
-        dst: usize,
-        hangup_time: f64,
-        killed_at: u64,
-        killed_at_time: f64,
-        counted: bool,
-    ) -> bool {
-        let input = self.fabric.net().inputs()[src];
-        let output = self.fabric.net().outputs()[dst];
-        match self.router.mincost_place(&mut self.ws.batch, input, output) {
-            Ok(id) => {
-                if counted {
+    /// Attempts to re-establish killed call `p` by planner `mode`: a
+    /// greedy search against the live fabric, or one min-cost
+    /// augmentation on the current kill wave's batch snapshot. Returns
+    /// whether it succeeded (bookkeeping done). `p.counted` says
+    /// whether the kill entered `metrics.dropped`; the reroute counter
+    /// mirrors it so the `dropped == rerouted + abandoned` identity
+    /// holds under warmup.
+    fn try_reroute(&mut self, mode: RerouteMode, p: PendingCall) -> bool {
+        // `moved` measures disruption: every greedy attempt —
+        // successful or not — executes a search against the live
+        // fabric, while a failed min-cost probe is planning-only and
+        // touches neither the fabric nor the metrics.
+        let placed = match mode {
+            RerouteMode::Greedy => {
+                if p.counted {
                     self.metrics.moved += 1;
-                    self.metrics.rerouted += 1;
-                    self.metrics.reroute_latency_events += self.churn_epoch - killed_at;
-                    self.metrics
-                        .reroute_hist_events
-                        .record((self.churn_epoch - killed_at) as f64);
-                    self.metrics
-                        .reroute_hist_time
-                        .record(self.now - killed_at_time);
                 }
-                let token = self.token_counter; // the token admit assigns
-                self.admit(id, src, dst, hangup_time);
-                if O::ENABLED {
-                    let path = self.take_path(id);
-                    self.emit(TraceEvent::Reroute {
-                        token,
-                        src: src as u32,
-                        dst: dst as u32,
-                        ok: true,
-                        path: &path,
-                    });
-                    self.trace_path = path;
+                self.core.admit(p.src, p.dst)
+            }
+            RerouteMode::Mincost => {
+                let placed = self.core.admit_mincost(&mut self.ws.batch, p.src, p.dst);
+                if p.counted && placed.is_ok() {
+                    self.metrics.moved += 1;
                 }
-                true
+                placed
             }
-            Err(_) => {
-                self.emit(TraceEvent::Reroute {
-                    token: 0,
-                    src: src as u32,
-                    dst: dst as u32,
-                    ok: false,
-                    path: &[],
-                });
-                false
-            }
+        };
+        let Ok(id) = placed else {
+            self.emit(TraceEvent::Reroute {
+                token: 0,
+                src: p.src as u32,
+                dst: p.dst as u32,
+                ok: false,
+                path: &[],
+            });
+            return false;
+        };
+        if p.counted {
+            let waited = self.churn_epoch - p.killed_at_epoch;
+            self.metrics.rerouted += 1;
+            self.metrics.reroute_latency_events += waited;
+            self.metrics.reroute_hist_events.record(waited as f64);
+            self.metrics
+                .reroute_hist_time
+                .record(self.now - p.killed_at_time);
         }
-    }
-
-    /// Attempts to re-establish a killed call. Returns whether it
-    /// succeeded (bookkeeping done). `counted` says whether the kill
-    /// entered `metrics.dropped`; the reroute counter mirrors it so the
-    /// `dropped == rerouted + abandoned` identity holds under warmup.
-    fn try_reroute_inner(
-        &mut self,
-        src: usize,
-        dst: usize,
-        hangup_time: f64,
-        killed_at: u64,
-        killed_at_time: f64,
-        counted: bool,
-    ) -> bool {
-        let input = self.fabric.net().inputs()[src];
-        let output = self.fabric.net().outputs()[dst];
-        if counted {
-            // Every greedy attempt — successful or not — executes a
-            // search against the live fabric; that is the disruption
-            // the `moved` counter measures (min-cost placement probes
-            // are planning-only and count successes alone).
-            self.metrics.moved += 1;
+        let token = self.token_counter; // the token admit assigns
+        self.admit(id, p.src, p.dst, p.hangup_time);
+        if O::ENABLED {
+            let path = self.take_path(id);
+            self.emit(TraceEvent::Reroute {
+                token,
+                src: p.src as u32,
+                dst: p.dst as u32,
+                ok: true,
+                path: &path,
+            });
+            self.trace_path = path;
         }
-        match self.router.connect(input, output) {
-            Ok(id) => {
-                if counted {
-                    self.metrics.rerouted += 1;
-                    self.metrics.reroute_latency_events += self.churn_epoch - killed_at;
-                    self.metrics
-                        .reroute_hist_events
-                        .record((self.churn_epoch - killed_at) as f64);
-                    self.metrics
-                        .reroute_hist_time
-                        .record(self.now - killed_at_time);
-                }
-                let token = self.token_counter; // the token admit assigns
-                self.admit(id, src, dst, hangup_time);
-                if O::ENABLED {
-                    let path = self.take_path(id);
-                    self.emit(TraceEvent::Reroute {
-                        token,
-                        src: src as u32,
-                        dst: dst as u32,
-                        ok: true,
-                        path: &path,
-                    });
-                    self.trace_path = path;
-                }
-                true
-            }
-            Err(_) => {
-                self.emit(TraceEvent::Reroute {
-                    token: 0,
-                    src: src as u32,
-                    dst: dst as u32,
-                    ok: false,
-                    path: &[],
-                });
-                false
-            }
-        }
+        true
     }
 
     fn on_burst_toggle(&mut self) {

@@ -43,11 +43,12 @@
 //! The reaction side — what the engine does with the calls a strike
 //! kills — is configured independently by [`RetryPolicy`].
 
+use crate::core::SwitchingCore;
 use crate::engine::SimConfig;
 use crate::workload::exp_draw;
 use ft_failure::{FailureInstance, SwitchState};
-use ft_graph::{Digraph, EdgeId, StagedNetwork};
-use ft_networks::{CircuitRouter, SessionId};
+use ft_graph::{Digraph, EdgeId};
+use ft_networks::SessionId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -245,21 +246,6 @@ impl RerouteMode {
     }
 }
 
-/// Read-only view of engine state an injector may consult when drawing
-/// schedules or choosing victims.
-pub struct InjectCtx<'a, 'n> {
-    /// The staged network under simulation.
-    pub net: &'a StagedNetwork,
-    /// Cumulative switch failure states.
-    pub inst: &'a FailureInstance,
-    /// The incrementally maintained §4 routable alive-mask.
-    pub alive: &'a [bool],
-    /// The router (owner index: which session crosses a vertex).
-    pub router: &'a CircuitRouter<'n>,
-    /// Number of currently healthy switches.
-    pub healthy: usize,
-}
-
 /// One fault the process wants to land *now*.
 pub struct Strike {
     /// The victim switch (guaranteed healthy at strike time).
@@ -278,16 +264,17 @@ pub struct Strike {
 /// and only inside these two calls — the engine invokes them at fixed
 /// points of the event order, which is what makes every process
 /// byte-reproducible per seed and independent of sweep thread count.
+/// `ctx` is the engine's switching core, read-only.
 pub trait FaultInjector {
     /// Absolute time of the next fault, or `None` if the process is
     /// currently inert. Called at `t = 0` and after every fault/repair
     /// event; the engine discards the previous answer (epoch guard), so
     /// a remembered schedule must be returned again, clamped to `now`.
-    fn next_fault(&mut self, now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<f64>;
+    fn next_fault(&mut self, now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<f64>;
 
     /// Chooses the victim for a fault event firing at `now`, or `None`
     /// to skip (e.g. a storm whose target group has no healthy switch).
-    fn strike(&mut self, now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<Strike>;
+    fn strike(&mut self, now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<Strike>;
 }
 
 /// Uniformly random healthy switch (rejection sampling with a
@@ -331,17 +318,17 @@ struct IidExp {
 }
 
 impl FaultInjector for IidExp {
-    fn next_fault(&mut self, now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<f64> {
-        if self.rate > 0.0 && ctx.healthy > 0 {
-            let mean = 1.0 / (ctx.healthy as f64 * self.rate);
+    fn next_fault(&mut self, now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<f64> {
+        if self.rate > 0.0 && ctx.healthy() > 0 {
+            let mean = 1.0 / (ctx.healthy() as f64 * self.rate);
             Some(now + exp_draw(rng, mean))
         } else {
             None
         }
     }
 
-    fn strike(&mut self, _now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<Strike> {
-        let edge = pick_healthy_edge(ctx.inst, rng);
+    fn strike(&mut self, _now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<Strike> {
+        let edge = pick_healthy_edge(ctx.instance(), rng);
         Some(Strike {
             edge,
             state: draw_state(self.open_share, rng),
@@ -416,7 +403,7 @@ impl FaultInjector for GroupStorm {
     fn next_fault(
         &mut self,
         now: f64,
-        _ctx: &InjectCtx<'_, '_>,
+        _ctx: &SwitchingCore<'_>,
         rng: &mut SmallRng,
     ) -> Option<f64> {
         episode_next_fault(
@@ -429,13 +416,13 @@ impl FaultInjector for GroupStorm {
         )
     }
 
-    fn strike(&mut self, now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<Strike> {
+    fn strike(&mut self, now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<Strike> {
         if let Some(&(_, e)) = self.victims.get(self.cursor) {
             self.cursor += 1;
             // A victim scheduled healthy can only have changed state by
             // being repaired mid-storm (repairs re-heal, never fail), so
             // it is still strikeable; the guard is belt-and-braces.
-            if !ctx.inst.is_normal(e) {
+            if !ctx.instance().is_normal(e) {
                 return None;
             }
             return Some(Strike {
@@ -445,7 +432,7 @@ impl FaultInjector for GroupStorm {
             });
         }
         self.next_start = None;
-        let stages = ctx.net.num_stages();
+        let stages = ctx.net().num_stages();
         // Victim stages are tail stages of switches: 0..stages-1. The
         // random pick sticks to internal stages (a "middle-stage group")
         // when the fabric has any.
@@ -460,9 +447,9 @@ impl FaultInjector for GroupStorm {
             }
         };
         let mut group: Vec<EdgeId> = Vec::new();
-        for v in ctx.net.stage_vertices(s) {
-            for &e in ctx.net.out_edge_slice(v) {
-                if ctx.inst.is_normal(e) {
+        for v in ctx.net().stage_vertices(s) {
+            for &e in ctx.net().out_edge_slice(v) {
+                if ctx.instance().is_normal(e) {
                     group.push(e);
                 }
             }
@@ -496,7 +483,7 @@ impl FaultInjector for SpatialBurst {
     fn next_fault(
         &mut self,
         now: f64,
-        _ctx: &InjectCtx<'_, '_>,
+        _ctx: &SwitchingCore<'_>,
         rng: &mut SmallRng,
     ) -> Option<f64> {
         episode_next_fault(
@@ -509,10 +496,10 @@ impl FaultInjector for SpatialBurst {
         )
     }
 
-    fn strike(&mut self, now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<Strike> {
+    fn strike(&mut self, now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<Strike> {
         if let Some(&(_, e)) = self.victims.get(self.cursor) {
             self.cursor += 1;
-            if !ctx.inst.is_normal(e) {
+            if !ctx.instance().is_normal(e) {
                 return None;
             }
             return Some(Strike {
@@ -522,15 +509,15 @@ impl FaultInjector for SpatialBurst {
             });
         }
         self.next_start = None;
-        if ctx.healthy == 0 {
+        if ctx.healthy() == 0 {
             return None;
         }
-        let seed = pick_healthy_edge(ctx.inst, rng);
+        let seed = pick_healthy_edge(ctx.instance(), rng);
         // BFS over switch adjacency (switches sharing a vertex), seeded
         // at `seed`, collecting healthy switches in deterministic
         // discovery order. Failed switches still conduct adjacency —
         // the cluster is spatial, not health-dependent.
-        let g = ctx.net;
+        let g = ctx.net();
         let mut visited = vec![false; g.num_edges()];
         visited[seed.index()] = true;
         let mut group = vec![seed];
@@ -543,7 +530,7 @@ impl FaultInjector for SpatialBurst {
                 for &e2 in g.out_edge_slice(v).iter().chain(g.in_edge_slice(v)) {
                     if !visited[e2.index()] {
                         visited[e2.index()] = true;
-                        if ctx.inst.is_normal(e2) {
+                        if ctx.instance().is_normal(e2) {
                             group.push(e2);
                             if group.len() == self.size {
                                 break 'scan;
@@ -577,7 +564,7 @@ impl FaultInjector for Targeted {
     fn next_fault(
         &mut self,
         now: f64,
-        _ctx: &InjectCtx<'_, '_>,
+        _ctx: &SwitchingCore<'_>,
         rng: &mut SmallRng,
     ) -> Option<f64> {
         if self.rate <= 0.0 {
@@ -589,9 +576,9 @@ impl FaultInjector for Targeted {
         Some(t.max(now))
     }
 
-    fn strike(&mut self, _now: f64, ctx: &InjectCtx<'_, '_>, rng: &mut SmallRng) -> Option<Strike> {
+    fn strike(&mut self, _now: f64, ctx: &SwitchingCore<'_>, rng: &mut SmallRng) -> Option<Strike> {
         self.next_start = None;
-        let g = ctx.net;
+        let g = ctx.net();
         let is_terminal = g.terminal_mask();
         // Damage of failing switch e: how many live circuits cross the
         // internal endpoints its discard would newly kill (each vertex
@@ -601,7 +588,7 @@ impl FaultInjector for Targeted {
         let mut best: Option<(u32, u32, EdgeId)> = None;
         for i in 0..g.num_edges() {
             let e = EdgeId::from(i);
-            if !ctx.inst.is_normal(e) {
+            if !ctx.instance().is_normal(e) {
                 continue;
             }
             let (t, h) = g.endpoints(e);
@@ -609,11 +596,11 @@ impl FaultInjector for Targeted {
             let mut discards = 0u32;
             let mut seen: Option<SessionId> = None;
             for v in [t, h] {
-                if is_terminal[v.index()] || !ctx.alive[v.index()] {
+                if is_terminal[v.index()] || !ctx.alive()[v.index()] {
                     continue;
                 }
                 discards += 1;
-                if let Some(id) = ctx.router.session_through(v) {
+                if let Some(id) = ctx.router().session_through(v) {
                     if seen != Some(id) {
                         circuits += 1;
                         seen = Some(id);

@@ -20,9 +20,11 @@
 //!   stage-group storms, spatially correlated bursts, and a greedy
 //!   targeted adversary, plus the [`inject::RetryPolicy`] degradation
 //!   ladder (retry budgets, exponential backoff, admission shedding);
-//! * [`engine`] — the event loop: faults kill the circuits crossing
-//!   discarded vertices and trigger immediate re-routes; repairs retry
-//!   the calls still waiting;
+//! * [`core`] — the switching core both `ftsim` and `ftserve` drive:
+//!   router, cumulative failure states, incremental repair mask and
+//!   the fault → kill-wave → revive discipline, in one place;
+//! * [`engine`] — the event loop: the circuits a fault kills trigger
+//!   immediate re-routes; repairs retry the calls still waiting;
 //! * [`metrics`] — blocking probability, drops, reroute latency, path
 //!   lengths, per-stage utilisation, time buckets, and the Erlang-B
 //!   reference for low-load sanity checks;
@@ -46,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod core;
 pub mod engine;
 pub mod events;
 pub mod fabric;
@@ -58,10 +61,11 @@ pub mod stream;
 pub mod sweep;
 pub mod workload;
 
+pub use core::{CoreBuffers, SwitchingCore};
 pub use engine::{run_seed, run_seed_obs, run_seed_with, SeedOutcome, SimConfig, SimWorkspace};
 pub use events::{Event, EventKind, EventQueue};
 pub use fabric::Fabric;
-pub use inject::{FaultInjector, FaultSpec, InjectCtx, RerouteMode, RetryPolicy, Strike};
+pub use inject::{FaultInjector, FaultSpec, RerouteMode, RetryPolicy, Strike};
 pub use metrics::{erlang_b, Bucket, Metrics};
 pub use report::Report;
 pub use scenario::{FabricSpec, Scenario, ScenarioBuilder, SCENARIO_KEYS};

@@ -10,21 +10,22 @@
 //! on **every** fabric variant, the incremental state is bit-identical
 //! to the scratch rebuild —
 //!
-//! * the tracker's alive mask equals `Fabric::alive_mask` of the
-//!   cumulative instance;
-//! * a router driven by `kill_vertex_into`/`revive_vertex` deltas is
-//!   observably identical (aliveness, idleness, session paths, killed
-//!   ids *and their order*, slot reuse) to one driven by the wholesale
+//! * the alive mask of [`ft_sim::SwitchingCore`] equals
+//!   `Fabric::alive_mask` of its cumulative instance;
+//! * the core's router, driven by `SwitchingCore::{fail, repair}` — the
+//!   very code `ftsim` and `ftserve` run on a fault — is observably
+//!   identical (aliveness, idleness, session paths, killed ids *and
+//!   their order*, slot reuse) to one driven by the wholesale
 //!   `set_alive_mask` recompute;
 //! * the engine-style per-stage occupancy counters, maintained by
 //!   increments along connect/kill/disconnect walks, equal a recount
 //!   over the live paths.
 
-use ft_failure::{FailureInstance, SwitchState};
+use ft_failure::SwitchState;
 use ft_graph::gen::rng;
 use ft_graph::{Digraph, EdgeId};
 use ft_networks::{CircuitRouter, SessionId};
-use ft_sim::Fabric;
+use ft_sim::{CoreBuffers, Fabric, SwitchingCore};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -65,10 +66,9 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
     let num_stages = net.num_stages();
     let faults_ok = fabric.supports_faults();
 
-    let mut inst = FailureInstance::perfect(m);
-    let mut tracker = fabric.alive_tracker(&inst);
-    // System under test: incremental deltas. Reference: wholesale mask.
-    let mut inc = CircuitRouter::new(net);
+    // System under test: the switching core's incremental deltas.
+    // Reference: wholesale mask.
+    let mut core = SwitchingCore::new(fabric, CoreBuffers::default());
     let mut refr = CircuitRouter::new(net);
     let mut busy_now = vec![0u64; num_stages];
     let tab = net.stage_table();
@@ -76,20 +76,17 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
     let mut r = rng(seed);
     let mut live: Vec<SessionId> = Vec::new();
     let mut failed: Vec<EdgeId> = Vec::new();
-    let mut delta = Vec::new();
-    let mut killed_inc: Vec<SessionId> = Vec::new();
 
     for step in 0..steps {
         match r.random_range(0..100u32) {
             0..=44 => {
                 // connect a random pair; both routers must agree
-                let i = net.inputs()[r.random_range(0..n)];
-                let o = net.outputs()[r.random_range(0..n)];
-                let a = inc.connect(i, o);
-                let b = refr.connect(i, o);
+                let (src, dst) = (r.random_range(0..n), r.random_range(0..n));
+                let a = core.admit(src, dst);
+                let b = refr.connect(net.inputs()[src], net.outputs()[dst]);
                 prop_assert_eq!(&a, &b, "routing decisions diverged");
                 if let Ok(id) = a {
-                    for &v in inc.session_path(id).unwrap() {
+                    for &v in core.router().session_path(id).unwrap() {
                         busy_now[tab[v.index()] as usize] += 1;
                     }
                     live.push(id);
@@ -102,7 +99,7 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                 }
                 let id = live.swap_remove(r.random_range(0..live.len()));
                 let busy = &mut busy_now;
-                prop_assert!(inc.disconnect_visit(id, |v| busy[tab[v.index()] as usize] -= 1));
+                prop_assert!(core.release(id, |v| busy[tab[v.index()] as usize] -= 1));
                 prop_assert!(refr.disconnect(id));
             }
             70..=84 => {
@@ -112,7 +109,7 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                 }
                 let e = loop {
                     let e = EdgeId::from(r.random_range(0..m));
-                    if inst.is_normal(e) {
+                    if core.instance().is_normal(e) {
                         break e;
                     }
                 };
@@ -121,31 +118,15 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                 } else {
                     SwitchState::Closed
                 };
-                inst.set_state(e, state);
                 failed.push(e);
-                let (t, h) = net.graph().endpoints(e);
-                delta.clear();
-                tracker.fail_edge(t, h, &mut delta);
-                // incremental kill: collect crossing circuits in slot
-                // order (the engine's discipline), then withdraw
-                killed_inc.clear();
-                for &v in &delta {
-                    if let Some(id) = inc.session_through(v) {
-                        if !killed_inc.contains(&id) {
-                            killed_inc.push(id);
-                        }
-                    }
-                }
-                killed_inc.sort_unstable_by_key(|id| id.0);
-                for &id in &killed_inc {
-                    let busy = &mut busy_now;
-                    prop_assert!(inc.disconnect_visit(id, |v| busy[tab[v.index()] as usize] -= 1));
-                }
-                for &v in &delta {
-                    inc.kill_vertex_into(v, &mut killed_inc);
-                }
+                let busy = &mut busy_now;
+                let killed_inc = core
+                    .fail(e, state, |v| busy[tab[v.index()] as usize] -= 1)
+                    .expect("the switch was healthy")
+                    .to_vec();
+                prop_assert!(core.fail(e, state, |_| {}).is_none(), "double fault");
                 // reference: wholesale recompute
-                let killed_ref = refr.set_alive_mask(&fabric.alive_mask(&inst));
+                let killed_ref = refr.set_alive_mask(&fabric.alive_mask(core.instance()));
                 prop_assert_eq!(&killed_inc, &killed_ref, "killed ids or order diverged");
                 live.retain(|id| !killed_inc.contains(id));
             }
@@ -155,26 +136,23 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                     continue;
                 }
                 let e = failed.swap_remove(r.random_range(0..failed.len()));
-                inst.set_state(e, SwitchState::Normal);
-                let (t, h) = net.graph().endpoints(e);
-                delta.clear();
-                tracker.repair_edge(t, h, &mut delta);
-                for &v in &delta {
-                    inc.revive_vertex(v);
-                }
-                let killed_ref = refr.set_alive_mask(&fabric.alive_mask(&inst));
+                prop_assert!(core.repair(e));
+                prop_assert!(!core.repair(e), "double repair");
+                let killed_ref = refr.set_alive_mask(&fabric.alive_mask(core.instance()));
                 prop_assert!(killed_ref.is_empty(), "repair can only grow the alive set");
             }
         }
 
         // ---- full state comparison, every step ----
-        let scratch_alive = fabric.alive_mask(&inst);
+        let scratch_alive = fabric.alive_mask(core.instance());
+        prop_assert_eq!(core.failed(), failed.len());
         prop_assert_eq!(
-            tracker.alive(),
+            core.alive(),
             &scratch_alive[..],
             "tracker mask diverged at step {}",
             step
         );
+        let inc = core.router();
         for v in net.graph().vertices() {
             prop_assert_eq!(inc.is_alive(v), refr.is_alive(v));
             prop_assert_eq!(inc.is_idle(v), refr.is_idle(v));
@@ -188,7 +166,7 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
         }
         prop_assert_eq!(
             &busy_now,
-            &recount_busy(&inc, &live, num_stages),
+            &recount_busy(inc, &live, num_stages),
             "incremental per-stage occupancy diverged at step {}",
             step
         );
