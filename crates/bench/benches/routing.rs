@@ -51,30 +51,38 @@ fn bench_looping(c: &mut Criterion) {
     });
 }
 
-/// Pure `connect`/`disconnect` cost on the big ν = 2 network: one
-/// router reused, alternating terminal pairs — isolates the budgeted
-/// bidirectional path search (plus path claim/release) from the
-/// simulation engine around it.
+/// Pure `connect`/`disconnect` cost: one router reused, alternating
+/// terminal pairs — isolates the route search (plus path claim/release)
+/// from the simulation engine around it. Once on the benchmark's ν = 2
+/// network (19,424 switches, paths of 8) and once on the paper's own
+/// ν = 1 network (360,448 switches, paths of 4), where a flooding
+/// search scanned 4,101 vertices per connect.
 fn bench_connect_only(c: &mut Criterion) {
-    let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
-    let mut router = CircuitRouter::new(ftn.net());
-    let n = ftn.n();
-    let mut k = 0usize;
-    c.bench_function("router_connect_pair_ftn_nu2", |b| {
-        b.iter(|| {
-            k = (k + 1) % n;
-            let id = router
-                .connect(ftn.input(k), ftn.output((k + 1) % n))
-                .expect("idle fabric cannot block");
-            black_box(&id);
-            router.disconnect(id)
-        })
-    });
+    for (name, params) in [
+        ("router_connect_pair_ftn_nu2", Params::reduced(2, 8, 8, 1.0)),
+        ("router_connect_pair_ftn_paper_nu1", Params::paper_exact(1)),
+    ] {
+        let ftn = FtNetwork::build(params);
+        let mut router = CircuitRouter::new(ftn.net());
+        let n = ftn.n();
+        let mut k = 0usize;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                k = (k + 1) % n;
+                let id = router
+                    .connect(ftn.input(k), ftn.output((k + 1) % n))
+                    .expect("idle fabric cannot block");
+                black_box(&id);
+                router.disconnect(id)
+            })
+        });
+    }
 }
 
 /// The same pair loop with a seeded 30 % of the inner vertices taken
-/// out (dead and busy look alike to the search): the regime where both
-/// cones shrink and the search has to step over unusable successors.
+/// out (dead and busy look alike to the search): the regime where the
+/// descent has to step over unusable successors and back out of dead
+/// ends.
 fn bench_connect_half_busy(c: &mut Criterion) {
     let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
     let net = ftn.net();
@@ -90,7 +98,7 @@ fn bench_connect_half_busy(c: &mut Criterion) {
     c.bench_function("router_connect_pair_ftn_nu2_half_busy", |b| {
         b.iter(|| {
             k = (k + 1) % n;
-            // a blocked pair is a search too: it floods until a cone dies
+            // a blocked pair is a search too: it exhausts the source's side
             match black_box(router.connect(ftn.input(k), ftn.output((k + 1) % n))) {
                 Ok(id) => router.disconnect(id),
                 Err(_) => false,

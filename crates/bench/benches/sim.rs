@@ -80,8 +80,8 @@ fn bench_sim_churn_faulty(c: &mut Criterion) {
 /// Heavy-traffic configuration: ~100 000 arrivals under a hotspot
 /// pattern on the ν = 2 fault-tolerant network 𝒩 (19 424 switches) —
 /// the regime where per-event O(V + E) recomputation used to dominate
-/// and the incremental fault path plus the budgeted bidirectional
-/// search pay off.
+/// and the incremental fault path plus the O(path) route search pay
+/// off.
 fn cfg_100k_calls() -> SimConfig {
     SimConfig {
         arrival_rate: 100.0,

@@ -56,7 +56,7 @@ pub use maxflow::{FlowKernel, FlowWorkspace, PrWorkspace};
 pub use mincost::{CostFlowNetwork, McfWorkspace};
 pub use paths::Path;
 pub use sliced::{sliced_reach_into, SlicedWorkspace, LANES};
-pub use staged::{StagedBuilder, StagedNetwork};
+pub use staged::{OutputReach, ReachColumn, StagedBuilder, StagedNetwork};
 pub use unionfind::UnionFind;
 pub use workspace::{KernelStats, TraversalWorkspace};
 

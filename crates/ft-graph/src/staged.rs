@@ -30,6 +30,111 @@ pub struct StagedNetwork {
     staging: OnceLock<(Vec<u32>, bool)>,
     /// Lazily built per-vertex terminal flags (see [`Self::terminal_mask`]).
     terminal_mask: OnceLock<Vec<bool>>,
+    /// Lazily built output-reach table (see [`Self::output_reach`]).
+    output_reach: OnceLock<OutputReach>,
+}
+
+/// Which outputs each vertex of a [`StagedNetwork`] can reach at all:
+/// row `v` has bit `i` set iff a directed path leads from `v` to
+/// `outputs()[i]` (an output reaches itself).
+///
+/// This is a property of the topology alone — busy marks and faults
+/// only ever shrink real reachability below it — so a route search that
+/// consults it never steps onto a vertex from which its target cannot
+/// be reached even on an idle, healthy fabric. On 𝒩 that is most of the
+/// second half of the network: the expanders fan every input out to
+/// every vertex of the middle stages, but an output's backward cone
+/// narrows to a few dozen vertices per stage towards the output side.
+///
+/// Rows are `ceil(outputs / 64)` words (at least one) — a single `u64`
+/// for every 𝒩 up to ν = 3 — so the table costs 8 bytes per vertex
+/// there, and `outputs / 8` bytes per vertex on a fabric with many
+/// terminals (2.7 MB on `benes 10`).
+#[derive(Clone, Debug)]
+pub struct OutputReach {
+    words: usize,
+    /// Row-major: row `v` is `bits[v * words..][..words]`.
+    bits: Vec<u64>,
+    outputs: Vec<VertexId>,
+}
+
+/// One column of an [`OutputReach`] table — "can reach this output" —
+/// resolved once per search by [`OutputReach::column`] and tested per
+/// vertex by [`OutputReach::reaches`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReachColumn {
+    word: usize,
+    /// The output's bit, or 0 for the column every vertex passes.
+    mask: u64,
+}
+
+impl OutputReach {
+    /// One reverse-stage pass: heads lie in strictly later stages than
+    /// their tails, so by the time a vertex ORs its heads' rows together
+    /// those rows are final.
+    fn build(net: &StagedNetwork) -> OutputReach {
+        let csr = net.csr();
+        let words = net.outputs.len().div_ceil(64).max(1);
+        let mut bits = vec![0u64; csr.num_vertices() * words];
+        for (i, o) in net.outputs.iter().enumerate() {
+            bits[o.index() * words + i / 64] |= 1 << (i % 64);
+        }
+        for stage in net.stages.iter().rev() {
+            for v in stage.clone() {
+                let v = VertexId(v);
+                for h in csr.out_heads(v) {
+                    for w in 0..words {
+                        bits[v.index() * words + w] |= bits[h.index() * words + w];
+                    }
+                }
+            }
+        }
+        OutputReach {
+            words,
+            bits,
+            outputs: net.outputs.clone(),
+        }
+    }
+
+    /// Words per row.
+    #[inline]
+    pub fn words_per_vertex(&self) -> usize {
+        self.words
+    }
+
+    /// Row of `v`: bit `i % 64` of word `i / 64` is set iff `v` reaches
+    /// `outputs()[i]`.
+    #[inline]
+    fn row(&self, v: VertexId) -> &[u64] {
+        &self.bits[v.index() * self.words..][..self.words]
+    }
+
+    /// The column of `target` if it is an output terminal. For any
+    /// other vertex (the table knows nothing about reaching it) the
+    /// column that every vertex passes, so that a search filtered by
+    /// [`Self::reaches`] stays correct for arbitrary targets — it just
+    /// is not pruned.
+    pub fn column(&self, target: VertexId) -> ReachColumn {
+        // An output has no out-edges, so its row is its own bit(s).
+        let row = self.row(target);
+        if let Some(word) = row.iter().position(|&w| w != 0) {
+            let bit = row[word].trailing_zeros();
+            if self.outputs.get(word * 64 + bit as usize) == Some(&target) {
+                return ReachColumn {
+                    word,
+                    mask: 1 << bit,
+                };
+            }
+        }
+        ReachColumn { word: 0, mask: 0 }
+    }
+
+    /// Whether `v` can reach the output `col` stands for (always true
+    /// for the pass-all column).
+    #[inline(always)]
+    pub fn reaches(&self, v: VertexId, col: ReachColumn) -> bool {
+        self.bits[v.index() * self.words + col.word] & col.mask == col.mask
+    }
 }
 
 impl StagedNetwork {
@@ -99,7 +204,7 @@ impl StagedNetwork {
 
     /// Flat per-vertex stage table: `stage_table()[v.index()]` equals
     /// [`Self::stage_of`]`(v)` as a `u32`. Built on first use and
-    /// cached; hot paths (the router's bidirectional search, the
+    /// cached; hot paths (the router's route search, the
     /// simulation engine's per-stage occupancy accounting) index this
     /// instead of binary-searching the stage ranges per vertex.
     pub fn stage_table(&self) -> &[u32] {
@@ -121,36 +226,36 @@ impl StagedNetwork {
         })
     }
 
+    /// The network's [`OutputReach`] table, built on first use by one
+    /// reverse-stage pass and cached like [`Self::csr`]: every router
+    /// over this network shares it.
+    pub fn output_reach(&self) -> &OutputReach {
+        self.output_reach.get_or_init(|| OutputReach::build(self))
+    }
+
     /// Whether every switch joins *adjacent* stages
     /// (`stage(head) == stage(tail) + 1` for every edge). All of the
     /// paper's constructions are unit-staged; [`StagedBuilder`] also
     /// admits stage-skipping edges, for which this returns `false`.
     ///
-    /// Unit-stagedness is what licenses the stage-aware bidirectional
-    /// path search ([`crate::traversal::bibfs_into`]): in a unit-staged
-    /// network a vertex at stage `s` can reach a last-stage target only
-    /// through exactly `L − s` hops, so a backward cone computed level
-    /// by level is *complete* per stage and can prune the forward
-    /// search without changing which path it finds.
+    /// Unit-stagedness is what licenses the router's depth-first route
+    /// search ([`crate::traversal::route_into`]): every input → output
+    /// path then has the same length, so the path a full BFS returns is
+    /// the lexicographically smallest one by out-edge position — the
+    /// first path a descent in out-edge order completes.
     pub fn is_unit_staged(&self) -> bool {
         self.staging().1
     }
 
-    /// Backward-level budget the bidirectional point-to-point search
-    /// ([`crate::traversal::bibfs_into`]) should run with on this
-    /// topology: how many levels its backward cone may grow.
+    /// Backward-level budget for the flooding search
+    /// ([`crate::traversal::bibfs_into`]); always `u32::MAX`, i.e. "let
+    /// the search's own grow-the-smaller-frontier rule decide".
     ///
-    /// The search floods only until its two frontiers are adjacent and
-    /// then reads the path off the cone (a scan that stops at the first
-    /// hit plus one vertex per remaining stage), so its cost is the two
-    /// floods, and its own "grow the smaller frontier" rule already
-    /// splits those by the frontier sizes of the search at hand —
-    /// busy state and dead vertices included, which no static analysis
-    /// of the idle topology sees. A cap can only override that rule, and
-    /// none measured better on a committed fabric (crossbar, Clos, Beneš,
-    /// multibutterfly, 𝒩 at ν = 1 and 2, idle to 90 % loaded), so there is
-    /// none: the budget is `u32::MAX` everywhere. It cannot change search
-    /// results in any case — exactness holds for every budget.
+    /// Nothing in this workspace calls it outside tests: the router no
+    /// longer floods, and `bibfs_into` is kept as the oracle the route
+    /// search is checked against. The method survives only because the
+    /// out-of-tree benchmark package (`benchmark/src/serve.rs`) calls
+    /// it; it goes once that package stops.
     pub fn backward_budget(&self) -> u32 {
         u32::MAX
     }
@@ -207,6 +312,7 @@ impl StagedNetwork {
             csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
+            output_reach: OnceLock::new(),
         }
     }
 
@@ -343,6 +449,7 @@ impl StagedBuilder {
             csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
+            output_reach: OnceLock::new(),
         }
     }
 }
@@ -469,6 +576,69 @@ mod tests {
         assert_eq!(net.terminal_mask(), [true, false, true]);
         assert_eq!(net.mirror().terminal_mask(), [true, false, true]);
         assert!(crossbar().terminal_mask().iter().all(|&t| t));
+    }
+
+    #[test]
+    fn output_reach_is_cached_and_matches_backward_cones() {
+        // input 0 → {1, 2}; 1 → output 3 only, 2 → outputs 3 and 4;
+        // 5 is a last-stage vertex that is not an output.
+        let mut b = StagedBuilder::new();
+        b.add_stage(1);
+        b.add_stage(2);
+        b.add_stage(3);
+        for (t, h) in [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (2, 5)] {
+            b.add_edge(v(t), v(h));
+        }
+        b.set_inputs(vec![v(0)]);
+        b.set_outputs(vec![v(3), v(4)]);
+        let net = b.finish();
+        let reach = net.output_reach();
+        // built once per network: the second call returns the same table
+        assert!(std::ptr::eq(reach, net.output_reach()));
+        assert_eq!(reach.words_per_vertex(), 1);
+        let rows: Vec<u64> = (0..6).map(|u| reach.row(v(u))[0]).collect();
+        assert_eq!(rows, [0b11, 0b01, 0b11, 0b01, 0b10, 0]);
+        let col = reach.column(v(4));
+        let cone: Vec<bool> = (0..6).map(|u| reach.reaches(v(u), col)).collect();
+        assert_eq!(cone, [true, false, true, false, true, false]);
+        // not an output (inner vertex, non-terminal last-stage vertex):
+        // the column every vertex passes
+        for target in [v(1), v(5)] {
+            let all = reach.column(target);
+            assert!((0..6).all(|u| reach.reaches(v(u), all)), "{target:?}");
+        }
+        // a mirror has its own table: one "output" (0), reached by 0..=5
+        let m = net.mirror();
+        let col = m.output_reach().column(v(0));
+        assert!((0..6).all(|u| m.output_reach().reaches(v(u), col)));
+    }
+
+    #[test]
+    fn output_reach_rows_span_words_past_64_outputs() {
+        // 2 inputs × 70 outputs; input 0 feeds the even outputs, input 1
+        // the outputs from 64 up — bits land in both words of a row.
+        let mut b = StagedBuilder::new();
+        let ins = b.add_stage(2);
+        let outs = b.add_stage(70);
+        for i in 0..70 {
+            if i % 2 == 0 {
+                b.add_edge(v(ins.start), v(outs.start + i));
+            }
+            if i >= 64 {
+                b.add_edge(v(ins.start + 1), v(outs.start + i));
+            }
+        }
+        b.set_inputs(ins.map(VertexId).collect());
+        b.set_outputs(outs.clone().map(VertexId).collect());
+        let net = b.finish();
+        let reach = net.output_reach();
+        assert_eq!(reach.words_per_vertex(), 2);
+        for i in 0..70 {
+            let col = reach.column(v(outs.start + i));
+            assert_eq!(reach.reaches(v(0), col), i % 2 == 0, "input 0, output {i}");
+            assert_eq!(reach.reaches(v(1), col), i >= 64, "input 1, output {i}");
+            assert!(reach.reaches(v(outs.start + i), col));
+        }
     }
 
     #[test]

@@ -294,6 +294,13 @@ fn expand_backward_level<G: Digraph>(
 /// [`crate::StagedNetwork::is_unit_staged`]), meeting in the middle
 /// instead of flooding the whole graph.
 ///
+/// This was the router's search until [`route_into`] replaced it; it
+/// now has no caller under `crates/*/src` and is kept as the oracle
+/// `route_into` is checked against (`ft-networks/tests/route_oracle.rs`,
+/// the proptests) and as a rung of the out-of-tree benchmark ladder —
+/// a second, independently derived search that must agree on every
+/// verdict and path.
+///
 /// Returns whether `target` is reachable from `source` through vertices
 /// passing `vertex_ok`; on success the path is read from `fwd` with
 /// [`TraversalWorkspace::path_to`] /
@@ -355,9 +362,7 @@ fn expand_backward_level<G: Digraph>(
 /// target's, `u32::MAX` leaves the choice to Phase 1's "grow the
 /// smaller frontier" rule. The cap **cannot affect the result** —
 /// exactness holds for every budget, which the proptests sample —
-/// only which side does the flooding. Callers that route many times
-/// over one topology take it from
-/// [`crate::StagedNetwork::backward_budget`].
+/// only which side does the flooding.
 ///
 /// `vertex_ok` must be a pure predicate: it is consulted in an
 /// unspecified order and from both directions.
@@ -448,6 +453,135 @@ pub fn bibfs_into<G: Digraph>(
     }
     fwd.stats.bibfs_pops += (end - fhead) as u64;
     false
+}
+
+/// Depth-first point-to-point route search over a **unit-staged**
+/// network (see [`crate::StagedNetwork::is_unit_staged`]): one descent
+/// in out-edge order that remembers its dead ends, so it costs about
+/// one scanned vertex per stage where a flood costs whole stages. This
+/// is the search under `CircuitRouter::connect`.
+///
+/// Returns whether `target` is reachable from `source` through vertices
+/// passing `vertex_ok`; on success the path is read from `ws` with
+/// [`TraversalWorkspace::path_to`] /
+/// [`TraversalWorkspace::path_to_into`] (parent edges and distances are
+/// recorded exactly as [`bfs_into`] records them).
+///
+/// # The descent
+///
+/// The current path lives on an explicit stack in `ws` (no recursion,
+/// no per-call allocation). At the top vertex the descent resumes its
+/// out-edge list where it left off, skips heads already touched in this
+/// search and heads failing `vertex_ok`, marks the first remaining head
+/// discovered and steps onto it; with no head left it steps back.
+/// It never enters the target's stage except at `target` itself: at the
+/// stage before, only an edge into `target` is taken. A touched vertex
+/// that is off the stack was entered earlier and left without reaching
+/// `target`, and on a staged DAG what lies below a vertex does not
+/// depend on how it was reached — so it is a proven dead end and is
+/// never scanned twice. Each vertex is scanned **at most once**, and
+/// the worst case (a blocked pair) is the forward flood's vertex set.
+///
+/// # Exactness
+///
+/// Verdict **and path** are bit-identical to a full forward
+/// [`bfs_into`] with the same vertex filter and no edge filter — same
+/// parent edges, same tie-breaks — so the deterministic simulation's
+/// pinned event fingerprints do not see which kernel ran. The argument
+/// is the one [`bibfs_into`]'s rustdoc makes for the flood, with the
+/// cone replaced by the truth it approximates:
+///
+/// 1. **The BFS path is the smallest-key path.** Call a path's *key*
+///    its sequence of out-edge positions. A forward BFS discovers a
+///    stage in the order (rank of the discoverer, position of the
+///    discovering edge), so by induction over stages the parent chain
+///    of a vertex is its lexicographically smallest-key path, and —
+///    unit staging makes every `source → target` path equally long —
+///    the path BFS returns for `target` is the smallest-key `vertex_ok`
+///    path from `source` to `target`.
+/// 2. **The first path a descent completes is the smallest-key path.**
+///    The descent tries out-edges in position order and leaves an edge
+///    only after everything below its head has been exhausted, so when
+///    it takes position `p` at some vertex of the final path, no
+///    `vertex_ok` path to `target` continues through a position `< p`
+///    there. Skipping a touched head loses nothing (it is a dead end,
+///    above). Parallel edges fall out of the same rule: the first edge
+///    position wins.
+///
+/// If the stack empties, every `vertex_ok` vertex reachable from
+/// `source` short of the target's stage has been scanned and none had
+/// an edge into `target`: blocked, exactly when a full flood would not
+/// reach it. `vertex_ok` may be any *sound* filter — callers that know
+/// a static superset of "can reach `target`" (the router's
+/// [`crate::OutputReach`] table) fold it in to skip structural dead
+/// ends; exactness never depends on that, only the pop count does.
+/// Pinned by proptests against [`bfs`] and, on 𝒩 itself, by
+/// `ft-networks/tests/route_oracle.rs`.
+///
+/// # Work counter
+///
+/// [`crate::KernelStats::bibfs_pops`] grows by one per vertex whose
+/// edge list the descent scanned: `source` and every vertex it stepped
+/// onto short of `target`. An idle fabric costs one pop per path edge.
+///
+/// `vertex_ok` must be a pure predicate: it may be consulted more than
+/// once for a vertex it rejects.
+pub fn route_into<G: Digraph>(
+    g: &G,
+    source: VertexId,
+    target: VertexId,
+    stage_of: &[u32],
+    mut vertex_ok: impl FnMut(VertexId) -> bool,
+    ws: &mut TraversalWorkspace,
+) -> bool {
+    let n = g.num_vertices();
+    debug_assert_eq!(stage_of.len(), n);
+    ws.begin(n);
+    if !vertex_ok(source) || !vertex_ok(target) {
+        return false;
+    }
+    ws.discover(source, EdgeId::NONE, 0);
+    if source == target {
+        return true;
+    }
+    let (s0, sl) = (stage_of[source.index()], stage_of[target.index()]);
+    if sl <= s0 {
+        return false; // stages only increase along unit-staged edges
+    }
+    ws.stack.clear();
+    ws.stack.push((source, 0));
+    let mut pops = 1u64;
+    let mut found = false;
+    'descent: while let Some((u, resume)) = ws.stack.pop() {
+        let edges = g.out_edge_slice(u);
+        let heads = g.out_head_slice(u);
+        let depth = ws.stack.len() as u32 + 1;
+        // From the stage before the target's, only `target` may be entered.
+        let last_hop = stage_of[u.index()] + 1 == sl;
+        for i in resume as usize..edges.len() {
+            let w = match heads {
+                // CSR fast path: neighbour read off the parallel slice.
+                Some(heads) => heads[i],
+                None => g.other_endpoint(edges[i], u),
+            };
+            if last_hop {
+                if w == target {
+                    ws.discover(w, edges[i], depth);
+                    found = true;
+                    break 'descent;
+                }
+            } else if !ws.is_touched(w.index()) && vertex_ok(w) {
+                // step onto `w`; `u` resumes after this edge if `w` fails
+                ws.stack.push((u, i as u32 + 1));
+                ws.discover(w, edges[i], depth);
+                ws.stack.push((w, 0));
+                pops += 1;
+                break;
+            }
+        }
+    }
+    ws.stats.bibfs_pops += pops;
+    found
 }
 
 /// BFS forward from a single source with no filters.
@@ -718,9 +852,10 @@ mod tests {
         net
     }
 
-    /// Runs `bibfs_into` under every budget in `budgets`, checks verdict,
-    /// path and parent edges against the full forward flood, and returns
-    /// that flood's path.
+    /// Runs `route_into` — bare, and pruned by the network's reach table
+    /// as the router runs it — and `bibfs_into` under every budget in
+    /// `budgets`; checks verdict, path, parent edges and distances
+    /// against the full forward flood, and returns that flood's path.
     fn check_bibfs(
         net: &crate::StagedNetwork,
         (src, dst): (u32, u32),
@@ -735,21 +870,26 @@ mod tests {
         );
         bfs_into(csr, &[v(src)], Direction::Forward, |_| true, &ok, &mut rws);
         let want = rws.path_to(csr, v(dst));
-        for &budget in budgets {
-            let tab = net.stage_table();
-            let got = bibfs_into(csr, v(src), v(dst), tab, budget, &ok, &mut fwd, &mut bwd);
-            assert_eq!(got, want.is_some(), "budget {budget}");
+        let tab = net.stage_table();
+        let same_as_flood = |got: bool, fwd: &TraversalWorkspace, kernel: &str| {
+            assert_eq!(got, want.is_some(), "{kernel}");
             if let Some(path) = &want {
-                assert_eq!(
-                    fwd.path_to(csr, v(dst)).as_ref(),
-                    Some(path),
-                    "budget {budget}"
-                );
+                assert_eq!(fwd.path_to(csr, v(dst)).as_ref(), Some(path), "{kernel}");
                 for &u in path {
-                    assert_eq!(fwd.parent_edge(u), rws.parent_edge(u), "budget {budget}");
-                    assert_eq!(fwd.dist(u), rws.dist(u), "budget {budget}");
+                    assert_eq!(fwd.parent_edge(u), rws.parent_edge(u), "{kernel}");
+                    assert_eq!(fwd.dist(u), rws.dist(u), "{kernel}");
                 }
             }
+        };
+        let got = route_into(csr, v(src), v(dst), tab, &ok, &mut fwd);
+        same_as_flood(got, &fwd, "descent");
+        let (reach, col) = (net.output_reach(), net.output_reach().column(v(dst)));
+        let pruned = |u| ok(u) && reach.reaches(u, col);
+        let got = route_into(csr, v(src), v(dst), tab, pruned, &mut fwd);
+        same_as_flood(got, &fwd, "pruned descent");
+        for &budget in budgets {
+            let got = bibfs_into(csr, v(src), v(dst), tab, budget, &ok, &mut fwd, &mut bwd);
+            same_as_flood(got, &fwd, &format!("budget {budget}"));
         }
         want
     }
@@ -883,6 +1023,44 @@ mod tests {
             let total = fwd.stats().bibfs_pops + bwd.stats().bibfs_pops;
             assert_eq!(total, pops, "budget {budget}");
         }
+    }
+
+    #[test]
+    fn route_counts_scanned_vertices_and_scans_each_once() {
+        let pops = |net: &crate::StagedNetwork, dst: u32, ok: &dyn Fn(VertexId) -> bool| {
+            let mut ws = TraversalWorkspace::new();
+            let found = route_into(net.csr(), v(0), v(dst), net.stage_table(), ok, &mut ws);
+            (found, ws.stats().bibfs_pops, ws.num_reached())
+        };
+        // Chain 0 → 1 → 2 → 3 → 4: one pop per path edge, target not scanned.
+        let chain = staged(&[1, 1, 1, 1, 1], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        assert_eq!(pops(&chain, 4, &|_| true), (true, 4, 5));
+        // Stages {0} {1,2} {3,4} {5,6} {7,8}. 1 and 2 both lead to 3,
+        // below which only the wrong output 7 lies; 2 → 4 → 6 → 8 is the
+        // one path. The descent falls into 1, 3, 5 once, skips the touched
+        // 3 at 2, and never enters 7, which shares the target's stage.
+        let edges = [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (2, 4),
+            (3, 5),
+            (4, 6),
+            (5, 7),
+            (6, 7),
+            (6, 8),
+        ];
+        let net = staged(&[1, 2, 2, 2, 2], &edges);
+        assert_eq!(pops(&net, 8, &|_| true), (true, 7, 8));
+        let path = check_bibfs(&net, (0, 8), &BUDGETS, |_| true);
+        assert_eq!(path, Some(vec![v(0), v(2), v(4), v(6), v(8)]));
+        // blocked: everything reachable short of the target's stage is
+        // scanned, each vertex once
+        assert_eq!(pops(&net, 8, &|u| u != v(6)), (false, 6, 6));
+        // the reach table removes the structural dead ends 1, 3 and 5
+        let (reach, col) = (net.output_reach(), net.output_reach().column(v(8)));
+        assert_eq!(pops(&net, 8, &|u| reach.reaches(u, col)), (true, 4, 5));
     }
 
     #[test]

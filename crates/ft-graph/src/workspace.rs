@@ -35,10 +35,14 @@ pub struct KernelStats {
     /// Epoch-stamped workspace resets (`begin` calls): one per
     /// traversal started, the O(1)-clear discipline's unit of work.
     pub epoch_resets: u64,
-    /// Vertices whose edge lists the bidirectional route search
-    /// scanned ([`crate::traversal::bibfs_into`]: both floods, the
-    /// frontier vertices tested for a cone hit, the descent) — the
-    /// dominant cost of a `connect` attempt.
+    /// Vertices whose edge lists a point-to-point route search scanned
+    /// — the dominant cost of a `connect` attempt. For the router's
+    /// depth-first descent ([`crate::traversal::route_into`]) that is
+    /// every vertex the descent entered short of the target; for the
+    /// oracle flood ([`crate::traversal::bibfs_into`]) both floods, the
+    /// frontier vertices tested for a cone hit and its greedy descent.
+    /// The field keeps the name it had when the flood was the router's
+    /// search: the out-of-tree benchmark package reads it.
     pub bibfs_pops: u64,
     /// Worklist pops of the 64-lane sliced reachability sweep.
     pub sliced_pops: u64,
@@ -73,9 +77,13 @@ pub struct TraversalWorkspace {
     pub(crate) dist: Vec<u32>,
     /// BFS parent edge bits / Dinic per-node arc cursor.
     pub(crate) parent: Vec<u32>,
-    /// FIFO queue; after a BFS this is the discovery order.
+    /// FIFO queue; after a traversal this is the discovery order.
     pub(crate) queue: Vec<VertexId>,
-    /// Deterministic work counters (resets, bibfs frontier pops).
+    /// Explicit stack of the depth-first route descent: the vertices of
+    /// the path under construction, each with the position of its next
+    /// unscanned out-edge. Never deeper than the network has stages.
+    pub(crate) stack: Vec<(VertexId, u32)>,
+    /// Deterministic work counters (resets, route-search pops).
     pub(crate) stats: KernelStats,
 }
 

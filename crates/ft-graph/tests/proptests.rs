@@ -11,12 +11,13 @@ use ft_graph::paths::are_vertex_disjoint;
 use ft_graph::sliced::{sliced_reach_into, SlicedWorkspace, LANES};
 use ft_graph::staged::StagedBuilder;
 use ft_graph::traversal::{
-    bfs, bfs_forward, bfs_into, bibfs_into, dag_depth, is_acyclic, topo_order, Direction,
+    bfs, bfs_forward, bfs_into, bibfs_into, dag_depth, is_acyclic, route_into, topo_order,
+    Direction,
 };
 use ft_graph::tree::{
     contract_stretches, is_forest, leaves, min_internal_degree_3, reduce_to_degree_3,
 };
-use ft_graph::{Csr, DiGraph, FlowWorkspace, TraversalWorkspace};
+use ft_graph::{Csr, DiGraph, FlowWorkspace, StagedNetwork, TraversalWorkspace};
 use proptest::prelude::*;
 
 /// Strategy: a random DAG described by (n, edge list of (a, b) with a < b).
@@ -32,6 +33,36 @@ fn dag_strategy() -> impl Strategy<Value = DiGraph> {
             g
         })
     })
+}
+
+/// A random unit-staged network with the given stage widths — each
+/// adjacent-stage pair joined with probability 0.6, and by a parallel
+/// switch (which stresses the tie-break rules) with probability 0.1 —
+/// and a random idle mask keeping each vertex with probability `p_idle`.
+fn random_unit_staged(seed: u64, widths: &[usize], p_idle: f64) -> (StagedNetwork, Vec<bool>) {
+    use rand::Rng;
+    let mut r = gen::rng(seed);
+    let mut b = StagedBuilder::new();
+    let ranges: Vec<_> = widths.iter().map(|&w| b.add_stage(w)).collect();
+    for w in ranges.windows(2) {
+        for t in w[0].clone() {
+            for h in w[1].clone() {
+                if r.random_bool(0.6) {
+                    b.add_edge(VertexId(t), VertexId(h));
+                }
+                if r.random_bool(0.1) {
+                    b.add_edge(VertexId(t), VertexId(h));
+                }
+            }
+        }
+    }
+    b.set_inputs(ranges[0].clone().map(VertexId).collect());
+    b.set_outputs(ranges[ranges.len() - 1].clone().map(VertexId).collect());
+    let net = b.finish();
+    assert!(net.is_unit_staged());
+    let n = net.graph().num_vertices();
+    let idle = (0..n).map(|_| r.random_bool(p_idle)).collect();
+    (net, idle)
 }
 
 proptest! {
@@ -365,29 +396,7 @@ proptest! {
         seed in 0u64..1000,
         widths in proptest::collection::vec(1usize..6, 2..6),
     ) {
-        use rand::Rng;
-        let mut r = gen::rng(seed);
-        let mut b = StagedBuilder::new();
-        let ranges: Vec<_> = widths.iter().map(|&w| b.add_stage(w)).collect();
-        for w in ranges.windows(2) {
-            for t in w[0].clone() {
-                for h in w[1].clone() {
-                    if r.random_bool(0.6) {
-                        b.add_edge(VertexId(t), VertexId(h));
-                    }
-                    if r.random_bool(0.1) {
-                        // parallel switches stress the tie-break rules
-                        b.add_edge(VertexId(t), VertexId(h));
-                    }
-                }
-            }
-        }
-        b.set_inputs(ranges[0].clone().map(VertexId).collect());
-        b.set_outputs(ranges[ranges.len() - 1].clone().map(VertexId).collect());
-        let net = b.finish();
-        prop_assume!(net.is_unit_staged());
-        let n = net.graph().num_vertices();
-        let idle: Vec<bool> = (0..n).map(|_| r.random_bool(0.8)).collect();
+        let (net, idle) = random_unit_staged(seed, &widths, 0.8);
         let csr = net.csr();
         let stage_of = net.stage_table();
         let (mut reference, mut fwd, mut bwd) = (
@@ -420,6 +429,68 @@ proptest! {
                         prop_assert_eq!(fwd.path_to(&net, dst), want.clone());
                     }
                 }
+            }
+        }
+    }
+
+    /// The router's depth-first descent returns the verdict and the
+    /// path of a full forward BFS for every (input, output) pair under
+    /// arbitrary idle masks — bare, and pruned by the output-reach
+    /// table as `CircuitRouter::connect` runs it — and scans no vertex
+    /// twice: pops ≤ vertices touched ≤ vertices.
+    #[test]
+    fn route_descent_matches_forward_bfs_and_scans_each_vertex_once(
+        seed in 0u64..1000,
+        widths in proptest::collection::vec(1usize..6, 2..7),
+        idle_pct in 30u32..101,
+    ) {
+        let (net, idle) = random_unit_staged(seed, &widths, f64::from(idle_pct) / 100.0);
+        let (csr, stage_of, reach) = (net.csr(), net.stage_table(), net.output_reach());
+        let n = net.graph().num_vertices();
+        let (mut reference, mut ws) = (TraversalWorkspace::new(), TraversalWorkspace::new());
+        for &src in net.inputs() {
+            bfs_into(csr, &[src], Direction::Forward, |_| true,
+                     |v| idle[v.index()], &mut reference);
+            for &dst in net.outputs() {
+                let want = reference.path_to(csr, dst);
+                let col = reach.column(dst);
+                let before = ws.stats().bibfs_pops;
+                // CSR fast path, bare
+                let got = route_into(csr, src, dst, stage_of, |v| idle[v.index()], &mut ws);
+                prop_assert_eq!(got, want.is_some());
+                prop_assert_eq!(ws.path_to(csr, dst).filter(|_| got), want.clone());
+                let bare = ws.stats().bibfs_pops - before;
+                prop_assert!(bare as usize <= ws.num_reached() && ws.num_reached() <= n);
+                // pruned by the reach table
+                let got = route_into(csr, src, dst, stage_of,
+                                     |v| idle[v.index()] && reach.reaches(v, col), &mut ws);
+                prop_assert_eq!(got, want.is_some());
+                prop_assert_eq!(ws.path_to(csr, dst).filter(|_| got), want.clone());
+                let pruned = ws.stats().bibfs_pops - before - bare;
+                prop_assert!(pruned as usize <= ws.num_reached() && pruned <= bare);
+                // generic fallback (no head slices on StagedNetwork)
+                let got = route_into(&net, src, dst, stage_of, |v| idle[v.index()], &mut ws);
+                prop_assert_eq!(got, want.is_some());
+                prop_assert_eq!(ws.path_to(&net, dst).filter(|_| got), want);
+            }
+        }
+    }
+
+    /// The output-reach table says `v` reaches an output exactly when an
+    /// unfiltered backward BFS from that output reaches `v`.
+    #[test]
+    fn output_reach_equals_backward_cones(
+        seed in 0u64..1000,
+        widths in proptest::collection::vec(1usize..6, 2..7),
+    ) {
+        let (net, _) = random_unit_staged(seed, &widths, 1.0);
+        let reach = net.output_reach();
+        let mut ws = TraversalWorkspace::new();
+        for &out in net.outputs() {
+            bfs_into(net.csr(), &[out], Direction::Backward, |_| true, |_| true, &mut ws);
+            let col = reach.column(out);
+            for v in net.graph().vertices() {
+                prop_assert_eq!(reach.reaches(v, col), ws.reached(v), "{:?} → {:?}", v, out);
             }
         }
     }

@@ -10,9 +10,9 @@
 
 use ft_graph::ids::VertexId;
 use ft_graph::mincost::augment_unit_into;
-use ft_graph::traversal::{bfs_into, bibfs_into, Direction};
+use ft_graph::traversal::{bfs_into, route_into, Direction};
 use ft_graph::workspace::TraversalWorkspace;
-use ft_graph::{CostFlowNetwork, McfWorkspace, StagedNetwork};
+use ft_graph::{CostFlowNetwork, McfWorkspace, OutputReach, StagedNetwork};
 
 /// `owner` sentinel: the vertex carries no circuit.
 const NO_OWNER: u32 = u32::MAX;
@@ -46,14 +46,16 @@ pub struct SessionId(pub u32);
 
 /// Greedy circuit router over a staged network.
 ///
-/// Path searches run over the network's cached CSR snapshot with
-/// router-owned [`TraversalWorkspace`]s. On unit-staged networks (all
-/// of the paper's constructions) `connect` uses the bidirectional
-/// stage-aware kernel [`bibfs_into`], which meets in the middle instead
-/// of flooding the whole fabric yet returns the *bit-identical* path a
-/// full forward BFS would — the deterministic simulation depends on
-/// that. Session path buffers are pooled and reused, so steady-state
-/// connect/disconnect churn allocates nothing.
+/// Path searches run over the network's cached CSR snapshot with one
+/// router-owned [`TraversalWorkspace`]. On unit-staged networks (all of
+/// the paper's constructions) `connect` does not flood: it runs the
+/// depth-first descent [`route_into`] over vertices that are idle *and*
+/// can reach the wanted output at all (the network's cached
+/// [`OutputReach`] table), which costs about one scanned vertex per
+/// stage — §4's "any idle greedy path will do" — yet returns the
+/// *bit-identical* path a full forward BFS would; the deterministic
+/// simulation depends on that. Session path buffers are pooled and
+/// reused, so steady-state connect/disconnect churn allocates nothing.
 ///
 /// Because circuits are vertex-disjoint, each vertex carries at most
 /// one live session; the router maintains that vertex → session index
@@ -76,8 +78,9 @@ pub struct CircuitRouter<'a> {
     csr: &'a ft_graph::Csr,
     /// Cached per-vertex stage table (same reasoning).
     stage_tab: &'a [u32],
-    /// Whether the network is unit-staged (bidirectional search legal).
-    unit_staged: bool,
+    /// The network's output-reach table; `Some` iff the network is
+    /// unit-staged (the depth-first route search is legal).
+    reach: Option<&'a OutputReach>,
     /// Vertices usable at all (repair mask); true = usable.
     alive: Vec<bool>,
     /// `alive[v] && !busy[v]`, maintained incrementally so the BFS
@@ -91,34 +94,13 @@ pub struct CircuitRouter<'a> {
     free: Vec<u32>,
     /// Cleared path buffers recycled across sessions.
     spare: Vec<Vec<VertexId>>,
-    /// Backward-level budget for the bidirectional search — the
-    /// network's cached structural analysis
-    /// ([`StagedNetwork::backward_budget`]).
-    bwd_budget: u32,
     ws: TraversalWorkspace,
-    /// Backward-cone workspace of the bidirectional search.
-    ws_b: TraversalWorkspace,
 }
 
 impl<'a> CircuitRouter<'a> {
     /// Router over a fully healthy network.
     pub fn new(net: &'a StagedNetwork) -> Self {
-        let n = net.graph().num_vertices();
-        CircuitRouter {
-            net,
-            csr: net.csr(),
-            stage_tab: net.stage_table(),
-            unit_staged: net.is_unit_staged(),
-            alive: vec![true; n],
-            idle: vec![true; n],
-            owner: vec![NO_OWNER; n],
-            sessions: Vec::new(),
-            free: Vec::new(),
-            spare: Vec::new(),
-            bwd_budget: net.backward_budget(),
-            ws: TraversalWorkspace::new(),
-            ws_b: TraversalWorkspace::new(),
-        }
+        Self::with_alive_mask(net, vec![true; net.graph().num_vertices()])
     }
 
     /// Router restricted to `alive` vertices (the §4 repaired network).
@@ -129,15 +111,13 @@ impl<'a> CircuitRouter<'a> {
             owner: vec![NO_OWNER; alive.len()],
             csr: net.csr(),
             stage_tab: net.stage_table(),
-            unit_staged: net.is_unit_staged(),
+            reach: net.is_unit_staged().then(|| net.output_reach()),
             net,
             alive,
             sessions: Vec::new(),
             free: Vec::new(),
             spare: Vec::new(),
-            bwd_budget: net.backward_budget(),
             ws: TraversalWorkspace::new(),
-            ws_b: TraversalWorkspace::new(),
         }
     }
 
@@ -169,26 +149,31 @@ impl<'a> CircuitRouter<'a> {
     }
 
     /// Accumulated per-kernel work counters of the router's search
-    /// workspaces (both cones of the bidirectional search). Counters are
-    /// deterministic functions of the connect/disconnect history, so
-    /// they may feed byte-reproducible reports; deltas around a single
-    /// `connect` measure that attempt's search effort.
+    /// workspace. Counters are deterministic functions of the
+    /// connect/disconnect history, so they may feed byte-reproducible
+    /// reports; deltas around a single `connect` measure that attempt's
+    /// search effort.
     #[inline]
     pub fn kernel_stats(&self) -> ft_graph::KernelStats {
-        let mut s = self.ws.stats();
-        s.merge(&self.ws_b.stats());
-        s
+        self.ws.stats()
     }
 
-    /// Attempts to connect `input → output` greedily (BFS over idle
-    /// vertices, shortest idle path). On success the path's vertices
-    /// become busy.
+    /// Attempts to connect `input → output` greedily: the path taken is
+    /// the one a BFS over idle vertices would return (a shortest idle
+    /// path, ties broken by out-edge order). On success the path's
+    /// vertices become busy.
     ///
-    /// On unit-staged networks the search is the bidirectional
-    /// stage-aware kernel; its result (path and verdict) is bit-equal
-    /// to the full forward BFS it replaces, so routing decisions — and
-    /// with them the simulation's pinned event fingerprints — are
-    /// unchanged.
+    /// On unit-staged networks the search is [`route_into`], a
+    /// depth-first descent in out-edge order over vertices that are
+    /// idle and can structurally reach `output`; the first path it
+    /// completes is that BFS path (see the kernel's "Exactness"), so
+    /// routing decisions — and with them the simulation's pinned event
+    /// fingerprints — do not depend on the kernel. The reach table only
+    /// prunes: it is a superset of what is reachable through idle
+    /// vertices, and for a target that is not an output terminal it
+    /// prunes nothing. An idle fabric costs one scanned vertex per path
+    /// edge; a blocked pair costs at most the idle part of the pair's
+    /// static cone.
     pub fn connect(&mut self, input: VertexId, output: VertexId) -> Result<SessionId, RouteError> {
         if !self.is_idle(input) {
             return Err(RouteError::InputUnavailable(input));
@@ -197,21 +182,18 @@ impl<'a> CircuitRouter<'a> {
             return Err(RouteError::OutputUnavailable(output));
         }
         let csr = self.csr;
-        let reached = if self.unit_staged {
-            let budget = self.bwd_budget;
-            let idle = &self.idle;
-            bibfs_into(
+        let idle = &self.idle;
+        let reached = if let Some(reach) = self.reach {
+            let col = reach.column(output);
+            route_into(
                 csr,
                 input,
                 output,
                 self.stage_tab,
-                budget,
-                |v| idle[v.index()],
+                |v| idle[v.index()] && reach.reaches(v, col),
                 &mut self.ws,
-                &mut self.ws_b,
             )
         } else {
-            let idle = &self.idle;
             // Stage-skipping networks (possible via `StagedBuilder`,
             // absent from the paper's constructions) keep the plain
             // forward flood.

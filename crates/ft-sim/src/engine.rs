@@ -606,8 +606,8 @@ impl<'a, O: Observer> Engine<'a, O> {
         };
         let attempt = self.core.admit(src, dst);
         if measured {
-            // Setup cost in bibfs frontier pops: the deterministic
-            // search-effort analogue of setup latency.
+            // Setup cost in vertices the route search scanned: the
+            // deterministic search-effort analogue of setup latency.
             let pops = self.core.router().kernel_stats().bibfs_pops - pops_before;
             let row = self.metrics.stage_occupancy_hist.len();
             self.dense_record(row, pops as f64);

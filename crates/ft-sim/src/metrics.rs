@@ -90,8 +90,8 @@ pub struct Metrics {
     pub reroute_hist_events: Hist,
     /// Reroute-latency distribution in sim-time (kill → re-establish).
     pub reroute_hist_time: Hist,
-    /// Setup-cost distribution: bibfs frontier pops spent per arrival
-    /// connect attempt — the deterministic search-effort analogue of
+    /// Setup-cost distribution: vertices the route search scanned
+    /// (`KernelStats::bibfs_pops`) per arrival connect attempt — the deterministic search-effort analogue of
     /// setup latency (wall-clock would break byte-reproducibility).
     pub setup_cost_hist: Hist,
     /// Path-length distribution (switches) over established circuits.

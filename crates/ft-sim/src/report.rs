@@ -604,6 +604,30 @@ mod tests {
         assert_eq!(a.matches("\"seed\":").count(), 2);
     }
 
+    /// Known answer for the setup-cost quantiles, through the rendering
+    /// path `ftsim` prints: on a fault-free, lightly loaded 𝒩 at ν = 1
+    /// (paths of 5 vertices) nothing obstructs the route search, so every
+    /// connect scans one vertex per switch of its path — 4 — and no call
+    /// is blocked.
+    #[test]
+    fn setup_cost_of_an_unobstructed_connect_is_its_path_length() {
+        let json = crate::run_scenario_text(
+            "network = ftn 1 8 4 1.0\narrival_rate = 0.5\nholding = exp 0.2\n\
+             fault_rate = 0\nduration = 400\nseeds = 2\nbuckets = 2\n",
+        )
+        .unwrap()
+        .to_json();
+        // whole lines: the per-bucket objects carry a "blocked" too
+        for line in [
+            "      \"blocked\": 0,\n",
+            "      \"setup_cost_p50\": 4,\n",
+            "      \"setup_cost_p99\": 4,\n",
+            "      \"path_len_p50\": 4,\n",
+        ] {
+            assert_eq!(json.matches(line).count(), 2, "{line} per seed in\n{json}");
+        }
+    }
+
     #[test]
     fn string_escaping() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");

@@ -52,6 +52,7 @@ reroute_storm
 reroute_storm_mincost
 router_connect_pair_ftn_nu2
 router_connect_pair_ftn_nu2_half_busy
+router_connect_pair_ftn_paper_nu1
 bfs_forward_ftn_nu2_reused
 dinic_repair_nu2
 push_relabel_repair_nu2

@@ -390,10 +390,14 @@ buckets = 4
 /// fingerprints it is *meant* to move when the search gets cheaper: a
 /// kernel change must leave every fingerprint above untouched and show
 /// up here, as a reviewed diff of `SeedOutcome.kernel.bibfs_pops`
-/// (CHANGES.md records old → new). One seed on the benchmark's 𝒩 under
-/// hotspot traffic with i.i.d. faults, one on a strict Clos under stage
-/// storms; events and fingerprints ride along so a counter diff can be
-/// told apart from a changed run.
+/// (CHANGES.md records old → new). A pop is one vertex whose edge list
+/// the router's depth-first descent scanned, so an unobstructed connect
+/// costs one pop per switch of its path. Three legs: the benchmark's 𝒩
+/// under hotspot traffic with i.i.d. faults, a strict Clos under stage
+/// storms, and the paper's own ν = 1 network (`scenarios/
+/// paper_nu1_smoke.ftsim`, where a flood cost 4,100 pops per search);
+/// events and fingerprints ride along so a counter diff can be told
+/// apart from a changed run.
 #[test]
 fn route_search_work_counters_are_pinned() {
     use fault_tolerant_switching::sim;
@@ -415,7 +419,7 @@ buckets = 4
         .outcomes[0];
     assert_eq!((out.seed, out.events), (3, 4482), "hotspot events");
     assert_eq!(out.fingerprint, 0xfb072f92f3634571, "hotspot fingerprint");
-    assert_eq!(out.kernel.bibfs_pops, 359_405, "hotspot bibfs_pops");
+    assert_eq!(out.kernel.bibfs_pops, 11_625, "hotspot bibfs_pops");
 
     const CLOS_STORM: &str = "\
 network = clos-strict 4 4
@@ -434,7 +438,19 @@ buckets = 4
         .outcomes[0];
     assert_eq!((out.seed, out.events), (1, 2079), "storm events");
     assert_eq!(out.fingerprint, 0x39443581943615db, "storm fingerprint");
-    assert_eq!(out.kernel.bibfs_pops, 2_076, "storm bibfs_pops");
+    assert_eq!(out.kernel.bibfs_pops, 2_077, "storm bibfs_pops");
+
+    let out = &sim::run_scenario_text(include_str!("../scenarios/paper_nu1_smoke.ftsim"))
+        .expect("paper ν = 1 scenario parses")
+        .outcomes[0];
+    assert_eq!((out.seed, out.events), (1, 838), "paper ν = 1 events");
+    assert_eq!(
+        out.fingerprint, 0xcf84967aabeccece,
+        "paper ν = 1 fingerprint"
+    );
+    let searches = out.metrics.connected + out.metrics.blocked;
+    assert_eq!((searches, out.kernel.bibfs_pops), (247, 988), "paper ν = 1");
+    assert!(out.kernel.bibfs_pops <= 8 * searches, "pops per search");
 }
 
 /// The `ftexp` grid runner extends the same contract to whole studies:
