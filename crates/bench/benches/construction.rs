@@ -1,5 +1,8 @@
-//! Construction throughput: building 𝒩 (reduced profiles), the
-//! recursive network, and the classical baselines.
+//! Construction throughput: building 𝒩 (reduced profiles and the
+//! paper's own ν = 1 constants), the recursive network, and the classical
+//! baselines. Every iteration ends with `net.csr()`, so what is timed is
+//! a network a kernel can traverse — at a parent that froze the CSR
+//! lazily the same bench includes the freeze.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::network::FtNetwork;
@@ -10,13 +13,16 @@ use std::hint::black_box;
 
 fn bench_build_ftn(c: &mut Criterion) {
     let mut g = c.benchmark_group("build_ftn");
-    for nu in [1u32, 2, 3] {
-        let p = Params::reduced(nu, 8, 8, 1.0);
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("nu{nu}")),
-            &p,
-            |b, p| b.iter(|| black_box(FtNetwork::build(*p))),
-        );
+    let reduced = [1u32, 2, 3].map(|nu| (format!("nu{nu}"), Params::reduced(nu, 8, 8, 1.0)));
+    let paper = [("paper_nu1".to_string(), Params::paper_exact(1))];
+    for (name, p) in reduced.into_iter().chain(paper) {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &p, |b, p| {
+            b.iter(|| {
+                let f = FtNetwork::build(*p);
+                black_box(f.csr().num_edges());
+                f
+            })
+        });
     }
     g.finish();
 }
@@ -26,7 +32,11 @@ fn bench_build_recursive(c: &mut Criterion) {
     for h in [2u32, 3] {
         let p = RecursiveParams::reduced(h, 4, 8);
         g.bench_with_input(BenchmarkId::from_parameter(format!("h{h}")), &p, |b, p| {
-            b.iter(|| black_box(RecursiveNet::build(*p)))
+            b.iter(|| {
+                let r = RecursiveNet::build(*p);
+                black_box(r.net.csr().num_edges());
+                r
+            })
         });
     }
     g.finish();
@@ -34,9 +44,21 @@ fn bench_build_recursive(c: &mut Criterion) {
 
 fn bench_build_baselines(c: &mut Criterion) {
     let mut g = c.benchmark_group("build_baselines");
-    g.bench_function("benes_k6", |b| b.iter(|| black_box(Benes::new(6))));
+    for k in [6u32, 10] {
+        g.bench_function(format!("benes_k{k}"), |b| {
+            b.iter(|| {
+                let net = Benes::new(k).net;
+                black_box(net.csr().num_edges());
+                net
+            })
+        });
+    }
     g.bench_function("clos_8x8", |b| {
-        b.iter(|| black_box(Clos::strictly_nonblocking(8, 8)))
+        b.iter(|| {
+            let net = Clos::strictly_nonblocking(8, 8).net;
+            black_box(net.csr().num_edges());
+            net
+        })
     });
     g.finish();
 }

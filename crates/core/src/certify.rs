@@ -100,9 +100,9 @@ pub fn certify_with_budget(
     let alive = survivor.routable_alive();
     let (grids_majority, min_grid_access) = all_grids_majority(ftn, &alive);
     let (expander_budget_ok, max_group_faulty) = expander_fault_audit(ftn, &alive, budget_frac);
-    let mut terminals: Vec<_> = ftn.net().inputs().to_vec();
-    terminals.extend_from_slice(ftn.net().outputs());
-    let terminals_distinct = !contraction::terminals_shorted(ftn.net(), inst, &terminals);
+    let net = ftn.net();
+    let terminals_distinct =
+        !contraction::flagged_terminals_shorted(net, inst, net.terminal_mask());
     Certificate {
         terminals_distinct,
         grids_majority,

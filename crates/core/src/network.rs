@@ -120,8 +120,8 @@ impl FtNetwork {
         &self.net
     }
 
-    /// Cached CSR snapshot of the network graph (built lazily on first
-    /// use) — the representation every Monte Carlo hot path traverses.
+    /// The network's graph, [`StagedNetwork::csr`] — the representation
+    /// every Monte Carlo hot path traverses.
     pub fn csr(&self) -> &ft_graph::Csr {
         self.net.csr()
     }
@@ -262,7 +262,10 @@ impl Builder {
     fn new(params: Params) -> Builder {
         Builder {
             params,
-            b: StagedBuilder::new(),
+            b: StagedBuilder::with_capacity(
+                2 * params.n() + (params.num_stages() - 2) * params.stage_width(),
+                params.predicted_size(),
+            ),
             bases: Vec::new(),
             rng: SmallRng::seed_from_u64(params.seed),
         }
@@ -556,6 +559,15 @@ mod tests {
         assert_eq!(f.census().middle, 20 * 16384);
         assert_eq!(f.census().grid, 0);
         assert_eq!(f.census().terminal, 8 * 4096);
-        assert_eq!(f.net().depth(), 4);
+        // Built straight into the CSR from the closed-form census (the
+        // builder's debug assertion fails this test if `predicted_size`
+        // or the vertex count is off by one), at Theorem 2's size and
+        // depth.
+        assert_eq!(f.net().size(), 360_448);
+        assert_eq!(f.net().size(), p.predicted_size());
+        assert_eq!(f.net().graph().num_vertices(), 2 * 4 + 3 * 16384);
+        assert_eq!(f.net().validate(), Ok(()));
+        assert_eq!(f.net().depth(), p.depth());
+        assert_eq!(p.depth(), 4);
     }
 }

@@ -89,7 +89,7 @@ impl RecursiveNet {
         let f = params.width;
         let w = f * m;
         let mut rng = SmallRng::seed_from_u64(params.seed);
-        let mut b = StagedBuilder::new();
+        let mut b = StagedBuilder::with_capacity(2 * m + (2 * h - 1) * w, params.predicted_size());
         let mut bases = Vec::with_capacity(2 * h + 1);
         bases.push(b.add_stage(m).start);
         for _ in 1..2 * h {

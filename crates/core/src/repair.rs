@@ -128,8 +128,7 @@ impl<'a> Survivor<'a> {
     /// `tracker_matches_routable_alive` below.
     pub fn alive_tracker(ftn: &FtNetwork, inst: &FailureInstance) -> ft_failure::AliveTracker {
         let g = ftn.net();
-        let terminals = g.inputs().iter().chain(g.outputs()).copied();
-        ft_failure::AliveTracker::new(g, terminals, inst)
+        ft_failure::AliveTracker::new(g, g.terminal_mask(), inst)
     }
 
     /// Checks the repair invariant: every switch whose endpoints are

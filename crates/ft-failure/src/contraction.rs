@@ -64,6 +64,30 @@ pub fn terminals_shorted<G: Digraph>(
     find_shorted_pair(g, inst, terminals).is_some()
 }
 
+/// [`terminals_shorted`] for terminals given as per-vertex flags (a
+/// staged network's `terminal_mask()`), so no terminal list is built.
+/// Only a terminal on a closed switch shares its class with anything,
+/// so only those are looked up: O(closed switches) after contraction.
+pub fn flagged_terminals_shorted<G: Digraph>(
+    g: &G,
+    inst: &FailureInstance,
+    is_terminal: &[bool],
+) -> bool {
+    let mut uf = contraction_classes(g, inst);
+    // class root -> a terminal seen in that class
+    let mut seen: std::collections::HashMap<u32, VertexId> = std::collections::HashMap::new();
+    for e in inst.closed_edges() {
+        let (t, h) = g.endpoints(e);
+        for u in [t, h] {
+            if is_terminal[u.index()] && seen.insert(uf.find(u.0), u).is_some_and(|prev| prev != u)
+            {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// [`terminals_shorted`] with a caller-owned [`UnionFind`], for trial
 /// loops. Avoids the root→terminal map of [`find_shorted_pair`]: after
 /// contraction, two *distinct* terminals short iff uniting the terminals
@@ -227,11 +251,19 @@ mod tests {
         let mut r = rng(3);
         let mut uf = ft_graph::UnionFind::new(g.num_vertices());
         let terminals = [v(0), v(2), v(3)];
+        let flags = [true, false, true, true];
         for _ in 0..200 {
             let inst = FailureInstance::sample(&model, &mut r, g.num_edges());
+            let shorted = terminals_shorted(&g, &inst, &terminals);
             assert_eq!(
-                terminals_shorted(&g, &inst, &terminals),
+                shorted,
                 terminals_shorted_with(&g, &inst, &terminals, &mut uf),
+                "{:?}",
+                inst.counts()
+            );
+            assert_eq!(
+                shorted,
+                flagged_terminals_shorted(&g, &inst, &flags),
                 "{:?}",
                 inst.counts()
             );

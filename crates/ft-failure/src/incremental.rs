@@ -42,13 +42,10 @@ pub struct AliveTracker {
 }
 
 impl AliveTracker {
-    /// Builds a tracker for `g` with `exempt` terminals, synchronised to
-    /// `inst`. O(V + failed switches).
-    pub fn new<G: Digraph>(
-        g: &G,
-        exempt: impl IntoIterator<Item = VertexId>,
-        inst: &FailureInstance,
-    ) -> Self {
+    /// Builds a tracker for `g` synchronised to `inst`; `exempt[v]`
+    /// flags the terminals (for a staged network,
+    /// `StagedNetwork::terminal_mask()`). O(V + failed switches).
+    pub fn new<G: Digraph>(g: &G, exempt: &[bool], inst: &FailureInstance) -> Self {
         let mut t = AliveTracker::default();
         t.reset_for(g, exempt, inst);
         t
@@ -56,21 +53,14 @@ impl AliveTracker {
 
     /// Re-synchronises the tracker to `(g, exempt, inst)` reusing its
     /// buffers — the per-seed reset of a simulation workspace.
-    pub fn reset_for<G: Digraph>(
-        &mut self,
-        g: &G,
-        exempt: impl IntoIterator<Item = VertexId>,
-        inst: &FailureInstance,
-    ) {
+    pub fn reset_for<G: Digraph>(&mut self, g: &G, exempt: &[bool], inst: &FailureInstance) {
         assert_eq!(inst.len(), g.num_edges(), "instance/graph size mismatch");
         let n = g.num_vertices();
+        assert_eq!(exempt.len(), n, "one exempt flag per vertex");
         self.failed_deg.clear();
         self.failed_deg.resize(n, 0);
         self.exempt.clear();
-        self.exempt.resize(n, false);
-        for t in exempt {
-            self.exempt[t.index()] = true;
-        }
+        self.exempt.extend_from_slice(exempt);
         self.alive.clear();
         self.alive.resize(n, true);
         let mut scratch = Vec::new();
@@ -152,11 +142,20 @@ mod tests {
         g
     }
 
+    /// Per-vertex flags of `g` with exactly `exempt` set.
+    fn flags(g: &DiGraph, exempt: &[VertexId]) -> Vec<bool> {
+        let mut mask = vec![false; g.num_vertices()];
+        for &t in exempt {
+            mask[t.index()] = true;
+        }
+        mask
+    }
+
     /// Scratch reference: exempt ∨ no incident failed switch.
     fn scratch_alive(g: &DiGraph, exempt: &[VertexId], inst: &FailureInstance) -> Vec<bool> {
-        let mut alive = vec![true; ft_graph::Digraph::num_vertices(g)];
+        let mut alive = vec![true; g.num_vertices()];
         for e in inst.failed_edges() {
-            let (t, h) = ft_graph::Digraph::endpoints(g, e);
+            let (t, h) = g.endpoints(e);
             alive[t.index()] = false;
             alive[h.index()] = false;
         }
@@ -171,7 +170,7 @@ mod tests {
         let g = diamond();
         let exempt = [v(0), v(3)];
         let mut inst = FailureInstance::perfect(4);
-        let mut tracker = AliveTracker::new(&g, exempt.iter().copied(), &inst);
+        let mut tracker = AliveTracker::new(&g, &flags(&g, &exempt), &inst);
         assert!(tracker.alive().iter().all(|&a| a));
 
         let mut delta = Vec::new();
@@ -218,7 +217,7 @@ mod tests {
         let m = ft_graph::Digraph::num_edges(&g);
         let exempt = [v(0), v(11)];
         let mut inst = FailureInstance::perfect(m);
-        let mut tracker = AliveTracker::new(&g, exempt.iter().copied(), &inst);
+        let mut tracker = AliveTracker::new(&g, &flags(&g, &exempt), &inst);
         let mut failed: Vec<usize> = Vec::new();
         let mut delta = Vec::new();
         for _ in 0..500 {
@@ -258,7 +257,7 @@ mod tests {
         let mut tracker = AliveTracker::default();
         for _ in 0..20 {
             let inst = FailureInstance::sample(&model, &mut r, 4);
-            tracker.reset_for(&g, [v(0)], &inst);
+            tracker.reset_for(&g, &flags(&g, &[v(0)]), &inst);
             assert_eq!(tracker.alive(), scratch_alive(&g, &[v(0)], &inst));
         }
     }

@@ -1,16 +1,21 @@
-//! Frozen compressed-sparse-row (CSR) snapshot of a digraph.
+//! Compressed-sparse-row (CSR) digraph: the one representation of a
+//! built network.
 //!
 //! Monte Carlo experiments traverse the same topology millions of times
 //! with different failure instances; [`Csr`] stores adjacency in two flat
 //! arrays (out- and in-) so BFS over a 10⁷-edge network touches contiguous
-//! memory instead of chasing one heap allocation per vertex.
+//! memory instead of chasing one heap allocation per vertex. A
+//! [`crate::StagedBuilder`] collects a flat edge list and sorts it
+//! straight into this form ([`Csr::from_edges`]); a free-standing
+//! [`DiGraph`] freezes into it with [`Csr::from_digraph`].
 
 use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, VertexId};
 use crate::Digraph;
 
-/// Immutable CSR adjacency (both directions) for a [`DiGraph`].
-#[derive(Clone, Debug)]
+/// Immutable CSR adjacency (both directions) of a directed multigraph.
+/// Every per-vertex list is in edge-id (= insertion) order.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     /// `out_start[v]..out_start[v+1]` indexes `out_list`.
     out_start: Vec<u32>,
@@ -23,40 +28,34 @@ pub struct Csr {
     in_list: Vec<EdgeId>,
     /// Tails of the edges in `in_list`, parallel to it.
     in_tail: Vec<VertexId>,
-    /// `(tail, head)` per edge, shared with the builder graph.
+    /// `(tail, head)` per edge, indexed by edge id.
     edges: Vec<(VertexId, VertexId)>,
 }
 
 impl Csr {
-    /// Freezes `g` into CSR form. Edge and vertex ids are preserved.
+    /// Builds the CSR of the graph on vertices `0..n` whose edge `e` is
+    /// `edges[e]` (`(tail, head)`), taking ownership of the list: one
+    /// **stable** counting sort, so every out- and in-list is in
+    /// edge-id order, exactly as a [`DiGraph`] grown by the same
+    /// `add_edge` calls would hold them. Parallel edges and self-loops
+    /// are kept.
     ///
     /// # Panics
-    /// Panics if the graph has `u32::MAX` or more edges or vertices: the
-    /// CSR offsets are `u32`, and a larger graph would silently truncate
-    /// (the id sentinels [`EdgeId::NONE`]/[`VertexId::NONE`] also reserve
-    /// `u32::MAX`).
-    pub fn from_digraph(g: &DiGraph) -> Self {
-        let n = g.num_vertices();
-        let m = g.num_edges();
+    /// Panics if an endpoint is not below `n`, or if the graph has
+    /// `u32::MAX` or more edges or vertices: the CSR offsets are `u32`,
+    /// and a larger graph would silently truncate (the id sentinels
+    /// [`EdgeId::NONE`]/[`VertexId::NONE`] also reserve `u32::MAX`).
+    pub fn from_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Self {
+        let m = edges.len();
         assert!(
-            m < u32::MAX as usize,
-            "Csr::from_digraph: {m} edges overflow the u32 CSR offsets \
-             (max {} edges)",
-            u32::MAX - 1
-        );
-        assert!(
-            n < u32::MAX as usize,
-            "Csr::from_digraph: {n} vertices overflow the u32 vertex ids \
-             (max {} vertices)",
-            u32::MAX - 1
+            n.max(m) < u32::MAX as usize,
+            "Csr::from_edges: {n} vertices, {m} edges overflow the u32 ids and offsets"
         );
         let mut out_start = vec![0u32; n + 1];
         let mut in_start = vec![0u32; n + 1];
-        let mut edges = Vec::with_capacity(m);
-        for (_, t, h) in g.edges() {
+        for &(t, h) in &edges {
             out_start[t.index() + 1] += 1;
             in_start[h.index() + 1] += 1;
-            edges.push((t, h));
         }
         for i in 0..n {
             out_start[i + 1] += out_start[i];
@@ -66,18 +65,24 @@ impl Csr {
         let mut out_head = vec![VertexId::NONE; m];
         let mut in_list = vec![EdgeId::NONE; m];
         let mut in_tail = vec![VertexId::NONE; m];
-        let mut out_fill = out_start.clone();
-        let mut in_fill = in_start.clone();
+        // `start[v]` doubles as v's fill cursor; edges arrive in id
+        // order, so each list fills in id order (the sort is stable).
         for (e, &(t, h)) in edges.iter().enumerate() {
             let e = EdgeId::from(e);
-            let oi = out_fill[t.index()] as usize;
+            let oi = out_start[t.index()] as usize;
             out_list[oi] = e;
             out_head[oi] = h;
-            out_fill[t.index()] += 1;
-            let ii = in_fill[h.index()] as usize;
+            out_start[t.index()] += 1;
+            let ii = in_start[h.index()] as usize;
             in_list[ii] = e;
             in_tail[ii] = t;
-            in_fill[h.index()] += 1;
+            in_start[h.index()] += 1;
+        }
+        // Each cursor now sits at the end of its list, which is where
+        // the next vertex's begins: shift right by one to rewind.
+        for start in [&mut out_start, &mut in_start] {
+            start.copy_within(0..n, 1);
+            start[0] = 0;
         }
         Csr {
             out_start,
@@ -88,6 +93,22 @@ impl Csr {
             in_tail,
             edges,
         }
+    }
+
+    /// Freezes `g` into CSR form. Edge and vertex ids are preserved.
+    ///
+    /// # Panics
+    /// As [`Self::from_edges`].
+    pub fn from_digraph(g: &DiGraph) -> Self {
+        let edges = g.edges().map(|(_, t, h)| (t, h)).collect();
+        Csr::from_edges(g.num_vertices(), edges)
+    }
+
+    /// The same graph with every edge reversed; vertex and edge ids are
+    /// preserved.
+    pub fn reversed(&self) -> Csr {
+        let edges = self.edges.iter().map(|&(t, h)| (h, t)).collect();
+        Csr::from_edges(self.num_vertices(), edges)
     }
 
     /// Number of vertices.
@@ -175,15 +196,17 @@ impl Csr {
         (0..self.num_vertices()).map(VertexId::from)
     }
 
-    /// Iterator over all edge ids.
-    pub fn edge_ids(&self) -> impl ExactSizeIterator<Item = EdgeId> + '_ {
-        (0..self.num_edges()).map(EdgeId::from)
+    /// Iterator over `(EdgeId, tail, head)` triples.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (EdgeId, VertexId, VertexId)> + '_ {
+        self.edges
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, h))| (EdgeId::from(i), t, h))
     }
-}
 
-impl From<&DiGraph> for Csr {
-    fn from(g: &DiGraph) -> Self {
-        Csr::from_digraph(g)
+    /// Returns `true` if there is at least one edge `tail → head`.
+    pub fn has_edge(&self, tail: VertexId, head: VertexId) -> bool {
+        self.out_heads(tail).contains(&head)
     }
 }
 
@@ -285,6 +308,61 @@ mod tests {
             let deg_sum: usize = c.vertices().map(|u| c.out_degree(u)).sum();
             assert_eq!(deg_sum, m);
         }
+    }
+
+    /// `from_edges` against the `DiGraph` adjacency list for list,
+    /// position for position — nothing is sorted before comparing, so an
+    /// unstable sort (which would reorder a vertex's parallel edges, and
+    /// with them the router's lexicographically smallest path) fails.
+    #[test]
+    fn from_edges_keeps_insertion_order_on_random_multigraphs() {
+        let mut r = rng(0x57AB1E);
+        for round in 0..72usize {
+            // n cycles through 0..24 (the empty graph included): few
+            // vertices under many edges force parallel edges and
+            // self-loops, many under few leave isolated vertices
+            let n = round % 24;
+            let m = r.random_range(0..96usize) * n.min(1);
+            let mut g = DiGraph::new();
+            g.add_vertices(n);
+            let mut list = Vec::new();
+            for _ in 0..m {
+                let t = VertexId::from(r.random_range(0..n));
+                let h = VertexId::from(r.random_range(0..n));
+                g.add_edge(t, h);
+                list.push((t, h));
+            }
+            let c = Csr::from_edges(n, list);
+            assert_eq!((c.num_vertices(), c.num_edges()), (n, m));
+            assert_eq!(c, Csr::from_digraph(&g));
+            for u in g.vertices() {
+                assert_eq!(c.out_edges(u), g.out_edges(u), "out-edges of {u:?}");
+                assert_eq!(c.in_edges(u), g.in_edges(u), "in-edges of {u:?}");
+                let heads: Vec<_> = g.out_edges(u).iter().map(|&e| g.head(e)).collect();
+                assert_eq!(c.out_heads(u), heads, "heads out of {u:?}");
+                let tails: Vec<_> = g.in_edges(u).iter().map(|&e| g.tail(e)).collect();
+                assert_eq!(c.in_tails(u), tails, "tails into {u:?}");
+            }
+            assert!(c.edges().eq(g.edges()), "edge triples");
+            for (e, t, h) in g.edges() {
+                assert_eq!(c.endpoints(e), (t, h));
+                assert!(c.has_edge(t, h));
+            }
+            // reversing swaps the two adjacency directions, order kept
+            let rev = c.reversed();
+            for u in g.vertices() {
+                assert_eq!(rev.out_edges(u), c.in_edges(u));
+                assert_eq!(rev.out_heads(u), c.in_tails(u));
+                assert_eq!(rev.in_edges(u), c.out_edges(u));
+            }
+            assert_eq!(rev.reversed(), c);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_edges_rejects_an_endpoint_past_n() {
+        Csr::from_edges(2, vec![(v(0), v(2))]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Growable directed multigraph.
 //!
-//! [`DiGraph`] is the mutable builder representation used while a network
-//! is being constructed (stage by stage, expander by expander). Once built,
-//! hot algorithms should convert it to a [`crate::Csr`] snapshot; the
-//! builder keeps per-vertex `Vec`s which are convenient but cache-hostile.
+//! [`DiGraph`] is the free-standing graph that can grow one vertex or
+//! edge at a time: trees and forests of the lower-bound machinery, random
+//! test graphs, contraction quotients, survivor subgraphs. Staged networks
+//! are *not* built in it — [`crate::StagedBuilder`] sorts a flat edge
+//! list straight into a [`crate::Csr`]. The per-vertex `Vec`s here are
+//! convenient but cache-hostile; freeze with [`crate::Csr::from_digraph`]
+//! before traversing in a hot loop.
 //!
 //! Self-loops and parallel edges are permitted: the paper's model treats
 //! each *switch* (edge) as an independently failing component, so two
@@ -160,38 +163,6 @@ impl DiGraph {
             .iter()
             .any(|&e| self.head(e) == head)
     }
-
-    /// Builds the subgraph induced by keeping exactly the edges for which
-    /// `keep_edge` returns true and all vertices. Vertex ids are preserved;
-    /// edge ids are renumbered (the returned map gives, for each new edge,
-    /// the original [`EdgeId`]).
-    pub fn filter_edges(
-        &self,
-        mut keep_edge: impl FnMut(EdgeId) -> bool,
-    ) -> (DiGraph, Vec<EdgeId>) {
-        let mut g = DiGraph::with_capacity(self.num_vertices(), self.num_edges());
-        g.add_vertices(self.num_vertices());
-        let mut orig = Vec::new();
-        for (e, t, h) in self.edges() {
-            if keep_edge(e) {
-                g.add_edge(t, h);
-                orig.push(e);
-            }
-        }
-        (g, orig)
-    }
-
-    /// Reverses every edge and swaps nothing else. Combined with swapping
-    /// the input/output roles of the terminals this yields the paper's
-    /// **mirror image** of a network (§6).
-    pub fn reversed(&self) -> DiGraph {
-        let mut g = DiGraph::with_capacity(self.num_vertices(), self.num_edges());
-        g.add_vertices(self.num_vertices());
-        for (_, t, h) in self.edges() {
-            g.add_edge(h, t);
-        }
-        g
-    }
 }
 
 impl Digraph for DiGraph {
@@ -279,33 +250,6 @@ mod tests {
         let mut g = DiGraph::new();
         g.add_vertex();
         g.add_edge(v(0), v(1));
-    }
-
-    #[test]
-    fn filter_edges_renumbers() {
-        let g = diamond();
-        // keep only edges out of vertex 0
-        let (f, orig) = g.filter_edges(|e| g.tail(e) == v(0));
-        assert_eq!(f.num_vertices(), 4);
-        assert_eq!(f.num_edges(), 2);
-        assert_eq!(orig, vec![e(0), e(1)]);
-        assert!(f.has_edge(v(0), v(1)));
-        assert!(!f.has_edge(v(1), v(3)));
-    }
-
-    #[test]
-    fn reversed_swaps_directions() {
-        let g = diamond();
-        let r = g.reversed();
-        assert_eq!(r.num_edges(), 4);
-        assert!(r.has_edge(v(1), v(0)));
-        assert!(r.has_edge(v(3), v(2)));
-        assert!(!r.has_edge(v(0), v(1)));
-        // reversing twice restores the edge relation
-        let rr = r.reversed();
-        for (_, t, h) in g.edges() {
-            assert!(rr.has_edge(t, h));
-        }
     }
 
     #[test]

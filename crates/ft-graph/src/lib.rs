@@ -10,10 +10,12 @@
 //!
 //! Provided here:
 //!
-//! * [`DiGraph`] — growable directed multigraph builder, and [`Csr`] — a
-//!   frozen compressed-sparse-row snapshot for traversal-heavy Monte Carlo.
-//! * [`StagedNetwork`] — a digraph with terminals and stage structure, the
-//!   shape of every network in the paper (Beneš, Clos, grids, network 𝒩).
+//! * [`Csr`] — compressed-sparse-row digraph, the one representation of
+//!   a built network, and [`DiGraph`] — a free-standing growable
+//!   multigraph (trees, quotients, test graphs) that freezes into it.
+//! * [`StagedNetwork`] — a [`Csr`] with terminals and stage structure, the
+//!   shape of every network in the paper (Beneš, Clos, grids, network 𝒩);
+//!   [`StagedBuilder`] builds it from a flat edge list.
 //! * [`traversal`] / [`distance`] — BFS machinery, directed and undirected
 //!   (the paper's `dist` ignores edge direction), zone decompositions
 //!   `B_h(v)` used by the Theorem 1 lower bound.

@@ -9,7 +9,6 @@
 //! construction 𝒩 of §6.
 
 use crate::csr::Csr;
-use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal;
 use crate::Digraph;
@@ -19,13 +18,12 @@ use std::sync::OnceLock;
 /// A directed, staged network with distinguished input/output terminals.
 #[derive(Clone, Debug)]
 pub struct StagedNetwork {
-    graph: DiGraph,
+    /// The graph, in the one form every kernel reads.
+    graph: Csr,
     /// Contiguous vertex-id range of each stage.
     stages: Vec<Range<u32>>,
     inputs: Vec<VertexId>,
     outputs: Vec<VertexId>,
-    /// Lazily built CSR snapshot shared by all traversal-heavy callers.
-    csr: OnceLock<Csr>,
     /// Lazily built per-vertex stage table + unit-staged flag.
     staging: OnceLock<(Vec<u32>, bool)>,
     /// Lazily built per-vertex terminal flags (see [`Self::terminal_mask`]).
@@ -140,16 +138,17 @@ impl OutputReach {
 impl StagedNetwork {
     /// The underlying digraph.
     #[inline]
-    pub fn graph(&self) -> &DiGraph {
+    pub fn graph(&self) -> &Csr {
         &self.graph
     }
 
-    /// A frozen [`Csr`] snapshot of the graph, built on first use and
-    /// cached. Monte Carlo hot paths (routing, access, certification)
-    /// traverse this instead of the cache-hostile `Vec<Vec>` builder
-    /// adjacency; ids are identical to [`Self::graph`].
+    /// The same reference as [`Self::graph`]: a network is built
+    /// straight into its [`Csr`] by [`StagedBuilder::finish`], so this
+    /// costs nothing. Hot paths (routing, access, certification) take
+    /// the concrete type for its parallel head/tail slices.
+    #[inline]
     pub fn csr(&self) -> &Csr {
-        self.csr.get_or_init(|| Csr::from_digraph(&self.graph))
+        &self.graph
     }
 
     /// Number of stages.
@@ -227,7 +226,7 @@ impl StagedNetwork {
     }
 
     /// The network's [`OutputReach`] table, built on first use by one
-    /// reverse-stage pass and cached like [`Self::csr`]: every router
+    /// reverse-stage pass and cached like [`Self::stage_table`]: every router
     /// over this network shares it.
     pub fn output_reach(&self) -> &OutputReach {
         self.output_reach.get_or_init(|| OutputReach::build(self))
@@ -309,7 +308,6 @@ impl StagedNetwork {
             stages,
             inputs: self.outputs.clone(),
             outputs: self.inputs.clone(),
-            csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
             output_reach: OnceLock::new(),
@@ -375,13 +373,19 @@ impl Digraph for StagedNetwork {
     }
 }
 
-/// Builder for [`StagedNetwork`].
+/// Builder for [`StagedNetwork`]: collects stages and a flat
+/// `(tail, head)` list; [`Self::finish`] sorts the list straight into
+/// the network's [`Csr`].
 #[derive(Clone, Debug, Default)]
 pub struct StagedBuilder {
-    graph: DiGraph,
+    num_vertices: usize,
+    /// `edges[e] = (tail, head)`.
+    edges: Vec<(VertexId, VertexId)>,
     stages: Vec<Range<u32>>,
     inputs: Vec<VertexId>,
     outputs: Vec<VertexId>,
+    /// The `(vertices, edges)` census promised to [`Self::with_capacity`].
+    census: Option<(usize, usize)>,
 }
 
 impl StagedBuilder {
@@ -390,10 +394,23 @@ impl StagedBuilder {
         Self::default()
     }
 
+    /// A builder for a network of exactly `vertices` vertices and
+    /// `edges` switches, as its family's closed-form census gives them:
+    /// the edge list is allocated once, and [`Self::finish`] checks (in
+    /// debug builds) that the census was exact.
+    pub fn with_capacity(vertices: usize, edges: usize) -> Self {
+        StagedBuilder {
+            edges: Vec::with_capacity(edges),
+            census: Some((vertices, edges)),
+            ..Self::default()
+        }
+    }
+
     /// Appends a stage of `count` vertices; returns its vertex-id range.
     pub fn add_stage(&mut self, count: usize) -> Range<u32> {
-        let first = self.graph.add_vertices(count);
-        let range = first.0..(first.0 + count as u32);
+        let first = self.num_vertices as u32;
+        self.num_vertices += count;
+        let range = first..self.num_vertices as u32;
         self.stages.push(range.clone());
         range
     }
@@ -401,8 +418,17 @@ impl StagedBuilder {
     /// Adds a switch `tail → head`.
     ///
     /// Stage ordering is validated at [`Self::finish`] time, not here.
+    ///
+    /// # Panics
+    /// Panics if either endpoint is not a vertex of a stage added so far.
     pub fn add_edge(&mut self, tail: VertexId, head: VertexId) -> EdgeId {
-        self.graph.add_edge(tail, head)
+        assert!(
+            tail.index().max(head.index()) < self.num_vertices,
+            "edge endpoint out of range: {tail:?} -> {head:?}"
+        );
+        let id = EdgeId::from(self.edges.len());
+        self.edges.push((tail, head));
+        id
     }
 
     /// Declares the input terminals (must be stage-0 vertices).
@@ -415,14 +441,9 @@ impl StagedBuilder {
         self.outputs = outputs;
     }
 
-    /// Number of vertices added so far.
-    pub fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
     /// Number of edges added so far.
     pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
+        self.edges.len()
     }
 
     /// Finalizes and validates the network.
@@ -441,12 +462,16 @@ impl StagedBuilder {
     /// Finalizes without validation (for very large paper-exact networks
     /// where the O(E) validation pass is separately covered by tests).
     pub fn finish_unvalidated(self) -> StagedNetwork {
+        debug_assert!(
+            self.census
+                .is_none_or(|c| c == (self.num_vertices, self.edges.len())),
+            "the census passed to with_capacity was not exact"
+        );
         StagedNetwork {
-            graph: self.graph,
+            graph: Csr::from_edges(self.num_vertices, self.edges),
             stages: self.stages,
             inputs: self.inputs,
             outputs: self.outputs,
-            csr: OnceLock::new(),
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
             output_reach: OnceLock::new(),
@@ -490,14 +515,9 @@ mod tests {
     #[test]
     fn cached_csr_matches_graph() {
         let net = crossbar();
-        let c = net.csr();
-        assert_eq!(c.num_vertices(), net.graph().num_vertices());
-        assert_eq!(c.num_edges(), net.graph().num_edges());
-        // second call returns the same cached snapshot
-        assert!(std::ptr::eq(c, net.csr()));
-        for e in net.graph().edge_ids() {
-            assert_eq!(c.endpoints(e), net.graph().endpoints(e));
-        }
+        // one representation: both accessors hand out the same `Csr`
+        assert!(std::ptr::eq(net.csr(), net.graph()));
+        assert_eq!((net.csr().num_vertices(), net.csr().num_edges()), (4, 4));
     }
 
     #[test]
@@ -521,6 +541,53 @@ mod tests {
         // edge direction reversed
         assert!(m.graph().has_edge(v(2), v(0)));
         assert!(!m.graph().has_edge(v(0), v(2)));
+    }
+
+    #[test]
+    fn mirror_twice_is_the_network_edge_for_edge() {
+        // parallel switches 0 → 2 and a stage-skipping one: list order
+        // within a vertex is what the round trip could lose
+        let mut b = StagedBuilder::with_capacity(5, 6);
+        b.add_stage(2);
+        b.add_stage(2);
+        b.add_stage(1);
+        for (t, h) in [(0, 2), (1, 3), (0, 2), (0, 4), (3, 4), (2, 4)] {
+            b.add_edge(v(t), v(h));
+        }
+        b.set_inputs(vec![v(0), v(1)]);
+        b.set_outputs(vec![v(4)]);
+        let net = b.finish();
+        let m = net.mirror();
+        assert!(m.validate().is_ok());
+        for u in net.graph().vertices() {
+            assert_eq!(m.graph().out_edges(u), net.graph().in_edges(u));
+            assert_eq!(m.graph().in_tails(u), net.graph().out_heads(u));
+        }
+        let mm = m.mirror();
+        assert_eq!(mm.graph(), net.graph());
+        assert_eq!(mm.inputs(), net.inputs());
+        assert_eq!(mm.outputs(), net.outputs());
+        assert_eq!(mm.stage_table(), net.stage_table());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_endpoint_panics_at_add_edge() {
+        let mut b = StagedBuilder::new();
+        b.add_stage(2);
+        // never reaches `finish`: the panic must come from here
+        b.add_edge(v(0), v(2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "census")]
+    fn inexact_census_fails_at_finish() {
+        let mut b = StagedBuilder::with_capacity(2, 2);
+        let s0 = b.add_stage(1);
+        let s1 = b.add_stage(1);
+        b.add_edge(v(s0.start), v(s1.start));
+        b.finish_unvalidated();
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl Benes {
         assert!(k >= 1, "Beneš needs at least 2 terminals");
         let n = 1usize << k;
         let stages = 2 * k as usize; // link stages
-        let mut b = StagedBuilder::new();
+        let mut b = StagedBuilder::with_capacity(stages * n, 2 * n * (stages - 1));
         let mut ranges = Vec::with_capacity(stages);
         for _ in 0..stages {
             ranges.push(b.add_stage(n));

@@ -24,7 +24,7 @@ impl Butterfly {
     pub fn new(k: u32) -> Self {
         assert!(k >= 1);
         let n = 1usize << k;
-        let mut b = StagedBuilder::new();
+        let mut b = StagedBuilder::with_capacity((k as usize + 1) * n, 2 * n * k as usize);
         let mut ranges = Vec::with_capacity(k as usize + 1);
         for _ in 0..=k {
             ranges.push(b.add_stage(n));

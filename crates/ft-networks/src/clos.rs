@@ -30,7 +30,7 @@ impl Clos {
     /// Builds `C(m, n, r)`.
     pub fn new(m: usize, n: usize, r: usize) -> Self {
         assert!(m >= 1 && n >= 1 && r >= 1);
-        let mut b = StagedBuilder::new();
+        let mut b = StagedBuilder::with_capacity(2 * n * r + 2 * m * r, 2 * n * m * r + m * r * r);
         let s0 = b.add_stage(n * r); // input terminals
         let s1 = b.add_stage(r * m); // links input-crossbar -> middle
         let s2 = b.add_stage(m * r); // links middle -> output-crossbar

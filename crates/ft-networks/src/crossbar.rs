@@ -11,7 +11,7 @@ use ft_graph::{StagedBuilder, StagedNetwork, VertexId};
 /// Builds the `n × n` crossbar as a 2-stage network.
 pub fn crossbar(n: usize) -> StagedNetwork {
     assert!(n >= 1);
-    let mut b = StagedBuilder::new();
+    let mut b = StagedBuilder::with_capacity(2 * n, n * n);
     let ins = b.add_stage(n);
     let outs = b.add_stage(n);
     for i in ins.clone() {

@@ -29,7 +29,7 @@ impl DirectedGrid {
     /// Builds the `(l, w)`-directed grid.
     pub fn new(rows: usize, stages: usize) -> Self {
         assert!(rows >= 1 && stages >= 1, "grid needs l, w ≥ 1");
-        let mut b = StagedBuilder::new();
+        let mut b = StagedBuilder::with_capacity(rows * stages, grid_size(rows, stages));
         let mut ranges = Vec::with_capacity(stages);
         for _ in 0..stages {
             ranges.push(b.add_stage(rows));

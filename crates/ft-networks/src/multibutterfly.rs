@@ -37,7 +37,9 @@ impl Multibutterfly {
     pub fn new(k: u32, d: usize, rng: &mut SmallRng) -> Self {
         assert!(k >= 1 && d >= 1);
         let n = 1usize << k;
-        let mut b = StagedBuilder::new();
+        // two splitters per block, each of degree min(d, half the block)
+        let edges = (0..k).map(|j| 2 * n * d.min(n >> (j + 1))).sum();
+        let mut b = StagedBuilder::with_capacity((k as usize + 1) * n, edges);
         let mut ranges = Vec::with_capacity(k as usize + 1);
         for _ in 0..=k {
             ranges.push(b.add_stage(n));

@@ -46,7 +46,7 @@ pub struct SessionId(pub u32);
 
 /// Greedy circuit router over a staged network.
 ///
-/// Path searches run over the network's cached CSR snapshot with one
+/// Path searches run over the network's CSR with one
 /// router-owned [`TraversalWorkspace`]. On unit-staged networks (all of
 /// the paper's constructions) `connect` does not flood: it runs the
 /// depth-first descent [`route_into`] over vertices that are idle *and*
@@ -73,10 +73,10 @@ pub struct SessionId(pub u32);
 #[derive(Clone, Debug)]
 pub struct CircuitRouter<'a> {
     net: &'a StagedNetwork,
-    /// The network's CSR snapshot, resolved once at construction so
-    /// `connect` skips the per-call `OnceLock` loads.
+    /// The network's CSR.
     csr: &'a ft_graph::Csr,
-    /// Cached per-vertex stage table (same reasoning).
+    /// Cached per-vertex stage table, resolved once at construction so
+    /// `connect` skips the per-call `OnceLock` load.
     stage_tab: &'a [u32],
     /// The network's output-reach table; `Some` iff the network is
     /// unit-staged (the depth-first route search is legal).

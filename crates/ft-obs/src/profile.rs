@@ -99,9 +99,38 @@ impl Profiler {
     }
 }
 
+/// `VmHWM` in kB from the text of `/proc/<pid>/status`. Only a line
+/// that *starts* with the key counts: the `Name:` line carries the
+/// executable name verbatim.
+fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .split_ascii_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
+/// Peak resident set size of this process in MB (10⁶ bytes, the unit of
+/// the repo benchmark's `peak_rss_mb`), or `None` where `/proc` does not
+/// say.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    Some(parse_vm_hwm_kb(&status)? as f64 * 1024.0 / 1e6)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_is_read_from_its_own_line_only() {
+        let status = "Name:\tVmHWM: 7 kB\nVmPeak:\t  900 kB\nVmHWM:\t    4321 kB\n";
+        assert_eq!(parse_vm_hwm_kb(status), Some(4321));
+        assert_eq!(parse_vm_hwm_kb("VmRSS:\t 12 kB\n"), None);
+        assert_eq!(parse_vm_hwm_kb("VmHWM:\t lots kB\n"), None);
+    }
 
     #[test]
     fn kvline_reproduces_the_accounting_formats() {

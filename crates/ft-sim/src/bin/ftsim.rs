@@ -11,7 +11,7 @@
 //!   --trace FILE  write the deterministic NDJSON event trace to FILE
 //!   --export-stream FILE  write the first seed's replayable workload
 //!                 stream (NDJSON, see `ft_sim::stream`) for `ftserve-replay`
-//!   --profile     print per-phase wall-clock and kernel counters to stderr
+//!   --profile     print per-phase wall-clock, kernel counters and peak RSS to stderr
 //! ```
 //!
 //! The report goes to stdout; diagnostics go to stderr. Exit status is
@@ -140,6 +140,10 @@ fn run() -> Result<(), String> {
             .kv("epoch_resets", kernel.epoch_resets)
             .finish();
         eprintln!("ftsim: {counters}");
+        if let Some(mb) = ft_obs::profile::peak_rss_mb() {
+            let line = ft_obs::KvLine::new("memory").kv_f1("peak_rss_mb", mb);
+            eprintln!("ftsim: {}", line.finish());
+        }
     }
     Ok(())
 }

@@ -52,8 +52,7 @@ impl<'a> SwitchingCore<'a> {
     pub fn new(fabric: &'a Fabric, mut bufs: CoreBuffers) -> Self {
         let net = fabric.net();
         let inst = FailureInstance::perfect(net.num_edges());
-        let terminals = net.inputs().iter().chain(net.outputs()).copied();
-        bufs.tracker.reset_for(net, terminals, &inst);
+        bufs.tracker.reset_for(net, net.terminal_mask(), &inst);
         SwitchingCore {
             fabric,
             router: CircuitRouter::new(net),

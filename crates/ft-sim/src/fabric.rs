@@ -153,7 +153,7 @@ impl Fabric {
     /// proptests pin the equivalence.
     pub fn alive_tracker(&self, inst: &FailureInstance) -> AliveTracker {
         let g = self.net();
-        AliveTracker::new(g, g.inputs().iter().chain(g.outputs()).copied(), inst)
+        AliveTracker::new(g, g.terminal_mask(), inst)
     }
 }
 

@@ -61,6 +61,8 @@ sample_sliced_1M_edges/eps0.001
 sample_sliced_1M_edges/eps0.2
 pair_blocking_ftn_nu2
 serve_connects_per_sec
+build_ftn/nu2
+build_ftn/paper_nu1
 "
 for b in $REQUIRED_BENCHES; do
     if ! cut -f1 "$RUN_DIR/current.tsv" | grep -qx "$b"; then
