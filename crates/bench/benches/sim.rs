@@ -42,8 +42,8 @@ fn bench_sim_churn(c: &mut Criterion) {
 }
 
 /// The 1k-call churn with a live NDJSON trace observer: what `ftsim
-/// --trace` pays over the no-op path (JSON formatting per event into a
-/// reused string buffer).
+/// --trace` pays over the no-op path. Each iteration renders one seed
+/// into a fresh `TraceBuf`, as a traced sweep does per seed.
 fn bench_sim_churn_traced(c: &mut Criterion) {
     let fabric = Fabric::clos_strict(4, 4);
     let cfg = cfg_1k_calls();

@@ -15,22 +15,7 @@
 use crate::grid::GridSpec;
 use crate::result::Stat;
 use crate::runner::StudyResult;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use ft_obs::json_str;
 
 fn stat_json(s: &Stat) -> String {
     format!(

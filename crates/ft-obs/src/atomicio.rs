@@ -14,17 +14,28 @@
 //! complete new content, never a prefix).
 
 use std::ffi::OsString;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Writes `contents` to `path` via a temporary sibling + rename, so an
 /// interrupted writer can never leave a partial file at `path`.
+pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    write_atomic_with(path, |f| f.write_all(contents.as_ref()))
+}
+
+/// Streams `path`'s new content through `write` into a temporary
+/// sibling, then renames it into place; returns what `write` returned.
 ///
 /// The sibling lives in the same directory (renames across filesystems
 /// are not atomic) and carries a `.tmp` suffix appended to the full
-/// file name, so distinct targets in one directory never collide. On
-/// any error the sibling is removed best-effort.
-pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
+/// file name, so distinct targets in one directory never collide. If
+/// `write` or the rename fails, the sibling is removed best-effort and
+/// `path` is left as it was.
+pub fn write_atomic_with<T>(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<T> {
     let path = path.as_ref();
     let mut tmp_name = OsString::from(path.file_name().ok_or_else(|| {
         io::Error::new(
@@ -34,11 +45,16 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::R
     })?);
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, contents.as_ref()).and_then(|()| {
-        std::fs::rename(&tmp, path).inspect_err(|_| {
+    let mut file = File::create(&tmp)?;
+    write(&mut file)
+        .and_then(|value| {
+            drop(file);
+            std::fs::rename(&tmp, path)?;
+            Ok(value)
+        })
+        .inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
         })
-    })
 }
 
 /// FNV-1a 64 over raw bytes: the checksum in the trailing `ok` line of
@@ -95,6 +111,31 @@ mod tests {
             std::fs::read_to_string(&path).unwrap(),
             "new content, longer"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_writes_land_whole_or_not_at_all() {
+        let dir = scratch_dir("stream");
+        let path = dir.join("trace.ndjson");
+        let lines = write_atomic_with(&path, |f| {
+            for i in 0..3 {
+                writeln!(f, "{{\"i\":{i}}}")?;
+            }
+            Ok(3)
+        })
+        .unwrap();
+        assert_eq!(lines, 3);
+        let whole = "{\"i\":0}\n{\"i\":1}\n{\"i\":2}\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
+        // a writer that fails midway leaves the old file and no sibling
+        let err = write_atomic_with(&path, |f| {
+            f.write_all(b"torn")?;
+            Err::<(), _>(io::Error::other("disk full"))
+        });
+        assert!(err.is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
+        assert!(!dir.join("trace.ndjson.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,7 +11,7 @@
 //! engine, pinned by the golden event-stream fingerprints and the gated
 //! sim benches.
 
-use std::fmt::Write as _;
+use crate::json::{push_f64, push_u64};
 
 /// One structured simulation event, borrowed from engine state.
 ///
@@ -114,20 +114,29 @@ impl Observer for Noop {
 /// An observer serializing every event as one line of deterministic
 /// NDJSON into an in-memory buffer.
 ///
-/// Numbers are rendered with Rust's shortest-round-trip float formatting
-/// and keys appear in a fixed order per event kind, so the same event
-/// stream always produces the same bytes — `trace_diff` compares traces
-/// line-by-line on that guarantee. Only the two `f64` fields go through
-/// `core::fmt`; integers, booleans and keys are pushed directly, and the
-/// `{"t":…,"seq":…,"ev":"` stamp is rendered once per `(time, seq)` — the
-/// engine emits several events under one stamp (arrival + connect,
+/// Keys appear in a fixed order per event kind and every number renders
+/// as `format!` would (`{n}`, and `{x}`'s shortest round-trip decimal),
+/// so the same event stream always produces the same bytes —
+/// `trace_diff` compares traces line-by-line on that guarantee.
+///
+/// No byte of a normal trace goes through `core::fmt`: lines are
+/// assembled as bytes, keys are byte literals, integers take a
+/// two-digits-per-step table, and the two `f64` fields (`t`, `span`)
+/// take an exact shortest-round-trip fast path in `u128` arithmetic. It
+/// covers every positive normal `x = m·2^-s` with `2 ≤ s ≤ 66` (about
+/// `6.1e-5 ≤ x < 2.3e15`) whose significand `m` is not a power of two,
+/// and defers to `write!(…, "{x}")` for the rest: zero, negatives,
+/// subnormals, non-finite values, powers of two, larger or smaller
+/// magnitudes, and the rare value whose nearest candidate is a tie. The
+/// `{"t":…,"seq":…,"ev":"` stamp is rendered once per `(time, seq)` —
+/// the engine emits several events under one stamp (arrival + connect,
 /// fault + kills + reroutes).
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuf {
-    buf: String,
+    buf: Vec<u8>,
     lines: u64,
     /// The rendered stamp of `stamp_key`.
-    stamp: String,
+    stamp: Vec<u8>,
     /// `(time.to_bits(), seq)` of the event `stamp` was rendered for.
     stamp_key: Option<(u64, u64)>,
 }
@@ -141,9 +150,9 @@ impl TraceBuf {
     /// before running it, so a multi-seed trace file concatenated in
     /// seed order is self-describing (and independent of thread count).
     pub fn begin_seed(&mut self, seed: u64) {
-        self.buf.push_str("{\"ev\":\"seed\",\"seed\":");
-        push_uint(&mut self.buf, seed);
-        self.buf.push_str("}\n");
+        self.buf.extend_from_slice(b"{\"ev\":\"seed\",\"seed\":");
+        push_u64(&mut self.buf, seed);
+        self.buf.extend_from_slice(b"}\n");
         self.lines += 1;
     }
 
@@ -152,51 +161,40 @@ impl TraceBuf {
         self.lines
     }
 
-    pub fn as_str(&self) -> &str {
+    /// The NDJSON bytes, for a writer that needs no `str`.
+    pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
 
-    pub fn into_string(self) -> String {
-        self.buf
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf).expect("the trace is ASCII")
     }
-}
 
-/// Appends `n` in decimal, as `{n}` would.
-fn push_uint(buf: &mut String, n: impl Into<u64>) {
-    let mut n = n.into();
-    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+    pub fn into_string(self) -> String {
+        String::from_utf8(self.buf).expect("the trace is ASCII")
     }
-    buf.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Appends `key` (a literal `,"name":`) and then `n`.
-fn push_field(buf: &mut String, key: &str, n: u32) {
-    buf.push_str(key);
-    push_uint(buf, n);
+fn push_field(buf: &mut Vec<u8>, key: &[u8], n: u32) {
+    buf.extend_from_slice(key);
+    push_u64(buf, n.into());
 }
 
-fn push_bool(buf: &mut String, key: &str, b: bool) {
-    buf.push_str(key);
-    buf.push_str(if b { "true" } else { "false" });
+fn push_bool(buf: &mut Vec<u8>, key: &[u8], b: bool) {
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-fn push_path(buf: &mut String, path: &[u32]) {
-    buf.push_str(",\"path\":[");
+fn push_path(buf: &mut Vec<u8>, path: &[u32]) {
+    buf.extend_from_slice(b",\"path\":[");
     for (i, &v) in path.iter().enumerate() {
         if i > 0 {
-            buf.push(',');
+            buf.push(b',');
         }
-        push_uint(buf, v);
+        push_u64(buf, v.into());
     }
-    buf.push(']');
+    buf.push(b']');
 }
 
 impl Observer for TraceBuf {
@@ -205,20 +203,22 @@ impl Observer for TraceBuf {
         if self.stamp_key != key {
             self.stamp_key = key;
             self.stamp.clear();
-            let _ = write!(self.stamp, "{{\"t\":{time},\"seq\":");
-            push_uint(&mut self.stamp, seq);
-            self.stamp.push_str(",\"ev\":\"");
+            self.stamp.extend_from_slice(b"{\"t\":");
+            push_f64(&mut self.stamp, time);
+            self.stamp.extend_from_slice(b",\"seq\":");
+            push_u64(&mut self.stamp, seq);
+            self.stamp.extend_from_slice(b",\"ev\":\"");
         }
         let buf = &mut self.buf;
-        buf.push_str(&self.stamp);
-        buf.push_str(ev.tag());
-        buf.push('"');
+        buf.extend_from_slice(&self.stamp);
+        buf.extend_from_slice(ev.tag().as_bytes());
+        buf.push(b'"');
         match *ev {
             TraceEvent::Arrival { src, dst }
             | TraceEvent::BusyReject { src, dst }
             | TraceEvent::Block { src, dst } => {
-                push_field(buf, ",\"src\":", src);
-                push_field(buf, ",\"dst\":", dst);
+                push_field(buf, b",\"src\":", src);
+                push_field(buf, b",\"dst\":", dst);
             }
             TraceEvent::Connect {
                 token,
@@ -226,26 +226,26 @@ impl Observer for TraceBuf {
                 dst,
                 path,
             } => {
-                push_field(buf, ",\"token\":", token);
-                push_field(buf, ",\"src\":", src);
-                push_field(buf, ",\"dst\":", dst);
+                push_field(buf, b",\"token\":", token);
+                push_field(buf, b",\"src\":", src);
+                push_field(buf, b",\"dst\":", dst);
                 push_path(buf, path);
             }
             TraceEvent::Hangup { token } | TraceEvent::Retry { token } => {
-                push_field(buf, ",\"token\":", token);
+                push_field(buf, b",\"token\":", token);
             }
             TraceEvent::Fault {
                 switch,
                 open,
                 episode,
             } => {
-                push_field(buf, ",\"switch\":", switch);
-                push_bool(buf, ",\"open\":", open);
-                push_bool(buf, ",\"episode\":", episode);
+                push_field(buf, b",\"switch\":", switch);
+                push_bool(buf, b",\"open\":", open);
+                push_bool(buf, b",\"episode\":", episode);
             }
             TraceEvent::Kill { token, slot } => {
-                push_field(buf, ",\"token\":", token);
-                push_field(buf, ",\"slot\":", slot);
+                push_field(buf, b",\"token\":", token);
+                push_field(buf, b",\"slot\":", slot);
             }
             TraceEvent::Reroute {
                 token,
@@ -254,25 +254,26 @@ impl Observer for TraceBuf {
                 ok,
                 path,
             } => {
-                push_field(buf, ",\"token\":", token);
-                push_field(buf, ",\"src\":", src);
-                push_field(buf, ",\"dst\":", dst);
-                push_bool(buf, ",\"ok\":", ok);
+                push_field(buf, b",\"token\":", token);
+                push_field(buf, b",\"src\":", src);
+                push_field(buf, b",\"dst\":", dst);
+                push_bool(buf, b",\"ok\":", ok);
                 push_path(buf, path);
             }
             TraceEvent::Shed { token, src, dst } => {
-                push_field(buf, ",\"token\":", token);
-                push_field(buf, ",\"src\":", src);
-                push_field(buf, ",\"dst\":", dst);
+                push_field(buf, b",\"token\":", token);
+                push_field(buf, b",\"src\":", src);
+                push_field(buf, b",\"dst\":", dst);
             }
             TraceEvent::Repair { switch } => {
-                push_field(buf, ",\"switch\":", switch);
+                push_field(buf, b",\"switch\":", switch);
             }
             TraceEvent::RecoveryClose { span } => {
-                let _ = write!(buf, ",\"span\":{span}");
+                buf.extend_from_slice(b",\"span\":");
+                push_f64(buf, span);
             }
         }
-        buf.push_str("}\n");
+        buf.extend_from_slice(b"}\n");
         self.lines += 1;
     }
 }

@@ -1,0 +1,313 @@
+//! Byte-level JSON renderers: the numbers of the NDJSON trace and the
+//! string literal every hand-rolled JSON writer in the workspace shares.
+//!
+//! `push_u64` and `push_f64` append straight to a `Vec<u8>` and produce
+//! exactly the bytes `format!("{n}")` and `format!("{x}")` do. Integers
+//! go through a two-digits-per-step table. Floats take an exact
+//! shortest-round-trip fast path (`shortest_fixed`) and fall back to
+//! `core::fmt` only outside its scope, so the trace's `t` and `span`
+//! values, which almost all lie inside it, never touch the formatter.
+
+use std::io::Write as _;
+
+/// `"00" "01" … "99"`: two decimal digits per table step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Writes `n` in decimal into the tail of `out`; returns where it starts.
+fn decimal(mut n: u64, out: &mut [u8; 20]) -> usize {
+    let mut at = out.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        out[at] = b'0' + n as u8;
+    }
+    at
+}
+
+/// Appends `n` in decimal, as `{n}` would.
+pub(crate) fn push_u64(buf: &mut Vec<u8>, n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let at = decimal(n, &mut digits);
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `x` exactly as `{x}` (`Display`) would: the shortest decimal
+/// that parses back to `x`, in positional notation.
+pub(crate) fn push_f64(buf: &mut Vec<u8>, x: f64) {
+    let Some((n, d)) = shortest_fixed(x) else {
+        let _ = write!(buf, "{x}");
+        return;
+    };
+    let mut digits = [0u8; 20];
+    let at = decimal(n, &mut digits);
+    let digits = &digits[at..];
+    let d = d as usize;
+    if d == 0 {
+        buf.extend_from_slice(digits);
+    } else if digits.len() > d {
+        let (int, frac) = digits.split_at(digits.len() - d);
+        buf.extend_from_slice(int);
+        buf.push(b'.');
+        buf.extend_from_slice(frac);
+    } else {
+        buf.extend_from_slice(b"0.");
+        buf.resize(buf.len() + d - digits.len(), b'0');
+        buf.extend_from_slice(digits);
+    }
+}
+
+/// `10^0 ..= 10^22`: the largest power with `(2m+1)·10^d < 2^128`.
+const POW10: [u128; 23] = {
+    let mut t = [1u128; 23];
+    let mut i = 1;
+    while i < t.len() {
+        t[i] = t[i - 1] * 10;
+        i += 1;
+    }
+    t
+};
+
+/// `x` as `n / 10^d` with the fewest fractional digits `d` that parse
+/// back to `x`, where `n` is the nearest such integer to `x·10^d` — the
+/// answer `{x}` prints — or `None` where the fast path does not apply.
+///
+/// Scope: `x = m·2^-s` positive and normal, `m` its 53-bit significand
+/// and not a power of two, `2 ≤ s ≤ 66`. Then the decimals that round
+/// to `x` are those between the midpoints to its neighbours,
+/// `(2m∓1)·2^-(s+1)`. Parsing rounds half to even, so the interval is
+/// closed when `m` is even, but with `d ≤ s` digits its scaled ends
+/// `(2m∓1)·10^d / 2^(s+1)` are never integers (the numerator has only
+/// `d` factors of two), so open and closed admit the same candidates.
+/// Scaled by `10^d` the interval is exact in `u128` arithmetic
+/// (`(2m+1)·10^22 < 2^128`, and the shortest decimal of such an `x` has
+/// at most 21 fractional digits; `d = s` always fits, as `x` itself has
+/// `s` fractional digits). Zero, subnormals, non-finite and negative
+/// values, powers of two (whose lower neighbour is half as far away),
+/// `s` outside its range, and a nearest integer that is a tie or lies
+/// outside the interval all return `None`.
+fn shortest_fixed(x: f64) -> Option<(u64, u32)> {
+    let bits = x.to_bits();
+    let exponent = (bits >> 52) as u32; // sign bit included: negatives are ≥ 2048
+    let fraction = bits & ((1 << 52) - 1);
+    if !(1..=2046).contains(&exponent) || fraction == 0 {
+        return None;
+    }
+    let m = u128::from((1u64 << 52) | fraction);
+    let s = 1075u32
+        .checked_sub(exponent)
+        .filter(|s| (2..=66).contains(s))?;
+    // With `d` fractional digits, `x·10^d = v·2^-s` for `v = m·10^d`, and
+    // the integers k with 2v−10^d < k·2^(s+1) < 2v+10^d are the
+    // candidates, as an inclusive range `lo..=hi` (empty when lo > hi).
+    let scale = |d: u32| {
+        let p = POW10[d as usize];
+        let v = m * p;
+        let (low, high) = (2 * v - p, 2 * v + p);
+        (v, (low >> (s + 1)) + 1, (high - 1) >> (s + 1))
+    };
+    let holds = |d: u32| {
+        let (_, lo, hi) = scale(d);
+        lo <= hi
+    };
+    // Once an integer fits, ten times it fits one digit later, so the
+    // shortest `d` is found by walking from ⌊s·log₁₀2⌋ (where the
+    // interval is at most one unit wide) down while it holds, or up
+    // until it does.
+    let mut d = (s * 78_913) >> 18;
+    if holds(d) {
+        while d > 0 && holds(d - 1) {
+            d -= 1;
+        }
+    } else {
+        while !holds(d) {
+            d += 1;
+            if d as usize >= POW10.len() {
+                return None;
+            }
+        }
+    }
+    let (v, lo, hi) = scale(d);
+    let (whole, rest, half) = (v >> s, v & ((1 << s) - 1), 1u128 << (s - 1));
+    let n = match rest.cmp(&half) {
+        std::cmp::Ordering::Less => whole,
+        std::cmp::Ordering::Greater => whole + 1,
+        std::cmp::Ordering::Equal => return None,
+    };
+    if !(lo..=hi).contains(&n) {
+        return None;
+    }
+    Some((u64::try_from(n).ok()?, d))
+}
+
+/// `s` as a JSON string literal: quotes, `\"`, `\\`, `\n`, and `\u00XX`
+/// for the other control characters.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// splitmix64: a seeded stream for the differential tests.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in [0, 1) on the 53-bit grid.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Renders `x` through [`push_f64`] and checks it against `{x}`;
+    /// returns whether the fast path answered.
+    fn check(x: f64, buf: &mut Vec<u8>) -> bool {
+        buf.clear();
+        push_f64(buf, x);
+        let want = format!("{x}");
+        assert_eq!(
+            std::str::from_utf8(buf).unwrap(),
+            want,
+            "bits {:#018x}",
+            x.to_bits()
+        );
+        shortest_fixed(x).is_some()
+    }
+
+    /// The regimes the differential tests draw from, `per` values each.
+    fn regimes(seed: u64, per: usize) -> [(&'static str, usize); 4] {
+        let (mut r, mut buf) = (Stream(seed), Vec::new());
+        let mut run = |draw: &mut dyn FnMut(&mut Stream) -> f64| {
+            (0..per).filter(|_| check(draw(&mut r), &mut buf)).count()
+        };
+        [
+            ("sim times in [0, 1e4)", run(&mut |r| r.unit() * 1e4)),
+            ("[0, 1)", run(&mut |r| r.unit())),
+            (
+                "positive bit patterns",
+                run(&mut |r| f64::from_bits(r.next() >> 1)),
+            ),
+            (
+                "short decimals k/10^j",
+                run(&mut |r| {
+                    let k = r.next() % 10_000_000;
+                    k as f64 / 10f64.powi((r.next() % 9) as i32)
+                }),
+            ),
+        ]
+    }
+
+    #[test]
+    fn push_u64_matches_format() {
+        let mut buf = Vec::new();
+        let mut r = Stream(1);
+        let mut values = vec![0, 9, 10, 99, 100, 101, 999, 1000, u64::MAX];
+        values.extend((0..20).map(|i| 10u64.pow(i)));
+        values.extend((0..10_000).map(|_| r.next() >> (r.next() % 64)));
+        for n in values {
+            buf.clear();
+            push_u64(&mut buf, n);
+            assert_eq!(buf, n.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn push_f64_matches_format_on_edges() {
+        let mut buf = Vec::new();
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.5,
+            1e21,
+            1e-7,
+            0.1,
+            0.3,
+            2.5,
+            7.75,
+            (1u64 << 52) as f64 + 1.0,
+            (1u64 << 52) as f64 - 1.0,
+            (1u64 << 53) as f64,
+            (1u64 << 53) as f64 + 2.0,
+            1e300,
+        ];
+        edges.extend((-1074..=1023).map(|e| 2f64.powi(e)));
+        // s = 1, 2, 66, 67: the significand 2^52 + 1 at each scale
+        for s in [1, 2, 66, 67] {
+            edges.push(((1u64 << 52) + 1) as f64 * 2f64.powi(-s));
+            edges.push(((1u64 << 53) - 1) as f64 * 2f64.powi(-s));
+        }
+        for x in edges {
+            check(x, &mut buf);
+        }
+        assert_eq!(shortest_fixed(7.75), Some((775, 2)));
+        assert_eq!(shortest_fixed(0.5), None, "powers of two fall back");
+        assert_eq!(shortest_fixed(-2.5), None, "negatives fall back");
+        assert_eq!(shortest_fixed(1e21), None, "s < 2 falls back");
+    }
+
+    /// 2·10⁵ seeded values against `format!`, and the fast path must
+    /// answer at least 99 % of the sim-time regime, so an implementation
+    /// that always falls back fails here.
+    #[test]
+    fn push_f64_matches_format_on_seeded_values() {
+        let per = 50_000;
+        let fast = regimes(0x5EED, per);
+        assert!(fast[0].1 * 100 >= per * 99, "{fast:?}");
+    }
+
+    /// The soak: 10⁸ values over the same regimes.
+    ///
+    /// `cargo test --release -p ft-obs push_f64_soak -- --ignored --nocapture`
+    #[test]
+    #[ignore]
+    fn push_f64_soak() {
+        let per = 25_000_000;
+        let fast = regimes(0x50A6, per);
+        println!("fast-path answers per {per} values: {fast:?}");
+    }
+}

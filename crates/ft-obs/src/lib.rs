@@ -7,7 +7,9 @@
 //!   generic over, the [`Noop`] zero-cost default, and the [`TraceBuf`]
 //!   deterministic-NDJSON serializer behind `ftsim --trace FILE`; the
 //!   `trace_diff` bin (built from [`first_divergence`]) locates the
-//!   first diverging event between two trace files.
+//!   first diverging event between two trace files. Its byte-level
+//!   number renderers live in [`json`] beside [`json_str`], the string
+//!   literal the report and study-table writers share.
 //! * **Streaming histograms** — [`Hist`], a sparse log-bucketed
 //!   histogram with an exact `u64`-count sorted-bucket merge, so
 //!   p50/p99/p999 summaries are byte-identical however the sample
@@ -15,11 +17,11 @@
 //! * **Profiling** — [`Profiler`] wall-clock phase sections and the
 //!   [`KvLine`] accounting-line formatter, rendered to stderr only so
 //!   reports and study tables stay byte-stable.
-//! * **Crash-consistent output** — [`write_atomic`], the
-//!   temp-sibling-then-rename discipline every persisted artifact
-//!   (reports, CSV tables, traces, cache cells, server snapshots) goes
-//!   through so an interrupted run never leaves a torn file under a
-//!   final name.
+//! * **Crash-consistent output** — [`write_atomic`] and its streaming
+//!   form [`write_atomic_with`], the temp-sibling-then-rename
+//!   discipline every persisted artifact (reports, CSV tables, traces,
+//!   cache cells, server snapshots) goes through so an interrupted run
+//!   never leaves a torn file under a final name.
 //!
 //! The crate is a dependency leaf (std only): `ft-sim`, `ft-exp`, and
 //! the binaries layer it over the engine without cycles.
@@ -28,10 +30,12 @@ pub mod atomicio;
 pub mod diff;
 pub mod event;
 pub mod hist;
+pub mod json;
 pub mod profile;
 
-pub use atomicio::{fnv1a, write_atomic};
+pub use atomicio::{fnv1a, write_atomic, write_atomic_with};
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{Noop, Observer, TraceBuf, TraceEvent};
 pub use hist::{bucket_index, bucket_lower_edge, Hist, NUM_BUCKETS};
+pub use json::json_str;
 pub use profile::{KvLine, Profiler};

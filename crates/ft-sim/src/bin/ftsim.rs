@@ -98,17 +98,20 @@ fn run() -> Result<(), String> {
             seeds[0]
         );
     }
-    let mut trace: Option<String> = None;
-    let outcomes = prof.section("sweep", || {
-        if trace_path.is_some() {
-            let (outcomes, t) =
-                ft_sim::run_sweep_traced(&fabric, &scenario.config, &seeds, scenario.threads);
-            trace = Some(t);
-            outcomes
-        } else {
-            ft_sim::run_sweep(&fabric, &scenario.config, &seeds, scenario.threads)
-        }
-    });
+    let outcomes = prof.section("sweep", || -> Result<_, String> {
+        let (cfg, threads) = (&scenario.config, scenario.threads);
+        let Some(path) = &trace_path else {
+            return Ok(ft_sim::run_sweep(&fabric, cfg, &seeds, threads));
+        };
+        // Each seed's trace is written as soon as the seeds before it
+        // are, so memory holds at most one trace buffer per worker.
+        let (outcomes, lines) = ft_obs::write_atomic_with(path, |f| {
+            ft_sim::run_sweep_traced_to(&fabric, cfg, &seeds, threads, f)
+        })
+        .map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("ftsim: trace written to {path} ({lines} lines)");
+        Ok(outcomes)
+    })?;
     let mut kernel = ft_graph::KernelStats::default();
     for o in &outcomes {
         kernel.merge(&o.kernel);
@@ -121,13 +124,6 @@ fn run() -> Result<(), String> {
         // torn report that downstream tooling half-parses.
         ft_obs::write_atomic(&path, &json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("ftsim: report written to {path}");
-    }
-    if let (Some(path), Some(trace)) = (&trace_path, &trace) {
-        ft_obs::write_atomic(path, trace).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!(
-            "ftsim: trace written to {path} ({} lines)",
-            trace.lines().count()
-        );
     }
     if profile {
         for line in prof.lines() {

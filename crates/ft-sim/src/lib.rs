@@ -71,7 +71,7 @@ pub use report::Report;
 pub use scenario::{FabricSpec, Scenario, ScenarioBuilder, SCENARIO_KEYS};
 pub use staticcheck::{pair_blocking_estimate, pair_blocking_estimate_scalar};
 pub use stream::{export_stream, StreamEvent, StreamKind};
-pub use sweep::{run_sweep, run_sweep_traced};
+pub use sweep::{run_sweep, run_sweep_traced, run_sweep_traced_to};
 pub use workload::{HoldingTime, TrafficPattern};
 
 /// Parses a scenario, runs its sweep and assembles the report — the

@@ -9,6 +9,7 @@
 use crate::engine::SeedOutcome;
 use crate::fabric::Fabric;
 use crate::scenario::Scenario;
+use ft_obs::json_str;
 
 /// A finished sweep, ready to render.
 #[derive(Clone, Debug)]
@@ -51,22 +52,6 @@ fn push_kv(out: &mut String, indent: &str, key: &str, value: &str, last: bool) {
         out.push(',');
     }
     out.push('\n');
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl Report {

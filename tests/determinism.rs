@@ -575,3 +575,81 @@ buckets = 4
         TraceDiff::Identical { .. } => panic!("different seeds must diverge"),
     }
 }
+
+/// The NDJSON bytes themselves are pinned, not only their
+/// self-consistency above: `fnv1a`, byte length and line count of three
+/// full traced sweeps. A serializer change (a faster number renderer, a
+/// streaming writer) must leave all of them untouched. The legs are the
+/// CI storm smoke (two seeds), the same smoke with `shed 2` (the only
+/// leg that sheds: 16 terminals never queue 16 pending calls), and the
+/// benchmark's `sim_clos_storm` workload cut to `duration = 500`.
+/// Together they emit every event tag, `recovery_close` spans and failed
+/// reroutes included.
+#[test]
+fn ndjson_trace_bytes_are_pinned() {
+    use fault_tolerant_switching::obs::fnv1a;
+    use fault_tolerant_switching::sim;
+
+    const SMOKE: &str = include_str!("../scenarios/storm_smoke.ftsim");
+    const CLOS_STORM: &str = "\
+network          = clos-strict 4 4
+pattern          = uniform
+arrival_rate     = 10
+holding          = exp 1.0
+fault_rate       = 0
+fault_open_share = 0.5
+faults           = storm 0.05 2 2
+retry            = budget 4 backoff 0.25 shed 64
+reroute          = mincost
+mttr             = 5
+duration         = 500
+warmup           = 0
+buckets          = 10
+seeds            = 1
+seed_base        = 1
+";
+    let legs = [
+        (
+            "storm_smoke",
+            SMOKE.to_string(),
+            (0x9e77e436befec329, 482_307, 6_475),
+        ),
+        (
+            "storm_smoke shed 2",
+            SMOKE.replace("shed 16", "shed 2"),
+            (0xbf7efea93039416b, 479_498, 6_440),
+        ),
+        (
+            "sim_clos_storm",
+            CLOS_STORM.to_string(),
+            (0x1b6556880659b182, 1_294_489, 17_441),
+        ),
+    ];
+    let mut all = String::new();
+    for (name, text, want) in legs {
+        let s = sim::Scenario::parse(&text).unwrap();
+        let fabric = s.fabric.build();
+        let (_, trace) = sim::run_sweep_traced(&fabric, &s.config, &s.seed_list(), 2);
+        let got = (fnv1a(trace.as_bytes()), trace.len(), trace.lines().count());
+        assert_eq!(got, want, "{name} trace");
+        all.push_str(&trace);
+    }
+    for tag in [
+        "seed",
+        "arrival",
+        "connect",
+        "busy_reject",
+        "block",
+        "hangup",
+        "fault",
+        "kill",
+        "reroute",
+        "retry",
+        "shed",
+        "repair",
+        "recovery_close",
+    ] {
+        assert!(all.contains(&format!("\"ev\":\"{tag}\"")), "no {tag}");
+    }
+    assert!(all.contains("\"ok\":false"), "no failed reroute");
+}
