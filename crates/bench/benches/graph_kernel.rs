@@ -6,7 +6,7 @@ use ft_core::network::FtNetwork;
 use ft_core::params::Params;
 use ft_graph::gen::{random_bipartite_adjacency, random_dag, rng};
 use ft_graph::matching::hopcroft_karp;
-use ft_graph::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowKernel, FlowWorkspace};
+use ft_graph::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowWorkspace};
 use ft_graph::menger::max_disjoint_paths;
 use ft_graph::traversal::{bfs_into, Direction};
 use ft_graph::TraversalWorkspace;
@@ -53,11 +53,8 @@ fn bench_dinic_random_dag(c: &mut Criterion) {
 
 /// The §4 repair-check workload — a full input→output vertex-disjoint
 /// path count on the ν = 2 fault-tolerant network under a deterministic
-/// ~10% switch outage — once per flow kernel. `dinic_repair_nu2` pins Dinic,
-/// `push_relabel_repair_nu2` pins FIFO push-relabel; together they keep
-/// the default honest: Dinic stays the default while it is the faster
-/// of the two here.
-fn bench_repair_kernels(c: &mut Criterion) {
+/// ~10% switch outage.
+fn bench_repair_dinic(c: &mut Criterion) {
     let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
     let net = ftn.net();
     let inputs = net.inputs().to_vec();
@@ -67,31 +64,25 @@ fn bench_repair_kernels(c: &mut Criterion) {
         .map(|_| r.random_bool(0.9))
         .collect();
     let mut fw = FlowWorkspace::new();
-    for (name, kernel) in [
-        ("dinic_repair_nu2", FlowKernel::Dinic),
-        ("push_relabel_repair_nu2", FlowKernel::PushRelabel),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    vertex_disjoint_paths_into(
-                        net.graph(),
-                        &inputs,
-                        &outputs,
-                        |_| true,
-                        |v| alive[v.index()],
-                        DisjointOptions {
-                            count_only: true,
-                            kernel,
-                            ..DisjointOptions::default()
-                        },
-                        &mut fw,
-                    )
-                    .count,
+    c.bench_function("dinic_repair_nu2", |b| {
+        b.iter(|| {
+            black_box(
+                vertex_disjoint_paths_into(
+                    net.graph(),
+                    &inputs,
+                    &outputs,
+                    |_| true,
+                    |v| alive[v.index()],
+                    DisjointOptions {
+                        count_only: true,
+                        ..DisjointOptions::default()
+                    },
+                    &mut fw,
                 )
-            })
-        });
-    }
+                .count,
+            )
+        })
+    });
 }
 
 fn bench_matching(c: &mut Criterion) {
@@ -107,7 +98,7 @@ criterion_group!(
     bench_bfs_reused,
     bench_disjoint_paths,
     bench_dinic_random_dag,
-    bench_repair_kernels,
+    bench_repair_dinic,
     bench_matching
 );
 criterion_main!(benches);

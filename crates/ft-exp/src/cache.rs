@@ -15,7 +15,7 @@
 
 use crate::result::{CellData, SeedRow};
 use ft_failure::Estimate;
-use ft_obs::fnv1a;
+use ft_obs::{seal, unseal};
 use std::path::{Path, PathBuf};
 
 /// Format tag written to (and required of) every cache file. Bumped to
@@ -105,9 +105,7 @@ pub fn render(hash: u64, data: &CellData) -> String {
             &row.reroute_hist_time.to_compact_string(),
         );
     }
-    let sum = fnv1a(out.as_bytes());
-    out.push_str(&format!("ok {sum:016x}\n"));
-    out
+    seal(out)
 }
 
 fn push(out: &mut String, key: &str, value: &str) {
@@ -123,14 +121,7 @@ pub fn parse(text: &str, expect_hash: u64) -> Option<CellData> {
     // The trailing `ok <fnv1a>` line is verified first: any torn or
     // bit-flipped byte anywhere in the file is a miss before field
     // parsing even starts.
-    let body = text.strip_suffix('\n')?;
-    let nl = body.rfind('\n')?;
-    let (content, last) = body.split_at(nl + 1);
-    let sum = last.strip_prefix("ok ")?;
-    if u64::from_str_radix(sum, 16).ok()? != fnv1a(content.as_bytes()) {
-        return None;
-    }
-    let mut lines = content.lines();
+    let mut lines = unseal(text)?.lines();
     if lines.next()? != VERSION {
         return None;
     }

@@ -19,9 +19,8 @@
 //! * [`traversal`] / [`distance`] — BFS machinery, directed and undirected
 //!   (the paper's `dist` ignores edge direction), zone decompositions
 //!   `B_h(v)` used by the Theorem 1 lower bound.
-//! * [`maxflow`] — the max-flow kernel portfolio (Dinic + FIFO
-//!   push-relabel behind the [`FlowKernel`] selector) with vertex
-//!   splitting, the engine for vertex-disjoint path questions;
+//! * [`maxflow`] — Dinic max-flow with vertex splitting, the engine for
+//!   vertex-disjoint path questions;
 //!   [`mincost`] — successive-shortest-path min-cost flow with
 //!   potentials, the minimal-disruption reroute planner; [`matching`] —
 //!   Hopcroft–Karp; [`menger`] — disjoint-path helpers phrased for
@@ -54,7 +53,7 @@ pub mod workspace;
 pub use csr::Csr;
 pub use digraph::DiGraph;
 pub use ids::{EdgeId, VertexId};
-pub use maxflow::{FlowKernel, FlowWorkspace, PrWorkspace};
+pub use maxflow::FlowWorkspace;
 pub use mincost::{CostFlowNetwork, McfWorkspace};
 pub use paths::Path;
 pub use sliced::{sliced_reach_into, SlicedWorkspace, LANES};

@@ -1,5 +1,4 @@
-//! Max-flow kernels (Dinic + FIFO push-relabel) and vertex-disjoint
-//! path extraction.
+//! Max-flow (Dinic) and vertex-disjoint path extraction.
 //!
 //! Vertex-disjoint paths are the currency of the paper: nonblocking,
 //! rearrangeable and superconcentrator properties (§2) are all statements
@@ -10,22 +9,14 @@
 //! with capacity 1, and each original edge `(u, w)` becomes
 //! `u_out → w_in`.
 //!
-//! Two kernels share the same [`FlowNetwork`] residual representation and
-//! are interchangeable — both run to completion and leave a valid
-//! max-flow residual, so min-cut extraction and path decomposition work
-//! identically on either:
-//!
-//! * **Dinic** (O(E·√V) on unit capacities) — the default, and the only
-//!   kernel with a cheap early stop, so every `limit` query runs it.
-//! * **FIFO push-relabel** with the gap and global-relabel heuristics —
-//!   wins on dense flow instances where Dinic's level-graph rebuilds
-//!   dominate.
-//!
-//! [`FlowKernel`] selects between them. Dinic wins on every committed
-//! fabric, so nothing in the workspace selects push-relabel but the
-//! differential oracle: `tests/kernel_equiv.rs`, `kernel_crosscheck`
-//! and the `repair_nu2` bench pair pin that the kernels agree on every
-//! instance.
+//! The kernel is Dinic's blocking-flow algorithm (O(E·√V) on unit
+//! capacities), with a cheap early stop for `limit` queries ("are there
+//! at least r disjoint paths?"). It runs to completion otherwise and
+//! leaves a valid maximum-flow residual, from which min-cut extraction
+//! and path decomposition read. `tests/kernel_equiv.rs` holds it to
+//! independent witnesses: successive-shortest-path min-cost flow
+//! ([`crate::mincost`]) on the same instances, Hopcroft–Karp on
+//! bipartite ones, and a flow-feasibility audit.
 
 use crate::ids::{EdgeId, VertexId};
 use crate::workspace::TraversalWorkspace;
@@ -198,198 +189,6 @@ impl FlowNetwork {
         0
     }
 
-    /// Forward (capacity-carrying) arc count — the problem size the
-    /// kernel cost model reasons about. Each [`Self::add_arc`] stores a
-    /// residual twin too; that factor is the same for every instance, so
-    /// the model ignores it.
-    pub fn num_arcs(&self) -> usize {
-        self.arcs.len() / 2
-    }
-
-    /// Computes the maximum `s → t` flow by FIFO push-relabel, allocating
-    /// a fresh [`PrWorkspace`]. See [`Self::push_relabel_into`].
-    pub fn push_relabel(&mut self, s: u32, t: u32) -> u32 {
-        let mut prw = PrWorkspace::new();
-        self.push_relabel_into(s, t, &mut prw)
-    }
-
-    /// Computes the maximum `s → t` flow by FIFO push-relabel with the
-    /// gap and global-relabel heuristics, borrowing all scratch state
-    /// from a reusable [`PrWorkspace`] (zero allocations once the
-    /// workspace has grown to the node count).
-    ///
-    /// The algorithm always runs to completion — every unit of excess is
-    /// either delivered to `t` or returned to `s` — so on return the
-    /// residual arcs encode a *valid maximum flow*: [`Self::flow_on`],
-    /// [`Self::min_cut_source_side`] and path decomposition behave
-    /// exactly as after [`Self::max_flow`]. (That is the portfolio
-    /// contract; there is no early-stop `limit` here, which is why the
-    /// kernel selector routes `limit` queries to Dinic.)
-    pub fn push_relabel_into(&mut self, s: u32, t: u32, prw: &mut PrWorkspace) -> u32 {
-        assert_ne!(s, t, "source equals sink");
-        let n = self.num_nodes();
-        prw.begin(n);
-        // Saturate every arc out of the source FIRST: the exact-label BFS
-        // below parks nodes with no residual path back to `s` at `2n`,
-        // which is only sound once every excess-carrying node has its
-        // saturated twin arc (hence a residual path to `s`) in place.
-        for k in 0..self.first[s as usize].len() {
-            let ai = self.first[s as usize][k] as usize;
-            let cap = self.arcs[ai].cap;
-            if cap == 0 {
-                continue;
-            }
-            let to = self.arcs[ai].to;
-            let rev = self.arcs[ai].rev as usize;
-            self.arcs[ai].cap = 0;
-            self.arcs[rev].cap += cap;
-            prw.excess[to as usize] += cap as u64;
-            if to != s && to != t && !prw.active[to as usize] {
-                prw.active[to as usize] = true;
-                prw.queue.push_back(to);
-            }
-        }
-        self.global_relabel(s, t, prw);
-        // FIFO discharge loop with periodic global relabels. The work
-        // threshold is the usual "rebuild once the discharge work since
-        // the last rebuild is comparable to the rebuild cost" rule.
-        let threshold = 4 * self.arcs.len() as u64 + n as u64 + 1;
-        let mut work = 0u64;
-        while let Some(u) = prw.queue.pop_front() {
-            prw.active[u as usize] = false;
-            self.discharge(u, s, t, prw, &mut work);
-            if work >= threshold {
-                work = 0;
-                self.global_relabel(s, t, prw);
-            }
-        }
-        debug_assert!(
-            (0..n).all(|v| prw.excess[v] == 0 || v == s as usize || v == t as usize),
-            "push-relabel terminated with stranded excess"
-        );
-        prw.excess[t as usize] as u32
-    }
-
-    /// Fully discharges `u`: pushes excess along admissible arcs,
-    /// relabelling (with the gap heuristic) whenever the arc list is
-    /// exhausted, until `u` carries no excess.
-    fn discharge(&mut self, u: u32, s: u32, t: u32, prw: &mut PrWorkspace, work: &mut u64) {
-        let n = self.num_nodes();
-        let ui = u as usize;
-        while prw.excess[ui] > 0 {
-            if (prw.cur[ui] as usize) == self.first[ui].len() {
-                // Relabel to one above the lowest residual neighbour.
-                *work += self.first[ui].len() as u64 + 1;
-                let old_h = prw.height[ui];
-                let mut new_h = u32::MAX;
-                for &ai in &self.first[ui] {
-                    let a = &self.arcs[ai as usize];
-                    if a.cap > 0 {
-                        new_h = new_h.min(prw.height[a.to as usize] + 1);
-                    }
-                }
-                debug_assert!(
-                    new_h != u32::MAX,
-                    "node with excess has no residual out-arc"
-                );
-                debug_assert!(new_h > old_h && new_h < 2 * n as u32);
-                prw.count[old_h as usize] -= 1;
-                prw.count[new_h as usize] += 1;
-                prw.height[ui] = new_h;
-                prw.cur[ui] = 0;
-                // Gap heuristic: if `old_h < n` just became empty, no
-                // node between the gap and `n` can reach `t` any more —
-                // lift them all past `n` so they route excess back to
-                // `s` instead of churning toward the sink.
-                if old_h < n as u32 && prw.count[old_h as usize] == 0 {
-                    let lift = n as u32 + 1;
-                    for v in 0..n {
-                        let h = prw.height[v];
-                        if h > old_h && h < n as u32 {
-                            prw.count[h as usize] -= 1;
-                            prw.count[lift as usize] += 1;
-                            prw.height[v] = lift;
-                            prw.cur[v] = 0;
-                        }
-                    }
-                }
-            } else {
-                let ai = self.first[ui][prw.cur[ui] as usize] as usize;
-                *work += 1;
-                let (to, cap) = {
-                    let a = &self.arcs[ai];
-                    (a.to, a.cap)
-                };
-                if cap > 0 && prw.height[ui] == prw.height[to as usize] + 1 {
-                    let amt = prw.excess[ui].min(cap as u64) as u32;
-                    let rev = self.arcs[ai].rev as usize;
-                    self.arcs[ai].cap -= amt;
-                    self.arcs[rev].cap += amt;
-                    prw.excess[ui] -= amt as u64;
-                    prw.excess[to as usize] += amt as u64;
-                    if to != s && to != t && !prw.active[to as usize] {
-                        prw.active[to as usize] = true;
-                        prw.queue.push_back(to);
-                    }
-                } else {
-                    prw.cur[ui] += 1;
-                }
-            }
-        }
-    }
-
-    /// Recomputes exact height labels: a backward BFS from `t` over the
-    /// residual graph assigns `d(v, t)`; nodes cut off from `t` get
-    /// `n + d(v, s)` from a second backward BFS seeded at `s` (their
-    /// excess can only return to the source). Nodes reachable from
-    /// neither hold no excess and are parked at `2n`.
-    fn global_relabel(&self, s: u32, t: u32, prw: &mut PrWorkspace) {
-        let n = self.num_nodes();
-        let parked = 2 * n as u32;
-        prw.height[..n].fill(parked);
-        prw.height[t as usize] = 0;
-        prw.bfs.clear();
-        prw.bfs.push(t);
-        let mut head = 0;
-        while head < prw.bfs.len() {
-            let v = prw.bfs[head] as usize;
-            head += 1;
-            let hv = prw.height[v];
-            for &ai in &self.first[v] {
-                let a = &self.arcs[ai as usize];
-                let u = a.to;
-                // Residual arc u → v exists iff the twin of `ai` (an arc
-                // leaving `u`) still has capacity.
-                if u != s && prw.height[u as usize] == parked && self.arcs[a.rev as usize].cap > 0 {
-                    prw.height[u as usize] = hv + 1;
-                    prw.bfs.push(u);
-                }
-            }
-        }
-        prw.height[s as usize] = n as u32;
-        prw.bfs.clear();
-        prw.bfs.push(s);
-        head = 0;
-        while head < prw.bfs.len() {
-            let v = prw.bfs[head] as usize;
-            head += 1;
-            let hv = prw.height[v];
-            for &ai in &self.first[v] {
-                let a = &self.arcs[ai as usize];
-                let u = a.to;
-                if prw.height[u as usize] == parked && self.arcs[a.rev as usize].cap > 0 {
-                    prw.height[u as usize] = hv + 1;
-                    prw.bfs.push(u);
-                }
-            }
-        }
-        prw.count.fill(0);
-        for v in 0..n {
-            prw.cur[v] = 0;
-            prw.count[prw.height[v] as usize] += 1;
-        }
-    }
-
     /// Nodes reachable from `s` in the residual graph — the source side of
     /// a minimum cut after [`Self::max_flow`] has run.
     pub fn min_cut_source_side(&self, s: u32) -> Vec<bool> {
@@ -410,61 +209,6 @@ impl FlowNetwork {
     }
 }
 
-/// Reusable buffers for [`FlowNetwork::push_relabel_into`]: height and
-/// excess labels, per-node current-arc cursors, per-height node counts
-/// (the gap heuristic), the FIFO of active nodes and the global-relabel
-/// BFS queue. Grows on first use; repeated solves allocate nothing.
-#[derive(Clone, Debug, Default)]
-pub struct PrWorkspace {
-    height: Vec<u32>,
-    excess: Vec<u64>,
-    cur: Vec<u32>,
-    count: Vec<u32>,
-    queue: VecDeque<u32>,
-    active: Vec<bool>,
-    bfs: Vec<u32>,
-}
-
-impl PrWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sizes every buffer for an `n`-node problem and clears state.
-    fn begin(&mut self, n: usize) {
-        self.height.clear();
-        self.height.resize(n, 0);
-        self.excess.clear();
-        self.excess.resize(n, 0);
-        self.cur.clear();
-        self.cur.resize(n, 0);
-        self.count.clear();
-        self.count.resize(2 * n + 1, 0);
-        self.active.clear();
-        self.active.resize(n, false);
-        self.queue.clear();
-        self.bfs.clear();
-    }
-}
-
-/// Which max-flow kernel a disjoint-path query runs. The kernels agree
-/// on every instance (pinned by `tests/kernel_equiv.rs`), so this is a
-/// pure performance choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlowKernel {
-    /// Dinic's blocking-flow algorithm — O(E·√V) on unit capacities,
-    /// and the only kernel with a cheap early stop (`limit`).
-    #[default]
-    Dinic,
-    /// FIFO push-relabel with gap + global-relabel heuristics — wins on
-    /// dense instances where Dinic's per-phase level rebuilds dominate.
-    /// `limit` queries run Dinic all the same: push-relabel must run to
-    /// completion to leave a usable residual, so it cannot honour an
-    /// early stop.
-    PushRelabel,
-}
-
 /// Result of a vertex-disjoint path computation.
 #[derive(Clone, Debug)]
 pub struct DisjointPaths {
@@ -482,8 +226,6 @@ pub struct DisjointOptions {
     pub limit: Option<u32>,
     /// If `true`, only count the flow; skip path extraction.
     pub count_only: bool,
-    /// Which max-flow kernel to run (the answer is kernel-independent).
-    pub kernel: FlowKernel,
 }
 
 /// Reusable state for repeated vertex-disjoint-path queries: the flow
@@ -495,7 +237,6 @@ pub struct DisjointOptions {
 pub struct FlowWorkspace {
     fnet: FlowNetwork,
     ws: TraversalWorkspace,
-    prw: PrWorkspace,
     sink_arc: Vec<u32>,
     source_arc: Vec<u32>,
     graph_arc: Vec<u32>,
@@ -581,12 +322,7 @@ pub fn vertex_disjoint_paths_into<G: Digraph>(
         *arc = fnet.add_arc(2 * t.index() as u32 + 1, 2 * h.index() as u32, 1);
     }
 
-    let count = match opts.kernel {
-        FlowKernel::PushRelabel if opts.limit.is_none() => {
-            fnet.push_relabel_into(ss, tt, &mut fw.prw)
-        }
-        _ => fnet.max_flow_into(ss, tt, opts.limit, &mut fw.ws),
-    };
+    let count = fnet.max_flow_into(ss, tt, opts.limit, &mut fw.ws);
     if opts.count_only {
         return DisjointPaths {
             count,
@@ -818,7 +554,6 @@ mod tests {
             DisjointOptions {
                 limit: Some(2),
                 count_only: true,
-                ..DisjointOptions::default()
             },
         );
         assert_eq!(r.count, 2);
@@ -868,145 +603,6 @@ mod tests {
             assert_eq!(fresh.count, reused.count);
             assert_eq!(fresh.paths, reused.paths);
         }
-    }
-
-    #[test]
-    fn push_relabel_matches_dinic_on_classic_instances() {
-        // same instances as the Dinic tests above
-        let mut f = FlowNetwork::new(4);
-        f.add_arc(0, 1, 2);
-        f.add_arc(0, 2, 1);
-        f.add_arc(1, 2, 1);
-        f.add_arc(1, 3, 1);
-        f.add_arc(2, 3, 2);
-        assert_eq!(f.push_relabel(0, 3), 3);
-        // bottleneck chain: flow 1, and the residual supports min-cut
-        let mut f = FlowNetwork::new(4);
-        let a = f.add_arc(0, 1, 3);
-        let b = f.add_arc(1, 2, 1);
-        let c = f.add_arc(2, 3, 3);
-        assert_eq!(f.push_relabel(0, 3), 1);
-        let side = f.min_cut_source_side(0);
-        assert!(side[0] && side[1] && !side[2] && !side[3]);
-        assert_eq!(f.flow_on(a), 1);
-        assert_eq!(f.flow_on(b), 1);
-        assert_eq!(f.flow_on(c), 1);
-    }
-
-    #[test]
-    fn push_relabel_returns_excess_past_dead_ends() {
-        // 0 -> 1 -> 3 carries the flow; 1 -> 2 is a dead end the preflow
-        // may enter and must fully retreat from.
-        let mut f = FlowNetwork::new(4);
-        f.add_arc(0, 1, 5);
-        let dead = f.add_arc(1, 2, 5);
-        f.add_arc(1, 3, 2);
-        assert_eq!(f.push_relabel(0, 3), 2);
-        // arcs encode a *flow*: nothing stranded on the dead end
-        assert_eq!(f.flow_on(dead), 0, "dead-end arc must carry no flow");
-    }
-
-    #[test]
-    fn push_relabel_workspace_reuse_matches_fresh() {
-        let mut prw = PrWorkspace::new();
-        for n in [2usize, 5, 9] {
-            let mut a = FlowNetwork::new(n);
-            let mut b = FlowNetwork::new(n);
-            for u in 0..n as u32 - 1 {
-                for v in u + 1..n as u32 {
-                    a.add_arc(u, v, (u + v) % 3 + 1);
-                    b.add_arc(u, v, (u + v) % 3 + 1);
-                }
-            }
-            let fresh = a.push_relabel(0, n as u32 - 1);
-            let reused = b.push_relabel_into(0, n as u32 - 1, &mut prw);
-            assert_eq!(fresh, reused);
-        }
-    }
-
-    #[test]
-    fn push_relabel_fuzz_matches_dinic() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut prw = PrWorkspace::new();
-        for seed in 0..400u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let n = rng.random_range(2..10usize);
-            let m = rng.random_range(0..26usize);
-            let mut f1 = FlowNetwork::new(n);
-            let mut arcs = Vec::new();
-            for _ in 0..m {
-                let u = rng.random_range(0..n) as u32;
-                let v = rng.random_range(0..n) as u32;
-                if u == v {
-                    continue;
-                }
-                let c = rng.random_range(1..5u32);
-                f1.add_arc(u, v, c);
-                arcs.push((u, v, c));
-            }
-            let mut f2 = f1.clone();
-            let t = n as u32 - 1;
-            let dinic = f1.max_flow(0, t, None);
-            let pr = f2.push_relabel_into(0, t, &mut prw);
-            assert_eq!(dinic, pr, "seed {seed} n {n} arcs {arcs:?}");
-        }
-    }
-
-    #[test]
-    fn kernel_dispatch_agrees_on_disjoint_paths() {
-        let g = diamond();
-        let mut fw = FlowWorkspace::new();
-        for kernel in [FlowKernel::Dinic, FlowKernel::PushRelabel] {
-            let r = vertex_disjoint_paths_into(
-                &g,
-                &[v(0)],
-                &[v(3)],
-                |_| true,
-                |_| true,
-                DisjointOptions {
-                    kernel,
-                    ..Default::default()
-                },
-                &mut fw,
-            );
-            assert_eq!(r.count, 1, "{kernel:?}");
-            assert_eq!(r.paths.len(), 1, "{kernel:?}");
-            assert_eq!(r.paths[0].first(), Some(&v(0)));
-            assert_eq!(r.paths[0].last(), Some(&v(3)));
-        }
-    }
-
-    #[test]
-    fn kernel_resolution_rules() {
-        // Two disjoint paths 0 → 2 and 1 → 3: a limit of 1 stops at
-        // the first whatever kernel was asked for (the early stop is
-        // Dinic's), and without a limit both kernels find both.
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(3));
-        let mut fw = FlowWorkspace::new();
-        for kernel in [FlowKernel::Dinic, FlowKernel::PushRelabel] {
-            for (limit, expect) in [(Some(1), 1), (None, 2)] {
-                let opts = DisjointOptions {
-                    limit,
-                    count_only: true,
-                    kernel,
-                };
-                let r = vertex_disjoint_paths_into(
-                    &g,
-                    &[v(0), v(1)],
-                    &[v(2), v(3)],
-                    |_| true,
-                    |_| true,
-                    opts,
-                    &mut fw,
-                );
-                assert_eq!(r.count, expect, "{kernel:?} limit {limit:?}");
-            }
-        }
-        assert_eq!(FlowKernel::default(), FlowKernel::Dinic);
     }
 
     #[test]

@@ -67,7 +67,6 @@ pub fn fully_linkable_into<G: Digraph>(
         DisjointOptions {
             count_only: true,
             limit: Some(r),
-            ..Default::default()
         },
         fw,
     )

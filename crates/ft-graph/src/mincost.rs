@@ -1,8 +1,8 @@
 //! Successive-shortest-path min-cost flow with Johnson potentials.
 //!
-//! The second half of the flow-kernel portfolio: where [`crate::maxflow`]
-//! answers *how many* disjoint circuits exist, this module answers *which*
-//! assignment of circuits disturbs the fabric least. The post-storm mass
+//! The second flow kernel: where [`crate::maxflow`] answers *how many*
+//! disjoint circuits exist, this module answers *which* assignment of
+//! circuits disturbs the fabric least. The post-storm mass
 //! reroute (`ft-networks::CircuitRouter`) phrases minimal-disruption
 //! recovery as a min-cost flow — every switch occupied by a replacement
 //! circuit costs one unit — and plans placements out-of-band on a

@@ -1,23 +1,20 @@
-//! Differential tests over the flow-kernel portfolio.
+//! Differential tests for the flow kernels.
 //!
-//! The portfolio is also the oracle: on every instance the kernels can
-//! all express, they must agree — FIFO push-relabel, Dinic, and (on
-//! unit-capacity bipartite instances) Hopcroft–Karp. Agreement alone
-//! can hide a shared bug, so every flow each kernel returns is also
-//! checked by an independent feasibility audit (capacity, conservation,
-//! integrality) that never consults either kernel's internals; and the
-//! min-cost kernel is held to brute-force enumeration on small
-//! instances, plus the portfolio-level bound the reroute planner relies
-//! on: a min-cost flow never costs more than the flow Dinic happens to
-//! find at the same value.
-
+//! Dinic is held to a structurally different algorithm on every
+//! instance: successive-shortest-path min-cost flow (all costs 0, so
+//! only its value matters) on the same vertex-split staged instances and
+//! on random capacitated ones, and Hopcroft–Karp on unit-capacity
+//! bipartite instances. Agreement alone can hide a shared bug, so every
+//! flow Dinic returns is also checked by an independent feasibility
+//! audit (capacity, conservation, integrality) that never consults the
+//! kernel's internals; and the min-cost kernel is held to brute-force
+//! enumeration on small instances, plus the bound the reroute planner
+//! relies on: a min-cost flow never costs more than the flow Dinic
+//! happens to find at the same value.
 use ft_graph::gen;
-use ft_graph::ids::VertexId;
+use ft_graph::ids::{EdgeId, VertexId};
 use ft_graph::matching::hopcroft_karp;
-use ft_graph::maxflow::{
-    vertex_disjoint_paths_into, DisjointOptions, FlowKernel, FlowNetwork, FlowWorkspace,
-    PrWorkspace,
-};
+use ft_graph::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowNetwork, FlowWorkspace};
 use ft_graph::mincost::{min_cost_flow, CostFlowNetwork};
 use ft_graph::paths::are_vertex_disjoint;
 use ft_graph::staged::{StagedBuilder, StagedNetwork};
@@ -103,13 +100,12 @@ fn random_staged(r: &mut rand::rngs::SmallRng, widths: &[usize]) -> StagedNetwor
     b.finish()
 }
 
-/// Runs one kernel over a staged instance and returns (count, paths).
-fn disjoint_with(
+/// Runs Dinic over a staged instance and returns (count, paths).
+fn dinic_disjoint(
     net: &StagedNetwork,
     s: &[VertexId],
     t: &[VertexId],
     idle: &[bool],
-    kernel: FlowKernel,
     fw: &mut FlowWorkspace,
 ) -> (u32, Vec<Vec<VertexId>>) {
     let r = vertex_disjoint_paths_into(
@@ -118,22 +114,43 @@ fn disjoint_with(
         t,
         |_| true,
         |v| idle[v.index()],
-        DisjointOptions {
-            count_only: false,
-            limit: None,
-            kernel,
-        },
+        DisjointOptions::default(),
         fw,
     );
     (r.count, r.paths)
 }
 
+/// The same disjoint-path count by min-cost flow: the vertex-split
+/// instance rebuilt here from the graph (`v_in = 2v`, `v_out = 2v + 1`,
+/// unit arcs, every cost 0) and solved by successive shortest paths.
+/// `s` and `t` must hold no repeats.
+fn mincost_disjoint(net: &StagedNetwork, s: &[VertexId], t: &[VertexId], idle: &[bool]) -> u32 {
+    let g = net.graph();
+    let n = g.num_vertices();
+    let (ss, tt) = (2 * n as u32, 2 * n as u32 + 1);
+    let mut c = CostFlowNetwork::new(2 * n + 2);
+    for v in (0..n).filter(|&v| idle[v]) {
+        c.add_arc(2 * v as u32, 2 * v as u32 + 1, 1, 0);
+    }
+    for v in s {
+        c.add_arc(ss, 2 * v.0, 1, 0);
+    }
+    for v in t {
+        c.add_arc(2 * v.0 + 1, tt, 1, 0);
+    }
+    for e in 0..g.num_edges() {
+        let (a, b) = g.endpoints(EdgeId::from(e));
+        c.add_arc(2 * a.0 + 1, 2 * b.0, 1, 0);
+    }
+    min_cost_flow(&mut c, ss, tt, None).flow
+}
+
 proptest! {
     /// The headline differential: random staged networks × random idle
-    /// masks × random source/sink cuts. Dinic and push-relabel must
-    /// return the same disjoint-path count, and each kernel's extracted
-    /// paths must independently check out (disjoint, idle-respecting,
-    /// real directed paths from a chosen source to a chosen sink).
+    /// masks × random source/sink cuts. Dinic and min-cost flow must
+    /// return the same disjoint-path count, and Dinic's extracted paths
+    /// must independently check out (disjoint, idle-respecting, real
+    /// directed paths from a chosen source to a chosen sink).
     #[test]
     fn kernels_agree_on_staged_networks_under_idle_masks(
         seed in 0u64..2000,
@@ -151,31 +168,27 @@ proptest! {
         dst.shuffle(&mut r);
         let s = &src[..r.random_range(1..=src.len())];
         let t = &dst[..r.random_range(1..=dst.len())];
-        // ONE workspace reused across both kernels and all cases: the
-        // equivalence must survive whatever the other kernel left behind.
         let mut fw = FlowWorkspace::new();
-        let (cd, pd) = disjoint_with(&net, s, t, &idle, FlowKernel::Dinic, &mut fw);
-        let (cp, pp) = disjoint_with(&net, s, t, &idle, FlowKernel::PushRelabel, &mut fw);
-        prop_assert_eq!(cd, cp, "Dinic {} != push-relabel {}", cd, cp);
-        for (label, count, paths) in [("dinic", cd, &pd), ("push-relabel", cp, &pp)] {
-            prop_assert_eq!(paths.len(), count as usize, "{}", label);
-            prop_assert!(are_vertex_disjoint(paths.iter().map(|p| p.as_slice())));
-            for p in paths {
-                prop_assert!(s.contains(&p[0]), "{}: bad start", label);
-                prop_assert!(t.contains(p.last().unwrap()), "{}: bad end", label);
-                for &v in p {
-                    prop_assert!(idle[v.index()], "{}: path crosses busy vertex", label);
-                }
-                for w in p.windows(2) {
-                    prop_assert!(net.graph().has_edge(w[0], w[1]), "{}: missing edge", label);
-                }
+        let (count, paths) = dinic_disjoint(&net, s, t, &idle, &mut fw);
+        let mc = mincost_disjoint(&net, s, t, &idle);
+        prop_assert_eq!(count, mc, "Dinic {} != min-cost flow {}", count, mc);
+        prop_assert_eq!(paths.len(), count as usize);
+        prop_assert!(are_vertex_disjoint(paths.iter().map(|p| p.as_slice())));
+        for p in &paths {
+            prop_assert!(s.contains(&p[0]), "bad start");
+            prop_assert!(t.contains(p.last().unwrap()), "bad end");
+            for &v in p {
+                prop_assert!(idle[v.index()], "path crosses busy vertex");
+            }
+            for w in p.windows(2) {
+                prop_assert!(net.graph().has_edge(w[0], w[1]), "missing edge");
             }
         }
     }
 
-    /// Unit-capacity bipartite instances admit a third, structurally
-    /// different oracle: Hopcroft–Karp. On 2-stage networks under idle
-    /// masks, matching size, Dinic, and push-relabel must all coincide.
+    /// Unit-capacity bipartite instances admit a matching oracle:
+    /// Hopcroft–Karp. On 2-stage networks under idle masks, matching
+    /// size and Dinic's count must coincide.
     #[test]
     fn hopcroft_karp_agrees_on_bipartite_instances(
         seed in 0u64..2000,
@@ -204,31 +217,24 @@ proptest! {
             .collect();
         let m = hopcroft_karp(&adj, live_right.len());
         let mut fw = FlowWorkspace::new();
-        let (cd, _) = disjoint_with(
-            &net, net.inputs(), net.outputs(), &idle, FlowKernel::Dinic, &mut fw);
-        let (cp, _) = disjoint_with(
-            &net, net.inputs(), net.outputs(), &idle, FlowKernel::PushRelabel, &mut fw);
+        let (cd, _) = dinic_disjoint(&net, net.inputs(), net.outputs(), &idle, &mut fw);
         prop_assert_eq!(m.size as u32, cd, "matching != dinic");
-        prop_assert_eq!(m.size as u32, cp, "matching != push-relabel");
     }
 
-    /// On arbitrary-capacity random instances both kernels must return
-    /// the same value AND each must leave a flow that survives the
-    /// independent feasibility audit.
+    /// On arbitrary-capacity random instances Dinic must leave a flow
+    /// that survives the independent feasibility audit, and its value
+    /// must equal min-cost flow's on the same arcs.
     #[test]
     fn both_kernels_leave_audited_maximum_flows(seed in 0u64..3000) {
         let mut r = gen::rng(seed);
         let (mut net, arcs, s, t) = random_instance(&mut r, 9, 24);
-        let dinic = {
-            let mut d = net.clone();
-            let v = d.max_flow(s, t, None) as u64;
-            audit_flow(&d, &arcs, s, t, v);
-            v
-        };
-        let mut prw = PrWorkspace::new();
-        let pr = net.push_relabel_into(s, t, &mut prw) as u64;
-        audit_flow(&net, &arcs, s, t, pr);
-        prop_assert_eq!(dinic, pr);
+        let dinic = net.max_flow(s, t, None);
+        audit_flow(&net, &arcs, s, t, dinic as u64);
+        let mut cnet = CostFlowNetwork::new(net.num_nodes());
+        for &(u, v, cap, _) in &arcs {
+            cnet.add_arc(u, v, cap, 0);
+        }
+        prop_assert_eq!(dinic, min_cost_flow(&mut cnet, s, t, None).flow);
     }
 
     /// Min-cost flow vs brute force: on small instances, enumerate every

@@ -73,8 +73,6 @@ pub struct SessionId(pub u32);
 #[derive(Clone, Debug)]
 pub struct CircuitRouter<'a> {
     net: &'a StagedNetwork,
-    /// The network's CSR.
-    csr: &'a ft_graph::Csr,
     /// Cached per-vertex stage table, resolved once at construction so
     /// `connect` skips the per-call `OnceLock` load.
     stage_tab: &'a [u32],
@@ -109,7 +107,6 @@ impl<'a> CircuitRouter<'a> {
         CircuitRouter {
             idle: alive.clone(),
             owner: vec![NO_OWNER; alive.len()],
-            csr: net.csr(),
             stage_tab: net.stage_table(),
             reach: net.is_unit_staged().then(|| net.output_reach()),
             net,
@@ -181,7 +178,7 @@ impl<'a> CircuitRouter<'a> {
         if !self.is_idle(output) {
             return Err(RouteError::OutputUnavailable(output));
         }
-        let csr = self.csr;
+        let csr = self.net.graph();
         let idle = &self.idle;
         let reached = if let Some(reach) = self.reach {
             let col = reach.column(output);
@@ -253,8 +250,9 @@ impl<'a> CircuitRouter<'a> {
                 debug_assert_eq!(a % 2, 0);
             }
         }
-        for e in 0..self.csr.num_edges() {
-            let (t, h) = self.csr.endpoints(ft_graph::EdgeId::from(e));
+        let g = self.net.graph();
+        for e in 0..g.num_edges() {
+            let (t, h) = g.endpoints(ft_graph::EdgeId::from(e));
             if self.idle[t.index()] && self.idle[h.index()] {
                 batch
                     .net

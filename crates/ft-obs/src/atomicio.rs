@@ -69,6 +69,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Appends the `ok <fnv1a hex>` trailer line that checksums every
+/// preceding byte of `body` — the last line of the checksummed text
+/// formats. [`unseal`] is its inverse.
+pub fn seal(mut body: String) -> String {
+    let sum = fnv1a(body.as_bytes());
+    body.push_str(&format!("ok {sum:016x}\n"));
+    body
+}
+
+/// Verifies and strips the trailer [`seal`] appended, returning the
+/// body (its own trailing newline kept). `None` if the trailer is
+/// missing or malformed, or any byte of the body was torn or flipped —
+/// checked before a caller parses a single field.
+pub fn unseal(text: &str) -> Option<&str> {
+    let trimmed = text.strip_suffix('\n')?;
+    let nl = trimmed.rfind('\n')?;
+    let (body, ok_line) = trimmed.split_at(nl + 1);
+    let want = u64::from_str_radix(ok_line.strip_prefix("ok ")?, 16).ok()?;
+    (fnv1a(body.as_bytes()) == want).then_some(body)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

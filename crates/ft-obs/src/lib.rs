@@ -33,7 +33,7 @@ pub mod hist;
 pub mod json;
 pub mod profile;
 
-pub use atomicio::{fnv1a, write_atomic, write_atomic_with};
+pub use atomicio::{fnv1a, seal, unseal, write_atomic, write_atomic_with};
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{Noop, Observer, TraceBuf, TraceEvent};
 pub use hist::{bucket_index, bucket_lower_edge, Hist, NUM_BUCKETS};

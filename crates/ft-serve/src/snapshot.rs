@@ -30,7 +30,9 @@
 //! with it, every proper prefix is detectably torn.
 
 use crate::engine::Counters;
-use ft_obs::{fnv1a, Hist};
+#[cfg(test)]
+use ft_obs::fnv1a;
+use ft_obs::{seal, unseal, Hist};
 
 /// Magic first line; bump on any layout change.
 const VERSION: &str = "ftserve snapshot v2";
@@ -58,8 +60,7 @@ impl Snapshot {
         out.push_str("hist ");
         out.push_str(&self.hist.to_compact_string());
         out.push('\n');
-        out.push_str(&format!("ok {:016x}\n", fnv1a(out.as_bytes())));
-        out
+        seal(out)
     }
 
     /// Parses a snapshot body. `None` = corrupt/stale/truncated; the
@@ -67,15 +68,7 @@ impl Snapshot {
     pub fn parse(text: &str) -> Option<Snapshot> {
         // Checksum first: the final `ok` line covers every preceding
         // byte, so any tear or bit-flip is caught before field parsing.
-        let trimmed = text.strip_suffix('\n')?;
-        let nl = trimmed.rfind('\n')?;
-        let (body, ok_line) = trimmed.split_at(nl + 1);
-        let want = u64::from_str_radix(ok_line.strip_prefix("ok ")?, 16).ok()?;
-        if fnv1a(body.as_bytes()) != want {
-            return None;
-        }
-        let text = body;
-        let mut lines = text.lines();
+        let mut lines = unseal(text)?.lines();
         if lines.next()? != VERSION {
             return None;
         }

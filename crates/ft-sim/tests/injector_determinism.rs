@@ -8,7 +8,8 @@
 //! around them.
 
 use ft_sim::{
-    run_seed, run_sweep, Fabric, FaultSpec, HoldingTime, RetryPolicy, SimConfig, TrafficPattern,
+    run_seed, run_sweep, Fabric, FaultSpec, HoldingTime, RerouteMode, RetryPolicy, SimConfig,
+    TrafficPattern,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -59,7 +60,7 @@ fn retry_from(kind: u64, budget: u64, base_k: u64, depth_sel: u64) -> RetryPolic
     }
 }
 
-fn cfg_for(faults: FaultSpec, retry: RetryPolicy) -> SimConfig {
+fn cfg_for(faults: FaultSpec, retry: RetryPolicy, reroute: RerouteMode) -> SimConfig {
     SimConfig {
         arrival_rate: 5.0,
         holding: HoldingTime::Exponential { mean: 1.0 },
@@ -73,6 +74,7 @@ fn cfg_for(faults: FaultSpec, retry: RetryPolicy) -> SimConfig {
         buckets: 4,
         faults,
         retry,
+        reroute,
         ..SimConfig::default()
     }
 }
@@ -98,7 +100,7 @@ proptest! {
         let faults = spec_from(fkind, rate_k, span_k, extra);
         let retry = retry_from(rkind, budget, base_k, depth_sel);
         let fabric = &fabrics()[fabric_idx];
-        let cfg = cfg_for(faults, retry);
+        let cfg = cfg_for(faults, retry, RerouteMode::Greedy);
         let a = run_seed(fabric, &cfg, seed);
         let b = run_seed(fabric, &cfg, seed);
         prop_assert_eq!(&a, &b, "rerun diverged for {:?}", cfg.faults);
@@ -110,7 +112,8 @@ proptest! {
     }
 
     /// Sweep results must be independent of the worker-thread count for
-    /// every injector: 1 vs 4 threads, same seeds, same bytes.
+    /// every injector, reroute planner and fabric: 1 vs 4 threads, same
+    /// seeds, same bytes.
     #[test]
     fn sweeps_match_across_thread_counts(
         fkind in 0u64..4,
@@ -121,12 +124,15 @@ proptest! {
         budget in 0u64..10,
         base_k in 0u64..19,
         depth_sel in 0u64..3,
+        reroute in 0usize..2,
         seed_base in 0u64..1_000,
+        fabric_idx in 0usize..3,
     ) {
         let faults = spec_from(fkind, rate_k, span_k, extra);
         let retry = retry_from(rkind, budget, base_k, depth_sel);
-        let fabric = &fabrics()[0];
-        let cfg = cfg_for(faults, retry);
+        let fabric = &fabrics()[fabric_idx];
+        let reroute = [RerouteMode::Greedy, RerouteMode::Mincost][reroute];
+        let cfg = cfg_for(faults, retry, reroute);
         let seeds: Vec<u64> = (seed_base..seed_base + 4).collect();
         let serial = run_sweep(fabric, &cfg, &seeds, 1);
         let parallel = run_sweep(fabric, &cfg, &seeds, 4);
@@ -151,6 +157,7 @@ fn storm_produces_episodes_and_recovery_metrics() {
             base: 0.25,
             shed_depth: 4,
         },
+        RerouteMode::Greedy,
     );
     let out = run_seed(&fabric, &cfg, 5);
     let m = &out.metrics;
@@ -168,7 +175,11 @@ fn storm_produces_episodes_and_recovery_metrics() {
 #[test]
 fn targeted_adversary_prefers_loaded_switches() {
     let fabric = Fabric::clos_strict(2, 3);
-    let cfg = cfg_for(FaultSpec::Targeted { rate: 0.08 }, RetryPolicy::OnRepair);
+    let cfg = cfg_for(
+        FaultSpec::Targeted { rate: 0.08 },
+        RetryPolicy::OnRepair,
+        RerouteMode::Greedy,
+    );
     let out = run_seed(&fabric, &cfg, 11);
     let m = &out.metrics;
     assert!(m.faults > 0);
@@ -180,4 +191,41 @@ fn targeted_adversary_prefers_loaded_switches() {
         m.dropped,
         m.faults
     );
+}
+
+/// The thread-count property above has teeth under `reroute = mincost`:
+/// a fixed storm scenario actually reroutes circuits through the
+/// min-cost planner, and its sweep is identical on 1 and 4 threads.
+#[test]
+fn mincost_storm_reroutes_and_matches_across_thread_counts() {
+    let cfg = SimConfig {
+        arrival_rate: 4.0,
+        holding: HoldingTime::Exponential { mean: 0.8 },
+        faults: FaultSpec::Storm {
+            rate: 0.06,
+            window: 2.0,
+            stage: None,
+        },
+        reroute: RerouteMode::Mincost,
+        mttr: 8.0,
+        duration: 120.0,
+        buckets: 4,
+        ..SimConfig::default()
+    };
+    let seeds: Vec<u64> = (1..=6).collect();
+    for fabric in [Fabric::clos_strict(2, 3), Fabric::benes(3)] {
+        let one = run_sweep(&fabric, &cfg, &seeds, 1);
+        let rerouted: u64 = one.iter().map(|o| o.metrics.rerouted).sum();
+        assert!(
+            rerouted > 0,
+            "{}: storm produced no reroutes",
+            fabric.label()
+        );
+        assert_eq!(
+            one,
+            run_sweep(&fabric, &cfg, &seeds, 4),
+            "{}",
+            fabric.label()
+        );
+    }
 }

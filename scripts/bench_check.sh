@@ -55,7 +55,6 @@ router_connect_pair_ftn_nu2_half_busy
 router_connect_pair_ftn_paper_nu1
 bfs_forward_ftn_nu2_reused
 dinic_repair_nu2
-push_relabel_repair_nu2
 mc_bridge_10k_sliced
 sample_sliced_1M_edges/eps0.001
 sample_sliced_1M_edges/eps0.2
