@@ -260,4 +260,9 @@ fn deterministic_servers_produce_byte_identical_reports() {
     let b = script(mk());
     assert_eq!(a, b, "deterministic mode must be byte-identical");
     assert!(a.contains("\"deterministic\": true"));
+    // and the bytes themselves are pinned, so the report writer cannot drift
+    assert_eq!(
+        (ft_obs::fnv1a(a.as_bytes()), a.len()),
+        (0x03caa9c1124a4800, 708)
+    );
 }

@@ -518,6 +518,86 @@ sweep fault_rate = 0.002, 0.01
     );
 }
 
+/// The bytes of every JSON, CSV and cache artifact are pinned, not only
+/// their self-consistency above: `fnv1a` and byte length of the `ftsim`
+/// report of the `clos-strict 2 3` scenario and of the CI storm smoke,
+/// both tables and the four concatenated cache cells of the `ftexp`
+/// study above, and the storm smoke's exported replay stream. A change
+/// to how any of them is written must leave all of these untouched.
+#[test]
+fn report_table_cell_and_stream_bytes_are_pinned() {
+    use fault_tolerant_switching::exp::{cache, run_grid, to_csv, to_json, GridSpec, RunOptions};
+    use fault_tolerant_switching::obs::fnv1a;
+    use fault_tolerant_switching::sim;
+
+    const CLOS_2_3: &str = "\
+network = clos-strict 2 3
+arrival_rate = 4
+holding = exp 0.8
+fault_rate = 0.003
+mttr = 10
+duration = 60
+seeds = 2
+seed_base = 5
+buckets = 4
+threads = 2
+";
+    const SMOKE: &str = include_str!("../scenarios/storm_smoke.ftsim");
+    const GRID: &str = "\
+arrival_rate  = 5.0
+mttr          = 10
+duration      = 40
+seeds         = 2
+buckets       = 2
+static_trials = 500
+sweep network    = clos-strict 2 2 | benes 2
+sweep fault_rate = 0.002, 0.01
+";
+    let spec = GridSpec::parse(GRID).unwrap();
+    let study = run_grid(&spec, &RunOptions::default()).unwrap();
+    let cells: String = study
+        .cells
+        .iter()
+        .map(|c| {
+            let (data, _) = c.data.as_ref().expect("every cell runs");
+            cache::render(c.cell.hash.unwrap(), data)
+        })
+        .collect();
+    let smoke = sim::Scenario::parse(SMOKE).unwrap();
+    let stream = sim::stream::export_stream(&smoke, smoke.seed_list()[0]);
+    let artifacts = [
+        (
+            "clos-strict 2 3 report",
+            sim::run_scenario_text(CLOS_2_3).unwrap().to_json(),
+            (0xfa070d90f3dabb1a, 4_192),
+        ),
+        (
+            "storm_smoke report",
+            sim::run_scenario_text(SMOKE).unwrap().to_json(),
+            (0xb57141337ef81ab0, 4_845),
+        ),
+        (
+            "study json",
+            to_json(&spec, &study),
+            (0x1625770e59b0396b, 10_924),
+        ),
+        (
+            "study csv",
+            to_csv(&spec, &study),
+            (0x3b96e507651891a2, 1_586),
+        ),
+        ("cache cells", cells, (0x959f1e94d1bfe9f4, 5_058)),
+        (
+            "storm_smoke stream",
+            sim::stream::render_ndjson(&stream),
+            (0x62e3de477831c945, 189_127),
+        ),
+    ];
+    for (name, bytes, want) in artifacts {
+        assert_eq!((fnv1a(bytes.as_bytes()), bytes.len()), want, "{name}");
+    }
+}
+
 /// The PR-8 observability layer extends the contract to the NDJSON
 /// event trace: tracing a sweep must not perturb the event stream or
 /// the report (the golden fingerprints above stay pinned with the
