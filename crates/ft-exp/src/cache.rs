@@ -9,9 +9,10 @@
 //! (integers verbatim, `f64` through Rust's shortest-round-trip
 //! formatting), which is what lets a cache-warm run render the
 //! byte-identical aggregate report a cold run does — pinned by
-//! `tests/determinism.rs`. A file that fails any check (trailing
-//! checksum, version, hash, structure) is treated as a miss and
-//! recomputed.
+//! `tests/determinism.rs`. The per-seed lines, their order and their
+//! count come from [`SeedRow`]'s one field list. A file that fails any
+//! check (trailing checksum, version, hash, structure) is treated as a
+//! miss and recomputed.
 
 use crate::result::{CellData, SeedRow};
 use ft_failure::Estimate;
@@ -49,61 +50,7 @@ pub fn render(hash: u64, data: &CellData) -> String {
         push(&mut out, "static_trials", &est.trials.to_string());
     }
     for row in &data.seeds {
-        push(&mut out, "seed", &row.seed.to_string());
-        push(&mut out, "events", &row.events.to_string());
-        push(
-            &mut out,
-            "fingerprint",
-            &format!("{:016x}", row.fingerprint),
-        );
-        push(&mut out, "offered", &row.offered.to_string());
-        push(&mut out, "connected", &row.connected.to_string());
-        push(&mut out, "blocked", &row.blocked.to_string());
-        push(&mut out, "rejected_busy", &row.rejected_busy.to_string());
-        push(&mut out, "dropped", &row.dropped.to_string());
-        push(&mut out, "rerouted", &row.rerouted.to_string());
-        push(&mut out, "moved", &row.moved.to_string());
-        push(&mut out, "abandoned", &row.abandoned.to_string());
-        push(&mut out, "faults", &row.faults.to_string());
-        push(&mut out, "repairs", &row.repairs.to_string());
-        push(&mut out, "storms", &row.storms.to_string());
-        push(&mut out, "shed", &row.shed.to_string());
-        push(&mut out, "degraded_time", &row.degraded_time.to_string());
-        push(
-            &mut out,
-            "time_to_recover",
-            &row.time_to_recover.to_string(),
-        );
-        push(
-            &mut out,
-            "dropped_per_storm",
-            &row.dropped_per_storm.to_string(),
-        );
-        push(&mut out, "blocking", &row.blocking.to_string());
-        push(&mut out, "busy_rejection", &row.busy_rejection.to_string());
-        push(&mut out, "drop_rate", &row.drop_rate.to_string());
-        push(
-            &mut out,
-            "carried_erlangs",
-            &row.carried_erlangs.to_string(),
-        );
-        push(&mut out, "mean_path_len", &row.mean_path_len.to_string());
-        push(
-            &mut out,
-            "mean_reroute_latency",
-            &row.mean_reroute_latency.to_string(),
-        );
-        push(&mut out, "util_max", &row.util_max.to_string());
-        push(
-            &mut out,
-            "reroute_hist_events",
-            &row.reroute_hist_events.to_compact_string(),
-        );
-        push(
-            &mut out,
-            "reroute_hist_time",
-            &row.reroute_hist_time.to_compact_string(),
-        );
+        row.cache_lines(|key, value| push(&mut out, key, value));
     }
     seal(out)
 }
@@ -125,66 +72,30 @@ pub fn parse(text: &str, expect_hash: u64) -> Option<CellData> {
     if lines.next()? != VERSION {
         return None;
     }
-    /// Per-seed fields following each `seed` line (completeness check).
-    const SEED_FIELDS: usize = 26;
+    // A row's lines start with its first field and number exactly
+    // `SeedRow::NAMES.len()`.
+    let row_len = SeedRow::NAMES.len();
     let mut header: Vec<(String, String)> = Vec::new();
     let mut seeds: Vec<SeedRow> = Vec::new();
-    let mut fields_in_row = SEED_FIELDS;
+    let mut fields_in_row = row_len;
     for line in lines {
         let (key, value) = line.split_once(" = ")?;
-        if key == "seed" {
-            if fields_in_row != SEED_FIELDS {
+        if key == SeedRow::NAMES[0] {
+            if fields_in_row != row_len {
                 return None; // truncated previous row
             }
             fields_in_row = 0;
-            seeds.push(SeedRow {
-                seed: value.parse().ok()?,
-                ..SeedRow::default()
-            });
-            continue;
+            seeds.push(SeedRow::default());
         }
         match seeds.last_mut() {
             None => header.push((key.to_string(), value.to_string())),
             Some(row) => {
-                let v = value;
-                match key {
-                    "events" => row.events = v.parse().ok()?,
-                    "fingerprint" => row.fingerprint = u64::from_str_radix(v, 16).ok()?,
-                    "offered" => row.offered = v.parse().ok()?,
-                    "connected" => row.connected = v.parse().ok()?,
-                    "blocked" => row.blocked = v.parse().ok()?,
-                    "rejected_busy" => row.rejected_busy = v.parse().ok()?,
-                    "dropped" => row.dropped = v.parse().ok()?,
-                    "rerouted" => row.rerouted = v.parse().ok()?,
-                    "moved" => row.moved = v.parse().ok()?,
-                    "abandoned" => row.abandoned = v.parse().ok()?,
-                    "faults" => row.faults = v.parse().ok()?,
-                    "repairs" => row.repairs = v.parse().ok()?,
-                    "storms" => row.storms = v.parse().ok()?,
-                    "shed" => row.shed = v.parse().ok()?,
-                    "degraded_time" => row.degraded_time = v.parse().ok()?,
-                    "time_to_recover" => row.time_to_recover = v.parse().ok()?,
-                    "dropped_per_storm" => row.dropped_per_storm = v.parse().ok()?,
-                    "blocking" => row.blocking = v.parse().ok()?,
-                    "busy_rejection" => row.busy_rejection = v.parse().ok()?,
-                    "drop_rate" => row.drop_rate = v.parse().ok()?,
-                    "carried_erlangs" => row.carried_erlangs = v.parse().ok()?,
-                    "mean_path_len" => row.mean_path_len = v.parse().ok()?,
-                    "mean_reroute_latency" => row.mean_reroute_latency = v.parse().ok()?,
-                    "util_max" => row.util_max = v.parse().ok()?,
-                    "reroute_hist_events" => {
-                        row.reroute_hist_events = ft_obs::Hist::from_compact_str(v)?
-                    }
-                    "reroute_hist_time" => {
-                        row.reroute_hist_time = ft_obs::Hist::from_compact_str(v)?
-                    }
-                    _ => return None,
-                }
+                row.set(key, value)?;
                 fields_in_row += 1;
             }
         }
     }
-    if fields_in_row != SEED_FIELDS {
+    if fields_in_row != row_len {
         return None; // truncated final row
     }
     let get = |k: &str| {

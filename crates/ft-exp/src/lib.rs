@@ -40,7 +40,7 @@ pub mod runner;
 pub mod table;
 
 pub use grid::{cell_hash, Cell, GridSpec, Sweep};
-pub use result::{CellData, SeedRow, Stat};
+pub use result::{CellData, SeedRow};
 pub use runner::{run_grid, CellReport, CellSource, RunOptions, StudyResult};
 pub use table::{to_csv, to_json};
 

@@ -6,114 +6,219 @@
 //! `f64` via shortest-round-trip formatting). Aggregates are always
 //! recomputed from the seed rows at render time, so a cache-warm run
 //! and a cache-cold run go through the identical arithmetic.
+//!
+//! The row's fields are listed once, in the `seed_row!` invocation
+//! below; that list declares the struct and drives
+//! [`SeedRow::from_outcome`], the cell cache's lines and field count and
+//! the study table's per-seed object. A new per-seed metric is one row
+//! there plus a bump of the cache `VERSION`.
 
 use ft_failure::Estimate;
-use ft_obs::Hist;
-use ft_sim::{Fabric, SeedOutcome};
+use ft_obs::{Hist, JsonWriter, Scalar};
+use ft_sim::{stat, Fabric, Metrics, SeedOutcome, Stat};
+use std::fmt::Display;
+use std::str::FromStr;
 
-/// Flat scalar summary of one simulated seed.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SeedRow {
-    /// The seed.
-    pub seed: u64,
-    /// Events processed.
-    pub events: u64,
-    /// FNV fingerprint of the event stream (determinism witness).
-    pub fingerprint: u64,
-    /// Call arrivals (post-warm-up).
-    pub offered: u64,
-    /// Calls connected.
-    pub connected: u64,
-    /// Calls refused for lack of an idle path.
-    pub blocked: u64,
-    /// Calls refused because a terminal was busy.
-    pub rejected_busy: u64,
-    /// Live sessions killed by faults.
-    pub dropped: u64,
-    /// Killed sessions re-routed before hangup.
-    pub rerouted: u64,
-    /// Executed reroute operations (greedy attempts, or mincost
-    /// placements actually committed to the fabric).
-    pub moved: u64,
-    /// Killed sessions lost for good.
-    pub abandoned: u64,
-    /// Switch-fault events.
-    pub faults: u64,
-    /// Repair completions.
-    pub repairs: u64,
-    /// Fault episodes (storm/burst/adversary onsets; == faults for
-    /// i.i.d.).
-    pub storms: u64,
-    /// Killed calls shed by the admission ladder.
-    pub shed: u64,
-    /// Time spent degraded (failed switches or calls waiting).
-    pub degraded_time: f64,
-    /// Mean completed degraded-interval length.
-    pub time_to_recover: f64,
-    /// Killed calls per fault episode.
-    pub dropped_per_storm: f64,
-    /// Blocking probability.
-    pub blocking: f64,
-    /// Busy-rejection fraction.
-    pub busy_rejection: f64,
-    /// Drop rate (abandoned / connected).
-    pub drop_rate: f64,
-    /// Carried load (erlangs).
-    pub carried_erlangs: f64,
-    /// Mean established path length (switches).
-    pub mean_path_len: f64,
-    /// Mean fault/repair events waited by re-routed calls.
-    pub mean_reroute_latency: f64,
-    /// Busiest stage's mean utilisation.
-    pub util_max: f64,
-    /// Reroute-latency distribution in fault/repair events (streaming
-    /// log-bucketed histogram; merges exactly across seeds).
-    pub reroute_hist_events: Hist,
-    /// Reroute-latency distribution in sim-time units.
-    pub reroute_hist_time: Hist,
+/// How a [`SeedRow`] field of type `T` is written to the cell cache and
+/// to the study table's per-seed object.
+trait Codec<T> {
+    /// The value of the field's `name = value` cache line.
+    fn cache(v: &T) -> String;
+    /// The inverse of `cache`; `None` if `s` is malformed.
+    fn parse(s: &str) -> Option<T>;
+    /// Writes the field's table member(s) under `key`.
+    fn json(j: &mut JsonWriter, key: &str, v: &T);
 }
 
-impl SeedRow {
-    /// Flattens one engine outcome (the fabric supplies the stage
-    /// sizes for utilisation denominators).
-    pub fn from_outcome(out: &SeedOutcome, fabric: &Fabric) -> SeedRow {
-        let m = &out.metrics;
-        let util_max = (0..m.stage_busy_time.len())
-            .map(|s| {
-                let r = fabric.net().stage_range(s);
-                m.stage_utilisation(s, (r.end - r.start) as usize)
-            })
-            .fold(0.0f64, f64::max);
-        SeedRow {
-            seed: out.seed,
-            events: out.events,
-            fingerprint: out.fingerprint,
-            offered: m.offered,
-            connected: m.connected,
-            blocked: m.blocked,
-            rejected_busy: m.rejected_busy,
-            dropped: m.dropped,
-            rerouted: m.rerouted,
-            moved: m.moved,
-            abandoned: m.abandoned,
-            faults: m.faults,
-            repairs: m.repairs,
-            storms: m.storms,
-            shed: m.shed,
-            degraded_time: m.degraded_time,
-            time_to_recover: m.time_to_recover_mean(),
-            dropped_per_storm: m.dropped_per_storm(),
-            blocking: m.blocking_probability(),
-            busy_rejection: m.busy_rejection(),
-            drop_rate: m.drop_rate(),
-            carried_erlangs: m.carried_erlangs(),
-            mean_path_len: m.mean_path_len(),
-            mean_reroute_latency: m.mean_reroute_latency_events(),
-            util_max,
-            reroute_hist_events: m.reroute_hist_events.clone(),
-            reroute_hist_time: m.reroute_hist_time.clone(),
+/// A number as `{}` prints it, in the cache and in the table.
+enum Plain {}
+
+impl<T: Display + FromStr + Scalar> Codec<T> for Plain {
+    fn cache(v: &T) -> String {
+        v.to_string()
+    }
+
+    fn parse(s: &str) -> Option<T> {
+        s.parse().ok()
+    }
+
+    fn json(j: &mut JsonWriter, key: &str, v: &T) {
+        j.field(key, v);
+    }
+}
+
+/// A 64-bit fingerprint: bare hex in the cache, a `0x` string in the
+/// table.
+enum Hex {}
+
+impl Codec<u64> for Hex {
+    fn cache(v: &u64) -> String {
+        format!("{v:016x}")
+    }
+
+    fn parse(s: &str) -> Option<u64> {
+        u64::from_str_radix(s, 16).ok()
+    }
+
+    fn json(j: &mut JsonWriter, key: &str, v: &u64) {
+        j.field(key, format!("{v:#018x}"));
+    }
+}
+
+/// A latency histogram: its compact encoding in the cache, its p50 and
+/// p99 as `<key>_p50`/`<key>_p99` in the table — integers when
+/// `EVENTS`, as latencies counted in fault/repair events are.
+enum Quantiles<const EVENTS: bool> {}
+
+impl<const EVENTS: bool> Codec<Hist> for Quantiles<EVENTS> {
+    fn cache(v: &Hist) -> String {
+        v.to_compact_string()
+    }
+
+    fn parse(s: &str) -> Option<Hist> {
+        Hist::from_compact_str(s)
+    }
+
+    fn json(j: &mut JsonWriter, key: &str, v: &Hist) {
+        for p in [50, 99] {
+            let (key, q) = (format!("{key}_p{p}"), v.quantile(f64::from(p)));
+            if EVENTS {
+                j.field(&key, q as u64);
+            } else {
+                j.field(&key, q);
+            }
         }
     }
+}
+
+/// Declares [`SeedRow`] from its field list. Each row gives the field's
+/// docs, name and type, its `Codec`, the table key where it differs
+/// from the name, and how the field is read off an engine outcome
+/// (`out`, its metrics `m`, the `fabric`).
+macro_rules! seed_row {
+    (@key $name:ident) => {
+        stringify!($name)
+    };
+    (@key $name:ident $key:literal) => {
+        $key
+    };
+    (|$out:ident, $m:ident, $fabric:ident| $(
+        $(#[$attr:meta])*
+        $name:ident: $ty:ty as $codec:ty $(, $key:literal)? = $from:expr;
+    )+) => {
+        /// Flat scalar summary of one simulated seed.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct SeedRow {
+            $($(#[$attr])* pub $name: $ty,)+
+        }
+
+        impl SeedRow {
+            /// Field names in cache order; a row's lines start with the
+            /// first.
+            pub(crate) const NAMES: &[&str] = &[$(stringify!($name)),+];
+
+            /// Flattens one engine outcome (the fabric supplies the stage
+            /// sizes for utilisation denominators).
+            pub fn from_outcome($out: &SeedOutcome, $fabric: &Fabric) -> SeedRow {
+                let $m = &$out.metrics;
+                SeedRow { $($name: $from),+ }
+            }
+
+            /// Calls `line(name, value)` for each field's cache line, in
+            /// order.
+            pub(crate) fn cache_lines(&self, mut line: impl FnMut(&str, &str)) {
+                $(line(stringify!($name), &<$codec as Codec<$ty>>::cache(&self.$name));)+
+            }
+
+            /// Sets the field a cache line names; `None` for an unknown
+            /// name or a malformed value.
+            pub(crate) fn set(&mut self, name: &str, value: &str) -> Option<()> {
+                match name {
+                    $(stringify!($name) => self.$name = <$codec as Codec<$ty>>::parse(value)?,)+
+                    _ => return None,
+                }
+                Some(())
+            }
+
+            /// Writes the row's members into the open per-seed object.
+            pub(crate) fn write_json(&self, j: &mut JsonWriter) {
+                $(<$codec as Codec<$ty>>::json(j, seed_row!(@key $name $($key)?), &self.$name);)+
+            }
+        }
+    };
+}
+
+seed_row! {
+    |out, m, fabric|
+    /// The seed.
+    seed: u64 as Plain = out.seed;
+    /// Events processed.
+    events: u64 as Plain = out.events;
+    /// FNV fingerprint of the event stream (determinism witness).
+    fingerprint: u64 as Hex = out.fingerprint;
+    /// Call arrivals (post-warm-up).
+    offered: u64 as Plain = m.offered;
+    /// Calls connected.
+    connected: u64 as Plain = m.connected;
+    /// Calls refused for lack of an idle path.
+    blocked: u64 as Plain = m.blocked;
+    /// Calls refused because a terminal was busy.
+    rejected_busy: u64 as Plain = m.rejected_busy;
+    /// Live sessions killed by faults.
+    dropped: u64 as Plain = m.dropped;
+    /// Killed sessions re-routed before hangup.
+    rerouted: u64 as Plain = m.rerouted;
+    /// Executed reroute operations (greedy attempts, or mincost
+    /// placements actually committed to the fabric).
+    moved: u64 as Plain = m.moved;
+    /// Killed sessions lost for good.
+    abandoned: u64 as Plain = m.abandoned;
+    /// Switch-fault events.
+    faults: u64 as Plain = m.faults;
+    /// Repair completions.
+    repairs: u64 as Plain = m.repairs;
+    /// Fault episodes (storm/burst/adversary onsets; == faults for
+    /// i.i.d.).
+    storms: u64 as Plain = m.storms;
+    /// Killed calls shed by the admission ladder.
+    shed: u64 as Plain = m.shed;
+    /// Time spent degraded (failed switches or calls waiting).
+    degraded_time: f64 as Plain = m.degraded_time;
+    /// Mean completed degraded-interval length.
+    time_to_recover: f64 as Plain = m.time_to_recover_mean();
+    /// Killed calls per fault episode.
+    dropped_per_storm: f64 as Plain = m.dropped_per_storm();
+    /// Blocking probability.
+    blocking: f64 as Plain = m.blocking_probability();
+    /// Busy-rejection fraction.
+    busy_rejection: f64 as Plain = m.busy_rejection();
+    /// Drop rate (abandoned / connected).
+    drop_rate: f64 as Plain = m.drop_rate();
+    /// Carried load (erlangs).
+    carried_erlangs: f64 as Plain = m.carried_erlangs();
+    /// Mean established path length (switches).
+    mean_path_len: f64 as Plain = m.mean_path_len();
+    /// Mean fault/repair events waited by re-routed calls.
+    mean_reroute_latency: f64 as Plain = m.mean_reroute_latency_events();
+    /// Busiest stage's mean utilisation.
+    util_max: f64 as Plain = busiest_stage(m, fabric);
+    /// Reroute-latency distribution in fault/repair events (streaming
+    /// log-bucketed histogram; merges exactly across seeds).
+    reroute_hist_events: Hist as Quantiles<true>, "reroute_latency_events" =
+        m.reroute_hist_events.clone();
+    /// Reroute-latency distribution in sim-time units.
+    reroute_hist_time: Hist as Quantiles<false>, "reroute_latency_time" =
+        m.reroute_hist_time.clone();
+}
+
+/// The mean utilisation of the busiest stage.
+fn busiest_stage(m: &Metrics, fabric: &Fabric) -> f64 {
+    (0..m.stage_busy_time.len())
+        .map(|s| {
+            let r = fabric.net().stage_range(s);
+            m.stage_utilisation(s, (r.end - r.start) as usize)
+        })
+        .fold(0.0f64, f64::max)
 }
 
 /// A completed (simulated or cache-loaded) cell.
@@ -131,44 +236,6 @@ pub struct CellData {
     /// unavailability (present when the cell has faults *and* repair
     /// and the grid enabled `static_trials`).
     pub static_est: Option<Estimate>,
-}
-
-/// Mean, sample standard deviation and 95% CI half-width over `xs`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Stat {
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for n ≤ 1).
-    pub std: f64,
-    /// Normal-approximation 95% half-width `1.96·std/√n`.
-    pub ci95: f64,
-}
-
-/// Computes a [`Stat`] over an exact-sized iterator of samples.
-pub fn stat(xs: impl Iterator<Item = f64> + Clone) -> Stat {
-    let n = xs.clone().count();
-    if n == 0 {
-        return Stat {
-            mean: 0.0,
-            std: 0.0,
-            ci95: 0.0,
-        };
-    }
-    let mean = xs.clone().sum::<f64>() / n as f64;
-    if n == 1 {
-        return Stat {
-            mean,
-            std: 0.0,
-            ci95: 0.0,
-        };
-    }
-    let var = xs.map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-    let std = var.sqrt();
-    Stat {
-        mean,
-        std,
-        ci95: 1.96 * std / (n as f64).sqrt(),
-    }
 }
 
 /// The aggregate statistics a cell contributes to the study tables.
@@ -232,17 +299,6 @@ impl CellData {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stat_basics() {
-        let s = stat([1.0, 3.0].into_iter());
-        assert_eq!(s.mean, 2.0);
-        assert!((s.std - std::f64::consts::SQRT_2).abs() < 1e-12);
-        assert!((s.ci95 - 1.96 * s.std / 2.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(stat(std::iter::empty()).mean, 0.0);
-        let one = stat([5.0].into_iter());
-        assert_eq!((one.mean, one.std, one.ci95), (5.0, 0.0, 0.0));
-    }
 
     #[test]
     fn seed_rows_flatten_outcomes() {

@@ -1,11 +1,12 @@
 //! Deterministic JSON and CSV study tables.
 //!
-//! Both writers are hand-rolled (no serde in the offline container)
-//! and byte-stable: fixed key/column order, Rust's shortest-round-trip
-//! float formatting, `\n` separators. Aggregates are recomputed from
-//! the per-seed scalar rows at render time, so a cache-warm rendering
-//! is byte-identical to the cache-cold one — along with thread-count
-//! independence, that is the contract `tests/determinism.rs` pins.
+//! The JSON goes through [`ft_obs::JsonWriter`] and the CSV follows one
+//! column list (`COLUMNS`); both are byte-stable: fixed key/column
+//! order, Rust's shortest-round-trip float formatting, `\n` separators.
+//! Aggregates are recomputed from the per-seed scalar rows at render
+//! time, so a cache-warm rendering is byte-identical to the cache-cold
+//! one — along with thread-count independence, that is the contract
+//! `tests/determinism.rs` pins.
 //!
 //! The JSON deliberately echoes the run accounting *nowhere*: how many
 //! cells came from the cache is a property of the run, not of the
@@ -13,162 +14,96 @@
 //! (see [`crate::runner::StudyResult::summary_line`]).
 
 use crate::grid::GridSpec;
-use crate::result::Stat;
 use crate::runner::StudyResult;
-use ft_obs::json_str;
-
-fn stat_json(s: &Stat) -> String {
-    format!(
-        "{{\"mean\": {}, \"std\": {}, \"ci95\": {}}}",
-        s.mean, s.std, s.ci95
-    )
-}
+use ft_obs::{JsonWriter, Layout};
+use ft_sim::report::write_latency_quantiles;
 
 /// Renders the study as a deterministic JSON document.
 pub fn to_json(spec: &GridSpec, result: &StudyResult) -> String {
-    let mut out = String::with_capacity(16 * 1024);
-    out.push_str("{\n  \"study\": {\n    \"sweeps\": [\n");
-    for (i, sweep) in spec.sweeps.iter().enumerate() {
-        let values: Vec<String> = sweep.values.iter().map(|v| json_str(v)).collect();
-        out.push_str(&format!(
-            "      {{\"key\": {}, \"values\": [{}]}}{}\n",
-            json_str(&sweep.key),
-            values.join(", "),
-            if i + 1 == spec.sweeps.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!(
-        "    ],\n    \"static_trials\": {},\n    \"cells\": {}\n  }},\n",
-        spec.static_trials,
-        result.cells.len()
-    ));
-
-    out.push_str("  \"cells\": [\n");
-    for (i, report) in result.cells.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"cell\": {},\n", report.cell.index));
-        let params: Vec<String> = report
-            .cell
-            .assignments
-            .iter()
-            .map(|(k, v)| format!("{}: {}", json_str(k), json_str(v)))
-            .collect();
-        out.push_str(&format!("      \"params\": {{{}}},\n", params.join(", ")));
-        match &report.data {
-            Err(reason) => {
-                out.push_str("      \"status\": \"skipped\",\n");
-                out.push_str(&format!("      \"skip_reason\": {}\n", json_str(reason)));
-            }
-            Ok((data, _)) => {
-                out.push_str("      \"status\": \"ok\",\n");
-                out.push_str(&format!(
-                    "      \"fabric\": {},\n      \"switches\": {},\n      \"terminals\": {},\n",
-                    json_str(&data.fabric_label),
-                    data.switches,
-                    data.terminals
-                ));
-                out.push_str("      \"per_seed\": [\n");
-                for (j, r) in data.seeds.iter().enumerate() {
-                    out.push_str(&format!(
-                        "        {{\"seed\": {}, \"events\": {}, \"fingerprint\": \"{:#018x}\", \
-                         \"offered\": {}, \"connected\": {}, \"blocked\": {}, \
-                         \"rejected_busy\": {}, \"dropped\": {}, \"rerouted\": {}, \
-                         \"moved\": {}, \
-                         \"abandoned\": {}, \"faults\": {}, \"repairs\": {}, \
-                         \"storms\": {}, \"shed\": {}, \"degraded_time\": {}, \
-                         \"time_to_recover\": {}, \"dropped_per_storm\": {}, \
-                         \"blocking\": {}, \"busy_rejection\": {}, \"drop_rate\": {}, \
-                         \"carried_erlangs\": {}, \"mean_path_len\": {}, \
-                         \"mean_reroute_latency\": {}, \"util_max\": {}, \
-                         \"reroute_latency_events_p50\": {}, \
-                         \"reroute_latency_events_p99\": {}, \
-                         \"reroute_latency_time_p50\": {}, \
-                         \"reroute_latency_time_p99\": {}}}{}\n",
-                        r.seed,
-                        r.events,
-                        r.fingerprint,
-                        r.offered,
-                        r.connected,
-                        r.blocked,
-                        r.rejected_busy,
-                        r.dropped,
-                        r.rerouted,
-                        r.moved,
-                        r.abandoned,
-                        r.faults,
-                        r.repairs,
-                        r.storms,
-                        r.shed,
-                        r.degraded_time,
-                        r.time_to_recover,
-                        r.dropped_per_storm,
-                        r.blocking,
-                        r.busy_rejection,
-                        r.drop_rate,
-                        r.carried_erlangs,
-                        r.mean_path_len,
-                        r.mean_reroute_latency,
-                        r.util_max,
-                        r.reroute_hist_events.quantile(50.0) as u64,
-                        r.reroute_hist_events.quantile(99.0) as u64,
-                        r.reroute_hist_time.quantile(50.0),
-                        r.reroute_hist_time.quantile(99.0),
-                        if j + 1 == data.seeds.len() { "" } else { "," }
-                    ));
-                }
-                out.push_str("      ],\n");
-                let a = data.aggregate();
-                let (ev_hist, time_hist) = data.merged_reroute_hists();
-                out.push_str(&format!(
-                    "      \"aggregate\": {{\"offered\": {}, \"blocking\": {}, \
-                     \"busy_rejection\": {}, \"drop_rate\": {}, \"carried_erlangs\": {}, \
-                     \"mean_path_len\": {}, \"reroute_latency\": {}, \"util_max\": {}, \
-                     \"time_to_recover\": {}, \"dropped_per_storm\": {}, \
-                     \"reroute_latency_quantiles\": {{\"events_p50\": {}, \
-                     \"events_p99\": {}, \"events_p999\": {}, \"time_p50\": {}, \
-                     \"time_p99\": {}, \"time_p999\": {}}}}}",
-                    a.offered_total,
-                    stat_json(&a.blocking),
-                    stat_json(&a.busy_rejection),
-                    stat_json(&a.drop_rate),
-                    stat_json(&a.carried_erlangs),
-                    stat_json(&a.mean_path_len),
-                    stat_json(&a.reroute_latency),
-                    stat_json(&a.util_max),
-                    stat_json(&a.time_to_recover),
-                    stat_json(&a.dropped_per_storm),
-                    ev_hist.quantile(50.0) as u64,
-                    ev_hist.quantile(99.0) as u64,
-                    ev_hist.quantile(99.9) as u64,
-                    time_hist.quantile(50.0),
-                    time_hist.quantile(99.0),
-                    time_hist.quantile(99.9),
-                ));
-                match data.static_est {
-                    Some(est) => {
-                        let (lo, hi) = est.wilson95();
-                        out.push_str(&format!(
-                            ",\n      \"static\": {{\"p\": {}, \"lo95\": {}, \"hi95\": {}, \
-                             \"trials\": {}}}\n",
-                            est.p(),
-                            lo,
-                            hi,
-                            est.trials
-                        ));
-                    }
-                    None => out.push('\n'),
-                }
-            }
+    use Layout::{Block, Inline};
+    let mut j = JsonWriter::new();
+    j.object(Block).key("study").object(Block);
+    j.key("sweeps").array(Block);
+    for sweep in &spec.sweeps {
+        j.object(Inline).field("key", &sweep.key);
+        j.key("values").array(Inline);
+        for value in &sweep.values {
+            j.value(value);
         }
-        out.push_str(if i + 1 == result.cells.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        j.end().end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    j.end()
+        .field("static_trials", spec.static_trials)
+        .field("cells", result.cells.len())
+        .end();
+    j.key("cells").array(Block);
+    for report in &result.cells {
+        j.object(Block).field("cell", report.cell.index);
+        j.key("params").object(Inline);
+        for (key, value) in &report.cell.assignments {
+            j.field(key, value);
+        }
+        j.end();
+        let data = match &report.data {
+            Ok((data, _)) => data,
+            Err(reason) => {
+                j.field("status", "skipped").field("skip_reason", reason);
+                j.end();
+                continue;
+            }
+        };
+        j.field("status", "ok")
+            .field("fabric", &data.fabric_label)
+            .field("switches", data.switches)
+            .field("terminals", data.terminals);
+        j.key("per_seed").array(Block);
+        for row in &data.seeds {
+            j.object(Inline);
+            row.write_json(&mut j);
+            j.end();
+        }
+        let a = data.aggregate();
+        j.end().key("aggregate").object(Inline);
+        j.field("offered", a.offered_total);
+        for (name, s) in [
+            ("blocking", a.blocking),
+            ("busy_rejection", a.busy_rejection),
+            ("drop_rate", a.drop_rate),
+            ("carried_erlangs", a.carried_erlangs),
+            ("mean_path_len", a.mean_path_len),
+            ("reroute_latency", a.reroute_latency),
+            ("util_max", a.util_max),
+            ("time_to_recover", a.time_to_recover),
+            ("dropped_per_storm", a.dropped_per_storm),
+        ] {
+            j.key(name).object(Inline);
+            j.field("mean", s.mean)
+                .field("std", s.std)
+                .field("ci95", s.ci95);
+            j.end();
+        }
+        let (events, time) = data.merged_reroute_hists();
+        write_latency_quantiles(&mut j, &events, &time);
+        j.end();
+        if let Some(est) = data.static_est {
+            let (lo, hi) = est.wilson95();
+            j.key("static").object(Inline);
+            j.field("p", est.p()).field("lo95", lo).field("hi95", hi);
+            j.field("trials", est.trials).end();
+        }
+        j.end();
+    }
+    j.end().end();
+    j.finish()
 }
+
+/// The CSV columns after `cell` and the swept keys, in order.
+const COLUMNS: &str = "status,fabric,switches,terminals,seeds,offered,moved,blocking_mean,\
+    blocking_std,blocking_ci95,busy_rejection_mean,drop_rate_mean,carried_erlangs_mean,\
+    mean_path_len_mean,reroute_latency_mean,util_max_mean,time_to_recover_mean,\
+    dropped_per_storm_mean,reroute_latency_events_p50,reroute_latency_events_p99,\
+    reroute_latency_events_p999,reroute_latency_time_p50,reroute_latency_time_p99,\
+    reroute_latency_time_p999,static_p,static_lo95,static_hi95,static_trials,note";
 
 fn csv_field(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
@@ -189,14 +124,9 @@ pub fn to_csv(spec: &GridSpec, result: &StudyResult) -> String {
         out.push(',');
         out.push_str(&csv_field(&sweep.key));
     }
-    out.push_str(
-        ",status,fabric,switches,terminals,seeds,offered,moved,blocking_mean,blocking_std,\
-         blocking_ci95,busy_rejection_mean,drop_rate_mean,carried_erlangs_mean,\
-         mean_path_len_mean,reroute_latency_mean,util_max_mean,time_to_recover_mean,\
-         dropped_per_storm_mean,reroute_latency_events_p50,reroute_latency_events_p99,\
-         reroute_latency_events_p999,reroute_latency_time_p50,reroute_latency_time_p99,\
-         reroute_latency_time_p999,static_p,static_lo95,static_hi95,static_trials,note\n",
-    );
+    out.push(',');
+    out.push_str(COLUMNS);
+    out.push('\n');
     for report in &result.cells {
         out.push_str(&report.cell.index.to_string());
         for (_, value) in &report.cell.assignments {
@@ -205,9 +135,9 @@ pub fn to_csv(spec: &GridSpec, result: &StudyResult) -> String {
         }
         match &report.data {
             Err(reason) => {
+                // every column after `status` is empty but the note
                 out.push_str(",skipped");
-                out.push_str(&",".repeat(27));
-                out.push(',');
+                out.push_str(&",".repeat(COLUMNS.split(',').count() - 1));
                 out.push_str(&csv_field(reason));
             }
             Ok((data, _)) => {

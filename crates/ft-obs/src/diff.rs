@@ -16,6 +16,7 @@ pub enum TraceDiff {
     },
     /// The traces disagree, first at line `index` (0-based).
     Divergence {
+        /// The first differing line.
         index: usize,
         /// The left trace's line, or `None` if it ended first.
         left: Option<String>,

@@ -21,46 +21,95 @@ use crate::json::{push_f64, push_u64};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent<'a> {
     /// A live call arrival sampled `src → dst` (terminal indices).
-    Arrival { src: u32, dst: u32 },
+    Arrival {
+        /// Input terminal.
+        src: u32,
+        /// Output terminal.
+        dst: u32,
+    },
     /// The arrival was admitted with a circuit along `path`.
     Connect {
+        /// Session token of the new circuit.
         token: u32,
+        /// Input terminal.
         src: u32,
+        /// Output terminal.
         dst: u32,
+        /// The circuit's vertex ids.
         path: &'a [u32],
     },
     /// The arrival found an endpoint already in use.
-    BusyReject { src: u32, dst: u32 },
+    BusyReject {
+        /// Input terminal.
+        src: u32,
+        /// Output terminal.
+        dst: u32,
+    },
     /// The arrival found no idle path (the paper's blocking event).
-    Block { src: u32, dst: u32 },
+    Block {
+        /// Input terminal.
+        src: u32,
+        /// Output terminal.
+        dst: u32,
+    },
     /// An established call hung up normally.
-    Hangup { token: u32 },
-    /// A switch failed (`open` = stuck-open, else stuck-closed);
-    /// `episode` marks the first strike of a new storm episode.
+    Hangup {
+        /// Session token of the call.
+        token: u32,
+    },
+    /// A switch failed.
     Fault {
+        /// The failed switch (edge index).
         switch: u32,
+        /// Stuck-open (`true`) or stuck-closed.
         open: bool,
+        /// First strike of a new storm episode.
         episode: bool,
     },
     /// The fault killed this session's circuit.
-    Kill { token: u32, slot: u32 },
-    /// A reroute attempt for a killed call; on success `token`/`path`
-    /// identify the re-established circuit (0/empty on failure).
-    Reroute {
+    Kill {
+        /// Session token of the killed call.
         token: u32,
+        /// Router slot the session held.
+        slot: u32,
+    },
+    /// A reroute attempt for a killed call.
+    Reroute {
+        /// Session token of the re-established circuit (0 on failure).
+        token: u32,
+        /// Input terminal.
         src: u32,
+        /// Output terminal.
         dst: u32,
+        /// Whether a circuit was found.
         ok: bool,
+        /// The new circuit's vertex ids (empty on failure).
         path: &'a [u32],
     },
     /// A scheduled backoff retry fired for a still-pending call.
-    Retry { token: u32 },
+    Retry {
+        /// Session token of the call.
+        token: u32,
+    },
     /// The degradation ladder shed a killed call without retrying.
-    Shed { token: u32, src: u32, dst: u32 },
+    Shed {
+        /// Session token of the call.
+        token: u32,
+        /// Input terminal.
+        src: u32,
+        /// Output terminal.
+        dst: u32,
+    },
     /// A failed switch was repaired.
-    Repair { switch: u32 },
-    /// A degraded episode closed; `span` is its length in sim-time.
-    RecoveryClose { span: f64 },
+    Repair {
+        /// The repaired switch (edge index).
+        switch: u32,
+    },
+    /// A degraded episode closed.
+    RecoveryClose {
+        /// The episode's length in sim-time.
+        span: f64,
+    },
 }
 
 impl TraceEvent<'_> {
@@ -142,6 +191,7 @@ pub struct TraceBuf {
 }
 
 impl TraceBuf {
+    /// An empty trace.
     pub fn new() -> Self {
         Self::default()
     }
@@ -166,10 +216,12 @@ impl TraceBuf {
         &self.buf
     }
 
+    /// The NDJSON text.
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.buf).expect("the trace is ASCII")
     }
 
+    /// The NDJSON text, taking the buffer.
     pub fn into_string(self) -> String {
         String::from_utf8(self.buf).expect("the trace is ASCII")
     }

@@ -121,6 +121,7 @@ impl PartialEq for Hist {
 impl Eq for Hist {}
 
 impl Hist {
+    /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
@@ -177,6 +178,7 @@ impl Hist {
         self.buckets.iter().map(|&(_, c)| c).sum()
     }
 
+    /// Whether no sample has been recorded.
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
     }

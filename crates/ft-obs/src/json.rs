@@ -1,5 +1,5 @@
-//! Byte-level JSON renderers: the numbers of the NDJSON trace and the
-//! string literal every hand-rolled JSON writer in the workspace shares.
+//! Byte-level JSON: the number renderers of the NDJSON trace and
+//! [`JsonWriter`], the writer every other JSON artifact goes through.
 //!
 //! `push_u64` and `push_f64` append straight to a `Vec<u8>` and produce
 //! exactly the bytes `format!("{n}")` and `format!("{x}")` do. Integers
@@ -157,27 +157,238 @@ fn shortest_fixed(x: f64) -> Option<(u64, u32)> {
     Some((u64::try_from(n).ok()?, d))
 }
 
-/// `s` as a JSON string literal: quotes, `\"`, `\\`, `\n`, and `\u00XX`
-/// for the other control characters.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` as a JSON string literal: quotes, `\"`, `\\`, `\n`, and
+/// `\u00XX` for the other control characters.
+fn push_str(buf: &mut Vec<u8>, s: &str) {
+    buf.push(b'"');
+    for b in s.bytes() {
+        match b {
+            b'"' => buf.extend_from_slice(b"\\\""),
+            b'\\' => buf.extend_from_slice(b"\\\\"),
+            b'\n' => buf.extend_from_slice(b"\\n"),
+            b if b < 0x20 => {
+                let _ = write!(buf, "\\u{b:04x}");
+            }
+            b => buf.push(b),
         }
     }
-    out.push('"');
-    out
+    buf.push(b'"');
+}
+
+/// A value [`JsonWriter`] renders as one JSON scalar.
+pub trait Scalar {
+    /// Appends the JSON text of `self` to `buf`.
+    fn write_json(&self, buf: &mut Vec<u8>);
+}
+
+/// A number with a fixed count of decimals: `Fixed(x, d)` renders as
+/// `format!("{x:.d$}")` does.
+#[derive(Clone, Copy, Debug)]
+pub struct Fixed(pub f64, pub usize);
+
+/// `impl Scalar for $t` with `$v: &$t` appended to `$buf` by `$write`.
+macro_rules! scalars {
+    ($($t:ty => |$v:ident, $buf:ident| $write:expr;)+) => {$(
+        impl Scalar for $t {
+            fn write_json(&self, $buf: &mut Vec<u8>) {
+                let $v = self;
+                $write;
+            }
+        }
+    )+};
+}
+
+scalars! {
+    u64 => |v, buf| push_u64(buf, *v);
+    u32 => |v, buf| push_u64(buf, u64::from(*v));
+    usize => |v, buf| push_u64(buf, *v as u64);
+    f64 => |v, buf| push_f64(buf, *v);
+    bool => |v, buf| buf.extend_from_slice(if *v { b"true" } else { b"false" });
+    str => |v, buf| push_str(buf, v);
+    String => |v, buf| push_str(buf, v);
+    Fixed => |v, buf| write!(buf, "{:.*}", v.1, v.0).expect("writing to a Vec cannot fail");
+}
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_json(&self, buf: &mut Vec<u8>) {
+        (**self).write_json(buf);
+    }
+}
+
+/// How a container lays out its members.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// One member per line, indented two spaces per open container; the
+    /// closing bracket gets a line of its own.
+    Block,
+    /// All members on one line: `{"a": 1, "b": 2}`, `[1, 2]`.
+    Inline,
+}
+
+/// The one JSON writer of the workspace: reports, study tables, the
+/// service report and replay streams all go through it.
+///
+/// Containers open with [`object`](Self::object) or [`array`](Self::array)
+/// and close with [`end`](Self::end); an object member is a
+/// [`key`](Self::key) followed by its value, and [`field`](Self::field)
+/// writes a key with a scalar. The writer places the `, ` or `,\n`
+/// between members and the indentation itself, and ends every top-level
+/// value with a newline — one value is a document, a run of inline
+/// objects is NDJSON. Numbers render exactly as `{n}` and `{x}` print
+/// them (through `push_u64`/`push_f64`), strings escaped.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    buf: Vec<u8>,
+    /// Open containers, innermost last: closing byte, layout, and
+    /// whether a member has been written.
+    stack: Vec<(u8, Layout, bool)>,
+    /// A key was just written, so its value takes no separator.
+    keyed: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens an object as the next value.
+    pub fn object(&mut self, layout: Layout) -> &mut Self {
+        self.open(b'{', b'}', layout)
+    }
+
+    /// Opens an array as the next value.
+    pub fn array(&mut self, layout: Layout) -> &mut Self {
+        self.open(b'[', b']', layout)
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        let (close, layout, _) = self.stack.pop().expect("end() without an open container");
+        if layout == Layout::Block {
+            self.newline();
+        }
+        self.buf.push(close);
+        self.ended()
+    }
+
+    /// Starts the object member `key`; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        push_str(&mut self.buf, key);
+        self.buf.extend_from_slice(b": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Writes a scalar as the next value.
+    pub fn value(&mut self, v: impl Scalar) -> &mut Self {
+        self.separate();
+        v.write_json(&mut self.buf);
+        self.ended()
+    }
+
+    /// Writes the object member `key: v`.
+    pub fn field(&mut self, key: &str, v: impl Scalar) -> &mut Self {
+        self.key(key).value(v)
+    }
+
+    /// The text written; every container must be closed.
+    pub fn finish(self) -> String {
+        assert!(self.stack.is_empty(), "finish() with an open container");
+        String::from_utf8(self.buf).expect("the writer emits UTF-8 only")
+    }
+
+    fn open(&mut self, open: u8, close: u8, layout: Layout) -> &mut Self {
+        self.separate();
+        self.buf.push(open);
+        self.stack.push((close, layout, false));
+        self
+    }
+
+    /// Writes what goes before the next value: nothing after a key or at
+    /// the top level, else the innermost container's separator.
+    fn separate(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        let Some((_, layout, started)) = self.stack.last_mut() else {
+            return;
+        };
+        let (layout, first) = (*layout, !std::mem::replace(started, true));
+        match layout {
+            Layout::Block => {
+                if !first {
+                    self.buf.push(b',');
+                }
+                self.newline();
+            }
+            Layout::Inline if !first => self.buf.extend_from_slice(b", "),
+            Layout::Inline => {}
+        }
+    }
+
+    /// A line break indented to the depth of the open containers.
+    fn newline(&mut self) {
+        self.buf.push(b'\n');
+        let indent = self.buf.len() + 2 * self.stack.len();
+        self.buf.resize(indent, b' ');
+    }
+
+    /// Ends a top-level value with its newline.
+    fn ended(&mut self) -> &mut Self {
+        if self.stack.is_empty() {
+            self.buf.push(b'\n');
+        }
+        self
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn string_escaping() {
+        let lit = |s: &str| {
+            let mut buf = Vec::new();
+            push_str(&mut buf, s);
+            String::from_utf8(buf).unwrap()
+        };
+        assert_eq!(lit("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(lit("\u{1}"), "\"\\u0001\"");
+        assert_eq!(lit("𝒩 ν=1"), "\"𝒩 ν=1\"");
+    }
+
+    #[test]
+    fn writer_places_separators_and_indentation() {
+        let mut j = JsonWriter::new();
+        j.object(Layout::Block)
+            .field("name", "a\"b")
+            .key("empty")
+            .array(Layout::Block)
+            .end()
+            .key("list")
+            .array(Layout::Inline)
+            .value(1u64)
+            .value(2.5)
+            .end()
+            .key("nested")
+            .object(Layout::Block)
+            .key("row")
+            .object(Layout::Inline)
+            .field("ok", true)
+            .field("x", Fixed(1.0, 3))
+            .end()
+            .end()
+            .end();
+        j.object(Layout::Inline).end();
+        assert_eq!(
+            j.finish(),
+            "{\n  \"name\": \"a\\\"b\",\n  \"empty\": [\n  ],\n  \"list\": [1, 2.5],\n  \
+             \"nested\": {\n    \"row\": {\"ok\": true, \"x\": 1.000}\n  }\n}\n{}\n"
+        );
+    }
 
     /// splitmix64: a seeded stream for the differential tests.
     struct Stream(u64);

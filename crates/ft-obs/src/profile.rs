@@ -40,6 +40,7 @@ impl KvLine {
         self
     }
 
+    /// The finished line.
     pub fn finish(self) -> String {
         self.buf
     }
@@ -56,6 +57,7 @@ pub struct Profiler {
 }
 
 impl Profiler {
+    /// A profiler that records only if `enabled`.
     pub fn new(enabled: bool) -> Self {
         Profiler {
             enabled,
@@ -63,6 +65,7 @@ impl Profiler {
         }
     }
 
+    /// Whether sections are recorded.
     pub fn enabled(&self) -> bool {
         self.enabled
     }

@@ -29,43 +29,23 @@ use std::time::Instant;
 use ft_failure::SwitchState;
 use ft_graph::{Digraph, EdgeId};
 use ft_networks::{RouteError, SessionId};
-use ft_obs::Hist;
+use ft_obs::{Fixed, Hist, JsonWriter, Layout};
 use ft_sim::{CoreBuffers, Fabric, FabricSpec, SwitchingCore};
 
 use crate::protocol::{Request, Response, Status};
 use crate::snapshot::Snapshot;
 
-/// Cumulative service counters. Field order is the snapshot wire order
-/// — append-only; renames or reorders bump the snapshot version.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field names are the documentation (and the snapshot format)
-pub struct Counters {
-    pub offered: u64,
-    pub connected: u64,
-    pub blocked: u64,
-    pub busy: u64,
-    pub shed: u64,
-    pub deadline_expired: u64,
-    pub duplicate: u64,
-    pub bad_arg: u64,
-    pub disconnected: u64,
-    pub unknown_disconnects: u64,
-    pub faults: u64,
-    pub fault_noops: u64,
-    pub repairs: u64,
-    pub repair_noops: u64,
-    pub killed: u64,
-    pub reloads: u64,
-    pub bad_specs: u64,
-    pub migrated: u64,
-    pub migrate_dropped: u64,
-    pub snapshots: u64,
-    pub recovery_episodes: u64,
-    pub bad_frames: u64,
-}
-
 macro_rules! counter_fields {
     ($($name:ident),* $(,)?) => {
+        /// Cumulative service counters. Field order is the snapshot wire
+        /// order — append-only; renames or reorders bump the snapshot
+        /// version.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        #[allow(missing_docs)] // field names are the documentation (and the snapshot format)
+        pub struct Counters {
+            $(pub $name: u64,)*
+        }
+
         impl Counters {
             /// `(name, value)` pairs in fixed snapshot order.
             pub fn fields(&self) -> Vec<(&'static str, u64)> {
@@ -287,38 +267,30 @@ fn render_report(
     cfg: &EngineConfig,
 ) -> String {
     let c = effective_counters(state, shared);
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str("  \"service\": \"ftserve\",\n");
-    out.push_str(&format!("  \"fabric\": \"{}\",\n", fabric.label()));
-    out.push_str(&format!("  \"terminals\": {},\n", fabric.terminals()));
-    out.push_str(&format!("  \"deterministic\": {},\n", cfg.deterministic));
-    out.push_str(&format!("  \"generations\": {},\n", state.generations));
-    out.push_str(&format!("  \"restored\": {},\n", state.restored));
-    out.push_str("  \"counters\": {\n");
-    let fields = c.fields();
-    for (i, (key, value)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
+    let mut j = JsonWriter::new();
+    j.object(Layout::Block)
+        .field("service", "ftserve")
+        .field("fabric", fabric.label())
+        .field("terminals", fabric.terminals())
+        .field("deterministic", cfg.deterministic)
+        .field("generations", state.generations)
+        .field("restored", state.restored)
+        .key("counters")
+        .object(Layout::Block);
+    for (key, value) in c.fields() {
+        j.field(key, value);
     }
-    out.push_str("  },\n");
-    out.push_str("  \"path_hops\": {\n");
-    out.push_str(&format!("    \"count\": {},\n", state.path_hist.count()));
-    out.push_str(&format!(
-        "    \"p50\": {:.3},\n",
-        state.path_hist.quantile(50.0)
-    ));
-    out.push_str(&format!(
-        "    \"p90\": {:.3},\n",
-        state.path_hist.quantile(90.0)
-    ));
-    out.push_str(&format!(
-        "    \"p99\": {:.3}\n",
-        state.path_hist.quantile(99.0)
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    let hops = &state.path_hist;
+    j.end()
+        .key("path_hops")
+        .object(Layout::Block)
+        .field("count", hops.count())
+        .field("p50", Fixed(hops.quantile(50.0), 3))
+        .field("p90", Fixed(hops.quantile(90.0), 3))
+        .field("p99", Fixed(hops.quantile(99.0), 3))
+        .end()
+        .end();
+    j.finish()
 }
 
 fn render_metrics(

@@ -67,7 +67,7 @@ pub use events::{Event, EventKind, EventQueue};
 pub use fabric::Fabric;
 pub use inject::{FaultInjector, FaultSpec, RerouteMode, RetryPolicy, Strike};
 pub use metrics::{erlang_b, Bucket, Metrics};
-pub use report::Report;
+pub use report::{stat, Report, Stat};
 pub use scenario::{FabricSpec, Scenario, ScenarioBuilder, SCENARIO_KEYS};
 pub use staticcheck::{pair_blocking_estimate, pair_blocking_estimate_scalar};
 pub use stream::{export_stream, StreamEvent, StreamKind};

@@ -1,15 +1,16 @@
 //! JSON reports: per-seed rows plus cross-seed aggregates.
 //!
-//! The writer is hand-rolled (no serde in the offline container) and
-//! deterministic: fixed key order, Rust's shortest-round-trip float
-//! formatting, `\n` separators — a fixed `(scenario, seeds)` pair
-//! renders a byte-identical report on every run, which
-//! `tests/determinism.rs` pins.
+//! The report goes through [`ft_obs::JsonWriter`] and is deterministic:
+//! fixed key order, Rust's shortest-round-trip float formatting, `\n`
+//! separators — a fixed `(scenario, seeds)` pair renders a
+//! byte-identical report on every run, which `tests/determinism.rs`
+//! pins.
 
 use crate::engine::SeedOutcome;
 use crate::fabric::Fabric;
+use crate::metrics::Metrics;
 use crate::scenario::Scenario;
-use ft_obs::json_str;
+use ft_obs::{Hist, JsonWriter, Layout};
 
 /// A finished sweep, ready to render.
 #[derive(Clone, Debug)]
@@ -28,30 +29,56 @@ pub struct Report {
     pub outcomes: Vec<SeedOutcome>,
 }
 
-/// Mean and sample standard deviation of `xs`.
-fn mean_std(xs: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+/// Mean, sample standard deviation and 95% CI half-width over `xs`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Stat {
+    /// Sample mean.
+    pub mean: f64,
+    /// Sample standard deviation (n−1 denominator; 0 for n ≤ 1).
+    pub std: f64,
+    /// Normal-approximation 95% half-width `1.96·std/√n`.
+    pub ci95: f64,
+}
+
+/// Computes a [`Stat`] over an exact-sized iterator of samples.
+pub fn stat(xs: impl Iterator<Item = f64> + Clone) -> Stat {
     let n = xs.clone().count();
     if n == 0 {
-        return (0.0, 0.0);
+        return Stat {
+            mean: 0.0,
+            std: 0.0,
+            ci95: 0.0,
+        };
     }
     let mean = xs.clone().sum::<f64>() / n as f64;
     if n == 1 {
-        return (mean, 0.0);
+        return Stat {
+            mean,
+            std: 0.0,
+            ci95: 0.0,
+        };
     }
     let var = xs.map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-    (mean, var.sqrt())
+    let std = var.sqrt();
+    Stat {
+        mean,
+        std,
+        ci95: 1.96 * std / (n as f64).sqrt(),
+    }
 }
 
-fn push_kv(out: &mut String, indent: &str, key: &str, value: &str, last: bool) {
-    out.push_str(indent);
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(value);
-    if !last {
-        out.push(',');
-    }
-    out.push('\n');
+/// Writes the `reroute_latency_quantiles` member: p50, p99 and p999 of
+/// merged reroute-latency histograms, in events and in sim-time.
+pub fn write_latency_quantiles(j: &mut JsonWriter, events: &Hist, time: &Hist) {
+    j.key("reroute_latency_quantiles")
+        .object(Layout::Inline)
+        .field("events_p50", events.quantile(50.0) as u64)
+        .field("events_p99", events.quantile(99.0) as u64)
+        .field("events_p999", events.quantile(99.9) as u64)
+        .field("time_p50", time.quantile(50.0))
+        .field("time_p99", time.quantile(99.0))
+        .field("time_p999", time.quantile(99.9))
+        .end();
 }
 
 impl Report {
@@ -76,458 +103,138 @@ impl Report {
         }
     }
 
-    /// Mean blocking probability across seeds.
-    pub fn mean_blocking(&self) -> f64 {
-        mean_std(
-            self.outcomes
-                .iter()
-                .map(|o| o.metrics.blocking_probability()),
-        )
-        .0
-    }
-
     /// Renders the deterministic JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
+        use Layout::{Block, Inline};
         let c = &self.scenario.config;
-        out.push_str("{\n");
-        out.push_str("  \"scenario\": {\n");
-        push_kv(
-            &mut out,
-            "    ",
-            "network",
-            &json_str(&self.scenario.fabric.to_spec_string()),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "fabric",
-            &json_str(&self.fabric_label),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "switches",
-            &self.fabric_switches.to_string(),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "terminals",
-            &self.fabric_terminals.to_string(),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "pattern",
-            &json_str(&format!("{:?}", c.pattern)),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "holding",
-            &json_str(&format!("{:?}", c.holding)),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "arrival_rate",
-            &c.arrival_rate.to_string(),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "offered_erlangs",
-            &(c.arrival_rate * c.holding.mean()).to_string(),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "fault_rate",
-            &c.fault_rate.to_string(),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "fault_open_share",
-            &c.fault_open_share.to_string(),
-            false,
-        );
-        push_kv(&mut out, "    ", "mttr", &c.mttr.to_string(), false);
-        push_kv(
-            &mut out,
-            "    ",
-            "faults",
-            &json_str(&c.faults.to_spec_string()),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "retry",
-            &json_str(&c.retry.to_spec_string()),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "reroute",
-            &json_str(c.reroute.to_spec_string()),
-            false,
-        );
-        push_kv(&mut out, "    ", "duration", &c.duration.to_string(), false);
-        push_kv(&mut out, "    ", "warmup", &c.warmup.to_string(), false);
-        push_kv(
-            &mut out,
-            "    ",
-            "seed_base",
-            &self.scenario.seed_base.to_string(),
-            false,
-        );
-        push_kv(
-            &mut out,
-            "    ",
-            "seeds",
-            &self.scenario.seeds.to_string(),
-            true,
-        );
-        out.push_str("  },\n");
-
-        out.push_str("  \"per_seed\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
+        let mut j = JsonWriter::new();
+        j.object(Block)
+            .key("scenario")
+            .object(Block)
+            .field("network", self.scenario.fabric.to_spec_string())
+            .field("fabric", &self.fabric_label)
+            .field("switches", self.fabric_switches)
+            .field("terminals", self.fabric_terminals)
+            .field("pattern", format!("{:?}", c.pattern))
+            .field("holding", format!("{:?}", c.holding))
+            .field("arrival_rate", c.arrival_rate)
+            .field("offered_erlangs", c.arrival_rate * c.holding.mean())
+            .field("fault_rate", c.fault_rate)
+            .field("fault_open_share", c.fault_open_share)
+            .field("mttr", c.mttr)
+            .field("faults", c.faults.to_spec_string())
+            .field("retry", c.retry.to_spec_string())
+            .field("reroute", c.reroute.to_spec_string())
+            .field("duration", c.duration)
+            .field("warmup", c.warmup)
+            .field("seed_base", self.scenario.seed_base)
+            .field("seeds", self.scenario.seeds)
+            .end()
+            .key("per_seed")
+            .array(Block);
+        for o in &self.outcomes {
             let m = &o.metrics;
-            out.push_str("    {\n");
-            push_kv(&mut out, "      ", "seed", &o.seed.to_string(), false);
-            push_kv(&mut out, "      ", "events", &o.events.to_string(), false);
-            push_kv(
-                &mut out,
-                "      ",
-                "fingerprint",
-                &json_str(&format!("{:#018x}", o.fingerprint)),
-                false,
-            );
-            push_kv(&mut out, "      ", "offered", &m.offered.to_string(), false);
-            push_kv(
-                &mut out,
-                "      ",
-                "connected",
-                &m.connected.to_string(),
-                false,
-            );
-            push_kv(&mut out, "      ", "blocked", &m.blocked.to_string(), false);
-            push_kv(
-                &mut out,
-                "      ",
-                "rejected_busy",
-                &m.rejected_busy.to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "completed",
-                &m.completed.to_string(),
-                false,
-            );
-            push_kv(&mut out, "      ", "dropped", &m.dropped.to_string(), false);
-            push_kv(
-                &mut out,
-                "      ",
-                "rerouted",
-                &m.rerouted.to_string(),
-                false,
-            );
-            push_kv(&mut out, "      ", "moved", &m.moved.to_string(), false);
-            push_kv(
-                &mut out,
-                "      ",
-                "abandoned",
-                &m.abandoned.to_string(),
-                false,
-            );
-            push_kv(&mut out, "      ", "faults", &m.faults.to_string(), false);
-            push_kv(&mut out, "      ", "repairs", &m.repairs.to_string(), false);
-            push_kv(&mut out, "      ", "storms", &m.storms.to_string(), false);
-            push_kv(&mut out, "      ", "shed", &m.shed.to_string(), false);
-            push_kv(
-                &mut out,
-                "      ",
-                "degraded_time",
-                &m.degraded_time.to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "recovery_episodes",
-                &m.recovery_count.to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "time_to_recover",
-                &m.time_to_recover_mean().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "dropped_per_storm",
-                &m.dropped_per_storm().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "blocking_probability",
-                &m.blocking_probability().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "busy_rejection",
-                &m.busy_rejection().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "drop_rate",
-                &m.drop_rate().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "mean_path_len",
-                &m.mean_path_len().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "max_path_len",
-                &m.max_path_len.to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "carried_erlangs",
-                &m.carried_erlangs().to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
+            j.object(Block);
+            j.field("seed", o.seed);
+            j.field("events", o.events);
+            j.field("fingerprint", format!("{:#018x}", o.fingerprint));
+            j.field("offered", m.offered);
+            j.field("connected", m.connected);
+            j.field("blocked", m.blocked);
+            j.field("rejected_busy", m.rejected_busy);
+            j.field("completed", m.completed);
+            j.field("dropped", m.dropped);
+            j.field("rerouted", m.rerouted);
+            j.field("moved", m.moved);
+            j.field("abandoned", m.abandoned);
+            j.field("faults", m.faults);
+            j.field("repairs", m.repairs);
+            j.field("storms", m.storms);
+            j.field("shed", m.shed);
+            j.field("degraded_time", m.degraded_time);
+            j.field("recovery_episodes", m.recovery_count);
+            j.field("time_to_recover", m.time_to_recover_mean());
+            j.field("dropped_per_storm", m.dropped_per_storm());
+            j.field("blocking_probability", m.blocking_probability());
+            j.field("busy_rejection", m.busy_rejection());
+            j.field("drop_rate", m.drop_rate());
+            j.field("mean_path_len", m.mean_path_len());
+            j.field("max_path_len", m.max_path_len);
+            j.field("carried_erlangs", m.carried_erlangs());
+            j.field(
                 "mean_reroute_latency_events",
-                &m.mean_reroute_latency_events().to_string(),
-                false,
+                m.mean_reroute_latency_events(),
             );
-            push_kv(
-                &mut out,
-                "      ",
+            j.field(
                 "reroute_latency_events_p50",
-                &m.reroute_latency_events_pct(50.0).to_string(),
-                false,
+                m.reroute_latency_events_pct(50.0),
             );
-            push_kv(
-                &mut out,
-                "      ",
+            j.field(
                 "reroute_latency_events_p99",
-                &m.reroute_latency_events_pct(99.0).to_string(),
-                false,
+                m.reroute_latency_events_pct(99.0),
             );
-            push_kv(
-                &mut out,
-                "      ",
-                "reroute_latency_time_p50",
-                &m.reroute_latency_time_pct(50.0).to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "reroute_latency_time_p99",
-                &m.reroute_latency_time_pct(99.0).to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
+            j.field("reroute_latency_time_p50", m.reroute_latency_time_pct(50.0));
+            j.field("reroute_latency_time_p99", m.reroute_latency_time_pct(99.0));
+            j.field(
                 "reroute_latency_events_p999",
-                &m.reroute_latency_events_pct(99.9).to_string(),
-                false,
+                m.reroute_latency_events_pct(99.9),
             );
-            push_kv(
-                &mut out,
-                "      ",
+            j.field(
                 "reroute_latency_time_p999",
-                &m.reroute_latency_time_pct(99.9).to_string(),
-                false,
+                m.reroute_latency_time_pct(99.9),
             );
-            push_kv(
-                &mut out,
-                "      ",
-                "setup_cost_p50",
-                &m.setup_cost_hist.quantile(50.0).to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "setup_cost_p99",
-                &m.setup_cost_hist.quantile(99.0).to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "path_len_p50",
-                &m.path_len_hist.quantile(50.0).to_string(),
-                false,
-            );
-            push_kv(
-                &mut out,
-                "      ",
-                "path_len_p99",
-                &m.path_len_hist.quantile(99.0).to_string(),
-                false,
-            );
-            let utilisation: Vec<String> = (0..m.stage_busy_time.len())
-                .map(|s| m.stage_utilisation(s, self.stage_sizes[s]).to_string())
-                .collect();
-            push_kv(
-                &mut out,
-                "      ",
-                "stage_utilisation",
-                &format!("[{}]", utilisation.join(", ")),
-                false,
-            );
-            let occupancy_p99: Vec<String> = m
-                .stage_occupancy_hist
-                .iter()
-                .map(|h| h.quantile(99.0).to_string())
-                .collect();
-            push_kv(
-                &mut out,
-                "      ",
-                "stage_occupancy_p99",
-                &format!("[{}]", occupancy_p99.join(", ")),
-                false,
-            );
-            let buckets: Vec<String> = m
-                .buckets
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"offered\": {}, \"connected\": {}, \"blocked\": {}, \"dropped\": {}}}",
-                        b.offered, b.connected, b.blocked, b.dropped
-                    )
-                })
-                .collect();
-            push_kv(
-                &mut out,
-                "      ",
-                "buckets",
-                &format!("[{}]", buckets.join(", ")),
-                true,
-            );
-            out.push_str(if i + 1 == self.outcomes.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
+            j.field("setup_cost_p50", m.setup_cost_hist.quantile(50.0));
+            j.field("setup_cost_p99", m.setup_cost_hist.quantile(99.0));
+            j.field("path_len_p50", m.path_len_hist.quantile(50.0));
+            j.field("path_len_p99", m.path_len_hist.quantile(99.0));
+            j.key("stage_utilisation").array(Inline);
+            let stages = self.stage_sizes.iter().enumerate();
+            for (s, &size) in stages.take(m.stage_busy_time.len()) {
+                j.value(m.stage_utilisation(s, size));
+            }
+            j.end().key("stage_occupancy_p99").array(Inline);
+            for h in &m.stage_occupancy_hist {
+                j.value(h.quantile(99.0));
+            }
+            j.end().key("buckets").array(Inline);
+            for b in &m.buckets {
+                j.object(Inline)
+                    .field("offered", b.offered)
+                    .field("connected", b.connected)
+                    .field("blocked", b.blocked)
+                    .field("dropped", b.dropped)
+                    .end();
+            }
+            j.end().end();
         }
-        out.push_str("  ],\n");
-
-        out.push_str("  \"aggregate\": {\n");
-        let stats = [
+        j.end().key("aggregate").object(Block);
+        for (name, metric) in [
             (
                 "blocking_probability",
-                mean_std(
-                    self.outcomes
-                        .iter()
-                        .map(|o| o.metrics.blocking_probability()),
-                ),
+                Metrics::blocking_probability as fn(&_) -> _,
             ),
-            (
-                "busy_rejection",
-                mean_std(self.outcomes.iter().map(|o| o.metrics.busy_rejection())),
-            ),
-            (
-                "drop_rate",
-                mean_std(self.outcomes.iter().map(|o| o.metrics.drop_rate())),
-            ),
-            (
-                "carried_erlangs",
-                mean_std(self.outcomes.iter().map(|o| o.metrics.carried_erlangs())),
-            ),
-            (
-                "mean_path_len",
-                mean_std(self.outcomes.iter().map(|o| o.metrics.mean_path_len())),
-            ),
-            (
-                "time_to_recover",
-                mean_std(
-                    self.outcomes
-                        .iter()
-                        .map(|o| o.metrics.time_to_recover_mean()),
-                ),
-            ),
-            (
-                "dropped_per_storm",
-                mean_std(self.outcomes.iter().map(|o| o.metrics.dropped_per_storm())),
-            ),
-        ];
-        for (name, (mean, std)) in stats.iter() {
-            push_kv(
-                &mut out,
-                "    ",
-                name,
-                &format!("{{\"mean\": {mean}, \"std\": {std}}}"),
-                false,
-            );
+            ("busy_rejection", Metrics::busy_rejection),
+            ("drop_rate", Metrics::drop_rate),
+            ("carried_erlangs", Metrics::carried_erlangs),
+            ("mean_path_len", Metrics::mean_path_len),
+            ("time_to_recover", Metrics::time_to_recover_mean),
+            ("dropped_per_storm", Metrics::dropped_per_storm),
+        ] {
+            let s = stat(self.outcomes.iter().map(|o| metric(&o.metrics)));
+            j.key(name).object(Inline);
+            j.field("mean", s.mean).field("std", s.std).end();
         }
         // Cross-seed latency quantiles from the *merged* histograms —
         // exact (not a mean of per-seed quantiles) and byte-identical
         // however the seeds were partitioned over workers.
-        let mut events = ft_obs::Hist::new();
-        let mut time = ft_obs::Hist::new();
+        let (mut events, mut time) = (Hist::new(), Hist::new());
         for o in &self.outcomes {
             events.merge(&o.metrics.reroute_hist_events);
             time.merge(&o.metrics.reroute_hist_time);
         }
-        push_kv(
-            &mut out,
-            "    ",
-            "reroute_latency_quantiles",
-            &format!(
-                "{{\"events_p50\": {}, \"events_p99\": {}, \"events_p999\": {}, \
-                 \"time_p50\": {}, \"time_p99\": {}, \"time_p999\": {}}}",
-                events.quantile(50.0) as u64,
-                events.quantile(99.0) as u64,
-                events.quantile(99.9) as u64,
-                time.quantile(50.0),
-                time.quantile(99.0),
-                time.quantile(99.9),
-            ),
-            true,
-        );
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+        write_latency_quantiles(&mut j, &events, &time);
+        j.end().end();
+        j.finish()
     }
 }
 
@@ -614,19 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn string_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn mean_std_basics() {
-        let (m, s) = mean_std([1.0, 3.0].into_iter());
-        assert_eq!(m, 2.0);
-        assert!((s - std::f64::consts::SQRT_2).abs() < 1e-12);
-        let (m, s) = mean_std(std::iter::empty());
-        assert_eq!((m, s), (0.0, 0.0));
-        let (m, s) = mean_std([5.0].into_iter());
-        assert_eq!((m, s), (5.0, 0.0));
+    fn stat_basics() {
+        let s = stat([1.0, 3.0].into_iter());
+        assert_eq!(s.mean, 2.0);
+        assert!((s.std - std::f64::consts::SQRT_2).abs() < 1e-12);
+        assert!((s.ci95 - 1.96 * s.std / 2.0f64.sqrt()).abs() < 1e-12);
+        let zero = Stat {
+            mean: 0.0,
+            std: 0.0,
+            ci95: 0.0,
+        };
+        assert_eq!(stat(std::iter::empty()), zero);
+        let one = stat([5.0].into_iter());
+        assert_eq!((one.mean, one.std, one.ci95), (5.0, 0.0, 0.0));
     }
 }

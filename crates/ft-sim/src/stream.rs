@@ -27,6 +27,7 @@
 use crate::scenario::Scenario;
 use crate::workload::{exp_draw, TrafficPattern};
 use ft_graph::gen::{random_permutation, rng};
+use ft_obs::{JsonWriter, Layout};
 
 /// One replayable service request (or fault-process strike) at a
 /// virtual timestamp.
@@ -274,25 +275,25 @@ fn push_fault_schedule(
 /// shortest-round-trip float formatting the reports use — parseable by
 /// [`parse_ndjson`] and by line-oriented tools.
 pub fn render_ndjson(events: &[StreamEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 64);
+    let mut j = JsonWriter::new();
     for e in events {
-        let t = e.time;
+        j.object(Layout::Inline).field("t", e.time);
         match e.kind {
-            StreamKind::Connect { id, src, dst } => out.push_str(&format!(
-                "{{\"t\": {t}, \"ev\": \"connect\", \"id\": {id}, \"src\": {src}, \"dst\": {dst}}}\n"
-            )),
-            StreamKind::Disconnect { id } => {
-                out.push_str(&format!("{{\"t\": {t}, \"ev\": \"disconnect\", \"id\": {id}}}\n"))
-            }
-            StreamKind::Fault { switch, open } => out.push_str(&format!(
-                "{{\"t\": {t}, \"ev\": \"fault\", \"switch\": {switch}, \"open\": {open}}}\n"
-            )),
-            StreamKind::Repair { switch } => out.push_str(&format!(
-                "{{\"t\": {t}, \"ev\": \"repair\", \"switch\": {switch}}}\n"
-            )),
-        }
+            StreamKind::Connect { id, src, dst } => j
+                .field("ev", "connect")
+                .field("id", id)
+                .field("src", src)
+                .field("dst", dst),
+            StreamKind::Disconnect { id } => j.field("ev", "disconnect").field("id", id),
+            StreamKind::Fault { switch, open } => j
+                .field("ev", "fault")
+                .field("switch", switch)
+                .field("open", open),
+            StreamKind::Repair { switch } => j.field("ev", "repair").field("switch", switch),
+        };
+        j.end();
     }
-    out
+    j.finish()
 }
 
 /// Parses the NDJSON rendering back into events — the exact inverse of

@@ -7,7 +7,7 @@
 #      the report must show nonzero shed AND nonzero recovery episodes;
 #   2. graceful shutdown must exit 0 on both sides;
 #   3. two --deterministic lockstep runs must produce byte-identical
-#      final reports;
+#      final reports that parse as JSON;
 #   4. kill -9 mid-run, then restart on the same --snapshot file: the
 #      revived server must report restored=true with counters at least
 #      as large as the snapshot it inherited.
@@ -79,7 +79,11 @@ cmp "$WORK/det_a.json" "$WORK/det_b.json" || {
     diff "$WORK/det_a.json" "$WORK/det_b.json" >&2 || true
     exit 1
 }
-echo "  byte-identical across two runs"
+python3 -m json.tool "$WORK/det_a.json" >/dev/null || {
+    echo "server_smoke: deterministic report is not valid JSON" >&2
+    exit 1
+}
+echo "  byte-identical across two runs, valid JSON"
 
 echo "== 4/4: kill -9, snapshot restart =="
 "$FTSERVE" "$SCENARIO" --port-file "$WORK/port9" --snapshot "$WORK/kill.snap" \
