@@ -1,4 +1,4 @@
-//! Routing kernels (E11's Criterion counterpart): greedy permutation
+//! Routing kernels behind §4's "routing is cheap": greedy permutation
 //! routing on 𝒩, the looping algorithm on Beneš, and churn steps.
 
 use criterion::{criterion_group, criterion_main, Criterion};

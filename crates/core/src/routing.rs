@@ -14,8 +14,8 @@
 //!
 //! A *blocked* request against a certificate-passing survivor is a
 //! counterexample to Theorem 2 — integration tests assert it never
-//! happens; the experiment binaries count blocks on purpose at stress
-//! ε where certification fails.
+//! happens; the simulator and the study runner count blocks on purpose
+//! at stress ε where certification fails.
 
 use crate::network::FtNetwork;
 use crate::repair::Survivor;

@@ -1,8 +1,8 @@
 //! Closed-form bounds from the paper, as executable formulas.
 //!
 //! Every probabilistic lemma of §5/§6 comes with an explicit numeric
-//! bound; the experiment binaries print these columns next to the
-//! Monte-Carlo estimates. Functions are parameterized exactly as the
+//! bound; the claim tests (`tests/paper_claims.rs` at the repository
+//! root) hold Monte-Carlo estimates against them. Functions are parameterized exactly as the
 //! paper states them (width factor 64, degree 10) unless noted;
 //! generalizations to reduced profiles take the profile explicitly.
 //!

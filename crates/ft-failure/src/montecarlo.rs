@@ -3,8 +3,8 @@
 //! Every probabilistic claim in the paper (Lemmas 3–7, Theorem 2's δ) is
 //! reproduced by sampling failure instances. This module provides the
 //! shared estimator: Bernoulli trials, Wilson score intervals (robust at
-//! the extreme probabilities the paper lives at), and a threaded driver
-//! for the expensive end-to-end experiments.
+//! the extreme probabilities the paper lives at), and the bit-sliced
+//! threaded drivers whose estimates do not depend on the thread count.
 
 use crate::instance::FailureInstance;
 use crate::model::FailureModel;
@@ -86,45 +86,6 @@ pub fn estimate_probability(
     Estimate { successes, trials }
 }
 
-/// Threaded variant: `make_worker(worker_seed)` builds a per-thread
-/// closure that runs one trial. Deterministic for a fixed `(seed,
-/// threads)` pair. Use when a single trial is expensive (end-to-end
-/// routing experiments on reduced 𝒩 profiles).
-pub fn estimate_probability_parallel<F>(
-    trials: u64,
-    threads: usize,
-    seed: u64,
-    make_worker: impl Fn(u64) -> F + Sync,
-) -> Estimate
-where
-    F: FnMut(&mut SmallRng) -> bool + Send,
-{
-    let threads = threads.max(1);
-    let per = trials / threads as u64;
-    let extra = trials % threads as u64;
-    let mut result = Estimate {
-        successes: 0,
-        trials: 0,
-    };
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let quota = per + if (t as u64) < extra { 1 } else { 0 };
-            let worker_seed =
-                seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-            let make_worker = &make_worker;
-            handles.push(scope.spawn(move || {
-                let mut worker = make_worker(worker_seed);
-                estimate_probability(quota, worker_seed, &mut worker)
-            }));
-        }
-        for h in handles {
-            result = result.merge(h.join().expect("monte carlo worker panicked"));
-        }
-    });
-    result
-}
-
 /// Per-worker scratch state for zero-allocation trial loops: one
 /// traversal workspace, one flow workspace and one union–find, each
 /// reused (and cleared in O(touched) / O(n)) across every trial the
@@ -195,8 +156,7 @@ impl LaneVerdict {
 ///
 /// A block's outcome depends only on `(seed, block index)` — never on
 /// which worker ran it — so the estimate is **byte-identical across
-/// thread counts** (the quota-splitting [`estimate_probability_parallel`]
-/// does not have this property).
+/// thread counts**.
 pub fn mc_sliced_event_probability_parallel<G, FL, FS>(
     g: &G,
     model: &FailureModel,
@@ -381,23 +341,6 @@ mod tests {
         let a = estimate_probability(1000, 5, |rng| rng.random::<f64>() < 0.5);
         let b = estimate_probability(1000, 5, |rng| rng.random::<f64>() < 0.5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_matches_quota_and_converges() {
-        let e = estimate_probability_parallel(10_001, 4, 11, |_| {
-            |rng: &mut SmallRng| rng.random::<f64>() < 0.7
-        });
-        assert_eq!(e.trials, 10_001);
-        assert!((e.p() - 0.7).abs() < 0.02, "estimate {}", e.p());
-    }
-
-    #[test]
-    fn parallel_single_thread_matches_serial_shape() {
-        let e = estimate_probability_parallel(500, 1, 13, |_| {
-            |rng: &mut SmallRng| rng.random::<f64>() < 0.2
-        });
-        assert_eq!(e.trials, 500);
     }
 
     #[test]

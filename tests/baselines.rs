@@ -2,14 +2,28 @@
 //! comparison needs them to.
 
 use fault_tolerant_switching::core::lowerbound::{short_terminal_paths, zone_audit_with};
+use fault_tolerant_switching::core::theory;
 use fault_tolerant_switching::failure::contraction::terminals_shorted;
-use fault_tolerant_switching::failure::{FailureInstance, FailureModel};
+use fault_tolerant_switching::failure::montecarlo::estimate_probability;
+use fault_tolerant_switching::failure::{Estimate, FailureInstance, FailureModel};
 use fault_tolerant_switching::graph::distance::nearest_other_terminal;
 use fault_tolerant_switching::graph::gen::{random_permutation, rng};
+use fault_tolerant_switching::graph::{Digraph, StagedNetwork};
 use fault_tolerant_switching::networks::verify::{
     churn_finds_blocking, verify_rearrangeable_exhaustive,
 };
 use fault_tolerant_switching::networks::{Benes, Butterfly, CircuitRouter, Clos};
+use fault_tolerant_switching::sim::Fabric;
+
+/// P[two inputs of `net` short] with only closed failures at rate
+/// `eps_close`, over `trials` seeded trials.
+fn input_short_estimate(net: &StagedNetwork, eps_close: f64, trials: u64) -> Estimate {
+    let model = FailureModel::new(0.0, eps_close);
+    let m = net.num_edges();
+    estimate_probability(trials, 0xE3, |rng| {
+        terminals_shorted(net, &FailureInstance::sample(&model, rng, m), net.inputs())
+    })
+}
 
 #[test]
 fn benes_is_rearrangeable() {
@@ -110,6 +124,72 @@ fn lemma2_pipeline_extracts_disjoint_short_paths_on_benes() {
             assert!(used.insert(e), "paths share a host edge");
         }
     }
+}
+
+#[test]
+fn ftn_inputs_are_all_good_at_threshold_4() {
+    // Theorem 1's structure, present in 𝒩: every input is good and
+    // every zone out to h = 2 holds the 32 switches of its grid fan
+    for nu in [1u32, 2] {
+        let fabric = Fabric::ftn_reduced(nu, 8, 8, 1.0);
+        let net = fabric.net();
+        let audit = zone_audit_with(net, net.inputs(), 4, 2);
+        assert_eq!(audit.good_terminals, net.inputs().len(), "nu={nu}");
+        assert_eq!(audit.min_zone_edges, Some(32), "nu={nu}");
+    }
+}
+
+#[test]
+fn shorting_at_quarter_rises_with_n_on_benes_and_butterfly() {
+    // Lemma 2 on both O(n log n) baselines: its pipeline pairs every
+    // input with another through ≤ 3 switches, no-short is at most
+    // (1 − ε₂^len)^paths, and P[short] at ε₂ = ¼ climbs with n (Beneš
+    // 0.47 at n = 8, 0.99 at n = 64)
+    for name in ["benes", "butterfly"] {
+        let mut below: Option<Estimate> = None;
+        for k in 3..=6u32 {
+            let net = match name {
+                "benes" => Benes::new(k).net,
+                _ => Butterfly::new(k).net,
+            };
+            let n = 1usize << k;
+            let max_j = theory::lemma2_distance_threshold(n).ceil() as u32 + 2;
+            let l2 = short_terminal_paths(&net, net.inputs(), max_j);
+            assert!(l2.paths.len() >= n / 2 && l2.max_len <= 3, "{name}({n})");
+            let est = input_short_estimate(&net, 0.25, 2000);
+            let (lo, hi) = est.wilson95();
+            let bound = theory::lemma2_no_short_probability(l2.paths.len(), l2.max_len, 0.25);
+            assert!(
+                1.0 - hi <= bound,
+                "{name}({n}): no-short above {bound}, {est:?}"
+            );
+            if let Some(prev) = below {
+                assert!(lo > prev.wilson95().1, "{name}({n}) {est:?} vs {prev:?}");
+            }
+            below = Some(est);
+        }
+    }
+}
+
+#[test]
+fn ftn_vs_benes_input_shorting_crossover() {
+    // 𝒩 (reduced ν = 2) against Beneš(16), inputs only. At ε₂ ≤ 0.02
+    // 𝒩's inputs short in none of 1000 trials. At ε₂ = 0.1 𝒩 shorts
+    // *more* than Beneš (0.80 vs 0.16): with 87× the switches it offers
+    // far more closed paths. At 0.02 the two are not separable in 1000
+    // trials (0 vs 5 events), so no order is claimed there.
+    let ftn = Fabric::ftn_reduced(2, 8, 8, 1.0);
+    let benes = Fabric::benes(4);
+    for eps2 in [0.005, 0.02] {
+        let est = input_short_estimate(ftn.net(), eps2, 1000);
+        assert!(est.wilson95().1 <= 0.01, "eps2={eps2}: {est:?}");
+    }
+    let ftn_est = input_short_estimate(ftn.net(), 0.1, 1000);
+    let benes_est = input_short_estimate(benes.net(), 0.1, 1000);
+    assert!(
+        ftn_est.wilson95().0 > benes_est.wilson95().1,
+        "N {ftn_est:?} vs Benes {benes_est:?}"
+    );
 }
 
 #[test]

@@ -1,11 +1,15 @@
 //! Paper-constant pinning: every number the paper states that our
 //! construction can check mechanically, checked mechanically.
 
+use fault_tolerant_switching::core::lowerbound::lemma1_short_paths;
 use fault_tolerant_switching::core::network::FtNetwork;
 use fault_tolerant_switching::core::params::{gamma_for, Params};
 use fault_tolerant_switching::core::theory;
 use fault_tolerant_switching::expander::paper::{expansion_factor, ExpanderSpec};
-use fault_tolerant_switching::failure::onenet::construct_onenet;
+use fault_tolerant_switching::failure::onenet::{construct_onenet, depth_constant, size_constant};
+use fault_tolerant_switching::failure::{Connectivity, FailureModel};
+use fault_tolerant_switching::graph::ids::v;
+use fault_tolerant_switching::graph::DiGraph;
 
 #[test]
 fn gamma_sandwich_34_136() {
@@ -126,6 +130,87 @@ fn proposition1_constants_bounded_over_sweep() {
     }
     assert!(max_c < 30.0, "size constant blew up: {max_c}");
     assert!(max_d < 5.0, "depth constant blew up: {max_d}");
+}
+
+#[test]
+fn proposition1_constants_bounded_at_other_eps() {
+    // the same sweep at ε = ¼ and ε = 1/100: the constants depend on
+    // ε (they grow as ε approaches ½) but stay bounded in ε′
+    for (eps, max_c, max_d) in [(0.25, 30.0, 10.0), (0.01, 30.0, 5.0)] {
+        for ep in [1e-1, 1e-2, 1e-3, 1e-4, 1e-6]
+            .into_iter()
+            .filter(|&ep| ep < eps)
+        {
+            let net = construct_onenet(eps, ep);
+            assert!(net.certified.p_open < ep && net.certified.p_short < ep);
+            let (c, d) = (size_constant(&net, ep), depth_constant(&net, ep));
+            assert!(c < max_c, "eps={eps} eps'={ep}: size constant {c}");
+            assert!(d < max_d, "eps={eps} eps'={ep}: depth constant {d}");
+        }
+    }
+}
+
+#[test]
+fn proposition1_certified_pair_matches_monte_carlo() {
+    // the series–parallel calculus is exact: Monte Carlo on the built
+    // (0.1, 10⁻³)-1-network brackets both certified failure modes
+    let net = construct_onenet(0.1, 1e-3);
+    let model = FailureModel::symmetric(0.1);
+    let (open, short) = net
+        .net
+        .mc_failure_probs(&model, Connectivity::Undirected, 200_000, 99);
+    for (exact, est) in [(net.certified.p_open, open), (net.certified.p_short, short)] {
+        let (lo, hi) = est.wilson95();
+        assert!(lo <= exact && exact <= hi, "exact {exact} outside {est:?}");
+    }
+}
+
+#[test]
+fn census_formula_rows_up_to_nu_6() {
+    // Theorem 2 beyond the buildable ν ≤ 2: our census carries the
+    // grid diagonals the paper's count omits, so it is never below the
+    // paper's 1408ν·4^{ν+γ}; and 4ν switches of depth stay ≤ 5 log₄ n
+    for nu in 1..=6u32 {
+        let p = Params::paper_exact(nu);
+        assert!(p.predicted_size() >= p.paper_census(), "nu={nu}");
+        assert_eq!(p.depth(), 4 * nu);
+        assert!(p.depth() as f64 <= theory::theorem2_depth_bound(p.n()));
+    }
+}
+
+#[test]
+fn lemma5_family_bound_at_paper_eps() {
+    // Lemma 5: the union over 𝓜's whole expander family at ν = 2,
+    // ε = 10⁻⁶ is 8.14·10⁻⁷
+    let b = theory::lemma5_family_bound(&Params::paper_exact(2), 1e-6);
+    assert!(b < 1e-6, "bound {b}");
+}
+
+#[test]
+fn figure1_bad_leaf_and_figure2_demo_tree() {
+    // Fig. 1: leaf 0 hangs off a binary tree of depth 3, so its nearest
+    // other leaf is 4 away and it is bad; the 8 good leaves still pair
+    // up into 4 edge-disjoint short paths
+    let mut g = DiGraph::new();
+    g.add_vertices(16);
+    g.add_edge(v(0), v(1));
+    for p in 1..8u32 {
+        g.add_edge(v(p), v(2 * p));
+        g.add_edge(v(p), v(2 * p + 1));
+    }
+    let r = lemma1_short_paths(&g);
+    assert_eq!((r.num_leaves, r.good_leaves, r.paths.len()), (9, 8, 4));
+    // Fig. 2: a centre with 3 branch children of 2 leaves each — every
+    // leaf is good and sibling pairs give 3 paths
+    let mut g = DiGraph::new();
+    g.add_vertices(10);
+    for c in 1..=3u32 {
+        g.add_edge(v(0), v(c));
+        g.add_edge(v(c), v(2 * c + 2));
+        g.add_edge(v(c), v(2 * c + 3));
+    }
+    let r = lemma1_short_paths(&g);
+    assert_eq!((r.num_leaves, r.good_leaves, r.paths.len()), (6, 6, 3));
 }
 
 #[test]
