@@ -26,9 +26,11 @@ use std::path::{Path, PathBuf};
 /// `moved` reroute-churn counter did, and to v5 when the trailing
 /// `ok <fnv1a>` checksum line was added (a truncation that clips the
 /// final histogram value mid-digit still parses as a valid shorter
-/// histogram, so structure checks alone cannot catch every torn tail)
-/// — older files are clean misses.
-const VERSION: &str = "ftexp cell-cache v5";
+/// histogram, so structure checks alone cannot catch every torn tail),
+/// and to v6 when the sliced failure sampler's sparse stream changed
+/// (a v5 cell's `static_*` estimate came from the old stream and must
+/// never be served beside new ones) — older files are clean misses.
+const VERSION: &str = "ftexp cell-cache v6";
 
 /// The cache file path for a cell hash.
 pub fn cell_path(dir: &Path, hash: u64) -> PathBuf {

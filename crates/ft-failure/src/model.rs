@@ -127,24 +127,26 @@ impl FailureModel {
     ///
     /// The bit-sliced sampler
     /// ([`sample_sliced_into`](Self::sample_sliced_into)) keys off the
-    /// **same constant**: below it each of the 64 lanes replicates this
-    /// sparse geometric-gap path bit-identically (lane-major), at or
-    /// above it the block switches to the MSB-first lane-comparator
-    /// fill. Keeping one cutoff means "which regime am I in" has a
-    /// single answer for a given model, whichever sampler runs.
+    /// **same constant**: below it one switch-major alias-table walk
+    /// visits only the block's failed lanes, at or above it the block
+    /// switches to the MSB-first lane-comparator fill. Keeping one
+    /// cutoff means "which regime am I in" has a single answer for a
+    /// given model, whichever sampler runs.
     pub const DENSE_CUTOFF: f64 = 1.0 / 16.0;
 
     /// Samples states for `m` switches into the packed mask `out`
     /// (reset to `m` switches).
     ///
     /// This is the **scalar** path: one instance per call, used by the
-    /// per-trial drivers, the `trials % 64` tails of the sliced drivers,
-    /// and the scalar-fallback replay of undecided lanes. The
-    /// **bit-sliced** path
+    /// per-trial drivers ([`FailureInstance::sample`] and `resample`).
+    /// The **bit-sliced** path
     /// ([`sample_sliced_into`](Self::sample_sliced_into)) samples 64
-    /// instances at once into a `SlicedFailureMask`; in the sparse
-    /// regime its lane *i* is bit-identical to the *i*-th consecutive
-    /// call of this function on the same RNG.
+    /// instances at once into a `SlicedFailureMask` from its own stream;
+    /// the sliced Monte Carlo drivers, their scalar references and their
+    /// `trials % 64` tails all take their instances from its lanes, not
+    /// from this function.
+    ///
+    /// [`FailureInstance::sample`]: crate::FailureInstance::sample
     ///
     /// Two regimes:
     ///
@@ -157,9 +159,9 @@ impl FailureModel {
     /// * **dense**: whole-word fill — each `u64` draw decides two
     ///   switches by 32-bit threshold comparison (quantisation bias
     ///   < 2⁻³², far below Monte Carlo resolution) and 32 switches land
-    ///   in one packed store. The sliced sampler's dense regime uses a
-    ///   different (also pinned) stream — equivalence between the two
-    ///   samplers is distributional there, not bitwise.
+    ///   in one packed store. The sliced sampler uses different (also
+    ///   pinned) streams in both regimes — equivalence between the two
+    ///   samplers is distributional, not bitwise.
     pub fn sample_into(&self, rng: &mut SmallRng, m: usize, out: &mut FailureMask) {
         out.reset(m);
         let p = self.total();

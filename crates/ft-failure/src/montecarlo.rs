@@ -151,8 +151,8 @@ impl LaneVerdict {
 /// [`LANES`]; each block samples one [`SlicedFailureMask`] from its
 /// [`block_seed`]-derived RNG and asks `lane_event` for all 64 verdicts
 /// at once. Lanes the event leaves undecided are unpacked and replayed
-/// through `scalar_event`; the trailing `trials % LANES` trials run
-/// entirely scalar from the next block's seed.
+/// through `scalar_event`; the trailing `trials % LANES` trials are the
+/// first lanes of the next block, unpacked and run entirely scalar.
 ///
 /// A block's outcome depends only on `(seed, block index)` — never on
 /// which worker ran it — so the estimate is **byte-identical across
@@ -217,10 +217,12 @@ where
     });
     if rem > 0 {
         let mut rng = SmallRng::seed_from_u64(block_seed(seed, blocks));
+        let mut sliced = SlicedFailureMask::new();
+        model.sample_sliced_into(&mut rng, m, &mut sliced);
         let mut inst = FailureInstance::perfect(m);
         let mut scratch = TrialScratch::new(n);
-        for _ in 0..rem {
-            inst.resample(model, &mut rng, m);
+        for lane in 0..rem as usize {
+            sliced.extract_lane_into(lane, inst.mask_mut());
             if scalar_event(g, &inst, &mut scratch) {
                 successes += 1;
             }
@@ -376,11 +378,11 @@ mod tests {
         use ft_graph::sliced::sliced_reach_into;
         use ft_graph::traversal::{bfs_into, Direction};
         use ft_graph::DiGraph;
-        // Sparse regime, so lane i of a block is bit-identical to the
-        // i-th consecutive scalar sample: a lane-deciding event, the
-        // all-lanes-undecided worst case (every trial through the
-        // scalar fallback), and every thread count must produce the
-        // *same* estimate — 10_070 trials leaves a 22-trial scalar tail.
+        // Trial t is lane t % 64 of block t / 64 on every path: a
+        // lane-deciding event, the all-lanes-undecided worst case (every
+        // trial through the scalar fallback), and every thread count
+        // must produce the *same* estimate — 10_070 trials leaves a
+        // 22-trial scalar tail.
         let mut g = DiGraph::new();
         g.add_vertices(3);
         g.add_edge(v(0), v(1));

@@ -181,15 +181,13 @@ impl TwoTerminal {
     /// over the lanes' usable switches (open verdicts) and an undirected
     /// sweep over the closed plane alone (short verdicts; the word-level
     /// equivalent of the union–find contraction). The `trials % LANES`
-    /// tail runs scalar from the next block's seed.
+    /// tail runs scalar on the first lanes of the next block.
     ///
     /// [`Self::mc_failure_probs_scalar`] is the pinned scalar reference:
-    /// in the sparse sampling regime (`total < DENSE_CUTOFF`) the two
-    /// return **exactly** equal estimates; in the dense regime the
-    /// sliced sampler draws its own stream and the two agree only
-    /// statistically. Transpose equivalence of the per-lane *verdicts*
-    /// given the same instances holds in both regimes (pinned by the
-    /// equivalence tests).
+    /// it takes trial *t* from lane `t % 64` of block `t / 64`, so the
+    /// two return **exactly** equal estimates in every regime, on shared
+    /// instances, and the equality checks the lane-parallel sweeps
+    /// against BFS and union–find.
     pub fn mc_failure_probs(
         &self,
         model: &FailureModel,
@@ -249,10 +247,10 @@ impl TwoTerminal {
     }
 
     /// Scalar reference for [`Self::mc_failure_probs`]: identical block
-    /// partition and seeding, but each lane is sampled and evaluated as
+    /// partition and seeding, but each lane is unpacked and evaluated as
     /// one scalar trial (packed instance + BFS + union–find). Exactly
-    /// equal to the sliced estimates in the sparse regime — the CI
-    /// cross-check pins this.
+    /// equal to the sliced estimates in every regime, on shared
+    /// instances.
     pub fn mc_failure_probs_scalar(
         &self,
         model: &FailureModel,
@@ -291,9 +289,9 @@ impl TwoTerminal {
         )
     }
 
-    /// Runs `count` scalar trials of block `block` (also the shared
-    /// remainder path of both drivers): consecutive `sample_into` calls
-    /// from the block's RNG, each evaluated with BFS + union–find.
+    /// Runs the first `count` trials of block `block` scalar-side (also
+    /// the shared remainder path of both drivers): lanes `0..count` of
+    /// the block's sliced sample, each evaluated with BFS + union–find.
     fn mc_failure_probs_tail(
         &self,
         model: &FailureModel,
@@ -305,13 +303,15 @@ impl TwoTerminal {
     ) -> (u64, u64) {
         let m = self.graph.num_edges();
         let mut rng = ft_graph::gen::rng(block_seed(seed, block));
+        let mut sliced = SlicedFailureMask::new();
+        model.sample_sliced_into(&mut rng, m, &mut sliced);
         let mut inst = FailureInstance::perfect(m);
         let mut ws = TraversalWorkspace::new();
         let mut uf = UnionFind::new(self.graph.num_vertices());
         let mut opens = 0u64;
         let mut shorts = 0u64;
-        for _ in 0..count {
-            inst.resample(model, &mut rng, m);
+        for lane in 0..count as usize {
+            sliced.extract_lane_into(lane, inst.mask_mut());
             bfs_into(
                 csr,
                 &[self.source],
@@ -507,15 +507,50 @@ mod tests {
     }
 
     #[test]
-    fn sliced_equals_scalar_exactly_in_sparse_regime() {
-        // non-multiple-of-64 trial count exercises the scalar tail too
+    fn sliced_equals_scalar_exactly() {
+        // non-multiple-of-64 trial count exercises the scalar tail too;
+        // one sparse and one dense model
         let b = bridge();
-        for conn in [Connectivity::Undirected, Connectivity::Directed] {
-            let model = FailureModel::new(0.02, 0.03);
-            assert!(model.total() < FailureModel::DENSE_CUTOFF);
-            let sliced = b.mc_failure_probs(&model, conn, 10_037, 3);
-            let scalar = b.mc_failure_probs_scalar(&model, conn, 10_037, 3);
-            assert_eq!(sliced, scalar, "{conn:?}");
+        for model in [FailureModel::new(0.02, 0.03), FailureModel::new(0.2, 0.1)] {
+            for conn in [Connectivity::Undirected, Connectivity::Directed] {
+                let sliced = b.mc_failure_probs(&model, conn, 10_037, 3);
+                let scalar = b.mc_failure_probs_scalar(&model, conn, 10_037, 3);
+                assert_eq!(sliced, scalar, "{model:?} {conn:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_sliced_estimates_cover_the_exact_polynomial() {
+        // The sparse sampler's law end to end: the exact enumeration
+        // must lie inside the 99.9 % Wilson interval of the sliced
+        // estimate, for both failure modes, on the bridge (failure
+        // quadratic in ε) and on a chain of 6 switches in series
+        // (open failure ≈ 6ε₁, so the open/closed split shows even at
+        // ε = 10⁻³, where most gaps are alias-table tails).
+        use crate::sp::SpNetwork;
+        let chain = SpNetwork::series_of(6, SpNetwork::Switch).to_two_terminal();
+        for (name, net) in [("bridge", bridge()), ("chain of 6", chain)] {
+            for model in [
+                FailureModel::symmetric(1e-3),
+                FailureModel::new(0.01, 0.03),
+                FailureModel::symmetric(0.03),
+            ] {
+                assert!(model.total() < FailureModel::DENSE_CUTOFF);
+                let exact = net.exact_failure_probs(&model, Connectivity::Undirected);
+                let (open, short) =
+                    net.mc_failure_probs(&model, Connectivity::Undirected, 64 * 2_000, 71);
+                for (what, est, want) in [
+                    ("open", open, exact.p_open),
+                    ("short", short, exact.p_short),
+                ] {
+                    let (lo, hi) = est.wilson(3.2905);
+                    assert!(
+                        lo <= want && want <= hi,
+                        "{name} {model:?} {what}: exact {want} outside [{lo}, {hi}]"
+                    );
+                }
+            }
         }
     }
 

@@ -9,23 +9,35 @@
 //! reachability kernel (`ft_graph::sliced`), `closed_word(s)` drives
 //! lane-parallel shorting checks.
 //!
-//! ## Per-lane seeding discipline
+//! ## Block streams and the trial = lane contract
 //!
 //! Trials are grouped in blocks of [`LANES`] and each block owns one
 //! RNG: [`block_seed`]`(seed, b)` derives the block's seed with the
 //! same golden-ratio multiply the thread-pool workers use, and
 //! [`FailureModel::sample_sliced_into`] consumes that single xoshiro
-//! stream. The discipline per regime (cutoff
+//! stream. Trial *t* of every Monte Carlo driver is **lane `t % 64` of
+//! block `t / 64`** — the sliced drivers read it from the planes, the
+//! scalar references and the `trials % 64` tails unpack it with
+//! [`SlicedFailureMask::extract_lane_into`]. A sliced estimate and its
+//! scalar twin therefore see the same instances in every regime, so
+//! they are exactly equal; what that equality checks is the
+//! lane-parallel repair and reach kernels, not the sampler. The
+//! sampler's law has its own tests (below, and end to end against the
+//! exact failure polynomials in [`crate::reliability`]). Two regimes
+//! (cutoff
 //! [`FailureModel::DENSE_CUTOFF`], as in the scalar sampler):
 //!
-//! * **sparse** (`total < DENSE_CUTOFF`): lanes are filled
-//!   *lane-major* — lane 0's geometric-gap pass first, then lane 1's,
-//!   … — replicating the scalar [`FailureModel::sample_into`] loop
-//!   draw for draw. Lane *i* of a sliced block is therefore
-//!   **bit-identical** to the *i*-th consecutive scalar `sample_into`
-//!   from the same block RNG, which is what lets the sliced and scalar
-//!   Monte Carlo drivers produce *exactly* equal estimates (pinned by
-//!   the CI cross-check).
+//! * **sparse** (`total < DENSE_CUTOFF`): **one ascending pass over the
+//!   flattened index `j = 64·switch + lane`**. The positions are i.i.d.,
+//!   so the walk draws the gap to the next failed position and that
+//!   failure's state jointly: one `u64` goes through a 512-bucket
+//!   Walker/Vose alias table on the `2³²` lattice whose events are
+//!   (gap `k < 255`, open | closed) and (gap ≥ 255, open | closed).
+//!   A tail gap is resolved by memorylessness — `255 + ⌊ln u / ln q⌋`,
+//!   one more draw — so ε = 10⁻⁶ stays O(failures), while at
+//!   ε₁ = ε₂ = 0.02 the tail has probability `0.96²⁵⁵ ≈ 3·10⁻⁵` and a
+//!   failed lane costs one draw. The table is built at the first
+//!   sparse fill of a model and cached in the mask.
 //! * **dense**: a bit-sliced two-threshold comparator. For each switch
 //!   the lanes' 32-bit uniforms are generated *bitwise*, MSB first —
 //!   one `u64` draw yields bit *j* of all 64 lanes — and compared
@@ -33,11 +45,11 @@
 //!   word-fill. Lanes decide (strictly below / at-or-above a
 //!   threshold) after ~2 bits on average, so a switch costs ~8 draws
 //!   for 64 lanes (~¼ of the scalar dense path's 32) while sampling the
-//!   *exact* same quantised trichotomy per lane. The dense stream is
-//!   its own pinned sequence (golden fingerprints in
-//!   `tests/determinism.rs`), *not* the scalar one — scalar≡sliced in
-//!   the dense regime is distributional plus kernel-level transpose
-//!   equivalence, not stream equality.
+//!   *exact* same quantised trichotomy per lane.
+//!
+//! Both streams are their own pinned sequences (golden fingerprints in
+//! `tests/determinism.rs`), not the scalar [`FailureModel::sample_into`]
+//! one.
 //!
 //! ## Why the mask tracks its own dirty set
 //!
@@ -49,13 +61,12 @@
 //! re-zeroes exactly those, making a sparse block O(failures) end to
 //! end. Dense fills mark the mask dense and reset by memset.
 //!
-//! A sparse fill is a stream of writes to random switches, so its cost
-//! is memory and branch behaviour, not drawing. The two planes are
-//! therefore stored interleaved (`[open, closed]` per switch: one cache
-//! line per touch, and the first-touch test reads what the write needs
-//! anyway), and the write itself has no branch on the data — the plane
-//! is picked by index, and the log slot is written unconditionally with
-//! only the log *length* depending on whether the touch was the first.
+//! A sparse fill is a stream of writes in ascending switch order, one
+//! per failed lane. The two planes are stored interleaved (`[open, closed]` per switch: one cache line per touch,
+//! and the first-touch test reads what the write needs anyway), and the
+//! write itself has no branch on the data — the plane is picked by
+//! index, and the log slot is written unconditionally with only the
+//! log *length* depending on whether the touch was the first.
 
 use crate::mask::FailureMask;
 use crate::model::{FailureModel, SwitchState};
@@ -84,20 +95,142 @@ pub fn block_seed(seed: u64, block: u64) -> u64 {
 /// one of closed bits (bit *i* = lane *i*).
 #[derive(Clone, Debug, Default)]
 pub struct SlicedFailureMask {
-    /// `[open, closed]` per switch, interleaved: a sparse fill lands on
-    /// a random switch, and both of its words share one cache line.
+    /// `[open, closed]` per switch, interleaved: a sparse fill touches
+    /// both words of a switch, and they share one cache line.
     planes: Vec<[u64; 2]>,
     /// First-touch log: `dirty[..dirty_len]` are the switches with a
-    /// nonzero `open | closed` word, each exactly once. Ascending after
-    /// a dense fill, unordered after a sparse one (lane-major filling
-    /// revisits positions). Kept one slot longer than `planes` (once
-    /// sized), so a fill can always write slot `dirty_len` and advance
-    /// only on a first touch — no branch on the data.
+    /// nonzero `open | closed` word, each exactly once, ascending (both
+    /// fills walk the switches in order). Kept one slot longer than
+    /// `planes` (once sized), so a fill can always write slot
+    /// `dirty_len` and advance only on a first touch — no branch on the
+    /// data.
     dirty: Vec<u32>,
     dirty_len: usize,
     /// Whether the last fill was dense (reset by memset) or sparse
     /// (reset via `dirty`).
     dense: bool,
+    /// The sparse fill's alias table, for the model of the last sparse
+    /// fill. Inline, so a mask costs no allocation beyond its planes.
+    gaps: GapTable,
+}
+
+/// Gap classes of the sparse walk: a gap of `k < TAIL_GAP` normal
+/// positions before the next failed one is its own class, `TAIL_GAP`
+/// stands for every gap ≥ `TAIL_GAP`.
+const TAIL_GAP: usize = 255;
+
+/// Events of the sparse walk: event `c` is gap class `c >> 1` followed
+/// by a failure that is open (`c & 1 == 0`) or closed (`c & 1 == 1`).
+/// Also the number of alias buckets, one per event, so bucket `b`
+/// keeps event `b`.
+const EVENTS: usize = 2 * (TAIL_GAP + 1);
+
+/// One bucket's share of the `2³²` lattice.
+const UNIT: u64 = 1 << 32;
+
+/// Walker/Vose alias table over the sparse walk's [`EVENTS`], on the
+/// `2³²` lattice: a `u64` draw picks bucket `b` with its top 9 bits and
+/// yields event `b` if its low 32 bits are below `thresh[b]`, else
+/// `alias[b]`. Each event's lattice mass is within one unit of
+/// `P(event) · 2⁴¹`, and the masses fill `EVENTS · 2³²` exactly.
+#[derive(Clone, Debug, PartialEq)]
+struct GapTable {
+    /// Bit patterns of the `(ε₁, ε₂)` the table was built for; `None`
+    /// before the first build.
+    key: Option<[u64; 2]>,
+    thresh: [u32; EVENTS],
+    alias: [u16; EVENTS],
+}
+
+impl Default for GapTable {
+    fn default() -> Self {
+        GapTable {
+            key: None,
+            thresh: [0; EVENTS],
+            alias: [0; EVENTS],
+        }
+    }
+}
+
+impl GapTable {
+    /// Rebuilds the table for `model` unless it is already built for it.
+    fn ensure(&mut self, model: &FailureModel) {
+        let key = [model.eps_open.to_bits(), model.eps_close.to_bits()];
+        if self.key != Some(key) {
+            self.build(model);
+            self.key = Some(key);
+        }
+    }
+
+    /// `P(gap = k, state) = qᵏ·ε_state` for `k < TAIL_GAP` and
+    /// `P(gap ≥ TAIL_GAP, state) = q^TAIL_GAP·ε_state / p`, rounded to
+    /// integer masses through the running sum (so each is within one
+    /// unit of its target and they add up to `EVENTS · 2³²` exactly),
+    /// then paired into buckets by Vose's method in integer arithmetic.
+    fn build(&mut self, model: &FailureModel) {
+        let p = model.total();
+        let ln_q = (-p).ln_1p();
+        let total = EVENTS as u64 * UNIT;
+        let mut mass = [0u64; EVENTS];
+        let (mut acc, mut below) = (0.0f64, 0u64);
+        for (c, w) in mass.iter_mut().enumerate() {
+            let k = c >> 1;
+            let eps = [model.eps_open, model.eps_close][c & 1];
+            let share = if k == TAIL_GAP { eps / p } else { eps };
+            acc += total as f64 * (k as f64 * ln_q).exp() * share;
+            let upto = if c + 1 == EVENTS {
+                total
+            } else {
+                (acc.round() as u64).min(total)
+            };
+            *w = upto - below;
+            below = upto;
+        }
+        let (mut small, mut large) = ([0u16; EVENTS], [0u16; EVENTS]);
+        let (mut ns, mut nl) = (0, 0);
+        for (c, &w) in mass.iter().enumerate() {
+            if w < UNIT {
+                small[ns] = c as u16;
+                ns += 1;
+            } else {
+                large[nl] = c as u16;
+                nl += 1;
+            }
+        }
+        while ns > 0 && nl > 0 {
+            ns -= 1;
+            let s = usize::from(small[ns]);
+            let l = large[nl - 1];
+            self.thresh[s] = mass[s] as u32;
+            self.alias[s] = l;
+            let l = usize::from(l);
+            mass[l] -= UNIT - mass[s];
+            if mass[l] < UNIT {
+                nl -= 1;
+                small[ns] = l as u16;
+                ns += 1;
+            }
+        }
+        // The masses sum to EVENTS units, so the small buckets run out
+        // first and every large one left holds exactly one unit.
+        debug_assert_eq!(ns, 0);
+        for &l in &large[..nl] {
+            let l = usize::from(l);
+            debug_assert_eq!(mass[l], UNIT);
+            self.thresh[l] = u32::MAX;
+            self.alias[l] = l as u16;
+        }
+    }
+
+    /// The event of draw `r`. Own event or alias is a coin flip to a
+    /// branch predictor, so both are loaded and one is picked by mask.
+    #[inline]
+    fn event(&self, r: u64) -> usize {
+        let b = (r >> 55) as usize;
+        let alias = usize::from(self.alias[b]);
+        let keep = usize::from((r as u32) < self.thresh[b]).wrapping_neg();
+        alias ^ ((alias ^ b) & keep)
+    }
 }
 
 impl SlicedFailureMask {
@@ -178,10 +311,10 @@ impl SlicedFailureMask {
         }
     }
 
-    /// Switches that failed in *some* lane, each exactly once,
-    /// unordered. O(that count) after a sparse fill — fault-dependent
-    /// passes (repair masks, contraction) iterate this instead of all
-    /// `m` switches.
+    /// Switches that failed in *some* lane, each exactly once, in
+    /// ascending order. O(that count) after a sparse fill —
+    /// fault-dependent passes (repair masks, contraction) iterate this
+    /// instead of all `m` switches.
     pub fn iter_failed_switches(&self) -> impl Iterator<Item = usize> + '_ {
         self.dirty[..self.dirty_len].iter().map(|&i| i as usize)
     }
@@ -230,11 +363,12 @@ impl FailureModel {
     /// into `out` (reset to `m` switches) from `rng` — normally a fresh
     /// [`block_seed`]-derived stream.
     ///
-    /// See the [module docs](self) for the per-lane seeding discipline:
-    /// below [`Self::DENSE_CUTOFF`] the stream is consumed lane-major
-    /// and each lane is bit-identical to a consecutive scalar
-    /// [`Self::sample_into`]; at or above it a bit-sliced MSB-first
-    /// comparator shares draws across lanes and pins its own stream.
+    /// See the [module docs](self): below [`Self::DENSE_CUTOFF`] one
+    /// ascending alias-table walk over `j = 64·switch + lane` visits
+    /// only the failed lanes; at or above it a bit-sliced MSB-first
+    /// comparator shares draws across lanes. Lane *i* is not the *i*-th
+    /// scalar [`Self::sample_into`]: scalar references take their
+    /// trials from the lanes instead.
     pub fn sample_sliced_into(&self, rng: &mut SmallRng, m: usize, out: &mut SlicedFailureMask) {
         out.reset(m);
         let p = self.total();
@@ -244,33 +378,37 @@ impl FailureModel {
         if p >= Self::DENSE_CUTOFF {
             self.sample_sliced_dense(rng, m, out);
         } else {
-            // Lane-major replication of the scalar geometric-gap loop.
-            let open_share = self.eps_open / p;
-            let ln_q = (1.0 - p).ln();
-            for lane in 0..LANES {
-                let bit = 1u64 << lane;
-                let mut i = 0usize;
-                loop {
-                    let u: f64 = rng.random();
-                    // ⌊skip⌋ ~ Geometric(p): non-failures before the next
-                    // failure. The scalar loop floors the quotient; here
-                    // the comparison and the cast do it (for an integer k,
-                    // x ≥ k ⟺ ⌊x⌋ ≥ k, and `as usize` truncates a
-                    // quotient that is never negative) — same values, no
-                    // libm `floor` call per failure.
-                    let skip = u.ln() / ln_q;
-                    if skip >= (m - i) as f64 {
-                        break;
-                    }
-                    i += skip as usize;
-                    let open = rng.random::<f64>() < open_share;
-                    out.set_lane(i, bit, open);
-                    i += 1;
-                    if i >= m {
-                        break;
-                    }
+            self.sample_sliced_sparse(rng, m, out);
+        }
+    }
+
+    /// Sparse regime: walk the flattened positions `j = 64·switch +
+    /// lane` in ascending order, one alias-table draw per failed lane
+    /// (plus one `f64` for a gap ≥ [`TAIL_GAP`]).
+    fn sample_sliced_sparse(&self, rng: &mut SmallRng, m: usize, out: &mut SlicedFailureMask) {
+        out.gaps.ensure(self);
+        let ln_q = (-self.total()).ln_1p();
+        let end = m * LANES;
+        let mut j = 0usize;
+        while j < end {
+            let c = out.gaps.event(rng.random::<u64>());
+            let mut gap = c >> 1;
+            if gap == TAIL_GAP {
+                // Memoryless: past TAIL_GAP normal positions the gap
+                // starts afresh, ⌊ln u / ln q⌋ ~ Geometric(p). As in the
+                // scalar loop, the compare and the cast do the floor.
+                let skip = rng.random::<f64>().ln() / ln_q;
+                if skip >= (end - j) as f64 - TAIL_GAP as f64 {
+                    break;
                 }
+                gap += skip as usize;
             }
+            j += gap;
+            if j >= end {
+                break;
+            }
+            out.set_lane(j / LANES, 1 << (j % LANES), c & 1 == 0);
+            j += 1;
         }
     }
 
@@ -338,21 +476,124 @@ mod tests {
         (0..m.len()).filter(|&i| m.failed_word(i) != 0).collect()
     }
 
+    /// Lattice mass of every event: its own bucket's threshold plus
+    /// the remainders of the buckets aliased to it, and how many
+    /// buckets contribute.
+    fn table_masses(table: &GapTable) -> ([u64; EVENTS], [u64; EVENTS]) {
+        let (mut mass, mut buckets) = ([0u64; EVENTS], [0u64; EVENTS]);
+        for b in 0..EVENTS {
+            let (own, alias) = (u64::from(table.thresh[b]), usize::from(table.alias[b]));
+            mass[b] += own;
+            mass[alias] += UNIT - own;
+            buckets[b] += 1;
+            buckets[alias] += u64::from(alias != b);
+        }
+        (mass, buckets)
+    }
+
     #[test]
-    fn sparse_lanes_bit_identical_to_consecutive_scalar_samples() {
-        let model = FailureModel::new(0.01, 0.02);
-        assert!(model.total() < FailureModel::DENSE_CUTOFF);
-        let m = 3000;
+    fn alias_table_masses_match_the_lattice_targets() {
+        let mut table = GapTable::default();
+        for (e1, e2) in [(1e-6, 1e-6), (1e-3, 4e-3), (0.02, 0.02), (0.05, 0.01)] {
+            let model = FailureModel::new(e1, e2);
+            assert!(model.total() < FailureModel::DENSE_CUTOFF);
+            table.ensure(&model);
+            let (mass, buckets) = table_masses(&table);
+            assert_eq!(mass.iter().sum::<u64>(), UNIT * EVENTS as u64);
+            let q = 1.0 - model.total();
+            for c in 0..EVENTS {
+                let k = c >> 1;
+                let eps = if c & 1 == 0 { e1 } else { e2 };
+                let prob = if k < TAIL_GAP {
+                    q.powi(k as i32) * eps
+                } else {
+                    q.powi(TAIL_GAP as i32) * eps / model.total()
+                };
+                let target = prob * (UNIT * EVENTS as u64) as f64;
+                assert!(
+                    (mass[c] as f64 - target).abs() <= buckets[c] as f64,
+                    "({e1}, {e2}) event {c}: mass {} vs target {target}",
+                    mass[c]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn alias_table_follows_the_last_sparse_model() {
+        let built = |model: &FailureModel| {
+            let mut table = GapTable::default();
+            table.ensure(model);
+            table
+        };
+        let (a, b) = (FailureModel::symmetric(0.02), FailureModel::new(0.05, 0.01));
+        let dense = FailureModel::symmetric(0.2);
         let mut sliced = SlicedFailureMask::new();
-        model.sample_sliced_into(&mut rng(123), m, &mut sliced);
-        // the scalar side consumes the *same* stream lane-major
-        let mut scalar_rng = rng(123);
-        let mut scalar = FailureMask::new(0);
+        // a dense fill leaves the table alone; a new model rebuilds it
+        for (model, table_for) in [(&a, &a), (&dense, &a), (&b, &b), (&a, &a)] {
+            model.sample_sliced_into(&mut rng(1), 50, &mut sliced);
+            assert_eq!(sliced.gaps, built(table_for), "{model:?}");
+        }
+    }
+
+    /// The sparse walk written the slow way: visit every (switch,
+    /// lane) position in switch-major order, count the pending gap down
+    /// one position at a time, and draw the next event from the same
+    /// RNG and table when the previous failure has been placed.
+    fn replay_sparse(model: &FailureModel, seed: u64, m: usize) -> Vec<FailureMask> {
+        let mut table = GapTable::default();
+        table.ensure(model);
+        let mut r = rng(seed);
+        let mut lanes = vec![FailureMask::new(m); LANES];
+        let mut pending: Option<(u64, SwitchState)> = None;
+        for switch in 0..m {
+            for lane in lanes.iter_mut() {
+                let (left, state) = *pending.get_or_insert_with(|| {
+                    let draw = r.random::<u64>();
+                    let bucket = (draw >> 55) as usize;
+                    let c = if (draw as u32) < table.thresh[bucket] {
+                        bucket
+                    } else {
+                        usize::from(table.alias[bucket])
+                    };
+                    let mut gap = (c >> 1) as u64;
+                    if gap == TAIL_GAP as u64 {
+                        let u: f64 = r.random();
+                        gap = gap.saturating_add((u.ln() / (-model.total()).ln_1p()) as u64);
+                    }
+                    let state = [SwitchState::Open, SwitchState::Closed][c & 1];
+                    (gap, state)
+                });
+                if left == 0 {
+                    lane.set(switch, state);
+                    pending = None;
+                } else {
+                    pending = Some((left - 1, state));
+                }
+            }
+        }
+        lanes
+    }
+
+    #[test]
+    fn sparse_lanes_equal_the_position_by_position_replay() {
+        // tail-heavy: most gaps ≥ TAIL_GAP; table-heavy: almost none
+        let tail_heavy = FailureModel::new(5e-4, 1e-3);
+        let table_heavy = FailureModel::new(0.03, 0.02);
+        let mut sliced = SlicedFailureMask::new();
         let mut lane = FailureMask::new(0);
-        for l in 0..LANES {
-            model.sample_into(&mut scalar_rng, m, &mut scalar);
-            sliced.extract_lane_into(l, &mut lane);
-            assert_eq!(lane, scalar, "lane {l}");
+        for model in [tail_heavy, table_heavy] {
+            for m in [0, 1, 63, 700] {
+                for seed in [3, 4] {
+                    model.sample_sliced_into(&mut rng(seed), m, &mut sliced);
+                    let want = replay_sparse(&model, seed, m);
+                    for (l, want) in want.iter().enumerate() {
+                        sliced.extract_lane_into(l, &mut lane);
+                        assert_eq!(&lane, want, "{model:?} m = {m} seed {seed} lane {l}");
+                    }
+                    assert_dirty_exact(&sliced, &format!("{model:?} m = {m}"));
+                }
+            }
         }
     }
 
@@ -414,14 +655,10 @@ mod tests {
     }
 
     /// The first-touch log lists exactly the switches with a nonzero
-    /// word, each once.
+    /// word, each once, in ascending order (as both fills write it).
     fn assert_dirty_exact(sliced: &SlicedFailureMask, what: &str) {
-        let logged = sliced.iter_failed_switches().count();
-        let mut dirty: Vec<usize> = sliced.iter_failed_switches().collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        assert_eq!(dirty.len(), logged, "{what}: dupes");
-        assert_eq!(dirty, brute_dirty(sliced), "{what}");
+        let logged: Vec<usize> = sliced.iter_failed_switches().collect();
+        assert_eq!(logged, brute_dirty(sliced), "{what}");
     }
 
     #[test]
@@ -435,26 +672,50 @@ mod tests {
     }
 
     #[test]
+    fn first_touch_log_fills_to_its_last_slot() {
+        // every switch touched, in every lane and both planes, three
+        // times over: the log fills to its last slot on the first round
+        // and repeat touches never advance it
+        let mut sliced = SlicedFailureMask::new();
+        for m in [0, 1, 12] {
+            sliced.reset(m);
+            for round in 0..3 {
+                for lane in 0..LANES {
+                    for i in (0..m).rev() {
+                        sliced.set_lane(i, 1 << lane, (i + lane + round) % 2 == 0);
+                        let first = round == 0 && lane == 0;
+                        assert_eq!(sliced.dirty_len, if first { m - i } else { m });
+                    }
+                }
+            }
+            // logged once each, in first-touch order
+            let logged: Vec<usize> = sliced.iter_failed_switches().collect();
+            assert_eq!(logged, (0..m).rev().collect::<Vec<_>>(), "m = {m}");
+            assert!((0..m).all(|i| sliced.failed_word(i) == !0));
+            sliced.reset(m);
+            assert!((0..m).all(|i| sliced.failed_word(i) == 0));
+            assert_eq!(sliced.iter_failed_switches().count(), 0);
+        }
+    }
+
+    #[test]
     fn first_touch_log_survives_its_edge_cases() {
-        // sparse right under the cutoff: over 64 lanes every one of a
-        // few switches is touched, most of them many times — the log
-        // fills to its last slot and repeat touches must not advance it
-        let saturating = FailureModel::new(0.03, FailureModel::DENSE_CUTOFF - 0.03 - 1e-9);
-        assert!(saturating.total() < FailureModel::DENSE_CUTOFF);
+        let near_cutoff = FailureModel::new(0.03, FailureModel::DENSE_CUTOFF - 0.03 - 1e-9);
+        assert!(near_cutoff.total() < FailureModel::DENSE_CUTOFF);
         let sparse = FailureModel::symmetric(0.005);
         let dense = FailureModel::symmetric(0.2);
         let mut sliced = SlicedFailureMask::new();
-        // one mask reused throughout: m = 0 and m = 1, every switch
-        // dirty, shrink and regrow, dense → sparse → dense
+        // one mask reused throughout: m = 0 and m = 1, shrink and
+        // regrow, dense → sparse → dense
         let steps = [
-            (&saturating, 0),
-            (&saturating, 1),
-            (&saturating, 12),
+            (&near_cutoff, 0),
+            (&near_cutoff, 1),
+            (&near_cutoff, 12),
             (&dense, 12),
             (&sparse, 12),
             (&dense, 900),
             (&sparse, 900),
-            (&saturating, 5),
+            (&near_cutoff, 5),
             (&dense, 0),
             (&sparse, 300),
         ];
@@ -462,9 +723,6 @@ mod tests {
             model.sample_sliced_into(&mut rng(40 + step as u64), m, &mut sliced);
             assert_eq!(sliced.len(), m, "step {step}");
             assert_dirty_exact(&sliced, &format!("step {step} (m = {m})"));
-            if std::ptr::eq(model, &saturating) {
-                assert_eq!(sliced.iter_failed_switches().count(), m, "step {step}");
-            }
         }
     }
 

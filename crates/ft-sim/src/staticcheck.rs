@@ -21,9 +21,9 @@ use ft_graph::{Digraph, TraversalWorkspace, VertexId};
 use rand::Rng;
 
 /// Salt separating a block's terminal-pair draws from its failure
-/// sampling, so the sliced driver (which draws all 64 pairs after one
-/// bulk sample) and the scalar reference (which alternates sample and
-/// pair draws) consume identical streams.
+/// sampling, so the sliced driver (which draws all 64 pairs at once)
+/// and the scalar reference (which draws one pair per trial) consume
+/// identical pair streams.
 const PAIR_STREAM_SALT: u64 = 0x517C_C1B7_2722_0A95;
 
 /// Estimates the probability that a uniformly random terminal pair of
@@ -41,8 +41,8 @@ const PAIR_STREAM_SALT: u64 = 0x517C_C1B7_2722_0A95;
 /// buffers of the first block, so the block loop allocates nothing
 /// after it. The `trials % LANES` tail runs scalar. Deterministic per
 /// `(fabric, model, trials, seed)`; [`pair_blocking_estimate_scalar`]
-/// is the pinned reference, exactly equal in the sparse sampling
-/// regime.
+/// is the pinned reference, exactly equal in every regime, on shared
+/// instances.
 pub fn pair_blocking_estimate(
     fabric: &Fabric,
     model: &FailureModel,
@@ -98,11 +98,11 @@ pub fn pair_blocking_estimate(
 }
 
 /// Scalar reference for [`pair_blocking_estimate`]: identical block
-/// partition, seeding and pair-draw stream, but every trial is sampled
-/// and evaluated individually (packed instance, `alive_mask_into`,
-/// scalar BFS). Exactly equal to the sliced estimate in the sparse
-/// sampling regime — the transpose-equivalence tests pin this per
-/// fabric family.
+/// partition, seeding and pair-draw stream, but every trial — lane
+/// `t % 64` of block `t / 64`, unpacked — is evaluated individually
+/// (packed instance, `alive_mask_into`, scalar BFS). Exactly equal to
+/// the sliced estimate in every regime, on shared instances — the
+/// transpose-equivalence tests pin this per fabric family.
 pub fn pair_blocking_estimate_scalar(
     fabric: &Fabric,
     model: &FailureModel,
@@ -121,8 +121,8 @@ pub fn pair_blocking_estimate_scalar(
     Estimate { successes, trials }
 }
 
-/// Runs the first `count` trials of block `block` scalar-side — the
-/// shared remainder path of both drivers.
+/// Runs the first `count` trials (lanes) of block `block` scalar-side —
+/// the shared remainder path of both drivers.
 fn pair_blocking_block_scalar(
     fabric: &Fabric,
     model: &FailureModel,
@@ -136,13 +136,15 @@ fn pair_blocking_block_scalar(
     let m = net.num_edges();
     let bs = block_seed(seed, block);
     let mut rng = ft_graph::gen::rng(bs);
+    let mut sliced = SlicedFailureMask::new();
+    model.sample_sliced_into(&mut rng, m, &mut sliced);
     let mut pair_rng = ft_graph::gen::rng(bs ^ PAIR_STREAM_SALT);
     let mut inst = FailureInstance::perfect(m);
     let mut ws = TraversalWorkspace::new();
     let mut alive = Vec::new();
     let mut successes = 0u64;
-    for _ in 0..count {
-        inst.resample(model, &mut rng, m);
+    for lane in 0..count as usize {
+        sliced.extract_lane_into(lane, inst.mask_mut());
         fabric.alive_mask_into(&inst, &mut alive);
         let i = pair_rng.random_range(0..n);
         let o = pair_rng.random_range(0..n);
@@ -189,19 +191,21 @@ mod tests {
     }
 
     #[test]
-    fn sliced_equals_scalar_exactly_in_sparse_regime() {
+    fn sliced_equals_scalar_exactly() {
         // non-multiple-of-64 trial count exercises the scalar tail;
-        // the ftn fabric takes the same lane-parallel repair as the
-        // others (tests/repair_oracle.rs pins it against `Survivor`)
-        let model = FailureModel::symmetric(0.01);
-        for fabric in [
-            Fabric::clos_strict(2, 3),
-            Fabric::benes(2),
-            Fabric::ftn_reduced(1, 8, 4, 1.0),
-        ] {
-            let sliced = pair_blocking_estimate(&fabric, &model, 200, 5);
-            let scalar = pair_blocking_estimate_scalar(&fabric, &model, 200, 5);
-            assert_eq!(sliced, scalar, "{}", fabric.label());
+        // one sparse and one dense model; the ftn fabric takes the same
+        // lane-parallel repair as the others (tests/repair_oracle.rs
+        // pins it against `Survivor`)
+        for model in [FailureModel::symmetric(0.01), FailureModel::symmetric(0.1)] {
+            for fabric in [
+                Fabric::clos_strict(2, 3),
+                Fabric::benes(2),
+                Fabric::ftn_reduced(1, 8, 4, 1.0),
+            ] {
+                let sliced = pair_blocking_estimate(&fabric, &model, 200, 5);
+                let scalar = pair_blocking_estimate_scalar(&fabric, &model, 200, 5);
+                assert_eq!(sliced, scalar, "{model:?} {}", fabric.label());
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //! `Survivor` construction is the independent reference: on 𝒩 it must
 //! equal [`Fabric::alive_mask`] for every sampled instance, and lane
 //! *i* of [`Fabric::alive_words_into`] must equal it for every lane —
-//! in the sparse and the dense sampler regime.
+//! in the sparse and the dense sampler regime, and with the blocks
+//! dealt to several threads sharing one fabric.
 
 use ft_core::repair::Survivor;
 use ft_failure::sliced::LANES;
@@ -52,4 +53,63 @@ fn ftn_repair_equals_the_survivor_oracle_in_every_lane() {
             }
         }
     }
+}
+
+/// Sliced blocks the thread-count leg checks.
+const ORACLE_BLOCKS: usize = 8;
+
+/// Checks [`ORACLE_BLOCKS`] sliced blocks on 𝒩, dealt round-robin to
+/// `threads` workers: per lane, `Fabric::alive_mask_into` and the lane
+/// of `Fabric::alive_words_into` must both equal
+/// `Survivor::routable_alive`. Returns the discarded vertices summed
+/// over all lanes.
+fn survivor_oracle_leg(fabric: &Fabric, model: &FailureModel, seed: u64, threads: usize) -> u64 {
+    let Fabric::Ftn(ftn) = fabric else {
+        panic!("the Survivor oracle is defined on 𝒩 only");
+    };
+    let m = fabric.net().num_edges();
+    let check_blocks = |first: usize| -> u64 {
+        let mut sliced = SlicedFailureMask::new();
+        let mut lane_inst = FailureInstance::perfect(m);
+        let (mut words, mut mask) = (Vec::new(), Vec::new());
+        let mut discarded = 0;
+        for b in (first..ORACLE_BLOCKS).step_by(threads) {
+            let mut rng = ft_graph::gen::rng(block_seed(seed, b as u64));
+            model.sample_sliced_into(&mut rng, m, &mut sliced);
+            fabric.alive_words_into(&sliced, &mut words);
+            for lane in 0..LANES {
+                sliced.extract_lane_into(lane, lane_inst.mask_mut());
+                let oracle = Survivor::new(ftn, &lane_inst).routable_alive();
+                fabric.alive_mask_into(&lane_inst, &mut mask);
+                assert_eq!(mask, oracle, "block {b} lane {lane}: scalar repair");
+                assert!(
+                    words
+                        .iter()
+                        .zip(&oracle)
+                        .all(|(w, &a)| (w >> lane) & 1 == u64::from(a)),
+                    "block {b} lane {lane}: sliced repair"
+                );
+                discarded += oracle.iter().filter(|&&a| !a).count() as u64;
+            }
+        }
+        discarded
+    };
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| scope.spawn(move || check_blocks(t)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("oracle worker panicked"))
+            .sum()
+    })
+}
+
+#[test]
+fn survivor_oracle_holds_with_blocks_dealt_to_one_and_four_threads() {
+    let fabric = Fabric::ftn_reduced(1, 8, 4, 1.0);
+    let model = FailureModel::new(0.02, 0.01);
+    let discarded = [4, 1].map(|threads| survivor_oracle_leg(&fabric, &model, 17, threads));
+    assert_eq!(discarded[0], discarded[1], "oracle leg differs by threads");
+    assert!(discarded[0] > 0, "nothing was discarded");
 }
