@@ -62,11 +62,12 @@
 //! end. Dense fills mark the mask dense and reset by memset.
 //!
 //! A sparse fill is a stream of writes in ascending switch order, one
-//! per failed lane. The two planes are stored interleaved (`[open, closed]` per switch: one cache line per touch,
-//! and the first-touch test reads what the write needs anyway), and the
-//! write itself has no branch on the data — the plane is picked by
-//! index, and the log slot is written unconditionally with only the
-//! log *length* depending on whether the touch was the first.
+//! per failed lane. The two planes are stored interleaved (`[open,
+//! closed]` per switch: one cache line per touch, and the first-touch
+//! test reads what the write needs anyway), and the write itself has no
+//! branch on the data — the plane is picked by index, and the log slot
+//! is written unconditionally with only the log *length* depending on
+//! whether the touch was the first.
 
 use crate::mask::FailureMask;
 use crate::model::{FailureModel, SwitchState};
@@ -199,11 +200,9 @@ impl GapTable {
         }
         while ns > 0 && nl > 0 {
             ns -= 1;
-            let s = usize::from(small[ns]);
-            let l = large[nl - 1];
+            let (s, l) = (usize::from(small[ns]), usize::from(large[nl - 1]));
             self.thresh[s] = mass[s] as u32;
-            self.alias[s] = l;
-            let l = usize::from(l);
+            self.alias[s] = l as u16;
             mass[l] -= UNIT - mass[s];
             if mass[l] < UNIT {
                 nl -= 1;

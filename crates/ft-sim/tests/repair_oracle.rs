@@ -14,17 +14,41 @@ use ft_failure::{block_seed, FailureInstance, FailureModel, SlicedFailureMask};
 use ft_graph::Digraph;
 use ft_sim::Fabric;
 
+/// Checks every lane of one sampled block on 𝒩: [`Fabric::alive_mask`]
+/// and the lane of [`Fabric::alive_words_into`] must both equal
+/// `Survivor::routable_alive`. Returns the discarded vertex-lanes.
+fn check_block(fabric: &Fabric, sliced: &SlicedFailureMask, what: &str) -> u64 {
+    let Fabric::Ftn(ftn) = fabric else {
+        unreachable!("the Survivor oracle is defined on 𝒩 only")
+    };
+    let mut alive_words = Vec::new();
+    fabric.alive_words_into(sliced, &mut alive_words);
+    let mut lane_inst = FailureInstance::perfect(sliced.len());
+    let mut discarded = 0;
+    for lane in 0..LANES {
+        sliced.extract_lane_into(lane, lane_inst.mask_mut());
+        let oracle = Survivor::new(ftn, &lane_inst).routable_alive();
+        assert_eq!(
+            fabric.alive_mask(&lane_inst),
+            oracle,
+            "{what} lane {lane}: scalar mask"
+        );
+        let from_words: Vec<bool> = alive_words.iter().map(|w| (w >> lane) & 1 != 0).collect();
+        assert_eq!(
+            from_words, oracle,
+            "{what} lane {lane}: lane of the alive words"
+        );
+        discarded += oracle.iter().filter(|&&alive| !alive).count() as u64;
+    }
+    discarded
+}
+
 #[test]
 fn ftn_repair_equals_the_survivor_oracle_in_every_lane() {
     let mut sliced = SlicedFailureMask::new();
-    let mut alive_words = Vec::new();
     for (nu, width, degree) in [(1, 8, 4), (2, 8, 8)] {
         let fabric = Fabric::ftn_reduced(nu, width, degree, 1.0);
-        let Fabric::Ftn(ftn) = &fabric else {
-            unreachable!("ftn_reduced builds 𝒩")
-        };
         let m = fabric.net().num_edges();
-        let mut lane_inst = FailureInstance::perfect(m);
         // symmetric ε: totals 0.002 and 0.04 are sparse, 0.4 is dense
         for (k, eps) in [1e-3, 0.02, 0.2].into_iter().enumerate() {
             let model = FailureModel::symmetric(eps);
@@ -35,81 +59,42 @@ fn ftn_repair_equals_the_survivor_oracle_in_every_lane() {
                 sliced.iter_failed_switches().count() > 0,
                 "nothing to repair"
             );
-            fabric.alive_words_into(&sliced, &mut alive_words);
-            for lane in 0..LANES {
-                sliced.extract_lane_into(lane, lane_inst.mask_mut());
-                let oracle = Survivor::new(ftn, &lane_inst).routable_alive();
-                assert_eq!(
-                    fabric.alive_mask(&lane_inst),
-                    oracle,
-                    "nu={nu} eps={eps} lane {lane}: scalar mask"
-                );
-                let from_words: Vec<bool> =
-                    alive_words.iter().map(|w| (w >> lane) & 1 != 0).collect();
-                assert_eq!(
-                    from_words, oracle,
-                    "nu={nu} eps={eps} lane {lane}: lane of the alive words"
-                );
-            }
+            check_block(&fabric, &sliced, &format!("nu={nu} eps={eps}"));
         }
     }
 }
 
-/// Sliced blocks the thread-count leg checks.
+/// Sliced blocks the thread-count test checks.
 const ORACLE_BLOCKS: usize = 8;
-
-/// Checks [`ORACLE_BLOCKS`] sliced blocks on 𝒩, dealt round-robin to
-/// `threads` workers: per lane, `Fabric::alive_mask_into` and the lane
-/// of `Fabric::alive_words_into` must both equal
-/// `Survivor::routable_alive`. Returns the discarded vertices summed
-/// over all lanes.
-fn survivor_oracle_leg(fabric: &Fabric, model: &FailureModel, seed: u64, threads: usize) -> u64 {
-    let Fabric::Ftn(ftn) = fabric else {
-        panic!("the Survivor oracle is defined on 𝒩 only");
-    };
-    let m = fabric.net().num_edges();
-    let check_blocks = |first: usize| -> u64 {
-        let mut sliced = SlicedFailureMask::new();
-        let mut lane_inst = FailureInstance::perfect(m);
-        let (mut words, mut mask) = (Vec::new(), Vec::new());
-        let mut discarded = 0;
-        for b in (first..ORACLE_BLOCKS).step_by(threads) {
-            let mut rng = ft_graph::gen::rng(block_seed(seed, b as u64));
-            model.sample_sliced_into(&mut rng, m, &mut sliced);
-            fabric.alive_words_into(&sliced, &mut words);
-            for lane in 0..LANES {
-                sliced.extract_lane_into(lane, lane_inst.mask_mut());
-                let oracle = Survivor::new(ftn, &lane_inst).routable_alive();
-                fabric.alive_mask_into(&lane_inst, &mut mask);
-                assert_eq!(mask, oracle, "block {b} lane {lane}: scalar repair");
-                assert!(
-                    words
-                        .iter()
-                        .zip(&oracle)
-                        .all(|(w, &a)| (w >> lane) & 1 == u64::from(a)),
-                    "block {b} lane {lane}: sliced repair"
-                );
-                discarded += oracle.iter().filter(|&&a| !a).count() as u64;
-            }
-        }
-        discarded
-    };
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| scope.spawn(move || check_blocks(t)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("oracle worker panicked"))
-            .sum()
-    })
-}
 
 #[test]
 fn survivor_oracle_holds_with_blocks_dealt_to_one_and_four_threads() {
-    let fabric = Fabric::ftn_reduced(1, 8, 4, 1.0);
+    // one shared fabric, the blocks dealt round-robin to the workers
+    let fabric = &Fabric::ftn_reduced(1, 8, 4, 1.0);
     let model = FailureModel::new(0.02, 0.01);
-    let discarded = [4, 1].map(|threads| survivor_oracle_leg(&fabric, &model, 17, threads));
-    assert_eq!(discarded[0], discarded[1], "oracle leg differs by threads");
+    let m = fabric.net().num_edges();
+    let discarded = [4, 1].map(|threads| {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|first| {
+                    scope.spawn(move || {
+                        let mut sliced = SlicedFailureMask::new();
+                        let mut discarded = 0;
+                        for b in (first..ORACLE_BLOCKS).step_by(threads) {
+                            let mut rng = ft_graph::gen::rng(block_seed(17, b as u64));
+                            model.sample_sliced_into(&mut rng, m, &mut sliced);
+                            discarded += check_block(fabric, &sliced, &format!("block {b}"));
+                        }
+                        discarded
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("oracle worker panicked"))
+                .sum::<u64>()
+        })
+    });
+    assert_eq!(discarded[0], discarded[1], "oracle differs by threads");
     assert!(discarded[0] > 0, "nothing was discarded");
 }
