@@ -1,15 +1,19 @@
-//! Graph-kernel microbenchmarks: BFS, Dinic max-flow (vertex-disjoint
-//! paths), Hopcroft–Karp matching — the engines behind verification.
+//! Graph-kernel microbenchmarks: BFS, the 64-lane sliced reach, Dinic
+//! max-flow (vertex-disjoint paths), Hopcroft–Karp matching — the
+//! engines behind verification and the Monte Carlo estimators.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ft_core::network::FtNetwork;
 use ft_core::params::Params;
+use ft_failure::{FailureModel, SlicedFailureMask};
 use ft_graph::gen::{random_bipartite_adjacency, random_dag, rng};
 use ft_graph::matching::hopcroft_karp;
 use ft_graph::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowWorkspace};
 use ft_graph::menger::max_disjoint_paths;
+use ft_graph::sliced::{sliced_reach_into, SlicedWorkspace};
 use ft_graph::traversal::{bfs_into, Direction};
-use ft_graph::TraversalWorkspace;
+use ft_graph::{Digraph, TraversalWorkspace, VertexId, LANES};
+use ft_sim::Fabric;
 use rand::Rng;
 use std::hint::black_box;
 
@@ -29,6 +33,49 @@ fn bench_bfs_reused(c: &mut Criterion) {
             black_box(ws.num_reached())
         })
     });
+}
+
+/// The reach step of one `pair_blocking_estimate` block on its own: one
+/// 64-source forward sweep (lane i starts at a seeded random input)
+/// through a fixed alive-word vector — one seeded ε = 0.02 sliced
+/// sample, repaired by `alive_words_into`.
+fn bench_sliced_reach_pairs(c: &mut Criterion) {
+    for (name, fabric) in [
+        ("sliced_reach_pairs_benes10", Fabric::benes(10)),
+        (
+            "sliced_reach_pairs_ftn_nu2",
+            Fabric::ftn_reduced(2, 8, 8, 1.0),
+        ),
+    ] {
+        let net = fabric.net();
+        let mut r = rng(12);
+        let mut sliced = SlicedFailureMask::new();
+        FailureModel::symmetric(0.02).sample_sliced_into(&mut r, net.num_edges(), &mut sliced);
+        let mut alive = Vec::new();
+        fabric.alive_words_into(&sliced, &mut alive);
+        let mut sources: Vec<(VertexId, u64)> = Vec::with_capacity(LANES);
+        for lane in 0..LANES {
+            let src = net.inputs()[r.random_range(0..fabric.terminals())];
+            match sources.iter_mut().find(|(v, _)| *v == src) {
+                Some((_, lanes)) => *lanes |= 1 << lane,
+                None => sources.push((src, 1 << lane)),
+            }
+        }
+        let mut sws = SlicedWorkspace::new();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                sliced_reach_into(
+                    net.csr(),
+                    &sources,
+                    Direction::Forward,
+                    |_| !0,
+                    |v| alive[v.index()],
+                    &mut sws,
+                );
+                black_box(sws.reached_lanes(net.outputs()[0]))
+            })
+        });
+    }
 }
 
 fn bench_disjoint_paths(c: &mut Criterion) {
@@ -96,6 +143,7 @@ fn bench_matching(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_bfs_reused,
+    bench_sliced_reach_pairs,
     bench_disjoint_paths,
     bench_dinic_random_dag,
     bench_repair_dinic,

@@ -30,6 +30,9 @@ pub struct Csr {
     in_tail: Vec<VertexId>,
     /// `(tail, head)` per edge, indexed by edge id.
     edges: Vec<(VertexId, VertexId)>,
+    /// Every edge goes from a lower vertex id to a higher one (see
+    /// [`Digraph::ids_ascend`]).
+    ascending: bool,
 }
 
 impl Csr {
@@ -38,7 +41,9 @@ impl Csr {
     /// **stable** counting sort, so every out- and in-list is in
     /// edge-id order, exactly as a [`DiGraph`] grown by the same
     /// `add_edge` calls would hold them. Parallel edges and self-loops
-    /// are kept.
+    /// are kept. The counting pass also records whether every edge
+    /// goes from a lower vertex id to a higher one
+    /// ([`Digraph::ids_ascend`]).
     ///
     /// # Panics
     /// Panics if an endpoint is not below `n`, or if the graph has
@@ -53,9 +58,11 @@ impl Csr {
         );
         let mut out_start = vec![0u32; n + 1];
         let mut in_start = vec![0u32; n + 1];
+        let mut ascending = true;
         for &(t, h) in &edges {
             out_start[t.index() + 1] += 1;
             in_start[h.index() + 1] += 1;
+            ascending &= t < h;
         }
         for i in 0..n {
             out_start[i + 1] += out_start[i];
@@ -92,6 +99,7 @@ impl Csr {
             in_list,
             in_tail,
             edges,
+            ascending,
         }
     }
 
@@ -245,6 +253,11 @@ impl Digraph for Csr {
     fn in_tail_slice(&self, v: VertexId) -> Option<&[VertexId]> {
         Some(Csr::in_tails(self, v))
     }
+
+    #[inline]
+    fn ids_ascend(&self) -> bool {
+        self.ascending
+    }
 }
 
 #[cfg(test)]
@@ -363,6 +376,20 @@ mod tests {
     #[should_panic]
     fn from_edges_rejects_an_endpoint_past_n() {
         Csr::from_edges(2, vec![(v(0), v(2))]);
+    }
+
+    #[test]
+    fn ids_ascend_only_when_every_edge_climbs() {
+        // vacuously true without edges
+        assert!(Csr::from_edges(0, vec![]).ids_ascend());
+        assert!(Csr::from_edges(3, vec![]).ids_ascend());
+        let c = Csr::from_digraph(&diamond());
+        assert!(c.ids_ascend());
+        // a self-loop does not climb
+        assert!(!Csr::from_edges(2, vec![(v(0), v(1)), (v(1), v(1))]).ids_ascend());
+        // reversing an ascending graph with an edge makes every edge fall
+        assert!(!c.reversed().ids_ascend());
+        assert!(c.reversed().reversed().ids_ascend());
     }
 
     #[test]

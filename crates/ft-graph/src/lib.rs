@@ -92,6 +92,17 @@ pub trait Digraph {
         None
     }
 
+    /// Whether every edge goes from a lower vertex id to a higher one,
+    /// so ascending id order is a topological order. Every network a
+    /// [`StagedBuilder`] builds is numbered this way (its stages take
+    /// ascending id ranges; a [`StagedNetwork::mirror`] is not);
+    /// [`sliced::sliced_reach_into`] then sweeps forward in one pass.
+    /// The default answers `false`, which is always safe.
+    #[inline]
+    fn ids_ascend(&self) -> bool {
+        false
+    }
+
     /// Tail of `e`.
     #[inline]
     fn edge_tail(&self, e: EdgeId) -> VertexId {

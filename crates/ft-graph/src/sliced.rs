@@ -4,7 +4,7 @@
 //! many independent failure instances. The scalar pipeline runs one
 //! [`crate::traversal::bfs_into`] per instance; this module transposes
 //! the problem: **64 instances ride in the 64 bits of a machine word**,
-//! and one fixpoint sweep answers reachability for all of them at once.
+//! and one sweep answers reachability for all of them at once.
 //!
 //! Per vertex the workspace holds a single `u64` — bit *i* set means
 //! "vertex reached in lane *i*" — and an edge contributes
@@ -15,21 +15,36 @@
 //! per-lane reachable set a scalar BFS with that lane's filters would
 //! compute (pinned by proptests in `ft-graph/tests/proptests.rs`).
 //!
-//! The sweep is a worklist fixpoint, not a level-order BFS: a vertex
-//! re-enters the queue when *new lanes* arrive, which on a staged DAG
-//! degenerates to the usual stage-by-stage frontier walk. Only
-//! *membership* is computed — there are no per-lane distances or parent
-//! edges, because the Monte Carlo consumers (open/short verdicts, pair
-//! blocking) need verdict bits only. Lanes that need a full per-instance
-//! answer (an actual path, disjoint-path counts) fall back to the scalar
-//! kernels on an unpacked instance — see
+//! The sweep takes one of two paths; both compute the same words.
+//!
+//! * **Ascending pass** — a `Forward` sweep over a graph whose edges all
+//!   go from a lower vertex id to a higher one
+//!   ([`Digraph::ids_ascend`]; every network a [`crate::StagedBuilder`]
+//!   builds, since its stages take ascending id ranges). Ascending id
+//!   order is then a topological order: the pass visits every vertex
+//!   from the lowest source id upward once, and by then each
+//!   in-neighbour has pushed its lanes, so the vertex's word is final —
+//!   the stage-by-stage walk, with no queue. Cost: O(vertices from the
+//!   lowest source up + out-edges of reached vertices), in one
+//!   sequential scan.
+//! * **Worklist fixpoint** — every other sweep: `Backward`,
+//!   `Undirected` (the reliability shorting check), and graphs whose ids
+//!   do not ascend (a [`crate::DiGraph`], a mirrored network). A vertex
+//!   re-enters the FIFO when *new lanes* arrive. Cost: O(vertices
+//!   touched × incident edges).
+//!
+//! Only *membership* is computed — there are no per-lane distances or
+//! parent edges, because the Monte Carlo consumers (open/short verdicts,
+//! pair blocking) need verdict bits only. Lanes that need a full
+//! per-instance answer (an actual path, disjoint-path counts) fall back
+//! to the scalar kernels on an unpacked instance — see
 //! `ft_failure::montecarlo::mc_sliced_event_probability_parallel`.
 //!
 //! Buffers are epoch-stamped exactly like
 //! [`TraversalWorkspace`](crate::workspace::TraversalWorkspace): a
-//! reset is O(1), a sweep costs O(vertices
-//! touched × incident edges), and one workspace serves domains of
-//! different sizes back to back.
+//! reset is O(1), and one workspace serves domains of different sizes
+//! back to back. The worklist's gate cache and queue grow only when the
+//! worklist runs.
 
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::Direction;
@@ -53,14 +68,17 @@ pub struct SlicedWorkspace {
     stamp: Vec<u32>,
     /// Per-vertex lane word: bit `i` set ⇔ reached in lane `i`.
     reached: Vec<u64>,
-    /// Cached `vertex_lanes` gate, computed once per touched vertex.
+    /// Worklist only: cached `vertex_lanes` gate, computed once per
+    /// touched vertex.
     gate_stamp: Vec<u32>,
     gate: Vec<u64>,
-    /// In-queue stamp (equals `epoch` while the vertex waits in the
-    /// worklist; demoted on pop so new lanes can re-enqueue it).
+    /// Worklist only: in-queue stamp (equals `epoch` while the vertex
+    /// waits in the worklist; demoted on pop so new lanes can re-enqueue
+    /// it).
     inq: Vec<u32>,
     queue: Vec<VertexId>,
-    /// Deterministic work counters (resets, worklist pops, lane bits).
+    /// Deterministic work counters (resets, reached-vertex visits, lane
+    /// bits).
     stats: KernelStats,
 }
 
@@ -70,16 +88,13 @@ impl SlicedWorkspace {
         Self::default()
     }
 
-    /// Starts a new sweep over a domain of `n` vertices: grows buffers
-    /// if needed and invalidates every previous stamp in O(1) (O(n)
-    /// only on epoch wrap-around, once per 2³² sweeps).
+    /// Starts a new sweep over a domain of `n` vertices: grows the
+    /// result buffers if needed and invalidates every previous stamp in
+    /// O(1) (O(n) only on epoch wrap-around, once per 2³² sweeps).
     fn begin(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.reached.resize(n, 0);
-            self.gate_stamp.resize(n, 0);
-            self.gate.resize(n, 0);
-            self.inq.resize(n, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -89,11 +104,22 @@ impl SlicedWorkspace {
             self.epoch = 1;
         }
         self.stats.epoch_resets += 1;
+    }
+
+    /// Readies the worklist's own buffers for a domain of `n` vertices.
+    /// A stamp of 0 is never live (epochs start at 1), so grown entries
+    /// are clear.
+    fn begin_worklist(&mut self, n: usize) {
+        if self.gate_stamp.len() < n {
+            self.gate_stamp.resize(n, 0);
+            self.gate.resize(n, 0);
+            self.inq.resize(n, 0);
+        }
         self.queue.clear();
     }
 
     /// The workspace's accumulated [`KernelStats`] (sweeps started,
-    /// worklist pops, lane bits decided).
+    /// reached-vertex visits, lane bits decided).
     #[inline]
     pub fn stats(&self) -> KernelStats {
         self.stats
@@ -173,8 +199,8 @@ impl SlicedWorkspace {
 ///   times per edge, in an unspecified order.
 /// * `vertex_lanes(v)` — lanes in which vertex `v` may be visited
 ///   (e.g. packed alive masks). Consulted **once** per touched vertex
-///   per sweep (the workspace caches it), so it may be moderately
-///   expensive; it must still be pure.
+///   per sweep, so it may be moderately expensive; it must still be
+///   pure.
 ///
 /// Direction semantics match [`crate::traversal::bfs_into`]:
 /// `Forward` follows tail → head, `Backward` head → tail, `Undirected`
@@ -183,7 +209,95 @@ impl SlicedWorkspace {
 /// `vertex_ok = bit i of vertex_lanes` — the transpose-equivalence
 /// contract the proptests pin. Only membership is produced; no
 /// distances, parents or discovery order.
+///
+/// The graph picks the path: a `Forward` sweep over a graph whose ids
+/// ascend ([`Digraph::ids_ascend`] — every network a
+/// [`crate::StagedBuilder`] builds, and its [`crate::Csr`]) takes the
+/// one-pass ascending walk; every other sweep takes the worklist (see
+/// the module doc). Results and [`KernelStats::sliced_lane_decisions`]
+/// are the same on both.
 pub fn sliced_reach_into<G: Digraph>(
+    g: &G,
+    sources: &[(VertexId, u64)],
+    dir: Direction,
+    edge_lanes: impl FnMut(EdgeId) -> u64,
+    vertex_lanes: impl FnMut(VertexId) -> u64,
+    ws: &mut SlicedWorkspace,
+) {
+    ws.begin(g.num_vertices());
+    if dir == Direction::Forward && g.ids_ascend() {
+        ascending_pass(g, sources, edge_lanes, vertex_lanes, ws);
+    } else {
+        worklist(g, sources, dir, edge_lanes, vertex_lanes, ws);
+    }
+}
+
+/// The forward sweep over a graph whose ids ascend: one visit per vertex
+/// from the lowest source id up. Lanes only travel up the ids, so when
+/// the pass reaches `v` every in-neighbour has pushed its share and
+/// `v`'s word is whole: `(source lanes | OR over in-edges (e, u) of
+/// word(u) & edge_lanes(e)) & vertex_lanes(v)`. A vertex with lanes
+/// then pushes its word along its out-edges.
+fn ascending_pass<G: Digraph>(
+    g: &G,
+    sources: &[(VertexId, u64)],
+    mut edge_lanes: impl FnMut(EdgeId) -> u64,
+    mut vertex_lanes: impl FnMut(VertexId) -> u64,
+    ws: &mut SlicedWorkspace,
+) {
+    let Some(lo) = sources
+        .iter()
+        .filter(|&&(_, lanes)| lanes != 0)
+        .map(|&(s, _)| s.index())
+        .min()
+    else {
+        return;
+    };
+    let n = g.num_vertices();
+    // The pass decides every vertex from `lo` up; nothing below it is
+    // reached, since no edge leads down.
+    ws.stamp[lo..n].fill(ws.epoch);
+    ws.reached[lo..n].fill(0);
+    for &(s, lanes) in sources {
+        ws.reached[s.index()] |= lanes;
+    }
+    let reached = &mut ws.reached;
+    let (mut pops, mut decided) = (0, 0);
+    for i in lo..n {
+        let mut word = reached[i];
+        if word == 0 {
+            continue;
+        }
+        let v = VertexId::from(i);
+        word &= vertex_lanes(v);
+        reached[i] = word;
+        if word == 0 {
+            continue;
+        }
+        pops += 1;
+        decided += u64::from(word.count_ones());
+        let edges = g.out_edge_slice(v);
+        match g.out_head_slice(v) {
+            // CSR fast path: heads off the parallel slice.
+            Some(heads) => {
+                for (&e, &w) in edges.iter().zip(heads) {
+                    reached[w.index()] |= word & edge_lanes(e);
+                }
+            }
+            None => {
+                for &e in edges {
+                    reached[g.edge_head(e).index()] |= word & edge_lanes(e);
+                }
+            }
+        }
+    }
+    ws.stats.sliced_pops += pops;
+    ws.stats.sliced_lane_decisions += decided;
+}
+
+/// The general sweep: a FIFO worklist that re-enqueues a vertex whenever
+/// new lanes reach it, until nothing changes.
+fn worklist<G: Digraph>(
     g: &G,
     sources: &[(VertexId, u64)],
     dir: Direction,
@@ -191,7 +305,7 @@ pub fn sliced_reach_into<G: Digraph>(
     mut vertex_lanes: impl FnMut(VertexId) -> u64,
     ws: &mut SlicedWorkspace,
 ) {
-    ws.begin(g.num_vertices());
+    ws.begin_worklist(g.num_vertices());
     for &(s, lanes) in sources {
         if lanes == 0 {
             continue;

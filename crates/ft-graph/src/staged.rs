@@ -371,6 +371,10 @@ impl Digraph for StagedNetwork {
     fn in_edge_slice(&self, v: VertexId) -> &[EdgeId] {
         self.graph.in_edges(v)
     }
+    #[inline]
+    fn ids_ascend(&self) -> bool {
+        self.graph.ids_ascend()
+    }
 }
 
 /// Builder for [`StagedNetwork`]: collects stages and a flat
@@ -541,6 +545,9 @@ mod tests {
         // edge direction reversed
         assert!(m.graph().has_edge(v(2), v(0)));
         assert!(!m.graph().has_edge(v(0), v(2)));
+        // ids keep their numbering, so the mirror's edges fall
+        assert!(net.ids_ascend());
+        assert!(!m.ids_ascend());
     }
 
     #[test]

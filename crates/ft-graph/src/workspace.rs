@@ -44,9 +44,15 @@ pub struct KernelStats {
     /// The field keeps the name it had when the flood was the router's
     /// search: the out-of-tree benchmark package reads it.
     pub bibfs_pops: u64,
-    /// Worklist pops of the 64-lane sliced reachability sweep.
+    /// Vertex visits of the 64-lane sliced reachability sweep that
+    /// carried lanes: one per vertex reached in some lane on the
+    /// ascending pass, one per worklist pop on the worklist (which pops
+    /// a vertex again when new lanes reach it after its first pop). The
+    /// two agree whenever every vertex's lanes arrive before it is
+    /// first expanded, e.g. on a unit-staged network swept from stage 0.
     pub sliced_pops: u64,
-    /// Lane bits newly decided by sliced frontier absorption.
+    /// Lane bits the sliced sweep decided: the popcount of every
+    /// reached word, summed over the vertices — equal on both paths.
     pub sliced_lane_decisions: u64,
 }
 

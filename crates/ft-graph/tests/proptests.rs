@@ -65,6 +65,35 @@ fn random_unit_staged(seed: u64, widths: &[usize], p_idle: f64) -> (StagedNetwor
     (net, idle)
 }
 
+/// `c` with each vertex `u` renamed `perm[u]` for a seeded random
+/// permutation, edge ids kept, and `perm`. Should the new ids still
+/// ascend along every edge, `perm` is flipped (`u ↦ n − 1 − perm[u]`),
+/// which makes every edge descend: a graph with an edge never keeps
+/// [`Digraph::ids_ascend`], so forward sweeps over it take the
+/// worklist.
+fn relabelled(c: &Csr, seed: u64) -> (Csr, Vec<VertexId>) {
+    use ft_graph::Digraph;
+    use rand::seq::SliceRandom;
+    let n = c.num_vertices();
+    let mut perm: Vec<VertexId> = (0..n).map(VertexId::from).collect();
+    perm.shuffle(&mut gen::rng(seed));
+    let build = |perm: &[VertexId]| {
+        let edges = c
+            .edges()
+            .map(|(_, t, h)| (perm[t.index()], perm[h.index()]));
+        Csr::from_edges(n, edges.collect())
+    };
+    let mut p = build(&perm);
+    if p.ids_ascend() {
+        for u in &mut perm {
+            *u = VertexId::from(n - 1 - u.index());
+        }
+        p = build(&perm);
+    }
+    assert!(c.num_edges() == 0 || !p.ids_ascend());
+    (p, perm)
+}
+
 proptest! {
     #[test]
     fn dags_are_acyclic_and_topo_sorted(g in dag_strategy()) {
@@ -383,6 +412,107 @@ proptest! {
                     "lane {} output {:?}", lane, out
                 );
             }
+        }
+    }
+
+    /// Forward sweeps over an ascending-id graph take the one-pass
+    /// walk; relabelling the same DAG by a random permutation forces
+    /// the worklist. Both must equal per-lane `bfs_into` (through
+    /// reused workspaces) and decide the same number of lane bits.
+    #[test]
+    fn sliced_worklist_and_ascending_pass_agree_on_relabelled_dags(
+        g in dag_strategy(),
+        seed in 0u64..1000,
+    ) {
+        use ft_graph::Digraph;
+        use rand::Rng;
+        let c = Csr::from_digraph(&g);
+        prop_assert!(c.ids_ascend());
+        let (p, perm) = relabelled(&c, seed);
+        let mut r = gen::rng(seed ^ 0xA5C3);
+        let n = c.num_vertices();
+        let edge_words: Vec<u64> = (0..c.num_edges()).map(|_| r.random()).collect();
+        let vertex_words: Vec<u64> = (0..n).map(|_| r.random()).collect();
+        let mut moved_words = vec![0; n];
+        for (&pu, &w) in perm.iter().zip(&vertex_words) {
+            moved_words[pu.index()] = w;
+        }
+        let s1 = VertexId::from(r.random_range(0..n));
+        let s2 = VertexId::from(r.random_range(0..n));
+        let sources = [(s1, r.random::<u64>()), (s2, r.random::<u64>())];
+        let moved_sources = sources.map(|(s, lanes)| (perm[s.index()], lanes));
+        let (mut pass, mut work) = (SlicedWorkspace::new(), SlicedWorkspace::new());
+        // stale-state runs first: equivalence must survive reuse
+        sliced_reach_into(&c, &[(s2, !0)], Direction::Forward, |_| !0, |_| !0, &mut pass);
+        sliced_reach_into(&p, &[(perm[s2.index()], !0)], Direction::Forward,
+                          |_| !0, |_| !0, &mut work);
+        pass.reset_stats();
+        work.reset_stats();
+        sliced_reach_into(&c, &sources, Direction::Forward,
+                          |e| edge_words[e.index()], |v| vertex_words[v.index()], &mut pass);
+        sliced_reach_into(&p, &moved_sources, Direction::Forward,
+                          |e| edge_words[e.index()], |v| moved_words[v.index()], &mut work);
+        prop_assert_eq!(
+            pass.stats().sliced_lane_decisions,
+            work.stats().sliced_lane_decisions
+        );
+        let mut ws = TraversalWorkspace::new();
+        for lane in 0..LANES {
+            let srcs: Vec<VertexId> = sources.iter()
+                .filter(|&&(_, l)| (l >> lane) & 1 != 0)
+                .map(|&(s, _)| s)
+                .collect();
+            bfs_into(
+                &c, &srcs, Direction::Forward,
+                |e| (edge_words[e.index()] >> lane) & 1 != 0,
+                |v| (vertex_words[v.index()] >> lane) & 1 != 0,
+                &mut ws,
+            );
+            for (u, &pu) in perm.iter().enumerate() {
+                let want = ws.reached(VertexId::from(u));
+                prop_assert_eq!(pass.reached(VertexId::from(u), lane), want,
+                                "ascending pass, lane {} vertex {}", lane, u);
+                prop_assert_eq!(work.reached(pu, lane), want,
+                                "worklist, lane {} vertex {}", lane, u);
+            }
+        }
+    }
+
+    /// On a unit-staged network swept from stage 0 the worklist pops
+    /// each reached vertex exactly once, so both paths report the same
+    /// [`KernelStats`] — visits, lane bits and resets alike — and the
+    /// same words.
+    #[test]
+    fn sliced_kernel_stats_agree_between_paths_on_unit_staged_networks(
+        seed in 0u64..1000,
+        widths in proptest::collection::vec(1usize..6, 2..7),
+    ) {
+        use ft_graph::Digraph;
+        use rand::Rng;
+        let (net, _) = random_unit_staged(seed, &widths, 1.0);
+        let c = net.csr();
+        prop_assert!(c.ids_ascend());
+        let (p, perm) = relabelled(c, seed);
+        let mut r = gen::rng(seed ^ 0x3C5A);
+        let n = c.num_vertices();
+        // biased alive, like repair masks at small ε
+        let alive: Vec<u64> = (0..n).map(|_| r.random::<u64>() | r.random::<u64>()).collect();
+        let mut moved_alive = vec![0; n];
+        for (&pu, &w) in perm.iter().zip(&alive) {
+            moved_alive[pu.index()] = w;
+        }
+        let sources: Vec<(VertexId, u64)> =
+            net.inputs().iter().map(|&s| (s, r.random())).collect();
+        let moved_sources: Vec<(VertexId, u64)> =
+            sources.iter().map(|&(s, lanes)| (perm[s.index()], lanes)).collect();
+        let (mut pass, mut work) = (SlicedWorkspace::new(), SlicedWorkspace::new());
+        sliced_reach_into(c, &sources, Direction::Forward,
+                          |_| !0, |v| alive[v.index()], &mut pass);
+        sliced_reach_into(&p, &moved_sources, Direction::Forward,
+                          |_| !0, |v| moved_alive[v.index()], &mut work);
+        prop_assert_eq!(pass.stats(), work.stats());
+        for (u, &pu) in perm.iter().enumerate() {
+            prop_assert_eq!(pass.reached_lanes(VertexId::from(u)), work.reached_lanes(pu));
         }
     }
 

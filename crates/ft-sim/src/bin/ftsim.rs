@@ -131,8 +131,6 @@ fn run() -> Result<(), String> {
         }
         let counters = ft_obs::KvLine::new("kernel counters")
             .kv("bibfs_pops", kernel.bibfs_pops)
-            .kv("sliced_pops", kernel.sliced_pops)
-            .kv("sliced_lane_decisions", kernel.sliced_lane_decisions)
             .kv("epoch_resets", kernel.epoch_resets)
             .finish();
         eprintln!("ftsim: {counters}");

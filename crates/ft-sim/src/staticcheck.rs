@@ -37,7 +37,9 @@ const PAIR_STREAM_SALT: u64 = 0x517C_C1B7_2722_0A95;
 /// included), draws the 64 terminal pairs from a salted side stream,
 /// and answers all 64 blocking verdicts with **one** lane-parallel
 /// sweep whose sources carry per-lane bits (lanes starting at the same
-/// input share a source word). Sample → repair → reach reuse the
+/// input share a source word). Every fabric's ids ascend along its
+/// switches, so that sweep is [`sliced_reach_into`]'s one-pass
+/// ascending walk, not its worklist. Sample → repair → reach reuse the
 /// buffers of the first block, so the block loop allocates nothing
 /// after it. The `trials % LANES` tail runs scalar. Deterministic per
 /// `(fabric, model, trials, seed)`; [`pair_blocking_estimate_scalar`]

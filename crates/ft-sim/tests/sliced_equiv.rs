@@ -102,6 +102,26 @@ fn every_lane_matches_the_scalar_pipeline() {
     }
 }
 
+/// Every fabric family numbers its stages in ascending id ranges with
+/// every switch leading to a later stage, so the estimators' forward
+/// sweeps take `sliced_reach_into`'s one-pass ascending walk instead of
+/// silently falling back to the worklist.
+#[test]
+fn every_fabric_family_has_ascending_ids() {
+    use ft_core::network::FtNetwork;
+    use ft_core::params::Params;
+    let mut fabrics = families();
+    fabrics.push(Fabric::crossbar(4));
+    fabrics.push(Fabric::Ftn(Box::new(FtNetwork::build(
+        Params::paper_exact(1),
+    ))));
+    for fabric in fabrics {
+        let net = fabric.net();
+        assert!(net.csr().ids_ascend(), "{}", fabric.label());
+        assert!(net.ids_ascend(), "{}", fabric.label());
+    }
+}
+
 /// Trial *t* is lane `t % 64` of block `t / 64` in both estimators, so
 /// they see the same instances and must agree *exactly* — per fabric
 /// family and in both sampler regimes, not just on average.

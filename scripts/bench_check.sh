@@ -54,6 +54,8 @@ router_connect_pair_ftn_nu2
 router_connect_pair_ftn_nu2_half_busy
 router_connect_pair_ftn_paper_nu1
 bfs_forward_ftn_nu2_reused
+sliced_reach_pairs_benes10
+sliced_reach_pairs_ftn_nu2
 dinic_repair_nu2
 mc_bridge_10k_sliced
 sample_sliced_1M_edges/eps0.001
