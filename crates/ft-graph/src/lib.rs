@@ -20,11 +20,10 @@
 //!   (the paper's `dist` ignores edge direction), zone decompositions
 //!   `B_h(v)` used by the Theorem 1 lower bound.
 //! * [`maxflow`] — Dinic max-flow with vertex splitting, the engine for
-//!   vertex-disjoint path questions;
-//!   [`mincost`] — successive-shortest-path min-cost flow with
-//!   potentials, the minimal-disruption reroute planner; [`matching`] —
-//!   Hopcroft–Karp; [`menger`] — disjoint-path helpers phrased for
-//!   network verification.
+//!   vertex-disjoint path questions; [`mincost`] — min-cost circuit
+//!   placement on the live idle fabric (Dijkstra with potentials over the
+//!   vertex split), the reroute planner; [`matching`] — Hopcroft–Karp;
+//!   [`menger`] — disjoint-path helpers phrased for network verification.
 //! * [`unionfind`] — quotient construction for *closed* switch failures
 //!   (edge contraction).
 //! * [`tree`] — tree/forest utilities for the Lemma 1/2 lower-bound
@@ -54,7 +53,7 @@ pub use csr::Csr;
 pub use digraph::DiGraph;
 pub use ids::{EdgeId, VertexId};
 pub use maxflow::FlowWorkspace;
-pub use mincost::{CostFlowNetwork, McfWorkspace};
+pub use mincost::MincostWorkspace;
 pub use paths::Path;
 pub use sliced::{sliced_reach_into, SlicedWorkspace, LANES};
 pub use staged::{OutputReach, ReachColumn, StagedBuilder, StagedNetwork};

@@ -14,9 +14,9 @@
 //! at least r disjoint paths?"). It runs to completion otherwise and
 //! leaves a valid maximum-flow residual, from which min-cut extraction
 //! and path decomposition read. `tests/kernel_equiv.rs` holds it to
-//! independent witnesses: successive-shortest-path min-cost flow
-//! ([`crate::mincost`]) on the same instances, Hopcroft–Karp on
-//! bipartite ones, and a flow-feasibility audit.
+//! independent witnesses: successive-shortest-path min-cost flow (a
+//! test-only reference in `tests/common`) on the same instances,
+//! Hopcroft–Karp on bipartite ones, and a flow-feasibility audit.
 
 use crate::ids::{EdgeId, VertexId};
 use crate::workspace::TraversalWorkspace;

@@ -1,425 +1,346 @@
-//! Successive-shortest-path min-cost flow with Johnson potentials.
+//! Min-cost circuit placement on the live idle fabric.
 //!
 //! The second flow kernel: where [`crate::maxflow`] answers *how many*
-//! disjoint circuits exist, this module answers *which* assignment of
-//! circuits disturbs the fabric least. The post-storm mass
-//! reroute (`ft-networks::CircuitRouter`) phrases minimal-disruption
-//! recovery as a min-cost flow — every switch occupied by a replacement
-//! circuit costs one unit — and plans placements out-of-band on a
-//! [`CostFlowNetwork`] before touching live router state.
+//! disjoint circuits exist, this module places one circuit at a time so
+//! that it disturbs the fabric least — every switch vertex a circuit
+//! occupies costs one unit. The post-storm mass reroute
+//! (`ft-networks::CircuitRouter::mincost_place`) places a kill wave's
+//! victims this way, one after another in kill order.
 //!
-//! The solver is the classical successive-shortest-path algorithm:
-//! repeatedly augment along a cheapest residual `s → t` path found by
-//! Dijkstra on *reduced* costs `c(u,v) + π(u) − π(v)`. Potentials `π`
-//! start at zero (all arc costs are required nonnegative) and are updated
-//! after every search, which keeps reduced costs nonnegative across
-//! augmentations **and across changing source/sink pairs** — the property
-//! the router's per-victim batch replanning relies on. Ties in the
-//! Dijkstra heap break on node id, so plans are deterministic.
+//! The search runs on the vertex split of the fabric, read straight off
+//! the [`Csr`] and an idle predicate — no network is built:
+//!
+//! * in-node `2v` → out-node `2v + 1`, cost 1, if `v` is idle;
+//! * out-node `2u + 1` → in-node `2h`, cost 0, for each out-edge
+//!   `u → h` in CSR order, if `h` is idle.
+//!
+//! A placed circuit leaves the idle set, so its split arcs and switch
+//! arcs disappear together: the residual network of successive shortest
+//! paths never carries a usable reverse arc, and each placement is one
+//! plain Dijkstra on *reduced* costs `c(x, y) + π(x) − π(y)`. The
+//! potentials `π` restart at zero with each wave
+//! ([`MincostWorkspace::begin_wave`]; all costs are nonnegative) and
+//! after every successful placement take `π(x) += min(d(x), d(t))`,
+//! which keeps reduced costs nonnegative across placements **and across
+//! changing source/sink pairs**. Heap pops run in `(reduced distance,
+//! node id)` order and relaxations are strict `<` in edge order, so
+//! plans are deterministic.
+//!
+//! Every node's potential gains `d(t)` except those the search settled
+//! short of `t`, so the workspace keeps one potential *delta* per node,
+//! stamped with its wave: a wave starts in O(1) and a placement costs
+//! O(nodes it touches).
 
+use crate::csr::Csr;
+use crate::ids::VertexId;
+use crate::workspace::KernelStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Unreachable marker for Dijkstra distances.
-const INF: i64 = i64::MAX;
-
-/// No-parent marker for augmenting-path extraction.
-const NO_ARC: u32 = u32::MAX;
-
-/// A residual arc with a cost per unit of flow.
-#[derive(Clone, Debug)]
-struct CostArc {
-    to: u32,
-    /// Index of the reverse arc in `arcs`.
-    rev: u32,
-    cap: u32,
-    cost: i64,
+/// Per split-node scratch; a field is live only under its stamp.
+#[derive(Clone, Copy, Debug, Default)]
+struct Node {
+    /// Reduced distance from the source, valid iff `seen == search`.
+    dist: i64,
+    /// Potential minus the wave's common offset, valid iff
+    /// `wave == MincostWorkspace::wave` (zero otherwise).
+    pot: i64,
+    seen: u32,
+    done: u32,
+    wave: u32,
+    /// For an in-node `2h`: the vertex whose out-node last lowered it.
+    parent: u32,
 }
 
-/// Min-cost flow problem builder/solver (successive shortest paths).
-///
-/// Mirrors [`crate::maxflow::FlowNetwork`]'s residual representation:
-/// [`Self::add_arc`] stores the arc and its zero-capacity, negated-cost
-/// twin at adjacent indices, and [`Self::reset`] rebuilds the same-shaped
-/// problem without allocating.
+/// Reusable state of the min-cost placement planner: stamped per-node
+/// distances, parents and potentials, the Dijkstra heap and the nodes
+/// the last search settled. One workspace serves wave after wave; its
+/// buffers grow to `2 × vertices` once and are then reused.
 #[derive(Clone, Debug, Default)]
-pub struct CostFlowNetwork {
-    first: Vec<Vec<u32>>, // arc indices per node
-    arcs: Vec<CostArc>,
-}
-
-impl CostFlowNetwork {
-    /// Creates a cost-flow network with `n` nodes and no arcs.
-    pub fn new(n: usize) -> Self {
-        CostFlowNetwork {
-            first: vec![Vec::new(); n],
-            arcs: Vec::new(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.first.len()
-    }
-
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> u32 {
-        self.first.push(Vec::new());
-        (self.first.len() - 1) as u32
-    }
-
-    /// Clears the network down to `n` isolated nodes while keeping every
-    /// allocation (the batch-reroute planner rebuilds per storm).
-    pub fn reset(&mut self, n: usize) {
-        self.arcs.clear();
-        if self.first.len() > n {
-            self.first.truncate(n);
-        }
-        for f in &mut self.first {
-            f.clear();
-        }
-        if self.first.len() < n {
-            self.first.resize_with(n, Vec::new);
-        }
-    }
-
-    /// Adds a directed arc `u → v` with capacity `cap` and nonnegative
-    /// per-unit cost; returns the arc index (its residual twin, with the
-    /// negated cost, is `index + 1`).
-    pub fn add_arc(&mut self, u: u32, v: u32, cap: u32, cost: i64) -> u32 {
-        assert!(cost >= 0, "arc costs must be nonnegative, got {cost}");
-        let idx = self.arcs.len() as u32;
-        let rev = idx + 1;
-        self.arcs.push(CostArc {
-            to: v,
-            rev,
-            cap,
-            cost,
-        });
-        self.arcs.push(CostArc {
-            to: u,
-            rev: idx,
-            cap: 0,
-            cost: -cost,
-        });
-        self.first[u as usize].push(idx);
-        self.first[v as usize].push(rev);
-        idx
-    }
-
-    /// Flow currently pushed through arc `idx` (residual capacity of its
-    /// twin).
-    pub fn flow_on(&self, idx: u32) -> u32 {
-        self.arcs[self.arcs[idx as usize].rev as usize].cap
-    }
-
-    /// Freezes arc `idx`: zeroes the residual capacity of the arc *and*
-    /// its twin, so no later augmentation can use it forward or rip its
-    /// flow back out. The batch-reroute planner freezes the split arcs
-    /// of every placed circuit to keep per-pair plans pairing-safe —
-    /// successive single-commodity augmentations may otherwise repack
-    /// earlier flow onto different terminal pairs.
-    pub fn freeze_arc(&mut self, idx: u32) {
-        let rev = self.arcs[idx as usize].rev as usize;
-        self.arcs[idx as usize].cap = 0;
-        self.arcs[rev].cap = 0;
-    }
-
-    /// The tail of arc `idx` (the twin's head).
-    pub fn arc_from(&self, idx: u32) -> u32 {
-        self.arcs[self.arcs[idx as usize].rev as usize].to
-    }
-
-    /// The head of arc `idx`.
-    pub fn arc_to(&self, idx: u32) -> u32 {
-        self.arcs[idx as usize].to
-    }
-}
-
-/// Flow value and total cost returned by [`min_cost_flow_into`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MinCostFlow {
-    /// Units of flow pushed.
-    pub flow: u32,
-    /// Total cost of the flow (minimum over all flows of this value).
-    pub value: i64,
-}
-
-/// Reusable buffers for the successive-shortest-path solver: node
-/// potentials (persistent across augmentations within one
-/// [`McfWorkspace::begin`] epoch), Dijkstra distances/parents/settled
-/// flags and the priority queue.
-#[derive(Clone, Debug, Default)]
-pub struct McfWorkspace {
-    pot: Vec<i64>,
-    dist: Vec<i64>,
-    parent: Vec<u32>,
-    done: Vec<bool>,
+pub struct MincostWorkspace {
+    nodes: Vec<Node>,
+    search: u32,
+    wave: u32,
     heap: BinaryHeap<Reverse<(i64, u32)>>,
+    settled: Vec<u32>,
+    stats: KernelStats,
 }
 
-impl McfWorkspace {
+impl MincostWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Starts a planning epoch on an `n`-node network: zeroes the
-    /// potentials (valid because all arc costs are nonnegative) and
-    /// sizes the scratch buffers. Call once per [`CostFlowNetwork`]
-    /// build; successive [`augment_unit_into`] calls — even with
-    /// different source/sink pairs — then keep the potentials valid.
-    pub fn begin(&mut self, n: usize) {
-        self.pot.clear();
-        self.pot.resize(n, 0);
-        self.dist.clear();
-        self.dist.resize(n, INF);
-        self.parent.clear();
-        self.parent.resize(n, NO_ARC);
-        self.done.clear();
-        self.done.resize(n, false);
+    /// Starts a placement wave: every potential restarts at zero. O(1)
+    /// (O(nodes) once per 2³² waves, on stamp wrap-around).
+    pub fn begin_wave(&mut self) {
+        self.wave = self.wave.wrapping_add(1);
+        if self.wave == 0 {
+            self.nodes.iter_mut().for_each(|x| x.wave = 0);
+            self.wave = 1;
+        }
+    }
+
+    /// The accumulated [`KernelStats`] (only `mincost_pops` moves).
+    #[inline]
+    pub fn stats(&self) -> KernelStats {
+        self.stats
+    }
+
+    #[inline(always)]
+    fn pot(&self, x: u32) -> i64 {
+        let node = &self.nodes[x as usize];
+        if node.wave == self.wave {
+            node.pot
+        } else {
+            0
+        }
+    }
+
+    /// Starts one search over `n` nodes: grows the buffers if needed and
+    /// invalidates every distance stamp.
+    fn begin_search(&mut self, n: usize) {
+        if self.nodes.len() < n {
+            self.nodes.resize(n, Node::default());
+        }
+        self.search = self.search.wrapping_add(1);
+        if self.search == 0 {
+            self.nodes
+                .iter_mut()
+                .for_each(|x| (x.seen, x.done) = (0, 0));
+            self.search = 1;
+        }
         self.heap.clear();
+        self.settled.clear();
+    }
+
+    /// Offers distance `d` to node `y` (from vertex `parent` for an
+    /// in-node): strict `<`, so the first relaxation at a distance wins.
+    #[inline(always)]
+    fn relax(&mut self, y: u32, d: i64, parent: u32) {
+        let search = self.search;
+        let node = &mut self.nodes[y as usize];
+        if node.seen != search || d < node.dist {
+            node.seen = search;
+            node.dist = d;
+            node.parent = parent;
+            self.heap.push(Reverse((d, y)));
+        }
     }
 }
 
-/// One cheapest-path search: Dijkstra from `s` on reduced costs. Fills
-/// `ws.dist`/`ws.parent` and returns `true` iff `t` was reached. Stops
-/// as soon as `t` is settled (remaining labels stay unsettled, which the
-/// potential update accounts for).
-fn dijkstra(net: &CostFlowNetwork, s: u32, t: u32, ws: &mut McfWorkspace) -> bool {
-    let n = net.num_nodes();
-    ws.dist[..n].fill(INF);
-    ws.done[..n].fill(false);
-    ws.parent[..n].fill(NO_ARC);
-    ws.heap.clear();
-    ws.dist[s as usize] = 0;
-    ws.heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, u))) = ws.heap.pop() {
-        if ws.done[u as usize] {
+/// Places one cheapest circuit `source → target` over the vertices
+/// `idle` admits and writes its vertex path (source first) to `path`.
+/// Returns `false` — leaving `path` cleared and every potential as it
+/// was — when no idle path exists.
+///
+/// Call [`MincostWorkspace::begin_wave`] when a wave starts. Within a
+/// wave the caller must withdraw each placed path from `idle` before the
+/// next call, and may change nothing else; the `(source, target)` pair
+/// may change freely between calls. `source` and `target` must be idle
+/// and distinct.
+pub fn mincost_place_into(
+    csr: &Csr,
+    source: VertexId,
+    target: VertexId,
+    idle: impl Fn(VertexId) -> bool,
+    ws: &mut MincostWorkspace,
+    path: &mut Vec<VertexId>,
+) -> bool {
+    debug_assert!(idle(source) && idle(target) && source != target);
+    path.clear();
+    ws.begin_search(2 * csr.num_vertices());
+    let (s, t) = (2 * source.0, 2 * target.0 + 1);
+    ws.relax(s, 0, u32::MAX);
+    let mut found = false;
+    while let Some(Reverse((d, x))) = ws.heap.pop() {
+        let search = ws.search;
+        let node = &mut ws.nodes[x as usize];
+        if node.done == search {
             continue;
         }
-        ws.done[u as usize] = true;
-        if u == t {
-            return true;
+        node.done = search;
+        ws.settled.push(x);
+        ws.stats.mincost_pops += 1;
+        if x == t {
+            found = true;
+            break;
         }
-        for &ai in &net.first[u as usize] {
-            let a = &net.arcs[ai as usize];
-            if a.cap == 0 || ws.done[a.to as usize] {
+        // Reduced arc cost `c + π(x) − π(y)`: `base` is `d + π(x)`.
+        let base = d + ws.pot(x);
+        if x % 2 == 0 {
+            // An in-node is entered only while its vertex is idle.
+            let y = x + 1;
+            debug_assert!(ws.nodes[y as usize].done != search);
+            ws.relax(y, base + 1 - ws.pot(y), u32::MAX);
+            continue;
+        }
+        let u = VertexId(x / 2);
+        for &h in csr.out_heads(u) {
+            let y = 2 * h.0;
+            if !idle(h) || ws.nodes[y as usize].done == search {
                 continue;
             }
-            let rc = a.cost + ws.pot[u as usize] - ws.pot[a.to as usize];
-            debug_assert!(rc >= 0, "reduced cost went negative");
-            let nd = d + rc;
-            if nd < ws.dist[a.to as usize] {
-                ws.dist[a.to as usize] = nd;
-                ws.parent[a.to as usize] = ai;
-                ws.heap.push(Reverse((nd, a.to)));
-            }
+            let nd = base - ws.pot(y);
+            debug_assert!(
+                nd >= ws.nodes[x as usize].dist,
+                "reduced cost went negative"
+            );
+            ws.relax(y, nd, u.0);
         }
     }
-    false
-}
-
-/// Updates potentials after a successful search to `t`: `π(v) += min(d(v),
-/// d(t))`, the standard rule that keeps every residual reduced cost
-/// nonnegative after augmenting along the found path.
-fn update_potentials(n: usize, t: u32, ws: &mut McfWorkspace) {
-    let dt = ws.dist[t as usize];
-    for v in 0..n {
-        ws.pot[v] += ws.dist[v].min(dt);
+    if !found {
+        return false;
     }
-}
-
-/// Pushes one cheapest augmenting unit `s → t` and returns its true
-/// (unreduced) cost, or `None` when `t` is unreachable in the residual.
-///
-/// [`McfWorkspace::begin`] must have been called for this network build;
-/// after that, calls may freely change `(s, t)` between augmentations —
-/// the potential update keeps reduced costs valid — which is exactly the
-/// shape of the router's per-victim storm replanning. The augmenting
-/// path's arcs are left in `arcs_out` (in `s → t` order) so the caller
-/// can read placements or [`CostFlowNetwork::freeze_arc`] them.
-pub fn augment_unit_into(
-    net: &mut CostFlowNetwork,
-    s: u32,
-    t: u32,
-    ws: &mut McfWorkspace,
-    arcs_out: &mut Vec<u32>,
-) -> Option<i64> {
-    assert_ne!(s, t, "source equals sink");
-    let n = net.num_nodes();
-    if !dijkstra(net, s, t, ws) {
-        return None;
+    // π(x) += min(d(x), d(t)) for all x, less the common d(t): only the
+    // settled nodes sit below d(t) (the heap pops in distance order).
+    let (dt, wave) = (ws.nodes[t as usize].dist, ws.wave);
+    for &x in &ws.settled {
+        let node = &mut ws.nodes[x as usize];
+        let pot = if node.wave == wave { node.pot } else { 0 };
+        node.pot = pot + node.dist - dt;
+        node.wave = wave;
     }
-    update_potentials(n, t, ws);
-    arcs_out.clear();
-    let mut cost = 0i64;
-    let mut v = t;
-    while v != s {
-        let ai = ws.parent[v as usize];
-        debug_assert_ne!(ai, NO_ARC);
-        arcs_out.push(ai);
-        cost += net.arcs[ai as usize].cost;
-        v = net.arc_from(ai);
-    }
-    arcs_out.reverse();
-    for &ai in arcs_out.iter() {
-        let rev = net.arcs[ai as usize].rev as usize;
-        net.arcs[ai as usize].cap -= 1;
-        net.arcs[rev].cap += 1;
-    }
-    Some(cost)
-}
-
-/// Computes a minimum-cost `s → t` flow of value `min(max flow, limit)`
-/// by successive shortest paths, borrowing all scratch state from a
-/// reusable [`McfWorkspace`].
-///
-/// Because every augmentation follows a cheapest path under valid
-/// potentials, each intermediate flow is minimum-cost for its value —
-/// so with `limit = Some(k)` the result is the cheapest flow of value
-/// `min(max flow, k)`, and with `None` the cheapest maximum flow.
-pub fn min_cost_flow_into(
-    net: &mut CostFlowNetwork,
-    s: u32,
-    t: u32,
-    limit: Option<u32>,
-    ws: &mut McfWorkspace,
-) -> MinCostFlow {
-    assert_ne!(s, t, "source equals sink");
-    let n = net.num_nodes();
-    ws.begin(n);
-    let limit = limit.unwrap_or(u32::MAX);
-    let mut out = MinCostFlow::default();
-    let mut path = Vec::new();
-    while out.flow < limit {
-        // Unit-step augmentation: every instance in this workspace is
-        // unit-capacity (vertex-split circuits), so bottleneck batching
-        // would never push more than one unit anyway.
-        match augment_unit_into(net, s, t, ws, &mut path) {
-            Some(cost) => {
-                out.flow += 1;
-                out.value += cost;
-            }
-            None => break,
+    let mut v = target;
+    loop {
+        path.push(v);
+        if v == source {
+            break;
         }
+        v = VertexId(ws.nodes[2 * v.index()].parent);
     }
-    out
-}
-
-/// Convenience wrapper allocating a fresh workspace.
-pub fn min_cost_flow(net: &mut CostFlowNetwork, s: u32, t: u32, limit: Option<u32>) -> MinCostFlow {
-    let mut ws = McfWorkspace::new();
-    min_cost_flow_into(net, s, t, limit, &mut ws)
+    path.reverse();
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traversal::{bfs, Direction};
+
+    fn csr(n: usize, edges: &[(u32, u32)]) -> Csr {
+        let edges = edges
+            .iter()
+            .map(|&(t, h)| (VertexId(t), VertexId(h)))
+            .collect();
+        Csr::from_edges(n, edges)
+    }
+
+    fn place(
+        g: &Csr,
+        idle: &mut [bool],
+        s: u32,
+        t: u32,
+        ws: &mut MincostWorkspace,
+    ) -> Option<Vec<u32>> {
+        let mut path = Vec::new();
+        let ok = mincost_place_into(
+            g,
+            VertexId(s),
+            VertexId(t),
+            |v| idle[v.index()],
+            ws,
+            &mut path,
+        );
+        for v in &path {
+            idle[v.index()] = false;
+        }
+        ok.then(|| path.iter().map(|v| v.0).collect())
+    }
 
     #[test]
     fn cheapest_path_wins_before_expensive_one() {
-        // two disjoint s→t chains: cost 1 and cost 5, capacity 1 each
-        let mut net = CostFlowNetwork::new(4);
-        net.add_arc(0, 1, 1, 1);
-        net.add_arc(1, 3, 1, 0);
-        net.add_arc(0, 2, 1, 5);
-        net.add_arc(2, 3, 1, 0);
-        let r = min_cost_flow(&mut net, 0, 3, Some(1));
-        assert_eq!(r, MinCostFlow { flow: 1, value: 1 });
-        // second unit must take the expensive chain
-        let mut net2 = CostFlowNetwork::new(4);
-        net2.add_arc(0, 1, 1, 1);
-        net2.add_arc(1, 3, 1, 0);
-        net2.add_arc(0, 2, 1, 5);
-        net2.add_arc(2, 3, 1, 0);
-        let r = min_cost_flow(&mut net2, 0, 3, None);
-        assert_eq!(r, MinCostFlow { flow: 2, value: 6 });
-    }
-
-    #[test]
-    fn augmentation_reroutes_through_residual_arcs() {
-        // Classic repacking instance: the greedy cheapest first path
-        // (0→1→2→3, cost 2) blocks both remaining chains unless the
-        // second augmentation undoes the middle arc via its residual.
-        let mut net = CostFlowNetwork::new(4);
-        net.add_arc(0, 1, 1, 1);
-        net.add_arc(1, 2, 1, 0);
-        net.add_arc(2, 3, 1, 1);
-        net.add_arc(0, 2, 1, 2);
-        net.add_arc(1, 3, 1, 2);
-        let r = min_cost_flow(&mut net, 0, 3, None);
-        assert_eq!(r.flow, 2);
-        // optimum pairs 0→1→3 with 0→2→3: cost (1+2) + (2+1) = 6
-        assert_eq!(r.value, 6);
-    }
-
-    #[test]
-    fn freeze_arc_blocks_both_directions() {
-        let mut net = CostFlowNetwork::new(3);
-        let a = net.add_arc(0, 1, 1, 0);
-        net.add_arc(1, 2, 1, 0);
-        let mut ws = McfWorkspace::new();
-        ws.begin(3);
-        let mut path = Vec::new();
-        assert!(augment_unit_into(&mut net, 0, 2, &mut ws, &mut path).is_some());
-        assert_eq!(net.flow_on(a), 1);
-        net.freeze_arc(a);
-        // the unit through `a` can be neither extended nor ripped out
-        assert!(augment_unit_into(&mut net, 0, 2, &mut ws, &mut path).is_none());
-        assert!(augment_unit_into(&mut net, 1, 0, &mut ws, &mut path).is_none());
+        // two vertex-disjoint 0→5 routes: 0→1→5 (3 vertices) and
+        // 0→2→3→4→5 (5 vertices); the first placement takes the cheap
+        // one, and with 0 and 5 released the second takes the other
+        let g = csr(6, &[(0, 2), (2, 3), (3, 4), (4, 5), (0, 1), (1, 5)]);
+        let mut idle = vec![true; 6];
+        let mut ws = MincostWorkspace::new();
+        ws.begin_wave();
+        assert_eq!(place(&g, &mut idle, 0, 5, &mut ws), Some(vec![0, 1, 5]));
+        idle[0] = true;
+        idle[5] = true;
+        assert_eq!(
+            place(&g, &mut idle, 0, 5, &mut ws),
+            Some(vec![0, 2, 3, 4, 5])
+        );
+        idle[0] = true;
+        idle[5] = true;
+        assert_eq!(place(&g, &mut idle, 0, 5, &mut ws), None);
     }
 
     #[test]
     fn changing_pairs_keep_potentials_valid() {
-        // a 2×2 bipartite instance planned one pair at a time, the way
-        // the router replans a storm batch
-        let mut net = CostFlowNetwork::new(4);
-        net.add_arc(0, 2, 1, 1);
-        net.add_arc(0, 3, 1, 3);
-        net.add_arc(1, 2, 1, 2);
-        net.add_arc(1, 3, 1, 1);
-        let mut ws = McfWorkspace::new();
-        ws.begin(4);
-        let mut path = Vec::new();
-        let c0 = augment_unit_into(&mut net, 0, 2, &mut ws, &mut path).unwrap();
-        assert_eq!(c0, 1);
-        assert_eq!(path.len(), 1);
-        let c1 = augment_unit_into(&mut net, 1, 3, &mut ws, &mut path).unwrap();
-        assert_eq!(c1, 1);
-        // a third pair still routes over the remaining expensive arc,
-        // with potentials carried over from the earlier pairs
-        let c2 = augment_unit_into(&mut net, 0, 3, &mut ws, &mut path).unwrap();
-        assert_eq!(c2, 3);
-        // 0's arcs are now all saturated: no further unit can leave it
-        assert!(augment_unit_into(&mut net, 0, 1, &mut ws, &mut path).is_none());
+        // A random DAG planned one pair at a time, the way the router
+        // places a wave: every placement is a cheapest idle path (a
+        // shortest one by vertex count), whatever pairs came before —
+        // the debug assertion on reduced costs checks the potentials.
+        let mut r = crate::gen::rng(5);
+        for _ in 0..40 {
+            let dag = crate::gen::random_dag(&mut r, 14, 40);
+            let g = Csr::from_digraph(&dag);
+            let mut idle = vec![true; 14];
+            let mut ws = MincostWorkspace::new();
+            ws.begin_wave();
+            for s in 0..7u32 {
+                let t = 13 - s;
+                if !idle[s as usize] || !idle[t as usize] {
+                    continue;
+                }
+                let mask = idle.clone();
+                let flood = bfs(
+                    &g,
+                    &[VertexId(s)],
+                    Direction::Forward,
+                    |_| true,
+                    |v| mask[v.index()],
+                );
+                let want = flood
+                    .reached(VertexId(t))
+                    .then(|| flood.dist[t as usize] + 1);
+                let got = place(&g, &mut idle, s, t, &mut ws).map(|p| p.len() as u32);
+                assert_eq!(got, want, "pair {s} → {t}");
+            }
+        }
     }
 
     #[test]
     fn reset_reuses_allocation() {
-        let mut net = CostFlowNetwork::new(3);
-        net.add_arc(0, 1, 2, 1);
-        net.add_arc(1, 2, 2, 1);
-        assert_eq!(
-            min_cost_flow(&mut net, 0, 2, None),
-            MinCostFlow { flow: 2, value: 4 }
+        // a new wave restarts the potentials without touching the
+        // buffers: the same wave replayed gives the same paths and pops
+        let g = csr(
+            6,
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 3),
+                (2, 3),
+                (1, 4),
+                (2, 4),
+                (3, 5),
+                (4, 5),
+            ],
         );
-        net.reset(2);
-        assert_eq!(net.num_nodes(), 2);
-        net.add_arc(0, 1, 3, 2);
+        let mut ws = MincostWorkspace::new();
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            ws.begin_wave();
+            let before = ws.stats().mincost_pops;
+            let mut idle = vec![true; 6];
+            let first = place(&g, &mut idle, 0, 3, &mut ws);
+            let second = place(&g, &mut idle, 2, 5, &mut ws);
+            runs.push((
+                first,
+                second,
+                ws.stats().mincost_pops - before,
+                ws.nodes.capacity(),
+            ));
+        }
         assert_eq!(
-            min_cost_flow(&mut net, 0, 1, None),
-            MinCostFlow { flow: 3, value: 6 }
+            (&runs[0].0, &runs[0].1),
+            (&Some(vec![0, 1, 3]), &Some(vec![2, 4, 5]))
         );
-    }
-
-    #[test]
-    fn arc_endpoint_accessors() {
-        let mut net = CostFlowNetwork::new(3);
-        let a = net.add_arc(1, 2, 1, 0);
-        assert_eq!(net.arc_from(a), 1);
-        assert_eq!(net.arc_to(a), 2);
-        assert_eq!(net.add_node(), 3);
-        assert_eq!(net.num_nodes(), 4);
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
     }
 }

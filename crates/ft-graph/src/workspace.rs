@@ -54,6 +54,10 @@ pub struct KernelStats {
     /// Lane bits the sliced sweep decided: the popcount of every
     /// reached word, summed over the vertices — equal on both paths.
     pub sliced_lane_decisions: u64,
+    /// Split nodes the min-cost placement planner settled
+    /// ([`crate::mincost::mincost_place_into`]): up to two per fabric
+    /// vertex a placement search reached, its target included.
+    pub mincost_pops: u64,
 }
 
 impl KernelStats {
@@ -64,6 +68,7 @@ impl KernelStats {
         self.bibfs_pops += other.bibfs_pops;
         self.sliced_pops += other.sliced_pops;
         self.sliced_lane_decisions += other.sliced_lane_decisions;
+        self.mincost_pops += other.mincost_pops;
     }
 }
 

@@ -10,12 +10,15 @@
 //! kernel's internals; and the min-cost kernel is held to brute-force
 //! enumeration on small instances, plus the bound the reroute planner
 //! relies on: a min-cost flow never costs more than the flow Dinic
-//! happens to find at the same value.
+//! happens to find at the same value. The min-cost kernel is the
+//! test-only reference in `common`; its own unit tests close the file.
+mod common;
+
+use common::{augment_unit_into, min_cost_flow, CostFlowNetwork, McfWorkspace, MinCostFlow};
 use ft_graph::gen;
 use ft_graph::ids::{EdgeId, VertexId};
 use ft_graph::matching::hopcroft_karp;
 use ft_graph::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowNetwork, FlowWorkspace};
-use ft_graph::mincost::{min_cost_flow, CostFlowNetwork};
 use ft_graph::paths::are_vertex_disjoint;
 use ft_graph::staged::{StagedBuilder, StagedNetwork};
 use proptest::prelude::*;
@@ -337,4 +340,112 @@ proptest! {
             dinic_cost
         );
     }
+}
+
+// The reference kernel's own unit tests.
+
+#[test]
+fn cheapest_path_wins_before_expensive_one() {
+    // two disjoint s→t chains: cost 1 and cost 5, capacity 1 each
+    let mut net = CostFlowNetwork::new(4);
+    net.add_arc(0, 1, 1, 1);
+    net.add_arc(1, 3, 1, 0);
+    net.add_arc(0, 2, 1, 5);
+    net.add_arc(2, 3, 1, 0);
+    let r = min_cost_flow(&mut net, 0, 3, Some(1));
+    assert_eq!(r, MinCostFlow { flow: 1, value: 1 });
+    // second unit must take the expensive chain
+    let mut net2 = CostFlowNetwork::new(4);
+    net2.add_arc(0, 1, 1, 1);
+    net2.add_arc(1, 3, 1, 0);
+    net2.add_arc(0, 2, 1, 5);
+    net2.add_arc(2, 3, 1, 0);
+    let r = min_cost_flow(&mut net2, 0, 3, None);
+    assert_eq!(r, MinCostFlow { flow: 2, value: 6 });
+}
+
+#[test]
+fn augmentation_reroutes_through_residual_arcs() {
+    // Classic repacking instance: the greedy cheapest first path
+    // (0→1→2→3, cost 2) blocks both remaining chains unless the
+    // second augmentation undoes the middle arc via its residual.
+    let mut net = CostFlowNetwork::new(4);
+    net.add_arc(0, 1, 1, 1);
+    net.add_arc(1, 2, 1, 0);
+    net.add_arc(2, 3, 1, 1);
+    net.add_arc(0, 2, 1, 2);
+    net.add_arc(1, 3, 1, 2);
+    let r = min_cost_flow(&mut net, 0, 3, None);
+    assert_eq!(r.flow, 2);
+    // optimum pairs 0→1→3 with 0→2→3: cost (1+2) + (2+1) = 6
+    assert_eq!(r.value, 6);
+}
+
+#[test]
+fn freeze_arc_blocks_both_directions() {
+    let mut net = CostFlowNetwork::new(3);
+    let a = net.add_arc(0, 1, 1, 0);
+    net.add_arc(1, 2, 1, 0);
+    let mut ws = McfWorkspace::new();
+    ws.begin(3);
+    let mut path = Vec::new();
+    assert!(augment_unit_into(&mut net, 0, 2, &mut ws, &mut path).is_some());
+    assert_eq!(net.flow_on(a), 1);
+    net.freeze_arc(a);
+    // the unit through `a` can be neither extended nor ripped out
+    assert!(augment_unit_into(&mut net, 0, 2, &mut ws, &mut path).is_none());
+    assert!(augment_unit_into(&mut net, 1, 0, &mut ws, &mut path).is_none());
+}
+
+#[test]
+fn changing_pairs_keep_potentials_valid() {
+    // a 2×2 bipartite instance planned one pair at a time, the way
+    // the router replans a storm batch
+    let mut net = CostFlowNetwork::new(4);
+    net.add_arc(0, 2, 1, 1);
+    net.add_arc(0, 3, 1, 3);
+    net.add_arc(1, 2, 1, 2);
+    net.add_arc(1, 3, 1, 1);
+    let mut ws = McfWorkspace::new();
+    ws.begin(4);
+    let mut path = Vec::new();
+    let c0 = augment_unit_into(&mut net, 0, 2, &mut ws, &mut path).unwrap();
+    assert_eq!(c0, 1);
+    assert_eq!(path.len(), 1);
+    let c1 = augment_unit_into(&mut net, 1, 3, &mut ws, &mut path).unwrap();
+    assert_eq!(c1, 1);
+    // a third pair still routes over the remaining expensive arc,
+    // with potentials carried over from the earlier pairs
+    let c2 = augment_unit_into(&mut net, 0, 3, &mut ws, &mut path).unwrap();
+    assert_eq!(c2, 3);
+    // 0's arcs are now all saturated: no further unit can leave it
+    assert!(augment_unit_into(&mut net, 0, 1, &mut ws, &mut path).is_none());
+}
+
+#[test]
+fn reset_reuses_allocation() {
+    let mut net = CostFlowNetwork::new(3);
+    net.add_arc(0, 1, 2, 1);
+    net.add_arc(1, 2, 2, 1);
+    assert_eq!(
+        min_cost_flow(&mut net, 0, 2, None),
+        MinCostFlow { flow: 2, value: 4 }
+    );
+    net.reset(2);
+    assert_eq!(net.num_nodes(), 2);
+    net.add_arc(0, 1, 3, 2);
+    assert_eq!(
+        min_cost_flow(&mut net, 0, 1, None),
+        MinCostFlow { flow: 3, value: 6 }
+    );
+}
+
+#[test]
+fn arc_endpoint_accessors() {
+    let mut net = CostFlowNetwork::new(3);
+    let a = net.add_arc(1, 2, 1, 0);
+    assert_eq!(net.arc_from(a), 1);
+    assert_eq!(net.arc_to(a), 2);
+    assert_eq!(net.add_node(), 3);
+    assert_eq!(net.num_nodes(), 4);
 }

@@ -1,5 +1,8 @@
 //! Property-based tests for the graph kernel invariants.
 
+mod common;
+
+use common::random_unit_staged;
 use ft_graph::gen;
 use ft_graph::ids::VertexId;
 use ft_graph::matching::{hopcroft_karp, hopcroft_karp_into, MatchingWorkspace};
@@ -17,7 +20,7 @@ use ft_graph::traversal::{
 use ft_graph::tree::{
     contract_stretches, is_forest, leaves, min_internal_degree_3, reduce_to_degree_3,
 };
-use ft_graph::{Csr, DiGraph, FlowWorkspace, StagedNetwork, TraversalWorkspace};
+use ft_graph::{Csr, DiGraph, FlowWorkspace, TraversalWorkspace};
 use proptest::prelude::*;
 
 /// Strategy: a random DAG described by (n, edge list of (a, b) with a < b).
@@ -33,36 +36,6 @@ fn dag_strategy() -> impl Strategy<Value = DiGraph> {
             g
         })
     })
-}
-
-/// A random unit-staged network with the given stage widths — each
-/// adjacent-stage pair joined with probability 0.6, and by a parallel
-/// switch (which stresses the tie-break rules) with probability 0.1 —
-/// and a random idle mask keeping each vertex with probability `p_idle`.
-fn random_unit_staged(seed: u64, widths: &[usize], p_idle: f64) -> (StagedNetwork, Vec<bool>) {
-    use rand::Rng;
-    let mut r = gen::rng(seed);
-    let mut b = StagedBuilder::new();
-    let ranges: Vec<_> = widths.iter().map(|&w| b.add_stage(w)).collect();
-    for w in ranges.windows(2) {
-        for t in w[0].clone() {
-            for h in w[1].clone() {
-                if r.random_bool(0.6) {
-                    b.add_edge(VertexId(t), VertexId(h));
-                }
-                if r.random_bool(0.1) {
-                    b.add_edge(VertexId(t), VertexId(h));
-                }
-            }
-        }
-    }
-    b.set_inputs(ranges[0].clone().map(VertexId).collect());
-    b.set_outputs(ranges[ranges.len() - 1].clone().map(VertexId).collect());
-    let net = b.finish();
-    assert!(net.is_unit_staged());
-    let n = net.graph().num_vertices();
-    let idle = (0..n).map(|_| r.random_bool(p_idle)).collect();
-    (net, idle)
 }
 
 /// `c` with each vertex `u` renamed `perm[u]` for a seeded random

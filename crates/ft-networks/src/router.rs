@@ -9,10 +9,10 @@
 //! connect/disconnect churn.
 
 use ft_graph::ids::VertexId;
-use ft_graph::mincost::augment_unit_into;
+use ft_graph::mincost::mincost_place_into;
 use ft_graph::traversal::{bfs_into, route_into, Direction};
 use ft_graph::workspace::TraversalWorkspace;
-use ft_graph::{CostFlowNetwork, McfWorkspace, OutputReach, StagedNetwork};
+use ft_graph::{MincostWorkspace, OutputReach, StagedNetwork};
 
 /// `owner` sentinel: the vertex carries no circuit.
 const NO_OWNER: u32 = u32::MAX;
@@ -93,6 +93,9 @@ pub struct CircuitRouter<'a> {
     /// Cleared path buffers recycled across sessions.
     spare: Vec<Vec<VertexId>>,
     ws: TraversalWorkspace,
+    /// Split nodes settled by this router's min-cost placements (the
+    /// planner's workspace lives in the caller's [`MincostBatch`]).
+    mincost_pops: u64,
 }
 
 impl<'a> CircuitRouter<'a> {
@@ -115,6 +118,7 @@ impl<'a> CircuitRouter<'a> {
             free: Vec::new(),
             spare: Vec::new(),
             ws: TraversalWorkspace::new(),
+            mincost_pops: 0,
         }
     }
 
@@ -146,13 +150,17 @@ impl<'a> CircuitRouter<'a> {
     }
 
     /// Accumulated per-kernel work counters of the router's search
-    /// workspace. Counters are deterministic functions of the
-    /// connect/disconnect history, so they may feed byte-reproducible
-    /// reports; deltas around a single `connect` measure that attempt's
-    /// search effort.
+    /// workspace, plus the split nodes its [`Self::mincost_place`]
+    /// calls settled (`mincost_pops`). Counters are deterministic
+    /// functions of the connect/disconnect history, so they may feed
+    /// byte-reproducible reports; deltas around a single `connect`
+    /// measure that attempt's search effort.
     #[inline]
     pub fn kernel_stats(&self) -> ft_graph::KernelStats {
-        self.ws.stats()
+        ft_graph::KernelStats {
+            mincost_pops: self.mincost_pops,
+            ..self.ws.stats()
+        }
     }
 
     /// Attempts to connect `input → output` greedily: the path taken is
@@ -234,41 +242,22 @@ impl<'a> CircuitRouter<'a> {
         SessionId(slot)
     }
 
-    /// Snapshots the idle fabric into `batch`'s min-cost-flow network:
-    /// every idle vertex becomes a unit-capacity split arc of cost 1
-    /// (cost = fabric vertices occupied) and every switch whose two
-    /// endpoints are idle becomes a free unit arc between the splits.
-    /// Subsequent [`Self::mincost_place`] calls place circuits on this
-    /// snapshot; rebuild it whenever the idle set changes outside those
-    /// calls. Allocation-free once `batch` has grown to the fabric size.
+    /// Starts a min-cost placement wave on `batch`: the planner's
+    /// potentials restart at zero. O(1) — the planner searches the live
+    /// idle fabric, so nothing is copied. Start a new wave whenever the
+    /// idle set changes other than by [`Self::mincost_place`].
     pub fn begin_mincost_batch(&self, batch: &mut MincostBatch) {
-        let n = self.alive.len();
-        batch.net.reset(2 * n);
-        for v in 0..n {
-            if self.idle[v] {
-                let a = batch.net.add_arc(2 * v as u32, 2 * v as u32 + 1, 1, 1);
-                debug_assert_eq!(a % 2, 0);
-            }
-        }
-        let g = self.net.graph();
-        for e in 0..g.num_edges() {
-            let (t, h) = g.endpoints(ft_graph::EdgeId::from(e));
-            if self.idle[t.index()] && self.idle[h.index()] {
-                batch
-                    .net
-                    .add_arc(2 * t.index() as u32 + 1, 2 * h.index() as u32, 1, 0);
-            }
-        }
-        batch.ws.begin(2 * n);
+        batch.begin_wave();
     }
 
-    /// Attempts to place `input → output` on the batch snapshot by one
-    /// min-cost augmentation. On success the placement is *executed*:
-    /// the circuit is committed exactly as [`Self::connect`] would
-    /// (same slot, owner and idle bookkeeping) and its arcs are frozen
-    /// in the snapshot so later placements in the batch can never
-    /// repack it. On failure nothing changes — neither the fabric nor
-    /// the snapshot — which is the mode's minimal-disruption guarantee.
+    /// Attempts to place `input → output` by one min-cost augmentation
+    /// on the idle fabric (`ft_graph::mincost`): a cheapest idle path,
+    /// every occupied vertex costing one, ties broken by the planner's
+    /// potentials. On success the placement is *executed*: the circuit
+    /// is committed exactly as [`Self::connect`] would (same slot, owner
+    /// and idle bookkeeping), which also withdraws it from every later
+    /// placement of the wave — placements never repack earlier ones. On
+    /// failure nothing changes, neither the fabric nor the potentials.
     pub fn mincost_place(
         &mut self,
         batch: &mut MincostBatch,
@@ -281,25 +270,22 @@ impl<'a> CircuitRouter<'a> {
         if !self.is_idle(output) {
             return Err(RouteError::OutputUnavailable(output));
         }
-        let s = 2 * input.index() as u32;
-        let t = 2 * output.index() as u32 + 1;
-        if augment_unit_into(&mut batch.net, s, t, &mut batch.ws, &mut batch.arcs).is_none() {
+        let mut path = self.spare.pop().unwrap_or_default();
+        let idle = &self.idle;
+        let before = batch.stats().mincost_pops;
+        let placed = mincost_place_into(
+            self.net.graph(),
+            input,
+            output,
+            |v| idle[v.index()],
+            batch,
+            &mut path,
+        );
+        self.mincost_pops += batch.stats().mincost_pops - before;
+        if !placed {
+            self.spare.push(path);
             return Err(RouteError::Blocked(input, output));
         }
-        let mut path = self.spare.pop().unwrap_or_default();
-        for &ai in &batch.arcs {
-            let from = batch.net.arc_from(ai);
-            if from.is_multiple_of(2) && batch.net.arc_to(ai) == from + 1 {
-                path.push(VertexId::from(from as usize / 2));
-            }
-            // Freeze the whole placed path — split AND switch arcs — so
-            // no later augmentation can thread residual reversals of
-            // this circuit (which would fabricate paths that cross a
-            // vertex without occupying it).
-            batch.net.freeze_arc(ai);
-        }
-        debug_assert_eq!(path.first(), Some(&input));
-        debug_assert_eq!(path.last(), Some(&output));
         Ok(self.commit_path(path))
     }
 
@@ -449,26 +435,11 @@ impl<'a> CircuitRouter<'a> {
     }
 }
 
-/// Reusable state for one min-cost placement wave
+/// Reusable state of min-cost placement waves
 /// ([`CircuitRouter::begin_mincost_batch`] /
-/// [`CircuitRouter::mincost_place`]): the idle-fabric cost network, the
-/// successive-shortest-path workspace, and the per-augmentation arc
-/// buffer. Own one per simulation and rebuild it each wave — the
-/// buffers grow to the fabric size once and are then reused.
-#[derive(Clone, Debug, Default)]
-pub struct MincostBatch {
-    net: CostFlowNetwork,
-    ws: McfWorkspace,
-    arcs: Vec<u32>,
-}
-
-impl MincostBatch {
-    /// An empty batch; sized lazily by the first
-    /// [`CircuitRouter::begin_mincost_batch`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// [`CircuitRouter::mincost_place`]): the planner's workspace. Own one
+/// per simulation worker; its buffers grow to the fabric size once.
+pub type MincostBatch = MincostWorkspace;
 
 #[cfg(test)]
 mod tests {
@@ -717,6 +688,145 @@ mod tests {
             }
         }
         assert!(blocked_seen, "butterfly unexpectedly superconcentrates");
+    }
+
+    /// Every idle simple `s → t` path of `net` (test fabrics are DAGs).
+    fn idle_paths(
+        net: &StagedNetwork,
+        idle: &[bool],
+        s: VertexId,
+        t: VertexId,
+    ) -> Vec<Vec<VertexId>> {
+        fn walk(
+            net: &StagedNetwork,
+            idle: &[bool],
+            t: VertexId,
+            path: &mut Vec<VertexId>,
+            out: &mut Vec<Vec<VertexId>>,
+        ) {
+            let v = *path.last().unwrap();
+            if v == t {
+                out.push(path.clone());
+                return;
+            }
+            for &h in net.graph().out_heads(v) {
+                if idle[h.index()] {
+                    path.push(h);
+                    walk(net, idle, t, path, out);
+                    path.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        if idle[s.index()] {
+            walk(net, idle, t, &mut vec![s], &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn mincost_wave_can_block_a_jointly_placeable_pair() {
+        // Beneš(2) carrying one circuit 2 → 0; a kill wave then places
+        // 1 → 1 and 0 → 3. The planner puts the first victim on a
+        // cheapest path without looking ahead, and that path cuts every
+        // idle route of the second victim — yet brute force finds a
+        // vertex-disjoint placement of both on the wave's idle fabric.
+        let b = crate::benes::Benes::new(2);
+        let net = &b.net;
+        let (ins, outs) = (net.inputs(), net.outputs());
+        let mut router = CircuitRouter::new(net);
+        router.connect(ins[2], outs[0]).unwrap();
+        let n = net.graph().num_vertices();
+        let idle: Vec<bool> = (0..n).map(|v| router.is_idle(VertexId::from(v))).collect();
+        let mut batch = MincostBatch::new();
+        router.begin_mincost_batch(&mut batch);
+        router.mincost_place(&mut batch, ins[1], outs[1]).unwrap();
+        assert_eq!(
+            router.mincost_place(&mut batch, ins[0], outs[3]),
+            Err(RouteError::Blocked(ins[0], outs[3]))
+        );
+        let firsts = idle_paths(net, &idle, ins[1], outs[1]);
+        let seconds = idle_paths(net, &idle, ins[0], outs[3]);
+        let joint = firsts
+            .iter()
+            .any(|p| seconds.iter().any(|q| p.iter().all(|v| !q.contains(v))));
+        assert!(joint, "no joint placement of {firsts:?} and {seconds:?}");
+    }
+
+    #[test]
+    fn mincost_place_is_the_planner_on_the_bare_idle_mask() {
+        // The router must hand the planner its idle mask and nothing
+        // less: a node pruned from a search (say by the output-reach
+        // table) misses its potential update, and later placements of
+        // the wave break ties differently. Waves of 1–6 placements on
+        // churning fabrics, through the router and through the planner
+        // on a copy of the router's idle mask, must agree exactly.
+        use ft_graph::mincost::mincost_place_into;
+        let fabrics = [
+            crate::benes::Benes::new(3).net,
+            Clos::rearrangeable(2, 3).net,
+            crate::multibutterfly::Multibutterfly::seeded(3, 2, 7).net,
+        ];
+        for net in &fabrics {
+            let (ins, outs) = (net.inputs(), net.outputs());
+            let n = net.graph().num_vertices();
+            let mut r = rng(23);
+            let mut router = CircuitRouter::new(net);
+            let (mut batch, mut ws) = (MincostBatch::new(), MincostWorkspace::new());
+            let mut path = Vec::new();
+            let mut carried = 0;
+            for _ in 0..300 {
+                for _ in 0..2 {
+                    let (i, o) = (r.random_range(0..ins.len()), r.random_range(0..outs.len()));
+                    let _ = router.connect(ins[i], outs[o]);
+                }
+                let mut idle: Vec<bool> =
+                    (0..n).map(|v| router.is_idle(VertexId::from(v))).collect();
+                router.begin_mincost_batch(&mut batch);
+                ws.begin_wave();
+                let mut placed = 0;
+                for _ in 0..r.random_range(1..=6) {
+                    let (i, o) = (
+                        ins[r.random_range(0..ins.len())],
+                        outs[r.random_range(0..outs.len())],
+                    );
+                    if !idle[i.index()] || !idle[o.index()] {
+                        continue;
+                    }
+                    let pops = router.kernel_stats().mincost_pops;
+                    let got = router.mincost_place(&mut batch, i, o);
+                    let got = got.map(|id| router.session_path(id).unwrap().to_vec()).ok();
+                    let want_pops = ws.stats().mincost_pops;
+                    let found = mincost_place_into(
+                        net.graph(),
+                        i,
+                        o,
+                        |v| idle[v.index()],
+                        &mut ws,
+                        &mut path,
+                    );
+                    assert_eq!(got, found.then(|| path.clone()), "{i:?} → {o:?}");
+                    assert_eq!(
+                        router.kernel_stats().mincost_pops - pops,
+                        ws.stats().mincost_pops - want_pops
+                    );
+                    if found {
+                        path.iter().for_each(|v| idle[v.index()] = false);
+                        carried += usize::from(placed > 0);
+                        placed += 1;
+                    }
+                }
+                for slot in 0..router.session_slots() {
+                    if r.random_bool(0.6) {
+                        router.disconnect(SessionId(slot as u32));
+                    }
+                }
+            }
+            assert!(
+                carried > 50,
+                "only {carried} placements on carried potentials"
+            );
+        }
     }
 
     #[test]

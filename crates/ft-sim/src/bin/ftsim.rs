@@ -132,6 +132,7 @@ fn run() -> Result<(), String> {
         let counters = ft_obs::KvLine::new("kernel counters")
             .kv("bibfs_pops", kernel.bibfs_pops)
             .kv("epoch_resets", kernel.epoch_resets)
+            .kv("mincost_pops", kernel.mincost_pops)
             .finish();
         eprintln!("ftsim: {counters}");
         if let Some(mb) = ft_obs::profile::peak_rss_mb() {

@@ -115,8 +115,8 @@ impl<'a> SwitchingCore<'a> {
         self.router.connect(net.inputs()[src], net.outputs()[dst])
     }
 
-    /// Like [`admit`](Self::admit), placing by one min-cost augmentation
-    /// on `batch` — a snapshot of this core's router taken by
+    /// Like [`admit`](Self::admit), placing by one min-cost placement
+    /// in `batch`'s wave — started by
     /// [`CircuitRouter::begin_mincost_batch`] since the idle set last
     /// changed outside such placements.
     pub fn admit_mincost(

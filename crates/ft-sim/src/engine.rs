@@ -67,7 +67,7 @@ pub struct SimConfig {
     /// Reaction policy for fault-killed calls (degradation ladder).
     pub retry: RetryPolicy,
     /// Placement planner for the kill-time reroute wave (greedy
-    /// per-victim search vs min-cost batch planning).
+    /// per-victim search vs min-cost placement).
     pub reroute: RerouteMode,
 }
 
@@ -155,7 +155,7 @@ pub struct SimWorkspace {
     dense_hist: Vec<u64>,
     /// Flat indices of nonzero `dense_hist` entries, first-touch order.
     dense_touched: Vec<u32>,
-    /// Min-cost placement state, rebuilt per kill wave when
+    /// Min-cost planner state, restarted per kill wave when
     /// `reroute = mincost` (untouched by the greedy mode).
     batch: MincostBatch,
 }
@@ -761,9 +761,9 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
             self.ws.victims.push(call);
         }
-        // Min-cost mode snapshots the idle fabric ONCE per kill wave
-        // (after the victims' paths were released above) and places the
-        // wave's reroutes by successive min-cost augmentations on it.
+        // Min-cost mode starts one planner wave per kill wave (after
+        // the victims' paths were released above) and places the wave's
+        // reroutes one by one, potentials carried from victim to victim.
         if self.cfg.reroute == RerouteMode::Mincost && !self.ws.victims.is_empty() {
             self.core.router().begin_mincost_batch(&mut self.ws.batch);
         }
@@ -788,12 +788,12 @@ impl<'a, O: Observer> Engine<'a, O> {
 
     /// The degradation ladder's admission step for one killed call: an
     /// immediate reroute attempt by the configured planner — greedy
-    /// search or min-cost batch placement — then, per the retry policy,
+    /// search or min-cost placement — then, per the retry policy,
     /// either park in the pending queue for repair-triggered retries,
     /// or schedule deterministic exponential-backoff retries (shedding
     /// outright when the queue is past the overload threshold). Later
-    /// attempts are always greedy: the batch snapshot is only valid
-    /// within the wave that built it.
+    /// attempts are always greedy: the planner's potentials are only
+    /// valid within the wave that started them.
     fn route_after_kill(&mut self, call: Call, counted: bool) {
         let waiting = PendingCall {
             src: call.src,
@@ -940,7 +940,7 @@ impl<'a, O: Observer> Engine<'a, O> {
 
     /// Attempts to re-establish killed call `p` by planner `mode`: a
     /// greedy search against the live fabric, or one min-cost
-    /// augmentation on the current kill wave's batch snapshot. Returns
+    /// placement in the current kill wave. Returns
     /// whether it succeeded (bookkeeping done). `p.counted` says
     /// whether the kill entered `metrics.dropped`; the reroute counter
     /// mirrors it so the `dropped == rerouted + abandoned` identity

@@ -227,11 +227,13 @@ pub enum RerouteMode {
     /// over whatever capacity the previous victims left behind.
     #[default]
     Greedy,
-    /// Minimal-disruption batch placement: one min-cost-flow network is
-    /// built over the idle fabric per kill wave and each victim is
-    /// placed by a successive-shortest-path augmentation (cost = fabric
-    /// vertices occupied), so no reroute is *executed* unless a
-    /// placement exists — failed probing never touches the fabric.
+    /// Min-cost placement: each victim, in kill order, is placed on a
+    /// cheapest idle path (cost = fabric vertices occupied) by a
+    /// Dijkstra whose potentials carry through the kill wave, and is
+    /// never repacked. No reroute is *executed* unless a placement
+    /// exists — a failed probe never touches the fabric. On
+    /// unit-staged fabrics every path costs the same, so this differs
+    /// from `Greedy` only in its tie-break and in what `moved` books.
     Mincost,
 }
 

@@ -48,13 +48,12 @@ pub struct Metrics {
     /// Dropped sessions successfully re-routed before their hangup.
     pub rerouted: u64,
     /// Reroute operations *executed against the fabric* — the
-    /// disruption cost the `reroute = mincost` planner minimises. Under
-    /// greedy rerouting every attempt counts, successful or not (a
-    /// failed attempt still searched the live fabric); under min-cost
-    /// kill-wave placement only committed placements count, because
-    /// failed probes run on the wave's planning snapshot and never
-    /// touch the fabric. Backoff retries and on-repair drains are
-    /// greedy in both modes and count per attempt.
+    /// disruption axis. Under greedy rerouting every attempt counts,
+    /// successful or not (a failed attempt still searched the live
+    /// fabric); under min-cost kill-wave placement only committed
+    /// placements count, because a failed probe changes nothing.
+    /// Backoff retries and on-repair drains are greedy in both modes
+    /// and count per attempt.
     pub moved: u64,
     /// Dropped sessions never re-established (lost for good).
     pub abandoned: u64,

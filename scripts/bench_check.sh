@@ -50,6 +50,7 @@ sim_churn_100k_calls
 sim_churn_100k_calls_faulty
 reroute_storm
 reroute_storm_mincost
+reroute_storm_mincost_ftn_nu2
 router_connect_pair_ftn_nu2
 router_connect_pair_ftn_nu2_half_busy
 router_connect_pair_ftn_paper_nu1
