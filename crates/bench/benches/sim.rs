@@ -1,11 +1,16 @@
 //! Simulation-engine kernels: event-loop throughput with and without
-//! the temporal fault process.
+//! the temporal fault process, and the event queue and the NDJSON trace
+//! renderer on a storm workload's own schedule and event stream.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ft_graph::ids::EdgeId;
+use ft_obs::{Observer, TraceBuf, TraceEvent};
 use ft_sim::{
-    run_seed_obs, run_seed_with, Fabric, FaultSpec, HoldingTime, RerouteMode, RetryPolicy,
-    Scenario, SimConfig, SimWorkspace, TrafficPattern,
+    export_stream, run_seed_obs, run_seed_with, EventKind, EventQueue, Fabric, FaultSpec,
+    HoldingTime, RerouteMode, RetryPolicy, Scenario, SimConfig, SimWorkspace, StreamKind,
+    TrafficPattern,
 };
+use std::collections::HashMap;
 use std::hint::black_box;
 
 fn cfg_1k_calls() -> SimConfig {
@@ -223,6 +228,158 @@ fn bench_reroute_storm_mincost_ftn_nu2(c: &mut Criterion) {
     });
 }
 
+/// The repo benchmark's `sim_clos_storm` scenario at a tenth of its
+/// duration: stage storms on `clos-strict 4 4` under the retry/shed
+/// ladder and the min-cost planner, ≈ 28 600 events at seed 1.
+fn clos_storm() -> Scenario {
+    let mut scenario = Scenario::parse(include_str!(
+        "../../../benchmark/workloads/sim_clos_storm.ftsim"
+    ))
+    .expect("the sim_clos_storm scenario parses");
+    scenario.config.duration /= 10.0;
+    scenario
+}
+
+/// The seed-1 heap schedule of [`clos_storm`] on a bare `EventQueue`,
+/// as `export_stream` draws it: at each connect or fault every event
+/// due is popped, then the call's hangup or the switch's repair is
+/// pushed, and the rest drains at the end. The queue traffic of the
+/// engine without the engine (the open-loop stream has no retries and
+/// no stale events).
+fn bench_event_queue_storm_replay(c: &mut Criterion) {
+    // (now, what to push once everything due by `now` has popped),
+    // built backwards so each connect or fault meets its own hangup or
+    // repair: the next one of the same call or switch.
+    let mut hangup_at = HashMap::new();
+    let mut repair_at = HashMap::new();
+    let mut schedule: Vec<(f64, Option<(f64, EventKind)>)> = Vec::new();
+    for ev in export_stream(&clos_storm(), 1).iter().rev() {
+        match ev.kind {
+            StreamKind::Disconnect { id } => {
+                hangup_at.insert(id, ev.time);
+            }
+            StreamKind::Repair { switch } => {
+                repair_at.insert(switch, ev.time);
+            }
+            StreamKind::Connect { id, .. } => {
+                let slot = id as u32;
+                let hangup = hangup_at.remove(&id);
+                schedule.push((
+                    ev.time,
+                    hangup.map(|t| (t, EventKind::Hangup { slot, token: slot })),
+                ));
+            }
+            StreamKind::Fault { switch, .. } => {
+                let edge = EdgeId(switch);
+                let repair = repair_at.remove(&switch);
+                schedule.push((ev.time, repair.map(|t| (t, EventKind::Repair { edge }))));
+            }
+        }
+    }
+    schedule.reverse();
+    let mut queue = EventQueue::new();
+    c.bench_function("event_queue_storm_replay", |b| {
+        b.iter(|| {
+            queue.reset();
+            for &(now, push) in &schedule {
+                while queue.peek_time().is_some_and(|t| t <= now) {
+                    black_box(queue.pop());
+                }
+                if let Some((t, kind)) = push {
+                    queue.push(t, kind);
+                }
+            }
+            while let Some(ev) = queue.pop() {
+                black_box(ev);
+            }
+        })
+    });
+}
+
+/// Copies an engine run's trace events out, for rendering later.
+#[derive(Default)]
+struct Recorder(Vec<(f64, u64, TraceEvent<'static>)>);
+
+impl Observer for Recorder {
+    fn event(&mut self, time: f64, seq: u64, ev: &TraceEvent<'_>) {
+        // One recorded seed per bench process: its paths are leaked
+        // rather than threaded through a lifetime.
+        let keep = |path: &[u32]| -> &'static [u32] { Box::leak(path.into()) };
+        let ev = match *ev {
+            TraceEvent::Arrival { src, dst } => TraceEvent::Arrival { src, dst },
+            TraceEvent::Connect {
+                token,
+                src,
+                dst,
+                path,
+            } => TraceEvent::Connect {
+                token,
+                src,
+                dst,
+                path: keep(path),
+            },
+            TraceEvent::BusyReject { src, dst } => TraceEvent::BusyReject { src, dst },
+            TraceEvent::Block { src, dst } => TraceEvent::Block { src, dst },
+            TraceEvent::Hangup { token } => TraceEvent::Hangup { token },
+            TraceEvent::Fault {
+                switch,
+                open,
+                episode,
+            } => TraceEvent::Fault {
+                switch,
+                open,
+                episode,
+            },
+            TraceEvent::Kill { token, slot } => TraceEvent::Kill { token, slot },
+            TraceEvent::Reroute {
+                token,
+                src,
+                dst,
+                ok,
+                path,
+            } => TraceEvent::Reroute {
+                token,
+                src,
+                dst,
+                ok,
+                path: keep(path),
+            },
+            TraceEvent::Retry { token } => TraceEvent::Retry { token },
+            TraceEvent::Shed { token, src, dst } => TraceEvent::Shed { token, src, dst },
+            TraceEvent::Repair { switch } => TraceEvent::Repair { switch },
+            TraceEvent::RecoveryClose { span } => TraceEvent::RecoveryClose { span },
+        };
+        self.0.push((time, seq, ev));
+    }
+}
+
+/// [`clos_storm`]'s seed-1 trace events, recorded once and rendered per
+/// iteration into one cleared `TraceBuf`: the NDJSON renderer alone,
+/// on warm pages, without the engine around it.
+fn bench_trace_render_storm(c: &mut Criterion) {
+    let scenario = clos_storm();
+    let fabric = scenario.fabric.build();
+    let mut recorded = Recorder::default();
+    run_seed_obs(
+        &fabric,
+        &scenario.config,
+        1,
+        &mut SimWorkspace::default(),
+        &mut recorded,
+    );
+    let mut buf = TraceBuf::new();
+    c.bench_function("trace_render_storm", |b| {
+        b.iter(|| {
+            buf.clear();
+            buf.begin_seed(1);
+            for (time, seq, ev) in &recorded.0 {
+                buf.event(*time, *seq, ev);
+            }
+            black_box(buf.lines())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_sim_churn,
@@ -232,6 +389,8 @@ criterion_group!(
     bench_sim_churn_100k_faulty,
     bench_reroute_storm,
     bench_reroute_storm_mincost,
-    bench_reroute_storm_mincost_ftn_nu2
+    bench_reroute_storm_mincost_ftn_nu2,
+    bench_event_queue_storm_replay,
+    bench_trace_render_storm
 );
 criterion_main!(benches);

@@ -11,6 +11,8 @@
 //! engine, pinned by the golden event-stream fingerprints and the gated
 //! sim benches.
 
+use std::ops::Range;
+
 use crate::json::{push_f64, push_u64};
 
 /// One structured simulation event, borrowed from engine state.
@@ -168,24 +170,29 @@ impl Observer for Noop {
 /// so the same event stream always produces the same bytes —
 /// `trace_diff` compares traces line-by-line on that guarantee.
 ///
-/// No byte of a normal trace goes through `core::fmt`: lines are
-/// assembled as bytes, keys are byte literals, integers take a
-/// two-digits-per-step table, and the two `f64` fields (`t`, `span`)
-/// take an exact shortest-round-trip fast path in `u128` arithmetic. It
+/// No byte of a normal trace goes through `core::fmt`: each line is
+/// written straight into the buffer in one pass. The tag, its closing
+/// quote and the first key are one literal per event kind, integers
+/// below 100 skip the digit loop and larger ones take four digits per
+/// step, and the two `f64` fields (`t`, `span`) take an exact
+/// shortest-round-trip fast path in 128-bit integer arithmetic. It
 /// covers every positive normal `x = m·2^-s` with `2 ≤ s ≤ 66` (about
 /// `6.1e-5 ≤ x < 2.3e15`) whose significand `m` is not a power of two,
 /// and defers to `write!(…, "{x}")` for the rest: zero, negatives,
 /// subnormals, non-finite values, powers of two, larger or smaller
 /// magnitudes, and the rare value whose nearest candidate is a tie. The
-/// `{"t":…,"seq":…,"ev":"` stamp is rendered once per `(time, seq)` —
-/// the engine emits several events under one stamp (arrival + connect,
-/// fault + kills + reroutes).
+/// `{"t":…,"seq":…,"ev":"` stamp is rendered once per `(time, seq)` and
+/// copied from the buffer itself for the next event under the same
+/// stamp — the engine emits several (arrival + connect, fault + kills +
+/// reroutes). The buffer is the only allocation: rendering an event
+/// allocates only when the buffer grows, and [`Self::clear`] keeps its
+/// capacity for the next seed.
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuf {
     buf: Vec<u8>,
     lines: u64,
-    /// The rendered stamp of `stamp_key`.
-    stamp: Vec<u8>,
+    /// Where in `buf` the stamp of `stamp_key` was last rendered.
+    stamp: Range<usize>,
     /// `(time.to_bits(), seq)` of the event `stamp` was rendered for.
     stamp_key: Option<(u64, u64)>,
 }
@@ -204,6 +211,14 @@ impl TraceBuf {
         push_u64(&mut self.buf, seed);
         self.buf.extend_from_slice(b"}\n");
         self.lines += 1;
+    }
+
+    /// Empties the trace but keeps its buffer, so a sweep worker renders
+    /// seed after seed into pages it has already touched.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.lines = 0;
+        self.stamp_key = None;
     }
 
     /// Number of NDJSON lines written (seed headers included).
@@ -227,7 +242,7 @@ impl TraceBuf {
     }
 }
 
-/// Appends `key` (a literal `,"name":`) and then `n`.
+/// Appends `key` (a literal ending in `"name":`) and then `n`.
 fn push_field(buf: &mut Vec<u8>, key: &[u8], n: u32) {
     buf.extend_from_slice(key);
     push_u64(buf, n.into());
@@ -251,25 +266,33 @@ fn push_path(buf: &mut Vec<u8>, path: &[u32]) {
 
 impl Observer for TraceBuf {
     fn event(&mut self, time: f64, seq: u64, ev: &TraceEvent<'_>) {
-        let key = Some((time.to_bits(), seq));
-        if self.stamp_key != key {
-            self.stamp_key = key;
-            self.stamp.clear();
-            self.stamp.extend_from_slice(b"{\"t\":");
-            push_f64(&mut self.stamp, time);
-            self.stamp.extend_from_slice(b",\"seq\":");
-            push_u64(&mut self.stamp, seq);
-            self.stamp.extend_from_slice(b",\"ev\":\"");
-        }
         let buf = &mut self.buf;
-        buf.extend_from_slice(&self.stamp);
-        buf.extend_from_slice(ev.tag().as_bytes());
-        buf.push(b'"');
+        let key = Some((time.to_bits(), seq));
+        if self.stamp_key == key {
+            buf.extend_from_within(self.stamp.clone());
+        } else {
+            let start = buf.len();
+            buf.extend_from_slice(b"{\"t\":");
+            push_f64(buf, time);
+            buf.extend_from_slice(b",\"seq\":");
+            push_u64(buf, seq);
+            buf.extend_from_slice(b",\"ev\":\"");
+            self.stamp = start..buf.len();
+            self.stamp_key = key;
+        }
+        // Each arm opens with one literal: the tag, its closing quote and
+        // the first key.
         match *ev {
-            TraceEvent::Arrival { src, dst }
-            | TraceEvent::BusyReject { src, dst }
-            | TraceEvent::Block { src, dst } => {
-                push_field(buf, b",\"src\":", src);
+            TraceEvent::Arrival { src, dst } => {
+                push_field(buf, b"arrival\",\"src\":", src);
+                push_field(buf, b",\"dst\":", dst);
+            }
+            TraceEvent::BusyReject { src, dst } => {
+                push_field(buf, b"busy_reject\",\"src\":", src);
+                push_field(buf, b",\"dst\":", dst);
+            }
+            TraceEvent::Block { src, dst } => {
+                push_field(buf, b"block\",\"src\":", src);
                 push_field(buf, b",\"dst\":", dst);
             }
             TraceEvent::Connect {
@@ -278,25 +301,24 @@ impl Observer for TraceBuf {
                 dst,
                 path,
             } => {
-                push_field(buf, b",\"token\":", token);
+                push_field(buf, b"connect\",\"token\":", token);
                 push_field(buf, b",\"src\":", src);
                 push_field(buf, b",\"dst\":", dst);
                 push_path(buf, path);
             }
-            TraceEvent::Hangup { token } | TraceEvent::Retry { token } => {
-                push_field(buf, b",\"token\":", token);
-            }
+            TraceEvent::Hangup { token } => push_field(buf, b"hangup\",\"token\":", token),
+            TraceEvent::Retry { token } => push_field(buf, b"retry\",\"token\":", token),
             TraceEvent::Fault {
                 switch,
                 open,
                 episode,
             } => {
-                push_field(buf, b",\"switch\":", switch);
+                push_field(buf, b"fault\",\"switch\":", switch);
                 push_bool(buf, b",\"open\":", open);
                 push_bool(buf, b",\"episode\":", episode);
             }
             TraceEvent::Kill { token, slot } => {
-                push_field(buf, b",\"token\":", token);
+                push_field(buf, b"kill\",\"token\":", token);
                 push_field(buf, b",\"slot\":", slot);
             }
             TraceEvent::Reroute {
@@ -306,22 +328,20 @@ impl Observer for TraceBuf {
                 ok,
                 path,
             } => {
-                push_field(buf, b",\"token\":", token);
+                push_field(buf, b"reroute\",\"token\":", token);
                 push_field(buf, b",\"src\":", src);
                 push_field(buf, b",\"dst\":", dst);
                 push_bool(buf, b",\"ok\":", ok);
                 push_path(buf, path);
             }
             TraceEvent::Shed { token, src, dst } => {
-                push_field(buf, b",\"token\":", token);
+                push_field(buf, b"shed\",\"token\":", token);
                 push_field(buf, b",\"src\":", src);
                 push_field(buf, b",\"dst\":", dst);
             }
-            TraceEvent::Repair { switch } => {
-                push_field(buf, b",\"switch\":", switch);
-            }
+            TraceEvent::Repair { switch } => push_field(buf, b"repair\",\"switch\":", switch),
             TraceEvent::RecoveryClose { span } => {
-                buf.extend_from_slice(b",\"span\":");
+                buf.extend_from_slice(b"recovery_close\",\"span\":");
                 push_f64(buf, span);
             }
         }
@@ -392,8 +412,11 @@ mod tests {
     #[test]
     fn every_variant_renders_as_format_would() {
         const M: u32 = u32::MAX;
+        // Where the digit count of a rendered integer changes, and where
+        // the renderer's small-value and four-digit steps meet.
+        const EDGES: [u32; 9] = [0, 9, 10, 99, 100, 9_999, 10_000, 100_000_000, M];
         let long: Vec<u32> = (0..300).map(|i| i * 14_316_557).collect();
-        let paths: [&[u32]; 4] = [&[], &[0], &[M, 0, 10, 99, 100], &long];
+        let paths: [&[u32]; 5] = [&[], &[0], &[M, 0, 10, 99, 100], &EDGES, &long];
         let mut events = vec![
             TraceEvent::Hangup { token: 0 },
             TraceEvent::Hangup { token: M },
@@ -410,7 +433,20 @@ mod tests {
             TraceEvent::RecoveryClose { span: 1e-7 },
             TraceEvent::RecoveryClose { span: 1.0e21 },
         ];
-        for (src, dst) in [(0, 0), (M, M), (0, M), (19, 100)] {
+        // Every field at every edge, each beside a different edge.
+        let pairs = EDGES.iter().zip(EDGES.iter().rev()).map(|(&a, &b)| (a, b));
+        for (v, w) in pairs.clone() {
+            events.push(TraceEvent::Hangup { token: v });
+            events.push(TraceEvent::Retry { token: v });
+            events.push(TraceEvent::Kill { token: v, slot: w });
+            events.push(TraceEvent::Repair { switch: v });
+            events.push(TraceEvent::Fault {
+                switch: v,
+                open: v % 2 == 0,
+                episode: w % 2 == 0,
+            });
+        }
+        for (src, dst) in [(0, 0), (M, M), (0, M), (19, 100)].into_iter().chain(pairs) {
             events.push(TraceEvent::Arrival { src, dst });
             events.push(TraceEvent::BusyReject { src, dst });
             events.push(TraceEvent::Block { src, dst });
@@ -452,6 +488,14 @@ mod tests {
             (0.0, 1),
             (0.5, 1),
             (0.5, 1),
+            (0.5, 9),
+            (0.5, 10),
+            (0.5, 99),
+            (0.5, 100),
+            (0.5, 9_999),
+            (0.5, 10_000),
+            (0.5, 100_000_000),
+            (0.5, u32::MAX.into()),
             (1.0e-9, u64::MAX),
             (123_456.789_012_345, 10_000_000_000),
             (f64::MAX, 18_446_744_073_709_551_614),

@@ -3,7 +3,8 @@
 //!
 //! `push_u64` and `push_f64` append straight to a `Vec<u8>` and produce
 //! exactly the bytes `format!("{n}")` and `format!("{x}")` do. Integers
-//! go through a two-digits-per-step table. Floats take an exact
+//! below 100 are one table lookup; larger ones take four digits per
+//! division step through a two-digit table. Floats take an exact
 //! shortest-round-trip fast path (`shortest_fixed`) and fall back to
 //! `core::fmt` only outside its scope, so the trace's `t` and `span`
 //! values, which almost all lie inside it, never touch the formatter.
@@ -22,19 +23,32 @@ const DIGIT_PAIRS: [u8; 200] = {
     t
 };
 
-/// Writes `n` in decimal into the tail of `out`; returns where it starts.
-fn decimal(mut n: u64, out: &mut [u8; 20]) -> usize {
+/// The two digits of `n < 100`.
+#[inline(always)]
+fn pair(n: u64) -> [u8; 2] {
+    let i = n as usize * 2;
+    [DIGIT_PAIRS[i], DIGIT_PAIRS[i + 1]]
+}
+
+/// Writes `n` in decimal into the tail of `out`; returns where it
+/// starts. Four digits per division step, then the last one to four.
+fn decimal(mut n: u64, out: &mut [u8]) -> usize {
     let mut at = out.len();
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
+    while n >= 10_000 {
+        let four = n % 10_000;
+        n /= 10_000;
+        at -= 4;
+        out[at..at + 2].copy_from_slice(&pair(four / 100));
+        out[at + 2..at + 4].copy_from_slice(&pair(four % 100));
+    }
+    if n >= 100 {
         at -= 2;
-        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        out[at..at + 2].copy_from_slice(&pair(n % 100));
+        n /= 100;
     }
     if n >= 10 {
-        let pair = n as usize * 2;
         at -= 2;
-        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        out[at..at + 2].copy_from_slice(&pair(n));
     } else {
         at -= 1;
         out[at] = b'0' + n as u8;
@@ -42,11 +56,20 @@ fn decimal(mut n: u64, out: &mut [u8; 20]) -> usize {
     at
 }
 
-/// Appends `n` in decimal, as `{n}` would.
+/// Appends `n` in decimal, as `{n}` would. Values below 100, most of
+/// a trace's terminals, tokens and path vertices on small fabrics, skip
+/// the digit loop.
+#[inline]
 pub(crate) fn push_u64(buf: &mut Vec<u8>, n: u64) {
-    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-    let at = decimal(n, &mut digits);
-    buf.extend_from_slice(&digits[at..]);
+    if n < 10 {
+        buf.push(b'0' + n as u8);
+    } else if n < 100 {
+        buf.extend_from_slice(&pair(n));
+    } else {
+        let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+        let at = decimal(n, &mut digits);
+        buf.extend_from_slice(&digits[at..]);
+    }
 }
 
 /// Appends `x` exactly as `{x}` (`Display`) would: the shortest decimal
@@ -56,27 +79,32 @@ pub(crate) fn push_f64(buf: &mut Vec<u8>, x: f64) {
         let _ = write!(buf, "{x}");
         return;
     };
-    let mut digits = [0u8; 20];
-    let at = decimal(n, &mut digits);
-    let digits = &digits[at..];
-    let d = d as usize;
-    if d == 0 {
-        buf.extend_from_slice(digits);
-    } else if digits.len() > d {
-        let (int, frac) = digits.split_at(digits.len() - d);
-        buf.extend_from_slice(int);
-        buf.push(b'.');
-        buf.extend_from_slice(frac);
+    // The text is assembled right-aligned in one stack array and
+    // appended with one copy: at most 20 digits and a point, or `0.`
+    // and at most 20 fractional digits.
+    let mut text = [b'0'; 22];
+    let at = decimal(n, &mut text);
+    let (digits, d) = (text.len() - at, d as usize);
+    let start = if d == 0 {
+        at
+    } else if digits > d {
+        // `int.frac`: the integer digits move one left to make room.
+        let int = digits - d;
+        text.copy_within(at..at + int, at - 1);
+        text[at - 1 + int] = b'.';
+        at - 1
     } else {
-        buf.extend_from_slice(b"0.");
-        buf.resize(buf.len() + d - digits.len(), b'0');
-        buf.extend_from_slice(digits);
-    }
+        // `0.` and the fraction, its leading zeros already in place.
+        let start = text.len() - d - 2;
+        text[start + 1] = b'.';
+        start
+    };
+    buf.extend_from_slice(&text[start..]);
 }
 
-/// `10^0 ..= 10^22`: the largest power with `(2m+1)·10^d < 2^128`.
-const POW10: [u128; 23] = {
-    let mut t = [1u128; 23];
+/// `10^0 ..= 10^20`: every digit count `shortest_fixed` can pick.
+const POW10: [u128; 21] = {
+    let mut t = [1u128; 21];
     let mut i = 1;
     while i < t.len() {
         t[i] = t[i - 1] * 10;
@@ -96,13 +124,13 @@ const POW10: [u128; 23] = {
 /// closed when `m` is even, but with `d ≤ s` digits its scaled ends
 /// `(2m∓1)·10^d / 2^(s+1)` are never integers (the numerator has only
 /// `d` factors of two), so open and closed admit the same candidates.
-/// Scaled by `10^d` the interval is exact in `u128` arithmetic
-/// (`(2m+1)·10^22 < 2^128`, and the shortest decimal of such an `x` has
-/// at most 21 fractional digits; `d = s` always fits, as `x` itself has
-/// `s` fractional digits). Zero, subnormals, non-finite and negative
-/// values, powers of two (whose lower neighbour is half as far away),
-/// `s` outside its range, and a nearest integer that is a tie or lies
-/// outside the interval all return `None`.
+/// The scaled interval is `10^d/2^s` units wide: at most one unit at
+/// `d0 = ⌊s·log₁₀2⌋ ≤ 19` and more than one, so never empty, at
+/// `d0 + 1 ≤ 20`, which bounds `d` and keeps every quantity exact in
+/// `u128` arithmetic (`(2m+1)·10^20 < 2^121`). Zero, subnormals,
+/// non-finite and negative values, powers of two (whose lower neighbour
+/// is half as far away), `s` outside its range, and a nearest integer
+/// that is a tie or lies outside the interval all return `None`.
 fn shortest_fixed(x: f64) -> Option<(u64, u32)> {
     let bits = x.to_bits();
     let exponent = (bits >> 52) as u32; // sign bit included: negatives are ≥ 2048
@@ -115,43 +143,49 @@ fn shortest_fixed(x: f64) -> Option<(u64, u32)> {
         .checked_sub(exponent)
         .filter(|s| (2..=66).contains(s))?;
     // With `d` fractional digits, `x·10^d = v·2^-s` for `v = m·10^d`, and
-    // the integers k with 2v−10^d < k·2^(s+1) < 2v+10^d are the
-    // candidates, as an inclusive range `lo..=hi` (empty when lo > hi).
+    // the candidates are the integers k with 2v−10^d < k·unit < 2v+10^d.
+    let unit = 1u128 << (s + 1);
     let scale = |d: u32| {
         let p = POW10[d as usize];
-        let v = m * p;
-        let (low, high) = (2 * v - p, 2 * v + p);
-        (v, (low >> (s + 1)) + 1, (high - 1) >> (s + 1))
+        // One 64×64→128 multiply while 10^d fits a u64 (d ≤ 19), which
+        // covers every event time of a trace.
+        let v = match u64::try_from(p) {
+            Ok(p) => m * u128::from(p),
+            Err(_) => m * p,
+        };
+        (v, 2 * v - p, 2 * v + p)
     };
-    let holds = |d: u32| {
-        let (_, lo, hi) = scale(d);
-        lo <= hi
-    };
+    // There is a candidate iff the last multiple of `unit` below the
+    // upper end lies above the lower one: a mask, not a shift.
+    let holds = |&(_, low, high): &(u128, u128, u128)| (high - 1) & !(unit - 1) > low;
     // Once an integer fits, ten times it fits one digit later, so the
-    // shortest `d` is found by walking from ⌊s·log₁₀2⌋ (where the
-    // interval is at most one unit wide) down while it holds, or up
-    // until it does.
-    let mut d = (s * 78_913) >> 18;
-    if holds(d) {
-        while d > 0 && holds(d - 1) {
-            d -= 1;
-        }
-    } else {
-        while !holds(d) {
-            d += 1;
-            if d as usize >= POW10.len() {
-                return None;
+    // shortest `d` is d0 + 1 unless d0 holds, and below d0 only while
+    // the interval still holds an integer. Whether d0 holds is a coin
+    // flip on full-precision values such as event times, and d0 − 1
+    // almost never does, so d0 − 1, d0 and d0 + 1 are all scaled up
+    // front and the pick is a select; only the rare walk branches.
+    let d0 = (s * 78_913) >> 18;
+    let (below, at_d0, above) = (scale(d0.saturating_sub(1)), scale(d0), scale(d0 + 1));
+    let (mut d, mut fit) =
+        std::hint::select_unpredictable(holds(&at_d0), (d0, at_d0), (d0 + 1, above));
+    if d0 > 0 && holds(&at_d0) & holds(&below) {
+        (d, fit) = (d0 - 1, below);
+        while d > 0 {
+            let shorter = scale(d - 1);
+            if !holds(&shorter) {
+                break;
             }
+            (d, fit) = (d - 1, shorter);
         }
     }
-    let (v, lo, hi) = scale(d);
-    let (whole, rest, half) = (v >> s, v & ((1 << s) - 1), 1u128 << (s - 1));
-    let n = match rest.cmp(&half) {
-        std::cmp::Ordering::Less => whole,
-        std::cmp::Ordering::Greater => whole + 1,
-        std::cmp::Ordering::Equal => return None,
-    };
-    if !(lo..=hi).contains(&n) {
+    let (v, low, high) = fit;
+    let (rest, half) = (v & ((unit >> 1) - 1), unit >> 2);
+    if rest == half {
+        return None;
+    }
+    let n = (v >> s) + u128::from(rest > half);
+    let at = n << (s + 1);
+    if !(low < at && at < high) {
         return None;
     }
     Some((u64::try_from(n).ok()?, d))
@@ -424,10 +458,21 @@ mod tests {
     }
 
     /// The regimes the differential tests draw from, `per` values each.
-    fn regimes(seed: u64, per: usize) -> [(&'static str, usize); 4] {
+    fn regimes(seed: u64, per: usize) -> [(&'static str, usize); 5] {
         let (mut r, mut buf) = (Stream(seed), Vec::new());
         let mut run = |draw: &mut dyn FnMut(&mut Stream) -> f64| {
             (0..per).filter(|_| check(draw(&mut r), &mut buf)).count()
+        };
+        // Event times as the engine makes them: running sums of
+        // exponential steps, a thousandth of the clock on average, so
+        // the clock sweeps 1e-3 ..= 1e5 log-uniformly and starts over.
+        let mut clock = 1e-3;
+        let mut event_time = move |r: &mut Stream| {
+            clock += clock * 1e-3 * -(1.0 - r.unit()).ln();
+            if clock > 1e5 {
+                clock = 1e-3;
+            }
+            clock
         };
         [
             ("sim times in [0, 1e4)", run(&mut |r| r.unit() * 1e4)),
@@ -443,6 +488,7 @@ mod tests {
                     k as f64 / 10f64.powi((r.next() % 9) as i32)
                 }),
             ),
+            ("event times 1e-3..=1e5", run(&mut event_time)),
         ]
     }
 
@@ -495,23 +541,30 @@ mod tests {
         for x in edges {
             check(x, &mut buf);
         }
+        // The digit count `shortest_fixed` starts from is ⌊s·log₁₀2⌋,
+        // so one digit more always holds an integer.
+        for s in 2..=66u32 {
+            let d0 = (s * 78_913) >> 18;
+            assert!(POW10[d0 as usize] <= 1 << s && 1 << s < POW10[d0 as usize + 1]);
+        }
         assert_eq!(shortest_fixed(7.75), Some((775, 2)));
         assert_eq!(shortest_fixed(0.5), None, "powers of two fall back");
         assert_eq!(shortest_fixed(-2.5), None, "negatives fall back");
         assert_eq!(shortest_fixed(1e21), None, "s < 2 falls back");
     }
 
-    /// 2·10⁵ seeded values against `format!`, and the fast path must
-    /// answer at least 99 % of the sim-time regime, so an implementation
-    /// that always falls back fails here.
+    /// 2.5·10⁵ seeded values against `format!`, and the fast path must
+    /// answer at least 99 % of both sim-time regimes, so an
+    /// implementation that always falls back fails here.
     #[test]
     fn push_f64_matches_format_on_seeded_values() {
         let per = 50_000;
         let fast = regimes(0x5EED, per);
         assert!(fast[0].1 * 100 >= per * 99, "{fast:?}");
+        assert!(fast[4].1 * 100 >= per * 99, "{fast:?}");
     }
 
-    /// The soak: 10⁸ values over the same regimes.
+    /// The soak: 1.25·10⁸ values over the same regimes.
     ///
     /// `cargo test --release -p ft-obs push_f64_soak -- --ignored --nocapture`
     #[test]

@@ -418,20 +418,18 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// lane — exactly the `(time, seq)` total order a single heap would
     /// produce, since both draw from one sequence counter.
     fn next_event(&mut self) -> Option<Event> {
-        let take_arrival = match (self.ws.arrivals.last(), self.ws.queue.peek_key()) {
-            (Some(a), Some(key)) => (a.time, a.seq) < key,
-            (Some(_), None) => true,
-            (None, _) => false,
+        let Some(&a) = self.ws.arrivals.last() else {
+            return self.ws.queue.pop();
         };
-        if take_arrival {
-            let a = self.ws.arrivals.pop().expect("checked nonempty");
-            return Some(Event {
-                time: a.time,
-                seq: a.seq,
-                kind: EventKind::Arrival { epoch: a.epoch },
-            });
+        if let Some(ev) = self.ws.queue.pop_before(a.time, a.seq) {
+            return Some(ev);
         }
-        self.ws.queue.pop()
+        self.ws.arrivals.pop();
+        Some(Event {
+            time: a.time,
+            seq: a.seq,
+            kind: EventKind::Arrival { epoch: a.epoch },
+        })
     }
 
     /// Schedules an arrival into the side lane (sorted descending, so

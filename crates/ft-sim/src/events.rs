@@ -1,4 +1,4 @@
-//! The event queue: a monotone virtual clock over a binary heap.
+//! The event queue: a monotone virtual clock over a 4-ary heap.
 //!
 //! Every state change in the simulation is an [`Event`] — call
 //! arrivals, hangups, switch faults, repair completions, burst-phase
@@ -6,9 +6,16 @@
 //! insertion counter. The counter makes the ordering *total* even when
 //! two events share a timestamp, which is what makes the processed
 //! event stream (and hence every report) byte-reproducible per seed.
+//!
+//! Every simulated event pays one pop, so the heap compares a slot as
+//! one packed integer rank (time bits above the sequence number), picks
+//! the smallest of a full family of four with selects instead of
+//! branches, and pops bottom-up (Floyd): the hole left at the root
+//! walks to a leaf and the former last slot climbs back from there.
 
 use ft_graph::ids::EdgeId;
 use std::cmp::Ordering;
+use std::hint::select_unpredictable;
 
 /// What an event does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,9 +95,20 @@ impl Ord for Event {
     }
 }
 
-/// One heap slot: the timestamp pre-encoded as an order-preserving
-/// `u64` key (valid because event times are non-negative), so sift
-/// comparisons are two integer compares instead of an f64 `total_cmp`.
+/// The order-preserving `u64` key of a non-negative event time.
+///
+/// `+ 0.0` normalises -0.0 (admitted by the `>= 0.0` guard, and
+/// producible by exponential draws at u = 1) to +0.0, whose bit pattern
+/// would otherwise sort after every positive timestamp and break the
+/// total order.
+#[inline(always)]
+fn time_key(time: f64) -> u64 {
+    (time + 0.0).to_bits()
+}
+
+/// One heap slot: the timestamp pre-encoded by [`time_key`] (valid
+/// because event times are non-negative), so a sift compares integers
+/// instead of calling f64 `total_cmp`.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     key: u64,
@@ -100,17 +118,36 @@ struct Slot {
 }
 
 impl Slot {
+    /// The slot's place in the pop order as one integer: the time key
+    /// above the 32-bit sequence number, so `(time, seq)` order is `<`.
     #[inline(always)]
-    fn before(&self, other: &Slot) -> bool {
-        (self.key, self.seq) < (other.key, other.seq)
+    fn rank(&self) -> u128 {
+        (u128::from(self.key) << 32) | u128::from(self.seq)
+    }
+
+    fn event(self) -> Event {
+        Event {
+            time: f64::from_bits(self.key),
+            seq: self.seq.into(),
+            kind: self.kind,
+        }
     }
 }
 
-/// Heap arity. A 4-ary heap halves the depth of a binary one: pops do
-/// slightly more compares per level but far fewer levels and swaps,
-/// and children share cache lines — the queue sits on the hot path of
-/// every simulated event, where this is worth ~2x over
-/// `std::collections::BinaryHeap`.
+/// The index (0..4) of the lowest-ranked slot of a full family, picked
+/// by selects rather than branches: which child wins is data the
+/// branch predictor cannot learn.
+#[inline(always)]
+fn min_of_four(family: &[Slot; 4]) -> usize {
+    let r = family.each_ref().map(Slot::rank);
+    let low = select_unpredictable(r[1] < r[0], (1, r[1]), (0, r[0]));
+    let high = select_unpredictable(r[3] < r[2], (3, r[3]), (2, r[2]));
+    select_unpredictable(high.1 < low.1, high, low).0
+}
+
+/// Heap arity. A 4-ary heap has half the levels of a binary one, each
+/// level's four children share one or two cache lines, and a full
+/// family's minimum is a fixed select tree ([`min_of_four`]).
 const D: usize = 4;
 
 /// Min-heap of events keyed by `(time, seq)`.
@@ -144,65 +181,77 @@ impl EventQueue {
             .checked_add(1)
             .expect("event sequence overflow");
         let slot = Slot {
-            // `+ 0.0` normalises -0.0 (admitted by the `>= 0.0` guard,
-            // and producible by exponential draws at u = 1) to +0.0,
-            // whose bit pattern would otherwise sort after every
-            // positive timestamp and break the total order.
-            key: (time + 0.0).to_bits(),
+            key: time_key(time),
             seq,
             kind,
         };
-        // sift up
-        let mut i = self.slots.len();
+        let hole = self.slots.len();
         self.slots.push(slot);
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if self.slots[i].before(&self.slots[parent]) {
-                self.slots.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
+        self.sift_up(hole, slot);
     }
 
     /// Removes and returns the earliest event, if any.
+    ///
+    /// Floyd's bottom-up sift: the hole the root leaves walks down to a
+    /// leaf along the smallest child, never comparing against the slot
+    /// that must fill it, and the former last slot then sifts up from
+    /// that leaf. The last slot usually sorts late, so the climb is
+    /// short.
     pub fn pop(&mut self) -> Option<Event> {
+        let last = self.slots.pop()?;
+        let Some(&top) = self.slots.first() else {
+            return Some(last.event());
+        };
         let len = self.slots.len();
-        if len == 0 {
-            return None;
-        }
-        let top = self.slots[0];
-        let last = self.slots.pop().expect("nonempty");
-        if len > 1 {
-            // sift the (former) last slot down from the root
-            self.slots[0] = last;
-            let len = self.slots.len();
-            let mut i = 0;
-            loop {
-                let first = i * D + 1;
-                if first >= len {
-                    break;
-                }
-                let mut min = first;
-                for c in first + 1..(first + D).min(len) {
-                    if self.slots[c].before(&self.slots[min]) {
-                        min = c;
+        let mut hole = 0;
+        loop {
+            let first = hole * D + 1;
+            let min = if let Some(family) = self.slots.get(first..first + D) {
+                first + min_of_four(family.try_into().expect("a family is D slots"))
+            } else if first < len {
+                // The one partial family, at the bottom of the heap.
+                (first + 1..len).fold(first, |min, c| {
+                    if self.slots[c].rank() < self.slots[min].rank() {
+                        c
+                    } else {
+                        min
                     }
-                }
-                if self.slots[min].before(&self.slots[i]) {
-                    self.slots.swap(i, min);
-                    i = min;
-                } else {
-                    break;
-                }
-            }
+                })
+            } else {
+                break;
+            };
+            self.slots[hole] = self.slots[min];
+            hole = min;
         }
-        Some(Event {
-            time: f64::from_bits(top.key),
-            seq: top.seq as u64,
-            kind: top.kind,
-        })
+        self.sift_up(hole, last);
+        Some(top.event())
+    }
+
+    /// [`Self::pop`], but only if the earliest event comes before
+    /// `(time, seq)`: one comparison decides between the heap and a
+    /// caller-owned lane whose head has that key.
+    pub(crate) fn pop_before(&mut self, time: f64, seq: u64) -> Option<Event> {
+        let top = self.slots.first()?;
+        if (top.key, u64::from(top.seq)) < (time_key(time), seq) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Moves parents of `hole` down until `slot` can fill it.
+    #[inline(always)]
+    fn sift_up(&mut self, mut hole: usize, slot: Slot) {
+        let rank = slot.rank();
+        while hole > 0 {
+            let parent = (hole - 1) / D;
+            if self.slots[parent].rank() < rank {
+                break;
+            }
+            self.slots[hole] = self.slots[parent];
+            hole = parent;
+        }
+        self.slots[hole] = slot;
     }
 
     /// Earliest pending timestamp, if any.
@@ -256,6 +305,9 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -316,6 +368,79 @@ mod tests {
         assert_eq!(first.time, 0.0);
         assert!(matches!(first.kind, EventKind::Arrival { epoch: 3 }));
         assert_eq!(q.pop().unwrap().time, 1.0);
+    }
+
+    /// One step of the queue oracle: `(op, time index)`.
+    fn oracle_ops() -> impl Strategy<Value = Vec<(u8, usize)>> {
+        proptest::collection::vec((0u8..8, 0usize..ORACLE_TIMES.len()), 1..=400)
+    }
+
+    /// Times with many ties, -0.0 beside 0.0, and magnitudes far apart.
+    const ORACLE_TIMES: [f64; 8] = [0.0, -0.0, 0.0, 1.5, 1.5, 2.0, 1e-300, 7.0e9];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `EventQueue` against a `BinaryHeap<Reverse<(u64, u64)>>` of
+        /// `(time bits, seq)` through random interleavings of `push`,
+        /// `pop`, `pop_before`, `peek_key` and `reserve_seq`. Each case
+        /// first grows the heap to `prefill` (1 ..= 4·D + 2, crossing
+        /// every arity boundary), so pops begin from every shape of the
+        /// partial last family.
+        #[test]
+        fn pops_match_a_binary_heap_oracle(
+            prefill in 1usize..=4 * D + 2,
+            ops in oracle_ops(),
+        ) {
+            let mut q = EventQueue::new();
+            let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut next_seq = 0u64;
+            let push = |q: &mut EventQueue, oracle: &mut BinaryHeap<_>, seq: &mut u64, t: f64| {
+                q.push(t, EventKind::Retry { token: *seq as u32 });
+                oracle.push(Reverse(((t + 0.0).to_bits(), *seq)));
+                *seq += 1;
+            };
+            for i in 0..prefill {
+                push(&mut q, &mut oracle, &mut next_seq, ORACLE_TIMES[i % ORACLE_TIMES.len()]);
+            }
+            let popped = |e: Event| {
+                prop_assert!(matches!(e.kind, EventKind::Retry { token } if u64::from(token) == e.seq));
+                (e.time.to_bits(), e.seq)
+            };
+            for (op, t) in ops {
+                let t = ORACLE_TIMES[t];
+                match op {
+                    0..=2 => push(&mut q, &mut oracle, &mut next_seq, t),
+                    3 | 4 => {
+                        let want = oracle.pop().map(|Reverse(k)| k);
+                        prop_assert_eq!(q.pop().map(popped), want);
+                    }
+                    5 => {
+                        // A lane head between existing keys: `next_seq`
+                        // is later than every pending event's.
+                        let bound = ((t + 0.0).to_bits(), next_seq);
+                        let want = match oracle.peek() {
+                            Some(&Reverse(k)) if k < bound => oracle.pop().map(|Reverse(k)| k),
+                            _ => None,
+                        };
+                        prop_assert_eq!(q.pop_before(t, next_seq).map(popped), want);
+                    }
+                    6 => {
+                        let want = oracle.peek().map(|&Reverse((key, seq))| (f64::from_bits(key), seq));
+                        prop_assert_eq!(q.peek_key(), want);
+                    }
+                    _ => {
+                        prop_assert_eq!(q.reserve_seq(), next_seq);
+                        next_seq += 1;
+                    }
+                }
+                prop_assert_eq!(q.len(), oracle.len());
+            }
+            let drained: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop().map(popped)).collect();
+            let want: Vec<(u64, u64)> =
+                std::iter::from_fn(|| oracle.pop().map(|Reverse(k)| k)).collect();
+            prop_assert_eq!(drained, want);
+        }
     }
 
     /// The D-ary heap must pop the exact `(time, seq)` total order a

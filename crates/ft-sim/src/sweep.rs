@@ -16,14 +16,15 @@ use crate::engine::{run_seed_obs, run_seed_with, SeedOutcome, SimConfig, SimWork
 use crate::fabric::Fabric;
 use ft_obs::TraceBuf;
 
-/// Runs `job(i, ws)` for every `i < count` on `threads` workers (0 = one
-/// per available core) and returns the results in index order. Each
-/// worker owns one workspace and claims indices from a shared cursor, so
-/// indices start in ascending order.
-fn for_each_seed<T: Send>(
+/// Runs `job(i, state)` for every `i < count` on `threads` workers (0 =
+/// one per available core) and returns the results in index order. Each
+/// worker owns one `state` (its workspace, and its trace buffer when
+/// tracing) and claims indices from a shared cursor, so indices start
+/// in ascending order.
+fn for_each_seed<S: Default, T: Send>(
     count: usize,
     threads: usize,
-    job: impl Fn(usize, &mut SimWorkspace) -> T + Sync,
+    job: impl Fn(usize, &mut S) -> T + Sync,
 ) -> Vec<T> {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -32,14 +33,14 @@ fn for_each_seed<T: Send>(
     };
     let cursor = AtomicUsize::new(0);
     let worker = || {
-        let mut ws = SimWorkspace::default();
+        let mut state = S::default();
         let mut done = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 return done;
             }
-            done.push((i, job(i, &mut ws)));
+            done.push((i, job(i, &mut state)));
         }
     };
     let mut results = if threads.min(count) <= 1 {
@@ -67,7 +68,7 @@ pub fn run_sweep(
     seeds: &[u64],
     threads: usize,
 ) -> Vec<SeedOutcome> {
-    for_each_seed(seeds.len(), threads, |i, ws| {
+    for_each_seed(seeds.len(), threads, |i, ws: &mut SimWorkspace| {
         run_seed_with(fabric, cfg, seeds[i], ws)
     })
 }
@@ -89,11 +90,12 @@ pub fn run_sweep_traced(
 /// [`run_sweep`] with an NDJSON trace of every seed's event stream,
 /// streamed to `out`; returns the outcomes and the trace's line count.
 ///
-/// Each seed gets its own [`TraceBuf`] opened with a
-/// `{"ev":"seed",...}` header. A worker hands its buffer to `out` as
+/// Each seed's trace opens with a `{"ev":"seed",...}` header. A worker
+/// renders its seeds into one [`TraceBuf`] and hands it to `out` as
 /// soon as every earlier seed's is written, waiting for its turn if
-/// needed, so `out` receives the same bytes for every `threads` value
-/// and at most one buffer per worker is alive at a time. After a write
+/// needed, so `out` receives the same bytes for every `threads` value.
+/// The worker then clears the buffer and renders its next seed into the
+/// same pages: one live buffer per worker, grown once. After a write
 /// error the sweep still finishes, writes nothing more, and returns
 /// the error.
 pub fn run_sweep_traced_to<W: Write + Send + ?Sized>(
@@ -103,21 +105,21 @@ pub fn run_sweep_traced_to<W: Write + Send + ?Sized>(
     threads: usize,
     out: &mut W,
 ) -> io::Result<(Vec<SeedOutcome>, u64)> {
-    stream_seeds(seeds.len(), threads, out, |i, ws| {
-        let mut buf = TraceBuf::new();
+    stream_seeds(seeds.len(), threads, out, |i, ws, buf| {
         buf.begin_seed(seeds[i]);
-        let outcome = run_seed_obs(fabric, cfg, seeds[i], ws, &mut buf);
-        (outcome, buf)
+        run_seed_obs(fabric, cfg, seeds[i], ws, buf)
     })
 }
 
-/// [`for_each_seed`] for jobs that also render a trace: each buffer goes
-/// to `out` in index order, and the total line count comes back.
+/// [`for_each_seed`] for jobs that also render a trace into the worker's
+/// buffer: each seed's trace goes to `out` in index order, the buffer is
+/// cleared for the worker's next seed, and the total line count comes
+/// back.
 fn stream_seeds<T: Send, W: Write + Send + ?Sized>(
     count: usize,
     threads: usize,
     out: &mut W,
-    job: impl Fn(usize, &mut SimWorkspace) -> (T, TraceBuf) + Sync,
+    job: impl Fn(usize, &mut SimWorkspace, &mut TraceBuf) -> T + Sync,
 ) -> io::Result<(Vec<T>, u64)> {
     let turn = Turn {
         state: Mutex::new(TurnState {
@@ -129,12 +131,17 @@ fn stream_seeds<T: Send, W: Write + Send + ?Sized>(
         }),
         changed: Condvar::new(),
     };
-    let results = for_each_seed(count, threads, |i, ws| {
-        let _guard = AbandonOnPanic(&turn);
-        let (result, buf) = job(i, ws);
-        turn.write_in_turn(i, &buf);
-        result
-    });
+    let results = for_each_seed(
+        count,
+        threads,
+        |i, (ws, buf): &mut (SimWorkspace, TraceBuf)| {
+            let _guard = AbandonOnPanic(&turn);
+            let result = job(i, ws, buf);
+            turn.write_in_turn(i, buf);
+            buf.clear();
+            result
+        },
+    );
     let state = turn
         .state
         .into_inner()
@@ -292,12 +299,11 @@ mod tests {
         // to be) waiting for its turn when the panic comes.
         let seed_1_done = std::sync::Barrier::new(2);
         let sweep = std::panic::AssertUnwindSafe(|| {
-            stream_seeds(4, 2, &mut Vec::new(), |i, _| {
+            stream_seeds(4, 2, &mut Vec::new(), |i, _, _| {
                 if i <= 1 {
                     seed_1_done.wait();
                 }
                 assert_ne!(i, 0, "seed 0 fails");
-                ((), TraceBuf::new())
             })
         });
         assert!(std::panic::catch_unwind(sweep).is_err());

@@ -51,6 +51,8 @@ sim_churn_100k_calls_faulty
 reroute_storm
 reroute_storm_mincost
 reroute_storm_mincost_ftn_nu2
+event_queue_storm_replay
+trace_render_storm
 router_connect_pair_ftn_nu2
 router_connect_pair_ftn_nu2_half_busy
 router_connect_pair_ftn_paper_nu1
