@@ -173,18 +173,17 @@ impl Observer for Noop {
 /// No byte of a normal trace goes through `core::fmt`: each line is
 /// written straight into the buffer in one pass. The tag, its closing
 /// quote and the first key are one literal per event kind, integers
-/// below 100 skip the digit loop and larger ones take four digits per
-/// step, and the two `f64` fields (`t`, `span`) take an exact
-/// shortest-round-trip fast path in 128-bit integer arithmetic. It
-/// covers every positive normal `x = m·2^-s` with `2 ≤ s ≤ 66` (about
-/// `6.1e-5 ≤ x < 2.3e15`) whose significand `m` is not a power of two,
-/// and defers to `write!(…, "{x}")` for the rest: zero, negatives,
-/// subnormals, non-finite values, powers of two, larger or smaller
-/// magnitudes, and the rare value whose nearest candidate is a tie. The
-/// `{"t":…,"seq":…,"ev":"` stamp is rendered once per `(time, seq)` and
-/// copied from the buffer itself for the next event under the same
-/// stamp — the engine emits several (arrival + connect, fault + kills +
-/// reroutes). The buffer is the only allocation: rendering an event
+/// take a two-digits-per-step table, and the two `f64` fields (`t`,
+/// `span`) take an exact shortest-round-trip fast path in `u128`
+/// arithmetic. It covers every positive normal `x = m·2^-s` with
+/// `2 ≤ s ≤ 66` (about `6.1e-5 ≤ x < 2.3e15`) whose significand `m` is
+/// not a power of two, and defers to `write!(…, "{x}")` for the rest:
+/// zero, negatives, subnormals, non-finite values, powers of two, larger
+/// or smaller magnitudes, and the rare value whose nearest candidate is
+/// a tie. The `{"t":…,"seq":…,"ev":"` stamp is rendered once per
+/// `(time, seq)` and copied from the buffer itself for the next event
+/// under the same stamp — the engine emits several (arrival + connect,
+/// fault + kills + reroutes). The buffer is the only allocation: rendering an event
 /// allocates only when the buffer grows, and [`Self::clear`] keeps its
 /// capacity for the next seed.
 #[derive(Clone, Debug, Default)]
@@ -412,8 +411,7 @@ mod tests {
     #[test]
     fn every_variant_renders_as_format_would() {
         const M: u32 = u32::MAX;
-        // Where the digit count of a rendered integer changes, and where
-        // the renderer's small-value and four-digit steps meet.
+        // Where the digit count of a rendered integer changes.
         const EDGES: [u32; 9] = [0, 9, 10, 99, 100, 9_999, 10_000, 100_000_000, M];
         let long: Vec<u32> = (0..300).map(|i| i * 14_316_557).collect();
         let paths: [&[u32]; 5] = [&[], &[0], &[M, 0, 10, 99, 100], &EDGES, &long];
