@@ -213,10 +213,10 @@ seed_row! {
 
 /// The mean utilisation of the busiest stage.
 fn busiest_stage(m: &Metrics, fabric: &Fabric) -> f64 {
-    (0..m.stage_busy_time.len())
+    (0..fabric.net().num_stages())
         .map(|s| {
             let r = fabric.net().stage_range(s);
-            m.stage_utilisation(s, (r.end - r.start) as usize)
+            m.stage_utilisation((r.end - r.start) as usize)
         })
         .fold(0.0f64, f64::max)
 }

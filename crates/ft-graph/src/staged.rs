@@ -203,8 +203,7 @@ impl StagedNetwork {
 
     /// Flat per-vertex stage table: `stage_table()[v.index()]` equals
     /// [`Self::stage_of`]`(v)` as a `u32`. Built on first use and
-    /// cached; hot paths (the router's route search, the
-    /// simulation engine's per-stage occupancy accounting) index this
+    /// cached; hot paths (the router's route search) index this
     /// instead of binary-searching the stage ranges per vertex.
     pub fn stage_table(&self) -> &[u32] {
         &self.staging().0

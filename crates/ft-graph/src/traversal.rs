@@ -462,10 +462,12 @@ pub fn bibfs_into<G: Digraph>(
 /// is the search under `CircuitRouter::connect`.
 ///
 /// Returns whether `target` is reachable from `source` through vertices
-/// passing `vertex_ok`; on success the path is read from `ws` with
-/// [`TraversalWorkspace::path_to`] /
-/// [`TraversalWorkspace::path_to_into`] (parent edges and distances are
-/// recorded exactly as [`bfs_into`] records them).
+/// passing `vertex_ok`; on success `path` holds the path, `source` to
+/// `target` inclusive (it is cleared first). The search writes only
+/// touch stamps into `ws`: [`TraversalWorkspace::reached`] tells which
+/// vertices it entered, but parent edges, distances and the discovery
+/// order are not recorded, so [`TraversalWorkspace::path_to`] does not
+/// describe a `route_into` search.
 ///
 /// # The descent
 ///
@@ -473,7 +475,9 @@ pub fn bibfs_into<G: Digraph>(
 /// no per-call allocation). At the top vertex the descent resumes its
 /// out-edge list where it left off, skips heads already touched in this
 /// search and heads failing `vertex_ok`, marks the first remaining head
-/// discovered and steps onto it; with no head left it steps back.
+/// touched and steps onto it; with no head left it steps back. When the
+/// target is found the stack *is* the circuit: its vertices, the vertex
+/// being scanned and `target` are copied out in one pass.
 /// It never enters the target's stage except at `target` itself: at the
 /// stage before, only an edge into `target` is taken. A touched vertex
 /// that is off the stack was entered earlier and left without reaching
@@ -486,7 +490,7 @@ pub fn bibfs_into<G: Digraph>(
 ///
 /// Verdict **and path** are bit-identical to a full forward
 /// [`bfs_into`] with the same vertex filter and no edge filter — same
-/// parent edges, same tie-breaks — so the deterministic simulation's
+/// vertices, same tie-breaks — so the deterministic simulation's
 /// pinned event fingerprints do not see which kernel ran. The argument
 /// is the one [`bibfs_into`]'s rustdoc makes for the flood, with the
 /// cone replaced by the truth it approximates:
@@ -533,15 +537,18 @@ pub fn route_into<G: Digraph>(
     stage_of: &[u32],
     mut vertex_ok: impl FnMut(VertexId) -> bool,
     ws: &mut TraversalWorkspace,
+    path: &mut Vec<VertexId>,
 ) -> bool {
     let n = g.num_vertices();
     debug_assert_eq!(stage_of.len(), n);
     ws.begin(n);
+    path.clear();
     if !vertex_ok(source) || !vertex_ok(target) {
         return false;
     }
-    ws.discover(source, EdgeId::NONE, 0);
+    ws.touch(source.index());
     if source == target {
+        path.push(source);
         return true;
     }
     let (s0, sl) = (stage_of[source.index()], stage_of[target.index()]);
@@ -555,7 +562,6 @@ pub fn route_into<G: Digraph>(
     'descent: while let Some((u, resume)) = ws.stack.pop() {
         let edges = g.out_edge_slice(u);
         let heads = g.out_head_slice(u);
-        let depth = ws.stack.len() as u32 + 1;
         // From the stage before the target's, only `target` may be entered.
         let last_hop = stage_of[u.index()] + 1 == sl;
         for i in resume as usize..edges.len() {
@@ -566,14 +572,16 @@ pub fn route_into<G: Digraph>(
             };
             if last_hop {
                 if w == target {
-                    ws.discover(w, edges[i], depth);
+                    ws.touch(w.index());
+                    path.extend(ws.stack.iter().map(|&(v, _)| v));
+                    path.extend([u, target]);
                     found = true;
                     break 'descent;
                 }
             } else if !ws.is_touched(w.index()) && vertex_ok(w) {
                 // step onto `w`; `u` resumes after this edge if `w` fails
                 ws.stack.push((u, i as u32 + 1));
-                ws.discover(w, edges[i], depth);
+                ws.touch(w.index());
                 ws.stack.push((w, 0));
                 pops += 1;
                 break;
@@ -854,8 +862,9 @@ mod tests {
 
     /// Runs `route_into` — bare, and pruned by the network's reach table
     /// as the router runs it — and `bibfs_into` under every budget in
-    /// `budgets`; checks verdict, path, parent edges and distances
-    /// against the full forward flood, and returns that flood's path.
+    /// `budgets`; checks the verdict and the returned path (and, for the
+    /// flood, parent edges and distances) against the full forward
+    /// flood, and returns that flood's path.
     fn check_bibfs(
         net: &crate::StagedNetwork,
         (src, dst): (u32, u32),
@@ -881,12 +890,13 @@ mod tests {
                 }
             }
         };
-        let got = route_into(csr, v(src), v(dst), tab, &ok, &mut fwd);
-        same_as_flood(got, &fwd, "descent");
+        let mut path = vec![v(u32::MAX)];
+        let got = route_into(csr, v(src), v(dst), tab, &ok, &mut fwd, &mut path);
+        assert_eq!(got.then_some(&path), want.as_ref(), "descent");
         let (reach, col) = (net.output_reach(), net.output_reach().column(v(dst)));
         let pruned = |u| ok(u) && reach.reaches(u, col);
-        let got = route_into(csr, v(src), v(dst), tab, pruned, &mut fwd);
-        same_as_flood(got, &fwd, "pruned descent");
+        let got = route_into(csr, v(src), v(dst), tab, pruned, &mut fwd, &mut path);
+        assert_eq!(got.then_some(&path), want.as_ref(), "pruned descent");
         for &budget in budgets {
             let got = bibfs_into(csr, v(src), v(dst), tab, budget, &ok, &mut fwd, &mut bwd);
             same_as_flood(got, &fwd, &format!("budget {budget}"));
@@ -1029,8 +1039,10 @@ mod tests {
     fn route_counts_scanned_vertices_and_scans_each_once() {
         let pops = |net: &crate::StagedNetwork, dst: u32, ok: &dyn Fn(VertexId) -> bool| {
             let mut ws = TraversalWorkspace::new();
-            let found = route_into(net.csr(), v(0), v(dst), net.stage_table(), ok, &mut ws);
-            (found, ws.stats().bibfs_pops, ws.num_reached())
+            let (g, tab, mut path) = (net.csr(), net.stage_table(), Vec::new());
+            let found = route_into(g, v(0), v(dst), tab, ok, &mut ws, &mut path);
+            let touched = (0..g.num_vertices() as u32).filter(|&u| ws.reached(v(u)));
+            (found, ws.stats().bibfs_pops, touched.count())
         };
         // Chain 0 → 1 → 2 → 3 → 4: one pop per path edge, target not scanned.
         let chain = staged(&[1, 1, 1, 1, 1], &[(0, 1), (1, 2), (2, 3), (3, 4)]);

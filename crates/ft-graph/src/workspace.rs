@@ -79,6 +79,10 @@ impl KernelStats {
 /// [`dist`](Self::dist), [`parent_edge`](Self::parent_edge),
 /// [`order`](Self::order) and [`path_to`](Self::path_to). The result
 /// stays valid until the next traversal that borrows the workspace.
+/// The route descent ([`crate::traversal::route_into`]) is the
+/// exception: it returns its path itself and records only which
+/// vertices it touched, so after it only [`reached`](Self::reached) is
+/// meaningful — `dist`, `parent_edge`, `order` and `path_to` are not.
 #[derive(Clone, Debug, Default)]
 pub struct TraversalWorkspace {
     /// Current epoch; an entry `i` is live iff `stamp[i] == epoch`.
@@ -92,7 +96,8 @@ pub struct TraversalWorkspace {
     pub(crate) queue: Vec<VertexId>,
     /// Explicit stack of the depth-first route descent: the vertices of
     /// the path under construction, each with the position of its next
-    /// unscanned out-edge. Never deeper than the network has stages.
+    /// unscanned out-edge. Never deeper than the network has stages;
+    /// on success it is the found path, short of its last two vertices.
     pub(crate) stack: Vec<(VertexId, u32)>,
     /// Deterministic work counters (resets, route-search pops).
     pub(crate) stats: KernelStats,
@@ -212,8 +217,8 @@ impl TraversalWorkspace {
 
     /// Buffer-reusing form of [`Self::path_to`]: writes the path into
     /// `out` (cleared first) and returns whether `v` was reached. The
-    /// circuit router's connect hot path recycles session path buffers
-    /// through this instead of allocating a fresh `Vec` per circuit.
+    /// circuit router's flood fallback (stage-skipping networks)
+    /// recycles session path buffers through this.
     pub fn path_to_into(&self, g: &impl Digraph, v: VertexId, out: &mut Vec<VertexId>) -> bool {
         out.clear();
         if !self.reached(v) {

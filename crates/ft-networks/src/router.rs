@@ -175,10 +175,10 @@ impl<'a> CircuitRouter<'a> {
     /// routing decisions — and with them the simulation's pinned event
     /// fingerprints — do not depend on the kernel. The reach table only
     /// prunes: it is a superset of what is reachable through idle
-    /// vertices, and for a target that is not an output terminal it
-    /// prunes nothing. An idle fabric costs one scanned vertex per path
+    /// vertices. An idle fabric costs one scanned vertex per path
     /// edge; a blocked pair costs at most the idle part of the pair's
-    /// static cone.
+    /// static cone. `input` and `output` are terminals: debug builds
+    /// assert that the circuit holds one vertex of every stage.
     pub fn connect(&mut self, input: VertexId, output: VertexId) -> Result<SessionId, RouteError> {
         if !self.is_idle(input) {
             return Err(RouteError::InputUnavailable(input));
@@ -188,6 +188,7 @@ impl<'a> CircuitRouter<'a> {
         }
         let csr = self.net.graph();
         let idle = &self.idle;
+        let mut path = self.spare.pop().unwrap_or_default();
         let reached = if let Some(reach) = self.reach {
             let col = reach.column(output);
             route_into(
@@ -197,6 +198,7 @@ impl<'a> CircuitRouter<'a> {
                 self.stage_tab,
                 |v| idle[v.index()] && reach.reaches(v, col),
                 &mut self.ws,
+                &mut path,
             )
         } else {
             // Stage-skipping networks (possible via `StagedBuilder`,
@@ -210,20 +212,29 @@ impl<'a> CircuitRouter<'a> {
                 |v| idle[v.index()],
                 &mut self.ws,
             );
-            self.ws.reached(output)
+            self.ws.path_to_into(csr, output, &mut path)
         };
         if !reached {
+            // A fresh buffer holds nothing worth pooling.
+            if path.capacity() > 0 {
+                self.spare.push(path);
+            }
             return Err(RouteError::Blocked(input, output));
         }
-        let mut path = self.spare.pop().unwrap_or_default();
-        let ok = self.ws.path_to_into(csr, output, &mut path);
-        debug_assert!(ok, "reached target must reconstruct");
         Ok(self.commit_path(path))
     }
 
     /// Marks a found idle path busy and registers it as a session —
     /// the shared tail of [`Self::connect`] and [`Self::mincost_place`].
+    /// Every fabric runs from stage-0 inputs to last-stage outputs, so a
+    /// circuit holds one vertex per stage; the simulator's single
+    /// occupancy count relies on it.
     fn commit_path(&mut self, path: Vec<VertexId>) -> SessionId {
+        debug_assert_eq!(
+            path.len(),
+            self.net.num_stages(),
+            "a circuit crosses every stage once"
+        );
         let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.sessions[slot as usize].is_none());
@@ -290,9 +301,9 @@ impl<'a> CircuitRouter<'a> {
     }
 
     /// Releases slot `slot`'s circuit, restoring idleness along its
-    /// path, invoking `visit` on every path vertex, and recycling the
-    /// path buffer. Returns whether a live circuit was torn down.
-    fn release_slot(&mut self, slot: usize, mut visit: impl FnMut(VertexId)) -> bool {
+    /// path and recycling the path buffer. Returns whether a live
+    /// circuit was torn down.
+    fn release_slot(&mut self, slot: usize) -> bool {
         let Some(entry) = self.sessions.get_mut(slot) else {
             return false;
         };
@@ -302,7 +313,6 @@ impl<'a> CircuitRouter<'a> {
         for &v in &path {
             self.owner[v.index()] = NO_OWNER;
             self.idle[v.index()] = self.alive[v.index()];
-            visit(v);
         }
         path.clear();
         self.spare.push(path);
@@ -314,16 +324,7 @@ impl<'a> CircuitRouter<'a> {
     /// actually torn down: disconnecting an unknown or
     /// already-disconnected session is a checked no-op yielding `false`.
     pub fn disconnect(&mut self, id: SessionId) -> bool {
-        self.release_slot(id.0 as usize, |_| {})
-    }
-
-    /// Like [`Self::disconnect`], additionally invoking `visit` on each
-    /// vertex of the released path — callers that mirror per-vertex
-    /// occupancy (the simulation's per-stage counters) fold their
-    /// bookkeeping into the single release walk instead of re-reading
-    /// the path first.
-    pub fn disconnect_visit(&mut self, id: SessionId, visit: impl FnMut(VertexId)) -> bool {
-        self.release_slot(id.0 as usize, visit)
+        self.release_slot(id.0 as usize)
     }
 
     /// The `(input, output)` terminal pair of a live session — the
@@ -347,7 +348,7 @@ impl<'a> CircuitRouter<'a> {
             let id = SessionId(slot as u32);
             if let Some((input, output)) = self.session_endpoints(id) {
                 out.push((id, input, output));
-                let released = self.release_slot(slot, |_| {});
+                let released = self.release_slot(slot);
                 debug_assert!(released);
             }
         }
@@ -369,7 +370,7 @@ impl<'a> CircuitRouter<'a> {
     pub fn kill_sessions_through(&mut self, v: VertexId) -> Vec<SessionId> {
         let mut killed = Vec::new();
         if let Some(id) = self.session_through(v) {
-            self.release_slot(id.0 as usize, |_| {});
+            self.release_slot(id.0 as usize);
             killed.push(id);
         }
         killed
@@ -382,7 +383,7 @@ impl<'a> CircuitRouter<'a> {
     /// [`Self::set_alive_mask`] for a single-vertex delta.
     pub fn kill_vertex_into(&mut self, v: VertexId, killed: &mut Vec<SessionId>) {
         if let Some(id) = self.session_through(v) {
-            self.release_slot(id.0 as usize, |_| {});
+            self.release_slot(id.0 as usize);
             killed.push(id);
         }
         self.alive[v.index()] = false;
@@ -417,7 +418,7 @@ impl<'a> CircuitRouter<'a> {
                 .as_ref()
                 .is_some_and(|path| path.iter().any(|&u| !alive[u.index()]));
             if crosses {
-                self.release_slot(slot, |_| {});
+                self.release_slot(slot);
                 killed.push(SessionId(slot as u32));
             }
         }

@@ -80,6 +80,7 @@ fn check_all_pairs(
         TraversalWorkspace::new(),
     );
     let (mut found, mut blocked) = (0u64, 0u64);
+    let mut path = Vec::new();
     for eps in [0.0, 0.02] {
         let inst = FailureInstance::sample(&FailureModel::symmetric(eps), &mut r, net.num_edges());
         let alive = repair(&inst);
@@ -120,20 +121,16 @@ fn check_all_pairs(
                     }
                     flood[verdict].add(flood_pops);
 
-                    let (got, bare) =
-                        counted(&mut fwd, |ws| route_into(csr, src, dst, tab, ok, ws));
-                    assert_eq!(got, want.is_some(), "{case} descent");
-                    if got {
-                        assert_eq!(fwd.path_to(csr, dst), want, "{case} descent");
-                    }
+                    let (got, bare) = counted(&mut fwd, |ws| {
+                        route_into(csr, src, dst, tab, ok, ws, &mut path)
+                    });
+                    assert_eq!(got.then(|| path.clone()), want, "{case} descent");
                     let col = reach.column(dst);
                     let (got, pruned) = counted(&mut fwd, |ws| {
-                        route_into(csr, src, dst, tab, |v| ok(v) && reach.reaches(v, col), ws)
+                        let ok = |v| ok(v) && reach.reaches(v, col);
+                        route_into(csr, src, dst, tab, ok, ws, &mut path)
                     });
-                    assert_eq!(got, want.is_some(), "{case} pruned descent");
-                    if got {
-                        assert_eq!(fwd.path_to(csr, dst), want, "{case} pruned descent");
-                    }
+                    assert_eq!(got.then(|| path.clone()), want, "{case} pruned descent");
                     assert!(
                         pruned <= bare,
                         "{case}: pruning cost pops, {bare} → {pruned}"

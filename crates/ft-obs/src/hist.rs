@@ -419,7 +419,7 @@ mod tests {
     fn dense_bucket_fold_equals_direct_records() {
         // Accumulate into a dense bucket-indexed scratch, fold it in,
         // and compare against direct recording — the hot-loop pattern
-        // the sim uses for per-stage occupancy sampling.
+        // the sim uses for occupancy sampling.
         let vals = [0.0, 1.0, 1.0, 2.0, 7.0, 7.0, 7.0, 123.456];
         let mut dense = vec![0u64; NUM_BUCKETS];
         let mut direct = Hist::new();

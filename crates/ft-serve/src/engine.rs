@@ -430,7 +430,7 @@ fn run_generation(
             Request::Disconnect { tag } => {
                 let resp = match state.circuits.remove(&tag) {
                     Some(Circuit { sid, .. }) => {
-                        let released = core.release(sid, |_| {});
+                        let released = core.release(sid);
                         debug_assert!(released, "circuit table out of sync with router");
                         slot_owner[sid.0 as usize] = None;
                         state.counters.disconnected += 1;
@@ -452,7 +452,7 @@ fn run_generation(
                 let resp = if (switch as usize) >= num_switches || !fabric.supports_faults() {
                     state.counters.bad_arg += 1;
                     Response::new(Status::BadArg, tag)
-                } else if let Some(killed) = core.fail(EdgeId(switch), mode, |_| {}) {
+                } else if let Some(killed) = core.fail(EdgeId(switch), mode) {
                     state.counters.faults += 1;
                     for sid in killed {
                         if let Some(owner) = slot_owner[sid.0 as usize].take() {
@@ -809,7 +809,7 @@ mod tests {
             } else {
                 SwitchState::Closed
             };
-            let expect = core.fail(EdgeId(switch), mode, |_| {}).unwrap().len() as u32;
+            let expect = core.fail(EdgeId(switch), mode).unwrap().len() as u32;
             let got = u32::from_le_bytes(r.body[..4].try_into().unwrap());
             assert_eq!(got, expect, "switch {switch}");
             total += got;

@@ -13,7 +13,7 @@
 //!    wholesale-mask recompute killed in slot order, and both the
 //!    drivers' reroute order and the router's free list (slot reuse)
 //!    follow from it, so the order is fingerprint-relevant;
-//! 3. each is released (the caller's visitor sees every freed vertex);
+//! 3. each is released;
 //! 4. the discarded vertices are withdrawn from routing.
 //!
 //! A repair is the tracker delta plus a revive per returned vertex; it
@@ -130,24 +130,17 @@ impl<'a> SwitchingCore<'a> {
             .mincost_place(batch, net.inputs()[src], net.outputs()[dst])
     }
 
-    /// Releases a session's circuit, calling `visit` on each freed
-    /// vertex. `false` if the session is not live.
+    /// Releases a session's circuit. `false` if the session is not live.
     #[inline]
-    pub fn release(&mut self, id: SessionId, visit: impl FnMut(VertexId)) -> bool {
-        self.router.disconnect_visit(id, visit)
+    pub fn release(&mut self, id: SessionId) -> bool {
+        self.router.disconnect(id)
     }
 
     /// Fails switch `edge` in mode `state` and runs the kill wave (see
-    /// the module docs), calling `visit` on every vertex a killed
-    /// circuit frees. Returns the killed sessions in ascending slot
+    /// the module docs). Returns the killed sessions in ascending slot
     /// order, or `None` — and changes nothing — if the switch had
     /// already failed.
-    pub fn fail(
-        &mut self,
-        edge: EdgeId,
-        state: SwitchState,
-        mut visit: impl FnMut(VertexId),
-    ) -> Option<&[SessionId]> {
+    pub fn fail(&mut self, edge: EdgeId, state: SwitchState) -> Option<&[SessionId]> {
         debug_assert_ne!(state, SwitchState::Normal, "a fault needs a failure mode");
         if !self.inst.is_normal(edge) {
             return None;
@@ -172,7 +165,7 @@ impl<'a> SwitchingCore<'a> {
         }
         killed.sort_unstable_by_key(|id| id.0);
         for &id in killed.iter() {
-            let torn_down = self.router.disconnect_visit(id, &mut visit);
+            let torn_down = self.router.disconnect(id);
             debug_assert!(torn_down);
         }
         let victims = killed.len();
@@ -232,16 +225,19 @@ mod tests {
         let a = core.admit(0, 3).unwrap();
         let b = core.admit(1, 2).unwrap();
         // A switch leaving the second vertex of `a`'s path.
-        let path = core.router().session_path(a).unwrap();
-        let (e, path_len) = (core.net().out_edge_slice(path[1])[0], path.len());
-        let mut freed = 0;
-        let killed = core.fail(e, SwitchState::Open, |_| freed += 1).unwrap();
+        let path = core.router().session_path(a).unwrap().to_vec();
+        let e = core.net().out_edge_slice(path[1])[0];
+        let killed = core.fail(e, SwitchState::Open).unwrap();
         assert_eq!(killed, [a]);
-        assert_eq!(freed, path_len, "visitor sees every freed vertex");
+        let r = core.router();
+        assert!(
+            path.iter().all(|&v| r.is_idle(v) == r.is_alive(v)),
+            "every vertex freed"
+        );
         assert_eq!(core.healthy(), core.instance().len() - 1);
-        assert!(core.fail(e, SwitchState::Closed, |_| {}).is_none());
+        assert!(core.fail(e, SwitchState::Closed).is_none());
         assert_eq!(core.failed(), 1, "a double fault changes nothing");
-        assert!(!core.release(a, |_| {}), "a killed session is gone");
+        assert!(!core.release(a), "a killed session is gone");
         assert!(core.router().session_path(b).is_some());
         assert!(core.repair(e));
         assert!(!core.repair(e), "a double repair changes nothing");
@@ -272,7 +268,7 @@ mod tests {
                 (hi.0 > lo.0).then_some((e, lo, hi))
             })
             .expect("some switch joins two circuits, higher slot at the tail");
-        let killed = core.fail(e, SwitchState::Closed, |_| {}).unwrap();
+        let killed = core.fail(e, SwitchState::Closed).unwrap();
         assert_eq!(killed, [lo, hi]);
     }
 }

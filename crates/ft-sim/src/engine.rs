@@ -37,7 +37,7 @@ use ft_failure::SwitchState;
 use ft_graph::gen::{random_permutation, rng};
 use ft_graph::{EdgeId, KernelStats};
 use ft_networks::{MincostBatch, RouteError, SessionId};
-use ft_obs::{Hist, Noop, Observer, TraceEvent};
+use ft_obs::{Noop, Observer, TraceEvent};
 use rand::rngs::SmallRng;
 
 /// Resolved simulation parameters (one seed's worth of work).
@@ -137,19 +137,16 @@ pub struct SimWorkspace {
     arrivals: Vec<ArrivalEv>,
     calls: Vec<Option<Call>>,
     pending: Vec<PendingCall>,
-    busy_now: Vec<u64>,
     /// The switching core's repair mask and kill-wave scratch, taken
     /// for the length of a seed and put back after it.
     core: CoreBuffers,
     /// Call records of the sessions the current fault killed (drained
     /// before any reroute can reuse a freed slot).
     victims: Vec<Call>,
-    /// Dense histogram scratch, `bucket * rows + row` (bucket-major so
-    /// the per-arrival occupancy sweep — every stage near the same
-    /// occupancy bucket — touches adjacent words): rows `0..stages`
-    /// hold arrival-observed per-stage occupancy (PASTA draws), row
-    /// `stages` setup cost, row `stages + 1` path length. Folded into
-    /// the corresponding `Metrics` histograms once per seed, so the
+    /// Dense histogram scratch, `bucket * DENSE_ROWS + row`: rows
+    /// [`OCCUPANCY_ROW`] (arrival-observed occupancy, PASTA draws),
+    /// [`SETUP_COST_ROW`] and [`PATH_LEN_ROW`]. Folded into the
+    /// corresponding `Metrics` histograms once per seed, so the
     /// per-arrival recording cost is one add per sample. All-zero
     /// between seeds (the flush re-zeroes every touched entry).
     dense_hist: Vec<u64>,
@@ -196,6 +193,12 @@ struct PendingCall {
     next_delay: f64,
 }
 
+/// Rows of [`SimWorkspace`]'s dense histogram scratch.
+const OCCUPANCY_ROW: usize = 0;
+const SETUP_COST_ROW: usize = 1;
+const PATH_LEN_ROW: usize = 2;
+const DENSE_ROWS: usize = 3;
+
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01B3;
 
@@ -204,8 +207,6 @@ struct Engine<'a, O: Observer> {
     rng: SmallRng,
     /// Router, failure states and repair mask of the fabric under test.
     core: SwitchingCore<'a>,
-    /// Cached per-vertex stage table (per-stage occupancy accounting).
-    stage_tab: &'a [u32],
     /// The configured fault process (which switch fails next, when).
     injector: Box<dyn FaultInjector>,
     fault_epoch: u32,
@@ -270,20 +271,27 @@ pub fn run_seed_obs<O: Observer>(
         "fabric {} cannot express switch faults as vertex discards",
         fabric.label()
     );
+    // Unit staging from stage-0 inputs to last-stage outputs puts one
+    // vertex of every circuit in each stage: the live-circuit count is
+    // every stage's occupancy (see `crate::metrics`).
     let net = fabric.net();
+    let (tab, last) = (net.stage_table(), net.num_stages() as u32 - 1);
+    assert!(
+        net.is_unit_staged()
+            && net.inputs().iter().all(|v| tab[v.index()] == 0)
+            && net.outputs().iter().all(|v| tab[v.index()] == last),
+        "fabric {} is not unit-staged from its inputs in stage 0 to its outputs in the last stage",
+        fabric.label()
+    );
     let n = fabric.terminals();
-    let num_stages = net.num_stages();
 
     // Reset the workspace for this seed.
     ws.queue.reset();
     ws.arrivals.clear();
     ws.calls.clear();
     ws.pending.clear();
-    ws.busy_now.clear();
-    ws.busy_now.resize(num_stages, 0);
     ws.victims.clear();
-    ws.dense_hist
-        .resize((num_stages + 2) * ft_obs::NUM_BUCKETS, 0);
+    ws.dense_hist.resize(DENSE_ROWS * ft_obs::NUM_BUCKETS, 0);
     ws.dense_touched.clear();
     let mut r = rng(seed);
     let perm = if matches!(cfg.pattern, TrafficPattern::Permutation) {
@@ -293,8 +301,6 @@ pub fn run_seed_obs<O: Observer>(
     };
 
     let metrics = Metrics {
-        stage_busy_time: vec![0.0; num_stages],
-        stage_occupancy_hist: vec![Hist::new(); num_stages],
         measured_time: cfg.duration - cfg.warmup,
         buckets: vec![Bucket::default(); cfg.buckets.max(1)],
         ..Metrics::default()
@@ -303,7 +309,6 @@ pub fn run_seed_obs<O: Observer>(
     let mut engine = Engine {
         cfg,
         core: SwitchingCore::new(fabric, std::mem::take(&mut ws.core)),
-        stage_tab: net.stage_table(),
         injector: cfg.faults.build(cfg),
         fault_epoch: 0,
         arrival_epoch: 0,
@@ -354,8 +359,7 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// sample on the arrival hot path, deferred to [`Self::flush_hists`].
     #[inline]
     fn dense_record(&mut self, row: usize, v: f64) {
-        let rows = self.metrics.stage_occupancy_hist.len() + 2;
-        let flat = ft_obs::bucket_index(v) as usize * rows + row;
+        let flat = ft_obs::bucket_index(v) as usize * DENSE_ROWS + row;
         let c = &mut self.ws.dense_hist[flat];
         if *c == 0 {
             self.ws.dense_touched.push(flat as u32);
@@ -369,17 +373,14 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// construction, so the first-touch flush order cannot affect the
     /// folded bytes.
     fn flush_hists(&mut self) {
-        let stages = self.metrics.stage_occupancy_hist.len();
         for k in 0..self.ws.dense_touched.len() {
             let flat = self.ws.dense_touched[k] as usize;
             let n = std::mem::take(&mut self.ws.dense_hist[flat]);
-            let (row, idx) = (flat % (stages + 2), flat / (stages + 2));
-            let h = if row < stages {
-                &mut self.metrics.stage_occupancy_hist[row]
-            } else if row == stages {
-                &mut self.metrics.setup_cost_hist
-            } else {
-                &mut self.metrics.path_len_hist
+            let (row, idx) = (flat % DENSE_ROWS, flat / DENSE_ROWS);
+            let h = match row {
+                OCCUPANCY_ROW => &mut self.metrics.occupancy_hist,
+                SETUP_COST_ROW => &mut self.metrics.setup_cost_hist,
+                _ => &mut self.metrics.path_len_hist,
             };
             h.record_bucket_n(idx as u32, n);
         }
@@ -496,14 +497,6 @@ impl<'a, O: Observer> Engine<'a, O> {
             if self.degraded_now {
                 self.metrics.degraded_time += dt;
             }
-            for (acc, &busy) in self
-                .metrics
-                .stage_busy_time
-                .iter_mut()
-                .zip(self.ws.busy_now.iter())
-            {
-                *acc += busy as f64 * dt;
-            }
         }
         self.last_t = to;
         self.now = to;
@@ -535,8 +528,7 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 
     /// Establishes bookkeeping for a freshly connected session and
-    /// returns the circuit's path length in switches (counted during
-    /// the one occupancy walk, so metrics need no second walk).
+    /// returns the circuit's path length in switches.
     fn admit(&mut self, id: SessionId, src: usize, dst: usize, hangup_time: f64) -> u64 {
         let slot = id.0 as usize;
         if self.ws.calls.len() <= slot {
@@ -556,15 +548,9 @@ impl<'a, O: Observer> Engine<'a, O> {
         self.ws
             .queue
             .push(hangup_time, EventKind::Hangup { slot: id.0, token });
-        let mut vertices = 0u64;
-        if let Some(path) = self.core.router().session_path(id) {
-            vertices = path.len() as u64;
-            for &v in path {
-                self.ws.busy_now[self.stage_tab[v.index()] as usize] += 1;
-            }
-        }
+        let vertices = self.core.router().session_path(id).map_or(0, <[_]>::len);
         self.active_now += 1;
-        vertices.saturating_sub(1)
+        (vertices as u64).saturating_sub(1)
     }
 
     fn on_arrival(&mut self, epoch: u32) {
@@ -578,19 +564,8 @@ impl<'a, O: Observer> Engine<'a, O> {
         if measured {
             self.metrics.offered += 1;
             // PASTA sampling: the occupancy this Poisson arrival sees is
-            // an unbiased draw of the time-average per-stage occupancy.
-            // Counts land in the dense scratch (one add per stage); the
-            // end-of-run flush folds them into the per-stage histograms.
-            let ws = &mut *self.ws;
-            let rows = self.metrics.stage_occupancy_hist.len() + 2;
-            for (s, &busy) in ws.busy_now.iter().enumerate() {
-                let flat = ft_obs::bucket_index(busy as f64) as usize * rows + s;
-                let c = &mut ws.dense_hist[flat];
-                if *c == 0 {
-                    ws.dense_touched.push(flat as u32);
-                }
-                *c += 1;
-            }
+            // an unbiased draw of the time-average occupancy.
+            self.dense_record(OCCUPANCY_ROW, self.active_now as f64);
         }
         self.bucket().offered += 1;
         self.emit(TraceEvent::Arrival {
@@ -607,8 +582,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             // Setup cost in vertices the route search scanned: the
             // deterministic search-effort analogue of setup latency.
             let pops = self.core.router().kernel_stats().bibfs_pops - pops_before;
-            let row = self.metrics.stage_occupancy_hist.len();
-            self.dense_record(row, pops as f64);
+            self.dense_record(SETUP_COST_ROW, pops as f64);
         }
         match attempt {
             Ok(id) => {
@@ -630,8 +604,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     self.metrics.connected += 1;
                     self.metrics.total_path_len += len;
                     self.metrics.max_path_len = self.metrics.max_path_len.max(len);
-                    let row = self.metrics.stage_occupancy_hist.len() + 1;
-                    self.dense_record(row, len as f64);
+                    self.dense_record(PATH_LEN_ROW, len as f64);
                 }
             }
             Err(RouteError::Blocked(_, _)) => {
@@ -671,11 +644,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
         self.emit(TraceEvent::Hangup { token });
         self.ws.calls[slot as usize] = None;
-        let id = SessionId(slot);
-        let (busy_now, stage_tab) = (&mut self.ws.busy_now, self.stage_tab);
-        let torn_down = self
-            .core
-            .release(id, |v| busy_now[stage_tab[v.index()] as usize] -= 1);
+        let torn_down = self.core.release(SessionId(slot));
         debug_assert!(torn_down);
         self.active_now -= 1;
         if self.measured() {
@@ -733,12 +702,9 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
         }
         let measured = self.measured();
-        let (busy_now, stage_tab) = (&mut self.ws.busy_now, self.stage_tab);
         let killed = self
             .core
-            .fail(e, strike.state, |v| {
-                busy_now[stage_tab[v.index()] as usize] -= 1
-            })
+            .fail(e, strike.state)
             .expect("strike hit an already-failed switch");
         // Drain every victim's call record BEFORE attempting reroutes:
         // a reroute may reuse any just-freed slot (free-list order is

@@ -241,6 +241,31 @@ mod tests {
         assert!(f.alive_mask(&inst).iter().all(|&a| a));
     }
 
+    /// The engine's one occupancy count needs every circuit to hold one
+    /// vertex per stage, on every fabric family.
+    #[test]
+    fn every_family_runs_unit_staged_from_stage_0_to_the_last_stage() {
+        let paper_nu1 = Fabric::Ftn(Box::new(FtNetwork::build(Params::paper_exact(1))));
+        for f in [
+            Fabric::crossbar(3),
+            Fabric::clos_strict(2, 3),
+            Fabric::clos_rearrangeable(2, 2),
+            Fabric::benes(3),
+            Fabric::multibutterfly(3, 2, 7),
+            Fabric::ftn_reduced(1, 8, 4, 1.0),
+            paper_nu1,
+        ] {
+            let (net, label) = (f.net(), f.label());
+            let (tab, last) = (net.stage_table(), net.num_stages() as u32 - 1);
+            assert!(net.is_unit_staged(), "{label}");
+            assert!(net.inputs().iter().all(|v| tab[v.index()] == 0), "{label}");
+            assert!(
+                net.outputs().iter().all(|v| tab[v.index()] == last),
+                "{label}"
+            );
+        }
+    }
+
     #[test]
     fn labels_and_terminals() {
         assert_eq!(Fabric::crossbar(4).terminals(), 4);

@@ -1,13 +1,20 @@
 //! The metrics pipeline: counters, occupancy integrals, per-stage
 //! utilisation, time-series buckets, and the Erlang-B reference.
 //!
+//! Per-stage occupancy needs no per-stage state: every fabric runs
+//! unit-staged from stage-0 inputs to last-stage outputs (the engine
+//! asserts it per seed), so each circuit holds one vertex per stage and
+//! every stage's busy count *is* the live-circuit count. `active_time`
+//! and `occupancy_hist` give every stage's utilisation and occupancy
+//! quantiles, bit for bit what per-stage counters would.
+//!
 //! Headline counters are gated on the scenario's warm-up time so
 //! steady-state rates are not diluted by the empty-network transient;
 //! time-series buckets always span the full run (the transient is
 //! exactly what they are for).
 //!
 //! Distribution-shaped metrics (reroute latencies, setup cost, path
-//! length, per-stage occupancy) are streamed into [`ft_obs::Hist`]
+//! length, occupancy) are streamed into [`ft_obs::Hist`]
 //! log-bucketed histograms instead of per-sample vectors: the per-seed
 //! memory bound becomes O(occupied buckets) — a prerequisite for
 //! 10⁷-event runs — and quantiles merge *exactly* across seeds by
@@ -95,18 +102,17 @@ pub struct Metrics {
     pub setup_cost_hist: Hist,
     /// Path-length distribution (switches) over established circuits.
     pub path_len_hist: Hist,
-    /// Per-stage occupancy distributions: busy-vertex count of each
-    /// stage sampled at call arrival instants (PASTA: Poisson arrivals
-    /// see time averages).
-    pub stage_occupancy_hist: Vec<Hist>,
+    /// Occupancy distribution: the live-circuit count — equal to the
+    /// busy-vertex count of every stage — sampled at call arrival
+    /// instants (PASTA: Poisson arrivals see time averages).
+    pub occupancy_hist: Hist,
     /// Total switch count over established paths.
     pub total_path_len: u64,
     /// Longest established path (switches).
     pub max_path_len: u64,
-    /// ∫ active-session count dt over the measured window.
+    /// ∫ active-session count dt over the measured window — also each
+    /// stage's ∫ busy-vertex count dt (see the module docs).
     pub active_time: f64,
-    /// Per-stage ∫ busy-vertex count dt over the measured window.
-    pub stage_busy_time: Vec<f64>,
     /// Length of the measured window (duration − warmup).
     pub measured_time: f64,
     /// Full-run time series.
@@ -149,10 +155,11 @@ impl Metrics {
         }
     }
 
-    /// Mean busy fraction of stage `s` (`stage_size` vertices).
-    pub fn stage_utilisation(&self, s: usize, stage_size: usize) -> f64 {
+    /// Mean busy fraction of a stage of `stage_size` vertices: each
+    /// stage carries one vertex of every live circuit.
+    pub fn stage_utilisation(&self, stage_size: usize) -> f64 {
         if self.measured_time > 0.0 && stage_size > 0 {
-            self.stage_busy_time[s] / (self.measured_time * stage_size as f64)
+            self.active_time / (self.measured_time * stage_size as f64)
         } else {
             0.0
         }
@@ -311,7 +318,6 @@ mod tests {
             total_path_len: 240,
             active_time: 50.0,
             measured_time: 25.0,
-            stage_busy_time: vec![12.5],
             ..Metrics::default()
         };
         assert!((m.blocking_probability() - 0.15).abs() < 1e-12);
@@ -319,7 +325,7 @@ mod tests {
         assert!((m.drop_rate() - 0.1).abs() < 1e-12);
         assert!((m.mean_path_len() - 3.0).abs() < 1e-12);
         assert!((m.carried_erlangs() - 2.0).abs() < 1e-12);
-        assert!((m.stage_utilisation(0, 2) - 0.25).abs() < 1e-12);
+        assert!((m.stage_utilisation(4) - 0.5).abs() < 1e-12);
         assert!((m.mean_reroute_latency_events() - 1.5).abs() < 1e-12);
     }
 }

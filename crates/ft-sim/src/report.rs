@@ -188,13 +188,13 @@ impl Report {
             j.field("path_len_p50", m.path_len_hist.quantile(50.0));
             j.field("path_len_p99", m.path_len_hist.quantile(99.0));
             j.key("stage_utilisation").array(Inline);
-            let stages = self.stage_sizes.iter().enumerate();
-            for (s, &size) in stages.take(m.stage_busy_time.len()) {
-                j.value(m.stage_utilisation(s, size));
+            for &size in &self.stage_sizes {
+                j.value(m.stage_utilisation(size));
             }
             j.end().key("stage_occupancy_p99").array(Inline);
-            for h in &m.stage_occupancy_hist {
-                j.value(h.quantile(99.0));
+            let occupancy_p99 = m.occupancy_hist.quantile(99.0);
+            for _ in &self.stage_sizes {
+                j.value(occupancy_p99);
             }
             j.end().key("buckets").array(Inline);
             for b in &m.buckets {

@@ -17,9 +17,9 @@
 //!   identical (aliveness, idleness, session paths, killed ids *and
 //!   their order*, slot reuse) to one driven by the wholesale
 //!   `set_alive_mask` recompute;
-//! * the engine-style per-stage occupancy counters, maintained by
-//!   increments along connect/kill/disconnect walks, equal a recount
-//!   over the live paths.
+//! * every stage holds exactly one busy vertex per live circuit — the
+//!   invariant that lets the engine keep one occupancy count instead of
+//!   one per stage.
 
 use ft_failure::SwitchState;
 use ft_graph::gen::rng;
@@ -45,8 +45,7 @@ fn fabrics() -> &'static Vec<Fabric> {
     })
 }
 
-/// Recounts per-stage occupancy from the live paths (the scratch form
-/// of the engine's incremental `busy_now`).
+/// Recounts per-stage occupancy from the live paths.
 fn recount_busy(router: &CircuitRouter<'_>, live: &[SessionId], num_stages: usize) -> Vec<u64> {
     let net = router.network();
     let tab = net.stage_table();
@@ -70,8 +69,6 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
     // Reference: wholesale mask.
     let mut core = SwitchingCore::new(fabric, CoreBuffers::default());
     let mut refr = CircuitRouter::new(net);
-    let mut busy_now = vec![0u64; num_stages];
-    let tab = net.stage_table();
 
     let mut r = rng(seed);
     let mut live: Vec<SessionId> = Vec::new();
@@ -85,12 +82,7 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                 let a = core.admit(src, dst);
                 let b = refr.connect(net.inputs()[src], net.outputs()[dst]);
                 prop_assert_eq!(&a, &b, "routing decisions diverged");
-                if let Ok(id) = a {
-                    for &v in core.router().session_path(id).unwrap() {
-                        busy_now[tab[v.index()] as usize] += 1;
-                    }
-                    live.push(id);
-                }
+                live.extend(a.ok());
             }
             45..=69 => {
                 // disconnect a random live session
@@ -98,8 +90,7 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                     continue;
                 }
                 let id = live.swap_remove(r.random_range(0..live.len()));
-                let busy = &mut busy_now;
-                prop_assert!(core.release(id, |v| busy[tab[v.index()] as usize] -= 1));
+                prop_assert!(core.release(id));
                 prop_assert!(refr.disconnect(id));
             }
             70..=84 => {
@@ -119,12 +110,11 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
                     SwitchState::Closed
                 };
                 failed.push(e);
-                let busy = &mut busy_now;
                 let killed_inc = core
-                    .fail(e, state, |v| busy[tab[v.index()] as usize] -= 1)
+                    .fail(e, state)
                     .expect("the switch was healthy")
                     .to_vec();
-                prop_assert!(core.fail(e, state, |_| {}).is_none(), "double fault");
+                prop_assert!(core.fail(e, state).is_none(), "double fault");
                 // reference: wholesale recompute
                 let killed_ref = refr.set_alive_mask(&fabric.alive_mask(core.instance()));
                 prop_assert_eq!(&killed_inc, &killed_ref, "killed ids or order diverged");
@@ -165,9 +155,9 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
             prop_assert_eq!(inc.session_path(id), refr.session_path(id));
         }
         prop_assert_eq!(
-            &busy_now,
-            &recount_busy(inc, &live, num_stages),
-            "incremental per-stage occupancy diverged at step {}",
+            recount_busy(inc, &live, num_stages),
+            vec![live.len() as u64; num_stages],
+            "a stage's occupancy differs from the live-circuit count at step {}",
             step
         );
     }
