@@ -58,7 +58,7 @@ pub use paths::Path;
 pub use sliced::{sliced_reach_into, SlicedWorkspace, LANES};
 pub use staged::{OutputReach, ReachColumn, StagedBuilder, StagedNetwork};
 pub use unionfind::UnionFind;
-pub use workspace::{KernelStats, TraversalWorkspace};
+pub use workspace::{KernelStats, RouteWorkspace, TraversalWorkspace};
 
 /// Minimal read-only digraph interface implemented by both [`DiGraph`] and
 /// [`Csr`], so traversal and flow algorithms are written once.

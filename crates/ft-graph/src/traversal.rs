@@ -6,7 +6,7 @@
 //! removed) without materialising a new graph per Monte Carlo trial.
 
 use crate::ids::{EdgeId, VertexId};
-use crate::workspace::TraversalWorkspace;
+use crate::workspace::{RouteWorkspace, TraversalWorkspace};
 use crate::Digraph;
 use std::collections::VecDeque;
 
@@ -132,7 +132,7 @@ pub fn bfs_into<G: Digraph>(
 ) {
     ws.begin(g.num_vertices());
     for &s in sources {
-        if !ws.is_touched(s.index()) && vertex_ok(s) {
+        if !ws.marks.is_set(s.index()) && vertex_ok(s) {
             ws.discover(s, EdgeId::NONE, 0);
         }
     }
@@ -161,7 +161,7 @@ pub fn bfs_into<G: Digraph>(
                         if !edge_ok(e) {
                             continue;
                         }
-                        if !ws.is_touched(w.index()) && vertex_ok(w) {
+                        if !ws.marks.is_set(w.index()) && vertex_ok(w) {
                             ws.discover(w, e, du + 1);
                         }
                     }
@@ -172,7 +172,7 @@ pub fn bfs_into<G: Digraph>(
                             continue;
                         }
                         let w = g.other_endpoint(e, u);
-                        if !ws.is_touched(w.index()) && vertex_ok(w) {
+                        if !ws.marks.is_set(w.index()) && vertex_ok(w) {
                             ws.discover(w, e, du + 1);
                         }
                     }
@@ -198,7 +198,7 @@ fn expand_forward_stage<G: Digraph>(
         w: VertexId,
         du: u32,
     ) {
-        if !fwd.is_touched(w.index()) && ok(w) {
+        if !fwd.marks.is_set(w.index()) && ok(w) {
             fwd.discover(w, e, du + 1);
         }
     }
@@ -237,12 +237,12 @@ fn first_cone_edge<G: Digraph>(
         Some(heads) => edges
             .iter()
             .zip(heads)
-            .find(|(_, w)| cone.is_touched(w.index()))
+            .find(|(_, w)| cone.marks.is_set(w.index()))
             .map(|(&e, &w)| (e, w)),
         None => edges
             .iter()
             .map(|&e| (e, g.other_endpoint(e, u)))
-            .find(|(_, w)| cone.is_touched(w.index())),
+            .find(|(_, w)| cone.marks.is_set(w.index())),
     }
 }
 
@@ -264,7 +264,7 @@ fn expand_backward_level<G: Digraph>(
         w: VertexId,
         du: u32,
     ) {
-        if !bwd.is_touched(w.index()) && ok(w) {
+        if !bwd.marks.is_set(w.index()) && ok(w) {
             bwd.discover(w, e, du + 1);
         }
     }
@@ -303,8 +303,7 @@ fn expand_backward_level<G: Digraph>(
 ///
 /// Returns whether `target` is reachable from `source` through vertices
 /// passing `vertex_ok`; on success the path is read from `fwd` with
-/// [`TraversalWorkspace::path_to`] /
-/// [`TraversalWorkspace::path_to_into`].
+/// [`TraversalWorkspace::path_to`].
 ///
 /// # Exactness
 ///
@@ -463,11 +462,8 @@ pub fn bibfs_into<G: Digraph>(
 ///
 /// Returns whether `target` is reachable from `source` through vertices
 /// passing `vertex_ok`; on success `path` holds the path, `source` to
-/// `target` inclusive (it is cleared first). The search writes only
-/// touch stamps into `ws`: [`TraversalWorkspace::reached`] tells which
-/// vertices it entered, but parent edges, distances and the discovery
-/// order are not recorded, so [`TraversalWorkspace::path_to`] does not
-/// describe a `route_into` search.
+/// `target` inclusive (it is cleared first). Afterwards
+/// [`RouteWorkspace::reached`] tells which vertices the search entered.
 ///
 /// # The descent
 ///
@@ -536,7 +532,7 @@ pub fn route_into<G: Digraph>(
     target: VertexId,
     stage_of: &[u32],
     mut vertex_ok: impl FnMut(VertexId) -> bool,
-    ws: &mut TraversalWorkspace,
+    ws: &mut RouteWorkspace,
     path: &mut Vec<VertexId>,
 ) -> bool {
     let n = g.num_vertices();
@@ -546,7 +542,7 @@ pub fn route_into<G: Digraph>(
     if !vertex_ok(source) || !vertex_ok(target) {
         return false;
     }
-    ws.touch(source.index());
+    ws.marks.set(source.index());
     if source == target {
         path.push(source);
         return true;
@@ -555,7 +551,6 @@ pub fn route_into<G: Digraph>(
     if sl <= s0 {
         return false; // stages only increase along unit-staged edges
     }
-    ws.stack.clear();
     ws.stack.push((source, 0));
     let mut pops = 1u64;
     let mut found = false;
@@ -572,16 +567,16 @@ pub fn route_into<G: Digraph>(
             };
             if last_hop {
                 if w == target {
-                    ws.touch(w.index());
+                    ws.marks.set(w.index());
                     path.extend(ws.stack.iter().map(|&(v, _)| v));
                     path.extend([u, target]);
                     found = true;
                     break 'descent;
                 }
-            } else if !ws.is_touched(w.index()) && vertex_ok(w) {
+            } else if !ws.marks.is_set(w.index()) && vertex_ok(w) {
                 // step onto `w`; `u` resumes after this edge if `w` fails
                 ws.stack.push((u, i as u32 + 1));
-                ws.touch(w.index());
+                ws.marks.set(w.index());
                 ws.stack.push((w, 0));
                 pops += 1;
                 break;
@@ -877,6 +872,7 @@ mod tests {
             TraversalWorkspace::new(),
             TraversalWorkspace::new(),
         );
+        let mut descent = RouteWorkspace::new();
         bfs_into(csr, &[v(src)], Direction::Forward, |_| true, &ok, &mut rws);
         let want = rws.path_to(csr, v(dst));
         let tab = net.stage_table();
@@ -891,11 +887,11 @@ mod tests {
             }
         };
         let mut path = vec![v(u32::MAX)];
-        let got = route_into(csr, v(src), v(dst), tab, &ok, &mut fwd, &mut path);
+        let got = route_into(csr, v(src), v(dst), tab, &ok, &mut descent, &mut path);
         assert_eq!(got.then_some(&path), want.as_ref(), "descent");
         let (reach, col) = (net.output_reach(), net.output_reach().column(v(dst)));
         let pruned = |u| ok(u) && reach.reaches(u, col);
-        let got = route_into(csr, v(src), v(dst), tab, pruned, &mut fwd, &mut path);
+        let got = route_into(csr, v(src), v(dst), tab, pruned, &mut descent, &mut path);
         assert_eq!(got.then_some(&path), want.as_ref(), "pruned descent");
         for &budget in budgets {
             let got = bibfs_into(csr, v(src), v(dst), tab, budget, &ok, &mut fwd, &mut bwd);
@@ -1038,7 +1034,7 @@ mod tests {
     #[test]
     fn route_counts_scanned_vertices_and_scans_each_once() {
         let pops = |net: &crate::StagedNetwork, dst: u32, ok: &dyn Fn(VertexId) -> bool| {
-            let mut ws = TraversalWorkspace::new();
+            let mut ws = RouteWorkspace::new();
             let (g, tab, mut path) = (net.csr(), net.stage_table(), Vec::new());
             let found = route_into(g, v(0), v(dst), tab, ok, &mut ws, &mut path);
             let touched = (0..g.num_vertices() as u32).filter(|&u| ws.reached(v(u)));

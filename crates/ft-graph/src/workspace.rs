@@ -15,7 +15,9 @@
 //! Menger helpers. One workspace may serve domains of different sizes
 //! back to back (e.g. a graph with `n` vertices and its split flow
 //! network with `2n + 2` nodes): `TraversalWorkspace::begin` grows the
-//! buffers on demand and never shrinks them.
+//! buffers on demand and never shrinks them. The router's depth-first
+//! descent ([`crate::traversal::route_into`]) needs only the touch
+//! marks and its own stack: it runs on a [`RouteWorkspace`].
 
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::UNREACHED;
@@ -72,6 +74,39 @@ impl KernelStats {
     }
 }
 
+/// Epoch-stamped touch marks: entry `i` is marked iff
+/// `stamp[i] == epoch`, so clearing every mark costs O(1).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Marks {
+    epoch: u32,
+    stamp: Vec<u32>,
+}
+
+impl Marks {
+    /// Grows to `n` entries and clears every mark in O(1) (O(n) once
+    /// per 2³² clears, on epoch wrap-around).
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn is_set(&self, i: usize) -> bool {
+        self.stamp[i] == self.epoch
+    }
+
+    #[inline(always)]
+    pub(crate) fn set(&mut self, i: usize) {
+        self.stamp[i] = self.epoch;
+    }
+}
+
 /// Reusable buffers for BFS-shaped traversals, cleared in O(touched).
 ///
 /// After a traversal (`bfs_into` and friends) the workspace *is* the
@@ -79,27 +114,17 @@ impl KernelStats {
 /// [`dist`](Self::dist), [`parent_edge`](Self::parent_edge),
 /// [`order`](Self::order) and [`path_to`](Self::path_to). The result
 /// stays valid until the next traversal that borrows the workspace.
-/// The route descent ([`crate::traversal::route_into`]) is the
-/// exception: it returns its path itself and records only which
-/// vertices it touched, so after it only [`reached`](Self::reached) is
-/// meaningful — `dist`, `parent_edge`, `order` and `path_to` are not.
 #[derive(Clone, Debug, Default)]
 pub struct TraversalWorkspace {
-    /// Current epoch; an entry `i` is live iff `stamp[i] == epoch`.
-    epoch: u32,
-    stamp: Vec<u32>,
+    /// Entries touched in the current traversal.
+    pub(crate) marks: Marks,
     /// BFS distance / Dinic level of each touched entry.
     pub(crate) dist: Vec<u32>,
     /// BFS parent edge bits / Dinic per-node arc cursor.
     pub(crate) parent: Vec<u32>,
     /// FIFO queue; after a traversal this is the discovery order.
     pub(crate) queue: Vec<VertexId>,
-    /// Explicit stack of the depth-first route descent: the vertices of
-    /// the path under construction, each with the position of its next
-    /// unscanned out-edge. Never deeper than the network has stages;
-    /// on success it is the found path, short of its last two vertices.
-    pub(crate) stack: Vec<(VertexId, u32)>,
-    /// Deterministic work counters (resets, route-search pops).
+    /// Deterministic work counters (resets, flood pops).
     pub(crate) stats: KernelStats,
 }
 
@@ -110,18 +135,12 @@ impl TraversalWorkspace {
     }
 
     /// Starts a new traversal over a domain of `n` entries: grows the
-    /// buffers if needed and invalidates every previous stamp in O(1)
-    /// (O(n) only on epoch wrap-around, once per 2³² traversals).
+    /// buffers if needed and invalidates every previous stamp in O(1).
     pub(crate) fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
+        self.marks.begin(n);
+        if self.dist.len() < n {
             self.dist.resize(n, 0);
             self.parent.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
         }
         self.stats.epoch_resets += 1;
         self.queue.clear();
@@ -138,23 +157,11 @@ impl TraversalWorkspace {
         self.stats = KernelStats::default();
     }
 
-    /// Whether entry `i` has been touched in the current traversal.
-    #[inline(always)]
-    pub(crate) fn is_touched(&self, i: usize) -> bool {
-        self.stamp[i] == self.epoch
-    }
-
-    /// Marks entry `i` touched in the current traversal.
-    #[inline(always)]
-    pub(crate) fn touch(&mut self, i: usize) {
-        self.stamp[i] = self.epoch;
-    }
-
     /// Records `v` as discovered over edge `e` at distance `dist`
     /// ([`EdgeId::NONE`] for a source) and appends it to the queue.
     #[inline(always)]
     pub(crate) fn discover(&mut self, v: VertexId, e: EdgeId, dist: u32) {
-        self.touch(v.index());
+        self.marks.set(v.index());
         self.dist[v.index()] = dist;
         self.parent[v.index()] = e.0;
         self.queue.push(v);
@@ -163,14 +170,14 @@ impl TraversalWorkspace {
     /// Whether `v` was reached by the last traversal.
     #[inline]
     pub fn reached(&self, v: VertexId) -> bool {
-        self.is_touched(v.index())
+        self.marks.is_set(v.index())
     }
 
     /// Distance of `v` from the sources of the last traversal, or
     /// [`UNREACHED`] if it was not reached.
     #[inline]
     pub fn dist(&self, v: VertexId) -> u32 {
-        if self.is_touched(v.index()) {
+        if self.marks.is_set(v.index()) {
             self.dist[v.index()]
         } else {
             UNREACHED
@@ -181,7 +188,7 @@ impl TraversalWorkspace {
     /// and unreached vertices).
     #[inline]
     pub fn parent_edge(&self, v: VertexId) -> EdgeId {
-        if self.is_touched(v.index()) {
+        if self.marks.is_set(v.index()) {
             EdgeId(self.parent[v.index()])
         } else {
             EdgeId::NONE
@@ -211,20 +218,10 @@ impl TraversalWorkspace {
     /// (inclusive), following parent edges backwards. Returns `None` if
     /// `v` was not reached. `g` must be the graph the traversal ran on.
     pub fn path_to(&self, g: &impl Digraph, v: VertexId) -> Option<Vec<VertexId>> {
-        let mut path = Vec::new();
-        self.path_to_into(g, v, &mut path).then_some(path)
-    }
-
-    /// Buffer-reusing form of [`Self::path_to`]: writes the path into
-    /// `out` (cleared first) and returns whether `v` was reached. The
-    /// circuit router's flood fallback (stage-skipping networks)
-    /// recycles session path buffers through this.
-    pub fn path_to_into(&self, g: &impl Digraph, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        out.clear();
         if !self.reached(v) {
-            return false;
+            return None;
         }
-        out.push(v);
+        let mut path = vec![v];
         let mut cur = v;
         loop {
             let e = self.parent_edge(cur);
@@ -232,10 +229,55 @@ impl TraversalWorkspace {
                 break;
             }
             cur = g.other_endpoint(e, cur);
-            out.push(cur);
+            path.push(cur);
         }
-        out.reverse();
-        true
+        path.reverse();
+        Some(path)
+    }
+}
+
+/// Reusable state of the router's depth-first descent
+/// ([`crate::traversal::route_into`]): touch marks, the descent's
+/// stack and its work counters. The descent returns its path itself,
+/// so unlike [`TraversalWorkspace`] it keeps no distances, parent
+/// edges or discovery order.
+#[derive(Clone, Debug, Default)]
+pub struct RouteWorkspace {
+    /// Vertices the current descent entered.
+    pub(crate) marks: Marks,
+    /// The path under construction, each vertex with the position of
+    /// its next unscanned out-edge. Never deeper than the network has
+    /// stages; on success it is the found path, short of its last two
+    /// vertices.
+    pub(crate) stack: Vec<(VertexId, u32)>,
+    /// Deterministic work counters (resets, descent pops).
+    pub(crate) stats: KernelStats,
+}
+
+impl RouteWorkspace {
+    /// Creates an empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a new descent over `n` vertices.
+    pub(crate) fn begin(&mut self, n: usize) {
+        self.marks.begin(n);
+        self.stats.epoch_resets += 1;
+        self.stack.clear();
+    }
+
+    /// Whether the last descent entered `v` (the target counts on
+    /// success).
+    #[inline]
+    pub fn reached(&self, v: VertexId) -> bool {
+        self.marks.is_set(v.index())
+    }
+
+    /// The workspace's accumulated [`KernelStats`].
+    #[inline]
+    pub fn stats(&self) -> KernelStats {
+        self.stats
     }
 }
 

@@ -20,7 +20,7 @@ use ft_graph::traversal::{
 use ft_graph::tree::{
     contract_stretches, is_forest, leaves, min_internal_degree_3, reduce_to_degree_3,
 };
-use ft_graph::{Csr, DiGraph, FlowWorkspace, TraversalWorkspace};
+use ft_graph::{Csr, DiGraph, FlowWorkspace, RouteWorkspace, TraversalWorkspace};
 use proptest::prelude::*;
 
 /// Strategy: a random DAG described by (n, edge list of (a, b) with a < b).
@@ -550,8 +550,8 @@ proptest! {
         let (net, idle) = random_unit_staged(seed, &widths, f64::from(idle_pct) / 100.0);
         let (csr, stage_of, reach) = (net.csr(), net.stage_table(), net.output_reach());
         let n = net.graph().num_vertices();
-        let (mut reference, mut ws) = (TraversalWorkspace::new(), TraversalWorkspace::new());
-        let touched = |ws: &TraversalWorkspace| net.graph().vertices().filter(|&v| ws.reached(v)).count();
+        let (mut reference, mut ws) = (TraversalWorkspace::new(), RouteWorkspace::new());
+        let touched = |ws: &RouteWorkspace| net.graph().vertices().filter(|&v| ws.reached(v)).count();
         let mut path = Vec::new();
         for &src in net.inputs() {
             bfs_into(csr, &[src], Direction::Forward, |_| true,

@@ -10,9 +10,8 @@
 
 use ft_graph::ids::VertexId;
 use ft_graph::mincost::mincost_place_into;
-use ft_graph::traversal::{bfs_into, route_into, Direction};
-use ft_graph::workspace::TraversalWorkspace;
-use ft_graph::{MincostWorkspace, OutputReach, StagedNetwork};
+use ft_graph::traversal::route_into;
+use ft_graph::{MincostWorkspace, OutputReach, RouteWorkspace, StagedNetwork};
 
 /// `owner` sentinel: the vertex carries no circuit.
 const NO_OWNER: u32 = u32::MAX;
@@ -46,10 +45,11 @@ pub struct SessionId(pub u32);
 
 /// Greedy circuit router over a staged network.
 ///
-/// Path searches run over the network's CSR with one
-/// router-owned [`TraversalWorkspace`]. On unit-staged networks (all of
-/// the paper's constructions) `connect` does not flood: it runs the
-/// depth-first descent [`route_into`] over vertices that are idle *and*
+/// The network must be unit-staged (all of the paper's constructions
+/// and every fabric here are), and a circuit joins a stage-0 input to a
+/// last-stage output, so it holds one vertex per stage. `connect` does
+/// not flood: it runs the depth-first descent [`route_into`], in one
+/// router-owned [`RouteWorkspace`], over vertices that are idle *and*
 /// can reach the wanted output at all (the network's cached
 /// [`OutputReach`] table), which costs about one scanned vertex per
 /// stage — §4's "any idle greedy path will do" — yet returns the
@@ -76,9 +76,8 @@ pub struct CircuitRouter<'a> {
     /// Cached per-vertex stage table, resolved once at construction so
     /// `connect` skips the per-call `OnceLock` load.
     stage_tab: &'a [u32],
-    /// The network's output-reach table; `Some` iff the network is
-    /// unit-staged (the depth-first route search is legal).
-    reach: Option<&'a OutputReach>,
+    /// The network's output-reach table, pruning the route search.
+    reach: &'a OutputReach,
     /// Vertices usable at all (repair mask); true = usable.
     alive: Vec<bool>,
     /// `alive[v] && !busy[v]`, maintained incrementally so the BFS
@@ -92,7 +91,7 @@ pub struct CircuitRouter<'a> {
     free: Vec<u32>,
     /// Cleared path buffers recycled across sessions.
     spare: Vec<Vec<VertexId>>,
-    ws: TraversalWorkspace,
+    ws: RouteWorkspace,
     /// Split nodes settled by this router's min-cost placements (the
     /// planner's workspace lives in the caller's [`MincostBatch`]).
     mincost_pops: u64,
@@ -105,19 +104,21 @@ impl<'a> CircuitRouter<'a> {
     }
 
     /// Router restricted to `alive` vertices (the §4 repaired network).
+    /// Panics unless `net` is unit-staged.
     pub fn with_alive_mask(net: &'a StagedNetwork, alive: Vec<bool>) -> Self {
         assert_eq!(alive.len(), net.graph().num_vertices());
+        assert!(net.is_unit_staged(), "network is not unit-staged");
         CircuitRouter {
             idle: alive.clone(),
             owner: vec![NO_OWNER; alive.len()],
             stage_tab: net.stage_table(),
-            reach: net.is_unit_staged().then(|| net.output_reach()),
+            reach: net.output_reach(),
             net,
             alive,
             sessions: Vec::new(),
             free: Vec::new(),
             spare: Vec::new(),
-            ws: TraversalWorkspace::new(),
+            ws: RouteWorkspace::new(),
             mincost_pops: 0,
         }
     }
@@ -168,17 +169,17 @@ impl<'a> CircuitRouter<'a> {
     /// path, ties broken by out-edge order). On success the path's
     /// vertices become busy.
     ///
-    /// On unit-staged networks the search is [`route_into`], a
-    /// depth-first descent in out-edge order over vertices that are
-    /// idle and can structurally reach `output`; the first path it
-    /// completes is that BFS path (see the kernel's "Exactness"), so
-    /// routing decisions — and with them the simulation's pinned event
-    /// fingerprints — do not depend on the kernel. The reach table only
-    /// prunes: it is a superset of what is reachable through idle
-    /// vertices. An idle fabric costs one scanned vertex per path
-    /// edge; a blocked pair costs at most the idle part of the pair's
-    /// static cone. `input` and `output` are terminals: debug builds
-    /// assert that the circuit holds one vertex of every stage.
+    /// The search is [`route_into`], a depth-first descent in out-edge
+    /// order over vertices that are idle and can structurally reach
+    /// `output`; the first path it completes is that BFS path (see the
+    /// kernel's "Exactness"), so routing decisions — and with them the
+    /// simulation's pinned event fingerprints — do not depend on the
+    /// kernel. The reach table only prunes: it is a superset of what is
+    /// reachable through idle vertices. An idle fabric costs one scanned
+    /// vertex per path edge; a blocked pair costs at most the idle part
+    /// of the pair's static cone. `input` must lie in stage 0 and
+    /// `output` in the last stage: debug builds assert that the circuit
+    /// holds one vertex of every stage.
     pub fn connect(&mut self, input: VertexId, output: VertexId) -> Result<SessionId, RouteError> {
         if !self.is_idle(input) {
             return Err(RouteError::InputUnavailable(input));
@@ -189,31 +190,16 @@ impl<'a> CircuitRouter<'a> {
         let csr = self.net.graph();
         let idle = &self.idle;
         let mut path = self.spare.pop().unwrap_or_default();
-        let reached = if let Some(reach) = self.reach {
-            let col = reach.column(output);
-            route_into(
-                csr,
-                input,
-                output,
-                self.stage_tab,
-                |v| idle[v.index()] && reach.reaches(v, col),
-                &mut self.ws,
-                &mut path,
-            )
-        } else {
-            // Stage-skipping networks (possible via `StagedBuilder`,
-            // absent from the paper's constructions) keep the plain
-            // forward flood.
-            bfs_into(
-                csr,
-                &[input],
-                Direction::Forward,
-                |_| true,
-                |v| idle[v.index()],
-                &mut self.ws,
-            );
-            self.ws.path_to_into(csr, output, &mut path)
-        };
+        let (reach, col) = (self.reach, self.reach.column(output));
+        let reached = route_into(
+            csr,
+            input,
+            output,
+            self.stage_tab,
+            |v| idle[v.index()] && reach.reaches(v, col),
+            &mut self.ws,
+            &mut path,
+        );
         if !reached {
             // A fresh buffer holds nothing worth pooling.
             if path.capacity() > 0 {
@@ -269,6 +255,7 @@ impl<'a> CircuitRouter<'a> {
     /// and idle bookkeeping), which also withdraws it from every later
     /// placement of the wave — placements never repack earlier ones. On
     /// failure nothing changes, neither the fabric nor the potentials.
+    /// The endpoints obey [`Self::connect`]'s stage contract.
     pub fn mincost_place(
         &mut self,
         batch: &mut MincostBatch,
@@ -828,6 +815,27 @@ mod tests {
                 "only {carried} placements on carried potentials"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unit-staged")]
+    fn stage_skipping_networks_are_refused() {
+        let mut b = ft_graph::StagedBuilder::new();
+        let (s0, _, s2) = (b.add_stage(1), b.add_stage(1), b.add_stage(1));
+        b.add_edge(VertexId(s0.start), VertexId(s2.start));
+        b.set_inputs(vec![VertexId(s0.start)]);
+        b.set_outputs(vec![VertexId(s2.start)]);
+        CircuitRouter::new(&b.finish());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every stage once")]
+    fn a_circuit_must_run_from_stage_0_to_the_last_stage() {
+        let c = Clos::strictly_nonblocking(2, 3);
+        let middle = c.net.stage_vertices(1).next().unwrap();
+        let mut router = CircuitRouter::new(&c.net);
+        let _ = router.connect(middle, c.net.outputs()[0]);
     }
 
     #[test]

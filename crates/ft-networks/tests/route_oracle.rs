@@ -21,7 +21,7 @@ use ft_core::repair::Survivor;
 use ft_failure::{FailureInstance, FailureModel};
 use ft_graph::gen::rng;
 use ft_graph::traversal::{bfs_into, bibfs_into, route_into, Direction};
-use ft_graph::{Digraph, StagedNetwork, TraversalWorkspace, VertexId};
+use ft_graph::{Digraph, KernelStats, RouteWorkspace, StagedNetwork, TraversalWorkspace, VertexId};
 use ft_networks::benes::Benes;
 use ft_networks::CircuitRouter;
 use rand::Rng;
@@ -50,13 +50,14 @@ impl std::fmt::Display for Pops {
 }
 
 /// Runs `search` and returns its verdict with the pops it cost `ws`.
-fn counted(
-    ws: &mut TraversalWorkspace,
-    search: impl FnOnce(&mut TraversalWorkspace) -> bool,
+fn counted<W>(
+    ws: &mut W,
+    stats: fn(&W) -> KernelStats,
+    search: impl FnOnce(&mut W) -> bool,
 ) -> (bool, u64) {
-    let before = ws.stats().bibfs_pops;
+    let before = stats(ws).bibfs_pops;
     let got = search(ws);
-    (got, ws.stats().bibfs_pops - before)
+    (got, stats(ws).bibfs_pops - before)
 }
 
 /// The sweep. `repair` is the §4 mask of a failure instance on `net`;
@@ -80,7 +81,7 @@ fn check_all_pairs(
         TraversalWorkspace::new(),
     );
     let (mut found, mut blocked) = (0u64, 0u64);
-    let mut path = Vec::new();
+    let (mut descent_ws, mut path) = (RouteWorkspace::new(), Vec::new());
     for eps in [0.0, 0.02] {
         let inst = FailureInstance::sample(&FailureModel::symmetric(eps), &mut r, net.num_edges());
         let alive = repair(&inst);
@@ -110,7 +111,7 @@ fn check_all_pairs(
                     let mut flood_pops = 0;
                     for &budget in budgets {
                         bwd.reset_stats();
-                        let (got, p) = counted(&mut fwd, |fwd| {
+                        let (got, p) = counted(&mut fwd, TraversalWorkspace::stats, |fwd| {
                             bibfs_into(csr, src, dst, tab, budget, ok, fwd, &mut bwd)
                         });
                         assert_eq!(got, want.is_some(), "{case} budget {budget}");
@@ -121,12 +122,12 @@ fn check_all_pairs(
                     }
                     flood[verdict].add(flood_pops);
 
-                    let (got, bare) = counted(&mut fwd, |ws| {
+                    let (got, bare) = counted(&mut descent_ws, RouteWorkspace::stats, |ws| {
                         route_into(csr, src, dst, tab, ok, ws, &mut path)
                     });
                     assert_eq!(got.then(|| path.clone()), want, "{case} descent");
                     let col = reach.column(dst);
-                    let (got, pruned) = counted(&mut fwd, |ws| {
+                    let (got, pruned) = counted(&mut descent_ws, RouteWorkspace::stats, |ws| {
                         let ok = |v| ok(v) && reach.reaches(v, col);
                         route_into(csr, src, dst, tab, ok, ws, &mut path)
                     });
