@@ -1,10 +1,16 @@
 //! Service-layer throughput: full request round-trips over loopback
-//! TCP through the ftserve frontend → bounded queue → engine path.
+//! TCP through the ftserve frontend → bounded queue → engine path, and
+//! the engine's fault handling alone through its job queue.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ft_serve::{Client, EngineConfig, Server, ServerConfig, Status};
-use ft_sim::FabricSpec;
+use ft_core::network::FtNetwork;
+use ft_core::params::Params;
+use ft_graph::Digraph;
+use ft_serve::{Client, EngineConfig, Job, Request, Server, ServerConfig, SharedFlags, Status};
+use ft_sim::{Fabric, FabricSpec};
 use std::hint::black_box;
+use std::sync::mpsc;
+use std::time::Instant;
 
 /// One lockstep connect + disconnect round-trip per iteration: two
 /// frames each way through a real socket, one engine admission, one
@@ -44,5 +50,50 @@ fn bench_serve_connects(c: &mut Criterion) {
     let _ = server.wait();
 }
 
-criterion_group!(benches, bench_serve_connects);
+/// One FAULT + REPAIR pair per iteration, sent straight into
+/// `ft_serve::engine::run`'s job queue (no socket, no frontend) on the
+/// paper's ν = 1 network (360,448 switches). The fabric is idle, so
+/// neither job kills anything: the rung prices the engine's per-job
+/// fault path, and anything on it that grows with the fabric shows up
+/// here: a scan over every switch per job reads ≈ 35× slower.
+fn bench_engine_fault_repair(c: &mut Criterion) {
+    let fabric = Fabric::Ftn(Box::new(FtNetwork::build(Params::paper_exact(1))));
+    let switch = (fabric.net().num_edges() / 2) as u32;
+    let (tx, rx) = mpsc::sync_channel::<Job>(64);
+    let engine = std::thread::spawn(move || {
+        let cfg = EngineConfig {
+            deterministic: true,
+            snapshot_path: None,
+            snapshot_every: 0,
+        };
+        ft_serve::engine::run(fabric, rx, &SharedFlags::default(), &cfg)
+    });
+    let (reply, replies) = mpsc::channel();
+    let ask = |req: Request| {
+        let (reply, enqueued) = (reply.clone(), Instant::now());
+        tx.send(Job {
+            req,
+            reply,
+            enqueued,
+        })
+        .expect("engine alive");
+        replies.recv().expect("engine replies")
+    };
+    let mut tag = 0u64;
+    c.bench_function("serve_engine_fault_repair_paper_nu1", |b| {
+        b.iter(|| {
+            tag += 1;
+            let open = true;
+            let fault = ask(Request::Fault { tag, switch, open });
+            assert_eq!(fault.status, Status::Ok);
+            let repair = ask(Request::Repair { tag, switch });
+            assert_eq!(repair.status, Status::Ok);
+            black_box((fault.tag, repair.tag))
+        })
+    });
+    ask(Request::Shutdown { tag: 0 });
+    engine.join().expect("engine thread");
+}
+
+criterion_group!(benches, bench_serve_connects, bench_engine_fault_repair);
 criterion_main!(benches);

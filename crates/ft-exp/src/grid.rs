@@ -32,11 +32,12 @@
 //! construction). Each cell of the cartesian product is assembled by
 //! overlaying its assignments on the base [`ScenarioBuilder`] — a cell
 //! therefore obeys exactly the validator a hand-written scenario does,
-//! and a cell whose combination is invalid (e.g. `crossbar` with a
-//! positive `fault_rate`) becomes a *skipped* cell with the validator's
-//! message rather than an error for the whole study.
+//! and a cell whose combination is invalid (e.g. a two-stage fabric —
+//! `crossbar N`, `benes 1` — with a positive `fault_rate`) becomes a
+//! *skipped* cell with the validator's message rather than an error
+//! for the whole study.
 
-use ft_sim::{FabricSpec, HoldingTime, Scenario, ScenarioBuilder, TrafficPattern, SCENARIO_KEYS};
+use ft_sim::{HoldingTime, Scenario, ScenarioBuilder, TrafficPattern, SCENARIO_KEYS};
 
 /// One swept axis: a key and its ordered value list.
 #[derive(Clone, Debug, PartialEq)]
@@ -304,12 +305,6 @@ pub fn holding_spec(h: &HoldingTime) -> String {
         HoldingTime::Exponential { mean } => format!("exp {mean}"),
         HoldingTime::Pareto { shape, mean } => format!("pareto {shape} {mean}"),
     }
-}
-
-/// True when the fabric family cannot express switch faults as vertex
-/// discards (informational; the per-cell validator is authoritative).
-pub fn fault_free_only(spec: &FabricSpec) -> bool {
-    matches!(spec, FabricSpec::Crossbar(_))
 }
 
 #[cfg(test)]

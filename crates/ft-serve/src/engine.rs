@@ -782,6 +782,53 @@ mod tests {
     }
 
     #[test]
+    fn fault_and_repair_on_a_fabric_that_cannot_fail_are_bad_args() {
+        for spec in ["crossbar 4", "benes 1"] {
+            let (_, cfg, _) = boot();
+            let fabric = FabricSpec::parse(spec).unwrap().build();
+            // The one switch a circuit from input 0 to output 0 crosses.
+            let g = fabric.net();
+            let first_pair = (g.inputs()[0], g.outputs()[0]);
+            let switch = (0..g.num_edges() as u32)
+                .find(|&e| g.endpoints(EdgeId(e)) == first_pair)
+                .unwrap();
+            let (tx, report_rx) = spawn(fabric, cfg);
+            let connect = Request::Connect {
+                tag: 1,
+                src: 0,
+                dst: 0,
+                deadline_ms: 0,
+            };
+            assert_eq!(ask(&tx, connect).status, Status::Ok, "{spec}");
+            let (tag, open) = (2, true);
+            let fault = ask(&tx, Request::Fault { tag, switch, open });
+            assert_eq!(fault.status, Status::BadArg, "{spec}");
+            let repair = ask(&tx, Request::Repair { tag: 3, switch });
+            assert_eq!(repair.status, Status::BadArg, "{spec}");
+            let text = ask(&tx, Request::Metrics { tag: 4 }).body_text();
+            for kv in [
+                "active=1 ",
+                "bad_arg=2 ",
+                "faults=0 ",
+                "repairs=0 ",
+                "killed=0 ",
+            ] {
+                assert!(text.contains(kv), "{spec}: {kv} in {text}");
+            }
+            // The circuit through the refused switch is still live.
+            assert_eq!(
+                ask(&tx, Request::Disconnect { tag: 1 }).status,
+                Status::Ok,
+                "{spec}"
+            );
+            ask(&tx, Request::Shutdown { tag: 5 });
+            let report = report_rx.recv().unwrap();
+            assert!(report.contains("\"bad_arg\": 2,"), "{spec}: {report}");
+            assert!(report.contains("\"disconnected\": 1,"), "{spec}: {report}");
+        }
+    }
+
+    #[test]
     fn fault_answers_the_kill_count_of_an_identically_loaded_core() {
         let (fabric, cfg, _) = boot();
         let twin = FabricSpec::parse("clos-strict 4 4").unwrap().build();

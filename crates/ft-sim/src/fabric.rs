@@ -11,9 +11,15 @@
 //! ([`generic_routable_alive_into`] and its lane-parallel form);
 //! `ft_core`'s `Survivor::routable_alive` is the test oracle that pins
 //! the equality on 𝒩. A fabric where some switch joins two terminals
-//! directly (the crossbar) cannot express that switch's failure as a
-//! vertex discard, so such fabrics only support fault-free scenarios —
-//! the scenario validator enforces this.
+//! directly cannot express that switch's failure as a vertex discard,
+//! so such fabrics only support fault-free scenarios — the scenario
+//! validator enforces this. Every fabric here is unit-staged with its
+//! inputs in stage 0 and its outputs in the last stage (a test below
+//! pins it per family, `run_seed_obs` asserts it per seed and the
+//! router refuses anything else), so a switch can join two terminals
+//! only when the network has exactly two stages: that is the crossbar,
+//! `benes 1` and a one-dimensional multibutterfly. Fault support is
+//! therefore a stage count ([`Fabric::supports_faults`]), not a scan.
 
 use ft_core::network::FtNetwork;
 use ft_core::params::Params;
@@ -104,13 +110,18 @@ impl Fabric {
 
     /// Whether the §4 vertex-discard discipline can express every
     /// switch failure: true iff no switch joins two terminals directly.
+    ///
+    /// O(1). Every fabric is unit-staged with its inputs in stage 0 and
+    /// its outputs in the last stage, so a switch's tail is never an
+    /// output (it sits before the last stage) and its head never an
+    /// input (it sits after stage 0). A switch therefore joins two
+    /// terminals only if it runs from stage 0 straight to the last
+    /// stage, which takes a two-stage network; and every two-stage
+    /// fabric here (`crossbar N`, `benes 1`, `multibutterfly 1 D S`)
+    /// has only terminals, so each of its switches joins two. The
+    /// edge scan this replaces is the test oracle.
     pub fn supports_faults(&self) -> bool {
-        let g = self.net();
-        let is_terminal = g.terminal_mask();
-        (0..g.num_edges()).all(|e| {
-            let (t, h) = g.endpoints(EdgeId::from(e));
-            !is_terminal[t.index()] || !is_terminal[h.index()]
-        })
+        self.net().num_stages() > 2
     }
 
     /// The routable alive-mask for the current cumulative failure
@@ -211,12 +222,50 @@ mod tests {
     use super::*;
     use ft_failure::SwitchState;
 
+    /// One or two members of every fabric family, the two-stage ones
+    /// and paper-exact ν = 1 included.
+    fn families() -> Vec<Fabric> {
+        vec![
+            Fabric::crossbar(1),
+            Fabric::crossbar(3),
+            Fabric::clos_strict(1, 1),
+            Fabric::clos_strict(2, 3),
+            Fabric::clos_rearrangeable(2, 2),
+            Fabric::benes(1),
+            Fabric::benes(3),
+            Fabric::multibutterfly(1, 2, 7),
+            Fabric::multibutterfly(3, 2, 7),
+            Fabric::ftn_reduced(1, 8, 4, 1.0),
+            Fabric::Ftn(Box::new(FtNetwork::build(Params::paper_exact(1)))),
+        ]
+    }
+
     #[test]
     fn crossbar_rejects_faults_clos_supports_them() {
         assert!(!Fabric::crossbar(3).supports_faults());
         assert!(Fabric::clos_strict(2, 2).supports_faults());
         assert!(Fabric::benes(2).supports_faults());
         assert!(Fabric::ftn_reduced(1, 8, 4, 1.0).supports_faults());
+        // The stage count answers what the edge scan over every switch
+        // answers: no switch joins two terminals.
+        for f in families() {
+            let g = f.net();
+            let is_terminal = g.terminal_mask();
+            let no_terminal_to_terminal_switch = (0..g.num_edges()).all(|e| {
+                let (t, h) = g.endpoints(EdgeId::from(e));
+                !is_terminal[t.index()] || !is_terminal[h.index()]
+            });
+            assert_eq!(
+                f.supports_faults(),
+                no_terminal_to_terminal_switch,
+                "{}",
+                f.label()
+            );
+        }
+        for two_stage in [Fabric::benes(1), Fabric::multibutterfly(1, 2, 7)] {
+            assert!(!two_stage.supports_faults(), "{}", two_stage.label());
+        }
+        assert!(Fabric::clos_strict(1, 1).supports_faults());
     }
 
     #[test]
@@ -245,16 +294,7 @@ mod tests {
     /// vertex per stage, on every fabric family.
     #[test]
     fn every_family_runs_unit_staged_from_stage_0_to_the_last_stage() {
-        let paper_nu1 = Fabric::Ftn(Box::new(FtNetwork::build(Params::paper_exact(1))));
-        for f in [
-            Fabric::crossbar(3),
-            Fabric::clos_strict(2, 3),
-            Fabric::clos_rearrangeable(2, 2),
-            Fabric::benes(3),
-            Fabric::multibutterfly(3, 2, 7),
-            Fabric::ftn_reduced(1, 8, 4, 1.0),
-            paper_nu1,
-        ] {
+        for f in families() {
             let (net, label) = (f.net(), f.label());
             let (tab, last) = (net.stage_table(), net.num_stages() as u32 - 1);
             assert!(net.is_unit_staged(), "{label}");

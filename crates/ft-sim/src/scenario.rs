@@ -77,6 +77,16 @@ impl FabricSpec {
         }
     }
 
+    /// [`Fabric::supports_faults`] without building the fabric: false
+    /// exactly on the two-stage specs — `crossbar N`, `benes 1` and
+    /// `multibutterfly 1 D SEED` — whose switches join two terminals.
+    pub fn supports_faults(&self) -> bool {
+        !matches!(
+            *self,
+            FabricSpec::Crossbar(_) | FabricSpec::Benes(1) | FabricSpec::Multibutterfly(1, ..)
+        )
+    }
+
     /// The spec as it appeared in the scenario text.
     pub fn to_spec_string(&self) -> String {
         match *self {
@@ -409,16 +419,22 @@ impl Scenario {
                 ));
             }
         }
-        if (c.fault_rate > 0.0 || !c.faults.is_iid())
-            && matches!(self.fabric, FabricSpec::Crossbar(_))
-        {
-            return Err((
-                "network",
-                "crossbar switches join two terminals: the vertex-discard repair \
-                 discipline cannot express their failures — use a staged fabric \
-                 (clos/benes/multibutterfly/ftn) or disable faults"
+        if (c.fault_rate > 0.0 || !c.faults.is_iid()) && !self.fabric.supports_faults() {
+            // Study tables carry the crossbar's message as a skip
+            // reason, so its wording stays as it was.
+            let msg = match self.fabric {
+                FabricSpec::Crossbar(_) => "crossbar switches join two terminals: the \
+                     vertex-discard repair discipline cannot express their failures — use \
+                     a staged fabric (clos/benes/multibutterfly/ftn) or disable faults"
                     .into(),
-            ));
+                ref two_stage => format!(
+                    "`{}` has two stages, so its switches join two terminals: the \
+                     vertex-discard repair discipline cannot express their failures — use \
+                     K >= 2 or disable faults",
+                    two_stage.to_spec_string()
+                ),
+            };
+            return Err(("network", msg));
         }
         Ok(())
     }
@@ -676,6 +692,29 @@ threads = 2
         let err = Scenario::parse("fault_rate = 0.01\nnetwork = crossbar 4\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
         assert!(err.contains("crossbar"), "{err}");
+        // so are faults on the other two-stage fabrics, whose spec the
+        // message names
+        for spec in ["benes 1", "multibutterfly 1 2 7"] {
+            let text = format!("fault_rate = 0.01\nnetwork = {spec}\n");
+            let err = Scenario::parse(&text).unwrap_err();
+            assert!(err.starts_with("line 2:"), "{err}");
+            assert!(err.contains(&format!("`{spec}` has two stages")), "{err}");
+        }
+        // the spec-level rule is the built fabric's
+        for spec in [
+            "crossbar 1",
+            "crossbar 4",
+            "clos-strict 1 1",
+            "clos-rearr 2 3",
+            "benes 1",
+            "benes 2",
+            "multibutterfly 1 2 7",
+            "multibutterfly 2 2 7",
+            "ftn 1 8 4 1.0",
+        ] {
+            let fs = FabricSpec::parse(spec).unwrap();
+            assert_eq!(fs.supports_faults(), fs.build().supports_faults(), "{spec}");
+        }
     }
 
     #[test]
@@ -839,6 +878,12 @@ threads = 2
         let err = Scenario::parse("faults = storm 0.05 2\nnetwork = crossbar 4\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
         assert!(err.contains("crossbar"), "{err}");
+        for spec in ["benes 1", "multibutterfly 1 2 7"] {
+            let text = format!("faults = storm 0.05 2\nnetwork = {spec}\n");
+            let err = Scenario::parse(&text).unwrap_err();
+            assert!(err.starts_with("line 2:"), "{err}");
+            assert!(err.contains(&format!("`{spec}` has two stages")), "{err}");
+        }
     }
 
     #[test]

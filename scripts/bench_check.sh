@@ -65,6 +65,7 @@ sample_sliced_1M_edges/eps0.001
 sample_sliced_1M_edges/eps0.2
 pair_blocking_ftn_nu2
 serve_connects_per_sec
+serve_engine_fault_repair_paper_nu1
 build_ftn/nu2
 build_ftn/paper_nu1
 "
