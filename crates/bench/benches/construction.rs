@@ -3,11 +3,18 @@
 //! baselines. Every iteration ends with `net.csr()`, so what is timed is
 //! a network a kernel can traverse — at a parent that froze the CSR
 //! lazily the same bench includes the freeze.
+//!
+//! Two rungs take `build_ftn/nu2` apart: `csr_from_edges/ftn_nu2` is
+//! the counting sort of its edge list into the CSR (the clone of the
+//! list it consumes, a 155 KB copy, is inside the timing), and
+//! `validate/ftn_nu2` is the staging check `StagedBuilder::finish` runs
+//! on it. What is left of `build_ftn/nu2` is the wiring itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::network::FtNetwork;
 use ft_core::params::Params;
 use ft_core::recursive::{RecursiveNet, RecursiveParams};
+use ft_graph::{Csr, VertexId};
 use ft_networks::{Benes, Clos};
 use std::hint::black_box;
 
@@ -25,6 +32,19 @@ fn bench_build_ftn(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+fn bench_build_parts(c: &mut Criterion) {
+    let f = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
+    let csr = f.csr();
+    let n = csr.num_vertices();
+    let edges: Vec<(VertexId, VertexId)> = csr.edges().map(|(_, t, h)| (t, h)).collect();
+    c.bench_function("csr_from_edges/ftn_nu2", |b| {
+        b.iter(|| Csr::from_edges(n, black_box(edges.clone())))
+    });
+    c.bench_function("validate/ftn_nu2", |b| {
+        b.iter(|| black_box(f.net()).validate())
+    });
 }
 
 fn bench_build_recursive(c: &mut Criterion) {
@@ -66,6 +86,7 @@ fn bench_build_baselines(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_build_ftn,
+    bench_build_parts,
     bench_build_recursive,
     bench_build_baselines
 );

@@ -262,10 +262,10 @@ impl Builder {
     fn new(params: Params) -> Builder {
         Builder {
             params,
-            b: StagedBuilder::with_capacity(
-                2 * params.n() + (params.num_stages() - 2) * params.stage_width(),
-                params.predicted_size(),
-            ),
+            b: {
+                let (vertices, switches) = params.census().expect("𝒩's census overflows usize");
+                StagedBuilder::with_capacity(vertices, switches)
+            },
             bases: Vec::new(),
             rng: SmallRng::seed_from_u64(params.seed),
         }
@@ -366,11 +366,7 @@ impl Builder {
         self.b
             .set_outputs((0..n).map(|j| self.v(4 * nu, j)).collect());
 
-        let net = if self.b.num_edges() < 2_000_000 {
-            self.b.finish()
-        } else {
-            self.b.finish_unvalidated()
-        };
+        let net = self.b.finish();
         FtNetwork {
             params: p,
             net,

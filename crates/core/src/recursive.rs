@@ -140,11 +140,7 @@ impl RecursiveNet {
         }
         b.set_inputs((0..m).map(|i| v(0, i)).collect());
         b.set_outputs((0..m).map(|i| v(2 * h, i)).collect());
-        let net = if b.num_edges() < 2_000_000 {
-            b.finish()
-        } else {
-            b.finish_unvalidated()
-        };
+        let net = b.finish();
         RecursiveNet { params, net }
     }
 

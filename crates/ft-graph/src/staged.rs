@@ -166,45 +166,19 @@ impl StagedNetwork {
         self.stages[i].clone().map(VertexId)
     }
 
-    /// The stage containing vertex `u`.
-    ///
-    /// Stage ranges are contiguous but — after [`Self::mirror`] — not
-    /// necessarily in ascending id order, so this binary-searches a
-    /// sorted view built on the fly from the (at most two) monotone runs.
+    /// The stage containing vertex `u`: a read of [`Self::stage_table`].
     ///
     /// # Panics
-    /// Panics if `u` lies outside every stage range. The stages of a
-    /// built network partition `0..size()`, so this can only happen
-    /// with a vertex id from a *different* network — a caller bug, not
-    /// a recoverable condition, which is why it stays a panic rather
-    /// than a `Result`.
+    /// Panics if `u` is not a vertex of this network — a vertex id from
+    /// a *different* network is a caller bug, not a recoverable
+    /// condition, which is why it stays a panic rather than a `Result`.
     pub fn stage_of(&self, u: VertexId) -> usize {
-        let cmp = |r: &Range<u32>| {
-            if u.0 < r.start {
-                std::cmp::Ordering::Greater
-            } else if u.0 >= r.end {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        };
-        // Ascending order (fresh networks) or descending (mirrors).
-        let ascending = self.stages.len() < 2 || self.stages[0].start <= self.stages[1].start;
-        let found = if ascending {
-            self.stages.binary_search_by(cmp)
-        } else {
-            self.stages.binary_search_by(|r| cmp(r).reverse())
-        };
-        match found {
-            Ok(i) => i,
-            Err(_) => panic!("vertex {u:?} not in any stage"),
-        }
+        self.stage_table()[u.index()] as usize
     }
 
-    /// Flat per-vertex stage table: `stage_table()[v.index()]` equals
-    /// [`Self::stage_of`]`(v)` as a `u32`. Built on first use and
-    /// cached; hot paths (the router's route search) index this
-    /// instead of binary-searching the stage ranges per vertex.
+    /// Flat per-vertex stage table: `stage_table()[v.index()]` is the
+    /// stage of `v`. Built on first use and cached; the router's route
+    /// search indexes it per vertex.
     pub fn stage_table(&self) -> &[u32] {
         &self.staging().0
     }
@@ -316,34 +290,55 @@ impl StagedNetwork {
     /// Validates staging invariants: every edge goes from some stage to a
     /// strictly later one; inputs are in stage 0; outputs in the last
     /// stage. Returns a human-readable violation if any.
+    ///
+    /// One walk over the stage ranges and the CSR's out-heads, O(1) per
+    /// switch: stages `0..=s` cover one id interval `lo..hi` (ascending
+    /// on a built network, descending on its mirror), and the out-lists
+    /// of stage `s` are one slice of heads, each of which must lie
+    /// outside that interval. A stage is computed only on the error path.
     pub fn validate(&self) -> Result<(), String> {
-        let total: u32 = self.stages.iter().map(|r| r.end - r.start).sum();
-        if total as usize != self.graph.num_vertices() {
-            return Err(format!(
-                "stages cover {total} vertices, graph has {}",
-                self.graph.num_vertices()
-            ));
-        }
-        for w in self.stages.windows(2) {
-            if w[0].end != w[1].start && w[1].end != w[0].start {
+        let n = self.graph.num_vertices() as u32;
+        let mut lo = match self.stages.first() {
+            Some(r) if r.start > 0 => n,
+            _ => 0,
+        };
+        let mut hi = lo;
+        for r in &self.stages {
+            if r.start == hi && r.end <= n {
+                hi = r.end;
+            } else if r.end == lo {
+                lo = r.start;
+            } else {
                 return Err("stages not contiguous".into());
             }
-        }
-        for (e, t, h) in self.graph.edges() {
-            let (st, sh) = (self.stage_of(t), self.stage_of(h));
-            if st >= sh {
+            // `fold`, not `any`: a scan without an early exit vectorises
+            let span = hi - lo;
+            let heads = self.graph.out_heads_of(r.clone());
+            if heads
+                .iter()
+                .fold(false, |bad, h| bad | (h.0.wrapping_sub(lo) < span))
+            {
+                let table = self.stage_table();
+                let (e, t, h) = self
+                    .graph
+                    .edges()
+                    .find(|(_, t, h)| table[t.index()] >= table[h.index()])
+                    .expect("a head inside its tail's stage interval");
+                let (st, sh) = (table[t.index()], table[h.index()]);
                 return Err(format!("edge {e:?} goes {st} -> {sh} (not forward)"));
             }
         }
-        for &i in &self.inputs {
-            if self.stage_of(i) != 0 {
-                return Err(format!("input {i:?} not in stage 0"));
-            }
+        if (lo, hi) != (0, n) {
+            return Err(format!("stages cover {} vertices, graph has {n}", hi - lo));
         }
-        for &o in &self.outputs {
-            if self.stage_of(o) != self.num_stages() - 1 {
-                return Err(format!("output {o:?} not in last stage"));
-            }
+        let none = 0..0;
+        let first = self.stages.first().unwrap_or(&none);
+        if let Some(i) = self.inputs.iter().find(|i| !first.contains(&i.0)) {
+            return Err(format!("input {i:?} not in stage 0"));
+        }
+        let last = self.stages.last().unwrap_or(&none);
+        if let Some(o) = self.outputs.iter().find(|o| !last.contains(&o.0)) {
+            return Err(format!("output {o:?} not in last stage"));
         }
         Ok(())
     }
@@ -455,22 +450,12 @@ impl StagedBuilder {
     /// Panics if the staging invariants are violated (this is a
     /// construction bug, not an input condition).
     pub fn finish(self) -> StagedNetwork {
-        let net = self.finish_unvalidated();
-        if let Err(e) = net.validate() {
-            panic!("invalid staged network: {e}");
-        }
-        net
-    }
-
-    /// Finalizes without validation (for very large paper-exact networks
-    /// where the O(E) validation pass is separately covered by tests).
-    pub fn finish_unvalidated(self) -> StagedNetwork {
         debug_assert!(
             self.census
                 .is_none_or(|c| c == (self.num_vertices, self.edges.len())),
             "the census passed to with_capacity was not exact"
         );
-        StagedNetwork {
+        let net = StagedNetwork {
             graph: Csr::from_edges(self.num_vertices, self.edges),
             stages: self.stages,
             inputs: self.inputs,
@@ -478,7 +463,11 @@ impl StagedBuilder {
             staging: OnceLock::new(),
             terminal_mask: OnceLock::new(),
             output_reach: OnceLock::new(),
+        };
+        if let Err(e) = net.validate() {
+            panic!("invalid staged network: {e}");
         }
+        net
     }
 }
 
@@ -593,7 +582,7 @@ mod tests {
         let s0 = b.add_stage(1);
         let s1 = b.add_stage(1);
         b.add_edge(v(s0.start), v(s1.start));
-        b.finish_unvalidated();
+        b.finish();
     }
 
     #[test]
@@ -606,6 +595,60 @@ mod tests {
         b.set_inputs(vec![VertexId(s0.start)]);
         b.set_outputs(vec![VertexId(s1.start)]);
         b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "edge e1 goes 1 -> 1 (not forward)")]
+    fn edge_within_a_stage_rejected() {
+        // ids ascend along the edge, but head and tail share stage 1
+        let mut b = StagedBuilder::new();
+        b.add_stage(1);
+        b.add_stage(2);
+        b.add_edge(v(0), v(1));
+        b.add_edge(v(1), v(2));
+        b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "edge e0 goes 2 -> 0 (not forward)")]
+    fn the_first_bad_edge_by_id_is_reported() {
+        // the walk meets stage 1's bad edge e1 first; the message names
+        // e0, the first by id, as a scan in id order would
+        let mut b = StagedBuilder::new();
+        b.add_stage(2);
+        b.add_stage(2);
+        b.add_stage(1);
+        b.add_edge(v(4), v(1));
+        b.add_edge(v(3), v(2));
+        b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "output v0 not in last stage")]
+    fn misplaced_output_rejected() {
+        let mut b = StagedBuilder::new();
+        let s0 = b.add_stage(1);
+        let s1 = b.add_stage(1);
+        b.add_edge(v(s0.start), v(s1.start));
+        b.set_outputs(vec![v(s0.start)]);
+        b.finish();
+    }
+
+    #[test]
+    fn validate_walks_mirrors_and_empty_stages() {
+        // empty stages at both ends and one in the middle, skipped over
+        let mut b = StagedBuilder::new();
+        for count in [0, 2, 0, 2, 0] {
+            b.add_stage(count);
+        }
+        for (t, h) in [(0, 2), (1, 3), (0, 3)] {
+            b.add_edge(v(t), v(h));
+        }
+        let net = b.finish();
+        let m = net.mirror();
+        assert_eq!(m.validate(), Ok(()));
+        assert_eq!((net.stage_of(v(1)), net.stage_of(v(2))), (1, 3));
+        assert_eq!((m.stage_of(v(1)), m.stage_of(v(2))), (3, 1));
     }
 
     #[test]

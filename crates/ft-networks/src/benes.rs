@@ -36,12 +36,23 @@ pub fn column_bit(k: u32, c: u32) -> u32 {
 }
 
 impl Benes {
+    /// `(vertices, switches)` of the Beneš network on `N = 2^k`
+    /// terminals, `k ≥ 1` — `2k` link stages of `N` and `2N(2k − 1)`
+    /// switches — or `None` if a count overflows `usize` (or `k = 0`).
+    pub fn census(k: u32) -> Option<(usize, usize)> {
+        let n = 1usize.checked_shl(k)?;
+        let stages = 2 * k as usize;
+        let switches = n.checked_mul(2)?.checked_mul(stages.checked_sub(1)?)?;
+        Some((stages.checked_mul(n)?, switches))
+    }
+
     /// Builds the Beneš network for `N = 2^k`, `k ≥ 1`.
     pub fn new(k: u32) -> Self {
         assert!(k >= 1, "Beneš needs at least 2 terminals");
         let n = 1usize << k;
         let stages = 2 * k as usize; // link stages
-        let mut b = StagedBuilder::with_capacity(stages * n, 2 * n * (stages - 1));
+        let (vertices, switches) = Benes::census(k).expect("Beneš census overflows usize");
+        let mut b = StagedBuilder::with_capacity(vertices, switches);
         let mut ranges = Vec::with_capacity(stages);
         for _ in 0..stages {
             ranges.push(b.add_stage(n));

@@ -27,10 +27,23 @@ pub struct Clos {
 }
 
 impl Clos {
+    /// `(vertices, switches)` of `C(m, n, r)` — `2r(n + m)` links and
+    /// `mr(2n + r)` switches — or `None` if a count overflows `usize`.
+    pub fn census(m: usize, n: usize, r: usize) -> Option<(usize, usize)> {
+        let links = n.checked_add(m)?.checked_mul(2)?.checked_mul(r)?;
+        let switches = n
+            .checked_mul(2)?
+            .checked_add(r)?
+            .checked_mul(m)?
+            .checked_mul(r)?;
+        Some((links, switches))
+    }
+
     /// Builds `C(m, n, r)`.
     pub fn new(m: usize, n: usize, r: usize) -> Self {
         assert!(m >= 1 && n >= 1 && r >= 1);
-        let mut b = StagedBuilder::with_capacity(2 * n * r + 2 * m * r, 2 * n * m * r + m * r * r);
+        let (vertices, switches) = Clos::census(m, n, r).expect("Clos census overflows usize");
+        let mut b = StagedBuilder::with_capacity(vertices, switches);
         let s0 = b.add_stage(n * r); // input terminals
         let s1 = b.add_stage(r * m); // links input-crossbar -> middle
         let s2 = b.add_stage(m * r); // links middle -> output-crossbar

@@ -8,10 +8,17 @@
 
 use ft_graph::{StagedBuilder, StagedNetwork, VertexId};
 
+/// `(vertices, switches)` of the `n × n` crossbar, `(2n, n²)`, or `None`
+/// if a count overflows `usize`.
+pub fn crossbar_census(n: usize) -> Option<(usize, usize)> {
+    Some((n.checked_mul(2)?, n.checked_mul(n)?))
+}
+
 /// Builds the `n × n` crossbar as a 2-stage network.
 pub fn crossbar(n: usize) -> StagedNetwork {
     assert!(n >= 1);
-    let mut b = StagedBuilder::with_capacity(2 * n, n * n);
+    let (vertices, switches) = crossbar_census(n).expect("crossbar census overflows usize");
+    let mut b = StagedBuilder::with_capacity(vertices, switches);
     let ins = b.add_stage(n);
     let outs = b.add_stage(n);
     for i in ins.clone() {

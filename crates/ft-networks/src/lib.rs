@@ -32,7 +32,7 @@ pub mod verify;
 pub use benes::Benes;
 pub use butterfly::Butterfly;
 pub use clos::Clos;
-pub use crossbar::crossbar;
+pub use crossbar::{crossbar, crossbar_census};
 pub use grid::DirectedGrid;
 pub use multibutterfly::Multibutterfly;
 pub use router::{CircuitRouter, MincostBatch, RouteError, SessionId};

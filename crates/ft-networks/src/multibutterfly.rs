@@ -37,9 +37,9 @@ impl Multibutterfly {
     pub fn new(k: u32, d: usize, rng: &mut SmallRng) -> Self {
         assert!(k >= 1 && d >= 1);
         let n = 1usize << k;
-        // two splitters per block, each of degree min(d, half the block)
-        let edges = (0..k).map(|j| 2 * n * d.min(n >> (j + 1))).sum();
-        let mut b = StagedBuilder::with_capacity((k as usize + 1) * n, edges);
+        let (vertices, switches) =
+            Multibutterfly::census(k, d).expect("multibutterfly census overflows usize");
+        let mut b = StagedBuilder::with_capacity(vertices, switches);
         let mut ranges = Vec::with_capacity(k as usize + 1);
         for _ in 0..=k {
             ranges.push(b.add_stage(n));
@@ -83,6 +83,21 @@ impl Multibutterfly {
     /// results under a content hash of the spec alone.
     pub fn seeded(k: u32, d: usize, seed: u64) -> Self {
         Multibutterfly::new(k, d, &mut ft_graph::gen::rng(seed))
+    }
+
+    /// `(vertices, switches)` of a `d`-multibutterfly on `N = 2^k`
+    /// terminals — `k + 1` link stages of `N`; two splitters per block,
+    /// each of degree `min(d, half the block)` — or `None` if a count
+    /// overflows `usize`.
+    pub fn census(k: u32, d: usize) -> Option<(usize, usize)> {
+        let n = 1usize.checked_shl(k)?;
+        let vertices = (k as usize + 1).checked_mul(n)?;
+        (0..k)
+            .try_fold(0usize, |sum, j| {
+                let splitters = n.checked_mul(2)?.checked_mul(d.min(n >> (j + 1)))?;
+                sum.checked_add(splitters)
+            })
+            .map(|switches| (vertices, switches))
     }
 
     /// Terminal count.

@@ -916,6 +916,44 @@ mod tests {
         assert!(report.contains("\"bad_specs\": 1"), "{report}");
     }
 
+    /// Specs that used to reach `Params::reduced`'s asserts on the
+    /// engine thread (an odd width, a zero degree) and one whose census
+    /// overflows the u32 ids are refused by the parser: BadSpec, and the
+    /// engine keeps serving on its old fabric.
+    #[test]
+    fn reload_refuses_specs_the_builders_would_panic_on() {
+        let (fabric, cfg, _) = boot();
+        let (tx, report_rx) = spawn(fabric, cfg);
+        for (tag, spec) in [
+            (60, "ftn 1 3 4 1.0"),
+            (61, "ftn 1 8 0 1.0"),
+            (62, "crossbar 65536"),
+        ] {
+            let r = ask(
+                &tx,
+                Request::Reload {
+                    tag,
+                    spec: spec.into(),
+                },
+            );
+            assert_eq!(r.status, Status::BadSpec, "{spec}");
+        }
+        let r = ask(
+            &tx,
+            Request::Connect {
+                tag: 70,
+                src: 0,
+                dst: 1,
+                deadline_ms: 0,
+            },
+        );
+        assert_eq!(r.status, Status::Ok);
+        ask(&tx, Request::Shutdown { tag: 0 });
+        let report = report_rx.recv().unwrap();
+        assert!(report.contains("\"generations\": 1"), "{report}");
+        assert!(report.contains("\"bad_specs\": 3"), "{report}");
+    }
+
     #[test]
     fn snapshot_survives_a_simulated_crash() {
         let dir = std::env::temp_dir().join(format!("ftserve-engine-{}", std::process::id()));

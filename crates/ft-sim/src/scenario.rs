@@ -46,6 +46,9 @@ use crate::engine::SimConfig;
 use crate::fabric::Fabric;
 use crate::inject::{FaultSpec, RerouteMode, RetryPolicy};
 use crate::workload::{HoldingTime, TrafficPattern};
+use ft_core::params::Params;
+use ft_networks::{crossbar_census, Benes, Clos, Multibutterfly};
+use std::ops::RangeInclusive;
 
 /// Which fabric a scenario builds (kept symbolic so reports can echo it).
 #[derive(Clone, Debug, PartialEq)]
@@ -85,6 +88,21 @@ impl FabricSpec {
             *self,
             FabricSpec::Crossbar(_) | FabricSpec::Benes(1) | FabricSpec::Multibutterfly(1, ..)
         )
+    }
+
+    /// `(vertices, switches)` of the fabric this spec builds, from its
+    /// family's closed-form census (the one its builder allocates from),
+    /// or `None` if a count overflows `usize`. Only for specs whose
+    /// arguments `parse_network` has range-checked.
+    fn census(&self) -> Option<(usize, usize)> {
+        match *self {
+            FabricSpec::Crossbar(n) => crossbar_census(n),
+            FabricSpec::ClosStrict(n, r) => Clos::census(n.checked_mul(2)? - 1, n, r),
+            FabricSpec::ClosRearrangeable(n, r) => Clos::census(n, n, r),
+            FabricSpec::Benes(k) => Benes::census(k),
+            FabricSpec::Multibutterfly(k, d, _) => Multibutterfly::census(k, d),
+            FabricSpec::Ftn(nu, w, d, g) => Params::reduced(nu, w, d, g).census(),
+        }
     }
 
     /// The spec as it appeared in the scenario text.
@@ -465,29 +483,72 @@ fn parse_int(s: &str) -> Result<usize, String> {
 fn parse_network(words: &[&str]) -> Result<FabricSpec, String> {
     let usage = "network = crossbar N | clos-strict N R | clos-rearr N R | benes K \
                  | multibutterfly K D SEED | ftn NU WIDTH DEGREE GAMMA";
-    let int = |s: &str| parse_int(s);
-    match words {
-        ["crossbar", n] => Ok(FabricSpec::Crossbar(int(n)?.max(1))),
-        ["clos-strict", n, r] => Ok(FabricSpec::ClosStrict(int(n)?.max(1), int(r)?.max(1))),
-        ["clos-rearr", n, r] => Ok(FabricSpec::ClosRearrangeable(
-            int(n)?.max(1),
-            int(r)?.max(1),
-        )),
-        ["benes", k] => Ok(FabricSpec::Benes(int(k)?.clamp(1, 16) as u32)),
-        ["multibutterfly", k, d, seed] => Ok(FabricSpec::Multibutterfly(
-            int(k)?.clamp(1, 16) as u32,
-            int(d)?.max(1),
-            int(seed)? as u64,
-        )),
-        ["ftn", nu, w, d, g] => Ok(FabricSpec::Ftn(
-            int(nu)?.clamp(1, 8) as u32,
-            int(w)?,
-            int(d)?,
-            parse_num(g)?,
-        )),
-        _ => Err(format!(
-            "unrecognised network `{}`; {usage}",
-            words.join(" ")
+    // An integer argument `name` of `family`, rejected outside `range`.
+    let arg = |family: &str, name: &str, s: &str, range: RangeInclusive<usize>| {
+        let x = parse_int(s)?;
+        if range.contains(&x) {
+            return Ok(x);
+        }
+        let accepted = match range.end() {
+            &usize::MAX => format!("{name} ≥ {}", range.start()),
+            end => format!("{name} in {}..={end}", range.start()),
+        };
+        Err(format!("`{family}` takes {accepted}, got {x}"))
+    };
+    const ANY: RangeInclusive<usize> = 1..=usize::MAX;
+    let spec = match words {
+        ["crossbar", n] => FabricSpec::Crossbar(arg("crossbar N", "N", n, ANY)?),
+        ["clos-strict", n, r] => {
+            let family = "clos-strict N R";
+            FabricSpec::ClosStrict(arg(family, "N", n, ANY)?, arg(family, "R", r, ANY)?)
+        }
+        ["clos-rearr", n, r] => {
+            let family = "clos-rearr N R";
+            FabricSpec::ClosRearrangeable(arg(family, "N", n, ANY)?, arg(family, "R", r, ANY)?)
+        }
+        ["benes", k] => FabricSpec::Benes(arg("benes K", "K", k, 1..=16)? as u32),
+        ["multibutterfly", k, d, seed] => {
+            let family = "multibutterfly K D SEED";
+            FabricSpec::Multibutterfly(
+                arg(family, "K", k, 1..=16)? as u32,
+                arg(family, "D", d, ANY)?,
+                parse_int(seed)? as u64,
+            )
+        }
+        ["ftn", nu, w, d, g] => {
+            let family = "ftn NU WIDTH DEGREE GAMMA";
+            let nu = arg(family, "NU", nu, 1..=8)? as u32;
+            let w = arg(family, "WIDTH", w, 2..=usize::MAX)?;
+            if w % 2 != 0 {
+                return Err(format!("`{family}` takes an even WIDTH, got {w}"));
+            }
+            let d = arg(family, "DEGREE", d, ANY)?;
+            // γ is the least γ ≥ 1 with 4^γ ≥ GAMMA·NU; Params allows γ ≤ 16
+            let g = parse_num(g)?;
+            if g * nu as f64 > 4f64.powi(16) {
+                return Err(format!("`{family}` takes GAMMA·NU ≤ 4^16, got GAMMA = {g}"));
+            }
+            FabricSpec::Ftn(nu, w, d, g)
+        }
+        _ => {
+            return Err(format!(
+                "unrecognised network `{}`; {usage}",
+                words.join(" ")
+            ))
+        }
+    };
+    let too_big = |count: String| {
+        format!(
+            "`{}` has {count}, but switch and vertex ids are u32: each count must stay below {}",
+            spec.to_spec_string(),
+            u32::MAX
+        )
+    };
+    match spec.census() {
+        Some((v, e)) if v.max(e) < u32::MAX as usize => Ok(spec),
+        Some((v, e)) => Err(too_big(format!("{e} switches on {v} vertices"))),
+        None => Err(too_big(
+            "more switches or vertices than a usize counts".into(),
         )),
     }
 }
@@ -714,6 +775,72 @@ threads = 2
         ] {
             let fs = FabricSpec::parse(spec).unwrap();
             assert_eq!(fs.supports_faults(), fs.build().supports_faults(), "{spec}");
+        }
+    }
+
+    /// Every out-of-range argument, and every census past the `u32` ids,
+    /// is a parse error naming the accepted range — attributed to the
+    /// `network` line — where it used to be clamped or to panic in the
+    /// builder (`ftn 1 3 4 1.0` and `ftn 1 8 0 1.0` in `Params::reduced`).
+    #[test]
+    fn bad_network_specs_are_refused_at_parse_time() {
+        let cases = [
+            ("crossbar 0", "`crossbar N` takes N ≥ 1, got 0"),
+            ("clos-strict 0 4", "`clos-strict N R` takes N ≥ 1, got 0"),
+            ("clos-strict 4 0", "`clos-strict N R` takes R ≥ 1, got 0"),
+            ("clos-rearr 0 2", "`clos-rearr N R` takes N ≥ 1, got 0"),
+            ("clos-rearr 2 0", "`clos-rearr N R` takes R ≥ 1, got 0"),
+            ("benes 0", "`benes K` takes K in 1..=16, got 0"),
+            ("benes 17", "`benes K` takes K in 1..=16, got 17"),
+            ("multibutterfly 0 2 7", "takes K in 1..=16, got 0"),
+            ("multibutterfly 17 2 7", "takes K in 1..=16, got 17"),
+            ("multibutterfly 4 0 7", "takes D ≥ 1, got 0"),
+            ("ftn 0 8 8 1.0", "takes NU in 1..=8, got 0"),
+            ("ftn 9 8 8 1.0", "takes NU in 1..=8, got 9"),
+            ("ftn 1 3 4 1.0", "takes an even WIDTH, got 3"),
+            ("ftn 1 0 4 1.0", "takes WIDTH ≥ 2, got 0"),
+            ("ftn 1 8 0 1.0", "takes DEGREE ≥ 1, got 0"),
+            (
+                "ftn 1 8 4 1e10",
+                "takes GAMMA·NU ≤ 4^16, got GAMMA = 10000000000",
+            ),
+            // 65536² switches is 2³², one past the largest u32 id count
+            (
+                "crossbar 65536",
+                "`crossbar 65536` has 4294967296 switches on 131072",
+            ),
+            ("clos-strict 40000 40000", "switches on"),
+            ("ftn 8 1024 10 1.0", "switches on"),
+            (
+                "ftn 8 1000000000000 10 1.0",
+                "more switches or vertices than a usize",
+            ),
+        ];
+        for (spec, says) in cases {
+            let err = Scenario::parse(&format!("seeds = 1\nnetwork = {spec}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{spec}: {err}");
+            assert!(err.contains(says), "{spec}: {err}");
+            assert_eq!(
+                FabricSpec::parse(spec).unwrap_err(),
+                err["line 2: ".len()..]
+            );
+        }
+        let census = "but switch and vertex ids are u32: each count must stay below 4294967295";
+        assert!(FabricSpec::parse("crossbar 65536")
+            .unwrap_err()
+            .ends_with(census));
+        // the edge of each range parses (nothing here is built)
+        for spec in [
+            "crossbar 1",
+            "crossbar 65535",
+            "clos-strict 1 1",
+            "benes 1",
+            "benes 16",
+            "multibutterfly 16 1 7",
+            "ftn 8 2 1 1.0",
+            "ftn 1 2 1 -3",
+        ] {
+            assert!(FabricSpec::parse(spec).is_ok(), "{spec}");
         }
     }
 

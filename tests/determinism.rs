@@ -739,3 +739,53 @@ seed_base        = 1
     }
     assert!(all.contains("\"ok\":false"), "no failed reroute");
 }
+
+/// The built graph of one fabric per family, pinned: `fnv1a` over the
+/// edge list, each vertex's four CSR lists (`out_edges`, `out_heads`,
+/// `in_edges`, `in_tails`, each led by its length) and the stage table,
+/// all as little-endian `u32`s. The router's paths are lexicographically
+/// smallest by out-edge position, so a CSR build that reorders a single
+/// list changes every route on that vertex; this pins the bytes, not
+/// just the edge multiset. The ftn legs also pin the seeded expander
+/// wiring.
+#[test]
+fn built_graphs_of_every_fabric_family_are_pinned() {
+    use fault_tolerant_switching::obs::fnv1a;
+    use fault_tolerant_switching::sim::FabricSpec;
+
+    fn graph_bytes(spec: &str) -> (usize, usize, u64) {
+        let fabric = FabricSpec::parse(spec).expect("spec parses").build();
+        let net = fabric.net();
+        let csr = net.csr();
+        let mut bytes = Vec::new();
+        let mut push = |x: u32| bytes.extend_from_slice(&x.to_le_bytes());
+        for (_, t, h) in csr.edges() {
+            push(t.0);
+            push(h.0);
+        }
+        for u in csr.vertices() {
+            push(csr.out_edges(u).len() as u32);
+            csr.out_edges(u).iter().for_each(|e| push(e.0));
+            csr.out_heads(u).iter().for_each(|h| push(h.0));
+            push(csr.in_edges(u).len() as u32);
+            csr.in_edges(u).iter().for_each(|e| push(e.0));
+            csr.in_tails(u).iter().for_each(|t| push(t.0));
+        }
+        net.stage_table().iter().for_each(|&s| push(s));
+        (csr.num_vertices(), csr.num_edges(), fnv1a(&bytes))
+    }
+
+    let golden: [(&str, (usize, usize, u64)); 8] = [
+        ("crossbar 3", (6, 9, 0x6eae020ae57da8b4)),
+        ("clos-strict 4 4", (88, 336, 0x30f00de2770f7fad)),
+        ("clos-rearr 2 2", (16, 24, 0x97ebd602b6703545)),
+        ("benes 4", (128, 224, 0x3f443cf5c281a125)),
+        ("benes 10", (20480, 38912, 0x40bde67099b97225)),
+        ("multibutterfly 4 2 7", (80, 224, 0x9fa607c9fb313243)),
+        ("ftn 2 8 8 1.0", (3616, 19424, 0x6505231810989d39)),
+        ("ftn 1 64 10 34", (49160, 360448, 0x4fe4f7c69013abe1)),
+    ];
+    for (spec, want) in golden {
+        assert_eq!(graph_bytes(spec), want, "{spec}");
+    }
+}
