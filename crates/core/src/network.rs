@@ -263,7 +263,8 @@ impl Builder {
         Builder {
             params,
             b: {
-                let (vertices, switches) = params.census().expect("𝒩's census overflows usize");
+                let (vertices, switches) =
+                    params.checked_counts().expect("𝒩's size overflows usize");
                 StagedBuilder::with_capacity(vertices, switches)
             },
             bases: Vec::new(),
@@ -555,10 +556,10 @@ mod tests {
         assert_eq!(f.census().middle, 20 * 16384);
         assert_eq!(f.census().grid, 0);
         assert_eq!(f.census().terminal, 8 * 4096);
-        // Built straight into the CSR from the closed-form census (the
-        // builder's debug assertion fails this test if `predicted_size`
-        // or the vertex count is off by one), at Theorem 2's size and
-        // depth.
+        // Built straight into the CSR from `Params::checked_counts`,
+        // whose switch count is `predicted_size` (the builder's debug
+        // assertion fails this test if either count is off by one), at
+        // Theorem 2's size and depth.
         assert_eq!(f.net().size(), 360_448);
         assert_eq!(f.net().size(), p.predicted_size());
         assert_eq!(f.net().graph().num_vertices(), 2 * 4 + 3 * 16384);

@@ -138,24 +138,19 @@ impl Params {
     }
 
     /// `(vertices, switches)` of 𝒩 — two terminal stages of `n` and
-    /// `4ν − 1` internal stages of width `F·4^{ν+γ}`, and
-    /// [`Self::predicted_size`] switches — or `None` if a count
-    /// overflows `usize`. The builder allocates from it, and a spec
-    /// parser can check it against the `u32` ids before building.
-    pub fn census(&self) -> Option<(usize, usize)> {
+    /// `4ν − 1` internal stages of width `W = F·4^{ν+γ}`, and
+    /// [`Self::predicted_size`] switches — or `None` if they overflow
+    /// `usize`. Both counts are below `W·2ν(d + 2)`, so that product is
+    /// the one checked. The builder allocates from it, and a spec parser
+    /// can check it against the `u32` ids before building.
+    pub fn checked_counts(&self) -> Option<(usize, usize)> {
         let nu = self.nu as usize;
-        let four_to = |i: u32| 1usize.checked_shl(2 * i);
-        let two_n = four_to(self.nu)?.checked_mul(2)?;
-        let l = self.width.checked_mul(four_to(self.gamma)?)?;
-        let w = self.width.checked_mul(four_to(self.nu + self.gamma)?)?;
-        let vertices = (4 * nu - 1).checked_mul(w)?.checked_add(two_n)?;
-        let terminal = l.checked_mul(two_n)?;
-        let grid = (l.checked_mul(2)? - 1)
-            .checked_mul(two_n)?
-            .checked_mul(nu - 1)?;
-        let middle = w.checked_mul(self.degree)?.checked_mul(2 * nu)?;
-        let switches = terminal.checked_add(grid)?.checked_add(middle)?;
-        Some((vertices, switches))
+        let w = 1usize
+            .checked_shl(2 * (self.nu + self.gamma))?
+            .checked_mul(self.width)?;
+        w.checked_mul(self.degree.checked_add(2)?.checked_mul(2 * nu)?)?;
+        let vertices = (4 * nu - 1) * w + 2 * self.n();
+        Some((vertices, self.predicted_size()))
     }
 
     /// The paper's own census `1408·ν·4^{ν+γ}` (valid at `F = 64`,

@@ -491,6 +491,19 @@ mod tests {
         b.finish()
     }
 
+    /// Empty stages at both ends and one in the middle: stages of
+    /// sizes 0, 2, 0, 2, 0 and edges 0→2, 1→3, 0→3.
+    fn with_empty_stages() -> StagedNetwork {
+        let mut b = StagedBuilder::new();
+        for count in [0, 2, 0, 2, 0] {
+            b.add_stage(count);
+        }
+        for (t, h) in [(0, 2), (1, 3), (0, 3)] {
+            b.add_edge(v(t), v(h));
+        }
+        b.finish()
+    }
+
     #[test]
     fn crossbar_shape() {
         let net = crossbar();
@@ -636,15 +649,7 @@ mod tests {
 
     #[test]
     fn validate_walks_mirrors_and_empty_stages() {
-        // empty stages at both ends and one in the middle, skipped over
-        let mut b = StagedBuilder::new();
-        for count in [0, 2, 0, 2, 0] {
-            b.add_stage(count);
-        }
-        for (t, h) in [(0, 2), (1, 3), (0, 3)] {
-            b.add_edge(v(t), v(h));
-        }
-        let net = b.finish();
+        let net = with_empty_stages();
         let m = net.mirror();
         assert_eq!(m.validate(), Ok(()));
         assert_eq!((net.stage_of(v(1)), net.stage_of(v(2))), (1, 3));
@@ -664,17 +669,26 @@ mod tests {
 
     #[test]
     fn stage_table_matches_stage_of_and_unit_flag() {
+        // the table against the stage ranges it is derived from, on
+        // mirrors too (stage ranges reversed) and across empty stages
+        fn assert_table_matches_ranges(net: &StagedNetwork) {
+            assert_eq!(net.stage_table().len(), net.graph().num_vertices());
+            for i in 0..net.num_stages() {
+                for u in net.stage_range(i) {
+                    assert_eq!(net.stage_table()[u as usize], i as u32);
+                    assert_eq!(net.stage_of(v(u)), i);
+                }
+            }
+        }
         let net = crossbar();
-        for (u, &s) in net.stage_table().iter().enumerate() {
-            assert_eq!(s as usize, net.stage_of(v(u as u32)));
-        }
+        assert_table_matches_ranges(&net);
         assert!(net.is_unit_staged());
-        // mirrors keep both properties (stage ranges reversed)
         let m = net.mirror();
-        for (u, &s) in m.stage_table().iter().enumerate() {
-            assert_eq!(s as usize, m.stage_of(v(u as u32)));
-        }
+        assert_table_matches_ranges(&m);
         assert!(m.is_unit_staged());
+        let gappy = with_empty_stages();
+        assert_table_matches_ranges(&gappy);
+        assert_table_matches_ranges(&gappy.mirror());
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl FabricSpec {
             FabricSpec::ClosRearrangeable(n, r) => Clos::census(n, n, r),
             FabricSpec::Benes(k) => Benes::census(k),
             FabricSpec::Multibutterfly(k, d, _) => Multibutterfly::census(k, d),
-            FabricSpec::Ftn(nu, w, d, g) => Params::reduced(nu, w, d, g).census(),
+            FabricSpec::Ftn(nu, w, d, g) => Params::reduced(nu, w, d, g).checked_counts(),
         }
     }
 

@@ -9,11 +9,16 @@ fn ftsim_exits_1_with_a_line_number_on_bad_network_specs() {
     for spec in [
         "crossbar 0",
         "clos-strict 0 4",
+        "clos-rearr 2 0",
+        "benes 0",
         "benes 17",
+        "multibutterfly 17 2 7",
         "multibutterfly 4 0 7",
+        "ftn 0 8 8 1.0",
         "ftn 9 8 8 1.0",
         "ftn 1 3 4 1.0",
         "ftn 1 8 0 1.0",
+        "ftn 1 8 4 1e10",
         "crossbar 65536",
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ftsim"))
