@@ -9,6 +9,12 @@
 //! list it consumes, a 155 KB copy, is inside the timing), and
 //! `validate/ftn_nu2` is the staging check `StagedBuilder::finish` runs
 //! on it. What is left of `build_ftn/nu2` is the wiring itself.
+//!
+//! `csr_in_lists/ftn_nu2` times what the build no longer does: the first
+//! in-list read on a `Csr` that has not sorted its in-lists, which sorts
+//! them all. Each iteration reads a fresh clone of the built `Csr`; the
+//! clone (its edge and out-lists, ≈ 0.4 MB copied) and its drop are
+//! inside the timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::network::FtNetwork;
@@ -44,6 +50,14 @@ fn bench_build_parts(c: &mut Criterion) {
     });
     c.bench_function("validate/ftn_nu2", |b| {
         b.iter(|| black_box(f.net()).validate())
+    });
+    assert!(!csr.in_lists_built(), "the build sorted the in-lists");
+    c.bench_function("csr_in_lists/ftn_nu2", |b| {
+        b.iter(|| {
+            let fresh = csr.clone();
+            black_box(fresh.in_edges(VertexId(0)).len());
+            fresh
+        })
     });
 }
 

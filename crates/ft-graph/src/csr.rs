@@ -2,21 +2,35 @@
 //! built network.
 //!
 //! Monte Carlo experiments traverse the same topology millions of times
-//! with different failure instances; [`Csr`] stores adjacency in two flat
-//! arrays (out- and in-) so BFS over a 10⁷-edge network touches contiguous
-//! memory instead of chasing one heap allocation per vertex. A
+//! with different failure instances; [`Csr`] stores adjacency in flat
+//! arrays so BFS over a 10⁷-edge network touches contiguous memory
+//! instead of chasing one heap allocation per vertex. A
 //! [`crate::StagedBuilder`] collects a flat edge list and sorts it
 //! straight into this form ([`Csr::from_edges`]); a free-standing
 //! [`DiGraph`] freezes into it with [`Csr::from_digraph`].
+//!
+//! The out-lists are built eagerly: every router, sampler and forward
+//! kernel reads them. The in-lists are built on their first read
+//! ([`Csr::in_edges`], [`Csr::in_tails`]), by the same stable sort, and
+//! kept. Only backward and undirected searches (the `bibfs_into`
+//! oracle's backward cone among them), `topo_order`, the §4 repair
+//! oracle, the §5 helpers and the burst injector's cluster walk read
+//! them, so a network that none of those touches never pays their sort,
+//! nor their 8 bytes per edge and 4 per vertex.
 
 use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, VertexId};
 use crate::Digraph;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Immutable CSR adjacency (both directions) of a directed multigraph.
 /// Every per-vertex list is in edge-id (= insertion) order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Two `Csr`s are equal when they have the same vertex count and the
+/// same edge list, whether or not either has built its in-lists: every
+/// list is a function of those two.
+#[derive(Clone, Debug)]
 pub struct Csr {
     /// `out_start[v]..out_start[v+1]` indexes `out_list`.
     out_start: Vec<u32>,
@@ -25,16 +39,33 @@ pub struct Csr {
     /// Heads of the edges in `out_list`, parallel to it — BFS reads the
     /// neighbour directly instead of chasing `edges[e]`.
     out_head: Vec<VertexId>,
-    in_start: Vec<u32>,
-    in_list: Vec<EdgeId>,
-    /// Tails of the edges in `in_list`, parallel to it.
-    in_tail: Vec<VertexId>,
+    /// The in-lists, sorted on the first read.
+    in_lists: OnceLock<InLists>,
     /// `(tail, head)` per edge, indexed by edge id.
     edges: Vec<(VertexId, VertexId)>,
     /// Every edge goes from a lower vertex id to a higher one (see
     /// [`Digraph::ids_ascend`]).
     ascending: bool,
 }
+
+/// The in-lists of a [`Csr`], laid out like its out-lists.
+#[derive(Clone, Debug)]
+struct InLists {
+    /// `start[v]..start[v+1]` indexes `list`.
+    start: Vec<u32>,
+    /// Edge ids entering each vertex, grouped by head.
+    list: Vec<EdgeId>,
+    /// Tails of the edges in `list`, parallel to it.
+    tail: Vec<VertexId>,
+}
+
+impl PartialEq for Csr {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vertices() == other.num_vertices() && self.edges == other.edges
+    }
+}
+
+impl Eq for Csr {}
 
 impl Csr {
     /// Builds the CSR of the graph on vertices `0..n` whose edge `e` is
@@ -44,11 +75,9 @@ impl Csr {
     /// `add_edge` calls would hold them. Parallel edges and self-loops
     /// are kept.
     ///
-    /// Out-lists (by tail) and in-lists (by head) are sorted in separate
-    /// passes, each scattering only edge ids; the parallel heads (tails)
-    /// are then gathered in list order. On 12 M switches the in-pass
-    /// scatter is random over tens of MB, and one list there is cheaper
-    /// than two.
+    /// Only the out-lists (by tail) are sorted here: the edge ids are
+    /// scattered, then the parallel heads gathered in list order. The
+    /// in-lists (by head) are sorted the same way on their first read.
     ///
     /// # Panics
     /// Panics if an endpoint is not below `n`, or if the graph has
@@ -61,19 +90,21 @@ impl Csr {
             n.max(m) < u32::MAX as usize,
             "Csr::from_edges: {n} vertices, {m} edges overflow the u32 ids and offsets"
         );
+        // `fold`, not `all`/`any`: a scan without an early exit vectorises
+        let (ascending, top) = edges.iter().fold((true, 0), |(up, top), &(t, h)| {
+            (up & (t < h), top.max(t.0).max(h.0))
+        });
+        assert!(
+            m == 0 || (top as usize) < n,
+            "Csr::from_edges: endpoint {top} is not below n = {n}"
+        );
         let (out_start, out_list) = bucket_sort(n, &edges, |&(t, _)| t);
         let out_head = out_list.iter().map(|e| edges[e.index()].1).collect();
-        let (in_start, in_list) = bucket_sort(n, &edges, |&(_, h)| h);
-        let in_tail = in_list.iter().map(|e| edges[e.index()].0).collect();
-        // `fold`, not `all`: a scan without an early exit vectorises
-        let ascending = edges.iter().fold(true, |up, &(t, h)| up & (t < h));
         Csr {
             out_start,
             out_list,
             out_head,
-            in_start,
-            in_list,
-            in_tail,
+            in_lists: OnceLock::new(),
             edges,
             ascending,
         }
@@ -133,12 +164,11 @@ impl Csr {
         &self.out_list[lo..hi]
     }
 
-    /// Edges entering `v`.
+    /// Edges entering `v`. The first in-list read sorts every in-list.
     #[inline]
     pub fn in_edges(&self, v: VertexId) -> &[EdgeId] {
-        let lo = self.in_start[v.index()] as usize;
-        let hi = self.in_start[v.index() + 1] as usize;
-        &self.in_list[lo..hi]
+        let lists = self.in_lists();
+        &lists.list[lists.range(v)]
     }
 
     /// Heads of the edges leaving `v`, parallel to [`Self::out_edges`].
@@ -159,9 +189,26 @@ impl Csr {
     /// Tails of the edges entering `v`, parallel to [`Self::in_edges`].
     #[inline]
     pub fn in_tails(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.in_start[v.index()] as usize;
-        let hi = self.in_start[v.index() + 1] as usize;
-        &self.in_tail[lo..hi]
+        let lists = self.in_lists();
+        &lists.tail[lists.range(v)]
+    }
+
+    /// Whether the in-lists have been built, i.e. whether anything has
+    /// read an in-list of this graph (or of the one it was cloned from).
+    /// A diagnostic: no result depends on it.
+    pub fn in_lists_built(&self) -> bool {
+        self.in_lists.get().is_some()
+    }
+
+    /// The in-lists, sorted by head on the first call. Threads that call
+    /// it at once wait for one sort.
+    #[inline]
+    fn in_lists(&self) -> &InLists {
+        self.in_lists.get_or_init(|| {
+            let (start, list) = bucket_sort(self.num_vertices(), &self.edges, |&(_, h)| h);
+            let tail = list.iter().map(|e| self.edges[e.index()].0).collect();
+            InLists { start, list, tail }
+        })
     }
 
     /// Out-degree of `v`.
@@ -198,6 +245,14 @@ impl Csr {
     /// Returns `true` if there is at least one edge `tail → head`.
     pub fn has_edge(&self, tail: VertexId, head: VertexId) -> bool {
         self.out_heads(tail).contains(&head)
+    }
+}
+
+impl InLists {
+    /// Where `v`'s in-list lies in `list` and `tail`.
+    #[inline]
+    fn range(&self, v: VertexId) -> Range<usize> {
+        self.start[v.index()] as usize..self.start[v.index() + 1] as usize
     }
 }
 
@@ -393,10 +448,73 @@ mod tests {
         }
     }
 
+    /// Tails and heads past `n` are caught, each named in the message;
+    /// the last case, a head past `n`, is left to panic.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "endpoint 2 is not below n = 2")]
     fn from_edges_rejects_an_endpoint_past_n() {
-        Csr::from_edges(2, vec![(v(0), v(2))]);
+        for edge in [(v(2), v(0)), (v(7), v(1)), (v(1), v(7))] {
+            let top = edge.0 .0.max(edge.1 .0);
+            let err = std::panic::catch_unwind(|| Csr::from_edges(2, vec![(v(0), v(1)), edge]))
+                .expect_err("an endpoint past n must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.contains(&format!("endpoint {top} is not below n = 2")),
+                "{edge:?}: {msg}"
+            );
+        }
+        Csr::from_edges(2, vec![(v(0), v(1)), (v(0), v(2))]);
+    }
+
+    /// Equality is vertex count plus edge list: whether either side has
+    /// sorted its in-lists does not matter, and a clone keeps the state
+    /// of its source.
+    #[test]
+    fn equality_ignores_whether_the_in_lists_are_built() {
+        let read = Csr::from_digraph(&diamond());
+        let fresh = Csr::from_digraph(&diamond());
+        assert!(!read.in_lists_built() && !fresh.in_lists_built());
+        assert_eq!(read.in_edges(v(3)), [EdgeId(2), EdgeId(3)]);
+        assert!(read.in_lists_built() && !fresh.in_lists_built());
+        assert_eq!(read, fresh);
+        assert_eq!(fresh, read);
+        assert!(read.clone().in_lists_built() && !fresh.clone().in_lists_built());
+        // same edges, one more (isolated) vertex
+        let wider = Csr::from_edges(5, read.edges().map(|(_, t, h)| (t, h)).collect());
+        assert_ne!(read, wider);
+        assert_ne!(read, read.reversed());
+    }
+
+    /// Four threads read the in-lists of one fresh `Csr` at once, as the
+    /// workers of a sweep share one fabric: one of them sorts, and every
+    /// one sees the lists of a `Csr` frozen from the same graph.
+    #[test]
+    fn concurrent_first_reads_see_the_same_in_lists() {
+        let mut r = rng(0x1A2E);
+        let n = 300;
+        let mut g = DiGraph::new();
+        g.add_vertices(n);
+        for _ in 0..2000 {
+            let t = VertexId::from(r.random_range(0..n));
+            let h = VertexId::from(r.random_range(0..n));
+            g.add_edge(t, h);
+        }
+        let want = Csr::from_digraph(&g);
+        let shared = Csr::from_digraph(&g);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                    for u in g.vertices() {
+                        assert_eq!(shared.in_edges(u), want.in_edges(u));
+                        assert_eq!(shared.in_tails(u), want.in_tails(u));
+                        assert_eq!(shared.in_edges(u), g.in_edges(u));
+                    }
+                });
+            }
+        });
+        assert!(shared.in_lists_built());
     }
 
     #[test]

@@ -68,6 +68,7 @@ serve_connects_per_sec
 serve_engine_fault_repair_paper_nu1
 build_ftn/nu2
 build_ftn/paper_nu1
+csr_in_lists/ftn_nu2
 "
 for b in $REQUIRED_BENCHES; do
     if ! cut -f1 "$RUN_DIR/current.tsv" | grep -qx "$b"; then
