@@ -92,7 +92,7 @@ fn bench_contraction(c: &mut Criterion) {
     let mut r = rng(4);
     let inst = FailureInstance::sample(&model, &mut r, ftn.net().num_edges());
     c.bench_function("contract_nu2_eps5e-2", |b| {
-        b.iter(|| black_box(contract(ftn.net(), &inst).graph.num_edges()))
+        b.iter(|| black_box(contract(ftn.net().graph(), &inst).graph.num_edges()))
     });
 }
 

@@ -83,7 +83,7 @@ fn bench_disjoint_paths(c: &mut Criterion) {
     let inputs = ftn.net().inputs().to_vec();
     let outputs = ftn.net().outputs().to_vec();
     c.bench_function("menger_ftn_nu1_full", |b| {
-        b.iter(|| black_box(max_disjoint_paths(ftn.net(), &inputs, &outputs)))
+        b.iter(|| black_box(max_disjoint_paths(ftn.net().graph(), &inputs, &outputs)))
     });
 }
 
@@ -91,7 +91,7 @@ fn bench_dinic_random_dag(c: &mut Criterion) {
     let mut r = rng(7);
     let g = random_dag(&mut r, 2000, 10_000);
     let sources: Vec<_> = g.vertices().take(20).collect();
-    let nv = ft_graph::Digraph::num_vertices(&g);
+    let nv = g.num_vertices();
     let sinks: Vec<_> = g.vertices().skip(nv - 20).collect();
     c.bench_function("menger_random_dag_2k_10k", |b| {
         b.iter(|| black_box(max_disjoint_paths(&g, &sources, &sinks)))

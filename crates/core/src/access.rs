@@ -24,7 +24,7 @@
 use crate::network::{FtNetwork, Side};
 use ft_graph::traversal::{bfs_into, Direction};
 use ft_graph::workspace::TraversalWorkspace;
-use ft_graph::{Digraph, VertexId};
+use ft_graph::{Csr, VertexId};
 
 /// Direction of an access computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +49,8 @@ impl AccessDir {
 /// (terminals are never faulty; a busy terminal would simply not be
 /// queried). After the call the workspace holds the access set
 /// (`ws.reached`, `ws.order`, `ws.count_reached_in`).
-pub fn access_set_into<G: Digraph>(
-    g: &G,
+pub fn access_set_into(
+    g: &Csr,
     source: VertexId,
     dir: AccessDir,
     idle: impl Fn(VertexId) -> bool,
@@ -67,8 +67,8 @@ pub fn access_set_into<G: Digraph>(
 }
 
 /// [`access_set_into`] materialised as a boolean mask over all vertices.
-pub fn access_set<G: Digraph>(
-    g: &G,
+pub fn access_set(
+    g: &Csr,
     source: VertexId,
     dir: AccessDir,
     idle: impl Fn(VertexId) -> bool,
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn fault_free_grid_access_is_full() {
         let f = small();
-        let alive = vec![true; f.net().num_vertices()];
+        let alive = vec![true; f.net().graph().num_vertices()];
         for j in 0..f.n() {
             assert_eq!(grid_access_count(&f, &alive, Side::Input, j), f.rows());
             assert_eq!(grid_access_count(&f, &alive, Side::Output, j), f.rows());
@@ -305,8 +305,8 @@ mod tests {
     #[test]
     fn fault_free_majority_access_is_full() {
         let f = tiny();
-        let alive = vec![true; f.net().num_vertices()];
-        let busy = vec![false; f.net().num_vertices()];
+        let alive = vec![true; f.net().graph().num_vertices()];
+        let busy = vec![false; f.net().graph().num_vertices()];
         for side in [Side::Input, Side::Output] {
             let rep = majority_access_report(&f, &alive, &busy, side);
             assert_eq!(rep.idle_terminals, 4);
@@ -321,8 +321,8 @@ mod tests {
     #[test]
     fn profile_monotone_structure() {
         let f = small();
-        let alive = vec![true; f.net().num_vertices()];
-        let busy = vec![false; f.net().num_vertices()];
+        let alive = vec![true; f.net().graph().num_vertices()];
+        let busy = vec![false; f.net().graph().num_vertices()];
         let prof = access_profile(&f, &alive, &busy, Side::Input, 0);
         // stage 0: the input itself
         assert_eq!(prof[0], 1);
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn dead_grid_row_reduces_access() {
         let f = tiny();
-        let mut alive = vec![true; f.net().num_vertices()];
+        let mut alive = vec![true; f.net().graph().num_vertices()];
         // kill rows 0..=15 (half the grid) of input grid 0 at its only
         // interior stage (stage 1 = boundary for ν=1: boundary stage is
         // stage ν = 1, so killing boundary vertices directly)
@@ -356,11 +356,11 @@ mod tests {
     #[test]
     fn busy_paths_block_access() {
         let f = tiny();
-        let alive = vec![true; f.net().num_vertices()];
+        let alive = vec![true; f.net().graph().num_vertices()];
         // mark the whole middle stage busy except one vertex: no
         // majority possible
         let nu = 1;
-        let mut busy = vec![false; f.net().num_vertices()];
+        let mut busy = vec![false; f.net().graph().num_vertices()];
         let base = f.stage_base(2 * nu);
         for i in 0..f.width() - 1 {
             busy[(base + i as u32) as usize] = true;
@@ -373,8 +373,8 @@ mod tests {
     #[test]
     fn busy_terminal_not_queried() {
         let f = tiny();
-        let alive = vec![true; f.net().num_vertices()];
-        let mut busy = vec![false; f.net().num_vertices()];
+        let alive = vec![true; f.net().graph().num_vertices()];
+        let mut busy = vec![false; f.net().graph().num_vertices()];
         busy[f.input(2).index()] = true;
         let rep = majority_access_report(&f, &alive, &busy, Side::Input);
         assert_eq!(rep.idle_terminals, 3);
@@ -384,7 +384,7 @@ mod tests {
     fn busy_mask_rejects_overlap() {
         let f = tiny();
         let p1 = vec![f.input(0), f.internal(1, 0)];
-        let m = busy_mask(f.net().num_vertices(), std::slice::from_ref(&p1));
+        let m = busy_mask(f.net().graph().num_vertices(), std::slice::from_ref(&p1));
         assert!(m[f.input(0).index()]);
         assert!(!m[f.input(1).index()]);
     }
@@ -396,15 +396,15 @@ mod tests {
         let f = tiny();
         let p1 = vec![f.input(0), f.internal(1, 0)];
         let p2 = vec![f.internal(1, 0), f.internal(2, 0)];
-        busy_mask(f.net().num_vertices(), &[p1, p2]);
+        busy_mask(f.net().graph().num_vertices(), &[p1, p2]);
     }
 
     #[test]
     fn backward_access_respects_direction() {
         let f = tiny();
-        let alive = vec![true; f.net().num_vertices()];
+        let alive = vec![true; f.net().graph().num_vertices()];
         // forward from an output reaches nothing (no out-edges)
-        let mask = access_set(f.net(), f.output(0), AccessDir::Forward, |v| {
+        let mask = access_set(f.net().graph(), f.output(0), AccessDir::Forward, |v| {
             alive[v.index()]
         });
         assert_eq!(mask.iter().filter(|&&b| b).count(), 1);

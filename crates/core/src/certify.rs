@@ -102,7 +102,7 @@ pub fn certify_with_budget(
     let (expander_budget_ok, max_group_faulty) = expander_fault_audit(ftn, &alive, budget_frac);
     let net = ftn.net();
     let terminals_distinct =
-        !contraction::flagged_terminals_shorted(net, inst, net.terminal_mask());
+        !contraction::flagged_terminals_shorted(net.graph(), inst, net.terminal_mask());
     Certificate {
         terminals_distinct,
         grids_majority,

@@ -27,7 +27,7 @@ use ft_graph::tree::{
     contract_stretches, is_forest, leaves, min_internal_degree_3, reduce_to_degree_3,
     undirected_adjacency,
 };
-use ft_graph::{DiGraph, Digraph, UnionFind};
+use ft_graph::{Csr, UnionFind};
 
 /// A leaf-to-leaf path found by Lemma 1: endpoints in the original
 /// graph plus the original edges traversed (≤ 3 after contraction of
@@ -76,7 +76,7 @@ impl Lemma1Result {
 /// # Panics
 /// Panics unless `g` (viewed undirected) is a forest whose internal
 /// nodes all have degree ≥ 3.
-pub fn lemma1_short_paths(g: &DiGraph) -> Lemma1Result {
+pub fn lemma1_short_paths(g: &Csr) -> Lemma1Result {
     assert!(is_forest(g), "Lemma 1 requires a forest");
     assert!(
         min_internal_degree_3(g),
@@ -206,7 +206,7 @@ fn find_short_path(
 }
 
 /// Walks `edges` from `start` and returns the far endpoint.
-fn path_endpoint(g: &DiGraph, start: VertexId, edges: &[EdgeId]) -> VertexId {
+fn path_endpoint(g: &Csr, start: VertexId, edges: &[EdgeId]) -> VertexId {
     let mut at = start;
     for &e in edges {
         at = g.other_endpoint(e, at);
@@ -218,7 +218,7 @@ fn path_endpoint(g: &DiGraph, start: VertexId, edges: &[EdgeId]) -> VertexId {
 #[derive(Clone, Debug)]
 pub struct ProximityForest {
     /// The forest, on the same vertex ids as the host network.
-    pub forest: DiGraph,
+    pub forest: Csr,
     /// For each forest edge, the host edge it copies.
     pub host_edge: Vec<EdgeId>,
     /// Terminals whose nearest-other-terminal path contributed at
@@ -233,13 +233,12 @@ pub struct ProximityForest {
 /// within `max_j` edges) and add its longest initial segment that is
 /// edge-disjoint from — and keeps a forest with — what was added
 /// before.
-pub fn proximity_forest<G: Digraph>(g: &G, terminals: &[VertexId], max_j: u32) -> ProximityForest {
+pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> ProximityForest {
     let mut is_term = vec![false; g.num_vertices()];
     for &t in terminals {
         is_term[t.index()] = true;
     }
-    let mut forest = DiGraph::new();
-    forest.add_vertices(g.num_vertices());
+    let mut forest = Vec::new();
     let mut host_edge = Vec::new();
     let mut in_forest = std::collections::HashSet::new();
     let mut uf = UnionFind::new(g.num_vertices());
@@ -273,9 +272,9 @@ pub fn proximity_forest<G: Digraph>(g: &G, terminals: &[VertexId], max_j: u32) -
             let (a, c) = (w[0], w[1]);
             // identify the host edge (either direction)
             let e = g
-                .out_edge_slice(a)
+                .out_edges(a)
                 .iter()
-                .chain(g.in_edge_slice(a))
+                .chain(g.in_edges(a))
                 .copied()
                 .find(|&e| g.other_endpoint(e, a) == c)
                 .expect("path edge must exist");
@@ -284,7 +283,7 @@ pub fn proximity_forest<G: Digraph>(g: &G, terminals: &[VertexId], max_j: u32) -
             }
             in_forest.insert(e);
             uf.union(a.0, c.0);
-            forest.add_edge(a, c);
+            forest.push((a, c));
             host_edge.push(e);
             added = true;
         }
@@ -293,7 +292,7 @@ pub fn proximity_forest<G: Digraph>(g: &G, terminals: &[VertexId], max_j: u32) -
         }
     }
     ProximityForest {
-        forest,
+        forest: Csr::from_edges(g.num_vertices(), forest),
         host_edge,
         participating,
         isolated,
@@ -326,7 +325,7 @@ pub struct Lemma2Result {
 /// contraction → Lemma 1 → expansion back to host edges. The returned
 /// paths are edge-disjoint in the host network; if every edge of any
 /// single path close-fails, two terminals short.
-pub fn short_terminal_paths<G: Digraph>(g: &G, terminals: &[VertexId], max_j: u32) -> Lemma2Result {
+pub fn short_terminal_paths(g: &Csr, terminals: &[VertexId], max_j: u32) -> Lemma2Result {
     let pf = proximity_forest(g, terminals, max_j);
     let c = contract_stretches(&pf.forest);
     // drop isolated vertices implicitly: lemma1 works on the forest
@@ -392,7 +391,7 @@ pub fn zone_radius(n: usize) -> u32 {
 
 /// Audits the Theorem 1 quantities on a network with the paper's
 /// thresholds; see [`zone_audit_with`] for explicit ones.
-pub fn zone_audit<G: Digraph>(g: &G, terminals: &[VertexId]) -> ZoneAudit {
+pub fn zone_audit(g: &Csr, terminals: &[VertexId]) -> ZoneAudit {
     let n = terminals.len();
     zone_audit_with(g, terminals, good_distance_threshold(n), zone_radius(n))
 }
@@ -400,12 +399,7 @@ pub fn zone_audit<G: Digraph>(g: &G, terminals: &[VertexId]) -> ZoneAudit {
 /// Audits the Theorem 1 quantities on a network: which terminals are
 /// good (nearest other terminal at distance ≥ `threshold`), and how
 /// many edges each distance-zone `B_h(v)`, `1 ≤ h ≤ h_max`, holds.
-pub fn zone_audit_with<G: Digraph>(
-    g: &G,
-    terminals: &[VertexId],
-    threshold: u32,
-    h_max: u32,
-) -> ZoneAudit {
+pub fn zone_audit_with(g: &Csr, terminals: &[VertexId], threshold: u32, h_max: u32) -> ZoneAudit {
     let n = terminals.len();
     let nearest = nearest_other_terminal(g, terminals);
     let mut good_terminals = 0;
@@ -453,9 +447,7 @@ mod tests {
 
     #[test]
     fn lemma1_on_single_edge() {
-        let mut g = DiGraph::new();
-        g.add_vertices(2);
-        g.add_edge(v(0), v(1));
+        let g = Csr::from_edges(2, vec![(v(0), v(1))]);
         let r = lemma1_short_paths(&g);
         assert_eq!(r.num_leaves, 2);
         assert_eq!(r.paths.len(), 1);
@@ -468,11 +460,7 @@ mod tests {
         // star with 6 leaves: 3 disjoint paths through the center? No —
         // paths must be edge-disjoint: leaf-center-leaf uses 2 edges,
         // so 3 paths exactly.
-        let mut g = DiGraph::new();
-        g.add_vertices(7);
-        for i in 1..=6 {
-            g.add_edge(v(0), v(i));
-        }
+        let g = Csr::from_edges(7, (1..=6).map(|i| (v(0), v(i))).collect());
         let r = lemma1_short_paths(&g);
         assert_eq!(r.num_leaves, 6);
         assert_eq!(r.good_leaves, 6);
@@ -520,10 +508,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "internal degree")]
     fn lemma1_rejects_paths() {
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
+        let g = Csr::from_edges(3, vec![(v(0), v(1)), (v(1), v(2))]);
         lemma1_short_paths(&g);
     }
 
@@ -531,11 +516,7 @@ mod tests {
     fn proximity_forest_on_shared_hub() {
         // 4 terminals all adjacent to one hub: forest = star subset,
         // every terminal within distance 2 of another
-        let mut g = DiGraph::new();
-        g.add_vertices(5);
-        for i in 1..=4 {
-            g.add_edge(v(i), v(0));
-        }
+        let g = Csr::from_edges(5, (1..=4).map(|i| (v(i), v(0))).collect());
         let terms = [v(1), v(2), v(3), v(4)];
         let pf = proximity_forest(&g, &terms, 4);
         assert!(is_forest(&pf.forest));
@@ -553,11 +534,7 @@ mod tests {
     #[test]
     fn proximity_forest_respects_max_j() {
         // two terminals far apart: nothing within j = 1
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(2), v(3));
-        g.add_edge(v(3), v(1));
+        let g = Csr::from_edges(4, vec![(v(0), v(2)), (v(2), v(3)), (v(3), v(1))]);
         let pf = proximity_forest(&g, &[v(0), v(1)], 1);
         assert_eq!(pf.participating, 0);
         assert_eq!(pf.isolated, 2);
@@ -566,11 +543,7 @@ mod tests {
     #[test]
     fn lemma2_paths_are_edge_disjoint() {
         // grid-ish host: terminals on a cycle with chords
-        let mut g = DiGraph::new();
-        g.add_vertices(12);
-        for i in 0..12 {
-            g.add_edge(v(i as u32), v(((i + 1) % 12) as u32));
-        }
+        let g = Csr::from_edges(12, (0..12).map(|i| (v(i), v((i + 1) % 12))).collect());
         let terms: Vec<VertexId> = (0..6).map(|i| v(2 * i)).collect();
         let r = short_terminal_paths(&g, &terms, 4);
         let mut used = std::collections::HashSet::new();
@@ -594,12 +567,8 @@ mod tests {
     fn zone_audit_on_disjoint_paths() {
         // two long disjoint paths: terminals at the far ends are good,
         // every zone has exactly 1 edge
-        let mut g = DiGraph::new();
-        g.add_vertices(12);
-        for i in 0..5 {
-            g.add_edge(v(i), v(i + 1));
-            g.add_edge(v(6 + i), v(7 + i));
-        }
+        let paths = (0..5).flat_map(|i| [(v(i), v(i + 1)), (v(6 + i), v(7 + i))]);
+        let g = Csr::from_edges(12, paths.collect());
         let audit = zone_audit(&g, &[v(0), v(6)]);
         assert_eq!(audit.n, 2);
         assert_eq!(audit.good_terminals, 2);
@@ -609,9 +578,7 @@ mod tests {
 
     #[test]
     fn zone_audit_adjacent_terminals_not_good() {
-        let mut g = DiGraph::new();
-        g.add_vertices(2);
-        g.add_edge(v(0), v(1));
+        let g = Csr::from_edges(2, vec![(v(0), v(1))]);
         // explicit threshold 2: adjacent terminals are not good
         let audit = zone_audit_with(&g, &[v(0), v(1)], 2, 1);
         assert_eq!(audit.good_terminals, 0);

@@ -39,7 +39,7 @@ impl<'a> Survivor<'a> {
     pub fn new(ftn: &'a FtNetwork, inst: &FailureInstance) -> Survivor<'a> {
         let g = ftn.net();
         assert_eq!(inst.len(), g.num_edges(), "instance/network size mismatch");
-        let faulty = inst.faulty_vertices(g);
+        let faulty = inst.faulty_vertices(g.graph());
         let mut alive: Vec<bool> = faulty.into_iter().map(|f| !f).collect();
         let mut discarded = alive.iter().filter(|&&a| !a).count();
         // exempt terminals
@@ -53,7 +53,7 @@ impl<'a> Survivor<'a> {
         // switches whose endpoints can both be alive)
         let mut dead_terminal_edges = Vec::new();
         for &t in g.inputs().iter().chain(g.outputs()) {
-            for &e in g.out_edge_slice(t).iter().chain(g.in_edge_slice(t)) {
+            for &e in g.graph().out_edges(t).iter().chain(g.graph().in_edges(t)) {
                 if !inst.is_normal(e) {
                     dead_terminal_edges.push(e);
                 }
@@ -101,7 +101,7 @@ impl<'a> Survivor<'a> {
         let mut alive = self.alive.clone();
         let is_terminal = g.terminal_mask();
         for &e in &self.dead_terminal_edges {
-            let (t, h) = g.endpoints(e);
+            let (t, h) = g.graph().endpoints(e);
             if !is_terminal[t.index()] {
                 alive[t.index()] = false;
             }
@@ -128,13 +128,13 @@ impl<'a> Survivor<'a> {
     /// `tracker_matches_routable_alive` below.
     pub fn alive_tracker(ftn: &FtNetwork, inst: &FailureInstance) -> ft_failure::AliveTracker {
         let g = ftn.net();
-        ft_failure::AliveTracker::new(g, g.terminal_mask(), inst)
+        ft_failure::AliveTracker::new(g.graph(), g.terminal_mask(), inst)
     }
 
     /// Checks the repair invariant: every switch whose endpoints are
     /// both alive under [`Self::routable_alive`] is in the normal state.
     pub fn invariant_holds(&self, inst: &FailureInstance) -> bool {
-        let g = self.ftn.net();
+        let g = self.ftn.net().graph();
         let alive = self.routable_alive();
         (0..g.num_edges()).all(|e| {
             let e = EdgeId::from(e);
@@ -238,7 +238,7 @@ mod tests {
             if !failed.is_empty() && r.random_bool(0.5) {
                 let e = failed.swap_remove(r.random_range(0..failed.len()));
                 inst.set_state(EdgeId::from(e), SwitchState::Normal);
-                let (t, h) = ft_graph::Digraph::endpoints(f.net(), EdgeId::from(e));
+                let (t, h) = f.net().graph().endpoints(EdgeId::from(e));
                 tracker.repair_edge(t, h, &mut delta);
             } else {
                 let e = loop {
@@ -249,7 +249,7 @@ mod tests {
                 };
                 inst.set_state(EdgeId::from(e), SwitchState::Open);
                 failed.push(e);
-                let (t, h) = ft_graph::Digraph::endpoints(f.net(), EdgeId::from(e));
+                let (t, h) = f.net().graph().endpoints(EdgeId::from(e));
                 tracker.fail_edge(t, h, &mut delta);
             }
             if step % 20 == 0 {

@@ -178,9 +178,9 @@ proptest! {
         let inst = FailureInstance::sample(&model, &mut r, ftn.net().num_edges());
         let s = Survivor::new(&ftn, &inst);
         let alive = s.routable_alive();
-        let fwd = access_set(ftn.net(), ftn.input(0), AccessDir::Forward,
+        let fwd = access_set(ftn.net().graph(), ftn.input(0), AccessDir::Forward,
                              |v| alive[v.index()]);
-        let bwd = access_set(ftn.net(), ftn.output(0), AccessDir::Backward,
+        let bwd = access_set(ftn.net().graph(), ftn.output(0), AccessDir::Backward,
                              |v| alive[v.index()]);
         let mid = ftn.stage_base(2)..ftn.stage_base(2) + ftn.width() as u32;
         let cf = mid.clone().filter(|&i| fwd[i as usize]).count();

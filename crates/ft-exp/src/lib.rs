@@ -43,17 +43,3 @@ pub use grid::{cell_hash, Cell, GridSpec, Sweep};
 pub use result::{CellData, SeedRow};
 pub use runner::{run_grid, CellReport, CellSource, RunOptions, StudyResult};
 pub use table::{to_csv, to_json};
-
-/// Parses a grid spec, runs it and renders both tables — the CLI's
-/// whole pipeline, reusable from tests and examples. Returns
-/// `(result, json, csv)`.
-pub fn run_grid_text(
-    text: &str,
-    opts: &RunOptions,
-) -> Result<(StudyResult, String, String), String> {
-    let spec = GridSpec::parse(text)?;
-    let result = run_grid(&spec, opts)?;
-    let json = to_json(&spec, &result);
-    let csv = to_csv(&spec, &result);
-    Ok((result, json, csv))
-}

@@ -6,8 +6,6 @@
 //! This module holds the representation shared by the random and explicit
 //! constructions and the expansion verifiers.
 
-use ft_graph::{DiGraph, VertexId};
-
 /// A bipartite graph from `inlets` to `outlets`, stored as adjacency
 /// lists (`adj[i]` = outlets of inlet `i`; parallel edges permitted).
 #[derive(Clone, Debug)]
@@ -94,20 +92,6 @@ impl BipartiteGraph {
             .map(|(o, _)| o as u32)
             .collect()
     }
-
-    /// Embeds the bipartite graph into a [`DiGraph`]: inlets get ids
-    /// `0..inlets`, outlets `inlets..inlets+outlets`.
-    pub fn to_digraph(&self) -> DiGraph {
-        let mut g = DiGraph::with_capacity(self.num_inlets() + self.outlets, self.num_edges());
-        g.add_vertices(self.num_inlets() + self.outlets);
-        let base = self.num_inlets();
-        for (i, nbrs) in self.adj.iter().enumerate() {
-            for &o in nbrs {
-                g.add_edge(VertexId::from(i), VertexId::from(base + o as usize));
-            }
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +126,6 @@ mod tests {
         );
         assert_eq!(b.neighborhood(&[1, 2]), vec![1, 2]);
         assert_eq!(b.neighborhood_size(&[], &mut scratch), 0);
-    }
-
-    #[test]
-    fn digraph_embedding() {
-        let b = k23();
-        let g = b.to_digraph();
-        assert_eq!(g.num_vertices(), 5);
-        assert_eq!(g.num_edges(), 6);
-        assert!(g.has_edge(ft_graph::ids::v(0), ft_graph::ids::v(2)));
-        assert!(ft_graph::traversal::is_acyclic(&g));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use crate::instance::FailureInstance;
 use ft_graph::ids::{EdgeId, VertexId};
-use ft_graph::{DiGraph, Digraph, UnionFind};
+use ft_graph::{Csr, UnionFind};
 
 /// Union–find over the vertices with one union per closed edge.
-pub fn contraction_classes<G: Digraph>(g: &G, inst: &FailureInstance) -> UnionFind {
+pub fn contraction_classes(g: &Csr, inst: &FailureInstance) -> UnionFind {
     let mut uf = UnionFind::new(g.num_vertices());
     contraction_classes_into(g, inst, &mut uf);
     uf
@@ -23,7 +23,7 @@ pub fn contraction_classes<G: Digraph>(g: &G, inst: &FailureInstance) -> UnionFi
 /// here): iterates only the closed switches via the packed mask's
 /// word-skipping, so a trial at the paper's tiny ε costs O(m/32 +
 /// closures) instead of a per-switch scan — the Monte Carlo hot path.
-pub fn contraction_classes_into<G: Digraph>(g: &G, inst: &FailureInstance, uf: &mut UnionFind) {
+pub fn contraction_classes_into(g: &Csr, inst: &FailureInstance, uf: &mut UnionFind) {
     debug_assert_eq!(uf.len(), g.num_vertices());
     uf.reset();
     for e in inst.closed_edges() {
@@ -34,8 +34,8 @@ pub fn contraction_classes_into<G: Digraph>(g: &G, inst: &FailureInstance, uf: &
 
 /// Returns the first pair of distinct terminals that contract to a single
 /// electrical node, if any. `None` means no short among `terminals`.
-pub fn find_shorted_pair<G: Digraph>(
-    g: &G,
+pub fn find_shorted_pair(
+    g: &Csr,
     inst: &FailureInstance,
     terminals: &[VertexId],
 ) -> Option<(VertexId, VertexId)> {
@@ -56,11 +56,7 @@ pub fn find_shorted_pair<G: Digraph>(
 }
 
 /// Whether any two distinct terminals are shorted.
-pub fn terminals_shorted<G: Digraph>(
-    g: &G,
-    inst: &FailureInstance,
-    terminals: &[VertexId],
-) -> bool {
+pub fn terminals_shorted(g: &Csr, inst: &FailureInstance, terminals: &[VertexId]) -> bool {
     find_shorted_pair(g, inst, terminals).is_some()
 }
 
@@ -68,11 +64,7 @@ pub fn terminals_shorted<G: Digraph>(
 /// staged network's `terminal_mask()`), so no terminal list is built.
 /// Only a terminal on a closed switch shares its class with anything,
 /// so only those are looked up: O(closed switches) after contraction.
-pub fn flagged_terminals_shorted<G: Digraph>(
-    g: &G,
-    inst: &FailureInstance,
-    is_terminal: &[bool],
-) -> bool {
+pub fn flagged_terminals_shorted(g: &Csr, inst: &FailureInstance, is_terminal: &[bool]) -> bool {
     let mut uf = contraction_classes(g, inst);
     // class root -> a terminal seen in that class
     let mut seen: std::collections::HashMap<u32, VertexId> = std::collections::HashMap::new();
@@ -96,8 +88,8 @@ pub fn flagged_terminals_shorted<G: Digraph>(
 /// `terminals` must be pairwise distinct vertex ids (they are for every
 /// terminal list in this workspace; duplicates would be reported as
 /// shorts).
-pub fn terminals_shorted_with<G: Digraph>(
-    g: &G,
+pub fn terminals_shorted_with(
+    g: &Csr,
     inst: &FailureInstance,
     terminals: &[VertexId],
     uf: &mut UnionFind,
@@ -124,7 +116,7 @@ pub fn terminals_shorted_with<G: Digraph>(
 #[derive(Clone, Debug)]
 pub struct ContractedNetwork {
     /// Quotient graph over electrical nodes.
-    pub graph: DiGraph,
+    pub graph: Csr,
     /// `class_of[v]` = node of the quotient containing original vertex v.
     pub class_of: Vec<u32>,
     /// For each surviving quotient edge, the original [`EdgeId`].
@@ -132,11 +124,10 @@ pub struct ContractedNetwork {
 }
 
 /// Builds the contracted network of `g` under `inst`.
-pub fn contract<G: Digraph>(g: &G, inst: &FailureInstance) -> ContractedNetwork {
+pub fn contract(g: &Csr, inst: &FailureInstance) -> ContractedNetwork {
     let mut uf = contraction_classes(g, inst);
     let (class_of, num_classes) = uf.quotient();
-    let mut graph = DiGraph::with_capacity(num_classes, g.num_edges());
-    graph.add_vertices(num_classes);
+    let mut edges = Vec::new();
     let mut edge_origin = Vec::new();
     for e in 0..g.num_edges() {
         let e = EdgeId::from(e);
@@ -146,12 +137,12 @@ pub fn contract<G: Digraph>(g: &G, inst: &FailureInstance) -> ContractedNetwork 
         let (t, h) = g.endpoints(e);
         let (ct, ch) = (class_of[t.index()], class_of[h.index()]);
         if ct != ch {
-            graph.add_edge(VertexId(ct), VertexId(ch));
+            edges.push((VertexId(ct), VertexId(ch)));
             edge_origin.push(e);
         }
     }
     ContractedNetwork {
-        graph,
+        graph: Csr::from_edges(num_classes, edges),
         class_of,
         edge_origin,
     }
@@ -163,13 +154,8 @@ mod tests {
     use crate::model::SwitchState;
     use ft_graph::ids::v;
 
-    fn chain4() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(3));
-        g
+    fn chain4() -> Csr {
+        Csr::from_edges(4, vec![(v(0), v(1)), (v(1), v(2)), (v(2), v(3))])
     }
 
     #[test]
@@ -228,10 +214,7 @@ mod tests {
     #[test]
     fn normal_self_loop_inside_class_dropped() {
         // triangle-ish: 0->1 closed, plus a parallel normal 0->1
-        let mut g = DiGraph::new();
-        g.add_vertices(2);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(1));
+        let g = Csr::from_edges(2, vec![(v(0), v(1)), (v(0), v(1))]);
         let inst = FailureInstance::from_states(vec![SwitchState::Closed, SwitchState::Normal]);
         let c = contract(&g, &inst);
         assert_eq!(c.graph.num_vertices(), 1);

@@ -8,14 +8,14 @@
 
 use crate::reliability::TwoTerminal;
 use ft_graph::ids::{EdgeId, VertexId};
-use ft_graph::{DiGraph, Digraph};
+use ft_graph::Csr;
 
 /// Result of substituting a gadget for every edge.
 #[derive(Clone, Debug)]
 pub struct Substituted {
     /// The expanded graph. Vertices `0..n` are the original vertices
     /// (ids preserved); gadget interiors follow.
-    pub graph: DiGraph,
+    pub graph: Csr,
     /// For every new edge, the original edge it implements.
     pub edge_origin: Vec<EdgeId>,
 }
@@ -23,7 +23,7 @@ pub struct Substituted {
 /// Replaces each edge `(u, w)` of `g` by a copy of `gadget`, identifying
 /// the gadget's source with `u` and sink with `w`; gadget interior
 /// vertices are freshly allocated per edge.
-pub fn substitute<G: Digraph>(g: &G, gadget: &TwoTerminal) -> Substituted {
+pub fn substitute(g: &Csr, gadget: &TwoTerminal) -> Substituted {
     let n = g.num_vertices();
     let gn = gadget.graph.num_vertices();
     let gm = gadget.graph.num_edges();
@@ -32,8 +32,7 @@ pub fn substitute<G: Digraph>(g: &G, gadget: &TwoTerminal) -> Substituted {
         .map(VertexId::from)
         .filter(|&v| v != gadget.source && v != gadget.sink)
         .collect();
-    let mut out = DiGraph::with_capacity(n + interior.len() * g.num_edges(), gm * g.num_edges());
-    out.add_vertices(n);
+    let mut edges = Vec::with_capacity(gm * g.num_edges());
     let mut edge_origin = Vec::with_capacity(gm * g.num_edges());
     // map from gadget vertex -> new vertex, rebuilt per edge
     let mut map = vec![VertexId::NONE; gn];
@@ -42,18 +41,18 @@ pub fn substitute<G: Digraph>(g: &G, gadget: &TwoTerminal) -> Substituted {
         let (tail, head) = g.endpoints(e);
         map[gadget.source.index()] = tail;
         map[gadget.sink.index()] = head;
-        let first = out.add_vertices(interior.len());
+        let first = n + eid * interior.len();
         for (k, &iv) in interior.iter().enumerate() {
-            map[iv.index()] = VertexId::from(first.index() + k);
+            map[iv.index()] = VertexId::from(first + k);
         }
         for ge in 0..gm {
             let (gt, gh) = gadget.graph.endpoints(EdgeId::from(ge));
-            out.add_edge(map[gt.index()], map[gh.index()]);
+            edges.push((map[gt.index()], map[gh.index()]));
             edge_origin.push(e);
         }
     }
     Substituted {
-        graph: out,
+        graph: Csr::from_edges(n + interior.len() * g.num_edges(), edges),
         edge_origin,
     }
 }
@@ -95,10 +94,7 @@ mod tests {
     #[test]
     fn substitute_preserves_terminal_ids() {
         // chain of 2 edges, substitute bridge into each
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
+        let g = Csr::from_edges(3, vec![(v(0), v(1)), (v(1), v(2))]);
         let sub = substitute(&g, &bridge());
         assert_eq!(sub.graph.num_vertices(), 3 + 2 * 2);
         assert_eq!(sub.graph.num_edges(), 10);
@@ -152,8 +148,7 @@ mod tests {
 
     #[test]
     fn substitute_empty_graph() {
-        let g = DiGraph::new();
-        let sub = substitute(&g, &bridge());
+        let sub = substitute(&Csr::from_edges(0, vec![]), &bridge());
         assert_eq!(sub.graph.num_vertices(), 0);
         assert_eq!(sub.graph.num_edges(), 0);
     }

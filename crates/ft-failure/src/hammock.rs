@@ -19,7 +19,7 @@
 
 use crate::model::FailureModel;
 use crate::reliability::{FailureProbs, TwoTerminal};
-use ft_graph::{DiGraph, VertexId};
+use ft_graph::{Csr, VertexId};
 
 /// A hammock network: grid dimensions plus the materialised two-terminal
 /// graph.
@@ -40,30 +40,28 @@ impl Hammock {
     pub fn new(rows: usize, stages: usize) -> Self {
         assert!(rows >= 1 && stages >= 1, "hammock needs l, w ≥ 1");
         let (l, w) = (rows, stages);
-        let mut g = DiGraph::with_capacity(2 + l * w, 2 * l + (2 * l - 1) * (w - 1));
-        let source = g.add_vertex();
-        let sink = g.add_vertex();
-        g.add_vertices(l * w);
+        let mut edges = Vec::with_capacity(2 * l + (2 * l - 1) * (w - 1));
+        let (source, sink) = (VertexId(0), VertexId(1));
         let at = |i: usize, j: usize| VertexId::from(2 + j * l + i);
         for i in 0..l {
-            g.add_edge(source, at(i, 0));
+            edges.push((source, at(i, 0)));
         }
         for j in 0..w - 1 {
             for i in 0..l {
-                g.add_edge(at(i, j), at(i, j + 1));
+                edges.push((at(i, j), at(i, j + 1)));
                 if i + 1 < l {
-                    g.add_edge(at(i, j), at(i + 1, j + 1));
+                    edges.push((at(i, j), at(i + 1, j + 1)));
                 }
             }
         }
         for i in 0..l {
-            g.add_edge(at(i, w - 1), sink);
+            edges.push((at(i, w - 1), sink));
         }
         Hammock {
             rows,
             stages,
             net: TwoTerminal {
-                graph: g,
+                graph: Csr::from_edges(2 + l * w, edges),
                 source,
                 sink,
             },

@@ -24,7 +24,7 @@
 
 use crate::instance::FailureInstance;
 use ft_graph::ids::VertexId;
-use ft_graph::Digraph;
+use ft_graph::Csr;
 
 /// Incrementally maintained §4 routable alive-mask.
 ///
@@ -45,7 +45,7 @@ impl AliveTracker {
     /// Builds a tracker for `g` synchronised to `inst`; `exempt[v]`
     /// flags the terminals (for a staged network,
     /// `StagedNetwork::terminal_mask()`). O(V + failed switches).
-    pub fn new<G: Digraph>(g: &G, exempt: &[bool], inst: &FailureInstance) -> Self {
+    pub fn new(g: &Csr, exempt: &[bool], inst: &FailureInstance) -> Self {
         let mut t = AliveTracker::default();
         t.reset_for(g, exempt, inst);
         t
@@ -53,7 +53,7 @@ impl AliveTracker {
 
     /// Re-synchronises the tracker to `(g, exempt, inst)` reusing its
     /// buffers — the per-seed reset of a simulation workspace.
-    pub fn reset_for<G: Digraph>(&mut self, g: &G, exempt: &[bool], inst: &FailureInstance) {
+    pub fn reset_for(&mut self, g: &Csr, exempt: &[bool], inst: &FailureInstance) {
         assert_eq!(inst.len(), g.num_edges(), "instance/graph size mismatch");
         let n = g.num_vertices();
         assert_eq!(exempt.len(), n, "one exempt flag per vertex");
@@ -129,21 +129,22 @@ mod tests {
     use crate::model::{FailureModel, SwitchState};
     use ft_graph::gen::rng;
     use ft_graph::ids::{v, EdgeId};
-    use ft_graph::DiGraph;
     use rand::Rng;
 
-    fn diamond() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1)); // e0
-        g.add_edge(v(0), v(2)); // e1
-        g.add_edge(v(1), v(3)); // e2
-        g.add_edge(v(2), v(3)); // e3
-        g
+    fn diamond() -> Csr {
+        Csr::from_edges(
+            4,
+            vec![
+                (v(0), v(1)), // e0
+                (v(0), v(2)), // e1
+                (v(1), v(3)), // e2
+                (v(2), v(3)), // e3
+            ],
+        )
     }
 
     /// Per-vertex flags of `g` with exactly `exempt` set.
-    fn flags(g: &DiGraph, exempt: &[VertexId]) -> Vec<bool> {
+    fn flags(g: &Csr, exempt: &[VertexId]) -> Vec<bool> {
         let mut mask = vec![false; g.num_vertices()];
         for &t in exempt {
             mask[t.index()] = true;
@@ -152,7 +153,7 @@ mod tests {
     }
 
     /// Scratch reference: exempt ∨ no incident failed switch.
-    fn scratch_alive(g: &DiGraph, exempt: &[VertexId], inst: &FailureInstance) -> Vec<bool> {
+    fn scratch_alive(g: &Csr, exempt: &[VertexId], inst: &FailureInstance) -> Vec<bool> {
         let mut alive = vec![true; g.num_vertices()];
         for e in inst.failed_edges() {
             let (t, h) = g.endpoints(e);
@@ -204,17 +205,13 @@ mod tests {
     #[test]
     fn random_churn_stays_equal_to_scratch() {
         let mut r = rng(17);
-        let g = {
-            let mut g = DiGraph::new();
-            g.add_vertices(12);
-            for _ in 0..30 {
-                let a = r.random_range(0..12u32);
-                let b = r.random_range(0..12u32);
-                g.add_edge(v(a), v(b)); // self-loops included
-            }
-            g
-        };
-        let m = ft_graph::Digraph::num_edges(&g);
+        let edges = (0..30).map(|_| {
+            let a = r.random_range(0..12u32);
+            let b = r.random_range(0..12u32);
+            (v(a), v(b)) // self-loops included
+        });
+        let g = Csr::from_edges(12, edges.collect());
+        let m = g.num_edges();
         let exempt = [v(0), v(11)];
         let mut inst = FailureInstance::perfect(m);
         let mut tracker = AliveTracker::new(&g, &flags(&g, &exempt), &inst);
@@ -226,7 +223,7 @@ mod tests {
             if repair {
                 let e = failed.swap_remove(r.random_range(0..failed.len()));
                 inst.set_state(EdgeId::from(e), SwitchState::Normal);
-                let (t, h) = ft_graph::Digraph::endpoints(&g, EdgeId::from(e));
+                let (t, h) = g.endpoints(EdgeId::from(e));
                 tracker.repair_edge(t, h, &mut delta);
             } else {
                 let healthy: Vec<usize> = (0..m)
@@ -238,7 +235,7 @@ mod tests {
                 let e = healthy[r.random_range(0..healthy.len())];
                 inst.set_state(EdgeId::from(e), SwitchState::Open);
                 failed.push(e);
-                let (t, h) = ft_graph::Digraph::endpoints(&g, EdgeId::from(e));
+                let (t, h) = g.endpoints(EdgeId::from(e));
                 tracker.fail_edge(t, h, &mut delta);
             }
             assert_eq!(tracker.alive(), scratch_alive(&g, &exempt, &inst));

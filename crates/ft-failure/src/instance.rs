@@ -9,7 +9,7 @@
 use crate::mask::FailureMask;
 use crate::model::{FailureModel, SwitchState};
 use ft_graph::ids::{EdgeId, VertexId};
-use ft_graph::Digraph;
+use ft_graph::Csr;
 use rand::rngs::SmallRng;
 
 /// One sampled assignment of a state to every switch of a network.
@@ -41,11 +41,6 @@ impl FailureInstance {
         FailureInstance {
             mask: FailureMask::from_states(&states),
         }
-    }
-
-    /// Wraps an already packed mask.
-    pub fn from_mask(mask: FailureMask) -> Self {
-        FailureInstance { mask }
     }
 
     /// An all-normal instance.
@@ -128,7 +123,7 @@ impl FailureInstance {
     /// Marks every vertex incident with a failed switch — the paper's
     /// **faulty vertices** (§6: "say a vertex η of 𝒩 is faulty if an edge
     /// (ξ, η) or (η, ξ) is in open failure or closed failure state").
-    pub fn faulty_vertices<G: Digraph>(&self, g: &G) -> Vec<bool> {
+    pub fn faulty_vertices(&self, g: &Csr) -> Vec<bool> {
         let mut faulty = vec![false; g.num_vertices()];
         for e in self.failed_edges() {
             let (t, h) = g.endpoints(e);
@@ -139,7 +134,7 @@ impl FailureInstance {
     }
 
     /// The vertices marked faulty, as a list.
-    pub fn faulty_vertex_list<G: Digraph>(&self, g: &G) -> Vec<VertexId> {
+    pub fn faulty_vertex_list(&self, g: &Csr) -> Vec<VertexId> {
         self.faulty_vertices(g)
             .into_iter()
             .enumerate()
@@ -154,15 +149,9 @@ mod tests {
     use super::*;
     use ft_graph::gen::rng;
     use ft_graph::ids::{e, v};
-    use ft_graph::DiGraph;
 
-    fn chain3() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(3));
-        g
+    fn chain3() -> Csr {
+        Csr::from_edges(4, vec![(v(0), v(1)), (v(1), v(2)), (v(2), v(3))])
     }
 
     #[test]
@@ -223,7 +212,7 @@ mod tests {
     fn empty_instance() {
         let inst = FailureInstance::perfect(0);
         assert!(inst.is_empty());
-        let g = DiGraph::new();
+        let g = Csr::from_edges(0, vec![]);
         assert!(inst.faulty_vertex_list(&g).is_empty());
     }
 }

@@ -11,7 +11,7 @@ use crate::model::FailureModel;
 use crate::sliced::{block_seed, SlicedFailureMask, LANES};
 use ft_graph::sliced::SlicedWorkspace;
 use ft_graph::workspace::TraversalWorkspace;
-use ft_graph::{Digraph, FlowWorkspace, UnionFind};
+use ft_graph::{Csr, FlowWorkspace, UnionFind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -157,8 +157,8 @@ impl LaneVerdict {
 /// A block's outcome depends only on `(seed, block index)` — never on
 /// which worker ran it — so the estimate is **byte-identical across
 /// thread counts**.
-pub fn mc_sliced_event_probability_parallel<G, FL, FS>(
-    g: &G,
+pub fn mc_sliced_event_probability_parallel<FL, FS>(
+    g: &Csr,
     model: &FailureModel,
     trials: u64,
     threads: usize,
@@ -167,9 +167,8 @@ pub fn mc_sliced_event_probability_parallel<G, FL, FS>(
     scalar_event: FS,
 ) -> Estimate
 where
-    G: Digraph + Sync,
-    FL: Fn(&G, &SlicedFailureMask, &mut TrialScratch) -> LaneVerdict + Sync,
-    FS: Fn(&G, &FailureInstance, &mut TrialScratch) -> bool + Sync,
+    FL: Fn(&Csr, &SlicedFailureMask, &mut TrialScratch) -> LaneVerdict + Sync,
+    FS: Fn(&Csr, &FailureInstance, &mut TrialScratch) -> bool + Sync,
 {
     let m = g.num_edges();
     let n = g.num_vertices();
@@ -243,8 +242,8 @@ where
 /// deterministic in `seed` alone and **byte-identical across thread
 /// counts**. Events that can decide whole blocks with word algebra
 /// should call the sliced driver directly.
-pub fn mc_event_probability_parallel<G, F>(
-    g: &G,
+pub fn mc_event_probability_parallel<F>(
+    g: &Csr,
     model: &FailureModel,
     trials: u64,
     threads: usize,
@@ -252,8 +251,7 @@ pub fn mc_event_probability_parallel<G, F>(
     event: F,
 ) -> Estimate
 where
-    G: Digraph + Sync,
-    F: Fn(&G, &FailureInstance, &mut TrialScratch) -> bool + Sync,
+    F: Fn(&Csr, &FailureInstance, &mut TrialScratch) -> bool + Sync,
 {
     mc_sliced_event_probability_parallel(
         g,
@@ -349,13 +347,9 @@ mod tests {
     fn worker_owned_scratch_driver_converges() {
         use ft_graph::ids::v;
         use ft_graph::traversal::{bfs_into, Direction};
-        use ft_graph::DiGraph;
         // two-edge chain 0 -> 1 -> 2; P(0 reaches 2 through usable
         // switches) = (1 − ε₁)²
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
+        let g = Csr::from_edges(3, vec![(v(0), v(1)), (v(1), v(2))]);
         let model = FailureModel::new(0.2, 0.1);
         let est = mc_event_probability_parallel(&g, &model, 40_000, 4, 21, |g, inst, scratch| {
             bfs_into(
@@ -377,22 +371,14 @@ mod tests {
         use ft_graph::ids::v;
         use ft_graph::sliced::sliced_reach_into;
         use ft_graph::traversal::{bfs_into, Direction};
-        use ft_graph::DiGraph;
         // Trial t is lane t % 64 of block t / 64 on every path: a
         // lane-deciding event, the all-lanes-undecided worst case (every
         // trial through the scalar fallback), and every thread count
         // must produce the *same* estimate — 10_070 trials leaves a
         // 22-trial scalar tail.
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
+        let g = Csr::from_edges(3, vec![(v(0), v(1)), (v(1), v(2))]);
         let model = FailureModel::new(0.02, 0.01);
-        fn lane_event(
-            g: &DiGraph,
-            s: &SlicedFailureMask,
-            scratch: &mut TrialScratch,
-        ) -> LaneVerdict {
+        fn lane_event(g: &Csr, s: &SlicedFailureMask, scratch: &mut TrialScratch) -> LaneVerdict {
             sliced_reach_into(
                 g,
                 &[(v(0), !0)],
@@ -403,7 +389,7 @@ mod tests {
             );
             LaneVerdict::all(scratch.sws.reached_lanes(v(2)))
         }
-        fn scalar_event(g: &DiGraph, inst: &FailureInstance, scratch: &mut TrialScratch) -> bool {
+        fn scalar_event(g: &Csr, inst: &FailureInstance, scratch: &mut TrialScratch) -> bool {
             bfs_into(
                 g,
                 &[v(0)],
@@ -454,16 +440,13 @@ mod tests {
         use ft_graph::ids::v;
         use ft_graph::sliced::sliced_reach_into;
         use ft_graph::traversal::{bfs_into, Direction};
-        use ft_graph::DiGraph;
         // Even lanes answered by word algebra, odd lanes forced through
         // the scalar fallback: the mixed driver must equal the pure
-        // fallback driver exactly.
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
+        // fallback driver exactly. The chain 0 → 2 → 1 has a falling
+        // edge, so the lane event's forward sweep takes the worklist.
+        let g = Csr::from_edges(3, vec![(v(0), v(2)), (v(2), v(1))]);
         let model = FailureModel::new(0.03, 0.02);
-        fn scalar_event(g: &DiGraph, inst: &FailureInstance, scratch: &mut TrialScratch) -> bool {
+        fn scalar_event(g: &Csr, inst: &FailureInstance, scratch: &mut TrialScratch) -> bool {
             bfs_into(
                 g,
                 &[v(0)],
@@ -472,7 +455,7 @@ mod tests {
                 |_| true,
                 &mut scratch.ws,
             );
-            scratch.ws.reached(v(2))
+            scratch.ws.reached(v(1))
         }
         let mixed = mc_sliced_event_probability_parallel(
             &g,
@@ -491,7 +474,7 @@ mod tests {
                 );
                 LaneVerdict {
                     decided: 0x5555_5555_5555_5555,
-                    success: scratch.sws.reached_lanes(v(2)),
+                    success: scratch.sws.reached_lanes(v(1)),
                 }
             },
             scalar_event,

@@ -13,20 +13,19 @@
 
 use crate::instance::FailureInstance;
 use crate::model::{FailureModel, SwitchState};
-use crate::montecarlo::{estimate_probability, Estimate};
+use crate::montecarlo::Estimate;
 use crate::sliced::{block_seed, SlicedFailureMask, LANES};
 use ft_graph::ids::{EdgeId, VertexId};
 use ft_graph::sliced::{sliced_reach_into, SlicedWorkspace};
 use ft_graph::traversal::{bfs, bfs_into, Direction};
 use ft_graph::workspace::TraversalWorkspace;
-use ft_graph::{Csr, DiGraph, Digraph, UnionFind};
-use rand::rngs::SmallRng;
+use ft_graph::{Csr, UnionFind};
 
 /// A graph with a single input and a single output terminal.
 #[derive(Clone, Debug)]
 pub struct TwoTerminal {
     /// The network graph.
-    pub graph: DiGraph,
+    pub graph: Csr,
     /// Input terminal.
     pub source: VertexId,
     /// Output terminal.
@@ -121,7 +120,6 @@ impl TwoTerminal {
         ];
         const DIGIT_STATE: [SwitchState; 3] =
             [SwitchState::Normal, SwitchState::Open, SwitchState::Closed];
-        let csr = Csr::from_digraph(&self.graph);
         let dir = match conn {
             Connectivity::Undirected => Direction::Undirected,
             Connectivity::Directed => Direction::Forward,
@@ -145,7 +143,7 @@ impl TwoTerminal {
                     p_short += p;
                 }
                 bfs_into(
-                    &csr,
+                    &self.graph,
                     &[self.source],
                     dir,
                     |e| inst.is_usable(e),
@@ -196,7 +194,6 @@ impl TwoTerminal {
         seed: u64,
     ) -> (Estimate, Estimate) {
         let m = self.graph.num_edges();
-        let csr = Csr::from_digraph(&self.graph);
         let dir = match conn {
             Connectivity::Undirected => Direction::Undirected,
             Connectivity::Directed => Direction::Forward,
@@ -211,7 +208,7 @@ impl TwoTerminal {
             let mut rng = ft_graph::gen::rng(block_seed(seed, b));
             model.sample_sliced_into(&mut rng, m, &mut sliced);
             sliced_reach_into(
-                &csr,
+                &self.graph,
                 &[(self.source, !0)],
                 dir,
                 |e| sliced.usable_word(e.index()),
@@ -220,7 +217,7 @@ impl TwoTerminal {
             );
             opens += (!sws.reached_lanes(self.sink)).count_ones() as u64;
             sliced_reach_into(
-                &csr,
+                &self.graph,
                 &[(self.source, !0)],
                 Direction::Undirected,
                 |e| sliced.closed_word(e.index()),
@@ -230,7 +227,7 @@ impl TwoTerminal {
             shorts += sws.reached_lanes(self.sink).count_ones() as u64;
         }
         if rem > 0 {
-            let (o, s) = self.mc_failure_probs_tail(model, &csr, dir, rem, blocks, seed);
+            let (o, s) = self.mc_failure_probs_tail(model, dir, rem, blocks, seed);
             opens += o;
             shorts += s;
         }
@@ -258,7 +255,6 @@ impl TwoTerminal {
         trials: u64,
         seed: u64,
     ) -> (Estimate, Estimate) {
-        let csr = Csr::from_digraph(&self.graph);
         let dir = match conn {
             Connectivity::Undirected => Direction::Undirected,
             Connectivity::Directed => Direction::Forward,
@@ -268,12 +264,12 @@ impl TwoTerminal {
         let mut opens = 0u64;
         let mut shorts = 0u64;
         for b in 0..blocks {
-            let (o, s) = self.mc_failure_probs_tail(model, &csr, dir, LANES as u64, b, seed);
+            let (o, s) = self.mc_failure_probs_tail(model, dir, LANES as u64, b, seed);
             opens += o;
             shorts += s;
         }
         if rem > 0 {
-            let (o, s) = self.mc_failure_probs_tail(model, &csr, dir, rem, blocks, seed);
+            let (o, s) = self.mc_failure_probs_tail(model, dir, rem, blocks, seed);
             opens += o;
             shorts += s;
         }
@@ -295,7 +291,6 @@ impl TwoTerminal {
     fn mc_failure_probs_tail(
         &self,
         model: &FailureModel,
-        csr: &Csr,
         dir: Direction,
         count: u64,
         block: u64,
@@ -313,7 +308,7 @@ impl TwoTerminal {
         for lane in 0..count as usize {
             sliced.extract_lane_into(lane, inst.mask_mut());
             bfs_into(
-                csr,
+                &self.graph,
                 &[self.source],
                 dir,
                 |e| inst.is_usable(e),
@@ -337,18 +332,11 @@ impl TwoTerminal {
 /// probabilities — the amplification gadget behind our full-range
 /// Proposition 1 construction.
 pub fn bridge() -> TwoTerminal {
-    let mut g = DiGraph::new();
-    let s = g.add_vertex();
-    let a = g.add_vertex();
-    let b = g.add_vertex();
-    let t = g.add_vertex();
-    g.add_edge(s, a);
-    g.add_edge(s, b);
-    g.add_edge(a, t);
-    g.add_edge(b, t);
-    g.add_edge(a, b); // cross switch (undirected semantics)
+    let [s, a, b, t] = [0, 1, 2, 3].map(VertexId);
+    // the last is the cross switch (undirected semantics)
+    let edges = vec![(s, a), (s, b), (a, t), (b, t), (a, b)];
     TwoTerminal {
-        graph: g,
+        graph: Csr::from_edges(4, edges),
         source: s,
         sink: t,
     }
@@ -366,32 +354,12 @@ pub fn bridge_map(probs: FailureProbs) -> FailureProbs {
 
 /// A single switch as a two-terminal network.
 pub fn single_switch() -> TwoTerminal {
-    let mut g = DiGraph::new();
-    let s = g.add_vertex();
-    let t = g.add_vertex();
-    g.add_edge(s, t);
+    let (s, t) = (VertexId(0), VertexId(1));
     TwoTerminal {
-        graph: g,
+        graph: Csr::from_edges(2, vec![(s, t)]),
         source: s,
         sink: t,
     }
-}
-
-/// Monte Carlo helper: probability that `event` holds over failure
-/// instances of a network with `num_edges` switches.
-pub fn mc_event_probability<G: Digraph>(
-    g: &G,
-    model: &FailureModel,
-    trials: u64,
-    seed: u64,
-    mut event: impl FnMut(&G, &FailureInstance) -> bool,
-) -> Estimate {
-    let m = g.num_edges();
-    let mut inst = FailureInstance::perfect(m);
-    estimate_probability(trials, seed, move |rng: &mut SmallRng| {
-        inst.resample(model, rng, m);
-        event(g, &inst)
-    })
 }
 
 #[cfg(test)]
@@ -410,14 +378,9 @@ mod tests {
     #[test]
     fn two_in_series_exact() {
         // series: open = 1-(1-ε₁)², short = ε₂²
-        let mut g = DiGraph::new();
-        let s = g.add_vertex();
-        let mid = g.add_vertex();
-        let t = g.add_vertex();
-        g.add_edge(s, mid);
-        g.add_edge(mid, t);
+        let [s, mid, t] = [0, 1, 2].map(VertexId);
         let tt = TwoTerminal {
-            graph: g,
+            graph: Csr::from_edges(3, vec![(s, mid), (mid, t)]),
             source: s,
             sink: t,
         };
@@ -430,13 +393,9 @@ mod tests {
     #[test]
     fn two_in_parallel_exact() {
         // parallel: open = ε₁², short = 1-(1-ε₂)²
-        let mut g = DiGraph::new();
-        let s = g.add_vertex();
-        let t = g.add_vertex();
-        g.add_edge(s, t);
-        g.add_edge(s, t);
+        let (s, t) = (VertexId(0), VertexId(1));
         let tt = TwoTerminal {
-            graph: g,
+            graph: Csr::from_edges(2, vec![(s, t), (s, t)]),
             source: s,
             sink: t,
         };
@@ -569,13 +528,9 @@ mod tests {
         // s -> t and a "wrong way" edge t -> s in parallel: if the forward
         // edge opens, undirected connectivity survives via the other edge
         // but directed does not.
-        let mut g = DiGraph::new();
-        let s = g.add_vertex();
-        let t = g.add_vertex();
-        g.add_edge(s, t);
-        g.add_edge(t, s);
+        let (s, t) = (VertexId(0), VertexId(1));
         let tt = TwoTerminal {
-            graph: g,
+            graph: Csr::from_edges(2, vec![(s, t), (t, s)]),
             source: s,
             sink: t,
         };

@@ -13,24 +13,22 @@
 
 use crate::instance::FailureInstance;
 use ft_graph::ids::VertexId;
-use ft_graph::{DiGraph, Digraph};
+use ft_graph::Csr;
 
 /// A repaired view of a network: faulty vertices and all their incident
-/// edges removed. Borrows the original graph; vertex/edge ids are
-/// preserved so terminal lists remain valid.
+/// edges removed. Vertex/edge ids are those of the original graph, so
+/// terminal lists remain valid.
 #[derive(Clone, Debug)]
-pub struct Repaired<'a, G: Digraph> {
-    graph: &'a G,
+pub struct Repaired {
     /// `true` at vertices that survive (not faulty).
     pub alive: Vec<bool>,
 }
 
-impl<'a, G: Digraph> Repaired<'a, G> {
+impl Repaired {
     /// Applies the repair procedure to `g` under `inst`.
-    pub fn new(g: &'a G, inst: &FailureInstance) -> Self {
+    pub fn new(g: &Csr, inst: &FailureInstance) -> Self {
         let faulty = inst.faulty_vertices(g);
         Repaired {
-            graph: g,
             alive: faulty.into_iter().map(|f| !f).collect(),
         }
     }
@@ -55,22 +53,6 @@ impl<'a, G: Digraph> Repaired<'a, G> {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Materialises the repaired network as a standalone graph (vertex
-    /// ids preserved; dead vertices become isolated). Prefer the filter
-    /// view for Monte Carlo; this is for inspection and tests.
-    pub fn to_digraph(&self) -> DiGraph {
-        let mut out = DiGraph::with_capacity(self.graph.num_vertices(), self.graph.num_edges());
-        out.add_vertices(self.graph.num_vertices());
-        for e in 0..self.graph.num_edges() {
-            let e = ft_graph::ids::EdgeId::from(e);
-            let (t, h) = self.graph.endpoints(e);
-            if self.is_alive(t) && self.is_alive(h) {
-                out.add_edge(t, h);
-            }
-        }
-        out
-    }
-
     /// A vertex filter closure for the traversal/flow APIs.
     pub fn vertex_filter(&self) -> impl Fn(VertexId) -> bool + '_ {
         move |v| self.alive[v.index()]
@@ -81,11 +63,7 @@ impl<'a, G: Digraph> Repaired<'a, G> {
 /// normal state (a failed edge marks both endpoints faulty). This
 /// invariant is what lets the repaired network be used without any edge
 /// filter; the function checks it, for tests and debug assertions.
-pub fn repaired_edges_all_normal<G: Digraph>(
-    g: &G,
-    inst: &FailureInstance,
-    repaired: &Repaired<'_, G>,
-) -> bool {
+pub fn repaired_edges_all_normal(g: &Csr, inst: &FailureInstance, repaired: &Repaired) -> bool {
     (0..g.num_edges()).all(|e| {
         let e = ft_graph::ids::EdgeId::from(e);
         let (t, h) = g.endpoints(e);
@@ -100,14 +78,25 @@ mod tests {
     use ft_graph::gen::rng;
     use ft_graph::ids::v;
 
-    fn diamond() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1)); // e0
-        g.add_edge(v(0), v(2)); // e1
-        g.add_edge(v(1), v(3)); // e2
-        g.add_edge(v(2), v(3)); // e3
-        g
+    /// The repaired network materialised: the edges of `g` whose
+    /// endpoints both survive, ids renumbered in order.
+    fn materialised(g: &Csr, r: &Repaired) -> Csr {
+        let kept = g
+            .edges()
+            .filter(|&(_, t, h)| r.is_alive(t) && r.is_alive(h));
+        Csr::from_edges(g.num_vertices(), kept.map(|(_, t, h)| (t, h)).collect())
+    }
+
+    fn diamond() -> Csr {
+        Csr::from_edges(
+            4,
+            vec![
+                (v(0), v(1)), // e0
+                (v(0), v(2)), // e1
+                (v(1), v(3)), // e2
+                (v(2), v(3)), // e3
+            ],
+        )
     }
 
     #[test]
@@ -116,7 +105,7 @@ mod tests {
         let inst = FailureInstance::perfect(4);
         let r = Repaired::new(&g, &inst);
         assert_eq!(r.num_alive(), 4);
-        assert_eq!(r.to_digraph().num_edges(), 4);
+        assert_eq!(materialised(&g, &r).num_edges(), 4);
         assert!(repaired_edges_all_normal(&g, &inst, &r));
     }
 
@@ -135,7 +124,7 @@ mod tests {
         assert!(!r.is_alive(v(1)));
         assert!(r.is_alive(v(2)));
         assert!(!r.is_alive(v(3)));
-        let repaired = r.to_digraph();
+        let repaired = materialised(&g, &r);
         // only e1 = (0,2) has both endpoints alive
         assert_eq!(repaired.num_edges(), 1);
         assert!(repaired.has_edge(v(0), v(2)));
@@ -166,7 +155,7 @@ mod tests {
         for _ in 0..50 {
             let inst = FailureInstance::sample(&model, &mut rr, 4);
             let r = Repaired::new(&g, &inst);
-            let mat = r.to_digraph();
+            let mat = materialised(&g, &r);
             let filt = r.vertex_filter();
             for u in g.vertices() {
                 if !filt(u) {

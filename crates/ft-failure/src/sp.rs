@@ -14,7 +14,7 @@
 
 use crate::model::FailureModel;
 use crate::reliability::{FailureProbs, TwoTerminal};
-use ft_graph::DiGraph;
+use ft_graph::{Csr, VertexId};
 
 /// A series-parallel two-terminal network, as a composition tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,36 +109,41 @@ impl SpNetwork {
     /// (all edges oriented source → sink, so directed and undirected
     /// connectivity coincide).
     pub fn to_two_terminal(&self) -> TwoTerminal {
-        let mut g = DiGraph::new();
-        let s = g.add_vertex();
-        let t = g.add_vertex();
-        build(self, &mut g, s, t);
+        let (s, t) = (VertexId(0), VertexId(1));
+        let (mut n, mut edges) = (2, Vec::new());
+        build(self, &mut n, &mut edges, s, t);
         return TwoTerminal {
-            graph: g,
+            graph: Csr::from_edges(n, edges),
             source: s,
             sink: t,
         };
 
-        fn build(net: &SpNetwork, g: &mut DiGraph, s: ft_graph::VertexId, t: ft_graph::VertexId) {
+        /// Wires `net` between `s` and `t`, numbering new vertices from `n`.
+        fn build(
+            net: &SpNetwork,
+            n: &mut usize,
+            edges: &mut Vec<(VertexId, VertexId)>,
+            s: VertexId,
+            t: VertexId,
+        ) {
             match net {
-                SpNetwork::Switch => {
-                    g.add_edge(s, t);
-                }
+                SpNetwork::Switch => edges.push((s, t)),
                 SpNetwork::Series(parts) => {
                     let mut cur = s;
                     for (i, part) in parts.iter().enumerate() {
                         let next = if i + 1 == parts.len() {
                             t
                         } else {
-                            g.add_vertex()
+                            *n += 1;
+                            VertexId::from(*n - 1)
                         };
-                        build(part, g, cur, next);
+                        build(part, n, edges, cur, next);
                         cur = next;
                     }
                 }
                 SpNetwork::Parallel(parts) => {
                     for part in parts {
-                        build(part, g, s, t);
+                        build(part, n, edges, s, t);
                     }
                 }
             }

@@ -6,8 +6,10 @@
 //! arrays so BFS over a 10⁷-edge network touches contiguous memory
 //! instead of chasing one heap allocation per vertex. A
 //! [`crate::StagedBuilder`] collects a flat edge list and sorts it
-//! straight into this form ([`Csr::from_edges`]); a free-standing
-//! [`DiGraph`] freezes into it with [`Csr::from_digraph`].
+//! straight into this form ([`Csr::from_edges`]), and so does every
+//! free-standing graph: a tree, a forest, a contraction quotient, a
+//! test graph. Each collects its vertex count and edge list first; the
+//! stable sort keeps every list in the order the edges were listed.
 //!
 //! The out-lists are built eagerly: every router, sampler and forward
 //! kernel reads them. The in-lists are built on their first read
@@ -18,7 +20,6 @@
 //! them, so a network that none of those touches never pays their sort,
 //! nor their 8 bytes per edge and 4 per vertex.
 
-use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, VertexId};
 use crate::Digraph;
 use std::ops::Range;
@@ -44,7 +45,7 @@ pub struct Csr {
     /// `(tail, head)` per edge, indexed by edge id.
     edges: Vec<(VertexId, VertexId)>,
     /// Every edge goes from a lower vertex id to a higher one (see
-    /// [`Digraph::ids_ascend`]).
+    /// [`Csr::ids_ascend`]).
     ascending: bool,
 }
 
@@ -71,9 +72,8 @@ impl Csr {
     /// Builds the CSR of the graph on vertices `0..n` whose edge `e` is
     /// `edges[e]` (`(tail, head)`), taking ownership of the list: a
     /// **stable** counting sort, so every out- and in-list is in
-    /// edge-id order, exactly as a [`DiGraph`] grown by the same
-    /// `add_edge` calls would hold them. Parallel edges and self-loops
-    /// are kept.
+    /// edge-id order: the order in which `edges` lists them. Parallel
+    /// edges and self-loops are kept.
     ///
     /// Only the out-lists (by tail) are sorted here: the edge ids are
     /// scattered, then the parallel heads gathered in list order. The
@@ -108,15 +108,6 @@ impl Csr {
             edges,
             ascending,
         }
-    }
-
-    /// Freezes `g` into CSR form. Edge and vertex ids are preserved.
-    ///
-    /// # Panics
-    /// As [`Self::from_edges`].
-    pub fn from_digraph(g: &DiGraph) -> Self {
-        let edges = g.edges().map(|(_, t, h)| (t, h)).collect();
-        Csr::from_edges(g.num_vertices(), edges)
     }
 
     /// The same graph with every edge reversed; vertex and edge ids are
@@ -246,6 +237,29 @@ impl Csr {
     pub fn has_edge(&self, tail: VertexId, head: VertexId) -> bool {
         self.out_heads(tail).contains(&head)
     }
+
+    /// The endpoint of `e` that is not `v` (for undirected walks); if `e`
+    /// is a self-loop this returns `v` itself.
+    #[inline]
+    pub fn other_endpoint(&self, e: EdgeId, v: VertexId) -> VertexId {
+        let (t, h) = self.endpoints(e);
+        if t == v {
+            h
+        } else {
+            t
+        }
+    }
+
+    /// Whether every edge goes from a lower vertex id to a higher one,
+    /// so ascending id order is a topological order. Every network a
+    /// [`crate::StagedBuilder`] builds is numbered this way (its stages
+    /// take ascending id ranges; a [`crate::StagedNetwork::mirror`] is
+    /// not); [`crate::sliced::sliced_reach_into`] then sweeps forward in
+    /// one pass.
+    #[inline]
+    pub fn ids_ascend(&self) -> bool {
+        self.ascending
+    }
 }
 
 impl InLists {
@@ -304,76 +318,74 @@ impl Digraph for Csr {
     fn num_edges(&self) -> usize {
         Csr::num_edges(self)
     }
-
-    #[inline]
-    fn endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
-        Csr::endpoints(self, e)
-    }
-
-    #[inline]
-    fn out_edge_slice(&self, v: VertexId) -> &[EdgeId] {
-        Csr::out_edges(self, v)
-    }
-
-    #[inline]
-    fn in_edge_slice(&self, v: VertexId) -> &[EdgeId] {
-        Csr::in_edges(self, v)
-    }
-
-    #[inline]
-    fn out_head_slice(&self, v: VertexId) -> Option<&[VertexId]> {
-        Some(Csr::out_heads(self, v))
-    }
-
-    #[inline]
-    fn in_tail_slice(&self, v: VertexId) -> Option<&[VertexId]> {
-        Some(Csr::in_tails(self, v))
-    }
-
-    #[inline]
-    fn ids_ascend(&self) -> bool {
-        self.ascending
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::rng;
-    use crate::ids::v;
+    use crate::ids::{e, v};
     use rand::Rng;
 
-    fn diamond() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(3));
-        g.add_edge(v(2), v(3));
-        g
+    const DIAMOND: [(VertexId, VertexId); 4] = [
+        (VertexId(0), VertexId(1)),
+        (VertexId(0), VertexId(2)),
+        (VertexId(1), VertexId(3)),
+        (VertexId(2), VertexId(3)),
+    ];
+
+    fn diamond() -> Csr {
+        Csr::from_edges(4, DIAMOND.to_vec())
+    }
+
+    /// The brute-force adjacency oracle: for each vertex `u` of `0..n`,
+    /// the ids of the edges whose `end` is `u`, in ascending order.
+    fn lists_by(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+        end: impl Fn(&(VertexId, VertexId)) -> VertexId,
+    ) -> Vec<Vec<EdgeId>> {
+        (0..n)
+            .map(|u| {
+                let ids = edges.iter().enumerate();
+                let ids = ids.filter(|(_, edge)| end(edge).index() == u);
+                ids.map(|(e, _)| EdgeId::from(e)).collect()
+            })
+            .collect()
+    }
+
+    /// Out-lists by tail, in-lists by head.
+    fn oracle(n: usize, edges: &[(VertexId, VertexId)]) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>) {
+        (
+            lists_by(n, edges, |&(t, _)| t),
+            lists_by(n, edges, |&(_, h)| h),
+        )
+    }
+
+    /// `n` vertices and `m` uniformly random edges, so parallel edges
+    /// and self-loops occur.
+    fn random_edges(r: &mut impl Rng, n: usize, m: usize) -> Vec<(VertexId, VertexId)> {
+        let mut end = || VertexId::from(r.random_range(0..n));
+        (0..m).map(|_| (end(), end())).collect()
     }
 
     #[test]
     fn csr_matches_digraph_on_diamond() {
-        let g = diamond();
-        let c = Csr::from_digraph(&g);
-        assert_eq!(c.num_vertices(), g.num_vertices());
-        assert_eq!(c.num_edges(), g.num_edges());
-        for u in g.vertices() {
-            let mut a: Vec<_> = g.out_edges(u).to_vec();
-            let mut b: Vec<_> = c.out_edges(u).to_vec();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "out edges of {u:?}");
-            let mut a: Vec<_> = g.in_edges(u).to_vec();
-            let mut b: Vec<_> = c.in_edges(u).to_vec();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "in edges of {u:?}");
+        let c = diamond();
+        assert_eq!((c.num_vertices(), c.num_edges()), (4, 4));
+        let (outs, ins) = oracle(4, &DIAMOND);
+        for u in c.vertices() {
+            assert_eq!(c.out_edges(u), outs[u.index()], "out edges of {u:?}");
+            assert_eq!(c.in_edges(u), ins[u.index()], "in edges of {u:?}");
         }
-        for e in g.edge_ids() {
-            assert_eq!(g.endpoints(e), c.endpoints(e));
+        for (e, &ends) in DIAMOND.iter().enumerate() {
+            assert_eq!(c.endpoints(EdgeId::from(e)), ends);
         }
+        assert_eq!(
+            (c.out_degree(v(0)), c.in_degree(v(3)), c.degree(v(1))),
+            (2, 2, 2)
+        );
+        assert!(c.has_edge(v(0), v(2)) && !c.has_edge(v(2), v(0)));
     }
 
     #[test]
@@ -382,27 +394,22 @@ mod tests {
         for _ in 0..20 {
             let n = r.random_range(1..40usize);
             let m = r.random_range(0..120usize);
-            let mut g = DiGraph::new();
-            g.add_vertices(n);
-            for _ in 0..m {
-                let a = VertexId::from(r.random_range(0..n));
-                let b = VertexId::from(r.random_range(0..n));
-                g.add_edge(a, b);
-            }
-            let c = Csr::from_digraph(&g);
-            for u in g.vertices() {
-                assert_eq!(c.out_degree(u), g.out_degree(u));
-                assert_eq!(c.in_degree(u), g.in_degree(u));
+            let edges = random_edges(&mut r, n, m);
+            let (outs, ins) = oracle(n, &edges);
+            let c = Csr::from_edges(n, edges);
+            for u in c.vertices() {
+                assert_eq!(c.out_degree(u), outs[u.index()].len());
+                assert_eq!(c.in_degree(u), ins[u.index()].len());
             }
             let deg_sum: usize = c.vertices().map(|u| c.out_degree(u)).sum();
             assert_eq!(deg_sum, m);
         }
     }
 
-    /// `from_edges` against the `DiGraph` adjacency list for list,
-    /// position for position — nothing is sorted before comparing, so an
-    /// unstable sort (which would reorder a vertex's parallel edges, and
-    /// with them the router's lexicographically smallest path) fails.
+    /// `from_edges` against the brute-force oracle, list for list and
+    /// position for position — an unstable sort (which would reorder a
+    /// vertex's parallel edges, and with them the router's
+    /// lexicographically smallest path) fails.
     #[test]
     fn from_edges_keeps_insertion_order_on_random_multigraphs() {
         let mut r = rng(0x57AB1E);
@@ -412,40 +419,48 @@ mod tests {
             // self-loops, many under few leave isolated vertices
             let n = round % 24;
             let m = r.random_range(0..96usize) * n.min(1);
-            let mut g = DiGraph::new();
-            g.add_vertices(n);
-            let mut list = Vec::new();
-            for _ in 0..m {
-                let t = VertexId::from(r.random_range(0..n));
-                let h = VertexId::from(r.random_range(0..n));
-                g.add_edge(t, h);
-                list.push((t, h));
-            }
-            let c = Csr::from_edges(n, list);
+            let list = random_edges(&mut r, n, m);
+            let (outs, ins) = oracle(n, &list);
+            let c = Csr::from_edges(n, list.clone());
             assert_eq!((c.num_vertices(), c.num_edges()), (n, m));
-            assert_eq!(c, Csr::from_digraph(&g));
-            for u in g.vertices() {
-                assert_eq!(c.out_edges(u), g.out_edges(u), "out-edges of {u:?}");
-                assert_eq!(c.in_edges(u), g.in_edges(u), "in-edges of {u:?}");
-                let heads: Vec<_> = g.out_edges(u).iter().map(|&e| g.head(e)).collect();
+            for u in c.vertices() {
+                let (outs, ins) = (&outs[u.index()], &ins[u.index()]);
+                assert_eq!(c.out_edges(u), outs, "out-edges of {u:?}");
+                assert_eq!(c.in_edges(u), ins, "in-edges of {u:?}");
+                let heads: Vec<_> = outs.iter().map(|&e| list[e.index()].1).collect();
                 assert_eq!(c.out_heads(u), heads, "heads out of {u:?}");
-                let tails: Vec<_> = g.in_edges(u).iter().map(|&e| g.tail(e)).collect();
+                let tails: Vec<_> = ins.iter().map(|&e| list[e.index()].0).collect();
                 assert_eq!(c.in_tails(u), tails, "tails into {u:?}");
             }
-            assert!(c.edges().eq(g.edges()), "edge triples");
-            for (e, t, h) in g.edges() {
-                assert_eq!(c.endpoints(e), (t, h));
+            let triples = list
+                .iter()
+                .enumerate()
+                .map(|(e, &(t, h))| (EdgeId::from(e), t, h));
+            assert!(c.edges().eq(triples), "edge triples");
+            for (e, &(t, h)) in list.iter().enumerate() {
+                assert_eq!(c.endpoints(EdgeId::from(e)), (t, h));
                 assert!(c.has_edge(t, h));
             }
             // reversing swaps the two adjacency directions, order kept
             let rev = c.reversed();
-            for u in g.vertices() {
+            for u in c.vertices() {
                 assert_eq!(rev.out_edges(u), c.in_edges(u));
                 assert_eq!(rev.out_heads(u), c.in_tails(u));
                 assert_eq!(rev.in_edges(u), c.out_edges(u));
             }
             assert_eq!(rev.reversed(), c);
         }
+    }
+
+    #[test]
+    fn parallel_edges_and_self_loops() {
+        let c = Csr::from_edges(2, vec![(v(0), v(1)), (v(0), v(1)), (v(1), v(1))]);
+        assert_eq!(c.out_edges(v(0)), [e(0), e(1)]);
+        assert_eq!(c.in_edges(v(1)), [e(0), e(1), e(2)]);
+        assert_eq!(c.endpoints(e(2)), (v(1), v(1)));
+        // a self-loop's other endpoint is its one vertex
+        assert_eq!(c.other_endpoint(e(2), v(1)), v(1));
+        assert_eq!(c.other_endpoint(e(0), v(1)), v(0));
     }
 
     /// Tails and heads past `n` are caught, each named in the message;
@@ -471,8 +486,8 @@ mod tests {
     /// of its source.
     #[test]
     fn equality_ignores_whether_the_in_lists_are_built() {
-        let read = Csr::from_digraph(&diamond());
-        let fresh = Csr::from_digraph(&diamond());
+        let read = diamond();
+        let fresh = diamond();
         assert!(!read.in_lists_built() && !fresh.in_lists_built());
         assert_eq!(read.in_edges(v(3)), [EdgeId(2), EdgeId(3)]);
         assert!(read.in_lists_built() && !fresh.in_lists_built());
@@ -487,29 +502,24 @@ mod tests {
 
     /// Four threads read the in-lists of one fresh `Csr` at once, as the
     /// workers of a sweep share one fabric: one of them sorts, and every
-    /// one sees the lists of a `Csr` frozen from the same graph.
+    /// one sees the in-lists of the brute-force oracle.
     #[test]
     fn concurrent_first_reads_see_the_same_in_lists() {
         let mut r = rng(0x1A2E);
         let n = 300;
-        let mut g = DiGraph::new();
-        g.add_vertices(n);
-        for _ in 0..2000 {
-            let t = VertexId::from(r.random_range(0..n));
-            let h = VertexId::from(r.random_range(0..n));
-            g.add_edge(t, h);
-        }
-        let want = Csr::from_digraph(&g);
-        let shared = Csr::from_digraph(&g);
+        let edges = random_edges(&mut r, n, 2000);
+        let ins = lists_by(n, &edges, |&(_, h)| h);
+        let shared = Csr::from_edges(n, edges.clone());
         let barrier = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     barrier.wait();
-                    for u in g.vertices() {
-                        assert_eq!(shared.in_edges(u), want.in_edges(u));
-                        assert_eq!(shared.in_tails(u), want.in_tails(u));
-                        assert_eq!(shared.in_edges(u), g.in_edges(u));
+                    for (u, want) in ins.iter().enumerate() {
+                        let u = VertexId::from(u);
+                        assert_eq!(shared.in_edges(u), want);
+                        let tails: Vec<_> = want.iter().map(|&e| edges[e.index()].0).collect();
+                        assert_eq!(shared.in_tails(u), tails);
                     }
                 });
             }
@@ -522,7 +532,7 @@ mod tests {
         // vacuously true without edges
         assert!(Csr::from_edges(0, vec![]).ids_ascend());
         assert!(Csr::from_edges(3, vec![]).ids_ascend());
-        let c = Csr::from_digraph(&diamond());
+        let c = diamond();
         assert!(c.ids_ascend());
         // a self-loop does not climb
         assert!(!Csr::from_edges(2, vec![(v(0), v(1)), (v(1), v(1))]).ids_ascend());
@@ -533,14 +543,12 @@ mod tests {
 
     #[test]
     fn empty_and_isolated() {
-        let g = DiGraph::new();
-        let c = Csr::from_digraph(&g);
+        let c = Csr::from_edges(0, vec![]);
         assert_eq!(c.num_vertices(), 0);
         assert_eq!(c.num_edges(), 0);
+        assert_eq!(c.vertices().count(), 0);
 
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        let c = Csr::from_digraph(&g);
+        let c = Csr::from_edges(3, vec![]);
         assert_eq!(c.num_vertices(), 3);
         assert!(c.out_edges(v(1)).is_empty());
         assert!(c.in_edges(v(1)).is_empty());

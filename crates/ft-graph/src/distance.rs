@@ -10,10 +10,10 @@
 
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::{bfs, Direction, UNREACHED};
-use crate::Digraph;
+use crate::Csr;
 
 /// Undirected BFS distances from `v` (UNREACHED where disconnected).
-pub fn undirected_distances<G: Digraph>(g: &G, v: VertexId) -> Vec<u32> {
+pub fn undirected_distances(g: &Csr, v: VertexId) -> Vec<u32> {
     bfs(g, &[v], Direction::Undirected, |_| true, |_| true).dist
 }
 
@@ -32,7 +32,7 @@ pub fn edge_distance(dist: &[u32], endpoints: (VertexId, VertexId)) -> u32 {
 /// The zone decomposition `B_1(v), …, B_k(v)`: `zones[h-1]` lists the edges
 /// at distance exactly `h` from `v` (1-based distance, as in the paper).
 /// Edges farther than `max_h` are ignored.
-pub fn edge_zones<G: Digraph>(g: &G, v: VertexId, max_h: u32) -> Vec<Vec<EdgeId>> {
+pub fn edge_zones(g: &Csr, v: VertexId, max_h: u32) -> Vec<Vec<EdgeId>> {
     let dist = undirected_distances(g, v);
     let mut zones: Vec<Vec<EdgeId>> = vec![Vec::new(); max_h as usize];
     for e in 0..g.num_edges() {
@@ -46,7 +46,7 @@ pub fn edge_zones<G: Digraph>(g: &G, v: VertexId, max_h: u32) -> Vec<Vec<EdgeId>
 }
 
 /// All edges within distance `max_h` of `v` — the set `B(v)` of Theorem 1.
-pub fn edge_ball<G: Digraph>(g: &G, v: VertexId, max_h: u32) -> Vec<EdgeId> {
+pub fn edge_ball(g: &Csr, v: VertexId, max_h: u32) -> Vec<EdgeId> {
     let dist = undirected_distances(g, v);
     (0..g.num_edges())
         .map(EdgeId::from)
@@ -63,7 +63,7 @@ pub fn edge_ball<G: Digraph>(g: &G, v: VertexId, max_h: u32) -> Vec<EdgeId> {
 /// Lemma 2 shows a (¼, ½)-superconcentrator must have ≥ n/2 inputs whose
 /// nearest-other-input distance is ≥ (1/16)·log₂ n; this function is the
 /// measurement behind that experiment. Runs one BFS per terminal.
-pub fn nearest_other_terminal<G: Digraph>(g: &G, terminals: &[VertexId]) -> Vec<u32> {
+pub fn nearest_other_terminal(g: &Csr, terminals: &[VertexId]) -> Vec<u32> {
     let mut is_terminal = vec![false; g.num_vertices()];
     for &t in terminals {
         is_terminal[t.index()] = true;
@@ -85,7 +85,7 @@ pub fn nearest_other_terminal<G: Digraph>(g: &G, terminals: &[VertexId]) -> Vec<
 
 /// Counts the terminals whose nearest-other-terminal distance is at least
 /// `threshold` — the paper's **good inputs** (Theorem 1 proof).
-pub fn count_good_terminals<G: Digraph>(g: &G, terminals: &[VertexId], threshold: u32) -> usize {
+pub fn count_good_terminals(g: &Csr, terminals: &[VertexId], threshold: u32) -> usize {
     nearest_other_terminal(g, terminals)
         .iter()
         .filter(|&&d| d >= threshold)
@@ -93,7 +93,7 @@ pub fn count_good_terminals<G: Digraph>(g: &G, terminals: &[VertexId], threshold
 }
 
 /// Undirected eccentricity of `v` restricted to reachable vertices.
-pub fn eccentricity<G: Digraph>(g: &G, v: VertexId) -> u32 {
+pub fn eccentricity(g: &Csr, v: VertexId) -> u32 {
     undirected_distances(g, v)
         .into_iter()
         .filter(|&d| d != UNREACHED)
@@ -105,17 +105,17 @@ pub fn eccentricity<G: Digraph>(g: &G, v: VertexId) -> u32 {
 mod tests {
     use super::*;
     use crate::ids::v;
-    use crate::DiGraph;
 
-    /// Path 0 -> 1 -> 2 -> 3 with an extra branch 1 -> 4.
-    fn branched_path() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(5);
-        g.add_edge(v(0), v(1)); // e0
-        g.add_edge(v(1), v(2)); // e1
-        g.add_edge(v(2), v(3)); // e2
-        g.add_edge(v(1), v(4)); // e3
-        g
+    /// Path 0 -> 1 -> 2 -> 3 (e0, e1, e2) with an extra branch 1 -> 4 (e3).
+    const BRANCHED_PATH: [(VertexId, VertexId); 4] = [
+        (VertexId(0), VertexId(1)),
+        (VertexId(1), VertexId(2)),
+        (VertexId(2), VertexId(3)),
+        (VertexId(1), VertexId(4)),
+    ];
+
+    fn branched_path() -> Csr {
+        Csr::from_edges(5, BRANCHED_PATH.to_vec())
     }
 
     #[test]
@@ -156,9 +156,8 @@ mod tests {
 
     #[test]
     fn disconnected_edges_excluded() {
-        let mut g = branched_path();
-        g.add_vertices(2);
-        g.add_edge(v(5), v(6)); // disconnected component
+        let island = (v(5), v(6)); // disconnected component
+        let g = Csr::from_edges(7, BRANCHED_PATH.into_iter().chain([island]).collect());
         let zones = edge_zones(&g, v(0), 10);
         let total: usize = zones.iter().map(|z| z.len()).sum();
         assert_eq!(total, 4, "the island edge is unreachable");
@@ -181,11 +180,7 @@ mod tests {
         let g = branched_path();
         assert_eq!(eccentricity(&g, v(0)), 3);
         assert_eq!(eccentricity(&g, v(1)), 2);
-        let lonely = {
-            let mut g = DiGraph::new();
-            g.add_vertex();
-            g
-        };
+        let lonely = Csr::from_edges(1, vec![]);
         assert_eq!(eccentricity(&lonely, v(0)), 0);
     }
 }

@@ -5,8 +5,8 @@
 //! generator (`SmallRng`, which on 64-bit targets is xoshiro256++ — fast
 //! and statistically adequate for Monte Carlo, not for cryptography).
 
-use crate::digraph::DiGraph;
 use crate::ids::VertexId;
+use crate::Csr;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -25,29 +25,35 @@ pub fn random_permutation(r: &mut SmallRng, n: usize) -> Vec<u32> {
 
 /// Random DAG on `n` vertices: each of the `m` edges goes from a lower to
 /// a higher index, endpoints uniform. Used by flow/traversal tests.
-pub fn random_dag(r: &mut SmallRng, n: usize, m: usize) -> DiGraph {
+pub fn random_dag(r: &mut SmallRng, n: usize, m: usize) -> Csr {
     assert!(n >= 2, "need at least two vertices");
-    let mut g = DiGraph::with_capacity(n, m);
-    g.add_vertices(n);
-    for _ in 0..m {
-        let a = r.random_range(0..n - 1);
-        let b = r.random_range(a + 1..n);
-        g.add_edge(VertexId::from(a), VertexId::from(b));
-    }
-    g
+    let edges = (0..m)
+        .map(|_| {
+            let a = r.random_range(0..n - 1);
+            let b = r.random_range(a + 1..n);
+            (VertexId::from(a), VertexId::from(b))
+        })
+        .collect();
+    Csr::from_edges(n, edges)
 }
 
 /// An undirected tree on `n ≥ 1` vertices encoded as a digraph (edges point
 /// parent → child; lower-bound code treats edges as undirected). Each new
 /// vertex attaches to a uniformly random earlier vertex.
-pub fn random_tree(r: &mut SmallRng, n: usize) -> DiGraph {
-    let mut g = DiGraph::with_capacity(n, n.saturating_sub(1));
-    g.add_vertices(n);
-    for i in 1..n {
-        let p = r.random_range(0..i);
-        g.add_edge(VertexId::from(p), VertexId::from(i));
-    }
-    g
+pub fn random_tree(r: &mut SmallRng, n: usize) -> Csr {
+    let edges = (1..n)
+        .map(|i| (VertexId::from(r.random_range(0..i)), VertexId::from(i)))
+        .collect();
+    Csr::from_edges(n, edges)
+}
+
+/// Adds a child of `parent` to the tree whose edges are `edges`, in
+/// which vertex 0 is the root and edge `k` enters vertex `k + 1`: the
+/// child takes the next id.
+fn add_child(edges: &mut Vec<(VertexId, VertexId)>, parent: VertexId) -> VertexId {
+    let child = VertexId::from(edges.len() + 1);
+    edges.push((parent, child));
+    child
 }
 
 /// A random tree in which **every internal node has degree ≥ 3** — the
@@ -56,17 +62,12 @@ pub fn random_tree(r: &mut SmallRng, n: usize) -> DiGraph {
 /// it into a degree-3 internal node) or attach 1 child to a random
 /// internal node (raising its degree). Returns the tree; leaves are the
 /// degree-1 vertices.
-pub fn random_lemma1_tree(r: &mut SmallRng, target_leaves: usize) -> DiGraph {
+pub fn random_lemma1_tree(r: &mut SmallRng, target_leaves: usize) -> Csr {
     assert!(target_leaves >= 3, "Lemma 1 trees need at least 3 leaves");
-    let mut g = DiGraph::new();
-    let root = g.add_vertex();
-    let mut leaves: Vec<VertexId> = Vec::new();
+    let mut edges = Vec::new();
+    let root = VertexId(0);
+    let mut leaves: Vec<VertexId> = (0..3).map(|_| add_child(&mut edges, root)).collect();
     let mut internals: Vec<VertexId> = vec![root];
-    for _ in 0..3 {
-        let c = g.add_vertex();
-        g.add_edge(root, c);
-        leaves.push(c);
-    }
     while leaves.len() < target_leaves {
         // Attaching 2 children to a leaf keeps all internal degrees ≥ 3 and
         // nets +1 leaf; attaching 1 child to an internal node also nets +1.
@@ -75,35 +76,26 @@ pub fn random_lemma1_tree(r: &mut SmallRng, target_leaves: usize) -> DiGraph {
             let leaf = leaves.swap_remove(li);
             internals.push(leaf);
             for _ in 0..2 {
-                let c = g.add_vertex();
-                g.add_edge(leaf, c);
-                leaves.push(c);
+                leaves.push(add_child(&mut edges, leaf));
             }
         } else {
             let p = internals[r.random_range(0..internals.len())];
-            let c = g.add_vertex();
-            g.add_edge(p, c);
-            leaves.push(c);
+            leaves.push(add_child(&mut edges, p));
         }
     }
-    g
+    Csr::from_edges(edges.len() + 1, edges)
 }
 
 /// A caterpillar tree whose spine vertices each carry enough legs to have
 /// degree ≥ 3 — a worst-case-ish shape for Lemma 1 (paths between leaves
 /// on distant spine vertices are long).
-pub fn caterpillar_tree(spine: usize, legs_per_vertex: usize) -> DiGraph {
+pub fn caterpillar_tree(spine: usize, legs_per_vertex: usize) -> Csr {
     assert!(spine >= 1 && legs_per_vertex >= 1);
-    let mut g = DiGraph::new();
-    let first = g.add_vertices(spine);
-    for i in 0..spine - 1 {
-        g.add_edge(
-            VertexId::from(first.index() + i),
-            VertexId::from(first.index() + i + 1),
-        );
-    }
+    let mut edges: Vec<_> = (1..spine)
+        .map(|i| (VertexId::from(i - 1), VertexId::from(i)))
+        .collect();
+    let mut n = spine;
     for i in 0..spine {
-        let s = VertexId::from(first.index() + i);
         // endpoints of the spine have spine-degree 1, middles 2
         let spine_deg = if spine == 1 {
             0
@@ -113,33 +105,28 @@ pub fn caterpillar_tree(spine: usize, legs_per_vertex: usize) -> DiGraph {
             2
         };
         let need = (3usize.saturating_sub(spine_deg)).max(legs_per_vertex);
-        for _ in 0..need {
-            let leaf = g.add_vertex();
-            g.add_edge(s, leaf);
-        }
+        edges.extend((n..n + need).map(|leaf| (VertexId::from(i), VertexId::from(leaf))));
+        n += need;
     }
-    g
+    Csr::from_edges(n, edges)
 }
 
 /// Complete `d`-ary tree of the given height (height 0 = single vertex).
 /// With `d ≥ 3` the root has degree d ≥ 3 and internal vertices degree
 /// d+1 ≥ 4, satisfying Lemma 1's hypothesis.
-pub fn complete_dary_tree(d: usize, height: usize) -> DiGraph {
-    let mut g = DiGraph::new();
-    let root = g.add_vertex();
-    let mut frontier = vec![root];
+pub fn complete_dary_tree(d: usize, height: usize) -> Csr {
+    let mut edges = Vec::new();
+    let mut frontier = vec![VertexId(0)];
     for _ in 0..height {
         let mut next = Vec::with_capacity(frontier.len() * d);
         for &p in &frontier {
             for _ in 0..d {
-                let c = g.add_vertex();
-                g.add_edge(p, c);
-                next.push(c);
+                next.push(add_child(&mut edges, p));
             }
         }
         frontier = next;
     }
-    g
+    Csr::from_edges(edges.len() + 1, edges)
 }
 
 /// Random bipartite graph: `left × right` vertices, each left vertex gets

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-/// Index of a vertex in a [`crate::DiGraph`] or [`crate::Csr`].
+/// Index of a vertex in a [`crate::Csr`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub u32);
 

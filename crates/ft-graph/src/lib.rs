@@ -10,9 +10,9 @@
 //!
 //! Provided here:
 //!
-//! * [`Csr`] — compressed-sparse-row digraph, the one representation of
-//!   a built network, and [`DiGraph`] — a free-standing growable
-//!   multigraph (trees, quotients, test graphs) that freezes into it.
+//! * [`Csr`] — compressed-sparse-row digraph, the one graph type: a
+//!   built network, a tree, a quotient and a test graph are each a
+//!   vertex count and an edge list sorted by [`Csr::from_edges`].
 //! * [`StagedNetwork`] — a [`Csr`] with terminals and stage structure, the
 //!   shape of every network in the paper (Beneš, Clos, grids, network 𝒩);
 //!   [`StagedBuilder`] builds it from a flat edge list.
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod digraph;
 pub mod distance;
 pub mod gen;
 pub mod ids;
@@ -50,7 +49,6 @@ pub mod unionfind;
 pub mod workspace;
 
 pub use csr::Csr;
-pub use digraph::DiGraph;
 pub use ids::{EdgeId, VertexId};
 pub use maxflow::FlowWorkspace;
 pub use mincost::MincostWorkspace;
@@ -60,69 +58,75 @@ pub use staged::{OutputReach, ReachColumn, StagedBuilder, StagedNetwork};
 pub use unionfind::UnionFind;
 pub use workspace::{KernelStats, RouteWorkspace, TraversalWorkspace};
 
-/// Minimal read-only digraph interface implemented by both [`DiGraph`] and
-/// [`Csr`], so traversal and flow algorithms are written once.
+/// A graph's vertex and edge counts, answered by a [`Csr`] and by a
+/// [`StagedNetwork`] for its graph. Every kernel takes a [`Csr`].
 pub trait Digraph {
     /// Number of vertices.
     fn num_vertices(&self) -> usize;
     /// Number of edges.
     fn num_edges(&self) -> usize;
-    /// `(tail, head)` of an edge.
-    fn endpoints(&self, e: EdgeId) -> (VertexId, VertexId);
-    /// Edges leaving `v`.
-    fn out_edge_slice(&self, v: VertexId) -> &[EdgeId];
-    /// Edges entering `v`.
-    fn in_edge_slice(&self, v: VertexId) -> &[EdgeId];
+}
 
-    /// Heads of the edges leaving `v`, parallel to
-    /// [`Self::out_edge_slice`], when the representation stores them
-    /// (CSR does). Traversals use this to skip the per-edge `endpoints`
-    /// lookup; builder graphs return `None` and fall back to
-    /// [`Self::other_endpoint`].
-    #[inline]
-    fn out_head_slice(&self, _v: VertexId) -> Option<&[VertexId]> {
-        None
-    }
+/// The [`Digraph`] trait's counts and the adjacency of a free-standing
+/// [`Csr`] built from an edge list, on the small cases every graph in
+/// this crate must get right.
+#[cfg(test)]
+mod digraph {
+    mod tests {
+        use crate::ids::{e, v};
+        use crate::{Csr, Digraph, VertexId};
 
-    /// Tails of the edges entering `v`, parallel to
-    /// [`Self::in_edge_slice`], when the representation stores them.
-    #[inline]
-    fn in_tail_slice(&self, _v: VertexId) -> Option<&[VertexId]> {
-        None
-    }
+        /// 0 -> 1 -> 3, 0 -> 2 -> 3.
+        fn diamond() -> Csr {
+            Csr::from_edges(
+                4,
+                vec![(v(0), v(1)), (v(0), v(2)), (v(1), v(3)), (v(2), v(3))],
+            )
+        }
 
-    /// Whether every edge goes from a lower vertex id to a higher one,
-    /// so ascending id order is a topological order. Every network a
-    /// [`StagedBuilder`] builds is numbered this way (its stages take
-    /// ascending id ranges; a [`StagedNetwork::mirror`] is not);
-    /// [`sliced::sliced_reach_into`] then sweeps forward in one pass.
-    /// The default answers `false`, which is always safe.
-    #[inline]
-    fn ids_ascend(&self) -> bool {
-        false
-    }
+        /// The trait's answers, read through a trait object so they are
+        /// not the inherent methods of the same name.
+        fn counts(g: &dyn Digraph) -> (usize, usize) {
+            (g.num_vertices(), g.num_edges())
+        }
 
-    /// Tail of `e`.
-    #[inline]
-    fn edge_tail(&self, e: EdgeId) -> VertexId {
-        self.endpoints(e).0
-    }
+        #[test]
+        fn build_diamond() {
+            let g = diamond();
+            assert_eq!(counts(&g), (4, 4));
+            assert_eq!(g.out_degree(v(0)), 2);
+            assert_eq!(g.in_degree(v(3)), 2);
+            assert_eq!(g.degree(v(1)), 2);
+            assert_eq!(g.endpoints(e(0)), (v(0), v(1)));
+            assert!(g.has_edge(v(0), v(2)));
+            assert!(!g.has_edge(v(2), v(0)));
+        }
 
-    /// Head of `e`.
-    #[inline]
-    fn edge_head(&self, e: EdgeId) -> VertexId {
-        self.endpoints(e).1
-    }
+        #[test]
+        #[should_panic(expected = "is not below n")]
+        fn edge_out_of_range_panics() {
+            Csr::from_edges(1, vec![(v(0), v(1))]);
+        }
 
-    /// The endpoint of `e` that is not `v` (for undirected walks); if `e`
-    /// is a self-loop this returns `v` itself.
-    #[inline]
-    fn other_endpoint(&self, e: EdgeId, v: VertexId) -> VertexId {
-        let (t, h) = self.endpoints(e);
-        if t == v {
-            h
-        } else {
-            t
+        #[test]
+        fn iterators_cover_everything() {
+            let g = diamond();
+            assert_eq!(g.vertices().count(), 4);
+            assert_eq!(g.edges().count(), 4);
+            let sum_out: usize = g.vertices().map(|u| g.out_degree(u)).sum();
+            assert_eq!(sum_out, g.num_edges());
+            let sum_in: usize = g.vertices().map(|u| g.in_degree(u)).sum();
+            assert_eq!(sum_in, g.num_edges());
+            let tails: Vec<VertexId> = g.edges().map(|(_, t, _)| t).collect();
+            assert_eq!(tails, [v(0), v(0), v(1), v(2)]);
+        }
+
+        #[test]
+        fn empty_graph() {
+            let g = Csr::from_edges(0, vec![]);
+            assert_eq!(counts(&g), (0, 0));
+            assert_eq!(g.vertices().count(), 0);
+            assert_eq!(g.edges().count(), 0);
         }
     }
 }

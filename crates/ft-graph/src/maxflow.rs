@@ -20,7 +20,7 @@
 
 use crate::ids::{EdgeId, VertexId};
 use crate::workspace::TraversalWorkspace;
-use crate::Digraph;
+use crate::Csr;
 use std::collections::VecDeque;
 
 /// A flow arc in the residual network.
@@ -257,8 +257,8 @@ impl FlowWorkspace {
 /// one path), matching the paper's definitions where paths must be
 /// vertex-disjoint *including* endpoints. A vertex listed in both
 /// `sources` and `sinks` yields a trivial length-0 path.
-pub fn vertex_disjoint_paths<G: Digraph>(
-    g: &G,
+pub fn vertex_disjoint_paths(
+    g: &Csr,
     sources: &[VertexId],
     sinks: &[VertexId],
     edge_ok: impl FnMut(EdgeId) -> bool,
@@ -272,8 +272,8 @@ pub fn vertex_disjoint_paths<G: Digraph>(
 /// [`vertex_disjoint_paths`] borrowing all scratch state from a reusable
 /// [`FlowWorkspace`] — the Monte Carlo hot path. Results are identical.
 #[allow(clippy::too_many_arguments)]
-pub fn vertex_disjoint_paths_into<G: Digraph>(
-    g: &G,
+pub fn vertex_disjoint_paths_into(
+    g: &Csr,
     sources: &[VertexId],
     sinks: &[VertexId],
     mut edge_ok: impl FnMut(EdgeId) -> bool,
@@ -376,7 +376,6 @@ pub fn vertex_disjoint_paths_into<G: Digraph>(
 mod tests {
     use super::*;
     use crate::ids::v;
-    use crate::DiGraph;
 
     #[test]
     fn simple_max_flow() {
@@ -414,14 +413,11 @@ mod tests {
         assert_eq!(f.flow_on(c), 1);
     }
 
-    fn diamond() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(3));
-        g.add_edge(v(2), v(3));
-        g
+    fn diamond() -> Csr {
+        Csr::from_edges(
+            4,
+            vec![(v(0), v(1)), (v(0), v(2)), (v(1), v(3)), (v(2), v(3))],
+        )
     }
 
     #[test]
@@ -447,12 +443,10 @@ mod tests {
     #[test]
     fn disjoint_paths_parallel_chains() {
         // two disjoint chains: 0->2->4, 1->3->5
-        let mut g = DiGraph::new();
-        g.add_vertices(6);
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(2), v(4));
-        g.add_edge(v(1), v(3));
-        g.add_edge(v(3), v(5));
+        let g = Csr::from_edges(
+            6,
+            vec![(v(0), v(2)), (v(2), v(4)), (v(1), v(3)), (v(3), v(5))],
+        );
         let r = vertex_disjoint_paths(
             &g,
             &[v(0), v(1)],
@@ -475,12 +469,10 @@ mod tests {
     #[test]
     fn bottleneck_vertex_limits_count() {
         // 0 -> 2, 1 -> 2, 2 -> 3, 2 -> 4: all paths pass through 2
-        let mut g = DiGraph::new();
-        g.add_vertices(5);
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(3));
-        g.add_edge(v(2), v(4));
+        let g = Csr::from_edges(
+            5,
+            vec![(v(0), v(2)), (v(1), v(2)), (v(2), v(3)), (v(2), v(4))],
+        );
         let r = vertex_disjoint_paths(
             &g,
             &[v(0), v(1)],
@@ -538,11 +530,7 @@ mod tests {
 
     #[test]
     fn limit_stops_early() {
-        let mut g = DiGraph::new();
-        g.add_vertices(8);
-        for i in 0..4 {
-            g.add_edge(v(i), v(i + 4));
-        }
+        let g = Csr::from_edges(8, (0..4).map(|i| (v(i), v(i + 4))).collect());
         let sources: Vec<_> = (0..4).map(v).collect();
         let sinks: Vec<_> = (4..8).map(v).collect();
         let r = vertex_disjoint_paths(
@@ -607,8 +595,7 @@ mod tests {
 
     #[test]
     fn source_equals_sink_trivial_path() {
-        let mut g = DiGraph::new();
-        g.add_vertices(1);
+        let g = Csr::from_edges(1, vec![]);
         let r = vertex_disjoint_paths(
             &g,
             &[v(0)],

@@ -11,19 +11,19 @@
 
 use crate::ids::{EdgeId, VertexId};
 use crate::maxflow::{vertex_disjoint_paths_into, DisjointOptions, FlowWorkspace};
-use crate::Digraph;
+use crate::Csr;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
 /// Maximum number of vertex-disjoint paths from `sources` to `sinks`.
-pub fn max_disjoint_paths<G: Digraph>(g: &G, sources: &[VertexId], sinks: &[VertexId]) -> u32 {
+pub fn max_disjoint_paths(g: &Csr, sources: &[VertexId], sinks: &[VertexId]) -> u32 {
     max_disjoint_paths_into(g, sources, sinks, &mut FlowWorkspace::new())
 }
 
 /// [`max_disjoint_paths`] with a caller-owned [`FlowWorkspace`] — use in
 /// trial loops so repeated queries allocate nothing.
-pub fn max_disjoint_paths_into<G: Digraph>(
-    g: &G,
+pub fn max_disjoint_paths_into(
+    g: &Csr,
     sources: &[VertexId],
     sinks: &[VertexId],
     fw: &mut FlowWorkspace,
@@ -44,14 +44,14 @@ pub fn max_disjoint_paths_into<G: Digraph>(
 }
 
 /// Whether `r = |S| = |T|` vertex-disjoint paths join `S` to `T`.
-pub fn fully_linkable<G: Digraph>(g: &G, s: &[VertexId], t: &[VertexId]) -> bool {
+pub fn fully_linkable(g: &Csr, s: &[VertexId], t: &[VertexId]) -> bool {
     fully_linkable_into(g, s, t, &mut FlowWorkspace::new())
 }
 
 /// [`fully_linkable`] with a caller-owned [`FlowWorkspace`] — use in
 /// trial loops so repeated queries allocate nothing.
-pub fn fully_linkable_into<G: Digraph>(
-    g: &G,
+pub fn fully_linkable_into(
+    g: &Csr,
     s: &[VertexId],
     t: &[VertexId],
     fw: &mut FlowWorkspace,
@@ -77,8 +77,8 @@ pub fn fully_linkable_into<G: Digraph>(
 /// Exhaustively verifies the superconcentrator property for **every**
 /// `r ≤ n` and every pair of `r`-subsets. Exponential in `n`; intended
 /// for `n ≤ ~8` in tests. Returns the first violated `(S, T)` pair if any.
-pub fn verify_superconcentrator_exhaustive<G: Digraph>(
-    g: &G,
+pub fn verify_superconcentrator_exhaustive(
+    g: &Csr,
     inputs: &[VertexId],
     outputs: &[VertexId],
 ) -> Option<(Vec<VertexId>, Vec<VertexId>)> {
@@ -103,8 +103,8 @@ pub fn verify_superconcentrator_exhaustive<G: Digraph>(
 
 /// Randomized superconcentrator check: samples `trials` random `(r, S, T)`
 /// combinations. Returns the first violation found.
-pub fn verify_superconcentrator_sampled<G: Digraph>(
-    g: &G,
+pub fn verify_superconcentrator_sampled(
+    g: &Csr,
     inputs: &[VertexId],
     outputs: &[VertexId],
     trials: usize,
@@ -143,8 +143,8 @@ pub fn verify_superconcentrator_sampled<G: Digraph>(
 /// Panics (inside the flow kernel) if some source reaches some sink through an
 /// uncuttable corridor — impossible here since every non-source vertex is
 /// cuttable; a direct source → sink edge is cut at the sink.
-pub fn min_vertex_cut<G: Digraph>(
-    g: &G,
+pub fn min_vertex_cut(
+    g: &Csr,
     sources: &[VertexId],
     sinks: &[VertexId],
     vertex_ok: impl FnMut(VertexId) -> bool,
@@ -221,19 +221,16 @@ mod tests {
     use super::*;
     use crate::gen::rng;
     use crate::ids::v;
-    use crate::DiGraph;
 
     /// Complete bipartite K_{2,2} with 2 inputs, 2 outputs: a crossbar,
     /// trivially a 2-superconcentrator.
-    fn crossbar2() -> (DiGraph, Vec<VertexId>, Vec<VertexId>) {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        for i in 0..2 {
-            for o in 2..4 {
-                g.add_edge(v(i), v(o));
-            }
-        }
-        (g, vec![v(0), v(1)], vec![v(2), v(3)])
+    fn crossbar2() -> (Csr, Vec<VertexId>, Vec<VertexId>) {
+        let edges = (0..2).flat_map(|i| (2..4).map(move |o| (v(i), v(o))));
+        (
+            Csr::from_edges(4, edges.collect()),
+            vec![v(0), v(1)],
+            vec![v(2), v(3)],
+        )
     }
 
     #[test]
@@ -247,11 +244,7 @@ mod tests {
     #[test]
     fn broken_crossbar_fails() {
         // remove one edge: input 0 can only reach output 2
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(1), v(3));
+        let g = Csr::from_edges(4, vec![(v(0), v(2)), (v(1), v(2)), (v(1), v(3))]);
         let ins = vec![v(0), v(1)];
         let outs = vec![v(2), v(3)];
         let viol = verify_superconcentrator_exhaustive(&g, &ins, &outs);
@@ -271,9 +264,12 @@ mod tests {
 
     #[test]
     fn sampled_check_finds_violation_eventually() {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(2)); // only edge; inputs {0,1}, outputs {2,3}
+        let g = Csr::from_edges(
+            4,
+            vec![
+                (v(0), v(2)), // only edge; inputs {0,1}, outputs {2,3}
+            ],
+        );
         let ins = vec![v(0), v(1)];
         let outs = vec![v(2), v(3)];
         let mut r = rng(8);
@@ -283,11 +279,7 @@ mod tests {
     #[test]
     fn min_cut_is_the_bottleneck() {
         // 0 -> 2 -> 3, 1 -> 2: vertex 2 is the bottleneck
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(3));
+        let g = Csr::from_edges(4, vec![(v(0), v(2)), (v(1), v(2)), (v(2), v(3))]);
         let cut = min_vertex_cut(&g, &[v(0), v(1)], &[v(3)], |_| true);
         assert_eq!(cut, vec![v(2)]);
     }
@@ -295,12 +287,10 @@ mod tests {
     #[test]
     fn min_cut_respects_vertex_filter() {
         // two parallel middles 1 and 2; if 1 is already dead the cut is {2}
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(3));
-        g.add_edge(v(2), v(3));
+        let g = Csr::from_edges(
+            4,
+            vec![(v(0), v(1)), (v(0), v(2)), (v(1), v(3)), (v(2), v(3))],
+        );
         let cut = min_vertex_cut(&g, &[v(0)], &[v(3)], |x| x != v(1));
         assert_eq!(cut, vec![v(2)]);
     }

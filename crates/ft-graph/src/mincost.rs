@@ -278,8 +278,7 @@ mod tests {
         // the debug assertion on reduced costs checks the potentials.
         let mut r = crate::gen::rng(5);
         for _ in 0..40 {
-            let dag = crate::gen::random_dag(&mut r, 14, 40);
-            let g = Csr::from_digraph(&dag);
+            let g = crate::gen::random_dag(&mut r, 14, 40);
             let mut idle = vec![true; 14];
             let mut ws = MincostWorkspace::new();
             ws.begin_wave();

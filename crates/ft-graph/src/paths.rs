@@ -5,7 +5,7 @@
 //! paper's definitions (§2) are phrased in.
 
 use crate::ids::VertexId;
-use crate::Digraph;
+use crate::Csr;
 use std::collections::HashSet;
 
 /// A directed path, stored as its vertex sequence.
@@ -17,7 +17,7 @@ pub struct Path {
 impl Path {
     /// Wraps a vertex sequence, validating that consecutive vertices are
     /// joined by an edge of `g` and that no vertex repeats.
-    pub fn new<G: Digraph>(g: &G, vertices: Vec<VertexId>) -> Result<Self, PathError> {
+    pub fn new(g: &Csr, vertices: Vec<VertexId>) -> Result<Self, PathError> {
         if vertices.is_empty() {
             return Err(PathError::Empty);
         }
@@ -29,18 +29,11 @@ impl Path {
         }
         for w in vertices.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let ok = g.out_edge_slice(a).iter().any(|&e| g.edge_head(e) == b);
-            if !ok {
+            if !g.has_edge(a, b) {
                 return Err(PathError::MissingEdge(a, b));
             }
         }
         Ok(Path { vertices })
-    }
-
-    /// Wraps a vertex sequence without validation (for hot paths that
-    /// construct provably valid sequences).
-    pub fn new_unchecked(vertices: Vec<VertexId>) -> Self {
-        Path { vertices }
     }
 
     /// First vertex.
@@ -133,15 +126,9 @@ pub fn are_edge_disjoint<'a>(paths: impl IntoIterator<Item = &'a [VertexId]>) ->
 mod tests {
     use super::*;
     use crate::ids::v;
-    use crate::DiGraph;
 
-    fn chain() -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(3));
-        g
+    fn chain() -> Csr {
+        Csr::from_edges(4, vec![(v(0), v(1)), (v(1), v(2)), (v(2), v(3))])
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! * **Ascending pass** — a `Forward` sweep over a graph whose edges all
 //!   go from a lower vertex id to a higher one
-//!   ([`Digraph::ids_ascend`]; every network a [`crate::StagedBuilder`]
+//!   ([`Csr::ids_ascend`]; every network a [`crate::StagedBuilder`]
 //!   builds, since its stages take ascending id ranges). Ascending id
 //!   order is then a topological order: the pass visits every vertex
 //!   from the lowest source id upward once, and by then each
@@ -29,7 +29,7 @@
 //!   sequential scan.
 //! * **Worklist fixpoint** — every other sweep: `Backward`,
 //!   `Undirected` (the reliability shorting check), and graphs whose ids
-//!   do not ascend (a [`crate::DiGraph`], a mirrored network). A vertex
+//!   do not ascend (a mirrored network, a graph with a falling edge). A vertex
 //!   re-enters the FIFO when *new lanes* arrive. Cost: O(vertices
 //!   touched × incident edges).
 //!
@@ -49,7 +49,7 @@
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::Direction;
 use crate::workspace::KernelStats;
-use crate::Digraph;
+use crate::Csr;
 
 /// Number of Monte Carlo lanes carried per machine word.
 pub const LANES: usize = 64;
@@ -211,13 +211,13 @@ impl SlicedWorkspace {
 /// distances, parents or discovery order.
 ///
 /// The graph picks the path: a `Forward` sweep over a graph whose ids
-/// ascend ([`Digraph::ids_ascend`] — every network a
-/// [`crate::StagedBuilder`] builds, and its [`crate::Csr`]) takes the
+/// ascend ([`Csr::ids_ascend`] — every network a
+/// [`crate::StagedBuilder`] builds) takes the
 /// one-pass ascending walk; every other sweep takes the worklist (see
 /// the module doc). Results and [`KernelStats::sliced_lane_decisions`]
 /// are the same on both.
-pub fn sliced_reach_into<G: Digraph>(
-    g: &G,
+pub fn sliced_reach_into(
+    g: &Csr,
     sources: &[(VertexId, u64)],
     dir: Direction,
     edge_lanes: impl FnMut(EdgeId) -> u64,
@@ -238,8 +238,8 @@ pub fn sliced_reach_into<G: Digraph>(
 /// `v`'s word is whole: `(source lanes | OR over in-edges (e, u) of
 /// word(u) & edge_lanes(e)) & vertex_lanes(v)`. A vertex with lanes
 /// then pushes its word along its out-edges.
-fn ascending_pass<G: Digraph>(
-    g: &G,
+fn ascending_pass(
+    g: &Csr,
     sources: &[(VertexId, u64)],
     mut edge_lanes: impl FnMut(EdgeId) -> u64,
     mut vertex_lanes: impl FnMut(VertexId) -> u64,
@@ -276,19 +276,8 @@ fn ascending_pass<G: Digraph>(
         }
         pops += 1;
         decided += u64::from(word.count_ones());
-        let edges = g.out_edge_slice(v);
-        match g.out_head_slice(v) {
-            // CSR fast path: heads off the parallel slice.
-            Some(heads) => {
-                for (&e, &w) in edges.iter().zip(heads) {
-                    reached[w.index()] |= word & edge_lanes(e);
-                }
-            }
-            None => {
-                for &e in edges {
-                    reached[g.edge_head(e).index()] |= word & edge_lanes(e);
-                }
-            }
+        for (&e, &w) in g.out_edges(v).iter().zip(g.out_heads(v)) {
+            reached[w.index()] |= word & edge_lanes(e);
         }
     }
     ws.stats.sliced_pops += pops;
@@ -297,8 +286,8 @@ fn ascending_pass<G: Digraph>(
 
 /// The general sweep: a FIFO worklist that re-enqueues a vertex whenever
 /// new lanes reach it, until nothing changes.
-fn worklist<G: Digraph>(
-    g: &G,
+fn worklist(
+    g: &Csr,
     sources: &[(VertexId, u64)],
     dir: Direction,
     mut edge_lanes: impl FnMut(EdgeId) -> u64,
@@ -321,41 +310,23 @@ fn worklist<G: Digraph>(
         // demote the in-queue stamp so late-arriving lanes re-enqueue
         ws.inq[u.index()] = ws.epoch.wrapping_sub(1);
         let ru = ws.reached[u.index()];
-        let sides: [(&[EdgeId], Option<&[VertexId]>); 2] = match dir {
-            Direction::Forward => [(g.out_edge_slice(u), g.out_head_slice(u)), (&[], None)],
-            Direction::Backward => [(g.in_edge_slice(u), g.in_tail_slice(u)), (&[], None)],
+        let sides: [(&[EdgeId], &[VertexId]); 2] = match dir {
+            Direction::Forward => [(g.out_edges(u), g.out_heads(u)), (&[], &[])],
+            Direction::Backward => [(g.in_edges(u), g.in_tails(u)), (&[], &[])],
             Direction::Undirected => [
-                (g.out_edge_slice(u), g.out_head_slice(u)),
-                (g.in_edge_slice(u), g.in_tail_slice(u)),
+                (g.out_edges(u), g.out_heads(u)),
+                (g.in_edges(u), g.in_tails(u)),
             ],
         };
         for (edges, others) in sides {
-            match others {
-                // CSR fast path: far endpoint off the parallel slice.
-                Some(others) => {
-                    for (&e, &w) in edges.iter().zip(others) {
-                        let m = ru & edge_lanes(e);
-                        if m == 0 {
-                            continue;
-                        }
-                        let add = m & ws.gate_of(w, &mut vertex_lanes);
-                        if add != 0 {
-                            ws.absorb(w, add);
-                        }
-                    }
+            for (&e, &w) in edges.iter().zip(others) {
+                let m = ru & edge_lanes(e);
+                if m == 0 {
+                    continue;
                 }
-                None => {
-                    for &e in edges {
-                        let m = ru & edge_lanes(e);
-                        if m == 0 {
-                            continue;
-                        }
-                        let w = g.other_endpoint(e, u);
-                        let add = m & ws.gate_of(w, &mut vertex_lanes);
-                        if add != 0 {
-                            ws.absorb(w, add);
-                        }
-                    }
+                let add = m & ws.gate_of(w, &mut vertex_lanes);
+                if add != 0 {
+                    ws.absorb(w, add);
                 }
             }
         }
@@ -367,16 +338,13 @@ mod tests {
     use super::*;
     use crate::ids::{e, v};
     use crate::traversal::{bfs_into, Direction};
-    use crate::{Csr, DiGraph, TraversalWorkspace};
+    use crate::TraversalWorkspace;
 
     fn diamond() -> Csr {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(3));
-        g.add_edge(v(2), v(3));
-        Csr::from_digraph(&g)
+        Csr::from_edges(
+            4,
+            vec![(v(0), v(1)), (v(0), v(2)), (v(1), v(3)), (v(2), v(3))],
+        )
     }
 
     /// Scalar reference for one lane.
@@ -561,14 +529,16 @@ mod tests {
         // path 0→1→2 plus a long detour 0→3→4→1 open only in lane 1:
         // vertex 1 is popped with lane 0 first, lane 1 arrives later and
         // must still propagate to 2.
-        let mut g = DiGraph::new();
-        g.add_vertices(5);
-        g.add_edge(v(0), v(1)); // e0 lane 0 only
-        g.add_edge(v(1), v(2)); // e1 both
-        g.add_edge(v(0), v(3)); // e2 lane 1 only
-        g.add_edge(v(3), v(4)); // e3 lane 1 only
-        g.add_edge(v(4), v(1)); // e4 lane 1 only
-        let c = Csr::from_digraph(&g);
+        let c = Csr::from_edges(
+            5,
+            vec![
+                (v(0), v(1)), // e0 lane 0 only
+                (v(1), v(2)), // e1 both
+                (v(0), v(3)), // e2 lane 1 only
+                (v(3), v(4)), // e3 lane 1 only
+                (v(4), v(1)), // e4 lane 1 only
+            ],
+        );
         let el = |x: EdgeId| -> u64 {
             match x.index() {
                 0 => 0b01,

@@ -353,22 +353,6 @@ impl Digraph for StagedNetwork {
     fn num_edges(&self) -> usize {
         self.graph.num_edges()
     }
-    #[inline]
-    fn endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
-        self.graph.endpoints(e)
-    }
-    #[inline]
-    fn out_edge_slice(&self, v: VertexId) -> &[EdgeId] {
-        self.graph.out_edges(v)
-    }
-    #[inline]
-    fn in_edge_slice(&self, v: VertexId) -> &[EdgeId] {
-        self.graph.in_edges(v)
-    }
-    #[inline]
-    fn ids_ascend(&self) -> bool {
-        self.graph.ids_ascend()
-    }
 }
 
 /// Builder for [`StagedNetwork`]: collects stages and a flat
@@ -547,8 +531,8 @@ mod tests {
         assert!(m.graph().has_edge(v(2), v(0)));
         assert!(!m.graph().has_edge(v(0), v(2)));
         // ids keep their numbering, so the mirror's edges fall
-        assert!(net.ids_ascend());
-        assert!(!m.ids_ascend());
+        assert!(net.graph().ids_ascend());
+        assert!(!m.graph().ids_ascend());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Breadth-first traversal, topological order and DAG depth.
 //!
-//! Algorithms are generic over [`Digraph`] and accept an *edge filter* so
+//! Algorithms run over a [`Csr`] and accept an *edge filter* so
 //! the same code traverses a pristine network, a failure-stricken survivor
 //! (open failures remove edges) or a repaired network (faulty vertices
 //! removed) without materialising a new graph per Monte Carlo trial.
 
 use crate::ids::{EdgeId, VertexId};
 use crate::workspace::{RouteWorkspace, TraversalWorkspace};
-use crate::Digraph;
+use crate::Csr;
 use std::collections::VecDeque;
 
 /// Distance value meaning "unreached".
@@ -33,7 +33,7 @@ impl Bfs {
     /// Reconstructs a path from some source to `v` (inclusive), following
     /// parent edges backwards. Returns `None` if `v` was not reached.
     /// `g` must be the graph the BFS ran on.
-    pub fn path_to(&self, g: &impl Digraph, v: VertexId) -> Option<Vec<VertexId>> {
+    pub fn path_to(&self, g: &Csr, v: VertexId) -> Option<Vec<VertexId>> {
         if !self.reached(v) {
             return None;
         }
@@ -63,8 +63,8 @@ pub enum Direction {
 /// BFS from `sources`, following edges per `dir`, visiting only edges for
 /// which `edge_ok` holds and vertices for which `vertex_ok` holds.
 /// Sources failing `vertex_ok` are skipped.
-pub fn bfs<G: Digraph>(
-    g: &G,
+pub fn bfs(
+    g: &Csr,
     sources: &[VertexId],
     dir: Direction,
     mut edge_ok: impl FnMut(EdgeId) -> bool,
@@ -85,9 +85,9 @@ pub fn bfs<G: Digraph>(
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()];
         let sides: [&[EdgeId]; 2] = match dir {
-            Direction::Forward => [g.out_edge_slice(u), &[]],
-            Direction::Backward => [g.in_edge_slice(u), &[]],
-            Direction::Undirected => [g.out_edge_slice(u), g.in_edge_slice(u)],
+            Direction::Forward => [g.out_edges(u), &[]],
+            Direction::Backward => [g.in_edges(u), &[]],
+            Direction::Undirected => [g.out_edges(u), g.in_edges(u)],
         };
         for edges in sides {
             for &e in edges {
@@ -119,11 +119,8 @@ pub fn bfs<G: Digraph>(
 /// workspace epoch. Query the result through the workspace accessors
 /// ([`TraversalWorkspace::reached`], [`TraversalWorkspace::dist`],
 /// [`TraversalWorkspace::order`], [`TraversalWorkspace::path_to`]).
-///
-/// This is the Monte Carlo hot path: run it over a [`crate::Csr`]
-/// snapshot, not the `Vec<Vec>` builder graph.
-pub fn bfs_into<G: Digraph>(
-    g: &G,
+pub fn bfs_into(
+    g: &Csr,
     sources: &[VertexId],
     dir: Direction,
     mut edge_ok: impl FnMut(EdgeId) -> bool,
@@ -144,38 +141,21 @@ pub fn bfs_into<G: Digraph>(
         // Out-edges pair with their heads, in-edges with their tails;
         // for a self-loop either one equals `other_endpoint`, so the
         // parallel slices are valid in every direction.
-        let sides: [(&[EdgeId], Option<&[VertexId]>); 2] = match dir {
-            Direction::Forward => [(g.out_edge_slice(u), g.out_head_slice(u)), (&[], None)],
-            Direction::Backward => [(g.in_edge_slice(u), g.in_tail_slice(u)), (&[], None)],
+        let sides: [(&[EdgeId], &[VertexId]); 2] = match dir {
+            Direction::Forward => [(g.out_edges(u), g.out_heads(u)), (&[], &[])],
+            Direction::Backward => [(g.in_edges(u), g.in_tails(u)), (&[], &[])],
             Direction::Undirected => [
-                (g.out_edge_slice(u), g.out_head_slice(u)),
-                (g.in_edge_slice(u), g.in_tail_slice(u)),
+                (g.out_edges(u), g.out_heads(u)),
+                (g.in_edges(u), g.in_tails(u)),
             ],
         };
         for (edges, others) in sides {
-            match others {
-                // CSR fast path: neighbour read straight off the
-                // parallel slice, no `endpoints` indirection.
-                Some(others) => {
-                    for (&e, &w) in edges.iter().zip(others) {
-                        if !edge_ok(e) {
-                            continue;
-                        }
-                        if !ws.marks.is_set(w.index()) && vertex_ok(w) {
-                            ws.discover(w, e, du + 1);
-                        }
-                    }
+            for (&e, &w) in edges.iter().zip(others) {
+                if !edge_ok(e) {
+                    continue;
                 }
-                None => {
-                    for &e in edges {
-                        if !edge_ok(e) {
-                            continue;
-                        }
-                        let w = g.other_endpoint(e, u);
-                        if !ws.marks.is_set(w.index()) && vertex_ok(w) {
-                            ws.discover(w, e, du + 1);
-                        }
-                    }
+                if !ws.marks.is_set(w.index()) && vertex_ok(w) {
+                    ws.discover(w, e, du + 1);
                 }
             }
         }
@@ -184,41 +164,18 @@ pub fn bfs_into<G: Digraph>(
 
 /// Expands the forward frontier entries `range` of `fwd` one stage,
 /// discovering every head that passes `ok`.
-fn expand_forward_stage<G: Digraph>(
-    g: &G,
+fn expand_forward_stage(
+    g: &Csr,
     fwd: &mut TraversalWorkspace,
     range: std::ops::Range<usize>,
     mut ok: impl FnMut(VertexId) -> bool,
 ) {
-    #[inline(always)]
-    fn visit(
-        fwd: &mut TraversalWorkspace,
-        ok: &mut impl FnMut(VertexId) -> bool,
-        e: EdgeId,
-        w: VertexId,
-        du: u32,
-    ) {
-        if !fwd.marks.is_set(w.index()) && ok(w) {
-            fwd.discover(w, e, du + 1);
-        }
-    }
-
     for qi in range {
         let u = fwd.queue[qi];
         let du = fwd.dist[u.index()];
-        let edges = g.out_edge_slice(u);
-        match g.out_head_slice(u) {
-            // CSR fast path: neighbour read off the parallel slice.
-            Some(heads) => {
-                for (&e, &w) in edges.iter().zip(heads) {
-                    visit(fwd, &mut ok, e, w, du);
-                }
-            }
-            None => {
-                for &e in edges {
-                    let w = g.other_endpoint(e, u);
-                    visit(fwd, &mut ok, e, w, du);
-                }
+        for (&e, &w) in g.out_edges(u).iter().zip(g.out_heads(u)) {
+            if !fwd.marks.is_set(w.index()) && ok(w) {
+                fwd.discover(w, e, du + 1);
             }
         }
     }
@@ -227,63 +184,30 @@ fn expand_forward_stage<G: Digraph>(
 /// The first out-edge of `u`, in out-edge order, whose head lies in
 /// `cone` (is touched there), with that head.
 #[inline(always)]
-fn first_cone_edge<G: Digraph>(
-    g: &G,
-    u: VertexId,
-    cone: &TraversalWorkspace,
-) -> Option<(EdgeId, VertexId)> {
-    let edges = g.out_edge_slice(u);
-    match g.out_head_slice(u) {
-        Some(heads) => edges
-            .iter()
-            .zip(heads)
-            .find(|(_, w)| cone.marks.is_set(w.index()))
-            .map(|(&e, &w)| (e, w)),
-        None => edges
-            .iter()
-            .map(|&e| (e, g.other_endpoint(e, u)))
-            .find(|(_, w)| cone.marks.is_set(w.index())),
-    }
+fn first_cone_edge(g: &Csr, u: VertexId, cone: &TraversalWorkspace) -> Option<(EdgeId, VertexId)> {
+    g.out_edges(u)
+        .iter()
+        .zip(g.out_heads(u))
+        .find(|(_, w)| cone.marks.is_set(w.index()))
+        .map(|(&e, &w)| (e, w))
 }
 
 /// Expands the backward frontier entries `range` of `bwd` one level
 /// (toward the inputs), marking every `ok` in-tail as reaching the
 /// target. Only membership matters downstream; distances and parents
 /// are still recorded for consistency.
-fn expand_backward_level<G: Digraph>(
-    g: &G,
+fn expand_backward_level(
+    g: &Csr,
     bwd: &mut TraversalWorkspace,
     range: std::ops::Range<usize>,
     mut ok: impl FnMut(VertexId) -> bool,
 ) {
-    #[inline(always)]
-    fn visit(
-        bwd: &mut TraversalWorkspace,
-        ok: &mut impl FnMut(VertexId) -> bool,
-        e: EdgeId,
-        w: VertexId,
-        du: u32,
-    ) {
-        if !bwd.marks.is_set(w.index()) && ok(w) {
-            bwd.discover(w, e, du + 1);
-        }
-    }
-
     for qi in range {
         let u = bwd.queue[qi];
         let du = bwd.dist[u.index()];
-        let edges = g.in_edge_slice(u);
-        match g.in_tail_slice(u) {
-            Some(tails) => {
-                for (&e, &w) in edges.iter().zip(tails) {
-                    visit(bwd, &mut ok, e, w, du);
-                }
-            }
-            None => {
-                for &e in edges {
-                    let w = g.other_endpoint(e, u);
-                    visit(bwd, &mut ok, e, w, du);
-                }
+        for (&e, &w) in g.in_edges(u).iter().zip(g.in_tails(u)) {
+            if !bwd.marks.is_set(w.index()) && ok(w) {
+                bwd.discover(w, e, du + 1);
             }
         }
     }
@@ -366,8 +290,8 @@ fn expand_backward_level<G: Digraph>(
 /// `vertex_ok` must be a pure predicate: it is consulted in an
 /// unspecified order and from both directions.
 #[allow(clippy::too_many_arguments)] // flat kernel signature, hot path
-pub fn bibfs_into<G: Digraph>(
-    g: &G,
+pub fn bibfs_into(
+    g: &Csr,
     source: VertexId,
     target: VertexId,
     stage_of: &[u32],
@@ -526,8 +450,8 @@ pub fn bibfs_into<G: Digraph>(
 ///
 /// `vertex_ok` must be a pure predicate: it may be consulted more than
 /// once for a vertex it rejects.
-pub fn route_into<G: Digraph>(
-    g: &G,
+pub fn route_into(
+    g: &Csr,
     source: VertexId,
     target: VertexId,
     stage_of: &[u32],
@@ -555,16 +479,10 @@ pub fn route_into<G: Digraph>(
     let mut pops = 1u64;
     let mut found = false;
     'descent: while let Some((u, resume)) = ws.stack.pop() {
-        let edges = g.out_edge_slice(u);
-        let heads = g.out_head_slice(u);
+        let heads = g.out_heads(u);
         // From the stage before the target's, only `target` may be entered.
         let last_hop = stage_of[u.index()] + 1 == sl;
-        for i in resume as usize..edges.len() {
-            let w = match heads {
-                // CSR fast path: neighbour read off the parallel slice.
-                Some(heads) => heads[i],
-                None => g.other_endpoint(edges[i], u),
-            };
+        for (i, &w) in heads.iter().enumerate().skip(resume as usize) {
             if last_hop {
                 if w == target {
                     ws.marks.set(w.index());
@@ -588,19 +506,19 @@ pub fn route_into<G: Digraph>(
 }
 
 /// BFS forward from a single source with no filters.
-pub fn bfs_forward<G: Digraph>(g: &G, source: VertexId) -> Bfs {
+pub fn bfs_forward(g: &Csr, source: VertexId) -> Bfs {
     bfs(g, &[source], Direction::Forward, |_| true, |_| true)
 }
 
 /// BFS ignoring direction from a single source with no filters.
-pub fn bfs_undirected<G: Digraph>(g: &G, source: VertexId) -> Bfs {
+pub fn bfs_undirected(g: &Csr, source: VertexId) -> Bfs {
     bfs(g, &[source], Direction::Undirected, |_| true, |_| true)
 }
 
 /// Set of vertices reachable (forward) from `sources` through `edge_ok`
 /// edges and `vertex_ok` vertices, as a boolean mask.
-pub fn reachable<G: Digraph>(
-    g: &G,
+pub fn reachable(
+    g: &Csr,
     sources: &[VertexId],
     edge_ok: impl FnMut(EdgeId) -> bool,
     vertex_ok: impl FnMut(VertexId) -> bool,
@@ -610,10 +528,10 @@ pub fn reachable<G: Digraph>(
 }
 
 /// Topological order of a DAG; `None` if the graph has a directed cycle.
-pub fn topo_order<G: Digraph>(g: &G) -> Option<Vec<VertexId>> {
+pub fn topo_order(g: &Csr) -> Option<Vec<VertexId>> {
     let n = g.num_vertices();
     let mut indeg: Vec<u32> = (0..n)
-        .map(|v| g.in_edge_slice(VertexId::from(v)).len() as u32)
+        .map(|v| g.in_edges(VertexId::from(v)).len() as u32)
         .collect();
     let mut queue: VecDeque<VertexId> = (0..n)
         .map(VertexId::from)
@@ -622,8 +540,8 @@ pub fn topo_order<G: Digraph>(g: &G) -> Option<Vec<VertexId>> {
     let mut order = Vec::with_capacity(n);
     while let Some(u) = queue.pop_front() {
         order.push(u);
-        for &e in g.out_edge_slice(u) {
-            let w = g.edge_head(e);
+        for &e in g.out_edges(u) {
+            let w = g.head(e);
             indeg[w.index()] -= 1;
             if indeg[w.index()] == 0 {
                 queue.push_back(w);
@@ -634,7 +552,7 @@ pub fn topo_order<G: Digraph>(g: &G) -> Option<Vec<VertexId>> {
 }
 
 /// Whether the digraph is acyclic. All networks in the paper are DAGs.
-pub fn is_acyclic<G: Digraph>(g: &G) -> bool {
+pub fn is_acyclic(g: &Csr) -> bool {
     topo_order(g).is_some()
 }
 
@@ -643,15 +561,15 @@ pub fn is_acyclic<G: Digraph>(g: &G) -> bool {
 ///
 /// # Panics
 /// Panics if the graph has a directed cycle.
-pub fn dag_depth<G: Digraph>(g: &G) -> u32 {
+pub fn dag_depth(g: &Csr) -> u32 {
     let order = topo_order(g).expect("dag_depth requires an acyclic graph");
     let mut depth = vec![0u32; g.num_vertices()];
     let mut best = 0;
     for u in order {
         let du = depth[u.index()];
         best = best.max(du);
-        for &e in g.out_edge_slice(u) {
-            let w = g.edge_head(e);
+        for &e in g.out_edges(u) {
+            let w = g.head(e);
             depth[w.index()] = depth[w.index()].max(du + 1);
         }
     }
@@ -661,7 +579,7 @@ pub fn dag_depth<G: Digraph>(g: &G) -> u32 {
 /// Longest directed path from any vertex of `from` to any vertex of `to`
 /// (in edges); `None` if no such path exists. This is the paper's depth
 /// measure restricted to input→output paths.
-pub fn dag_depth_between<G: Digraph>(g: &G, from: &[VertexId], to: &[VertexId]) -> Option<u32> {
+pub fn dag_depth_between(g: &Csr, from: &[VertexId], to: &[VertexId]) -> Option<u32> {
     let order = topo_order(g).expect("dag_depth_between requires an acyclic graph");
     const MINF: i64 = i64::MIN;
     let mut depth = vec![MINF; g.num_vertices()];
@@ -673,8 +591,8 @@ pub fn dag_depth_between<G: Digraph>(g: &G, from: &[VertexId], to: &[VertexId]) 
         if du == MINF {
             continue;
         }
-        for &e in g.out_edge_slice(u) {
-            let w = g.edge_head(e);
+        for &e in g.out_edges(u) {
+            let w = g.head(e);
             if depth[w.index()] < du + 1 {
                 depth[w.index()] = du + 1;
             }
@@ -691,15 +609,9 @@ pub fn dag_depth_between<G: Digraph>(g: &G, from: &[VertexId], to: &[VertexId]) 
 mod tests {
     use super::*;
     use crate::ids::{e, v};
-    use crate::DiGraph;
 
-    fn chain(n: usize) -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(n);
-        for i in 0..n - 1 {
-            g.add_edge(v(i as u32), v(i as u32 + 1));
-        }
-        g
+    fn chain(n: usize) -> Csr {
+        Csr::from_edges(n, (1..n as u32).map(|i| (v(i - 1), v(i))).collect())
     }
 
     #[test]
@@ -759,12 +671,10 @@ mod tests {
 
     #[test]
     fn topo_order_on_dag() {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(1), v(3));
-        g.add_edge(v(2), v(3));
+        let g = Csr::from_edges(
+            4,
+            vec![(v(0), v(1)), (v(0), v(2)), (v(1), v(3)), (v(2), v(3))],
+        );
         let order = topo_order(&g).unwrap();
         let pos: Vec<usize> = {
             let mut p = vec![0; 4];
@@ -782,11 +692,7 @@ mod tests {
 
     #[test]
     fn cycle_detected() {
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(0));
+        let g = Csr::from_edges(3, vec![(v(0), v(1)), (v(1), v(2)), (v(2), v(0))]);
         assert!(topo_order(&g).is_none());
         assert!(!is_acyclic(&g));
     }
@@ -794,13 +700,14 @@ mod tests {
     #[test]
     fn depth_between_terminals() {
         // diamond with a long tail not between terminals
-        let mut g = DiGraph::new();
-        g.add_vertices(6);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(3), v(4)); // disconnected tail
-        g.add_edge(v(4), v(5));
+        let tail = [(v(3), v(4)), (v(4), v(5))]; // disconnected
+        let g = Csr::from_edges(
+            6,
+            [(v(0), v(1)), (v(1), v(2)), (v(0), v(2))]
+                .into_iter()
+                .chain(tail)
+                .collect(),
+        );
         assert_eq!(dag_depth_between(&g, &[v(0)], &[v(2)]), Some(2));
         assert_eq!(dag_depth_between(&g, &[v(2)], &[v(0)]), None);
         assert_eq!(dag_depth_between(&g, &[v(0), v(3)], &[v(2), v(5)]), Some(2));
@@ -1094,8 +1001,7 @@ mod tests {
 
     #[test]
     fn works_on_csr_too() {
-        let g = chain(5);
-        let c = crate::Csr::from_digraph(&g);
+        let c = chain(5);
         let b = bfs_forward(&c, v(0));
         assert_eq!(b.dist, vec![0, 1, 2, 3, 4]);
         assert_eq!(dag_depth(&c), 4);

@@ -7,13 +7,13 @@
 //! single edge. Both transformations live here; direction of edges is
 //! ignored throughout (trees come from undirected reasoning).
 
-use crate::digraph::DiGraph;
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::{bfs, Direction};
+use crate::Csr;
 
 /// Undirected adjacency list: for each vertex, the incident `(edge, other
 /// endpoint)` pairs (self-loops appear once).
-pub fn undirected_adjacency(g: &DiGraph) -> Vec<Vec<(EdgeId, VertexId)>> {
+pub fn undirected_adjacency(g: &Csr) -> Vec<Vec<(EdgeId, VertexId)>> {
     let mut adj = vec![Vec::new(); g.num_vertices()];
     for (e, t, h) in g.edges() {
         adj[t.index()].push((e, h));
@@ -26,17 +26,17 @@ pub fn undirected_adjacency(g: &DiGraph) -> Vec<Vec<(EdgeId, VertexId)>> {
 
 /// Degree-1 vertices (leaves of a tree/forest). Isolated vertices are not
 /// leaves.
-pub fn leaves(g: &DiGraph) -> Vec<VertexId> {
+pub fn leaves(g: &Csr) -> Vec<VertexId> {
     g.vertices().filter(|&u| g.degree(u) == 1).collect()
 }
 
 /// Internal (non-leaf, non-isolated) vertices.
-pub fn internal_nodes(g: &DiGraph) -> Vec<VertexId> {
+pub fn internal_nodes(g: &Csr) -> Vec<VertexId> {
     g.vertices().filter(|&u| g.degree(u) >= 2).collect()
 }
 
 /// Whether the graph, viewed undirected, is a forest (no cycles).
-pub fn is_forest(g: &DiGraph) -> bool {
+pub fn is_forest(g: &Csr) -> bool {
     // A graph is a forest iff m = n - (number of components).
     let n = g.num_vertices();
     let mut seen = vec![false; n];
@@ -54,7 +54,7 @@ pub fn is_forest(g: &DiGraph) -> bool {
 }
 
 /// Whether the graph, viewed undirected, is a single tree.
-pub fn is_tree(g: &DiGraph) -> bool {
+pub fn is_tree(g: &Csr) -> bool {
     if g.num_vertices() == 0 {
         return false;
     }
@@ -63,7 +63,7 @@ pub fn is_tree(g: &DiGraph) -> bool {
 }
 
 /// Whether every internal node has degree ≥ 3 — Lemma 1's hypothesis.
-pub fn min_internal_degree_3(g: &DiGraph) -> bool {
+pub fn min_internal_degree_3(g: &Csr) -> bool {
     g.vertices().all(|u| {
         let d = g.degree(u);
         d <= 1 || d >= 3
@@ -77,9 +77,9 @@ pub fn min_internal_degree_3(g: &DiGraph) -> bool {
 ///
 /// Edge-disjoint leaf paths found in the reduced tree map to edge-disjoint
 /// paths of no greater length in the original (contract the chains back).
-pub fn reduce_to_degree_3(g: &DiGraph) -> (DiGraph, Vec<VertexId>) {
+pub fn reduce_to_degree_3(g: &Csr) -> (Csr, Vec<VertexId>) {
     let adj = undirected_adjacency(g);
-    let mut out = DiGraph::new();
+    let mut edges = Vec::new();
     let mut origin: Vec<VertexId> = Vec::new();
     // chain_nodes[v] = the new vertices representing original v, in order;
     // incident edge k of v attaches to chain slot min(k, d-3)… we assign:
@@ -90,14 +90,14 @@ pub fn reduce_to_degree_3(g: &DiGraph) -> (DiGraph, Vec<VertexId>) {
     for u in g.vertices() {
         let d = adj[u.index()].len();
         let k = if d > 3 { d - 2 } else { 1 };
-        let first = out.add_vertices(k);
+        let first = VertexId::from(origin.len());
         for i in 0..k {
             origin.push(u);
             if i > 0 {
-                out.add_edge(
+                edges.push((
                     VertexId::from(first.index() + i - 1),
                     VertexId::from(first.index() + i),
-                );
+                ));
             }
         }
         // slot assignment: chain interior nodes take 1 external edge each,
@@ -134,10 +134,12 @@ pub fn reduce_to_degree_3(g: &DiGraph) -> (DiGraph, Vec<VertexId>) {
             }
         }
     }
-    for ends in &new_end {
-        out.add_edge(VertexId(ends[0]), VertexId(ends[1]));
-    }
-    (out, origin)
+    edges.extend(
+        new_end
+            .iter()
+            .map(|ends| (VertexId(ends[0]), VertexId(ends[1]))),
+    );
+    (Csr::from_edges(origin.len(), edges), origin)
 }
 
 /// A contracted forest: stretches (maximal degree-2 chains) collapsed to
@@ -145,7 +147,7 @@ pub fn reduce_to_degree_3(g: &DiGraph) -> (DiGraph, Vec<VertexId>) {
 #[derive(Clone, Debug)]
 pub struct ContractedForest {
     /// The contracted graph; vertex ids index into `vertex_origin`.
-    pub graph: DiGraph,
+    pub graph: Csr,
     /// For each contracted vertex, the original vertex it represents.
     pub vertex_origin: Vec<VertexId>,
     /// For each contracted edge, the original edges of its stretch, in
@@ -159,19 +161,19 @@ pub struct ContractedForest {
 ///
 /// # Panics
 /// Panics if `g` is not a forest (a degree-2 cycle has no kept vertex).
-pub fn contract_stretches(g: &DiGraph) -> ContractedForest {
+pub fn contract_stretches(g: &Csr) -> ContractedForest {
     assert!(is_forest(g), "contract_stretches requires a forest");
     let adj = undirected_adjacency(g);
     let n = g.num_vertices();
     let mut new_id = vec![u32::MAX; n];
     let mut vertex_origin = Vec::new();
-    let mut graph = DiGraph::new();
     for u in g.vertices() {
         if adj[u.index()].len() != 2 {
-            new_id[u.index()] = graph.add_vertex().0;
+            new_id[u.index()] = vertex_origin.len() as u32;
             vertex_origin.push(u);
         }
     }
+    let mut edges = Vec::new();
     let mut edge_paths = Vec::new();
     let mut used = vec![false; g.num_edges()];
     for u in g.vertices() {
@@ -197,12 +199,12 @@ pub fn contract_stretches(g: &DiGraph) -> ContractedForest {
                 prev_edge = enext;
                 cur = wnext;
             }
-            graph.add_edge(VertexId(new_id[u.index()]), VertexId(new_id[cur.index()]));
+            edges.push((VertexId(new_id[u.index()]), VertexId(new_id[cur.index()])));
             edge_paths.push(stretch);
         }
     }
     ContractedForest {
-        graph,
+        graph: Csr::from_edges(vertex_origin.len(), edges),
         vertex_origin,
         edge_paths,
     }
@@ -217,11 +219,7 @@ mod tests {
     #[test]
     fn leaves_and_internals() {
         // star with 3 leaves
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(0), v(2));
-        g.add_edge(v(0), v(3));
+        let g = Csr::from_edges(4, vec![(v(0), v(1)), (v(0), v(2)), (v(0), v(3))]);
         assert_eq!(leaves(&g), vec![v(1), v(2), v(3)]);
         assert_eq!(internal_nodes(&g), vec![v(0)]);
         assert!(is_tree(&g));
@@ -231,34 +229,25 @@ mod tests {
 
     #[test]
     fn path_fails_min_degree() {
-        let mut g = DiGraph::new();
-        g.add_vertices(3);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
+        let g = Csr::from_edges(3, vec![(v(0), v(1)), (v(1), v(2))]);
         assert!(!min_internal_degree_3(&g));
         assert!(is_tree(&g));
     }
 
     #[test]
     fn forest_detection() {
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(2), v(3));
+        let mut edges = vec![(v(0), v(1)), (v(2), v(3))];
+        let g = Csr::from_edges(4, edges.clone());
         assert!(is_forest(&g));
         assert!(!is_tree(&g), "two components");
-        g.add_edge(v(1), v(0)); // parallel edge = undirected cycle
-        assert!(!is_forest(&g));
+        edges.push((v(1), v(0))); // parallel edge = undirected cycle
+        assert!(!is_forest(&Csr::from_edges(4, edges)));
     }
 
     #[test]
     fn reduce_degree_3_star() {
         // star with 5 leaves: center degree 5 → chain of 3 new nodes
-        let mut g = DiGraph::new();
-        g.add_vertices(6);
-        for i in 1..=5 {
-            g.add_edge(v(0), v(i));
-        }
+        let g = Csr::from_edges(6, (1..=5).map(|i| (v(0), v(i))).collect());
         let (h, origin) = reduce_to_degree_3(&g);
         assert!(min_internal_degree_3(&h));
         assert!(is_tree(&h));
@@ -293,11 +282,7 @@ mod tests {
     #[test]
     fn contract_path_to_single_edge() {
         // path 0-1-2-3: ends kept, middle contracted
-        let mut g = DiGraph::new();
-        g.add_vertices(4);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(2), v(3));
+        let g = Csr::from_edges(4, vec![(v(0), v(1)), (v(1), v(2)), (v(2), v(3))]);
         let c = contract_stretches(&g);
         assert_eq!(c.graph.num_vertices(), 2);
         assert_eq!(c.graph.num_edges(), 1);
@@ -308,14 +293,8 @@ mod tests {
     #[test]
     fn contract_keeps_branch_nodes() {
         // Y with elongated arms: center 0; arms 0-1-2, 0-3, 0-4-5-6
-        let mut g = DiGraph::new();
-        g.add_vertices(7);
-        g.add_edge(v(0), v(1));
-        g.add_edge(v(1), v(2));
-        g.add_edge(v(0), v(3));
-        g.add_edge(v(0), v(4));
-        g.add_edge(v(4), v(5));
-        g.add_edge(v(5), v(6));
+        let arms = [(0, 1), (1, 2), (0, 3), (0, 4), (4, 5), (5, 6)];
+        let g = Csr::from_edges(7, arms.map(|(t, h)| (v(t), v(h))).to_vec());
         let c = contract_stretches(&g);
         // kept: 0 (deg 3), 2, 3, 6 (leaves)
         assert_eq!(c.graph.num_vertices(), 4);
@@ -344,13 +323,11 @@ mod tests {
 
     #[test]
     fn contract_isolated_and_empty() {
-        let mut g = DiGraph::new();
-        g.add_vertices(2); // two isolated vertices
+        let g = Csr::from_edges(2, vec![]); // two isolated vertices
         let c = contract_stretches(&g);
         assert_eq!(c.graph.num_vertices(), 2);
         assert_eq!(c.graph.num_edges(), 0);
-        let g = DiGraph::new();
-        let c = contract_stretches(&g);
+        let c = contract_stretches(&Csr::from_edges(0, vec![]));
         assert_eq!(c.graph.num_vertices(), 0);
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::UNREACHED;
-use crate::Digraph;
+use crate::Csr;
 use std::ops::Range;
 
 /// Per-kernel work counters, accumulated by the traversal workspaces.
@@ -217,7 +217,7 @@ impl TraversalWorkspace {
     /// Reconstructs a path from some source of the last traversal to `v`
     /// (inclusive), following parent edges backwards. Returns `None` if
     /// `v` was not reached. `g` must be the graph the traversal ran on.
-    pub fn path_to(&self, g: &impl Digraph, v: VertexId) -> Option<Vec<VertexId>> {
+    pub fn path_to(&self, g: &Csr, v: VertexId) -> Option<Vec<VertexId>> {
         if !self.reached(v) {
             return None;
         }
@@ -286,15 +286,9 @@ mod tests {
     use super::*;
     use crate::ids::v;
     use crate::traversal::{bfs_into, Direction};
-    use crate::DiGraph;
 
-    fn chain(n: usize) -> DiGraph {
-        let mut g = DiGraph::new();
-        g.add_vertices(n);
-        for i in 0..n - 1 {
-            g.add_edge(v(i as u32), v(i as u32 + 1));
-        }
-        g
+    fn chain(n: usize) -> Csr {
+        Csr::from_edges(n, (1..n as u32).map(|i| (v(i - 1), v(i))).collect())
     }
 
     #[test]

@@ -20,20 +20,18 @@ use ft_graph::traversal::{
 use ft_graph::tree::{
     contract_stretches, is_forest, leaves, min_internal_degree_3, reduce_to_degree_3,
 };
-use ft_graph::{Csr, DiGraph, FlowWorkspace, RouteWorkspace, TraversalWorkspace};
+use ft_graph::{Csr, EdgeId, FlowWorkspace, RouteWorkspace, TraversalWorkspace};
 use proptest::prelude::*;
 
 /// Strategy: a random DAG described by (n, edge list of (a, b) with a < b).
-fn dag_strategy() -> impl Strategy<Value = DiGraph> {
+fn dag_strategy() -> impl Strategy<Value = Csr> {
     (2usize..24).prop_flat_map(|n| {
         let edge = (0..n - 1).prop_flat_map(move |a| (Just(a), a + 1..n));
         proptest::collection::vec(edge, 0..80).prop_map(move |edges| {
-            let mut g = DiGraph::new();
-            g.add_vertices(n);
-            for (a, b) in edges {
-                g.add_edge(VertexId::from(a), VertexId::from(b));
-            }
-            g
+            let edges = edges
+                .into_iter()
+                .map(|(a, b)| (VertexId::from(a), VertexId::from(b)));
+            Csr::from_edges(n, edges.collect())
         })
     })
 }
@@ -42,10 +40,8 @@ fn dag_strategy() -> impl Strategy<Value = DiGraph> {
 /// permutation, edge ids kept, and `perm`. Should the new ids still
 /// ascend along every edge, `perm` is flipped (`u ↦ n − 1 − perm[u]`),
 /// which makes every edge descend: a graph with an edge never keeps
-/// [`Digraph::ids_ascend`], so forward sweeps over it take the
-/// worklist.
+/// [`Csr::ids_ascend`], so forward sweeps over it take the worklist.
 fn relabelled(c: &Csr, seed: u64) -> (Csr, Vec<VertexId>) {
-    use ft_graph::Digraph;
     use rand::seq::SliceRandom;
     let n = c.num_vertices();
     let mut perm: Vec<VertexId> = (0..n).map(VertexId::from).collect();
@@ -81,22 +77,18 @@ proptest! {
         }
     }
 
+    /// Every out-list and in-list against the brute-force oracle read
+    /// off the edge list: the ids of the edges with that tail (head), in
+    /// ascending order.
     #[test]
-    fn csr_preserves_adjacency(g in dag_strategy()) {
-        let c = Csr::from_digraph(&g);
-        prop_assert_eq!(c.num_vertices(), g.num_vertices());
-        prop_assert_eq!(c.num_edges(), g.num_edges());
-        for u in g.vertices() {
-            let mut a: Vec<_> = g.out_edges(u).to_vec();
-            let mut b: Vec<_> = c.out_edges(u).to_vec();
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
+    fn csr_preserves_adjacency(c in dag_strategy()) {
+        for u in c.vertices() {
+            let by = |end: fn(&(EdgeId, VertexId, VertexId)) -> VertexId| -> Vec<EdgeId> {
+                c.edges().filter(|edge| end(edge) == u).map(|(e, _, _)| e).collect()
+            };
+            prop_assert_eq!(c.out_edges(u), by(|&(_, t, _)| t));
+            prop_assert_eq!(c.in_edges(u), by(|&(_, _, h)| h));
         }
-        // BFS agrees between representations
-        let bg = bfs_forward(&g, VertexId(0));
-        let bc = bfs_forward(&c, VertexId(0));
-        prop_assert_eq!(bg.dist, bc.dist);
     }
 
     #[test]
@@ -197,7 +189,6 @@ proptest! {
         let src2 = VertexId::from(r.random_range(0..n));
         let banned_v = VertexId::from(r.random_range(0..n));
         let banned_e = r.random_range(0..g.num_edges().max(1)) as u32;
-        let c = Csr::from_digraph(&g);
         // ONE workspace reused across all six runs: equivalence must hold
         // regardless of what a previous traversal left in the buffers.
         let mut ws = TraversalWorkspace::new();
@@ -209,8 +200,7 @@ proptest! {
             );
             // unfiltered run first to plant stale state in the workspace
             bfs_into(&g, &[src2], Direction::Forward, |_| true, |_| true, &mut ws);
-            // run over the CSR snapshot: representation must not matter
-            bfs_into(&c, &[src, src2], dir, |e| e.0 != banned_e, |v| v != banned_v, &mut ws);
+            bfs_into(&g, &[src, src2], dir, |e| e.0 != banned_e, |v| v != banned_v, &mut ws);
             for u in 0..n {
                 let u = VertexId::from(u);
                 prop_assert_eq!(reference.dist[u.index()], ws.dist(u));
@@ -285,12 +275,11 @@ proptest! {
     /// scalar filters — on every direction, with per-lane sources, and
     /// through a reused workspace.
     #[test]
-    fn sliced_reach_matches_per_lane_bfs(g in dag_strategy(), seed in 0u64..1000) {
+    fn sliced_reach_matches_per_lane_bfs(c in dag_strategy(), seed in 0u64..1000) {
         use rand::Rng;
         let mut r = gen::rng(seed);
-        let n = g.num_vertices();
-        let m = g.num_edges();
-        let c = Csr::from_digraph(&g);
+        let n = c.num_vertices();
+        let m = c.num_edges();
         // random per-lane filters and sources, dense enough to differ
         let edge_words: Vec<u64> = (0..m).map(|_| r.random()).collect();
         let vertex_words: Vec<u64> = (0..n).map(|_| r.random()).collect();
@@ -394,12 +383,10 @@ proptest! {
     /// reused workspaces) and decide the same number of lane bits.
     #[test]
     fn sliced_worklist_and_ascending_pass_agree_on_relabelled_dags(
-        g in dag_strategy(),
+        c in dag_strategy(),
         seed in 0u64..1000,
     ) {
-        use ft_graph::Digraph;
         use rand::Rng;
-        let c = Csr::from_digraph(&g);
         prop_assert!(c.ids_ascend());
         let (p, perm) = relabelled(&c, seed);
         let mut r = gen::rng(seed ^ 0xA5C3);
@@ -460,7 +447,6 @@ proptest! {
         seed in 0u64..1000,
         widths in proptest::collection::vec(1usize..6, 2..7),
     ) {
-        use ft_graph::Digraph;
         use rand::Rng;
         let (net, _) = random_unit_staged(seed, &widths, 1.0);
         let c = net.csr();
@@ -517,19 +503,11 @@ proptest! {
                 let want = reference.path_to(csr, dst);
                 // exactness must hold under EVERY backward budget
                 for budget in [0u32, 1, 2, u32::MAX] {
-                    // CSR fast path (parallel head slices)
                     let got = bibfs_into(csr, src, dst, stage_of, budget,
                                          |v| idle[v.index()], &mut fwd, &mut bwd);
                     prop_assert_eq!(got, want.is_some());
                     if got {
                         prop_assert_eq!(fwd.path_to(csr, dst), want.clone());
-                    }
-                    // generic fallback (no head slices on StagedNetwork)
-                    let got2 = bibfs_into(&net, src, dst, stage_of, budget,
-                                          |v| idle[v.index()], &mut fwd, &mut bwd);
-                    prop_assert_eq!(got2, want.is_some());
-                    if got2 {
-                        prop_assert_eq!(fwd.path_to(&net, dst), want.clone());
                     }
                 }
             }
@@ -560,7 +538,7 @@ proptest! {
                 let want = reference.path_to(csr, dst);
                 let col = reach.column(dst);
                 let before = ws.stats().bibfs_pops;
-                // CSR fast path, bare
+                // bare
                 let got = route_into(csr, src, dst, stage_of, |v| idle[v.index()], &mut ws, &mut path);
                 prop_assert_eq!(got.then(|| path.clone()), want.clone());
                 let bare = ws.stats().bibfs_pops - before;
@@ -568,12 +546,9 @@ proptest! {
                 // pruned by the reach table
                 let got = route_into(csr, src, dst, stage_of,
                                      |v| idle[v.index()] && reach.reaches(v, col), &mut ws, &mut path);
-                prop_assert_eq!(got.then(|| path.clone()), want.clone());
+                prop_assert_eq!(got.then(|| path.clone()), want);
                 let pruned = ws.stats().bibfs_pops - before - bare;
                 prop_assert!(pruned as usize <= touched(&ws) && pruned <= bare);
-                // generic fallback (no head slices on StagedNetwork)
-                let got = route_into(&net, src, dst, stage_of, |v| idle[v.index()], &mut ws, &mut path);
-                prop_assert_eq!(got.then(|| path.clone()), want);
             }
         }
     }

@@ -48,7 +48,7 @@ mod tests {
     #[test]
     fn crossbar_is_superconcentrator() {
         let x = crossbar(3);
-        assert!(verify_superconcentrator_exhaustive(&x, x.inputs(), x.outputs()).is_none());
+        assert!(verify_superconcentrator_exhaustive(x.graph(), x.inputs(), x.outputs()).is_none());
     }
 
     #[test]

@@ -229,7 +229,7 @@ fn benes7_matches_full_forward_bfs_across_reach_words() {
     let net = Benes::new(7).net;
     assert_eq!(net.output_reach().words_per_vertex(), 2);
     let repair = |inst: &FailureInstance| -> Vec<bool> {
-        let faulty = inst.faulty_vertices(&net);
+        let faulty = inst.faulty_vertices(net.graph());
         let terminal = net.terminal_mask();
         (0..faulty.len())
             .map(|i| terminal[i] || !faulty[i])

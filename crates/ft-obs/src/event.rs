@@ -234,11 +234,6 @@ impl TraceBuf {
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.buf).expect("the trace is ASCII")
     }
-
-    /// The NDJSON text, taking the buffer.
-    pub fn into_string(self) -> String {
-        String::from_utf8(self.buf).expect("the trace is ASCII")
-    }
 }
 
 /// Appends `key` (a literal ending in `"name":`) and then `n`.

@@ -59,11 +59,6 @@ impl Client {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed response"))
     }
 
-    /// Tears the connection down mid-stream (robustness tests).
-    pub fn shutdown_socket(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Both)
-    }
-
     /// `CONNECT` under client-chosen id; returns the response.
     pub fn connect_circuit(
         &mut self,

@@ -790,7 +790,7 @@ mod tests {
             let g = fabric.net();
             let first_pair = (g.inputs()[0], g.outputs()[0]);
             let switch = (0..g.num_edges() as u32)
-                .find(|&e| g.endpoints(EdgeId(e)) == first_pair)
+                .find(|&e| g.graph().endpoints(EdgeId(e)) == first_pair)
                 .unwrap();
             let (tx, report_rx) = spawn(fabric, cfg);
             let connect = Request::Connect {

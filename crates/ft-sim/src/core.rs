@@ -52,7 +52,8 @@ impl<'a> SwitchingCore<'a> {
     pub fn new(fabric: &'a Fabric, mut bufs: CoreBuffers) -> Self {
         let net = fabric.net();
         let inst = FailureInstance::perfect(net.num_edges());
-        bufs.tracker.reset_for(net, net.terminal_mask(), &inst);
+        bufs.tracker
+            .reset_for(net.graph(), net.terminal_mask(), &inst);
         SwitchingCore {
             fabric,
             router: CircuitRouter::new(net),
@@ -226,7 +227,7 @@ mod tests {
         let b = core.admit(1, 2).unwrap();
         // A switch leaving the second vertex of `a`'s path.
         let path = core.router().session_path(a).unwrap().to_vec();
-        let e = core.net().out_edge_slice(path[1])[0];
+        let e = core.net().graph().out_edges(path[1])[0];
         let killed = core.fail(e, SwitchState::Open).unwrap();
         assert_eq!(killed, [a]);
         let r = core.router();

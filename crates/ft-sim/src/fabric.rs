@@ -164,7 +164,7 @@ impl Fabric {
     /// proptests pin the equivalence.
     pub fn alive_tracker(&self, inst: &FailureInstance) -> AliveTracker {
         let g = self.net();
-        AliveTracker::new(g, g.terminal_mask(), inst)
+        AliveTracker::new(g.graph(), g.terminal_mask(), inst)
     }
 }
 
@@ -179,7 +179,7 @@ pub fn generic_routable_alive_into(g: &StagedNetwork, inst: &FailureInstance, ou
     out.clear();
     out.resize(g.num_vertices(), true);
     for e in inst.failed_edges() {
-        let (t, h) = g.endpoints(e);
+        let (t, h) = g.graph().endpoints(e);
         if !is_terminal[t.index()] {
             out[t.index()] = false;
         }
@@ -207,7 +207,7 @@ pub fn generic_routable_alive_words_into(
     out.resize(g.num_vertices(), !0u64);
     for s in sliced.iter_failed_switches() {
         let keep = !sliced.failed_word(s);
-        let (t, h) = g.endpoints(EdgeId::from(s));
+        let (t, h) = g.graph().endpoints(EdgeId::from(s));
         if !is_terminal[t.index()] {
             out[t.index()] &= keep;
         }
@@ -252,7 +252,7 @@ mod tests {
             let g = f.net();
             let is_terminal = g.terminal_mask();
             let no_terminal_to_terminal_switch = (0..g.num_edges()).all(|e| {
-                let (t, h) = g.endpoints(EdgeId::from(e));
+                let (t, h) = g.graph().endpoints(EdgeId::from(e));
                 !is_terminal[t.index()] || !is_terminal[h.index()]
             });
             assert_eq!(
@@ -277,7 +277,7 @@ mod tests {
         states[0] = SwitchState::Open;
         let inst = FailureInstance::from_states(states);
         let alive = f.alive_mask(&inst);
-        let (t, h) = g.endpoints(ft_graph::EdgeId::from(0usize));
+        let (t, h) = g.graph().endpoints(ft_graph::EdgeId::from(0usize));
         assert_eq!(t, g.inputs()[0]);
         assert!(alive[t.index()], "terminal must stay alive");
         assert!(!alive[h.index()], "internal endpoint must be discarded");

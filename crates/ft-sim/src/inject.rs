@@ -450,7 +450,7 @@ impl FaultInjector for GroupStorm {
         };
         let mut group: Vec<EdgeId> = Vec::new();
         for v in ctx.net().stage_vertices(s) {
-            for &e in ctx.net().out_edge_slice(v) {
+            for &e in ctx.net().graph().out_edges(v) {
                 if ctx.instance().is_normal(e) {
                     group.push(e);
                 }
@@ -519,7 +519,7 @@ impl FaultInjector for SpatialBurst {
         // at `seed`, collecting healthy switches in deterministic
         // discovery order. Failed switches still conduct adjacency —
         // the cluster is spatial, not health-dependent.
-        let g = ctx.net();
+        let g = ctx.net().graph();
         let mut visited = vec![false; g.num_edges()];
         visited[seed.index()] = true;
         let mut group = vec![seed];
@@ -529,7 +529,7 @@ impl FaultInjector for SpatialBurst {
             frontier += 1;
             let (t, h) = g.endpoints(e);
             'scan: for v in [t, h] {
-                for &e2 in g.out_edge_slice(v).iter().chain(g.in_edge_slice(v)) {
+                for &e2 in g.out_edges(v).iter().chain(g.in_edges(v)) {
                     if !visited[e2.index()] {
                         visited[e2.index()] = true;
                         if ctx.instance().is_normal(e2) {
@@ -593,7 +593,7 @@ impl FaultInjector for Targeted {
             if !ctx.instance().is_normal(e) {
                 continue;
             }
-            let (t, h) = g.endpoints(e);
+            let (t, h) = g.graph().endpoints(e);
             let mut circuits = 0u32;
             let mut discards = 0u32;
             let mut seen: Option<SessionId> = None;

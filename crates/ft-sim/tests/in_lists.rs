@@ -54,7 +54,7 @@ fn a_connect_leaves_the_in_lists_unbuilt_and_a_backward_search_builds_them() {
     let mut ws = TraversalWorkspace::new();
     let target = [net.outputs()[1]];
     bfs_into(
-        net,
+        net.graph(),
         &target,
         Direction::Backward,
         |_| true,

@@ -144,7 +144,7 @@ fn temporal_fault_blocking_matches_static_snapshot_estimate() {
         let i = rng.random_range(0..n);
         let o = rng.random_range(0..n);
         let b = bfs(
-            net,
+            net.graph(),
             &[net.inputs()[i]],
             Direction::Forward,
             |_| true,

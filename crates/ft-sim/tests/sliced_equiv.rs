@@ -118,7 +118,7 @@ fn every_fabric_family_has_ascending_ids() {
     for fabric in fabrics {
         let net = fabric.net();
         assert!(net.csr().ids_ascend(), "{}", fabric.label());
-        assert!(net.ids_ascend(), "{}", fabric.label());
+        assert!(net.graph().ids_ascend(), "{}", fabric.label());
     }
 }
 

@@ -44,7 +44,7 @@ fn main() {
     println!("\nStep 2 — Lemma 2: the Benes' inputs are dangerously close\n");
     let benes = Benes::new(5); // 32 terminals
     let n = benes.terminals();
-    let l2 = short_terminal_paths(&benes.net, benes.net.inputs(), 4);
+    let l2 = short_terminal_paths(benes.net.graph(), benes.net.inputs(), 4);
     println!(
         "  benes({n}): {} edge-disjoint input-to-input paths, longest {} switches",
         l2.paths.len(),
@@ -59,7 +59,7 @@ fn main() {
     let mut shorted = 0;
     for _ in 0..400 {
         let inst = FailureInstance::sample(&model, &mut r, m);
-        if terminals_shorted(&benes.net, &inst, benes.net.inputs()) {
+        if terminals_shorted(benes.net.graph(), &inst, benes.net.inputs()) {
             shorted += 1;
         }
     }
@@ -72,7 +72,7 @@ fn main() {
     println!("\nStep 3 — Theorem 1: the zone audit\n");
     let ftn = FtNetwork::build(Params::reduced(2, 8, 8, 1.0));
     for (name, net) in [("benes(32)", &benes.net), ("N (nu=2 reduced)", ftn.net())] {
-        let audit = zone_audit_with(net, net.inputs(), 4, 2);
+        let audit = zone_audit_with(net.graph(), net.inputs(), 4, 2);
         println!(
             "  {name}: {} switches, {} of {} inputs good, min zone {:?}, disjoint balls {} switches",
             net.size(),

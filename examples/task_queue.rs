@@ -22,23 +22,18 @@ use fault_tolerant_switching::core::routing;
 use fault_tolerant_switching::failure::{FailureInstance, FailureModel};
 use fault_tolerant_switching::graph::gen::rng;
 use fault_tolerant_switching::graph::menger::max_disjoint_paths;
-use fault_tolerant_switching::graph::VertexId;
+use fault_tolerant_switching::graph::{Csr, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// The survivor as a standalone graph (dead links dropped) for the
 /// max-flow verification.
-fn survivor_graph(ftn: &FtNetwork, alive: &[bool]) -> fault_tolerant_switching::graph::DiGraph {
+fn survivor_graph(ftn: &FtNetwork, alive: &[bool]) -> Csr {
     let g = ftn.net().graph();
-    let mut out =
-        fault_tolerant_switching::graph::DiGraph::with_capacity(g.num_vertices(), g.num_edges());
-    out.add_vertices(g.num_vertices());
-    for (_, t, h) in g.edges() {
-        if alive[t.index()] && alive[h.index()] {
-            out.add_edge(t, h);
-        }
-    }
-    out
+    let kept = g
+        .edges()
+        .filter(|&(_, t, h)| alive[t.index()] && alive[h.index()]);
+    Csr::from_edges(g.num_vertices(), kept.map(|(_, t, h)| (t, h)).collect())
 }
 
 fn main() {

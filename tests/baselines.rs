@@ -21,7 +21,11 @@ fn input_short_estimate(net: &StagedNetwork, eps_close: f64, trials: u64) -> Est
     let model = FailureModel::new(0.0, eps_close);
     let m = net.num_edges();
     estimate_probability(trials, 0xE3, |rng| {
-        terminals_shorted(net, &FailureInstance::sample(&model, rng, m), net.inputs())
+        terminals_shorted(
+            net.graph(),
+            &FailureInstance::sample(&model, rng, m),
+            net.inputs(),
+        )
     })
 }
 
@@ -90,10 +94,10 @@ fn baseline_inputs_are_close_together() {
     // distance
     for k in [3u32, 4, 5] {
         let b = Benes::new(k);
-        let d = nearest_other_terminal(&b.net, b.net.inputs());
+        let d = nearest_other_terminal(b.net.graph(), b.net.inputs());
         assert!(d.iter().all(|&x| x <= 2), "Benes inputs not close: {d:?}");
         let bf = Butterfly::new(k);
-        let d = nearest_other_terminal(&bf.net, bf.net.inputs());
+        let d = nearest_other_terminal(bf.net.graph(), bf.net.inputs());
         assert!(d.iter().all(|&x| x <= 2));
     }
 }
@@ -102,7 +106,7 @@ fn baseline_inputs_are_close_together() {
 fn baselines_have_no_good_inputs_at_threshold_4() {
     for k in [4u32, 5] {
         let b = Benes::new(k);
-        let audit = zone_audit_with(&b.net, b.net.inputs(), 4, 2);
+        let audit = zone_audit_with(b.net.graph(), b.net.inputs(), 4, 2);
         assert_eq!(audit.good_terminals, 0);
     }
 }
@@ -110,7 +114,7 @@ fn baselines_have_no_good_inputs_at_threshold_4() {
 #[test]
 fn lemma2_pipeline_extracts_disjoint_short_paths_on_benes() {
     let b = Benes::new(4); // n = 16
-    let r = short_terminal_paths(&b.net, b.net.inputs(), 4);
+    let r = short_terminal_paths(b.net.graph(), b.net.inputs(), 4);
     assert!(
         r.paths.len() >= 16usize.div_ceil(84),
         "expected ≥ ⌈n/84⌉ paths, got {}",
@@ -133,7 +137,7 @@ fn ftn_inputs_are_all_good_at_threshold_4() {
     for nu in [1u32, 2] {
         let fabric = Fabric::ftn_reduced(nu, 8, 8, 1.0);
         let net = fabric.net();
-        let audit = zone_audit_with(net, net.inputs(), 4, 2);
+        let audit = zone_audit_with(net.graph(), net.inputs(), 4, 2);
         assert_eq!(audit.good_terminals, net.inputs().len(), "nu={nu}");
         assert_eq!(audit.min_zone_edges, Some(32), "nu={nu}");
     }
@@ -154,7 +158,7 @@ fn shorting_at_quarter_rises_with_n_on_benes_and_butterfly() {
             };
             let n = 1usize << k;
             let max_j = theory::lemma2_distance_threshold(n).ceil() as u32 + 2;
-            let l2 = short_terminal_paths(&net, net.inputs(), max_j);
+            let l2 = short_terminal_paths(net.graph(), net.inputs(), max_j);
             assert!(l2.paths.len() >= n / 2 && l2.max_len <= 3, "{name}({n})");
             let est = input_short_estimate(&net, 0.25, 2000);
             let (lo, hi) = est.wilson95();
@@ -203,7 +207,7 @@ fn benes_shorts_with_high_probability_at_quarter() {
     let mut shorted = 0;
     for _ in 0..200 {
         let inst = FailureInstance::sample(&model, &mut r, m);
-        if terminals_shorted(&b.net, &inst, b.net.inputs()) {
+        if terminals_shorted(b.net.graph(), &inst, b.net.inputs()) {
             shorted += 1;
         }
     }

@@ -12,7 +12,7 @@
 
 use fault_tolerant_switching::failure::{FailureInstance, FailureMask, FailureModel};
 use fault_tolerant_switching::graph::gen::rng;
-use fault_tolerant_switching::graph::EdgeId;
+use fault_tolerant_switching::graph::{EdgeId, VertexId};
 use rand::Rng;
 
 #[test]
@@ -788,4 +788,118 @@ fn built_graphs_of_every_fabric_family_are_pinned() {
     for (spec, want) in golden {
         assert_eq!(graph_bytes(spec), want, "{spec}");
     }
+}
+
+/// FNV-1a over a graph's vertex count, edge list and every vertex's
+/// out-list and in-list, in list order: a graph grown edge by edge and
+/// the same edges sorted into a `Csr` hash alike only if each list keeps
+/// its edges in insertion order.
+fn adjacency_hash<'a>(
+    edges: impl Iterator<Item = (EdgeId, VertexId, VertexId)>,
+    lists: impl Iterator<Item = (&'a [EdgeId], &'a [EdgeId])>,
+) -> (usize, usize, u64) {
+    use fault_tolerant_switching::obs::fnv1a;
+    let mut bytes = Vec::new();
+    let mut push = |x: u32| bytes.extend_from_slice(&x.to_le_bytes());
+    let mut m = 0;
+    for (e, t, h) in edges {
+        assert_eq!(e.index(), m, "edge ids count up from 0");
+        push(t.0);
+        push(h.0);
+        m += 1;
+    }
+    let mut n = 0;
+    for (out, into) in lists {
+        push(out.len() as u32);
+        out.iter().for_each(|e| push(e.0));
+        push(into.len() as u32);
+        into.iter().for_each(|e| push(e.0));
+        n += 1;
+    }
+    (n, m, fnv1a(&bytes))
+}
+
+/// Pins the graphs built outside a `StagedBuilder`: the five `gen`
+/// generators, a contraction quotient, a proximity forest and the two
+/// `tree` transformations. Every search over them visits vertices in
+/// list order, so a change of representation must keep these bytes.
+#[test]
+fn free_standing_graphs_are_pinned() {
+    use fault_tolerant_switching::core::lowerbound::proximity_forest;
+    use fault_tolerant_switching::failure::contraction::contract;
+    use fault_tolerant_switching::graph::gen;
+    use fault_tolerant_switching::graph::tree::{contract_stretches, reduce_to_degree_3};
+    use fault_tolerant_switching::sim::FabricSpec;
+
+    macro_rules! hash {
+        ($g:expr) => {{
+            let g = &$g;
+            adjacency_hash(
+                g.edges(),
+                g.vertices().map(|u| (g.out_edges(u), g.in_edges(u))),
+            )
+        }};
+    }
+
+    let golden = [
+        (
+            hash!(gen::random_dag(&mut rng(7), 30, 90)),
+            (30, 90, 0xe0370f4116fd3ecf),
+        ),
+        (
+            hash!(gen::random_dag(&mut rng(8), 12, 40)),
+            (12, 40, 0x559d3bbfab720c06),
+        ),
+        (
+            hash!(gen::random_tree(&mut rng(7), 40)),
+            (40, 39, 0x6fe48c65fde963a6),
+        ),
+        (
+            hash!(gen::random_tree(&mut rng(8), 9)),
+            (9, 8, 0xdf10bd14b747f63e),
+        ),
+        (
+            hash!(gen::random_lemma1_tree(&mut rng(7), 30)),
+            (48, 47, 0xa82f3b745307b344),
+        ),
+        (
+            hash!(gen::random_lemma1_tree(&mut rng(8), 7)),
+            (8, 7, 0xc958c5efc1fb2833),
+        ),
+        (
+            hash!(gen::caterpillar_tree(5, 2)),
+            (15, 14, 0x4f6cf376d7825788),
+        ),
+        (
+            hash!(gen::caterpillar_tree(1, 4)),
+            (5, 4, 0x4d894cc9e2d60705),
+        ),
+        (
+            hash!(gen::complete_dary_tree(3, 3)),
+            (40, 39, 0xbd7e431b79ed1e7b),
+        ),
+        (
+            hash!(gen::complete_dary_tree(5, 2)),
+            (31, 30, 0xe13b990446d5b5fb),
+        ),
+    ];
+    for (i, (have, want)) in golden.into_iter().enumerate() {
+        assert_eq!(have, want, "generator case {i}");
+    }
+
+    let tree = gen::random_lemma1_tree(&mut rng(11), 25);
+    let reduced = reduce_to_degree_3(&tree).0;
+    assert_eq!(hash!(reduced), (48, 47, 0xde7566845ac4f087));
+    let forest = contract_stretches(&gen::random_tree(&mut rng(12), 40)).graph;
+    assert_eq!(hash!(forest), (32, 31, 0x5df3cebd2e9a4b46));
+
+    let fabric = FabricSpec::parse("benes 4").expect("spec parses").build();
+    let net = fabric.net();
+    let inst = FailureInstance::sample(&FailureModel::new(0.1, 0.1), &mut rng(13), net.size());
+    let quotient = contract(net.graph(), &inst).graph;
+    assert_eq!(hash!(quotient), (107, 174, 0x0cc5c625054eae35));
+    let mut terminals = net.inputs().to_vec();
+    terminals.extend_from_slice(net.outputs());
+    let forest = proximity_forest(net.graph(), &terminals, 6).forest;
+    assert_eq!(hash!(forest), (128, 40, 0xf7d314d0184d37e5));
 }

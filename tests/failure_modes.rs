@@ -92,7 +92,7 @@ fn open_only_failures_never_short() {
     terminals.extend_from_slice(ftn.net().outputs());
     for _ in 0..50 {
         let inst = FailureInstance::sample(&model, &mut r, ftn.net().num_edges());
-        assert!(find_shorted_pair(ftn.net(), &inst, &terminals).is_none());
+        assert!(find_shorted_pair(ftn.net().graph(), &inst, &terminals).is_none());
         let cert = certify_with_budget(&ftn, &inst, 1.0);
         assert!(cert.terminals_distinct);
     }
@@ -108,7 +108,7 @@ fn closed_only_failures_short_at_high_rate_and_are_detected() {
     let mut shorted = 0;
     for _ in 0..30 {
         let inst = FailureInstance::sample(&model, &mut r, ftn.net().num_edges());
-        let pair = find_shorted_pair(ftn.net(), &inst, &terminals);
+        let pair = find_shorted_pair(ftn.net().graph(), &inst, &terminals);
         let cert = certify_with_budget(&ftn, &inst, 1.0);
         assert_eq!(pair.is_none(), cert.terminals_distinct);
         if pair.is_some() {
@@ -134,7 +134,7 @@ fn open_failures_dominate_routing_loss_closed_dominate_shorts() {
     {
         for _ in 0..30 {
             let inst = FailureInstance::sample(&model, &mut r, ftn.net().num_edges());
-            if find_shorted_pair(ftn.net(), &inst, &terminals).is_some() {
+            if find_shorted_pair(ftn.net().graph(), &inst, &terminals).is_some() {
                 shorts[k] += 1;
             }
         }

@@ -26,7 +26,7 @@ use fault_tolerant_switching::failure::{
 };
 use fault_tolerant_switching::graph::distance::nearest_other_terminal;
 use fault_tolerant_switching::graph::gen::{random_permutation, rng};
-use fault_tolerant_switching::graph::{Digraph, VertexId};
+use fault_tolerant_switching::graph::{Csr, Digraph, VertexId};
 use fault_tolerant_switching::networks::{Benes, Butterfly, CircuitRouter};
 use fault_tolerant_switching::sim::Fabric;
 use rand::rngs::SmallRng;
@@ -60,11 +60,11 @@ fn carries_random_permutation(fabric: &Fabric, model: &FailureModel, rng: &mut S
 
 /// Whether every switch on every path is normal: a natively routed
 /// circuit set survives the instance.
-fn paths_survive(g: &impl Digraph, inst: &FailureInstance, paths: &[Vec<VertexId>]) -> bool {
+fn paths_survive(g: &Csr, inst: &FailureInstance, paths: &[Vec<VertexId>]) -> bool {
     paths.iter().flat_map(|p| p.windows(2)).all(|w| {
-        g.out_edge_slice(w[0])
+        g.out_edges(w[0])
             .iter()
-            .any(|&e| g.edge_head(e) == w[1] && inst.is_normal(e))
+            .any(|&e| g.head(e) == w[1] && inst.is_normal(e))
     })
 }
 
@@ -244,7 +244,7 @@ fn lemma7_shorting_needs_long_closed_paths() {
         let fabric = Fabric::ftn_reduced(nu, 8, 8, 1.0);
         let net = fabric.net();
         let terminals: Vec<VertexId> = net.inputs().iter().chain(net.outputs()).copied().collect();
-        let min = *nearest_other_terminal(net, &terminals)
+        let min = *nearest_other_terminal(net.graph(), &terminals)
             .iter()
             .min()
             .unwrap();
@@ -253,7 +253,11 @@ fn lemma7_shorting_needs_long_closed_paths() {
         let model = FailureModel::new(0.0, 0.05);
         let m = net.num_edges();
         shorts.push(estimate_probability(1000, 0xE9, |rng| {
-            terminals_shorted(net, &FailureInstance::sample(&model, rng, m), &terminals)
+            terminals_shorted(
+                net.graph(),
+                &FailureInstance::sample(&model, rng, m),
+                &terminals,
+            )
         }));
     }
     let (nu1_lo, _) = shorts[0].wilson95();
@@ -299,7 +303,7 @@ fn theorem2_baselines_collapse_where_ftn_routes() {
     let benes_est = estimate_probability(1000, 0xB10, |rng| {
         let paths = benes.route_permutation(&random_permutation(rng, 16));
         let inst = FailureInstance::sample(&model, rng, benes.net.num_edges());
-        paths_survive(&benes.net, &inst, &paths)
+        paths_survive(benes.net.graph(), &inst, &paths)
     });
     let bf = Butterfly::new(4);
     let bf_est = estimate_probability(1000, 0xBF10, |rng| {
@@ -308,7 +312,7 @@ fn theorem2_baselines_collapse_where_ftn_routes() {
             .map(|x| bf.unique_path(x, perm[x as usize]))
             .collect();
         let inst = FailureInstance::sample(&model, rng, bf.net.num_edges());
-        paths_survive(&bf.net, &inst, &paths)
+        paths_survive(bf.net.graph(), &inst, &paths)
     });
     let (lo, hi) = benes_est.wilson95();
     let exact = (1.0 - 2.0 * eps).powi(112);

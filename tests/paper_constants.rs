@@ -9,7 +9,7 @@ use fault_tolerant_switching::expander::paper::{expansion_factor, ExpanderSpec};
 use fault_tolerant_switching::failure::onenet::{construct_onenet, depth_constant, size_constant};
 use fault_tolerant_switching::failure::{Connectivity, FailureModel};
 use fault_tolerant_switching::graph::ids::v;
-use fault_tolerant_switching::graph::DiGraph;
+use fault_tolerant_switching::graph::Csr;
 
 #[test]
 fn gamma_sandwich_34_136() {
@@ -191,24 +191,15 @@ fn figure1_bad_leaf_and_figure2_demo_tree() {
     // Fig. 1: leaf 0 hangs off a binary tree of depth 3, so its nearest
     // other leaf is 4 away and it is bad; the 8 good leaves still pair
     // up into 4 edge-disjoint short paths
-    let mut g = DiGraph::new();
-    g.add_vertices(16);
-    g.add_edge(v(0), v(1));
-    for p in 1..8u32 {
-        g.add_edge(v(p), v(2 * p));
-        g.add_edge(v(p), v(2 * p + 1));
-    }
+    let tree = (1..8u32).flat_map(|p| [(v(p), v(2 * p)), (v(p), v(2 * p + 1))]);
+    let g = Csr::from_edges(16, [(v(0), v(1))].into_iter().chain(tree).collect());
     let r = lemma1_short_paths(&g);
     assert_eq!((r.num_leaves, r.good_leaves, r.paths.len()), (9, 8, 4));
     // Fig. 2: a centre with 3 branch children of 2 leaves each — every
     // leaf is good and sibling pairs give 3 paths
-    let mut g = DiGraph::new();
-    g.add_vertices(10);
-    for c in 1..=3u32 {
-        g.add_edge(v(0), v(c));
-        g.add_edge(v(c), v(2 * c + 2));
-        g.add_edge(v(c), v(2 * c + 3));
-    }
+    let branches =
+        (1..=3u32).flat_map(|c| [(v(0), v(c)), (v(c), v(2 * c + 2)), (v(c), v(2 * c + 3))]);
+    let g = Csr::from_edges(10, branches.collect());
     let r = lemma1_short_paths(&g);
     assert_eq!((r.num_leaves, r.good_leaves, r.paths.len()), (6, 6, 3));
 }

@@ -9,7 +9,7 @@ use fault_tolerant_switching::core::routing;
 use fault_tolerant_switching::failure::{FailureInstance, FailureModel};
 use fault_tolerant_switching::graph::gen::rng;
 use fault_tolerant_switching::graph::menger::max_disjoint_paths;
-use fault_tolerant_switching::graph::Digraph;
+use fault_tolerant_switching::graph::{Csr, Digraph};
 use fault_tolerant_switching::networks::CircuitRouter;
 
 fn profiles() -> Vec<Params> {
@@ -76,16 +76,10 @@ fn survivor_remains_a_superconcentrator() {
         let alive = survivor.routable_alive();
         // materialise the survivor graph
         let g = ftn.net().graph();
-        let mut sg = fault_tolerant_switching::graph::DiGraph::with_capacity(
-            g.num_vertices(),
-            g.num_edges(),
-        );
-        sg.add_vertices(g.num_vertices());
-        for (_, t, h) in g.edges() {
-            if alive[t.index()] && alive[h.index()] {
-                sg.add_edge(t, h);
-            }
-        }
+        let kept = g
+            .edges()
+            .filter(|&(_, t, h)| alive[t.index()] && alive[h.index()]);
+        let sg = Csr::from_edges(g.num_vertices(), kept.map(|(_, t, h)| (t, h)).collect());
         let flow = max_disjoint_paths(&sg, ftn.net().inputs(), ftn.net().outputs());
         if flow as usize == ftn.n() {
             full_flow_count += 1;
