@@ -5,16 +5,18 @@
 //! lazily the same bench includes the freeze.
 //!
 //! Two rungs take `build_ftn/nu2` apart: `csr_from_edges/ftn_nu2` is
-//! the counting sort of its edge list into the CSR (the clone of the
-//! list it consumes, a 155 KB copy, is inside the timing), and
-//! `validate/ftn_nu2` is the staging check `StagedBuilder::finish` runs
-//! on it. What is left of `build_ftn/nu2` is the wiring itself.
+//! the CSR's checking fold and offsets scan over its tail-ordered edge
+//! list (the clone of the list it consumes, a 155 KB copy, and its split
+//! into two columns are inside the timing; `StagedBuilder::finish` hands
+//! its columns over with neither), and `validate/ftn_nu2` is the staging
+//! check `finish` runs on it. What is left of `build_ftn/nu2` is the
+//! wiring itself.
 //!
-//! `csr_in_lists/ftn_nu2` times what the build no longer does: the first
+//! `csr_in_lists/ftn_nu2` times what the build does not do: the first
 //! in-list read on a `Csr` that has not sorted its in-lists, which sorts
 //! them all. Each iteration reads a fresh clone of the built `Csr`; the
-//! clone (its edge and out-lists, ≈ 0.4 MB copied) and its drop are
-//! inside the timing.
+//! clone (its two edge columns and offsets, ≈ 0.17 MB copied) and its
+//! drop are inside the timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_core::network::FtNetwork;

@@ -82,12 +82,11 @@ pub fn lemma1_short_paths(g: &Csr) -> Lemma1Result {
         min_internal_degree_3(g),
         "Lemma 1 requires internal degree ≥ 3"
     );
-    let (h, origin) = reduce_to_degree_3(g);
-    // In the reduction, chain edges were added first; the original
-    // edges occupy the last `g.num_edges()` ids in order.
-    let orig_offset = h.num_edges() - g.num_edges();
+    let (h, origin, edge_origin) = reduce_to_degree_3(g);
+    // the original edge a reduced edge copies; none for a chain edge
     let to_orig = |e: EdgeId| -> Option<EdgeId> {
-        (e.index() >= orig_offset).then(|| EdgeId::from(e.index() - orig_offset))
+        let o = edge_origin[e.index()];
+        (!o.is_none()).then_some(o)
     };
     let adj = undirected_adjacency(&h);
     let hl = leaves(&h);
@@ -239,7 +238,6 @@ pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> Proximit
         is_term[t.index()] = true;
     }
     let mut forest = Vec::new();
-    let mut host_edge = Vec::new();
     let mut in_forest = std::collections::HashSet::new();
     let mut uf = UnionFind::new(g.num_vertices());
     let mut participating = 0;
@@ -273,9 +271,7 @@ pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> Proximit
             // identify the host edge (either direction)
             let e = g
                 .out_edges(a)
-                .iter()
-                .chain(g.in_edges(a))
-                .copied()
+                .chain(g.in_edges(a).iter().copied())
                 .find(|&e| g.other_endpoint(e, a) == c)
                 .expect("path edge must exist");
             if in_forest.contains(&e) || uf.same(a.0, c.0) {
@@ -283,16 +279,16 @@ pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> Proximit
             }
             in_forest.insert(e);
             uf.union(a.0, c.0);
-            forest.push((a, c));
-            host_edge.push(e);
+            forest.push((a, c, e));
             added = true;
         }
         if added {
             participating += 1;
         }
     }
+    let (forest, host_edge) = Csr::from_tagged_edges(g.num_vertices(), forest);
     ProximityForest {
-        forest: Csr::from_edges(g.num_vertices(), forest),
+        forest,
         host_edge,
         participating,
         isolated,
@@ -567,7 +563,9 @@ mod tests {
     fn zone_audit_on_disjoint_paths() {
         // two long disjoint paths: terminals at the far ends are good,
         // every zone has exactly 1 edge
-        let paths = (0..5).flat_map(|i| [(v(i), v(i + 1)), (v(6 + i), v(7 + i))]);
+        let paths = [0, 6]
+            .into_iter()
+            .flat_map(|s| (s..s + 5).map(|i| (v(i), v(i + 1))));
         let g = Csr::from_edges(12, paths.collect());
         let audit = zone_audit(&g, &[v(0), v(6)]);
         assert_eq!(audit.n, 2);

@@ -322,20 +322,19 @@ impl Builder {
         }
 
         // 3. Middle expander gaps, stages ν..3ν: per coarse block, a
-        //    union of `degree` random permutations.
+        //    union of `degree` random permutations, drawn first and then
+        //    emitted tail by tail.
         for s in nu..3 * nu {
             let t = gap_block_size(&p, s);
             let blocks = w / t;
             for blk in 0..blocks {
                 let base = blk * t;
-                for _ in 0..p.degree {
-                    let pi = random_permutation(&mut self.rng, t);
-                    for (i, &pi_i) in pi.iter().enumerate() {
-                        self.b
-                            .add_edge(self.v(s, base + i), self.v(s + 1, base + pi_i as usize));
-                        census.middle += 1;
-                    }
-                }
+                let perms: Vec<_> = (0..p.degree)
+                    .map(|_| random_permutation(&mut self.rng, t))
+                    .collect();
+                self.b
+                    .add_matchings(self.v(s, base), self.v(s + 1, base), &perms);
+                census.middle += p.degree * t;
             }
         }
 

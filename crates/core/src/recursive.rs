@@ -110,24 +110,20 @@ impl RecursiveNet {
         for s in 1..h {
             let t = f << (2 * (s + 1));
             for blk in 0..w / t {
-                for _ in 0..params.degree {
-                    let pi = random_permutation(&mut rng, t);
-                    for (i, &p) in pi.iter().enumerate() {
-                        b.add_edge(v(s, blk * t + i), v(s + 1, blk * t + p as usize));
-                    }
-                }
+                let perms: Vec<_> = (0..params.degree)
+                    .map(|_| random_permutation(&mut rng, t))
+                    .collect();
+                b.add_matchings(v(s, blk * t), v(s + 1, blk * t), &perms);
             }
         }
         // right expander gaps (mirror): block size F·4^{2h−s}
         for s in h..2 * h - 1 {
             let t = f << (2 * (2 * h - s));
             for blk in 0..w / t {
-                for _ in 0..params.degree {
-                    let pi = random_permutation(&mut rng, t);
-                    for (i, &p) in pi.iter().enumerate() {
-                        b.add_edge(v(s, blk * t + i), v(s + 1, blk * t + p as usize));
-                    }
-                }
+                let perms: Vec<_> = (0..params.degree)
+                    .map(|_| random_permutation(&mut rng, t))
+                    .collect();
+                b.add_matchings(v(s, blk * t), v(s + 1, blk * t), &perms);
             }
         }
         // stage 2h−1 → outputs: complete bipartite 4F × 4 per block

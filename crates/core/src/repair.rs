@@ -53,7 +53,8 @@ impl<'a> Survivor<'a> {
         // switches whose endpoints can both be alive)
         let mut dead_terminal_edges = Vec::new();
         for &t in g.inputs().iter().chain(g.outputs()) {
-            for &e in g.graph().out_edges(t).iter().chain(g.graph().in_edges(t)) {
+            let ins = g.graph().in_edges(t).iter().copied();
+            for e in g.graph().out_edges(t).chain(ins) {
                 if !inst.is_normal(e) {
                     dead_terminal_edges.push(e);
                 }

@@ -4,8 +4,7 @@
 //! serially — that part is cheap and deterministic — and the cache
 //! misses are then executed by a worker pool. Each worker owns **one
 //! [`SimWorkspace`] for every seed of every cell it runs** (the
-//! `mc_event_probability_parallel` discipline the `ft-sim` sweep driver
-//! follows), workers claim cells from an atomic cursor, and results
+//! discipline of `ft_sim::run_sweep`), workers claim cells from an atomic cursor, and results
 //! land by cell index. Per-cell work is single-threaded and seeded, so
 //! the worker count affects wall clock only — never a byte of the
 //! report, which `tests/determinism.rs` pins.

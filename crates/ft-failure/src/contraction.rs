@@ -128,7 +128,6 @@ pub fn contract(g: &Csr, inst: &FailureInstance) -> ContractedNetwork {
     let mut uf = contraction_classes(g, inst);
     let (class_of, num_classes) = uf.quotient();
     let mut edges = Vec::new();
-    let mut edge_origin = Vec::new();
     for e in 0..g.num_edges() {
         let e = EdgeId::from(e);
         if !inst.is_normal(e) {
@@ -137,12 +136,12 @@ pub fn contract(g: &Csr, inst: &FailureInstance) -> ContractedNetwork {
         let (t, h) = g.endpoints(e);
         let (ct, ch) = (class_of[t.index()], class_of[h.index()]);
         if ct != ch {
-            edges.push((VertexId(ct), VertexId(ch)));
-            edge_origin.push(e);
+            edges.push((VertexId(ct), VertexId(ch), e));
         }
     }
+    let (graph, edge_origin) = Csr::from_tagged_edges(num_classes, edges);
     ContractedNetwork {
-        graph: Csr::from_edges(num_classes, edges),
+        graph,
         class_of,
         edge_origin,
     }

@@ -33,7 +33,6 @@ pub fn substitute(g: &Csr, gadget: &TwoTerminal) -> Substituted {
         .filter(|&v| v != gadget.source && v != gadget.sink)
         .collect();
     let mut edges = Vec::with_capacity(gm * g.num_edges());
-    let mut edge_origin = Vec::with_capacity(gm * g.num_edges());
     // map from gadget vertex -> new vertex, rebuilt per edge
     let mut map = vec![VertexId::NONE; gn];
     for eid in 0..g.num_edges() {
@@ -47,14 +46,11 @@ pub fn substitute(g: &Csr, gadget: &TwoTerminal) -> Substituted {
         }
         for ge in 0..gm {
             let (gt, gh) = gadget.graph.endpoints(EdgeId::from(ge));
-            edges.push((map[gt.index()], map[gh.index()]));
-            edge_origin.push(e);
+            edges.push((map[gt.index()], map[gh.index()], e));
         }
     }
-    Substituted {
-        graph: Csr::from_edges(n + interior.len() * g.num_edges(), edges),
-        edge_origin,
-    }
+    let (graph, edge_origin) = Csr::from_tagged_edges(n + interior.len() * g.num_edges(), edges);
+    Substituted { graph, edge_origin }
 }
 
 /// Iterates substitution on a two-terminal network: level 0 is a single
@@ -102,13 +98,19 @@ mod tests {
         // through forward bridge edges)
         let b = ft_graph::traversal::bfs_forward(&sub.graph, v(0));
         assert!(b.reached(v(2)));
-        // edge origins: first 5 edges from e0, next 5 from e1
-        assert!(sub.edge_origin[..5]
-            .iter()
-            .all(|&e| e == ft_graph::ids::e(0)));
-        assert!(sub.edge_origin[5..]
-            .iter()
-            .all(|&e| e == ft_graph::ids::e(1)));
+        // edge origins: 5 edges from e0, among 0, 1 and e0's interior
+        // {3, 4}; 5 from e1, among 1, 2 and e1's interior {5, 6}
+        for (e, copy) in [(0, [0, 1, 3, 4]), (1, [1, 2, 5, 6])] {
+            let from_e: Vec<_> = sub
+                .graph
+                .edges()
+                .filter(|(se, _, _)| sub.edge_origin[se.index()] == ft_graph::ids::e(e))
+                .collect();
+            assert_eq!(from_e.len(), 5, "copy of e{e}");
+            for (_, t, h) in from_e {
+                assert!(copy.contains(&t.0) && copy.contains(&h.0), "copy of e{e}");
+            }
+        }
     }
 
     #[test]

@@ -205,12 +205,15 @@ mod tests {
     #[test]
     fn random_churn_stays_equal_to_scratch() {
         let mut r = rng(17);
-        let edges = (0..30).map(|_| {
-            let a = r.random_range(0..12u32);
-            let b = r.random_range(0..12u32);
-            (v(a), v(b)) // self-loops included
-        });
-        let g = Csr::from_edges(12, edges.collect());
+        let mut edges: Vec<_> = (0..30)
+            .map(|_| {
+                let a = r.random_range(0..12u32);
+                let b = r.random_range(0..12u32);
+                (v(a), v(b)) // self-loops included
+            })
+            .collect();
+        edges.sort_by_key(|&(t, _)| t);
+        let g = Csr::from_edges(12, edges);
         let m = g.num_edges();
         let exempt = [v(0), v(11)];
         let mut inst = FailureInstance::perfect(m);

@@ -9,7 +9,6 @@
 //!   Ω) with geometric-gap sampling for the tiny ε the paper uses;
 //! * [`contraction`] — the closed-failure quotient graph and terminal
 //!   *shorting* detection (Lemmas 2 and 7);
-//! * [`repair`] — the §4 repair procedure: discard faulty vertices;
 //! * [`incremental`] — O(1)-per-event maintenance of the §4 routable
 //!   alive-mask under temporal fault/repair churn;
 //! * [`reliability`] — two-terminal failure probabilities, exact (state
@@ -35,7 +34,6 @@ pub mod model;
 pub mod montecarlo;
 pub mod onenet;
 pub mod reliability;
-pub mod repair;
 pub mod sliced;
 pub mod sp;
 
@@ -44,9 +42,8 @@ pub use incremental::AliveTracker;
 pub use instance::FailureInstance;
 pub use mask::FailureMask;
 pub use model::{FailureModel, SwitchState};
-pub use montecarlo::{Estimate, TrialScratch};
+pub use montecarlo::Estimate;
 pub use onenet::{construct_onenet, OneNet};
 pub use reliability::{Connectivity, FailureProbs, TwoTerminal};
-pub use repair::Repaired;
 pub use sliced::{block_seed, SlicedFailureMask};
 pub use sp::SpNetwork;

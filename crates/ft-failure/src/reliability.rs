@@ -327,14 +327,14 @@ impl TwoTerminal {
 }
 
 /// The Wheatstone **bridge**: terminals s, t; interior a, b; switches
-/// s–a, s–b, a–t, b–t and the cross switch a–b. Self-dual, so with
+/// s–a, s–b, a–t, the cross switch a–b, and b–t. Self-dual, so with
 /// ε₁ = ε₂ = ε < ½ one substitution level strictly decreases both failure
 /// probabilities — the amplification gadget behind our full-range
 /// Proposition 1 construction.
 pub fn bridge() -> TwoTerminal {
     let [s, a, b, t] = [0, 1, 2, 3].map(VertexId);
-    // the last is the cross switch (undirected semantics)
-    let edges = vec![(s, a), (s, b), (a, t), (b, t), (a, b)];
+    // the cross switch a–b is read with undirected semantics
+    let edges = vec![(s, a), (s, b), (a, t), (a, b), (b, t)];
     TwoTerminal {
         graph: Csr::from_edges(4, edges),
         source: s,

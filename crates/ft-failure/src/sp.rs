@@ -112,6 +112,7 @@ impl SpNetwork {
         let (s, t) = (VertexId(0), VertexId(1));
         let (mut n, mut edges) = (2, Vec::new());
         build(self, &mut n, &mut edges, s, t);
+        edges.sort_by_key(|&(t, _)| t);
         return TwoTerminal {
             graph: Csr::from_edges(n, edges),
             source: s,

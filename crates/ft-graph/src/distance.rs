@@ -106,12 +106,12 @@ mod tests {
     use super::*;
     use crate::ids::v;
 
-    /// Path 0 -> 1 -> 2 -> 3 (e0, e1, e2) with an extra branch 1 -> 4 (e3).
+    /// Path 0 -> 1 -> 2 -> 3 (e0, e1, e3) with an extra branch 1 -> 4 (e2).
     const BRANCHED_PATH: [(VertexId, VertexId); 4] = [
         (VertexId(0), VertexId(1)),
         (VertexId(1), VertexId(2)),
-        (VertexId(2), VertexId(3)),
         (VertexId(1), VertexId(4)),
+        (VertexId(2), VertexId(3)),
     ];
 
     fn branched_path() -> Csr {
@@ -133,10 +133,10 @@ mod tests {
         assert_eq!(edge_distance(&d, g.endpoints(crate::ids::e(0))), 1);
         // e1 = (1,2): min(1,2)+1 = 2
         assert_eq!(edge_distance(&d, g.endpoints(crate::ids::e(1))), 2);
-        // e2 = (2,3): min(2,3)+1 = 3
-        assert_eq!(edge_distance(&d, g.endpoints(crate::ids::e(2))), 3);
-        // e3 = (1,4): min(1,4)+1 = 2
-        assert_eq!(edge_distance(&d, g.endpoints(crate::ids::e(3))), 2);
+        // e2 = (1,4): min(1,4)+1 = 2
+        assert_eq!(edge_distance(&d, g.endpoints(crate::ids::e(2))), 2);
+        // e3 = (2,3): min(2,3)+1 = 3
+        assert_eq!(edge_distance(&d, g.endpoints(crate::ids::e(3))), 3);
     }
 
     #[test]
@@ -145,8 +145,8 @@ mod tests {
         let zones = edge_zones(&g, v(0), 3);
         assert_eq!(zones.len(), 3);
         assert_eq!(zones[0].len(), 1); // e0
-        assert_eq!(zones[1].len(), 2); // e1, e3
-        assert_eq!(zones[2].len(), 1); // e2
+        assert_eq!(zones[1].len(), 2); // e1, e2
+        assert_eq!(zones[2].len(), 1); // e3
         let ball = edge_ball(&g, v(0), 2);
         assert_eq!(ball.len(), 3);
         // zones are disjoint and their union is the ball (for matching radius)

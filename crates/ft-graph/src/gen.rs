@@ -24,16 +24,18 @@ pub fn random_permutation(r: &mut SmallRng, n: usize) -> Vec<u32> {
 }
 
 /// Random DAG on `n` vertices: each of the `m` edges goes from a lower to
-/// a higher index, endpoints uniform. Used by flow/traversal tests.
+/// a higher index, endpoints uniform, listed in tail order (drawn order
+/// within a tail). Used by flow/traversal tests.
 pub fn random_dag(r: &mut SmallRng, n: usize, m: usize) -> Csr {
     assert!(n >= 2, "need at least two vertices");
-    let edges = (0..m)
+    let mut edges: Vec<_> = (0..m)
         .map(|_| {
             let a = r.random_range(0..n - 1);
             let b = r.random_range(a + 1..n);
             (VertexId::from(a), VertexId::from(b))
         })
         .collect();
+    edges.sort_by_key(|&(t, _)| t);
     Csr::from_edges(n, edges)
 }
 
@@ -41,9 +43,10 @@ pub fn random_dag(r: &mut SmallRng, n: usize, m: usize) -> Csr {
 /// parent → child; lower-bound code treats edges as undirected). Each new
 /// vertex attaches to a uniformly random earlier vertex.
 pub fn random_tree(r: &mut SmallRng, n: usize) -> Csr {
-    let edges = (1..n)
+    let mut edges: Vec<_> = (1..n)
         .map(|i| (VertexId::from(r.random_range(0..i)), VertexId::from(i)))
         .collect();
+    edges.sort_by_key(|&(t, _)| t);
     Csr::from_edges(n, edges)
 }
 
@@ -54,6 +57,14 @@ fn add_child(edges: &mut Vec<(VertexId, VertexId)>, parent: VertexId) -> VertexI
     let child = VertexId::from(edges.len() + 1);
     edges.push((parent, child));
     child
+}
+
+/// The tree on `edges.len() + 1` vertices whose edge `k` enters vertex
+/// `k + 1`, its edges stably sorted into tail order: a parent's children
+/// keep the order they were added in.
+fn tree_csr(mut edges: Vec<(VertexId, VertexId)>) -> Csr {
+    edges.sort_by_key(|&(t, _)| t);
+    Csr::from_edges(edges.len() + 1, edges)
 }
 
 /// A random tree in which **every internal node has degree ≥ 3** — the
@@ -83,7 +94,7 @@ pub fn random_lemma1_tree(r: &mut SmallRng, target_leaves: usize) -> Csr {
             leaves.push(add_child(&mut edges, p));
         }
     }
-    Csr::from_edges(edges.len() + 1, edges)
+    tree_csr(edges)
 }
 
 /// A caterpillar tree whose spine vertices each carry enough legs to have
@@ -108,7 +119,7 @@ pub fn caterpillar_tree(spine: usize, legs_per_vertex: usize) -> Csr {
         edges.extend((n..n + need).map(|leaf| (VertexId::from(i), VertexId::from(leaf))));
         n += need;
     }
-    Csr::from_edges(n, edges)
+    tree_csr(edges)
 }
 
 /// Complete `d`-ary tree of the given height (height 0 = single vertex).
@@ -126,7 +137,7 @@ pub fn complete_dary_tree(d: usize, height: usize) -> Csr {
         }
         frontier = next;
     }
-    Csr::from_edges(edges.len() + 1, edges)
+    tree_csr(edges)
 }
 
 /// Random bipartite graph: `left × right` vertices, each left vertex gets

@@ -12,7 +12,8 @@
 //!
 //! * [`Csr`] — compressed-sparse-row digraph, the one graph type: a
 //!   built network, a tree, a quotient and a test graph are each a
-//!   vertex count and an edge list sorted by [`Csr::from_edges`].
+//!   vertex count and an edge list in tail order ([`Csr::from_edges`]),
+//!   so a vertex's out-edges are an id range.
 //! * [`StagedNetwork`] — a [`Csr`] with terminals and stage structure, the
 //!   shape of every network in the paper (Beneš, Clos, grids, network 𝒩);
 //!   [`StagedBuilder`] builds it from a flat edge list.

@@ -445,7 +445,7 @@ mod tests {
         // two disjoint chains: 0->2->4, 1->3->5
         let g = Csr::from_edges(
             6,
-            vec![(v(0), v(2)), (v(2), v(4)), (v(1), v(3)), (v(3), v(5))],
+            vec![(v(0), v(2)), (v(1), v(3)), (v(2), v(4)), (v(3), v(5))],
         );
         let r = vertex_disjoint_paths(
             &g,

@@ -219,11 +219,13 @@ mod tests {
     use super::*;
     use crate::traversal::{bfs, Direction};
 
+    /// The graph on `0..n` with `edges`, stably sorted by tail.
     fn csr(n: usize, edges: &[(u32, u32)]) -> Csr {
-        let edges = edges
+        let mut edges: Vec<_> = edges
             .iter()
             .map(|&(t, h)| (VertexId(t), VertexId(h)))
             .collect();
+        edges.sort_by_key(|&(t, _)| t);
         Csr::from_edges(n, edges)
     }
 

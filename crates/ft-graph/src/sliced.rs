@@ -29,7 +29,7 @@
 //!   sequential scan.
 //! * **Worklist fixpoint** — every other sweep: `Backward`,
 //!   `Undirected` (the reliability shorting check), and graphs whose ids
-//!   do not ascend (a mirrored network, a graph with a falling edge). A vertex
+//!   do not ascend (a graph with a falling edge). A vertex
 //!   re-enters the FIFO when *new lanes* arrive. Cost: O(vertices
 //!   touched × incident edges).
 //!
@@ -37,8 +37,8 @@
 //! parent edges, because the Monte Carlo consumers (open/short verdicts,
 //! pair blocking) need verdict bits only. Lanes that need a full
 //! per-instance answer (an actual path, disjoint-path counts) fall back
-//! to the scalar kernels on an unpacked instance — see
-//! `ft_failure::montecarlo::mc_sliced_event_probability_parallel`.
+//! to the scalar kernels on an unpacked instance
+//! (`ft_failure::SlicedFailureMask::extract_lane_into`).
 //!
 //! Buffers are epoch-stamped exactly like
 //! [`TraversalWorkspace`](crate::workspace::TraversalWorkspace): a
@@ -47,7 +47,7 @@
 //! worklist runs.
 
 use crate::ids::{EdgeId, VertexId};
-use crate::traversal::Direction;
+use crate::traversal::{incident, Direction};
 use crate::workspace::KernelStats;
 use crate::Csr;
 
@@ -276,7 +276,7 @@ fn ascending_pass(
         }
         pops += 1;
         decided += u64::from(word.count_ones());
-        for (&e, &w) in g.out_edges(v).iter().zip(g.out_heads(v)) {
+        for (e, &w) in g.out_edges(v).zip(g.out_heads(v)) {
             reached[w.index()] |= word & edge_lanes(e);
         }
     }
@@ -310,26 +310,15 @@ fn worklist(
         // demote the in-queue stamp so late-arriving lanes re-enqueue
         ws.inq[u.index()] = ws.epoch.wrapping_sub(1);
         let ru = ws.reached[u.index()];
-        let sides: [(&[EdgeId], &[VertexId]); 2] = match dir {
-            Direction::Forward => [(g.out_edges(u), g.out_heads(u)), (&[], &[])],
-            Direction::Backward => [(g.in_edges(u), g.in_tails(u)), (&[], &[])],
-            Direction::Undirected => [
-                (g.out_edges(u), g.out_heads(u)),
-                (g.in_edges(u), g.in_tails(u)),
-            ],
-        };
-        for (edges, others) in sides {
-            for (&e, &w) in edges.iter().zip(others) {
-                let m = ru & edge_lanes(e);
-                if m == 0 {
-                    continue;
-                }
+        incident(g, u, dir).for_each(|(e, w)| {
+            let m = ru & edge_lanes(e);
+            if m != 0 {
                 let add = m & ws.gate_of(w, &mut vertex_lanes);
                 if add != 0 {
                     ws.absorb(w, add);
                 }
             }
-        }
+        });
     }
 }
 
@@ -533,8 +522,8 @@ mod tests {
             5,
             vec![
                 (v(0), v(1)), // e0 lane 0 only
-                (v(1), v(2)), // e1 both
-                (v(0), v(3)), // e2 lane 1 only
+                (v(0), v(3)), // e1 lane 1 only
+                (v(1), v(2)), // e2 both
                 (v(3), v(4)), // e3 lane 1 only
                 (v(4), v(1)), // e4 lane 1 only
             ],
@@ -542,7 +531,7 @@ mod tests {
         let el = |x: EdgeId| -> u64 {
             match x.index() {
                 0 => 0b01,
-                1 => 0b11,
+                2 => 0b11,
                 _ => 0b10,
             }
         };

@@ -16,6 +16,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A directed, staged network with distinguished input/output terminals.
+/// Its switch ids are in tail order (see [`StagedBuilder::add_edge`]).
 #[derive(Clone, Debug)]
 pub struct StagedNetwork {
     /// The graph, in the one form every kernel reads.
@@ -270,54 +271,25 @@ impl StagedNetwork {
         traversal::dag_depth_between(&self.graph, &self.inputs, &self.outputs).unwrap_or(0)
     }
 
-    /// The **mirror image** of the network (§6): inputs and outputs
-    /// exchanged and every edge reversed. Stage `i` becomes stage
-    /// `w−1−i`; vertex ids are preserved.
-    pub fn mirror(&self) -> StagedNetwork {
-        let mut stages = self.stages.clone();
-        stages.reverse();
-        StagedNetwork {
-            graph: self.graph.reversed(),
-            stages,
-            inputs: self.outputs.clone(),
-            outputs: self.inputs.clone(),
-            staging: OnceLock::new(),
-            terminal_mask: OnceLock::new(),
-            output_reach: OnceLock::new(),
-        }
-    }
-
     /// Validates staging invariants: every edge goes from some stage to a
     /// strictly later one; inputs are in stage 0; outputs in the last
     /// stage. Returns a human-readable violation if any.
     ///
     /// One walk over the stage ranges and the CSR's out-heads, O(1) per
-    /// switch: stages `0..=s` cover one id interval `lo..hi` (ascending
-    /// on a built network, descending on its mirror), and the out-lists
-    /// of stage `s` are one slice of heads, each of which must lie
-    /// outside that interval. A stage is computed only on the error path.
+    /// switch: stages `0..=s` cover the id interval `0..hi`, and the
+    /// out-lists of stage `s` are one slice of heads, each of which must
+    /// lie at or past `hi`. A stage is computed only on the error path.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.graph.num_vertices() as u32;
-        let mut lo = match self.stages.first() {
-            Some(r) if r.start > 0 => n,
-            _ => 0,
-        };
-        let mut hi = lo;
+        let mut hi = 0;
         for r in &self.stages {
-            if r.start == hi && r.end <= n {
-                hi = r.end;
-            } else if r.end == lo {
-                lo = r.start;
-            } else {
+            if r.start != hi || r.end > n {
                 return Err("stages not contiguous".into());
             }
+            hi = r.end;
             // `fold`, not `any`: a scan without an early exit vectorises
-            let span = hi - lo;
             let heads = self.graph.out_heads_of(r.clone());
-            if heads
-                .iter()
-                .fold(false, |bad, h| bad | (h.0.wrapping_sub(lo) < span))
-            {
+            if heads.iter().fold(false, |bad, h| bad | (h.0 < hi)) {
                 let table = self.stage_table();
                 let (e, t, h) = self
                     .graph
@@ -328,8 +300,8 @@ impl StagedNetwork {
                 return Err(format!("edge {e:?} goes {st} -> {sh} (not forward)"));
             }
         }
-        if (lo, hi) != (0, n) {
-            return Err(format!("stages cover {} vertices, graph has {n}", hi - lo));
+        if hi != n {
+            return Err(format!("stages cover {hi} vertices, graph has {n}"));
         }
         let none = 0..0;
         let first = self.stages.first().unwrap_or(&none);
@@ -355,14 +327,15 @@ impl Digraph for StagedNetwork {
     }
 }
 
-/// Builder for [`StagedNetwork`]: collects stages and a flat
-/// `(tail, head)` list; [`Self::finish`] sorts the list straight into
-/// the network's [`Csr`].
+/// Builder for [`StagedNetwork`]: collects stages and the switches, tail
+/// by tail, as two columns that [`Self::finish`] hands to the network's
+/// [`Csr`] as they are.
 #[derive(Clone, Debug, Default)]
 pub struct StagedBuilder {
     num_vertices: usize,
-    /// `edges[e] = (tail, head)`.
-    edges: Vec<(VertexId, VertexId)>,
+    /// Switch `e` is `tails[e] → heads[e]`.
+    tails: Vec<VertexId>,
+    heads: Vec<VertexId>,
     stages: Vec<Range<u32>>,
     inputs: Vec<VertexId>,
     outputs: Vec<VertexId>,
@@ -378,11 +351,12 @@ impl StagedBuilder {
 
     /// A builder for a network of exactly `vertices` vertices and
     /// `edges` switches, as its family's closed-form census gives them:
-    /// the edge list is allocated once, and [`Self::finish`] checks (in
-    /// debug builds) that the census was exact.
+    /// the two columns are allocated once, and [`Self::finish`] checks
+    /// (in debug builds) that the census was exact.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         StagedBuilder {
-            edges: Vec::with_capacity(edges),
+            tails: Vec::with_capacity(edges),
+            heads: Vec::with_capacity(edges),
             census: Some((vertices, edges)),
             ..Self::default()
         }
@@ -397,9 +371,12 @@ impl StagedBuilder {
         range
     }
 
-    /// Adds a switch `tail → head`.
+    /// Adds a switch `tail → head`. Switches must be added in tail
+    /// order (tails non-decreasing): a vertex's switches take
+    /// consecutive ids, in the order they are added.
     ///
-    /// Stage ordering is validated at [`Self::finish`] time, not here.
+    /// Tail order and stage ordering are checked at [`Self::finish`]
+    /// time, not here.
     ///
     /// # Panics
     /// Panics if either endpoint is not a vertex of a stage added so far.
@@ -408,9 +385,24 @@ impl StagedBuilder {
             tail.index().max(head.index()) < self.num_vertices,
             "edge endpoint out of range: {tail:?} -> {head:?}"
         );
-        let id = EdgeId::from(self.edges.len());
-        self.edges.push((tail, head));
+        let id = EdgeId::from(self.tails.len());
+        self.tails.push(tail);
+        self.heads.push(head);
         id
+    }
+
+    /// Adds the union of the matchings `tail0 + i → head0 + p[i]`, one per
+    /// permutation `p` of `perms` (each of the same length `t`), tail by
+    /// tail: for each `i` in turn, one switch per permutation, in the
+    /// order of `perms`. This is how a block of an expander gap made of
+    /// random permutations is wired.
+    pub fn add_matchings(&mut self, tail0: VertexId, head0: VertexId, perms: &[Vec<u32>]) {
+        let t = perms.first().map_or(0, Vec::len);
+        for i in 0..t {
+            for p in perms {
+                self.add_edge(VertexId(tail0.0 + i as u32), VertexId(head0.0 + p[i]));
+            }
+        }
     }
 
     /// Declares the input terminals (must be stage-0 vertices).
@@ -425,22 +417,23 @@ impl StagedBuilder {
 
     /// Number of edges added so far.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.tails.len()
     }
 
     /// Finalizes and validates the network.
     ///
     /// # Panics
-    /// Panics if the staging invariants are violated (this is a
-    /// construction bug, not an input condition).
+    /// Panics if the switches were not added in tail order, or if the
+    /// staging invariants are violated (either is a construction bug,
+    /// not an input condition).
     pub fn finish(self) -> StagedNetwork {
         debug_assert!(
             self.census
-                .is_none_or(|c| c == (self.num_vertices, self.edges.len())),
+                .is_none_or(|c| c == (self.num_vertices, self.tails.len())),
             "the census passed to with_capacity was not exact"
         );
         let net = StagedNetwork {
-            graph: Csr::from_edges(self.num_vertices, self.edges),
+            graph: Csr::from_columns(self.num_vertices, self.tails, self.heads),
             stages: self.stages,
             inputs: self.inputs,
             outputs: self.outputs,
@@ -476,13 +469,13 @@ mod tests {
     }
 
     /// Empty stages at both ends and one in the middle: stages of
-    /// sizes 0, 2, 0, 2, 0 and edges 0→2, 1→3, 0→3.
+    /// sizes 0, 2, 0, 2, 0 and edges 0→2, 0→3, 1→3.
     fn with_empty_stages() -> StagedNetwork {
         let mut b = StagedBuilder::new();
         for count in [0, 2, 0, 2, 0] {
             b.add_stage(count);
         }
-        for (t, h) in [(0, 2), (1, 3), (0, 3)] {
+        for (t, h) in [(0, 2), (0, 3), (1, 3)] {
             b.add_edge(v(t), v(h));
         }
         b.finish()
@@ -516,50 +509,6 @@ mod tests {
         assert_eq!(s0, vec![v(0), v(1)]);
         let s1: Vec<_> = net.stage_vertices(1).collect();
         assert_eq!(s1, vec![v(2), v(3)]);
-    }
-
-    #[test]
-    fn mirror_swaps_terminals() {
-        let net = crossbar();
-        let m = net.mirror();
-        assert_eq!(m.inputs(), net.outputs());
-        assert_eq!(m.outputs(), net.inputs());
-        assert_eq!(m.size(), net.size());
-        assert_eq!(m.depth(), 1);
-        assert!(m.validate().is_ok());
-        // edge direction reversed
-        assert!(m.graph().has_edge(v(2), v(0)));
-        assert!(!m.graph().has_edge(v(0), v(2)));
-        // ids keep their numbering, so the mirror's edges fall
-        assert!(net.graph().ids_ascend());
-        assert!(!m.graph().ids_ascend());
-    }
-
-    #[test]
-    fn mirror_twice_is_the_network_edge_for_edge() {
-        // parallel switches 0 → 2 and a stage-skipping one: list order
-        // within a vertex is what the round trip could lose
-        let mut b = StagedBuilder::with_capacity(5, 6);
-        b.add_stage(2);
-        b.add_stage(2);
-        b.add_stage(1);
-        for (t, h) in [(0, 2), (1, 3), (0, 2), (0, 4), (3, 4), (2, 4)] {
-            b.add_edge(v(t), v(h));
-        }
-        b.set_inputs(vec![v(0), v(1)]);
-        b.set_outputs(vec![v(4)]);
-        let net = b.finish();
-        let m = net.mirror();
-        assert!(m.validate().is_ok());
-        for u in net.graph().vertices() {
-            assert_eq!(m.graph().out_edges(u), net.graph().in_edges(u));
-            assert_eq!(m.graph().in_tails(u), net.graph().out_heads(u));
-        }
-        let mm = m.mirror();
-        assert_eq!(mm.graph(), net.graph());
-        assert_eq!(mm.inputs(), net.inputs());
-        assert_eq!(mm.outputs(), net.outputs());
-        assert_eq!(mm.stage_table(), net.stage_table());
     }
 
     #[test]
@@ -607,16 +556,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "edge e0 goes 2 -> 0 (not forward)")]
+    #[should_panic(expected = "edge e1 goes 1 -> 0 (not forward)")]
     fn the_first_bad_edge_by_id_is_reported() {
-        // the walk meets stage 1's bad edge e1 first; the message names
-        // e0, the first by id, as a scan in id order would
+        // the walk meets stage 1, which holds both bad edges; the message
+        // names e1, the first by id, as a scan in id order would
         let mut b = StagedBuilder::new();
         b.add_stage(2);
         b.add_stage(2);
         b.add_stage(1);
-        b.add_edge(v(4), v(1));
-        b.add_edge(v(3), v(2));
+        b.add_edge(v(2), v(4));
+        b.add_edge(v(2), v(1));
+        b.add_edge(v(3), v(0));
+        b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "edge e2 leaves v0 after an edge leaving v1: \
+                               the edges are not in tail order")]
+    fn switches_out_of_tail_order_rejected() {
+        // a valid staged network, but v0's second switch is added after
+        // v1's: its out-edges would not be one id range
+        let mut b = StagedBuilder::new();
+        b.add_stage(2);
+        b.add_stage(2);
+        for (t, h) in [(0, 2), (1, 3), (0, 3)] {
+            b.add_edge(v(t), v(h));
+        }
         b.finish();
     }
 
@@ -634,10 +599,13 @@ mod tests {
     #[test]
     fn validate_walks_mirrors_and_empty_stages() {
         let net = with_empty_stages();
-        let m = net.mirror();
-        assert_eq!(m.validate(), Ok(()));
+        assert_eq!(net.validate(), Ok(()));
         assert_eq!((net.stage_of(v(1)), net.stage_of(v(2))), (1, 3));
-        assert_eq!((m.stage_of(v(1)), m.stage_of(v(2))), (3, 1));
+        // a mirror's stages run down the ids; no builder makes one, and
+        // the walk refuses it
+        let mut mirrored = crossbar();
+        mirrored.stages.reverse();
+        assert_eq!(mirrored.validate(), Err("stages not contiguous".into()));
     }
 
     #[test]
@@ -653,8 +621,8 @@ mod tests {
 
     #[test]
     fn stage_table_matches_stage_of_and_unit_flag() {
-        // the table against the stage ranges it is derived from, on
-        // mirrors too (stage ranges reversed) and across empty stages
+        // the table against the stage ranges it is derived from, across
+        // empty stages too
         fn assert_table_matches_ranges(net: &StagedNetwork) {
             assert_eq!(net.stage_table().len(), net.graph().num_vertices());
             for i in 0..net.num_stages() {
@@ -667,12 +635,7 @@ mod tests {
         let net = crossbar();
         assert_table_matches_ranges(&net);
         assert!(net.is_unit_staged());
-        let m = net.mirror();
-        assert_table_matches_ranges(&m);
-        assert!(m.is_unit_staged());
-        let gappy = with_empty_stages();
-        assert_table_matches_ranges(&gappy);
-        assert_table_matches_ranges(&gappy.mirror());
+        assert_table_matches_ranges(&with_empty_stages());
     }
 
     #[test]
@@ -688,7 +651,6 @@ mod tests {
         b.set_outputs(vec![v(2)]);
         let net = b.finish();
         assert_eq!(net.terminal_mask(), [true, false, true]);
-        assert_eq!(net.mirror().terminal_mask(), [true, false, true]);
         assert!(crossbar().terminal_mask().iter().all(|&t| t));
     }
 
@@ -721,10 +683,6 @@ mod tests {
             let all = reach.column(target);
             assert!((0..6).all(|u| reach.reaches(v(u), all)), "{target:?}");
         }
-        // a mirror has its own table: one "output" (0), reached by 0..=5
-        let m = net.mirror();
-        let col = m.output_reach().column(v(0));
-        assert!((0..6).all(|u| m.output_reach().reaches(v(u), col)));
     }
 
     #[test]
@@ -734,13 +692,11 @@ mod tests {
         let mut b = StagedBuilder::new();
         let ins = b.add_stage(2);
         let outs = b.add_stage(70);
-        for i in 0..70 {
-            if i % 2 == 0 {
-                b.add_edge(v(ins.start), v(outs.start + i));
-            }
-            if i >= 64 {
-                b.add_edge(v(ins.start + 1), v(outs.start + i));
-            }
+        for i in (0..70).step_by(2) {
+            b.add_edge(v(ins.start), v(outs.start + i));
+        }
+        for i in 64..70 {
+            b.add_edge(v(ins.start + 1), v(outs.start + i));
         }
         b.set_inputs(ins.map(VertexId).collect());
         b.set_outputs(outs.clone().map(VertexId).collect());
@@ -779,11 +735,11 @@ mod tests {
         let s0 = b.add_stage(2);
         let s1 = b.add_stage(2);
         let s2 = b.add_stage(2);
-        // terminal path: v0 -> v2 -> v4 (depth 2)
+        // terminal path: v0 -> v2 -> v4 (depth 2); side path among
+        // non-terminals: v1 -> v3 -> v5
         b.add_edge(VertexId(s0.start), VertexId(s1.start));
-        b.add_edge(VertexId(s1.start), VertexId(s2.start));
-        // side path among non-terminals: v1 -> v3, v3 -> v5
         b.add_edge(VertexId(s0.start + 1), VertexId(s1.start + 1));
+        b.add_edge(VertexId(s1.start), VertexId(s2.start));
         b.add_edge(VertexId(s1.start + 1), VertexId(s2.start + 1));
         b.set_inputs(vec![VertexId(s0.start)]);
         b.set_outputs(vec![VertexId(s2.start)]);

@@ -60,6 +60,28 @@ pub enum Direction {
     Undirected,
 }
 
+/// The edges a search in direction `dir` follows at `u`, each with its
+/// far end: the out-edges with their heads, then the in-edges with their
+/// tails (for a self-loop either one is `u`). A forward search leaves
+/// the in-lists unbuilt.
+#[inline(always)]
+pub(crate) fn incident(
+    g: &Csr,
+    u: VertexId,
+    dir: Direction,
+) -> impl Iterator<Item = (EdgeId, VertexId)> + '_ {
+    let heads: &[VertexId] = match dir {
+        Direction::Backward => &[],
+        _ => g.out_heads(u),
+    };
+    let outs = g.out_edges(u).zip(heads.iter().copied());
+    let (ins, tails): (&[EdgeId], &[VertexId]) = match dir {
+        Direction::Forward => (&[], &[]),
+        _ => (g.in_edges(u), g.in_tails(u)),
+    };
+    outs.chain(ins.iter().copied().zip(tails.iter().copied()))
+}
+
 /// BFS from `sources`, following edges per `dir`, visiting only edges for
 /// which `edge_ok` holds and vertices for which `vertex_ok` holds.
 /// Sources failing `vertex_ok` are skipped.
@@ -84,25 +106,14 @@ pub fn bfs(
     }
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()];
-        let sides: [&[EdgeId]; 2] = match dir {
-            Direction::Forward => [g.out_edges(u), &[]],
-            Direction::Backward => [g.in_edges(u), &[]],
-            Direction::Undirected => [g.out_edges(u), g.in_edges(u)],
-        };
-        for edges in sides {
-            for &e in edges {
-                if !edge_ok(e) {
-                    continue;
-                }
-                let w = g.other_endpoint(e, u);
-                if dist[w.index()] == UNREACHED && vertex_ok(w) {
-                    dist[w.index()] = du + 1;
-                    parent_edge[w.index()] = e;
-                    order.push(w);
-                    queue.push_back(w);
-                }
+        incident(g, u, dir).for_each(|(e, w)| {
+            if edge_ok(e) && dist[w.index()] == UNREACHED && vertex_ok(w) {
+                dist[w.index()] = du + 1;
+                parent_edge[w.index()] = e;
+                order.push(w);
+                queue.push_back(w);
             }
-        }
+        });
     }
     Bfs {
         dist,
@@ -138,27 +149,11 @@ pub fn bfs_into(
         let u = ws.queue[head];
         head += 1;
         let du = ws.dist[u.index()];
-        // Out-edges pair with their heads, in-edges with their tails;
-        // for a self-loop either one equals `other_endpoint`, so the
-        // parallel slices are valid in every direction.
-        let sides: [(&[EdgeId], &[VertexId]); 2] = match dir {
-            Direction::Forward => [(g.out_edges(u), g.out_heads(u)), (&[], &[])],
-            Direction::Backward => [(g.in_edges(u), g.in_tails(u)), (&[], &[])],
-            Direction::Undirected => [
-                (g.out_edges(u), g.out_heads(u)),
-                (g.in_edges(u), g.in_tails(u)),
-            ],
-        };
-        for (edges, others) in sides {
-            for (&e, &w) in edges.iter().zip(others) {
-                if !edge_ok(e) {
-                    continue;
-                }
-                if !ws.marks.is_set(w.index()) && vertex_ok(w) {
-                    ws.discover(w, e, du + 1);
-                }
+        incident(g, u, dir).for_each(|(e, w)| {
+            if edge_ok(e) && !ws.marks.is_set(w.index()) && vertex_ok(w) {
+                ws.discover(w, e, du + 1);
             }
-        }
+        });
     }
 }
 
@@ -173,7 +168,7 @@ fn expand_forward_stage(
     for qi in range {
         let u = fwd.queue[qi];
         let du = fwd.dist[u.index()];
-        for (&e, &w) in g.out_edges(u).iter().zip(g.out_heads(u)) {
+        for (e, &w) in g.out_edges(u).zip(g.out_heads(u)) {
             if !fwd.marks.is_set(w.index()) && ok(w) {
                 fwd.discover(w, e, du + 1);
             }
@@ -186,10 +181,9 @@ fn expand_forward_stage(
 #[inline(always)]
 fn first_cone_edge(g: &Csr, u: VertexId, cone: &TraversalWorkspace) -> Option<(EdgeId, VertexId)> {
     g.out_edges(u)
-        .iter()
         .zip(g.out_heads(u))
         .find(|(_, w)| cone.marks.is_set(w.index()))
-        .map(|(&e, &w)| (e, w))
+        .map(|(e, &w)| (e, w))
 }
 
 /// Expands the backward frontier entries `range` of `bwd` one level
@@ -540,7 +534,7 @@ pub fn topo_order(g: &Csr) -> Option<Vec<VertexId>> {
     let mut order = Vec::with_capacity(n);
     while let Some(u) = queue.pop_front() {
         order.push(u);
-        for &e in g.out_edges(u) {
+        for e in g.out_edges(u) {
             let w = g.head(e);
             indeg[w.index()] -= 1;
             if indeg[w.index()] == 0 {
@@ -568,7 +562,7 @@ pub fn dag_depth(g: &Csr) -> u32 {
     for u in order {
         let du = depth[u.index()];
         best = best.max(du);
-        for &e in g.out_edges(u) {
+        for e in g.out_edges(u) {
             let w = g.head(e);
             depth[w.index()] = depth[w.index()].max(du + 1);
         }
@@ -591,7 +585,7 @@ pub fn dag_depth_between(g: &Csr, from: &[VertexId], to: &[VertexId]) -> Option<
         if du == MINF {
             continue;
         }
-        for &e in g.out_edges(u) {
+        for e in g.out_edges(u) {
             let w = g.head(e);
             if depth[w.index()] < du + 1 {
                 depth[w.index()] = du + 1;
@@ -703,7 +697,7 @@ mod tests {
         let tail = [(v(3), v(4)), (v(4), v(5))]; // disconnected
         let g = Csr::from_edges(
             6,
-            [(v(0), v(1)), (v(1), v(2)), (v(0), v(2))]
+            [(v(0), v(1)), (v(0), v(2)), (v(1), v(2))]
                 .into_iter()
                 .chain(tail)
                 .collect(),
@@ -835,6 +829,7 @@ mod tests {
             (0, 2),
             (0, 3),
             (0, 4),
+            (1, 2),
             (2, 5),
             (2, 6),
             (3, 5),
@@ -843,7 +838,6 @@ mod tests {
             (4, 6),
             (4, 7),
             (7, 8),
-            (1, 2),
         ];
         let net = staged(&[2, 3, 3, 2], &edges);
         let path = check_bibfs(&net, (0, 8), &BUDGETS, |_| true);
@@ -883,7 +877,7 @@ mod tests {
         // stage, but no frontier vertex has an edge into the cone.
         let net = staged(
             &[2, 2, 2, 2],
-            &[(0, 2), (2, 4), (1, 3), (3, 5), (5, 7), (4, 6)],
+            &[(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7)],
         );
         assert_eq!(check_bibfs(&net, (0, 7), &BUDGETS, |_| true), None);
         assert!(check_bibfs(&net, (1, 7), &BUDGETS, |_| true).is_some());

@@ -72,12 +72,14 @@ pub fn min_internal_degree_3(g: &Csr) -> bool {
 
 /// The degree-reduction step of Lemma 1's proof: every internal node of
 /// degree `d > 3` is replaced by a chain of `d − 2` new degree-3 nodes.
-/// Returns the new tree and `origin`, mapping each new vertex to the
-/// original vertex it came from (leaves map to themselves).
+/// Returns the new tree, `origin`, mapping each new vertex to the
+/// original vertex it came from (leaves map to themselves), and the
+/// original edge each new edge copies ([`EdgeId::NONE`] for a chain
+/// edge).
 ///
 /// Edge-disjoint leaf paths found in the reduced tree map to edge-disjoint
 /// paths of no greater length in the original (contract the chains back).
-pub fn reduce_to_degree_3(g: &Csr) -> (Csr, Vec<VertexId>) {
+pub fn reduce_to_degree_3(g: &Csr) -> (Csr, Vec<VertexId>, Vec<EdgeId>) {
     let adj = undirected_adjacency(g);
     let mut edges = Vec::new();
     let mut origin: Vec<VertexId> = Vec::new();
@@ -97,6 +99,7 @@ pub fn reduce_to_degree_3(g: &Csr) -> (Csr, Vec<VertexId>) {
                 edges.push((
                     VertexId::from(first.index() + i - 1),
                     VertexId::from(first.index() + i),
+                    EdgeId::NONE,
                 ));
             }
         }
@@ -137,9 +140,11 @@ pub fn reduce_to_degree_3(g: &Csr) -> (Csr, Vec<VertexId>) {
     edges.extend(
         new_end
             .iter()
-            .map(|ends| (VertexId(ends[0]), VertexId(ends[1]))),
+            .enumerate()
+            .map(|(e, ends)| (VertexId(ends[0]), VertexId(ends[1]), EdgeId::from(e))),
     );
-    (Csr::from_edges(origin.len(), edges), origin)
+    let (h, edge_origin) = Csr::from_tagged_edges(origin.len(), edges);
+    (h, origin, edge_origin)
 }
 
 /// A contracted forest: stretches (maximal degree-2 chains) collapsed to
@@ -240,7 +245,7 @@ mod tests {
         let g = Csr::from_edges(4, edges.clone());
         assert!(is_forest(&g));
         assert!(!is_tree(&g), "two components");
-        edges.push((v(1), v(0))); // parallel edge = undirected cycle
+        edges.insert(1, (v(1), v(0))); // parallel edge = undirected cycle
         assert!(!is_forest(&Csr::from_edges(4, edges)));
     }
 
@@ -248,7 +253,7 @@ mod tests {
     fn reduce_degree_3_star() {
         // star with 5 leaves: center degree 5 → chain of 3 new nodes
         let g = Csr::from_edges(6, (1..=5).map(|i| (v(0), v(i))).collect());
-        let (h, origin) = reduce_to_degree_3(&g);
+        let (h, origin, _) = reduce_to_degree_3(&g);
         assert!(min_internal_degree_3(&h));
         assert!(is_tree(&h));
         assert_eq!(leaves(&h).len(), 5);
@@ -268,7 +273,7 @@ mod tests {
         for _ in 0..10 {
             let g = random_lemma1_tree(&mut r, 30);
             let l = leaves(&g).len();
-            let (h, origin) = reduce_to_degree_3(&g);
+            let (h, origin, _) = reduce_to_degree_3(&g);
             assert!(is_tree(&h), "reduction preserves tree-ness");
             assert!(min_internal_degree_3(&h));
             assert_eq!(leaves(&h).len(), l, "leaf count preserved");
@@ -293,7 +298,7 @@ mod tests {
     #[test]
     fn contract_keeps_branch_nodes() {
         // Y with elongated arms: center 0; arms 0-1-2, 0-3, 0-4-5-6
-        let arms = [(0, 1), (1, 2), (0, 3), (0, 4), (4, 5), (5, 6)];
+        let arms = [(0, 1), (0, 3), (0, 4), (1, 2), (4, 5), (5, 6)];
         let g = Csr::from_edges(7, arms.map(|(t, h)| (v(t), v(h))).to_vec());
         let c = contract_stretches(&g);
         // kept: 0 (deg 3), 2, 3, 6 (leaves)

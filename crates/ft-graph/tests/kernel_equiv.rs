@@ -212,9 +212,9 @@ proptest! {
             .iter()
             .map(|&l| {
                 net.graph()
-                    .out_edges(l)
+                    .out_heads(l)
                     .iter()
-                    .filter_map(|&e| rpos(net.graph().endpoints(e).1))
+                    .filter_map(|&h| rpos(h))
                     .collect()
             })
             .collect();

@@ -23,11 +23,13 @@ use ft_graph::tree::{
 use ft_graph::{Csr, EdgeId, FlowWorkspace, RouteWorkspace, TraversalWorkspace};
 use proptest::prelude::*;
 
-/// Strategy: a random DAG described by (n, edge list of (a, b) with a < b).
+/// Strategy: a random DAG described by (n, edge list of (a, b) with
+/// a < b), the list stably sorted by tail.
 fn dag_strategy() -> impl Strategy<Value = Csr> {
     (2usize..24).prop_flat_map(|n| {
         let edge = (0..n - 1).prop_flat_map(move |a| (Just(a), a + 1..n));
-        proptest::collection::vec(edge, 0..80).prop_map(move |edges| {
+        proptest::collection::vec(edge, 0..80).prop_map(move |mut edges| {
+            edges.sort_by_key(|&(a, _)| a);
             let edges = edges
                 .into_iter()
                 .map(|(a, b)| (VertexId::from(a), VertexId::from(b)));
@@ -37,30 +39,37 @@ fn dag_strategy() -> impl Strategy<Value = Csr> {
 }
 
 /// `c` with each vertex `u` renamed `perm[u]` for a seeded random
-/// permutation, edge ids kept, and `perm`. Should the new ids still
-/// ascend along every edge, `perm` is flipped (`u ↦ n − 1 − perm[u]`),
-/// which makes every edge descend: a graph with an edge never keeps
+/// permutation, `perm`, and the old id of each new edge (the renamed
+/// list is stably sorted by tail). Should the new ids still ascend along
+/// every edge, `perm` is flipped (`u ↦ n − 1 − perm[u]`), which makes
+/// every edge descend: a graph with an edge never keeps
 /// [`Csr::ids_ascend`], so forward sweeps over it take the worklist.
-fn relabelled(c: &Csr, seed: u64) -> (Csr, Vec<VertexId>) {
+fn relabelled(c: &Csr, seed: u64) -> (Csr, Vec<VertexId>, Vec<EdgeId>) {
     use rand::seq::SliceRandom;
     let n = c.num_vertices();
     let mut perm: Vec<VertexId> = (0..n).map(VertexId::from).collect();
     perm.shuffle(&mut gen::rng(seed));
     let build = |perm: &[VertexId]| {
-        let edges = c
+        let mut edges: Vec<_> = c
             .edges()
-            .map(|(_, t, h)| (perm[t.index()], perm[h.index()]));
-        Csr::from_edges(n, edges.collect())
+            .map(|(e, t, h)| (perm[t.index()], perm[h.index()], e))
+            .collect();
+        edges.sort_by_key(|&(t, _, _)| t);
+        let old = edges.iter().map(|&(_, _, e)| e).collect();
+        (
+            Csr::from_edges(n, edges.into_iter().map(|(t, h, _)| (t, h)).collect()),
+            old,
+        )
     };
-    let mut p = build(&perm);
+    let (mut p, mut old) = build(&perm);
     if p.ids_ascend() {
         for u in &mut perm {
             *u = VertexId::from(n - 1 - u.index());
         }
-        p = build(&perm);
+        (p, old) = build(&perm);
     }
     assert!(c.num_edges() == 0 || !p.ids_ascend());
-    (p, perm)
+    (p, perm, old)
 }
 
 proptest! {
@@ -86,7 +95,7 @@ proptest! {
             let by = |end: fn(&(EdgeId, VertexId, VertexId)) -> VertexId| -> Vec<EdgeId> {
                 c.edges().filter(|edge| end(edge) == u).map(|(e, _, _)| e).collect()
             };
-            prop_assert_eq!(c.out_edges(u), by(|&(_, t, _)| t));
+            prop_assert_eq!(c.out_edges(u).collect::<Vec<_>>(), by(|&(_, t, _)| t));
             prop_assert_eq!(c.in_edges(u), by(|&(_, _, h)| h));
         }
     }
@@ -152,7 +161,7 @@ proptest! {
         let mut r = gen::rng(seed);
         let g = gen::random_lemma1_tree(&mut r, l);
         prop_assert!(min_internal_degree_3(&g));
-        let (h, origin) = reduce_to_degree_3(&g);
+        let (h, origin, _) = reduce_to_degree_3(&g);
         prop_assert!(min_internal_degree_3(&h));
         prop_assert_eq!(leaves(&h).len(), leaves(&g).len());
         prop_assert_eq!(origin.len(), h.num_vertices());
@@ -388,7 +397,7 @@ proptest! {
     ) {
         use rand::Rng;
         prop_assert!(c.ids_ascend());
-        let (p, perm) = relabelled(&c, seed);
+        let (p, perm, old) = relabelled(&c, seed);
         let mut r = gen::rng(seed ^ 0xA5C3);
         let n = c.num_vertices();
         let edge_words: Vec<u64> = (0..c.num_edges()).map(|_| r.random()).collect();
@@ -411,7 +420,8 @@ proptest! {
         sliced_reach_into(&c, &sources, Direction::Forward,
                           |e| edge_words[e.index()], |v| vertex_words[v.index()], &mut pass);
         sliced_reach_into(&p, &moved_sources, Direction::Forward,
-                          |e| edge_words[e.index()], |v| moved_words[v.index()], &mut work);
+                          |e| edge_words[old[e.index()].index()], |v| moved_words[v.index()],
+                          &mut work);
         prop_assert_eq!(
             pass.stats().sliced_lane_decisions,
             work.stats().sliced_lane_decisions
@@ -451,7 +461,7 @@ proptest! {
         let (net, _) = random_unit_staged(seed, &widths, 1.0);
         let c = net.csr();
         prop_assert!(c.ids_ascend());
-        let (p, perm) = relabelled(c, seed);
+        let (p, perm, _) = relabelled(c, seed);
         let mut r = gen::rng(seed ^ 0x3C5A);
         let n = c.num_vertices();
         // biased alive, like repair masks at small ε

@@ -59,17 +59,19 @@ impl Clos {
                 }
             }
         }
-        // middle crossbars: crossbar j joins links (i, j) to links (j, k)
-        for j in 0..m {
-            for i in 0..r {
+        // middle crossbars: crossbar j joins links (i, j) to links (j, k);
+        // emitted i-major, so the tails l1(i, j) ascend
+        for i in 0..r {
+            for j in 0..m {
                 for k in 0..r {
                     b.add_edge(l1(i, j), l2(j, k));
                 }
             }
         }
-        // output crossbars: crossbar k joins links (j, k) to outputs k*n..(k+1)*n
-        for k in 0..r {
-            for j in 0..m {
+        // output crossbars: crossbar k joins links (j, k) to outputs
+        // k*n..(k+1)*n; emitted j-major, so the tails l2(j, k) ascend
+        for j in 0..m {
+            for k in 0..r {
                 for a in 0..n {
                     let out = VertexId(s3.start + (k * n + a) as u32);
                     b.add_edge(l2(j, k), out);

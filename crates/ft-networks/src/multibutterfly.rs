@@ -49,20 +49,17 @@ impl Multibutterfly {
             let half = block / 2;
             let deg = d.min(half);
             for blk in 0..(1usize << j) {
+                // the block's links keep their index range at the next
+                // stage; two splitters, to the upper half [0, half) and the
+                // lower [half, block), drawn first, then emitted per source
                 let base = blk * block;
-                let next_base = blk * block; // same index range next stage
-                                             // two splitters: to upper half [0, half) and lower [half, block)
-                for (target, offset) in [(0usize, 0usize), (1, half)] {
-                    let _ = target;
-                    let adj = random_bipartite_adjacency(rng, block, half, deg);
-                    for (src, nbrs) in adj.iter().enumerate() {
-                        let from = VertexId(ranges[j].start + (base + src) as u32);
-                        for &t in nbrs {
-                            let to = VertexId(
-                                ranges[j + 1].start + (next_base + offset + t as usize) as u32,
-                            );
-                            b.add_edge(from, to);
-                        }
+                let upper = random_bipartite_adjacency(rng, block, half, deg);
+                let lower = random_bipartite_adjacency(rng, block, half, deg);
+                for (src, (up, low)) in upper.iter().zip(&lower).enumerate() {
+                    let from = VertexId(ranges[j].start + (base + src) as u32);
+                    let heads = up.iter().map(|&t| t as usize);
+                    for h in heads.chain(low.iter().map(|&t| half + t as usize)) {
+                        b.add_edge(from, VertexId(ranges[j + 1].start + (base + h) as u32));
                     }
                 }
             }
@@ -155,7 +152,7 @@ mod tests {
             let from = mb.net.inputs()[x as usize];
             let mut upper = 0;
             let mut lower = 0;
-            for &e in g.out_edges(from) {
+            for e in g.out_edges(from) {
                 let to = g.head(e);
                 let link = to.0 - mb.net.stage_range(1).start;
                 if link < 4 {

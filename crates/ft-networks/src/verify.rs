@@ -99,7 +99,7 @@ fn collect_paths(
         out.push(prefix.clone());
         return;
     }
-    for &e in net.graph().out_edges(cur) {
+    for e in net.graph().out_edges(cur) {
         let w = net.graph().head(e);
         if used[w.index()] && w != target {
             continue;

@@ -227,7 +227,7 @@ mod tests {
         let b = core.admit(1, 2).unwrap();
         // A switch leaving the second vertex of `a`'s path.
         let path = core.router().session_path(a).unwrap().to_vec();
-        let e = core.net().graph().out_edges(path[1])[0];
+        let e = core.net().graph().out_edges(path[1]).next().unwrap();
         let killed = core.fail(e, SwitchState::Open).unwrap();
         assert_eq!(killed, [a]);
         let r = core.router();

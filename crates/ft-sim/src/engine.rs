@@ -118,8 +118,8 @@ pub struct SeedOutcome {
 }
 
 /// Reusable per-worker buffers: one allocation set serves every seed a
-/// sweep worker runs (the `mc_event_probability_parallel` discipline:
-/// one RNG + one workspace per worker). Besides the queue and call
+/// sweep worker runs (the [`crate::run_sweep`] discipline: one RNG per
+/// seed + one workspace per worker). Besides the queue and call
 /// table this holds the fault-path scratch — the switching core's
 /// buffers (lent to each seed's [`SwitchingCore`]) and the victim
 /// records — so a fault or repair event allocates nothing.

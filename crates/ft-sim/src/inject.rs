@@ -450,7 +450,7 @@ impl FaultInjector for GroupStorm {
         };
         let mut group: Vec<EdgeId> = Vec::new();
         for v in ctx.net().stage_vertices(s) {
-            for &e in ctx.net().graph().out_edges(v) {
+            for e in ctx.net().graph().out_edges(v) {
                 if ctx.instance().is_normal(e) {
                     group.push(e);
                 }
@@ -529,7 +529,7 @@ impl FaultInjector for SpatialBurst {
             frontier += 1;
             let (t, h) = g.endpoints(e);
             'scan: for v in [t, h] {
-                for &e2 in g.out_edges(v).iter().chain(g.in_edges(v)) {
+                for e2 in g.out_edges(v).chain(g.in_edges(v).iter().copied()) {
                     if !visited[e2.index()] {
                         visited[e2.index()] = true;
                         if ctx.instance().is_normal(e2) {

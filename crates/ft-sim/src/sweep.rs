@@ -1,7 +1,8 @@
 //! Multi-seed parallel sweeps.
 //!
-//! The driver follows the `mc_event_probability_parallel` worker
-//! discipline: each thread owns **one RNG-per-seed engine and one
+//! The driver's worker discipline, which [`crate::pair_blocking_estimate`]
+//! shares within one thread (blocks seeded by `block_seed` alone, one
+//! set of buffers for all of them): each thread owns **one RNG-per-seed engine and one
 //! reusable [`SimWorkspace`]** for its whole share of seeds, so a
 //! sweep's steady-state allocation is one workspace per worker. Workers
 //! claim the next seed from a shared cursor. Results land in seed order

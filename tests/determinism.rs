@@ -217,13 +217,15 @@ threads = 2
 ";
     let report = sim::run_scenario_text(SCENARIO).expect("scenario parses");
     assert_eq!(report.outcomes.len(), 2);
-    // golden event-stream fingerprints (recorded 2026-07; see header)
+    // golden event-stream fingerprints (recorded 2026-07, re-pinned 2026-10
+    // when switch ids moved to tail order and faults moved with them;
+    // see header)
     assert_eq!(report.outcomes[0].seed, 5);
-    assert_eq!(report.outcomes[0].events, 387);
-    assert_eq!(report.outcomes[0].fingerprint, 0x42539ac153522201);
+    assert_eq!(report.outcomes[0].events, 404);
+    assert_eq!(report.outcomes[0].fingerprint, 0x7df1e0033ca7a392);
     assert_eq!(report.outcomes[1].seed, 6);
-    assert_eq!(report.outcomes[1].events, 422);
-    assert_eq!(report.outcomes[1].fingerprint, 0x273cb6c362afa936);
+    assert_eq!(report.outcomes[1].events, 425);
+    assert_eq!(report.outcomes[1].fingerprint, 0xc82e05a19d8f2d10);
 
     // byte-identical report across repeated runs and thread counts
     let json = report.to_json();
@@ -242,7 +244,7 @@ threads = 2
     assert_eq!(json, serial);
 
     // pin a few rendered bytes so the JSON writer itself cannot drift
-    assert!(json.contains("\"fingerprint\": \"0x42539ac153522201\""));
+    assert!(json.contains("\"fingerprint\": \"0x7df1e0033ca7a392\""));
     assert!(json.contains("\"network\": \"clos-strict 2 3\""));
 }
 
@@ -270,7 +272,7 @@ buckets = 4
     let out = &report.outcomes[0];
     assert_eq!(out.seed, 5);
     assert_eq!(out.events, 532, "storm events");
-    assert_eq!(out.fingerprint, 0x754fee9c85468a68, "storm fingerprint");
+    assert_eq!(out.fingerprint, 0xf4e9974f0271a196, "storm fingerprint");
     assert!(out.metrics.storms > 0);
     assert!(out.metrics.faults > out.metrics.storms);
     // byte-identical report on a rerun
@@ -331,7 +333,7 @@ buckets = 4
     // the PR-7 storm golden, unchanged: spelling out the greedy default
     // is a no-op, and the greedy stream is byte-identical to pre-PR-9
     assert_eq!(out.events, 532, "greedy events");
-    assert_eq!(out.fingerprint, 0x754fee9c85468a68, "greedy fingerprint");
+    assert_eq!(out.fingerprint, 0xf4e9974f0271a196, "greedy fingerprint");
     assert!(report.to_json().contains("\"reroute\": \"greedy\""));
 
     // A denser Beneš storm where the two planners genuinely diverge:
@@ -423,9 +425,9 @@ buckets = 4
     let out = &sim::run_scenario_text(FTN_HOTSPOT)
         .expect("hotspot scenario parses")
         .outcomes[0];
-    assert_eq!((out.seed, out.events), (3, 4482), "hotspot events");
-    assert_eq!(out.fingerprint, 0xfb072f92f3634571, "hotspot fingerprint");
-    assert_eq!(out.kernel.bibfs_pops, 11_625, "hotspot bibfs_pops");
+    assert_eq!((out.seed, out.events), (3, 4483), "hotspot events");
+    assert_eq!(out.fingerprint, 0xb7a4d1032a17d4c6, "hotspot fingerprint");
+    assert_eq!(out.kernel.bibfs_pops, 11_639, "hotspot bibfs_pops");
 
     const CLOS_STORM: &str = "\
 network = clos-strict 4 4
@@ -443,7 +445,7 @@ buckets = 4
         .expect("storm scenario parses")
         .outcomes[0];
     assert_eq!((out.seed, out.events), (1, 2079), "storm events");
-    assert_eq!(out.fingerprint, 0x39443581943615db, "storm fingerprint");
+    assert_eq!(out.fingerprint, 0x20ecc9a4c927716b, "storm fingerprint");
     assert_eq!(out.kernel.bibfs_pops, 2_077, "storm bibfs_pops");
 
     let out = &sim::run_scenario_text(include_str!("../scenarios/paper_nu1_smoke.ftsim"))
@@ -575,24 +577,24 @@ sweep fault_rate = 0.002, 0.01
         (
             "clos-strict 2 3 report",
             sim::run_scenario_text(CLOS_2_3).unwrap().to_json(),
-            (0xfa070d90f3dabb1a, 4_192),
+            (0x4ac375a0b8296068, 4_194),
         ),
         (
             "storm_smoke report",
             sim::run_scenario_text(SMOKE).unwrap().to_json(),
-            (0xb57141337ef81ab0, 4_845),
+            (0x256012c18a190ebb, 4_845),
         ),
         (
             "study json",
             to_json(&spec, &study),
-            (0xb57bbcf53a30630b, 10_924),
+            (0xaef07ba3bbf5194d, 10_758),
         ),
         (
             "study csv",
             to_csv(&spec, &study),
-            (0x4e1419211877f4d8, 1_586),
+            (0x24806e72982c745c, 1_538),
         ),
-        ("cache cells", cells, (0x9867e8e56caedd06, 5_057)),
+        ("cache cells", cells, (0xc97ef68610b0ee0b, 4_997)),
         (
             "storm_smoke stream",
             sim::stream::render_ndjson(&stream),
@@ -636,8 +638,8 @@ buckets = 4
     let untraced = sim::run_sweep(&fabric, &s.config, &seeds, 1);
     let (traced, trace) = sim::run_sweep_traced(&fabric, &s.config, &seeds, 1);
     assert_eq!(untraced, traced);
-    assert_eq!(traced[0].fingerprint, 0x42539ac153522201);
-    assert_eq!(traced[1].fingerprint, 0x273cb6c362afa936);
+    assert_eq!(traced[0].fingerprint, 0x7df1e0033ca7a392);
+    assert_eq!(traced[1].fingerprint, 0xc82e05a19d8f2d10);
 
     // byte-identical across a rerun and across worker counts
     let (_, rerun) = sim::run_sweep_traced(&fabric, &s.config, &seeds, 1);
@@ -698,17 +700,17 @@ seed_base        = 1
         (
             "storm_smoke",
             SMOKE.to_string(),
-            (0x9e77e436befec329, 482_307, 6_475),
+            (0xa43a7f794a942999, 482_307, 6_475),
         ),
         (
             "storm_smoke shed 2",
             SMOKE.replace("shed 16", "shed 2"),
-            (0xbf7efea93039416b, 479_498, 6_440),
+            (0x0516b1a14afecf37, 479_498, 6_440),
         ),
         (
             "sim_clos_storm",
             CLOS_STORM.to_string(),
-            (0x1b6556880659b182, 1_294_489, 17_441),
+            (0x8ed007c1fd464665, 1_294_489, 17_441),
         ),
     ];
     let mut all = String::new();
@@ -765,7 +767,7 @@ fn built_graphs_of_every_fabric_family_are_pinned() {
         }
         for u in csr.vertices() {
             push(csr.out_edges(u).len() as u32);
-            csr.out_edges(u).iter().for_each(|e| push(e.0));
+            csr.out_edges(u).for_each(|e| push(e.0));
             csr.out_heads(u).iter().for_each(|h| push(h.0));
             push(csr.in_edges(u).len() as u32);
             csr.in_edges(u).iter().for_each(|e| push(e.0));
@@ -777,16 +779,59 @@ fn built_graphs_of_every_fabric_family_are_pinned() {
 
     let golden: [(&str, (usize, usize, u64)); 8] = [
         ("crossbar 3", (6, 9, 0x6eae020ae57da8b4)),
-        ("clos-strict 4 4", (88, 336, 0x30f00de2770f7fad)),
-        ("clos-rearr 2 2", (16, 24, 0x97ebd602b6703545)),
+        ("clos-strict 4 4", (88, 336, 0x99aaaf9294a230a5)),
+        ("clos-rearr 2 2", (16, 24, 0x26a1120e523255c5)),
         ("benes 4", (128, 224, 0x3f443cf5c281a125)),
         ("benes 10", (20480, 38912, 0x40bde67099b97225)),
-        ("multibutterfly 4 2 7", (80, 224, 0x9fa607c9fb313243)),
-        ("ftn 2 8 8 1.0", (3616, 19424, 0x6505231810989d39)),
-        ("ftn 1 64 10 34", (49160, 360448, 0x4fe4f7c69013abe1)),
+        ("multibutterfly 4 2 7", (80, 224, 0x8019e1a9f00095c3)),
+        ("ftn 2 8 8 1.0", (3616, 19424, 0x44ddb318983c279d)),
+        ("ftn 1 64 10 34", (49160, 360448, 0x3b56dc678c0a8b55)),
     ];
     for (spec, want) in golden {
         assert_eq!(graph_bytes(spec), want, "{spec}");
+    }
+}
+
+/// The same eight fabrics, pinned by what survives a renumbering of the
+/// switches: `fnv1a` over each vertex's out-heads in list order and its
+/// in-tails as a sorted multiset (each led by its length), as
+/// little-endian `u32`s. Switch ids enter nowhere, so this golden holds
+/// across any change of edge numbering that keeps the physical graph and
+/// each tail's head order, which is all the router's path choice reads.
+#[test]
+fn built_graphs_are_pinned_up_to_switch_numbering() {
+    use fault_tolerant_switching::obs::fnv1a;
+    use fault_tolerant_switching::sim::FabricSpec;
+
+    fn wiring_hash(spec: &str) -> (usize, usize, u64) {
+        let fabric = FabricSpec::parse(spec).expect("spec parses").build();
+        let csr = fabric.net().csr();
+        let mut bytes = Vec::new();
+        let mut push = |x: u32| bytes.extend_from_slice(&x.to_le_bytes());
+        for u in csr.vertices() {
+            let heads = csr.out_heads(u);
+            push(heads.len() as u32);
+            heads.iter().for_each(|h| push(h.0));
+            let mut tails = csr.in_tails(u).to_vec();
+            tails.sort_unstable();
+            push(tails.len() as u32);
+            tails.iter().for_each(|t| push(t.0));
+        }
+        (csr.num_vertices(), csr.num_edges(), fnv1a(&bytes))
+    }
+
+    let golden: [(&str, (usize, usize, u64)); 8] = [
+        ("crossbar 3", (6, 9, 0xb02c88b19ca2f6b4)),
+        ("clos-strict 4 4", (88, 336, 0xc6347dc6c08bdca5)),
+        ("clos-rearr 2 2", (16, 24, 0xcd5a713744145145)),
+        ("benes 4", (128, 224, 0xefd1b37e138050a5)),
+        ("benes 10", (20480, 38912, 0x7652c691c1d3f125)),
+        ("multibutterfly 4 2 7", (80, 224, 0x0ffc85bdcfd7a624)),
+        ("ftn 2 8 8 1.0", (3616, 19424, 0x3fa644f6f3345edd)),
+        ("ftn 1 64 10 34", (49160, 360448, 0xddc6a2416cfd207d)),
+    ];
+    for (spec, want) in golden {
+        assert_eq!(wiring_hash(spec), want, "{spec}");
     }
 }
 
@@ -794,9 +839,9 @@ fn built_graphs_of_every_fabric_family_are_pinned() {
 /// out-list and in-list, in list order: a graph grown edge by edge and
 /// the same edges sorted into a `Csr` hash alike only if each list keeps
 /// its edges in insertion order.
-fn adjacency_hash<'a>(
+fn adjacency_hash<'a, O: ExactSizeIterator<Item = EdgeId>>(
     edges: impl Iterator<Item = (EdgeId, VertexId, VertexId)>,
-    lists: impl Iterator<Item = (&'a [EdgeId], &'a [EdgeId])>,
+    lists: impl Iterator<Item = (O, &'a [EdgeId])>,
 ) -> (usize, usize, u64) {
     use fault_tolerant_switching::obs::fnv1a;
     let mut bytes = Vec::new();
@@ -811,7 +856,7 @@ fn adjacency_hash<'a>(
     let mut n = 0;
     for (out, into) in lists {
         push(out.len() as u32);
-        out.iter().for_each(|e| push(e.0));
+        out.for_each(|e| push(e.0));
         push(into.len() as u32);
         into.iter().for_each(|e| push(e.0));
         n += 1;
@@ -844,23 +889,23 @@ fn free_standing_graphs_are_pinned() {
     let golden = [
         (
             hash!(gen::random_dag(&mut rng(7), 30, 90)),
-            (30, 90, 0xe0370f4116fd3ecf),
+            (30, 90, 0x65ad15d2b948ad0f),
         ),
         (
             hash!(gen::random_dag(&mut rng(8), 12, 40)),
-            (12, 40, 0x559d3bbfab720c06),
+            (12, 40, 0x1e41cf20695faed6),
         ),
         (
             hash!(gen::random_tree(&mut rng(7), 40)),
-            (40, 39, 0x6fe48c65fde963a6),
+            (40, 39, 0x1bbe15630399f5c6),
         ),
         (
             hash!(gen::random_tree(&mut rng(8), 9)),
-            (9, 8, 0xdf10bd14b747f63e),
+            (9, 8, 0x76f481f02cb6f4fe),
         ),
         (
             hash!(gen::random_lemma1_tree(&mut rng(7), 30)),
-            (48, 47, 0xa82f3b745307b344),
+            (48, 47, 0x7cb2be69cf1b1644),
         ),
         (
             hash!(gen::random_lemma1_tree(&mut rng(8), 7)),
@@ -868,7 +913,7 @@ fn free_standing_graphs_are_pinned() {
         ),
         (
             hash!(gen::caterpillar_tree(5, 2)),
-            (15, 14, 0x4f6cf376d7825788),
+            (15, 14, 0xcafefe3bffc6b208),
         ),
         (
             hash!(gen::caterpillar_tree(1, 4)),
@@ -889,7 +934,7 @@ fn free_standing_graphs_are_pinned() {
 
     let tree = gen::random_lemma1_tree(&mut rng(11), 25);
     let reduced = reduce_to_degree_3(&tree).0;
-    assert_eq!(hash!(reduced), (48, 47, 0xde7566845ac4f087));
+    assert_eq!(hash!(reduced), (48, 47, 0xd6d0ac8bfe5c8d57));
     let forest = contract_stretches(&gen::random_tree(&mut rng(12), 40)).graph;
     assert_eq!(hash!(forest), (32, 31, 0x5df3cebd2e9a4b46));
 
@@ -897,9 +942,9 @@ fn free_standing_graphs_are_pinned() {
     let net = fabric.net();
     let inst = FailureInstance::sample(&FailureModel::new(0.1, 0.1), &mut rng(13), net.size());
     let quotient = contract(net.graph(), &inst).graph;
-    assert_eq!(hash!(quotient), (107, 174, 0x0cc5c625054eae35));
+    assert_eq!(hash!(quotient), (107, 174, 0x7480b40552f3cff5));
     let mut terminals = net.inputs().to_vec();
     terminals.extend_from_slice(net.outputs());
     let forest = proximity_forest(net.graph(), &terminals, 6).forest;
-    assert_eq!(hash!(forest), (128, 40, 0xf7d314d0184d37e5));
+    assert_eq!(hash!(forest), (128, 40, 0x3fe026c4316fd725));
 }

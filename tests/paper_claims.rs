@@ -63,8 +63,7 @@ fn carries_random_permutation(fabric: &Fabric, model: &FailureModel, rng: &mut S
 fn paths_survive(g: &Csr, inst: &FailureInstance, paths: &[Vec<VertexId>]) -> bool {
     paths.iter().flat_map(|p| p.windows(2)).all(|w| {
         g.out_edges(w[0])
-            .iter()
-            .any(|&e| g.head(e) == w[1] && inst.is_normal(e))
+            .any(|e| g.head(e) == w[1] && inst.is_normal(e))
     })
 }
 

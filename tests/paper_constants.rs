@@ -197,9 +197,9 @@ fn figure1_bad_leaf_and_figure2_demo_tree() {
     assert_eq!((r.num_leaves, r.good_leaves, r.paths.len()), (9, 8, 4));
     // Fig. 2: a centre with 3 branch children of 2 leaves each — every
     // leaf is good and sibling pairs give 3 paths
-    let branches =
-        (1..=3u32).flat_map(|c| [(v(0), v(c)), (v(c), v(2 * c + 2)), (v(c), v(2 * c + 3))]);
-    let g = Csr::from_edges(10, branches.collect());
+    let children = (1..=3u32).map(|c| (v(0), v(c)));
+    let leaves = (1..=3u32).flat_map(|c| [(v(c), v(2 * c + 2)), (v(c), v(2 * c + 3))]);
+    let g = Csr::from_edges(10, children.chain(leaves).collect());
     let r = lemma1_short_paths(&g);
     assert_eq!((r.num_leaves, r.good_leaves, r.paths.len()), (6, 6, 3));
 }
