@@ -56,8 +56,3 @@ pub mod recursive;
 pub mod repair;
 pub mod routing;
 pub mod theory;
-
-pub use certify::{certify, Certificate};
-pub use network::{Census, FtNetwork, Side, StageKind};
-pub use params::Params;
-pub use repair::Survivor;

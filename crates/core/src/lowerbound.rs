@@ -15,7 +15,7 @@
 //!   plus stretch contraction plus Lemma 1 produces `≥ n/84`
 //!   edge-disjoint input-to-input paths of length `≤ 3j`; if all edges
 //!   of one path close-fail, two inputs short.
-//! * [`zone_audit`] — Theorem 1: around each *good* input (far from
+//! * [`zone_audit_with`] — Theorem 1: around each *good* input (far from
 //!   every other input), the edge zones `B_h(v)` at distance `h` must
 //!   each contain `Ω(log n)` edges, else open failures isolate the
 //!   input; summing disjoint balls gives the size bound.
@@ -219,12 +219,7 @@ pub struct ProximityForest {
     /// The forest, on the same vertex ids as the host network.
     pub forest: Csr,
     /// For each forest edge, the host edge it copies.
-    pub host_edge: Vec<EdgeId>,
-    /// Terminals whose nearest-other-terminal path contributed at
-    /// least one edge.
-    pub participating: usize,
-    /// Terminals skipped because no other terminal lies within `max_j`.
-    pub isolated: usize,
+    pub(crate) host_edge: Vec<EdgeId>,
 }
 
 /// Lemma 2's forest: for each terminal `v` (in order) take the
@@ -240,8 +235,6 @@ pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> Proximit
     let mut forest = Vec::new();
     let mut in_forest = std::collections::HashSet::new();
     let mut uf = UnionFind::new(g.num_vertices());
-    let mut participating = 0;
-    let mut isolated = 0;
     for &v in terminals {
         // BFS (undirected) until another terminal is reached
         let b = bfs(g, &[v], Direction::Undirected, |_| true, |_| true);
@@ -253,19 +246,15 @@ pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> Proximit
             }
         }
         let Some(target) = nearest else {
-            isolated += 1;
             continue;
         };
         let Some(path) = b.path_to(g, target) else {
-            isolated += 1;
             continue;
         };
         if path.len() as u32 - 1 > max_j {
-            isolated += 1;
             continue;
         }
         // longest initial segment that stays edge-disjoint and acyclic
-        let mut added = false;
         for w in path.windows(2) {
             let (a, c) = (w[0], w[1]);
             // identify the host edge (either direction)
@@ -280,19 +269,10 @@ pub fn proximity_forest(g: &Csr, terminals: &[VertexId], max_j: u32) -> Proximit
             in_forest.insert(e);
             uf.union(a.0, c.0);
             forest.push((a, c, e));
-            added = true;
-        }
-        if added {
-            participating += 1;
         }
     }
     let (forest, host_edge) = Csr::from_tagged_edges(g.num_vertices(), forest);
-    ProximityForest {
-        forest,
-        host_edge,
-        participating,
-        isolated,
-    }
+    ProximityForest { forest, host_edge }
 }
 
 /// A short terminal-to-terminal path produced by the Lemma 2 pipeline.
@@ -308,10 +288,9 @@ pub struct TerminalPath {
 /// Result of the full Lemma 2 pipeline.
 #[derive(Clone, Debug)]
 pub struct Lemma2Result {
-    /// The forest statistics.
-    pub forest_leaves: usize,
-    /// Edge-disjoint short paths found (the paper guarantees
-    /// ≥ participating/84 when `max_j` is below the Lemma 2 threshold).
+    /// Edge-disjoint short paths found (the paper guarantees one per
+    /// 84 participating terminals when `max_j` is below the Lemma 2
+    /// threshold).
     pub paths: Vec<TerminalPath>,
     /// Maximum host-edge length over the found paths.
     pub max_len: usize,
@@ -346,11 +325,7 @@ pub fn short_terminal_paths(g: &Csr, terminals: &[VertexId], max_j: u32) -> Lemm
             host_edges,
         });
     }
-    Lemma2Result {
-        forest_leaves: l1.num_leaves,
-        paths,
-        max_len,
-    }
+    Lemma2Result { paths, max_len }
 }
 
 /// Theorem 1's audit of a network's neighbourhood structure.
@@ -358,38 +333,14 @@ pub fn short_terminal_paths(g: &Csr, terminals: &[VertexId], max_j: u32) -> Lemm
 pub struct ZoneAudit {
     /// Number of terminals audited.
     pub n: usize,
-    /// Distance threshold used for *good* terminals
-    /// (`⌊log₂(n)/8⌋`, min 1).
-    pub distance_threshold: u32,
     /// Terminals at distance ≥ threshold from every other terminal.
     pub good_terminals: usize,
-    /// Zone radius `⌊log₂(n)/16⌋` (min 1).
-    pub h_max: u32,
     /// Minimum over good terminals of the smallest zone `|B_h(v)|`,
     /// `1 ≤ h ≤ h_max`. `None` when no terminal is good.
     pub min_zone_edges: Option<usize>,
-    /// Mean over good terminals of their smallest zone.
-    pub mean_min_zone: f64,
     /// Total edges in the (disjoint) balls of good terminals — a lower
     /// bound on network size when the threshold is ≥ 2·h_max.
     pub ball_edges_total: usize,
-}
-
-/// The paper's good-input distance threshold for `n` terminals.
-pub fn good_distance_threshold(n: usize) -> u32 {
-    (((n as f64).log2() / 8.0).floor() as u32).max(1)
-}
-
-/// The paper's zone radius for `n` terminals.
-pub fn zone_radius(n: usize) -> u32 {
-    (((n as f64).log2() / 16.0).floor() as u32).max(1)
-}
-
-/// Audits the Theorem 1 quantities on a network with the paper's
-/// thresholds; see [`zone_audit_with`] for explicit ones.
-pub fn zone_audit(g: &Csr, terminals: &[VertexId]) -> ZoneAudit {
-    let n = terminals.len();
-    zone_audit_with(g, terminals, good_distance_threshold(n), zone_radius(n))
 }
 
 /// Audits the Theorem 1 quantities on a network: which terminals are
@@ -400,7 +351,6 @@ pub fn zone_audit_with(g: &Csr, terminals: &[VertexId], threshold: u32, h_max: u
     let nearest = nearest_other_terminal(g, terminals);
     let mut good_terminals = 0;
     let mut min_zone: Option<usize> = None;
-    let mut sum_min_zone = 0usize;
     let mut ball_total = 0usize;
     for (i, &t) in terminals.iter().enumerate() {
         if nearest[i] < threshold {
@@ -417,20 +367,12 @@ pub fn zone_audit_with(g: &Csr, terminals: &[VertexId], threshold: u32, h_max: u
         if v_min == usize::MAX {
             v_min = 0;
         }
-        sum_min_zone += v_min;
         min_zone = Some(min_zone.map_or(v_min, |m| m.min(v_min)));
     }
     ZoneAudit {
         n,
-        distance_threshold: threshold,
         good_terminals,
-        h_max,
         min_zone_edges: min_zone,
-        mean_min_zone: if good_terminals == 0 {
-            0.0
-        } else {
-            sum_min_zone as f64 / good_terminals as f64
-        },
         ball_edges_total: ball_total,
     }
 }
@@ -440,6 +382,22 @@ mod tests {
     use super::*;
     use ft_graph::gen::{caterpillar_tree, complete_dary_tree, random_lemma1_tree, rng};
     use ft_graph::ids::v;
+
+    /// The paper's good-input distance threshold for `n` terminals.
+    fn good_distance_threshold(n: usize) -> u32 {
+        (((n as f64).log2() / 8.0).floor() as u32).max(1)
+    }
+
+    /// The paper's zone radius for `n` terminals.
+    fn zone_radius(n: usize) -> u32 {
+        (((n as f64).log2() / 16.0).floor() as u32).max(1)
+    }
+
+    /// The Theorem 1 audit at the paper's thresholds.
+    fn zone_audit(g: &Csr, terminals: &[VertexId]) -> ZoneAudit {
+        let n = terminals.len();
+        zone_audit_with(g, terminals, good_distance_threshold(n), zone_radius(n))
+    }
 
     #[test]
     fn lemma1_on_single_edge() {
@@ -516,8 +474,9 @@ mod tests {
         let terms = [v(1), v(2), v(3), v(4)];
         let pf = proximity_forest(&g, &terms, 4);
         assert!(is_forest(&pf.forest));
-        assert_eq!(pf.isolated, 0);
-        assert!(pf.participating >= 3);
+        // every terminal is within distance 2 of another, so at least
+        // three of the four hub edges join the forest
+        assert!(pf.forest.num_edges() >= 3);
         let r = short_terminal_paths(&g, &terms, 4);
         assert!(!r.paths.is_empty());
         assert!(r.max_len <= 3 * 4);
@@ -532,8 +491,7 @@ mod tests {
         // two terminals far apart: nothing within j = 1
         let g = Csr::from_edges(4, vec![(v(0), v(2)), (v(2), v(3)), (v(3), v(1))]);
         let pf = proximity_forest(&g, &[v(0), v(1)], 1);
-        assert_eq!(pf.participating, 0);
-        assert_eq!(pf.isolated, 2);
+        assert_eq!(pf.forest.num_edges(), 0);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl FtNetwork {
     }
 
     /// Vertex `idx` of internal stage `s`.
-    pub fn internal(&self, s: usize, idx: usize) -> VertexId {
+    pub(crate) fn internal(&self, s: usize, idx: usize) -> VertexId {
         debug_assert!(idx < self.width);
         VertexId(self.stage_base(s) + idx as u32)
     }
@@ -202,7 +202,7 @@ impl FtNetwork {
     /// Group structure of middle stage `s` (`ν ≤ s ≤ 3ν`): returns
     /// `(group_count, group_size)`. Group `g` occupies contiguous
     /// indices `[g·size, (g+1)·size)` of the stage.
-    pub fn middle_groups(&self, s: usize) -> (usize, usize) {
+    pub(crate) fn middle_groups(&self, s: usize) -> (usize, usize) {
         let nu = self.params.nu as usize;
         debug_assert!((nu..=3 * nu).contains(&s), "stage {s} not in 𝓜");
         let level = if s <= 2 * nu {
@@ -220,32 +220,6 @@ impl FtNetwork {
         debug_assert!(g < count);
         let base = self.stage_base(s) + (g * size) as u32;
         base..base + size as u32
-    }
-
-    /// Block size of the expander gap `s → s+1` (`ν ≤ s < 3ν`): the
-    /// size of the coarser side's groups; permutations are sampled per
-    /// block.
-    pub fn gap_block(&self, s: usize) -> usize {
-        let nu = self.params.nu as usize;
-        debug_assert!((nu..3 * nu).contains(&s), "gap {s} not in 𝓜");
-        let level = if s < 2 * nu {
-            s - nu + 1 // parent side (s+1) is coarser
-        } else {
-            3 * nu - s // this side is coarser
-        };
-        self.params.group_size(self.params.gamma + level as u32)
-    }
-
-    /// Predicted census from the parameters (exact for this builder).
-    pub fn predicted_census(params: &Params) -> Census {
-        let n = params.n();
-        let l = params.grid_rows();
-        let nu = params.nu as usize;
-        Census {
-            terminal: 2 * n * l,
-            grid: 2 * n * (2 * l - 1) * (nu - 1),
-            middle: 2 * nu * params.degree * params.stage_width(),
-        }
     }
 }
 
@@ -377,8 +351,8 @@ impl Builder {
     }
 }
 
-/// Free-function version of [`FtNetwork::gap_block`], used during
-/// construction before the struct exists.
+/// Block size of the expander gap `s → s+1` (`ν ≤ s < 3ν`): the size of
+/// the coarser side's groups; permutations are sampled per block.
 fn gap_block_size(p: &Params, s: usize) -> usize {
     let nu = p.nu as usize;
     let level = if s < 2 * nu { s - nu + 1 } else { 3 * nu - s };
@@ -415,7 +389,13 @@ mod tests {
     #[test]
     fn census_matches_prediction() {
         for f in [tiny(), small()] {
-            let pred = FtNetwork::predicted_census(f.params());
+            let p = f.params();
+            let (n, l, nu) = (p.n(), p.grid_rows(), p.nu as usize);
+            let pred = Census {
+                terminal: 2 * n * l,
+                grid: 2 * n * (2 * l - 1) * (nu - 1),
+                middle: 2 * nu * p.degree * p.stage_width(),
+            };
             assert_eq!(f.census(), pred);
             assert_eq!(f.net().size(), pred.total());
             assert_eq!(f.net().size(), f.params().predicted_size());
@@ -492,11 +472,11 @@ mod tests {
     fn gap_blocks() {
         let f = small();
         // left gaps: coarser side is the parent
-        assert_eq!(f.gap_block(2), 128);
-        assert_eq!(f.gap_block(3), 512);
+        assert_eq!(gap_block_size(f.params(), 2), 128);
+        assert_eq!(gap_block_size(f.params(), 3), 512);
         // right gaps: coarser side is the source
-        assert_eq!(f.gap_block(4), 512);
-        assert_eq!(f.gap_block(5), 128);
+        assert_eq!(gap_block_size(f.params(), 4), 512);
+        assert_eq!(gap_block_size(f.params(), 5), 128);
     }
 
     #[test]
@@ -504,7 +484,7 @@ mod tests {
         let f = small();
         let nu = 2;
         for s in nu..3 * nu {
-            let t = f.gap_block(s);
+            let t = gap_block_size(f.params(), s);
             let base_s = f.stage_base(s);
             let base_n = f.stage_base(s + 1);
             for (_, tail, head) in f.net().graph().edges() {

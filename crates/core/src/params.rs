@@ -22,11 +22,11 @@ pub struct Params {
     pub gamma: u32,
     /// Stage width factor `F` (the paper's 64): internal stages have
     /// `F·4^{ν+γ}` vertices, groups at recursion level `i` have `F·4^i`.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Expander degree `d` (the paper's 10).
-    pub degree: usize,
+    pub(crate) degree: usize,
     /// Seed for sampling the expanding graphs.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Params {
@@ -61,12 +61,6 @@ impl Params {
         }
     }
 
-    /// Overrides the expander-sampling seed.
-    pub fn with_seed(mut self, seed: u64) -> Params {
-        self.seed = seed;
-        self
-    }
-
     /// Number of terminals `n = 4^ν`.
     pub fn n(&self) -> usize {
         1usize << (2 * self.nu)
@@ -78,12 +72,12 @@ impl Params {
     }
 
     /// Group size at recursion level `i`: `F·4^i`.
-    pub fn group_size(&self, i: u32) -> usize {
+    pub(crate) fn group_size(&self, i: u32) -> usize {
         self.width << (2 * i)
     }
 
     /// Internal stage width `F·4^{ν+γ}`.
-    pub fn stage_width(&self) -> usize {
+    pub(crate) fn stage_width(&self) -> usize {
         self.group_size(self.nu + self.gamma)
     }
 
@@ -96,13 +90,6 @@ impl Params {
     /// stage 4ν).
     pub fn num_stages(&self) -> usize {
         4 * self.nu as usize + 1
-    }
-
-    /// The middle stage index `2ν` — the boundary between the left-hand
-    /// network `𝓜_l` and its mirror image `𝓜_r`; Lemma 6's
-    /// majority-access is counted against this stage.
-    pub fn middle_stage(&self) -> usize {
-        2 * self.nu as usize
     }
 
     /// Depth of 𝒩 (edges on an input→output path): `4ν`.
@@ -121,7 +108,7 @@ impl Params {
     /// `2·4^ν·(2l−1)(ν−1)` (the paper counts grids at `l` per gap, i.e.
     /// `128(ν−1)4^{ν+γ}` total; our grids carry their diagonals, matching
     /// Fig. 4, so the count is `(2l−1)` per gap per grid).
-    pub fn grid_edges(&self) -> usize {
+    pub(crate) fn grid_edges(&self) -> usize {
         let l = self.grid_rows();
         2 * self.n() * (2 * l - 1) * (self.nu as usize - 1)
     }
@@ -158,12 +145,6 @@ impl Params {
     pub fn paper_census(&self) -> usize {
         1408 * self.nu as usize * (self.n() * self.four_gamma())
     }
-
-    /// Theorem 2's headline bound re-expressed per terminal:
-    /// size `≤ C·n·(log₄ n)²` for the constant achieved by this profile.
-    pub fn size_constant(&self) -> f64 {
-        self.predicted_size() as f64 / (self.n() as f64 * (self.nu as f64).powi(2))
-    }
 }
 
 /// Least `γ ≥ 1` with `4^γ ≥ factor·ν`.
@@ -180,6 +161,14 @@ pub fn gamma_for(factor: f64, nu: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Params {
+        /// Overrides the expander-sampling seed.
+        pub(crate) fn with_seed(mut self, seed: u64) -> Params {
+            self.seed = seed;
+            self
+        }
+    }
 
     #[test]
     fn gamma_matches_paper_examples() {
@@ -205,7 +194,6 @@ mod tests {
         assert_eq!(p.grid_rows(), 64 * 256);
         assert_eq!(p.num_stages(), 9);
         assert_eq!(p.depth(), 8);
-        assert_eq!(p.middle_stage(), 4);
         // middle census matches the paper's 1280ν4^{ν+γ}
         assert_eq!(p.middle_edges(), 1280 * 2 * 4usize.pow(6));
         // terminal census matches 128·4^{ν+γ}
@@ -222,9 +210,13 @@ mod tests {
 
     #[test]
     fn size_grows_like_n_log2n() {
-        // fixed profile: size/(n ν²) should stay bounded as ν grows
-        let c2 = Params::reduced(2, 8, 4, 1.0).size_constant();
-        let c5 = Params::reduced(5, 8, 4, 1.0).size_constant();
+        // fixed profile: size/(n ν²) — Theorem 2's bound
+        // `size ≤ C·n·(log₄ n)²` re-expressed per terminal — should stay
+        // bounded as ν grows
+        let size_constant =
+            |p: Params| p.predicted_size() as f64 / (p.n() as f64 * (p.nu as f64).powi(2));
+        let c2 = size_constant(Params::reduced(2, 8, 4, 1.0));
+        let c5 = size_constant(Params::reduced(5, 8, 4, 1.0));
         // γ grows with log ν, so the ratio drifts slowly; assert sane band
         assert!(c5 < 20.0 * c2, "size not Θ(n log² n): c2={c2}, c5={c5}");
     }

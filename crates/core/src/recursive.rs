@@ -28,26 +28,16 @@ use rand::SeedableRng;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecursiveParams {
     /// `h`: the network serves `m = 4^h` terminals.
-    pub h: u32,
+    pub(crate) h: u32,
     /// Width factor `F` (the paper's 64).
-    pub width: usize,
+    pub(crate) width: usize,
     /// Out-degree `d` per internal vertex (the paper's 10).
-    pub degree: usize,
+    pub(crate) degree: usize,
     /// Expander sampling seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RecursiveParams {
-    /// The paper's constants at height `h`.
-    pub fn paper_exact(h: u32) -> Self {
-        RecursiveParams {
-            h,
-            width: 64,
-            degree: 10,
-            seed: 0x9EC0_4D5E,
-        }
-    }
-
     /// A reduced profile.
     pub fn reduced(h: u32, width: usize, degree: usize) -> Self {
         assert!(h >= 1 && width >= 2 && degree >= 1);
@@ -60,13 +50,13 @@ impl RecursiveParams {
     }
 
     /// Number of terminals `m = 4^h`.
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         1usize << (2 * self.h)
     }
 
     /// Predicted switch count: `2·m·4F` terminal-bipartite switches
     /// plus `(2h − 2)·d·F·m` expander switches.
-    pub fn predicted_size(&self) -> usize {
+    pub(crate) fn predicted_size(&self) -> usize {
         let m = self.m();
         8 * self.width * m + (2 * self.h as usize - 2) * self.degree * self.width * m
     }
@@ -75,8 +65,6 @@ impl RecursiveParams {
 /// The built recursive network.
 #[derive(Clone, Debug)]
 pub struct RecursiveNet {
-    /// Construction parameters.
-    pub params: RecursiveParams,
     /// The staged network (inputs stage 0, outputs stage `2h`).
     pub net: StagedNetwork,
 }
@@ -137,16 +125,7 @@ impl RecursiveNet {
         b.set_inputs((0..m).map(|i| v(0, i)).collect());
         b.set_outputs((0..m).map(|i| v(2 * h, i)).collect());
         let net = b.finish();
-        RecursiveNet { params, net }
-    }
-
-    /// Group size at internal stage `s` (`1 ≤ s ≤ 2h−1`): `F·4^i` with
-    /// `i = min(s, 2h − s)`.
-    pub fn group_size(&self, s: usize) -> usize {
-        let h = self.params.h as usize;
-        debug_assert!(s >= 1 && s < 2 * h);
-        let i = s.min(2 * h - s);
-        self.params.width << (2 * i)
+        RecursiveNet { net }
     }
 }
 
@@ -158,8 +137,21 @@ mod tests {
     use ft_graph::gen::rng;
     use ft_networks::CircuitRouter;
 
+    fn small_params() -> RecursiveParams {
+        RecursiveParams::reduced(2, 4, 8)
+    }
+
     fn small() -> RecursiveNet {
-        RecursiveNet::build(RecursiveParams::reduced(2, 4, 8))
+        RecursiveNet::build(small_params())
+    }
+
+    /// Group size at internal stage `s` (`1 ≤ s ≤ 2h−1`): `F·4^i` with
+    /// `i = min(s, 2h − s)`.
+    fn group_size(params: &RecursiveParams, s: usize) -> usize {
+        let h = params.h as usize;
+        debug_assert!(s >= 1 && s < 2 * h);
+        let i = s.min(2 * h - s);
+        params.width << (2 * i)
     }
 
     #[test]
@@ -168,7 +160,7 @@ mod tests {
         assert_eq!(r.net.num_stages(), 5);
         assert_eq!(r.net.inputs().len(), 16);
         assert_eq!(r.net.depth(), 4);
-        assert_eq!(r.net.size(), r.params.predicted_size());
+        assert_eq!(r.net.size(), small_params().predicted_size());
         // terminal blocks: every input has out-degree 4F = 16
         for &i in r.net.inputs() {
             assert_eq!(r.net.graph().out_degree(i), 16);
@@ -177,10 +169,10 @@ mod tests {
 
     #[test]
     fn group_sizes_mirror() {
-        let r = small();
-        assert_eq!(r.group_size(1), 16); // F·4
-        assert_eq!(r.group_size(2), 64); // F·16 (middle)
-        assert_eq!(r.group_size(3), 16); // mirrored
+        let p = small_params();
+        assert_eq!(group_size(&p, 1), 16); // F·4
+        assert_eq!(group_size(&p, 2), 64); // F·16 (middle)
+        assert_eq!(group_size(&p, 3), 16); // mirrored
     }
 
     #[test]
@@ -218,16 +210,18 @@ mod tests {
         // must have the same group sizes as 𝓜 inside 𝒩.
         let p = Params::reduced(2, 8, 4, 1.0); // ν=2, γ=1
         let f = FtNetwork::build(p);
-        let r = RecursiveNet::build(RecursiveParams::reduced(p.nu + p.gamma, p.width, p.degree));
+        let rp = RecursiveParams::reduced(p.nu + p.gamma, p.width, p.degree);
+        let r = RecursiveNet::build(rp);
         let nu = p.nu as usize;
         let gamma = p.gamma as usize;
         for k in 0..=2 * nu {
             // 𝒩 middle stage ν+k ↔ N stage γ+k
             let (_, size) = f.middle_groups(nu + k);
-            assert_eq!(size, r.group_size(gamma + k), "stage offset {k}");
+            assert_eq!(size, group_size(&rp, gamma + k), "stage offset {k}");
         }
         // and the stage widths agree
-        assert_eq!(f.width(), r.params.width * r.params.m());
+        assert_eq!(f.width(), rp.width * rp.m());
+        assert_eq!(r.net.num_stages(), 2 * rp.h as usize + 1);
     }
 
     #[test]

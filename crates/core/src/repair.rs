@@ -26,10 +26,10 @@ pub struct Survivor<'a> {
     ftn: &'a FtNetwork,
     /// Alive (usable) vertices: internal non-faulty vertices plus all
     /// terminals.
-    pub alive: Vec<bool>,
+    pub(crate) alive: Vec<bool>,
     /// Terminal-incident switches that failed: these edges have both
     /// endpoints alive (the terminal is exempt) but must not be used.
-    pub dead_terminal_edges: Vec<EdgeId>,
+    pub(crate) dead_terminal_edges: Vec<EdgeId>,
     /// Number of internal vertices discarded by repair.
     pub discarded: usize,
 }
@@ -69,7 +69,7 @@ impl<'a> Survivor<'a> {
     }
 
     /// The repaired network.
-    pub fn network(&self) -> &'a FtNetwork {
+    pub(crate) fn network(&self) -> &'a FtNetwork {
         self.ftn
     }
 

@@ -143,14 +143,6 @@ pub fn random_perm(rng: &mut SmallRng, n: usize) -> Vec<u32> {
     random_permutation(rng, n)
 }
 
-/// Routes a random permutation on the *fault-free* network — the
-/// baseline every fault experiment compares against.
-pub fn route_random_perm_fault_free(ftn: &FtNetwork, rng: &mut SmallRng) -> RoutingStats {
-    let mut router = CircuitRouter::new(ftn.net());
-    let perm = random_perm(rng, ftn.n());
-    route_permutation(&mut router, ftn, &perm).0
-}
-
 /// Verifies that the paths currently held by `sessions` are pairwise
 /// vertex-disjoint (sanity check used by tests and experiments).
 pub fn sessions_disjoint(router: &CircuitRouter<'_>, sessions: &[SessionId]) -> bool {
@@ -199,7 +191,9 @@ mod tests {
         let f = tiny();
         let mut r = rng(11);
         for _ in 0..25 {
-            let stats = route_random_perm_fault_free(&f, &mut r);
+            let mut router = CircuitRouter::new(f.net());
+            let perm = random_perm(&mut r, f.n());
+            let (stats, _) = route_permutation(&mut router, &f, &perm);
             assert!(stats.all_connected(), "{stats:?}");
         }
     }

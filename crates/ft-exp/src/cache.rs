@@ -2,7 +2,7 @@
 //!
 //! A cell is keyed by the FNV content hash of its canonical resolved
 //! scenario plus the static-check trial count
-//! ([`crate::grid::cell_hash`]), so interrupted or re-run studies only
+//! (`grid::cell_hash`), so interrupted or re-run studies only
 //! compute missing cells and *any* change to a cell's parameters (or to
 //! the cache format) is a clean miss, never a stale hit. Files are
 //! self-describing `key = value` text; every number round-trips exactly
@@ -10,7 +10,7 @@
 //! formatting), which is what lets a cache-warm run render the
 //! byte-identical aggregate report a cold run does — pinned by
 //! `tests/determinism.rs`. The per-seed lines, their order and their
-//! count come from [`SeedRow`]'s one field list. A file that fails any
+//! count come from `SeedRow`'s one field list. A file that fails any
 //! check (trailing checksum, version, hash, structure) is treated as a
 //! miss and recomputed.
 
@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 const VERSION: &str = "ftexp cell-cache v6";
 
 /// The cache file path for a cell hash.
-pub fn cell_path(dir: &Path, hash: u64) -> PathBuf {
+pub(crate) fn cell_path(dir: &Path, hash: u64) -> PathBuf {
     dir.join(format!("{hash:016x}.ftcell"))
 }
 
@@ -66,7 +66,7 @@ fn push(out: &mut String, key: &str, value: &str) {
 
 /// Parses a cache file back into a [`CellData`]. `None` = malformed or
 /// wrong version/hash — callers treat it as a miss.
-pub fn parse(text: &str, expect_hash: u64) -> Option<CellData> {
+pub(crate) fn parse(text: &str, expect_hash: u64) -> Option<CellData> {
     // The trailing `ok <fnv1a>` line is verified first: any torn or
     // bit-flipped byte anywhere in the file is a miss before field
     // parsing even starts.
@@ -137,7 +137,7 @@ pub fn parse(text: &str, expect_hash: u64) -> Option<CellData> {
 /// cell recomputes), but it leaves a one-line note on stderr: silent
 /// degradation would hide a corrupting disk or a torn writer from the
 /// operator forever.
-pub fn load(dir: &Path, hash: u64) -> Option<CellData> {
+pub(crate) fn load(dir: &Path, hash: u64) -> Option<CellData> {
     let path = cell_path(dir, hash);
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
@@ -165,7 +165,7 @@ pub fn load(dir: &Path, hash: u64) -> Option<CellData> {
 /// temporary sibling and is renamed into place, so an interrupted run
 /// can never leave a half-written file under the final name — and the
 /// trailing checksum catches truncation even if it somehow does.
-pub fn store(dir: &Path, hash: u64, data: &CellData) -> std::io::Result<()> {
+pub(crate) fn store(dir: &Path, hash: u64, data: &CellData) -> std::io::Result<()> {
     ft_obs::write_atomic(cell_path(dir, hash), render(hash, data))
 }
 

@@ -47,7 +47,7 @@ pub struct Sweep {
     /// The values, in spec order (verbatim directive text per value).
     pub values: Vec<String>,
     /// Source line of the `sweep` directive (error attribution).
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// A parsed grid spec: base scenario + swept axes + grid options.
@@ -251,7 +251,7 @@ fn spaced_values(start: &str, stop: &str, count: &str, log: bool) -> Result<Vec<
 /// `v2` when the `faults`/`retry` directives joined the scenario, and
 /// to `v3` when the `reroute` planner did: anything that changes the
 /// event stream must change the cell key.
-pub fn canonical_cell_text(s: &Scenario, static_trials: u64) -> String {
+pub(crate) fn canonical_cell_text(s: &Scenario, static_trials: u64) -> String {
     format!(
         "ftexp-cell v3\nnetwork = {}\npattern = {}\nholding = {}\narrival_rate = {}\n\
          fault_rate = {}\nfault_open_share = {}\nfaults = {}\nretry = {}\nreroute = {}\n\
@@ -278,12 +278,12 @@ pub fn canonical_cell_text(s: &Scenario, static_trials: u64) -> String {
 
 /// FNV-1a content hash of the canonical cell text: the cache key, and
 /// the seed of the cell's static cross-check estimator.
-pub fn cell_hash(s: &Scenario, static_trials: u64) -> u64 {
+pub(crate) fn cell_hash(s: &Scenario, static_trials: u64) -> u64 {
     ft_obs::fnv1a(canonical_cell_text(s, static_trials).as_bytes())
 }
 
 /// The directive spelling of a traffic pattern (inverse of the parser).
-pub fn pattern_spec(p: &TrafficPattern) -> String {
+pub(crate) fn pattern_spec(p: &TrafficPattern) -> String {
     match p {
         TrafficPattern::Uniform => "uniform".into(),
         TrafficPattern::Permutation => "permutation".into(),
@@ -300,7 +300,7 @@ pub fn pattern_spec(p: &TrafficPattern) -> String {
 }
 
 /// The directive spelling of a holding-time law (inverse of the parser).
-pub fn holding_spec(h: &HoldingTime) -> String {
+pub(crate) fn holding_spec(h: &HoldingTime) -> String {
     match h {
         HoldingTime::Exponential { mean } => format!("exp {mean}"),
         HoldingTime::Pareto { shape, mean } => format!("pareto {shape} {mean}"),

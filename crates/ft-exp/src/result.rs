@@ -108,7 +108,7 @@ macro_rules! seed_row {
     )+) => {
         /// Flat scalar summary of one simulated seed.
         #[derive(Clone, Debug, Default, PartialEq)]
-        pub struct SeedRow {
+        pub(crate) struct SeedRow {
             $($(#[$attr])* pub $name: $ty,)+
         }
 
@@ -119,7 +119,7 @@ macro_rules! seed_row {
 
             /// Flattens one engine outcome (the fabric supplies the stage
             /// sizes for utilisation denominators).
-            pub fn from_outcome($out: &SeedOutcome, $fabric: &Fabric) -> SeedRow {
+            pub(crate) fn from_outcome($out: &SeedOutcome, $fabric: &Fabric) -> SeedRow {
                 let $m = &$out.metrics;
                 SeedRow { $($name: $from),+ }
             }
@@ -225,13 +225,13 @@ fn busiest_stage(m: &Metrics, fabric: &Fabric) -> f64 {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellData {
     /// Fabric label as built (family and size).
-    pub fabric_label: String,
+    pub(crate) fabric_label: String,
     /// Switch count of the fabric.
-    pub switches: usize,
+    pub(crate) switches: usize,
     /// Terminal count of the fabric.
-    pub terminals: usize,
+    pub(crate) terminals: usize,
     /// One row per seed, in seed order.
-    pub seeds: Vec<SeedRow>,
+    pub(crate) seeds: Vec<SeedRow>,
     /// Static pair-blocking cross-check at the stationary
     /// unavailability (present when the cell has faults *and* repair
     /// and the grid enabled `static_trials`).
@@ -246,28 +246,28 @@ pub struct CellAggregate {
     /// Busy-rejection fraction across seeds.
     pub busy_rejection: Stat,
     /// Drop rate across seeds.
-    pub drop_rate: Stat,
+    pub(crate) drop_rate: Stat,
     /// Carried erlangs across seeds.
-    pub carried_erlangs: Stat,
+    pub(crate) carried_erlangs: Stat,
     /// Mean path length across seeds.
-    pub mean_path_len: Stat,
+    pub(crate) mean_path_len: Stat,
     /// Mean reroute latency (fault/repair events) across seeds.
-    pub reroute_latency: Stat,
+    pub(crate) reroute_latency: Stat,
     /// Busiest-stage utilisation across seeds.
-    pub util_max: Stat,
+    pub(crate) util_max: Stat,
     /// Mean time-to-recover across seeds.
-    pub time_to_recover: Stat,
+    pub(crate) time_to_recover: Stat,
     /// Dropped-per-storm across seeds.
-    pub dropped_per_storm: Stat,
+    pub(crate) dropped_per_storm: Stat,
     /// Total offered calls across seeds.
-    pub offered_total: u64,
+    pub(crate) offered_total: u64,
 }
 
 impl CellData {
     /// Merges the per-seed reroute-latency histograms (events, time).
     /// Histogram merge is exact, so the resulting quantiles are the
     /// quantiles of the pooled sample regardless of seed partitioning.
-    pub fn merged_reroute_hists(&self) -> (Hist, Hist) {
+    pub(crate) fn merged_reroute_hists(&self) -> (Hist, Hist) {
         let mut events = Hist::new();
         let mut time = Hist::new();
         for row in &self.seeds {

@@ -61,17 +61,17 @@ pub struct StudyResult {
     /// Mean wall-time per *computed* cell, in milliseconds (0 when no
     /// cell was computed). Wall time is run accounting — stderr only,
     /// never part of the deterministic study bytes.
-    pub wall_ms_mean: f64,
+    pub(crate) wall_ms_mean: f64,
     /// Worst computed-cell wall-time, in milliseconds.
-    pub wall_ms_max: f64,
+    pub(crate) wall_ms_max: f64,
     /// Wall-clock of the three runner phases — (serial cache probe,
     /// parallel compute, write-back/assembly) — in milliseconds. Run
     /// accounting for `--profile`; stderr only, never in the tables.
-    pub phase_ms: [f64; 3],
+    pub(crate) phase_ms: [f64; 3],
 }
 
 /// Display names for [`StudyResult::phase_ms`], in order.
-pub const PHASE_NAMES: [&str; 3] = ["probe", "compute", "write-back"];
+pub(crate) const PHASE_NAMES: [&str; 3] = ["probe", "compute", "write-back"];
 
 impl StudyResult {
     /// One-line run accounting (the `ftexp` CLI prints this to stderr;

@@ -23,7 +23,7 @@ pub fn contraction_classes(g: &Csr, inst: &FailureInstance) -> UnionFind {
 /// here): iterates only the closed switches via the packed mask's
 /// word-skipping, so a trial at the paper's tiny ε costs O(m/32 +
 /// closures) instead of a per-switch scan — the Monte Carlo hot path.
-pub fn contraction_classes_into(g: &Csr, inst: &FailureInstance, uf: &mut UnionFind) {
+pub(crate) fn contraction_classes_into(g: &Csr, inst: &FailureInstance, uf: &mut UnionFind) {
     debug_assert_eq!(uf.len(), g.num_vertices());
     uf.reset();
     for e in inst.closed_edges() {
@@ -80,36 +80,6 @@ pub fn flagged_terminals_shorted(g: &Csr, inst: &FailureInstance, is_terminal: &
     false
 }
 
-/// [`terminals_shorted`] with a caller-owned [`UnionFind`], for trial
-/// loops. Avoids the root→terminal map of [`find_shorted_pair`]: after
-/// contraction, two *distinct* terminals short iff uniting the terminals
-/// one by one into the first ever finds a pair already connected.
-///
-/// `terminals` must be pairwise distinct vertex ids (they are for every
-/// terminal list in this workspace; duplicates would be reported as
-/// shorts).
-pub fn terminals_shorted_with(
-    g: &Csr,
-    inst: &FailureInstance,
-    terminals: &[VertexId],
-    uf: &mut UnionFind,
-) -> bool {
-    contraction_classes_into(g, inst, uf);
-    let Some((&first, rest)) = terminals.split_first() else {
-        return false;
-    };
-    for &t in rest {
-        debug_assert_ne!(t, first, "terminals must be distinct");
-        // A failed union means `t` already shares an electrical node
-        // with an earlier terminal (possibly through `first`'s growing
-        // set) — exactly a shorted pair.
-        if !uf.union(first.0, t.0) {
-            return true;
-        }
-    }
-    false
-}
-
 /// The fully contracted network: closed edges merge endpoint classes,
 /// open edges vanish, normal edges survive between classes (self-loop
 /// normal edges inside a class are dropped — electrically meaningless).
@@ -117,8 +87,6 @@ pub fn terminals_shorted_with(
 pub struct ContractedNetwork {
     /// Quotient graph over electrical nodes.
     pub graph: Csr,
-    /// `class_of[v]` = node of the quotient containing original vertex v.
-    pub class_of: Vec<u32>,
     /// For each surviving quotient edge, the original [`EdgeId`].
     pub edge_origin: Vec<EdgeId>,
 }
@@ -140,11 +108,7 @@ pub fn contract(g: &Csr, inst: &FailureInstance) -> ContractedNetwork {
         }
     }
     let (graph, edge_origin) = Csr::from_tagged_edges(num_classes, edges);
-    ContractedNetwork {
-        graph,
-        class_of,
-        edge_origin,
-    }
+    ContractedNetwork { graph, edge_origin }
 }
 
 #[cfg(test)]
@@ -192,8 +156,9 @@ mod tests {
         let c = contract(&g, &inst);
         assert_eq!(c.graph.num_vertices(), 3);
         assert_eq!(c.graph.num_edges(), 2, "two normal edges survive");
-        assert_eq!(c.class_of[1], c.class_of[2]);
-        assert_ne!(c.class_of[0], c.class_of[3]);
+        let mut classes = contraction_classes(&g, &inst);
+        assert!(classes.same(1, 2));
+        assert!(!classes.same(0, 3));
     }
 
     #[test]
@@ -231,18 +196,11 @@ mod tests {
         let g = chain4();
         let model = FailureModel::new(0.1, 0.3);
         let mut r = rng(3);
-        let mut uf = ft_graph::UnionFind::new(g.num_vertices());
         let terminals = [v(0), v(2), v(3)];
         let flags = [true, false, true, true];
         for _ in 0..200 {
             let inst = FailureInstance::sample(&model, &mut r, g.num_edges());
             let shorted = terminals_shorted(&g, &inst, &terminals);
-            assert_eq!(
-                shorted,
-                terminals_shorted_with(&g, &inst, &terminals, &mut uf),
-                "{:?}",
-                inst.counts()
-            );
             assert_eq!(
                 shorted,
                 flagged_terminals_shorted(&g, &inst, &flags),

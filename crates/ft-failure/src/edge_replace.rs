@@ -56,7 +56,7 @@ pub fn substitute(g: &Csr, gadget: &TwoTerminal) -> Substituted {
 /// Iterates substitution on a two-terminal network: level 0 is a single
 /// switch, level `k` substitutes `gadget` into every switch of level
 /// `k−1`. Size is `gadget.size^k`, depth ≤ `gadget_depth^k`.
-pub fn iterate_gadget(gadget: &TwoTerminal, levels: usize) -> TwoTerminal {
+pub(crate) fn iterate_gadget(gadget: &TwoTerminal, levels: usize) -> TwoTerminal {
     let mut current = crate::reliability::single_switch();
     for _ in 0..levels {
         // substituting the gadget INTO each edge of `current`

@@ -18,80 +18,32 @@
 //!   `P[short] ≤ (l/4)·(4ε₂)^{w+1} / (1 − 4ε₂)`.
 
 use crate::model::FailureModel;
-use crate::reliability::{FailureProbs, TwoTerminal};
-use ft_graph::{Csr, VertexId};
+use crate::reliability::FailureProbs;
 
-/// A hammock network: grid dimensions plus the materialised two-terminal
-/// graph.
+/// A hammock network, given by its grid dimensions.
 #[derive(Clone, Debug)]
 pub struct Hammock {
     /// Rows `l` (the paper's first grid parameter).
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Stages `w` (the paper's second grid parameter).
-    pub stages: usize,
-    /// The two-terminal network (source, grid, sink).
-    pub net: TwoTerminal,
+    pub(crate) stages: usize,
 }
 
 impl Hammock {
-    /// Builds the `(l, w)` hammock. Vertex layout: source = 0, sink = 1,
-    /// grid vertex `(i, j)` (row `i ∈ 0..l`, stage `j ∈ 0..w`) at
-    /// `2 + j·l + i`.
+    /// The `(l, w)` hammock.
     pub fn new(rows: usize, stages: usize) -> Self {
         assert!(rows >= 1 && stages >= 1, "hammock needs l, w ≥ 1");
-        let (l, w) = (rows, stages);
-        let mut edges = Vec::with_capacity(2 * l + (2 * l - 1) * (w - 1));
-        let (source, sink) = (VertexId(0), VertexId(1));
-        let at = |i: usize, j: usize| VertexId::from(2 + j * l + i);
-        for i in 0..l {
-            edges.push((source, at(i, 0)));
-        }
-        for j in 0..w - 1 {
-            for i in 0..l {
-                edges.push((at(i, j), at(i, j + 1)));
-                if i + 1 < l {
-                    edges.push((at(i, j), at(i + 1, j + 1)));
-                }
-            }
-        }
-        for i in 0..l {
-            edges.push((at(i, w - 1), sink));
-        }
-        Hammock {
-            rows,
-            stages,
-            net: TwoTerminal {
-                graph: Csr::from_edges(2 + l * w, edges),
-                source,
-                sink,
-            },
-        }
-    }
-
-    /// Vertex id of grid position `(row, stage)`.
-    pub fn grid_vertex(&self, row: usize, stage: usize) -> VertexId {
-        assert!(row < self.rows && stage < self.stages);
-        VertexId::from(2 + stage * self.rows + row)
-    }
-
-    /// Number of switches.
-    pub fn size(&self) -> usize {
-        self.net.graph.num_edges()
-    }
-
-    /// Depth (edges on the longest source → sink path) = `w + 1`.
-    pub fn depth(&self) -> usize {
-        self.stages + 1
+        Hammock { rows, stages }
     }
 
     /// Analytic upper bound on `P[open]` (see module docs).
-    pub fn open_bound(&self, model: &FailureModel) -> f64 {
+    pub(crate) fn open_bound(&self, model: &FailureModel) -> f64 {
         open_bound(self.rows, self.stages, model.eps_open)
     }
 
     /// Analytic upper bound on `P[short]`; `+∞` if ε₂ ≥ ¼ (bound
     /// inapplicable).
-    pub fn short_bound(&self, model: &FailureModel) -> f64 {
+    pub(crate) fn short_bound(&self, model: &FailureModel) -> f64 {
         short_bound(self.rows, self.stages, model.eps_close)
     }
 
@@ -107,13 +59,13 @@ impl Hammock {
 /// `P[open] ≤ (1 − (1−ε)^{w+1})^l` — the `l` straight row paths are
 /// edge-disjoint and each conducts unless one of its `w+1` switches
 /// open-fails.
-pub fn open_bound(l: usize, w: usize, eps_open: f64) -> f64 {
+pub(crate) fn open_bound(l: usize, w: usize, eps_open: f64) -> f64 {
     let per_row_ok = (1.0 - eps_open).powi(w as i32 + 1);
     (1.0 - per_row_ok).powi(l as i32)
 }
 
 /// `P[short] ≤ (l/4)·(4ε)^{w+1}/(1−4ε)` for ε < ¼, else `+∞`.
-pub fn short_bound(l: usize, w: usize, eps_close: f64) -> f64 {
+pub(crate) fn short_bound(l: usize, w: usize, eps_close: f64) -> f64 {
     if eps_close <= 0.0 {
         return 0.0;
     }
@@ -127,25 +79,58 @@ pub fn short_bound(l: usize, w: usize, eps_close: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reliability::Connectivity;
+    use crate::reliability::{Connectivity, TwoTerminal};
+    use ft_graph::{Csr, VertexId};
+
+    impl Hammock {
+        /// The materialised two-terminal graph. Vertex layout: source =
+        /// 0, sink = 1, grid vertex `(i, j)` (row `i ∈ 0..l`, stage
+        /// `j ∈ 0..w`) at `2 + j·l + i`.
+        fn net(&self) -> TwoTerminal {
+            let (l, w) = (self.rows, self.stages);
+            let mut edges = Vec::with_capacity(2 * l + (2 * l - 1) * (w - 1));
+            let (source, sink) = (VertexId(0), VertexId(1));
+            for i in 0..l {
+                edges.push((source, self.grid_vertex(i, 0)));
+            }
+            for j in 0..w - 1 {
+                for i in 0..l {
+                    edges.push((self.grid_vertex(i, j), self.grid_vertex(i, j + 1)));
+                    if i + 1 < l {
+                        edges.push((self.grid_vertex(i, j), self.grid_vertex(i + 1, j + 1)));
+                    }
+                }
+            }
+            for i in 0..l {
+                edges.push((self.grid_vertex(i, w - 1), sink));
+            }
+            TwoTerminal {
+                graph: Csr::from_edges(2 + l * w, edges),
+                source,
+                sink,
+            }
+        }
+
+        /// Vertex id of grid position `(row, stage)`.
+        fn grid_vertex(&self, row: usize, stage: usize) -> VertexId {
+            assert!(row < self.rows && stage < self.stages);
+            VertexId::from(2 + stage * self.rows + row)
+        }
+    }
+
+    /// Edges on the longest source → sink path.
+    fn depth(net: &TwoTerminal) -> Option<u32> {
+        ft_graph::traversal::dag_depth_between(&net.graph, &[net.source], &[net.sink])
+    }
 
     #[test]
     fn shape_matches_formulas() {
         for (l, w) in [(1usize, 1usize), (2, 3), (4, 8), (5, 2)] {
-            let h = Hammock::new(l, w);
-            assert_eq!(h.net.graph.num_vertices(), 2 + l * w);
-            assert_eq!(h.size(), 2 * l + (2 * l - 1) * (w - 1));
-            assert_eq!(h.depth(), w + 1);
-            assert!(ft_graph::traversal::is_acyclic(&h.net.graph));
-            // depth measured on the graph agrees
-            assert_eq!(
-                ft_graph::traversal::dag_depth_between(
-                    &h.net.graph,
-                    &[h.net.source],
-                    &[h.net.sink]
-                ),
-                Some(w as u32 + 1)
-            );
+            let net = Hammock::new(l, w).net();
+            assert_eq!(net.graph.num_vertices(), 2 + l * w);
+            assert_eq!(net.graph.num_edges(), 2 * l + (2 * l - 1) * (w - 1));
+            assert!(ft_graph::traversal::is_acyclic(&net.graph));
+            assert_eq!(depth(&net), Some(w as u32 + 1));
         }
     }
 
@@ -156,11 +141,12 @@ mod tests {
         assert_eq!(h.rows, 4);
         assert_eq!(h.stages, 8);
         // interior vertex degrees: out ≤ 2, in ≤ 2
+        let net = h.net();
         for j in 1..7 {
             for i in 0..4 {
                 let v = h.grid_vertex(i, j);
-                assert!(h.net.graph.out_degree(v) <= 2);
-                assert!(h.net.graph.in_degree(v) <= 2);
+                assert!(net.graph.out_degree(v) <= 2);
+                assert!(net.graph.in_degree(v) <= 2);
             }
         }
     }
@@ -169,9 +155,11 @@ mod tests {
     fn exact_probs_respect_bounds_tiny() {
         // (2,2) hammock has 2·2 + 3·1 = 7 edges — enumerable
         let h = Hammock::new(2, 2);
-        assert_eq!(h.size(), 7);
+        assert_eq!(h.net().graph.num_edges(), 7);
         let model = FailureModel::symmetric(0.05);
-        let exact = h.net.exact_failure_probs(&model, Connectivity::Undirected);
+        let exact = h
+            .net()
+            .exact_failure_probs(&model, Connectivity::Undirected);
         let bounds = h.bounds(&model);
         assert!(
             exact.p_open <= bounds.p_open + 1e-12,
@@ -192,7 +180,7 @@ mod tests {
         let h = Hammock::new(6, 6);
         let model = FailureModel::symmetric(0.08);
         let (open, short) = h
-            .net
+            .net()
             .mc_failure_probs(&model, Connectivity::Undirected, 20_000, 17);
         let bounds = h.bounds(&model);
         // Wilson lower bounds must not exceed the analytic upper bounds
@@ -224,8 +212,8 @@ mod tests {
 
     #[test]
     fn single_row_hammock_is_a_chain() {
-        let h = Hammock::new(1, 3);
-        assert_eq!(h.size(), 2 + 2); // 2 terminal links + 2 straight
-        assert_eq!(h.depth(), 4);
+        let net = Hammock::new(1, 3).net();
+        assert_eq!(net.graph.num_edges(), 2 + 2); // 2 terminal links + 2 straight
+        assert_eq!(depth(&net), Some(4));
     }
 }

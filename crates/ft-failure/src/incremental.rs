@@ -75,12 +75,6 @@ impl AliveTracker {
         &self.alive
     }
 
-    /// Whether `v` is currently alive.
-    #[inline]
-    pub fn is_alive(&self, v: VertexId) -> bool {
-        self.alive[v.index()]
-    }
-
     /// Registers the failure of the switch `(tail, head)` and appends
     /// the vertices it newly discarded (0, 1 or 2) to `newly_dead`.
     /// O(1). The caller transitions the switch state in its own

@@ -2,122 +2,191 @@
 //!
 //! §3 of the paper defines the event space Ω as the set of graphs
 //! obtained from the network by independently assigning each edge one of
-//! the three states. [`FailureInstance`] is one point of Ω: it wraps the
-//! per-edge state vector and answers the queries the rest of the pipeline
-//! needs (normal/usable filters, failure counts, faulty-vertex marks).
+//! the three states. [`FailureInstance`] is one point of Ω: it packs the
+//! per-edge states and answers the queries the rest of the pipeline needs
+//! (normal/usable filters, failure counts, faulty-vertex marks).
+//!
+//! The three states take two bits per switch (`00` normal, `01` open,
+//! `10` closed; `11` never occurs), so:
+//!
+//! * clearing touches 1/4 of the memory of a byte per switch (and is a
+//!   plain word memset);
+//! * `counts` is two `popcount`s per 32 switches;
+//! * iterating failed/closed switches skips whole all-normal words —
+//!   at the paper's tiny ε almost every word is skipped, making
+//!   fault-dependent passes (repair, contraction) O(failures), not O(m);
+//! * the dense sampling regime can fill a whole word (32 switches) with
+//!   one store.
 
-use crate::mask::FailureMask;
 use crate::model::{FailureModel, SwitchState};
-use ft_graph::ids::{EdgeId, VertexId};
+use ft_graph::ids::EdgeId;
 use ft_graph::Csr;
 use rand::rngs::SmallRng;
 
+/// Bit-plane of the `open` bits within one word (even positions).
+const OPEN_PLANE: u64 = 0x5555_5555_5555_5555;
+/// Bit-plane of the `closed` bits within one word (odd positions).
+const CLOSED_PLANE: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+/// Switches per 64-bit word.
+pub(crate) const PER_WORD: usize = 32;
+
 /// One sampled assignment of a state to every switch of a network.
 ///
-/// Backed by a word-packed [`FailureMask`] (two bits per switch), so a
-/// trial's reset is a word memset and every fault-dependent pass
-/// (repair, contraction, shorting) iterates failures by skipping
-/// all-normal words instead of scanning every switch.
-#[derive(Clone, Debug)]
+/// Word-packed at two bits per switch, so a trial's reset is a word
+/// memset and every fault-dependent pass (repair, contraction,
+/// shorting) iterates failures by skipping all-normal words instead of
+/// scanning every switch.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FailureInstance {
-    mask: FailureMask,
+    pub(crate) words: Vec<u64>,
+    len: usize,
 }
 
 impl FailureInstance {
     /// Samples an instance for a network with `num_edges` switches.
     pub fn sample(model: &FailureModel, rng: &mut SmallRng, num_edges: usize) -> Self {
-        FailureInstance {
-            mask: model.sample_mask(rng, num_edges),
-        }
+        let mut inst = FailureInstance::default();
+        model.sample_into(rng, num_edges, &mut inst);
+        inst
     }
 
     /// Re-samples in place, reusing the allocation (hot Monte Carlo path).
     pub fn resample(&mut self, model: &FailureModel, rng: &mut SmallRng, num_edges: usize) {
-        model.sample_into(rng, num_edges, &mut self.mask);
+        model.sample_into(rng, num_edges, self);
     }
 
     /// Packs an explicit state vector (tests, adversarial instances).
     pub fn from_states(states: Vec<SwitchState>) -> Self {
-        FailureInstance {
-            mask: FailureMask::from_states(&states),
+        let mut inst = FailureInstance::perfect(states.len());
+        for (i, &s) in states.iter().enumerate() {
+            if s != SwitchState::Normal {
+                inst.set(i, s);
+            }
         }
+        inst
     }
 
     /// An all-normal instance.
     pub fn perfect(num_edges: usize) -> Self {
         FailureInstance {
-            mask: FailureMask::new(num_edges),
+            words: vec![0; num_edges.div_ceil(PER_WORD)],
+            len: num_edges,
         }
     }
 
-    /// The underlying packed mask.
-    pub fn mask(&self) -> &FailureMask {
-        &self.mask
+    /// Resets to all-normal over `len` switches, reusing the allocation.
+    pub(crate) fn reset(&mut self, len: usize) {
+        let words = len.div_ceil(PER_WORD);
+        self.words.clear();
+        self.words.resize(words, 0);
+        self.len = len;
     }
 
-    /// Mutable access to the packed mask — the sliced→scalar fallback
-    /// path overwrites a reused instance in place via
-    /// [`crate::sliced::SlicedFailureMask::extract_lane_into`].
-    pub fn mask_mut(&mut self) -> &mut FailureMask {
-        &mut self.mask
+    /// Sets the state of switch `i`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, s: SwitchState) {
+        debug_assert!(i < self.len);
+        let shift = (i % PER_WORD) * 2;
+        let w = &mut self.words[i / PER_WORD];
+        *w = (*w & !(3 << shift)) | ((s as u64) << shift);
     }
 
     /// Overwrites the state of one switch — used by exhaustive
     /// enumeration, which walks the `3^m` assignments by incremental
     /// odometer updates instead of rebuilding an instance per state.
     pub fn set_state(&mut self, e: EdgeId, s: SwitchState) {
-        self.mask.set(e.index(), s);
+        self.set(e.index(), s);
     }
 
     /// Number of switches covered.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.mask.len()
+        self.len
     }
 
     /// Whether the instance covers zero switches.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.mask.is_empty()
+        self.len == 0
+    }
+
+    /// The two state bits of switch `i`.
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        debug_assert!(i < self.len);
+        (self.words[i / PER_WORD] >> ((i % PER_WORD) * 2)) & 3
     }
 
     /// State of switch `e`.
     #[inline]
     pub fn state(&self, e: EdgeId) -> SwitchState {
-        self.mask.state(e.index())
+        match self.code(e.index()) {
+            0 => SwitchState::Normal,
+            1 => SwitchState::Open,
+            2 => SwitchState::Closed,
+            _ => unreachable!("11 code never written"),
+        }
     }
 
     /// Whether switch `e` is in the normal state.
     #[inline]
     pub fn is_normal(&self, e: EdgeId) -> bool {
-        self.mask.is_normal(e.index())
+        self.code(e.index()) == 0
     }
 
     /// Whether switch `e` still *exists* as a conductor (normal or
     /// closed — an open-failed switch is gone).
     #[inline]
-    pub fn is_usable(&self, e: EdgeId) -> bool {
-        self.mask.is_usable(e.index())
+    pub(crate) fn is_usable(&self, e: EdgeId) -> bool {
+        self.code(e.index()) & 1 == 0
     }
 
     /// Whether switch `e` is closed-failed (its endpoints contract).
     #[inline]
     pub fn is_closed(&self, e: EdgeId) -> bool {
-        self.mask.is_closed(e.index())
+        self.code(e.index()) & 2 != 0
     }
 
-    /// `(open, closed, normal)` counts.
+    /// `(open, closed, normal)` counts — two popcounts per word.
     pub fn counts(&self) -> (usize, usize, usize) {
-        self.mask.counts()
+        let mut open = 0usize;
+        let mut closed = 0usize;
+        for &w in &self.words {
+            open += (w & OPEN_PLANE).count_ones() as usize;
+            closed += (w & CLOSED_PLANE).count_ones() as usize;
+        }
+        (open, closed, self.len - open - closed)
     }
 
-    /// Ids of all failed (non-normal) switches, skipping all-normal
-    /// words — O(m/32 + failures).
+    /// Ids of all failed (non-normal) switches, ascending, skipping
+    /// all-normal words — O(m/32 + failures).
     pub fn failed_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.mask.iter_failed().map(EdgeId::from)
+        self.iter_plane(OPEN_PLANE | CLOSED_PLANE)
     }
 
-    /// Ids of all closed-failed switches, skipping all-normal words.
-    pub fn closed_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.mask.iter_closed().map(EdgeId::from)
+    /// Ids of all closed-failed switches, ascending, skipping all-normal
+    /// words.
+    pub(crate) fn closed_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.iter_plane(CLOSED_PLANE)
+    }
+
+    fn iter_plane(&self, plane: u64) -> impl Iterator<Item = EdgeId> + '_ {
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let mut bits = w & plane;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let tz = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(EdgeId::from(wi * PER_WORD + tz / 2))
+            })
+        })
+    }
+
+    /// Unpacks into a state vector (tests, debugging).
+    pub fn to_states(&self) -> Vec<SwitchState> {
+        (0..self.len).map(|i| self.state(EdgeId::from(i))).collect()
     }
 
     /// Marks every vertex incident with a failed switch — the paper's
@@ -131,16 +200,6 @@ impl FailureInstance {
             faulty[h.index()] = true;
         }
         faulty
-    }
-
-    /// The vertices marked faulty, as a list.
-    pub fn faulty_vertex_list(&self, g: &Csr) -> Vec<VertexId> {
-        self.faulty_vertices(g)
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, f)| f)
-            .map(|(i, _)| VertexId::from(i))
-            .collect()
     }
 }
 
@@ -193,7 +252,6 @@ mod tests {
         ]);
         let faulty = inst.faulty_vertices(&g);
         assert_eq!(faulty, vec![false, true, true, false]);
-        assert_eq!(inst.faulty_vertex_list(&g), vec![v(1), v(2)]);
     }
 
     #[test]
@@ -213,6 +271,6 @@ mod tests {
         let inst = FailureInstance::perfect(0);
         assert!(inst.is_empty());
         let g = Csr::from_edges(0, vec![]);
-        assert!(inst.faulty_vertex_list(&g).is_empty());
+        assert!(inst.faulty_vertices(&g).is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //! keeps them separate (the invariance arguments of §3 need asymmetric
 //! instances).
 
-use crate::mask::{FailureMask, PER_WORD};
+use crate::instance::{FailureInstance, PER_WORD};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -104,7 +104,7 @@ impl FailureModel {
 
     /// Samples the state of one switch.
     #[inline]
-    pub fn sample_one(&self, rng: &mut SmallRng) -> SwitchState {
+    pub(crate) fn sample_one(&self, rng: &mut SmallRng) -> SwitchState {
         let u: f64 = rng.random();
         if u < self.eps_open {
             SwitchState::Open
@@ -134,7 +134,7 @@ impl FailureModel {
     /// given model, whichever sampler runs.
     pub const DENSE_CUTOFF: f64 = 1.0 / 16.0;
 
-    /// Samples states for `m` switches into the packed mask `out`
+    /// Samples states for `m` switches into the packed instance `out`
     /// (reset to `m` switches).
     ///
     /// This is the **scalar** path: one instance per call, used by the
@@ -145,8 +145,6 @@ impl FailureModel {
     /// the sliced Monte Carlo drivers, their scalar references and their
     /// `trials % 64` tails all take their instances from its lanes, not
     /// from this function.
-    ///
-    /// [`FailureInstance::sample`]: crate::FailureInstance::sample
     ///
     /// Two regimes:
     ///
@@ -162,7 +160,7 @@ impl FailureModel {
     ///   in one packed store. The sliced sampler uses different (also
     ///   pinned) streams in both regimes — equivalence between the two
     ///   samplers is distributional, not bitwise.
-    pub fn sample_into(&self, rng: &mut SmallRng, m: usize, out: &mut FailureMask) {
+    pub(crate) fn sample_into(&self, rng: &mut SmallRng, m: usize, out: &mut FailureInstance) {
         out.reset(m);
         let p = self.total();
         if p <= 0.0 {
@@ -237,13 +235,6 @@ impl FailureModel {
         }
     }
 
-    /// Samples a fresh packed mask for `m` switches.
-    pub fn sample_mask(&self, rng: &mut SmallRng, m: usize) -> FailureMask {
-        let mut out = FailureMask::new(0);
-        self.sample_into(rng, m, &mut out);
-        out
-    }
-
     /// Reference sampler producing an unpacked state vector.
     ///
     /// Kept as the slow-but-obvious implementation that the packed
@@ -252,7 +243,12 @@ impl FailureModel {
     /// produce the same states. (In the dense regime the streams differ —
     /// the reference draws one `f64` per switch — but the distributions
     /// agree.)
-    pub fn sample_states_into(&self, rng: &mut SmallRng, m: usize, out: &mut Vec<SwitchState>) {
+    pub(crate) fn sample_states_into(
+        &self,
+        rng: &mut SmallRng,
+        m: usize,
+        out: &mut Vec<SwitchState>,
+    ) {
         out.clear();
         out.resize(m, SwitchState::Normal);
         let p = self.total();
@@ -290,8 +286,9 @@ impl FailureModel {
         }
     }
 
-    /// Samples a fresh state vector for `m` switches (reference path;
-    /// see [`Self::sample_states_into`]).
+    /// Samples a fresh state vector for `m` switches: the unpacked
+    /// reference sampler the packed [`FailureInstance::sample`] is pinned
+    /// against.
     pub fn sample_states(&self, rng: &mut SmallRng, m: usize) -> Vec<SwitchState> {
         let mut out = Vec::new();
         self.sample_states_into(rng, m, &mut out);
@@ -303,6 +300,7 @@ impl FailureModel {
 mod tests {
     use super::*;
     use ft_graph::gen::rng;
+    use ft_graph::ids::e;
 
     #[test]
     fn symmetric_model() {
@@ -344,15 +342,15 @@ mod tests {
         let mut r = rng(1);
         let states = m.sample_states(&mut r, 1000);
         assert!(states.iter().all(|&s| s == SwitchState::Normal));
-        let mask = m.sample_mask(&mut r, 1000);
+        let mask = FailureInstance::sample(&m, &mut r, 1000);
         assert_eq!(mask.counts(), (0, 0, 1000));
     }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let m = FailureModel::symmetric(0.3);
-        let a = m.sample_mask(&mut rng(7), 500);
-        let b = m.sample_mask(&mut rng(7), 500);
+        let a = FailureInstance::sample(&m, &mut rng(7), 500);
+        let b = FailureInstance::sample(&m, &mut rng(7), 500);
         assert_eq!(a, b);
         let a = m.sample_states(&mut rng(7), 500);
         let b = m.sample_states(&mut rng(7), 500);
@@ -366,7 +364,7 @@ mod tests {
             let m = FailureModel::new(e1, e2);
             assert!(m.total() < FailureModel::DENSE_CUTOFF);
             let states = m.sample_states(&mut rng(99), 10_000);
-            let mask = m.sample_mask(&mut rng(99), 10_000);
+            let mask = FailureInstance::sample(&m, &mut rng(99), 10_000);
             assert_eq!(mask.to_states(), states, "({e1}, {e2})");
         }
     }
@@ -377,7 +375,7 @@ mod tests {
         let m = FailureModel::new(0.2, 0.15);
         let mut r = rng(42);
         let n = 200_000;
-        let mask = m.sample_mask(&mut r, n);
+        let mask = FailureInstance::sample(&m, &mut r, n);
         let (open, closed, _) = mask.counts();
         let open = open as f64 / n as f64;
         let closed = closed as f64 / n as f64;
@@ -391,7 +389,7 @@ mod tests {
         // it must now be dense AND keep its marginals
         let m = FailureModel::symmetric(0.1);
         assert!(m.total() >= FailureModel::DENSE_CUTOFF);
-        let mask = m.sample_mask(&mut rng(47), 500_000);
+        let mask = FailureInstance::sample(&m, &mut rng(47), 500_000);
         let (open, closed, _) = mask.counts();
         assert!((open as f64 / 500_000.0 - 0.1).abs() < 0.005, "open {open}");
         assert!(
@@ -406,7 +404,7 @@ mod tests {
         let m = FailureModel::new(0.01, 0.02);
         let mut r = rng(43);
         let n = 1_000_000;
-        let mask = m.sample_mask(&mut r, n);
+        let mask = FailureInstance::sample(&m, &mut r, n);
         let (open, closed, _) = mask.counts();
         let open = open as f64 / n as f64;
         let closed = closed as f64 / n as f64;
@@ -422,13 +420,13 @@ mod tests {
         let mut first_hit = false;
         let mut last_hit = false;
         let mut r = rng(44);
-        let mut mask = FailureMask::new(0);
+        let mut mask = FailureInstance::default();
         for _ in 0..2000 {
             m.sample_into(&mut r, 10, &mut mask);
-            if mask.state(0) != SwitchState::Normal {
+            if mask.state(e(0)) != SwitchState::Normal {
                 first_hit = true;
             }
-            if mask.state(9) != SwitchState::Normal {
+            if mask.state(e(9)) != SwitchState::Normal {
                 last_hit = true;
             }
         }
@@ -440,11 +438,11 @@ mod tests {
         for eps in [0.03, 0.2] {
             let m = FailureModel::new(eps, 0.0);
             let mut r = rng(45);
-            let mask = m.sample_mask(&mut r, 100_000);
-            assert_eq!(mask.iter_closed().count(), 0);
+            let mask = FailureInstance::sample(&m, &mut r, 100_000);
+            assert_eq!(mask.counts().1, 0);
             let m = FailureModel::new(0.0, eps);
-            let mask = m.sample_mask(&mut r, 100_000);
-            assert_eq!(mask.iter_open().count(), 0);
+            let mask = FailureInstance::sample(&m, &mut r, 100_000);
+            assert_eq!(mask.counts().0, 0);
         }
     }
 
@@ -452,7 +450,7 @@ mod tests {
     fn extreme_probabilities_fill_everything() {
         // ε₁ + ε₂ = 1: every switch fails (threshold clamping)
         let m = FailureModel::new(0.6, 0.4);
-        let mask = m.sample_mask(&mut rng(48), 10_000);
+        let mask = FailureInstance::sample(&m, &mut rng(48), 10_000);
         let (open, closed, normal) = mask.counts();
         assert_eq!(normal, 0);
         assert_eq!(open + closed, 10_000);
@@ -463,6 +461,6 @@ mod tests {
         let m = FailureModel::symmetric(0.1);
         let mut r = rng(46);
         assert!(m.sample_states(&mut r, 0).is_empty());
-        assert!(m.sample_mask(&mut r, 0).is_empty());
+        assert!(FailureInstance::sample(&m, &mut r, 0).is_empty());
     }
 }

@@ -10,7 +10,7 @@
 //! seeded by [`crate::block_seed`] alone.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A binomial estimate: `successes` out of `trials`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,7 +32,7 @@ impl Estimate {
 
     /// Wilson score interval at `z` standard normal quantiles
     /// (z = 1.96 ≈ 95%). Well-behaved when `successes` is 0 or `trials`.
-    pub fn wilson(&self, z: f64) -> (f64, f64) {
+    pub(crate) fn wilson(&self, z: f64) -> (f64, f64) {
         if self.trials == 0 {
             return (0.0, 1.0);
         }
@@ -48,21 +48,6 @@ impl Estimate {
     /// 95% Wilson interval.
     pub fn wilson95(&self) -> (f64, f64) {
         self.wilson(1.959964)
-    }
-
-    /// Standard error of the point estimate.
-    pub fn std_err(&self) -> f64 {
-        let n = self.trials as f64;
-        let p = self.p();
-        (p * (1.0 - p) / n).sqrt()
-    }
-
-    /// Merges two independent estimates of the same quantity.
-    pub fn merge(self, other: Estimate) -> Estimate {
-        Estimate {
-            successes: self.successes + other.successes,
-            trials: self.trials + other.trials,
-        }
     }
 }
 
@@ -83,20 +68,10 @@ pub fn estimate_probability(
     Estimate { successes, trials }
 }
 
-/// Draws a Binomial(n, p) sample — convenience for calibration tests.
-pub fn binomial_sample(rng: &mut SmallRng, n: u64, p: f64) -> u64 {
-    let mut k = 0;
-    for _ in 0..n {
-        if rng.random::<f64>() < p {
-            k += 1;
-        }
-    }
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn point_estimate() {
@@ -105,7 +80,6 @@ mod tests {
             trials: 100,
         };
         assert!((e.p() - 0.25).abs() < 1e-12);
-        assert!(e.std_err() > 0.0);
     }
 
     #[test]
@@ -163,28 +137,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds() {
-        let a = Estimate {
-            successes: 3,
-            trials: 10,
-        };
-        let b = Estimate {
-            successes: 7,
-            trials: 20,
-        };
-        let m = a.merge(b);
-        assert_eq!(m.successes, 10);
-        assert_eq!(m.trials, 30);
-    }
-
-    #[test]
-    fn binomial_sampler_mean() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut total = 0u64;
-        for _ in 0..200 {
-            total += binomial_sample(&mut rng, 100, 0.4);
+    fn wilson95_known_answers() {
+        // the 95 % score interval, z = 1.959964; a 90 % one (z = 1.645)
+        // would read (0.113153, 0.196192) on 30/200
+        for (successes, trials, want) in [
+            (30, 200, (0.107135935335, 0.206055793333)),
+            (1, 10, (0.017876212896, 0.404150029525)),
+            (0, 100, (0.0, 0.036993498769)),
+        ] {
+            let (lo, hi) = Estimate { successes, trials }.wilson95();
+            assert!((lo - want.0).abs() < 1e-9, "{successes}/{trials}: lo {lo}");
+            assert!((hi - want.1).abs() < 1e-9, "{successes}/{trials}: hi {hi}");
         }
-        let mean = total as f64 / 200.0;
-        assert!((mean - 40.0).abs() < 2.0, "mean {mean}");
     }
 }

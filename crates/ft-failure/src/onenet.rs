@@ -32,12 +32,6 @@ use crate::sp::SpNetwork;
 pub struct OneNet {
     /// The materialised network.
     pub net: TwoTerminal,
-    /// Bridge pre-amplification levels applied (0 when ε is already small).
-    pub preamp_levels: usize,
-    /// Per-switch failure pair after pre-amplification.
-    pub amplified: FailureProbs,
-    /// Quad-squaring levels applied on top of the pre-amplifier.
-    pub quad_levels: usize,
     /// Exact failure pair of the final network (each mode < ε′).
     pub certified: FailureProbs,
 }
@@ -79,7 +73,7 @@ pub fn quad_map(p: FailureProbs) -> FailureProbs {
 /// # Panics
 /// Panics if ε ≥ ½ (amplification impossible: ½ is the bridge's fixed
 /// point) or if 200 levels do not suffice (unreachable for ε ≤ 0.499).
-pub fn preamp_schedule(eps: f64) -> (usize, FailureProbs) {
+pub(crate) fn preamp_schedule(eps: f64) -> (usize, FailureProbs) {
     assert!(
         (0.0..0.5).contains(&eps),
         "Proposition 1 requires 0 ≤ ε < 1/2, got {eps}"
@@ -104,7 +98,7 @@ pub fn preamp_schedule(eps: f64) -> (usize, FailureProbs) {
 
 /// Number of quad levels needed to bring `p` (both modes ≤ 0.1) below
 /// `eps_prime`, together with the exact resulting pair.
-pub fn quad_schedule(p: FailureProbs, eps_prime: f64) -> (usize, FailureProbs) {
+pub(crate) fn quad_schedule(p: FailureProbs, eps_prime: f64) -> (usize, FailureProbs) {
     assert!(eps_prime > 0.0, "ε′ must be positive");
     assert!(
         p.max() <= QUAD_COMFORT,
@@ -122,7 +116,7 @@ pub fn quad_schedule(p: FailureProbs, eps_prime: f64) -> (usize, FailureProbs) {
 
 /// The quad network as a series-parallel composition tree with `levels`
 /// levels (level 0 = single switch).
-pub fn quad_sp(levels: usize) -> SpNetwork {
+pub(crate) fn quad_sp(levels: usize) -> SpNetwork {
     let mut net = SpNetwork::Switch;
     for _ in 0..levels {
         let chain = SpNetwork::Series(vec![net.clone(), net]);
@@ -154,13 +148,7 @@ pub fn construct_onenet(eps: f64, eps_prime: f64) -> OneNet {
             sink: skeleton.sink,
         }
     };
-    OneNet {
-        net,
-        preamp_levels,
-        amplified,
-        quad_levels,
-        certified,
-    }
+    OneNet { net, certified }
 }
 
 /// The Proposition 1 size form `c·(log₂ 1/ε′)²`: returns the constant
@@ -252,21 +240,25 @@ mod tests {
     #[test]
     fn onenet_small_eps_has_no_preamp() {
         let net = construct_onenet(0.05, 1e-4);
-        assert_eq!(net.preamp_levels, 0);
+        let (preamp_levels, amplified) = preamp_schedule(0.05);
+        assert_eq!(preamp_levels, 0);
+        let (quad_levels, _) = quad_schedule(amplified, 1e-4);
         assert!(net.certified.p_open < 1e-4);
         assert!(net.certified.p_short < 1e-4);
-        assert_eq!(net.size(), 4usize.pow(net.quad_levels as u32));
-        assert_eq!(net.depth(), 2u32.pow(net.quad_levels as u32));
+        assert_eq!(net.size(), 4usize.pow(quad_levels as u32));
+        assert_eq!(net.depth(), 2u32.pow(quad_levels as u32));
     }
 
     #[test]
     fn onenet_large_eps_preamps() {
         let net = construct_onenet(0.4, 1e-2);
-        assert!(net.preamp_levels > 0);
+        let (preamp_levels, amplified) = preamp_schedule(0.4);
+        assert!(preamp_levels > 0);
+        let (quad_levels, _) = quad_schedule(amplified, 1e-2);
         assert!(net.certified.max() < 1e-2);
         assert_eq!(
             net.size(),
-            4usize.pow(net.quad_levels as u32) * 5usize.pow(net.preamp_levels as u32)
+            4usize.pow(quad_levels as u32) * 5usize.pow(preamp_levels as u32)
         );
     }
 

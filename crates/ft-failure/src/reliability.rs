@@ -17,7 +17,7 @@ use crate::montecarlo::Estimate;
 use crate::sliced::{block_seed, SlicedFailureMask, LANES};
 use ft_graph::ids::{EdgeId, VertexId};
 use ft_graph::sliced::{sliced_reach_into, SlicedWorkspace};
-use ft_graph::traversal::{bfs, bfs_into, Direction};
+use ft_graph::traversal::{bfs_into, Direction};
 use ft_graph::workspace::TraversalWorkspace;
 use ft_graph::{Csr, UnionFind};
 
@@ -27,9 +27,9 @@ pub struct TwoTerminal {
     /// The network graph.
     pub graph: Csr,
     /// Input terminal.
-    pub source: VertexId,
+    pub(crate) source: VertexId,
     /// Output terminal.
-    pub sink: VertexId,
+    pub(crate) sink: VertexId,
 }
 
 /// How connectivity is interpreted for the *open* failure event.
@@ -54,7 +54,7 @@ pub struct FailureProbs {
 
 impl FailureProbs {
     /// A single switch: opens with ε₁, shorts with ε₂.
-    pub fn single_switch(model: &FailureModel) -> Self {
+    pub(crate) fn single_switch(model: &FailureModel) -> Self {
         FailureProbs {
             p_open: model.eps_open,
             p_short: model.eps_close,
@@ -62,23 +62,17 @@ impl FailureProbs {
     }
 
     /// The worse of the two probabilities.
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.p_open.max(self.p_short)
     }
 }
 
 impl TwoTerminal {
     /// Whether the instance shorts the terminals (closed edges alone
-    /// connect them, ignoring direction).
-    pub fn is_shorted(&self, inst: &FailureInstance) -> bool {
-        let mut uf = UnionFind::new(self.graph.num_vertices());
-        self.is_shorted_with(inst, &mut uf)
-    }
-
-    /// [`Self::is_shorted`] with a caller-owned [`UnionFind`] (reset
-    /// here), iterating only the closed switches — the Monte Carlo hot
-    /// path.
-    pub fn is_shorted_with(&self, inst: &FailureInstance, uf: &mut UnionFind) -> bool {
+    /// connect them, ignoring direction), with a caller-owned
+    /// [`UnionFind`] (reset here), iterating only the closed switches —
+    /// the Monte Carlo hot path.
+    pub(crate) fn is_shorted_with(&self, inst: &FailureInstance, uf: &mut UnionFind) -> bool {
         debug_assert_eq!(uf.len(), self.graph.num_vertices());
         uf.reset();
         for e in inst.closed_edges() {
@@ -86,23 +80,6 @@ impl TwoTerminal {
             uf.union(t.0, h.0);
         }
         uf.same(self.source.0, self.sink.0)
-    }
-
-    /// Whether the instance leaves the terminals connected by usable
-    /// (normal or closed) switches.
-    pub fn is_connected(&self, inst: &FailureInstance, conn: Connectivity) -> bool {
-        let dir = match conn {
-            Connectivity::Undirected => Direction::Undirected,
-            Connectivity::Directed => Direction::Forward,
-        };
-        let b = bfs(
-            &self.graph,
-            &[self.source],
-            dir,
-            |e| inst.is_usable(e),
-            |_| true,
-        );
-        b.reached(self.sink)
     }
 
     /// Exact failure probabilities by enumerating all `3^m` switch-state
@@ -306,7 +283,7 @@ impl TwoTerminal {
         let mut opens = 0u64;
         let mut shorts = 0u64;
         for lane in 0..count as usize {
-            sliced.extract_lane_into(lane, inst.mask_mut());
+            sliced.extract_lane_into(lane, &mut inst);
             bfs_into(
                 &self.graph,
                 &[self.source],
@@ -345,7 +322,7 @@ pub fn bridge() -> TwoTerminal {
 /// Exact failure probabilities of the bridge when each switch
 /// independently opens with `probs.p_open` and shorts with
 /// `probs.p_short` — the one-level substitution map `(o, s) ↦ (o', s')`.
-pub fn bridge_map(probs: FailureProbs) -> FailureProbs {
+pub(crate) fn bridge_map(probs: FailureProbs) -> FailureProbs {
     bridge().exact_failure_probs(
         &FailureModel::new(probs.p_open, probs.p_short),
         Connectivity::Undirected,
@@ -365,6 +342,33 @@ pub fn single_switch() -> TwoTerminal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_graph::traversal::bfs;
+
+    impl TwoTerminal {
+        /// Whether the instance shorts the terminals (closed edges alone
+        /// connect them, ignoring direction).
+        fn is_shorted(&self, inst: &FailureInstance) -> bool {
+            let mut uf = UnionFind::new(self.graph.num_vertices());
+            self.is_shorted_with(inst, &mut uf)
+        }
+
+        /// Whether the instance leaves the terminals connected by usable
+        /// (normal or closed) switches.
+        fn is_connected(&self, inst: &FailureInstance, conn: Connectivity) -> bool {
+            let dir = match conn {
+                Connectivity::Undirected => Direction::Undirected,
+                Connectivity::Directed => Direction::Forward,
+            };
+            let b = bfs(
+                &self.graph,
+                &[self.source],
+                dir,
+                |e| inst.is_usable(e),
+                |_| true,
+            );
+            b.reached(self.sink)
+        }
+    }
 
     #[test]
     fn single_switch_probs() {

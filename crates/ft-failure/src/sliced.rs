@@ -1,7 +1,7 @@
 //! Bit-sliced failure instances: 64 Monte Carlo trials per word.
 //!
-//! [`crate::mask::FailureMask`] packs one instance at 2 bits per
-//! switch; this module transposes the layout. A [`SlicedFailureMask`]
+//! [`FailureInstance`] packs one instance at 2 bits per switch; this
+//! module transposes the layout. A [`SlicedFailureMask`]
 //! holds **64 independent instances** ("lanes") with one `u64` per
 //! switch per bit-plane — bit *i* of `open_word(s)` says "switch `s`
 //! open-failed in lane *i*". Downstream word algebra then evaluates all
@@ -48,7 +48,7 @@
 //!   *exact* same quantised trichotomy per lane.
 //!
 //! Both streams are their own pinned sequences (golden fingerprints in
-//! `tests/determinism.rs`), not the scalar [`FailureModel::sample_into`]
+//! `tests/determinism.rs`), not the scalar [`FailureInstance::sample`]
 //! one.
 //!
 //! ## Why the mask tracks its own dirty set
@@ -57,7 +57,7 @@
 //! failed switches but 16 MB of planes; a `fill(0)` per block would
 //! dominate the whole pipeline (it already dominated the *scalar*
 //! 2-bit path at ε = 10⁻⁶). Sparse fills therefore log every switch
-//! whose planes become nonzero and [`reset`](SlicedFailureMask::reset)
+//! whose planes become nonzero and `reset`
 //! re-zeroes exactly those, making a sparse block O(failures) end to
 //! end. Dense fills mark the mask dense and reset by memset.
 //!
@@ -69,7 +69,7 @@
 //! is written unconditionally with only the log *length* depending on
 //! whether the touch was the first.
 
-use crate::mask::FailureMask;
+use crate::instance::FailureInstance;
 use crate::model::{FailureModel, SwitchState};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -241,7 +241,7 @@ impl SlicedFailureMask {
     /// Resets to all-normal in every lane over `m` switches, reusing
     /// allocations. After a sparse fill this is O(failed switches), not
     /// O(m) — the point of the dirty list.
-    pub fn reset(&mut self, m: usize) {
+    pub(crate) fn reset(&mut self, m: usize) {
         if self.dirty.len() != m + 1 {
             self.planes.clear();
             self.planes.resize(m, [0; 2]);
@@ -292,7 +292,7 @@ impl SlicedFailureMask {
     /// Lanes in which switch `i` still conducts (normal or closed) —
     /// the edge-traversability word for the reachability kernel.
     #[inline]
-    pub fn usable_word(&self, i: usize) -> u64 {
+    pub(crate) fn usable_word(&self, i: usize) -> u64 {
         !self.planes[i][0]
     }
 
@@ -318,11 +318,11 @@ impl SlicedFailureMask {
         self.dirty[..self.dirty_len].iter().map(|&i| i as usize)
     }
 
-    /// Unpacks lane `lane` into a scalar [`FailureMask`] — the bridge
+    /// Unpacks lane `lane` into a scalar [`FailureInstance`] — the bridge
     /// to every per-instance scalar kernel (the fallback contract: a
     /// lane that needs a full answer is extracted and replayed
     /// scalar-side). O(failed switches).
-    pub fn extract_lane_into(&self, lane: usize, out: &mut FailureMask) {
+    pub fn extract_lane_into(&self, lane: usize, out: &mut FailureInstance) {
         debug_assert!(lane < LANES);
         out.reset(self.len());
         let bit = 1u64 << lane;
@@ -366,7 +366,7 @@ impl FailureModel {
     /// ascending alias-table walk over `j = 64·switch + lane` visits
     /// only the failed lanes; at or above it a bit-sliced MSB-first
     /// comparator shares draws across lanes. Lane *i* is not the *i*-th
-    /// scalar [`Self::sample_into`]: scalar references take their
+    /// scalar [`FailureInstance::sample`]: scalar references take their
     /// trials from the lanes instead.
     pub fn sample_sliced_into(&self, rng: &mut SmallRng, m: usize, out: &mut SlicedFailureMask) {
         out.reset(m);
@@ -470,6 +470,7 @@ impl FailureModel {
 mod tests {
     use super::*;
     use ft_graph::gen::rng;
+    use ft_graph::ids::EdgeId;
 
     fn brute_dirty(m: &SlicedFailureMask) -> Vec<usize> {
         (0..m.len()).filter(|&i| m.failed_word(i) != 0).collect()
@@ -539,11 +540,11 @@ mod tests {
     /// lane) position in switch-major order, count the pending gap down
     /// one position at a time, and draw the next event from the same
     /// RNG and table when the previous failure has been placed.
-    fn replay_sparse(model: &FailureModel, seed: u64, m: usize) -> Vec<FailureMask> {
+    fn replay_sparse(model: &FailureModel, seed: u64, m: usize) -> Vec<FailureInstance> {
         let mut table = GapTable::default();
         table.ensure(model);
         let mut r = rng(seed);
-        let mut lanes = vec![FailureMask::new(m); LANES];
+        let mut lanes = vec![FailureInstance::perfect(m); LANES];
         let mut pending: Option<(u64, SwitchState)> = None;
         for switch in 0..m {
             for lane in lanes.iter_mut() {
@@ -580,7 +581,7 @@ mod tests {
         let tail_heavy = FailureModel::new(5e-4, 1e-3);
         let table_heavy = FailureModel::new(0.03, 0.02);
         let mut sliced = SlicedFailureMask::new();
-        let mut lane = FailureMask::new(0);
+        let mut lane = FailureInstance::default();
         for model in [tail_heavy, table_heavy] {
             for m in [0, 1, 63, 700] {
                 for seed in [3, 4] {
@@ -625,8 +626,8 @@ mod tests {
         let model = FailureModel::symmetric(0.1);
         let mut sliced = SlicedFailureMask::new();
         model.sample_sliced_into(&mut rng(9), 2000, &mut sliced);
-        let mut a = FailureMask::new(0);
-        let mut b = FailureMask::new(0);
+        let mut a = FailureInstance::default();
+        let mut b = FailureInstance::default();
         sliced.extract_lane_into(0, &mut a);
         sliced.extract_lane_into(1, &mut b);
         assert_ne!(a, b);
@@ -769,12 +770,12 @@ mod tests {
         let model = FailureModel::new(0.04, 0.01);
         let mut sliced = SlicedFailureMask::new();
         model.sample_sliced_into(&mut rng(21), 400, &mut sliced);
-        let mut lane = FailureMask::new(0);
+        let mut lane = FailureInstance::default();
         for l in [0, 17, 63] {
             sliced.extract_lane_into(l, &mut lane);
             for i in 0..400 {
                 assert_eq!(
-                    lane.state(i),
+                    lane.state(EdgeId::from(i)),
                     sliced.lane_state(i, l),
                     "lane {l} switch {i}"
                 );

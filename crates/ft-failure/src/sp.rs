@@ -29,46 +29,27 @@ pub enum SpNetwork {
 
 impl SpNetwork {
     /// `n` copies of `sub` in series.
-    pub fn series_of(n: usize, sub: SpNetwork) -> SpNetwork {
+    pub(crate) fn series_of(n: usize, sub: SpNetwork) -> SpNetwork {
         assert!(n >= 1);
         SpNetwork::Series(vec![sub; n])
     }
 
     /// `n` copies of `sub` in parallel.
-    pub fn parallel_of(n: usize, sub: SpNetwork) -> SpNetwork {
+    pub(crate) fn parallel_of(n: usize, sub: SpNetwork) -> SpNetwork {
         assert!(n >= 1);
         SpNetwork::Parallel(vec![sub; n])
     }
 
     /// The `l × w` series-parallel ladder: `l` parallel strands, each a
     /// series of `w` switches. (The rung-free skeleton of a Moore–Shannon
-    /// hammock; the grid hammock with rungs lives in [`crate::hammock`].)
+    /// hammock; the grid hammock with rungs is [`crate::Hammock`].)
     pub fn ladder(l: usize, w: usize) -> SpNetwork {
         SpNetwork::parallel_of(l, SpNetwork::series_of(w, SpNetwork::Switch))
     }
 
-    /// Number of switches.
-    pub fn size(&self) -> usize {
-        match self {
-            SpNetwork::Switch => 1,
-            SpNetwork::Series(parts) => parts.iter().map(SpNetwork::size).sum(),
-            SpNetwork::Parallel(parts) => parts.iter().map(SpNetwork::size).sum(),
-        }
-    }
-
-    /// Depth: the largest number of switches on a terminal-to-terminal
-    /// path.
-    pub fn depth(&self) -> usize {
-        match self {
-            SpNetwork::Switch => 1,
-            SpNetwork::Series(parts) => parts.iter().map(SpNetwork::depth).sum(),
-            SpNetwork::Parallel(parts) => parts.iter().map(SpNetwork::depth).max().unwrap_or(0),
-        }
-    }
-
     /// Exact failure probabilities when every switch has failure pair
     /// `leaf` — Moore–Shannon calculus, O(size).
-    pub fn failure_probs_from(&self, leaf: FailureProbs) -> FailureProbs {
+    pub(crate) fn failure_probs_from(&self, leaf: FailureProbs) -> FailureProbs {
         match self {
             SpNetwork::Switch => leaf,
             SpNetwork::Series(parts) => {
@@ -108,7 +89,7 @@ impl SpNetwork {
     /// Materialises the composition tree as a [`TwoTerminal`] graph
     /// (all edges oriented source → sink, so directed and undirected
     /// connectivity coincide).
-    pub fn to_two_terminal(&self) -> TwoTerminal {
+    pub(crate) fn to_two_terminal(&self) -> TwoTerminal {
         let (s, t) = (VertexId(0), VertexId(1));
         let (mut n, mut edges) = (2, Vec::new());
         build(self, &mut n, &mut edges, s, t);
@@ -157,16 +138,20 @@ mod tests {
     use super::*;
     use crate::reliability::Connectivity;
 
+    /// Switches and depth (switches on the longest terminal-to-terminal
+    /// path) of the materialised network.
+    fn size_and_depth(net: &SpNetwork) -> (usize, Option<u32>) {
+        let tt = net.to_two_terminal();
+        let depth = ft_graph::traversal::dag_depth_between(&tt.graph, &[tt.source], &[tt.sink]);
+        (tt.graph.num_edges(), depth)
+    }
+
     #[test]
     fn sizes_and_depths() {
-        assert_eq!(SpNetwork::Switch.size(), 1);
-        assert_eq!(SpNetwork::Switch.depth(), 1);
-        let ladder = SpNetwork::ladder(3, 4);
-        assert_eq!(ladder.size(), 12);
-        assert_eq!(ladder.depth(), 4);
+        assert_eq!(size_and_depth(&SpNetwork::Switch), (1, Some(1)));
+        assert_eq!(size_and_depth(&SpNetwork::ladder(3, 4)), (12, Some(4)));
         let nested = SpNetwork::series_of(2, SpNetwork::parallel_of(3, SpNetwork::Switch));
-        assert_eq!(nested.size(), 6);
-        assert_eq!(nested.depth(), 2);
+        assert_eq!(size_and_depth(&nested), (6, Some(2)));
     }
 
     #[test]

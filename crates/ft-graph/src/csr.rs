@@ -88,7 +88,7 @@ impl Csr {
     /// out of order), if an endpoint is not below `n`, or if the graph
     /// has `u32::MAX` or more edges or vertices: the CSR offsets are
     /// `u32`, and a larger graph would silently truncate (the id
-    /// sentinels [`EdgeId::NONE`]/[`VertexId::NONE`] also reserve
+    /// sentinels `EdgeId::NONE`/`VertexId::NONE` also reserve
     /// `u32::MAX`).
     pub fn from_edges(n: usize, edges: Vec<(VertexId, VertexId)>) -> Self {
         let (tails, heads) = edges.into_iter().unzip();
@@ -179,12 +179,6 @@ impl Csr {
         (self.tails[e.index()], self.heads[e.index()])
     }
 
-    /// Tail of edge `e`.
-    #[inline]
-    pub fn tail(&self, e: EdgeId) -> VertexId {
-        self.tails[e.index()]
-    }
-
     /// Head of edge `e`.
     #[inline]
     pub fn head(&self, e: EdgeId) -> VertexId {
@@ -218,7 +212,7 @@ impl Csr {
     /// Heads of the edges leaving the vertices `vs`, in one slice: the
     /// out-lists of consecutive vertices are adjacent.
     #[inline]
-    pub fn out_heads_of(&self, vs: Range<u32>) -> &[VertexId] {
+    pub(crate) fn out_heads_of(&self, vs: Range<u32>) -> &[VertexId] {
         let lo = self.out_start[vs.start as usize] as usize;
         let hi = self.out_start[vs.end as usize] as usize;
         &self.heads[lo..hi]

@@ -13,13 +13,13 @@ use crate::traversal::{bfs, Direction, UNREACHED};
 use crate::Csr;
 
 /// Undirected BFS distances from `v` (UNREACHED where disconnected).
-pub fn undirected_distances(g: &Csr, v: VertexId) -> Vec<u32> {
+pub(crate) fn undirected_distances(g: &Csr, v: VertexId) -> Vec<u32> {
     bfs(g, &[v], Direction::Undirected, |_| true, |_| true).dist
 }
 
 /// `dist(v, e)` as defined in §5: `min` over endpoints `+ 1`, or
 /// `UNREACHED` if neither endpoint is reachable.
-pub fn edge_distance(dist: &[u32], endpoints: (VertexId, VertexId)) -> u32 {
+pub(crate) fn edge_distance(dist: &[u32], endpoints: (VertexId, VertexId)) -> u32 {
     let (t, h) = endpoints;
     let d = dist[t.index()].min(dist[h.index()]);
     if d == UNREACHED {
@@ -43,18 +43,6 @@ pub fn edge_zones(g: &Csr, v: VertexId, max_h: u32) -> Vec<Vec<EdgeId>> {
         }
     }
     zones
-}
-
-/// All edges within distance `max_h` of `v` — the set `B(v)` of Theorem 1.
-pub fn edge_ball(g: &Csr, v: VertexId, max_h: u32) -> Vec<EdgeId> {
-    let dist = undirected_distances(g, v);
-    (0..g.num_edges())
-        .map(EdgeId::from)
-        .filter(|&e| {
-            let d = edge_distance(&dist, g.endpoints(e));
-            d != UNREACHED && d <= max_h
-        })
-        .collect()
 }
 
 /// For every vertex in `terminals`, the undirected distance to the nearest
@@ -81,24 +69,6 @@ pub fn nearest_other_terminal(g: &Csr, terminals: &[VertexId]) -> Vec<u32> {
             best
         })
         .collect()
-}
-
-/// Counts the terminals whose nearest-other-terminal distance is at least
-/// `threshold` — the paper's **good inputs** (Theorem 1 proof).
-pub fn count_good_terminals(g: &Csr, terminals: &[VertexId], threshold: u32) -> usize {
-    nearest_other_terminal(g, terminals)
-        .iter()
-        .filter(|&&d| d >= threshold)
-        .count()
-}
-
-/// Undirected eccentricity of `v` restricted to reachable vertices.
-pub fn eccentricity(g: &Csr, v: VertexId) -> u32 {
-    undirected_distances(g, v)
-        .into_iter()
-        .filter(|&d| d != UNREACHED)
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -147,11 +117,9 @@ mod tests {
         assert_eq!(zones[0].len(), 1); // e0
         assert_eq!(zones[1].len(), 2); // e1, e2
         assert_eq!(zones[2].len(), 1); // e3
-        let ball = edge_ball(&g, v(0), 2);
-        assert_eq!(ball.len(), 3);
-        // zones are disjoint and their union is the ball (for matching radius)
-        let flat: usize = edge_zones(&g, v(0), 2).iter().map(|z| z.len()).sum();
-        assert_eq!(flat, ball.len());
+
+        // a smaller radius keeps the inner zones unchanged
+        assert_eq!(edge_zones(&g, v(0), 2)[..], zones[..2]);
     }
 
     #[test]
@@ -171,16 +139,5 @@ mod tests {
         assert_eq!(d[0], 2);
         assert_eq!(d[1], 3);
         assert_eq!(d[2], 2);
-        assert_eq!(count_good_terminals(&g, &[v(0), v(3), v(4)], 3), 1);
-        assert_eq!(count_good_terminals(&g, &[v(0), v(3), v(4)], 2), 3);
-    }
-
-    #[test]
-    fn eccentricity_of_path() {
-        let g = branched_path();
-        assert_eq!(eccentricity(&g, v(0)), 3);
-        assert_eq!(eccentricity(&g, v(1)), 2);
-        let lonely = Csr::from_edges(1, vec![]);
-        assert_eq!(eccentricity(&lonely, v(0)), 0);
     }
 }

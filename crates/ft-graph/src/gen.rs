@@ -167,7 +167,12 @@ pub fn random_bipartite_adjacency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::bfs_undirected;
+    use crate::traversal::{bfs, Bfs, Direction};
+
+    /// BFS ignoring direction from `source` with no filters.
+    fn bfs_undirected(g: &Csr, source: VertexId) -> Bfs {
+        bfs(g, &[source], Direction::Undirected, |_| true, |_| true)
+    }
 
     #[test]
     fn rng_is_deterministic() {

@@ -28,14 +28,14 @@ impl VertexId {
 
     /// Whether this is the [`VertexId::NONE`] sentinel.
     #[inline(always)]
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == u32::MAX
     }
 }
 
 impl EdgeId {
     /// Sentinel used by traversal code for "no edge".
-    pub const NONE: EdgeId = EdgeId(u32::MAX);
+    pub(crate) const NONE: EdgeId = EdgeId(u32::MAX);
 
     /// The index as a `usize`, for slice indexing.
     #[inline(always)]
@@ -43,7 +43,7 @@ impl EdgeId {
         self.0 as usize
     }
 
-    /// Whether this is the [`EdgeId::NONE`] sentinel.
+    /// Whether this is the `EdgeId::NONE` sentinel (`u32::MAX`).
     #[inline(always)]
     pub fn is_none(self) -> bool {
         self.0 == u32::MAX

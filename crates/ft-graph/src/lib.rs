@@ -25,7 +25,7 @@
 //!   placement on the live idle fabric (Dijkstra with potentials over the
 //!   vertex split), the reroute planner; [`matching`] — Hopcroft–Karp;
 //!   [`menger`] — disjoint-path helpers phrased for network verification.
-//! * [`unionfind`] — quotient construction for *closed* switch failures
+//! * [`UnionFind`] — quotient construction for *closed* switch failures
 //!   (edge contraction).
 //! * [`tree`] — tree/forest utilities for the Lemma 1/2 lower-bound
 //!   machinery (stretch contraction, leaf analysis).
@@ -33,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-pub mod csr;
+pub(crate) mod csr;
 pub mod distance;
 pub mod gen;
 pub mod ids;
@@ -46,16 +46,15 @@ pub mod sliced;
 pub mod staged;
 pub mod traversal;
 pub mod tree;
-pub mod unionfind;
+pub(crate) mod unionfind;
 pub mod workspace;
 
 pub use csr::Csr;
 pub use ids::{EdgeId, VertexId};
 pub use maxflow::FlowWorkspace;
 pub use mincost::MincostWorkspace;
-pub use paths::Path;
-pub use sliced::{sliced_reach_into, SlicedWorkspace, LANES};
-pub use staged::{OutputReach, ReachColumn, StagedBuilder, StagedNetwork};
+pub use sliced::LANES;
+pub use staged::{OutputReach, StagedBuilder, StagedNetwork};
 pub use unionfind::UnionFind;
 pub use workspace::{KernelStats, RouteWorkspace, TraversalWorkspace};
 

@@ -142,12 +142,6 @@ pub fn hopcroft_karp_into(
     size
 }
 
-/// Whether the bipartite graph has a matching saturating every left
-/// vertex (Hall's condition).
-pub fn has_perfect_left_matching(adj: &[Vec<u32>], right_count: usize) -> bool {
-    hopcroft_karp(adj, right_count).size == adj.len()
-}
-
 /// Decomposes a `d`-regular bipartite multigraph (given as, for each left
 /// vertex, exactly `d` right endpoints, repeats allowed) into `d` perfect
 /// matchings — the edge-colouring used by the looping algorithm for
@@ -226,7 +220,6 @@ mod tests {
             assert_eq!(m.pair_left[l], l as u32);
             assert_eq!(m.pair_right[l], l as u32);
         }
-        assert!(has_perfect_left_matching(&adj, 5));
     }
 
     #[test]
@@ -235,7 +228,6 @@ mod tests {
         let adj = vec![vec![0], vec![0], vec![0]];
         let m = hopcroft_karp(&adj, 1);
         assert_eq!(m.size, 1);
-        assert!(!has_perfect_left_matching(&adj, 1));
     }
 
     #[test]

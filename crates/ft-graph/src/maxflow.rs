@@ -53,17 +53,11 @@ impl FlowNetwork {
         self.first.len()
     }
 
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> u32 {
-        self.first.push(Vec::new());
-        (self.first.len() - 1) as u32
-    }
-
     /// Clears the network down to `n` isolated nodes while keeping every
     /// allocation (arc list and per-node adjacency capacity). Monte Carlo
     /// loops rebuild the same-shaped flow problem thousands of times;
     /// after the first trial a `reset` + rebuild allocates nothing.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.arcs.clear();
         if self.first.len() > n {
             self.first.truncate(n);
@@ -109,7 +103,7 @@ impl FlowNetwork {
     /// [`Self::max_flow`] borrowing Dinic's level and arc-cursor buffers
     /// from a reusable [`TraversalWorkspace`] (zero allocations once the
     /// workspace has grown to the node count). Results are identical.
-    pub fn max_flow_into(
+    pub(crate) fn max_flow_into(
         &mut self,
         s: u32,
         t: u32,
@@ -191,7 +185,7 @@ impl FlowNetwork {
 
     /// Nodes reachable from `s` in the residual graph — the source side of
     /// a minimum cut after [`Self::max_flow`] has run.
-    pub fn min_cut_source_side(&self, s: u32) -> Vec<bool> {
+    pub(crate) fn min_cut_source_side(&self, s: u32) -> Vec<bool> {
         let mut seen = vec![false; self.num_nodes()];
         let mut q = VecDeque::new();
         seen[s as usize] = true;

@@ -22,7 +22,7 @@ pub fn max_disjoint_paths(g: &Csr, sources: &[VertexId], sinks: &[VertexId]) -> 
 
 /// [`max_disjoint_paths`] with a caller-owned [`FlowWorkspace`] — use in
 /// trial loops so repeated queries allocate nothing.
-pub fn max_disjoint_paths_into(
+pub(crate) fn max_disjoint_paths_into(
     g: &Csr,
     sources: &[VertexId],
     sinks: &[VertexId],
@@ -43,14 +43,9 @@ pub fn max_disjoint_paths_into(
     .count
 }
 
-/// Whether `r = |S| = |T|` vertex-disjoint paths join `S` to `T`.
-pub fn fully_linkable(g: &Csr, s: &[VertexId], t: &[VertexId]) -> bool {
-    fully_linkable_into(g, s, t, &mut FlowWorkspace::new())
-}
-
-/// [`fully_linkable`] with a caller-owned [`FlowWorkspace`] — use in
-/// trial loops so repeated queries allocate nothing.
-pub fn fully_linkable_into(
+/// Whether `r = |S| = |T|` vertex-disjoint paths join `S` to `T`, with
+/// a caller-owned [`FlowWorkspace`] so repeated queries allocate nothing.
+pub(crate) fn fully_linkable_into(
     g: &Csr,
     s: &[VertexId],
     t: &[VertexId],
@@ -237,7 +232,6 @@ mod tests {
     fn crossbar_is_superconcentrator() {
         let (g, ins, outs) = crossbar2();
         assert_eq!(max_disjoint_paths(&g, &ins, &outs), 2);
-        assert!(fully_linkable(&g, &ins, &outs));
         assert!(verify_superconcentrator_exhaustive(&g, &ins, &outs).is_none());
     }
 

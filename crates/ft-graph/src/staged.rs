@@ -415,11 +415,6 @@ impl StagedBuilder {
         self.outputs = outputs;
     }
 
-    /// Number of edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.tails.len()
-    }
-
     /// Finalizes and validates the network.
     ///
     /// # Panics

@@ -11,7 +11,7 @@ use crate::Csr;
 use std::collections::VecDeque;
 
 /// Distance value meaning "unreached".
-pub const UNREACHED: u32 = u32::MAX;
+pub(crate) const UNREACHED: u32 = u32::MAX;
 
 /// Result of a BFS sweep.
 #[derive(Clone, Debug)]
@@ -504,23 +504,6 @@ pub fn bfs_forward(g: &Csr, source: VertexId) -> Bfs {
     bfs(g, &[source], Direction::Forward, |_| true, |_| true)
 }
 
-/// BFS ignoring direction from a single source with no filters.
-pub fn bfs_undirected(g: &Csr, source: VertexId) -> Bfs {
-    bfs(g, &[source], Direction::Undirected, |_| true, |_| true)
-}
-
-/// Set of vertices reachable (forward) from `sources` through `edge_ok`
-/// edges and `vertex_ok` vertices, as a boolean mask.
-pub fn reachable(
-    g: &Csr,
-    sources: &[VertexId],
-    edge_ok: impl FnMut(EdgeId) -> bool,
-    vertex_ok: impl FnMut(VertexId) -> bool,
-) -> Vec<bool> {
-    let b = bfs(g, sources, Direction::Forward, edge_ok, vertex_ok);
-    b.dist.iter().map(|&d| d != UNREACHED).collect()
-}
-
 /// Topological order of a DAG; `None` if the graph has a directed cycle.
 pub fn topo_order(g: &Csr) -> Option<Vec<VertexId>> {
     let n = g.num_vertices();
@@ -706,13 +689,6 @@ mod tests {
         assert_eq!(dag_depth_between(&g, &[v(2)], &[v(0)]), None);
         assert_eq!(dag_depth_between(&g, &[v(0), v(3)], &[v(2), v(5)]), Some(2));
         assert_eq!(dag_depth(&g), 2);
-    }
-
-    #[test]
-    fn reachable_mask() {
-        let g = chain(4);
-        let m = reachable(&g, &[v(1)], |_| true, |_| true);
-        assert_eq!(m, vec![false, true, true, true]);
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub fn leaves(g: &Csr) -> Vec<VertexId> {
     g.vertices().filter(|&u| g.degree(u) == 1).collect()
 }
 
-/// Internal (non-leaf, non-isolated) vertices.
-pub fn internal_nodes(g: &Csr) -> Vec<VertexId> {
-    g.vertices().filter(|&u| g.degree(u) >= 2).collect()
-}
-
 /// Whether the graph, viewed undirected, is a forest (no cycles).
 pub fn is_forest(g: &Csr) -> bool {
     // A graph is a forest iff m = n - (number of components).
@@ -53,15 +48,6 @@ pub fn is_forest(g: &Csr) -> bool {
     g.num_edges() == n - components
 }
 
-/// Whether the graph, viewed undirected, is a single tree.
-pub fn is_tree(g: &Csr) -> bool {
-    if g.num_vertices() == 0 {
-        return false;
-    }
-    let b = bfs(g, &[VertexId(0)], Direction::Undirected, |_| true, |_| true);
-    b.order.len() == g.num_vertices() && g.num_edges() == g.num_vertices() - 1
-}
-
 /// Whether every internal node has degree ≥ 3 — Lemma 1's hypothesis.
 pub fn min_internal_degree_3(g: &Csr) -> bool {
     g.vertices().all(|u| {
@@ -74,8 +60,8 @@ pub fn min_internal_degree_3(g: &Csr) -> bool {
 /// degree `d > 3` is replaced by a chain of `d − 2` new degree-3 nodes.
 /// Returns the new tree, `origin`, mapping each new vertex to the
 /// original vertex it came from (leaves map to themselves), and the
-/// original edge each new edge copies ([`EdgeId::NONE`] for a chain
-/// edge).
+/// original edge each new edge copies (`EdgeId::NONE`, i.e. `u32::MAX`,
+/// for a chain edge).
 ///
 /// Edge-disjoint leaf paths found in the reduced tree map to edge-disjoint
 /// paths of no greater length in the original (contract the chains back).
@@ -221,12 +207,20 @@ mod tests {
     use crate::gen::{random_lemma1_tree, random_tree, rng};
     use crate::ids::v;
 
+    /// Whether the graph, viewed undirected, is a single tree.
+    fn is_tree(g: &Csr) -> bool {
+        if g.num_vertices() == 0 {
+            return false;
+        }
+        let b = bfs(g, &[VertexId(0)], Direction::Undirected, |_| true, |_| true);
+        b.order.len() == g.num_vertices() && g.num_edges() == g.num_vertices() - 1
+    }
+
     #[test]
     fn leaves_and_internals() {
         // star with 3 leaves
         let g = Csr::from_edges(4, vec![(v(0), v(1)), (v(0), v(2)), (v(0), v(3))]);
         assert_eq!(leaves(&g), vec![v(1), v(2), v(3)]);
-        assert_eq!(internal_nodes(&g), vec![v(0)]);
         assert!(is_tree(&g));
         assert!(is_forest(&g));
         assert!(min_internal_degree_3(&g));

@@ -24,7 +24,6 @@ pub struct UnionFind {
     /// `parent[x]`/`size[x]` are live iff `stamp[x] == epoch`.
     stamp: Vec<u32>,
     epoch: u32,
-    components: usize,
 }
 
 impl UnionFind {
@@ -35,7 +34,6 @@ impl UnionFind {
             size: vec![0; len],
             stamp: vec![0; len],
             epoch: 1,
-            components: len,
         }
     }
 
@@ -76,11 +74,6 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Number of disjoint sets remaining.
-    pub fn num_components(&self) -> usize {
-        self.components
-    }
-
     /// Representative of `x`'s set (with path halving).
     pub fn find(&mut self, mut x: u32) -> u32 {
         loop {
@@ -110,19 +103,12 @@ impl UnionFind {
         self.store(rb, ra);
         self.store(ra, ra);
         self.size[ra as usize] = sa + sb;
-        self.components -= 1;
         true
     }
 
     /// Whether `a` and `b` are in the same set.
     pub fn same(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.root_size(r) as usize
     }
 
     /// Compacts the quotient: returns `(class_of, num_classes)` where
@@ -153,7 +139,6 @@ impl UnionFind {
             self.stamp.fill(0);
             self.epoch = 1;
         }
-        self.components = self.parent.len();
     }
 }
 
@@ -162,6 +147,19 @@ mod tests {
     use super::*;
     use crate::gen::rng;
     use rand::Rng;
+
+    impl UnionFind {
+        /// Number of disjoint sets.
+        fn num_components(&mut self) -> usize {
+            self.quotient().1
+        }
+
+        /// Size of the set containing `x`.
+        fn component_size(&mut self, x: u32) -> usize {
+            let r = self.find(x);
+            self.root_size(r) as usize
+        }
+    }
 
     #[test]
     fn singletons() {

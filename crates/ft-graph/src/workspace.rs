@@ -174,7 +174,7 @@ impl TraversalWorkspace {
     }
 
     /// Distance of `v` from the sources of the last traversal, or
-    /// [`UNREACHED`] if it was not reached.
+    /// `UNREACHED` (`u32::MAX`) if it was not reached.
     #[inline]
     pub fn dist(&self, v: VertexId) -> u32 {
         if self.marks.is_set(v.index()) {
@@ -184,8 +184,8 @@ impl TraversalWorkspace {
         }
     }
 
-    /// Edge by which `v` was discovered ([`EdgeId::NONE`] for sources
-    /// and unreached vertices).
+    /// Edge by which `v` was discovered (`EdgeId::NONE`, i.e. `u32::MAX`,
+    /// for sources and unreached vertices).
     #[inline]
     pub fn parent_edge(&self, v: VertexId) -> EdgeId {
         if self.marks.is_set(v.index()) {

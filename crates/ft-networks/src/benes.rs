@@ -20,13 +20,13 @@ use ft_graph::{StagedBuilder, StagedNetwork, VertexId};
 #[derive(Clone, Debug)]
 pub struct Benes {
     /// log₂ of the terminal count.
-    pub k: u32,
+    pub(crate) k: u32,
     /// The staged network (`2k` link stages for k ≥ 1).
     pub net: StagedNetwork,
 }
 
 /// The bit exchanged by switch column `c` of a `2^k`-terminal Beneš.
-pub fn column_bit(k: u32, c: u32) -> u32 {
+pub(crate) fn column_bit(k: u32, c: u32) -> u32 {
     assert!(c < 2 * k - 1);
     if c < k {
         k - 1 - c
@@ -73,11 +73,6 @@ impl Benes {
     /// Number of terminals `N = 2^k`.
     pub fn terminals(&self) -> usize {
         1usize << self.k
-    }
-
-    /// Switch-count formula `2N(2k − 1)`.
-    pub fn expected_size(&self) -> usize {
-        2 * self.terminals() * (2 * self.k as usize - 1)
     }
 
     /// Routes `perm` with the looping algorithm. Returns, for each input
@@ -205,7 +200,8 @@ mod tests {
     fn shape() {
         for k in 1..=4 {
             let b = Benes::new(k);
-            assert_eq!(b.net.size(), b.expected_size(), "k={k}");
+            // the switch-count formula 2N(2k − 1)
+            assert_eq!(b.net.size(), 2 * b.terminals() * (2 * k as usize - 1));
             assert_eq!(b.net.depth(), 2 * k - 1, "k={k}");
             assert_eq!(b.terminals(), 1 << k);
         }

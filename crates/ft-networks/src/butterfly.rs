@@ -14,7 +14,7 @@ use ft_graph::{StagedBuilder, StagedNetwork, VertexId};
 #[derive(Clone, Debug)]
 pub struct Butterfly {
     /// Dimension.
-    pub k: u32,
+    pub(crate) k: u32,
     /// The staged network (`k+1` link stages).
     pub net: StagedNetwork,
 }
@@ -40,16 +40,6 @@ impl Butterfly {
         b.set_inputs(ranges[0].clone().map(VertexId).collect());
         b.set_outputs(ranges[k as usize].clone().map(VertexId).collect());
         Butterfly { k, net: b.finish() }
-    }
-
-    /// Terminal count `N = 2^k`.
-    pub fn terminals(&self) -> usize {
-        1usize << self.k
-    }
-
-    /// Switch-count formula `2Nk`.
-    pub fn expected_size(&self) -> usize {
-        2 * self.terminals() * self.k as usize
     }
 
     /// The unique path from input `x` to output `y` (greedy bit fixing).
@@ -81,7 +71,8 @@ mod tests {
     fn shape() {
         for k in 1..=5 {
             let b = Butterfly::new(k);
-            assert_eq!(b.net.size(), b.expected_size());
+            // the switch-count formula 2Nk with N = 2^k
+            assert_eq!(b.net.size(), 2 * (1 << k) * k as usize);
             assert_eq!(b.net.depth(), k);
             assert_eq!(b.net.num_stages(), k as usize + 1);
         }

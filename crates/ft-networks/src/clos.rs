@@ -40,7 +40,7 @@ impl Clos {
     }
 
     /// Builds `C(m, n, r)`.
-    pub fn new(m: usize, n: usize, r: usize) -> Self {
+    pub(crate) fn new(m: usize, n: usize, r: usize) -> Self {
         assert!(m >= 1 && n >= 1 && r >= 1);
         let (vertices, switches) = Clos::census(m, n, r).expect("Clos census overflows usize");
         let mut b = StagedBuilder::with_capacity(vertices, switches);
@@ -101,11 +101,6 @@ impl Clos {
     /// Number of terminals per side.
     pub fn terminals(&self) -> usize {
         self.n * self.r
-    }
-
-    /// Switch-count formula `2nmr + mr²`.
-    pub fn expected_size(&self) -> usize {
-        2 * self.n * self.m * self.r + self.m * self.r * self.r
     }
 
     /// Whether Clos' strict nonblocking condition `m ≥ 2n − 1` holds.
@@ -199,7 +194,8 @@ mod tests {
     #[test]
     fn size_and_depth() {
         let c = Clos::new(3, 2, 4);
-        assert_eq!(c.net.size(), c.expected_size());
+        // the switch-count formula 2nmr + mr² at m = 3, n = 2, r = 4
+        assert_eq!(c.net.size(), 2 * 2 * 3 * 4 + 3 * 4 * 4);
         assert_eq!(c.net.depth(), 3);
         assert_eq!(c.terminals(), 8);
         assert_eq!(c.net.inputs().len(), 8);

@@ -18,9 +18,9 @@ use ft_graph::{StagedBuilder, StagedNetwork, VertexId};
 #[derive(Clone, Debug)]
 pub struct DirectedGrid {
     /// Rows `l`.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Stages `w`.
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// The staged network: inputs = first stage, outputs = last stage.
     pub net: StagedNetwork,
 }

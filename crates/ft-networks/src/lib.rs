@@ -4,29 +4,29 @@
 //! are links, edges are single-pole single-throw switches):
 //!
 //! * [`mod@crossbar`] — the `n²`-switch trivial nonblocking network;
-//! * [`clos`] — three-stage Clos `C(m, n, r)`: strictly nonblocking at
+//! * [`Clos`] — three-stage Clos `C(m, n, r)`: strictly nonblocking at
 //!   `m ≥ 2n−1` (greedy-routable), rearrangeable at `m ≥ n`
 //!   (Slepian–Duguid edge-colouring router);
 //! * [`benes`] — the O(n log n) rearrangeable optimum with the looping
 //!   algorithm;
-//! * [`butterfly`] — the unique-path baseline;
-//! * [`multibutterfly`] — splitter networks over sampled expanders
+//! * [`Butterfly`] — the unique-path baseline;
+//! * [`Multibutterfly`] — splitter networks over sampled expanders
 //!   (Upfal, Leighton–Maggs), the fault-tolerant routing tradition the
 //!   paper builds on;
 //! * [`grid`] — `(l, w)`-directed grids (the paper's Fig. 4);
-//! * [`router`] — the greedy circuit-switching router of §4;
+//! * [`CircuitRouter`] — the greedy circuit-switching router of §4;
 //! * [`verify`] — rearrangeability / strict-nonblocking /
 //!   superconcentrator verification harnesses.
 
 #![warn(missing_docs)]
 
 pub mod benes;
-pub mod butterfly;
-pub mod clos;
+pub(crate) mod butterfly;
+pub(crate) mod clos;
 pub mod crossbar;
 pub mod grid;
-pub mod multibutterfly;
-pub mod router;
+pub(crate) mod multibutterfly;
+pub(crate) mod router;
 pub mod verify;
 
 pub use benes::Benes;

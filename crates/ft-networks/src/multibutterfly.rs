@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 #[derive(Clone, Debug)]
 pub struct Multibutterfly {
     /// Dimension (stages − 1).
-    pub k: u32,
+    pub(crate) k: u32,
     /// Splitter degree (edges per link per direction).
     pub d: usize,
     /// The staged network (`k+1` link stages).
@@ -101,24 +101,6 @@ impl Multibutterfly {
     pub fn terminals(&self) -> usize {
         1usize << self.k
     }
-
-    /// The half-block (0 = upper, 1 = lower) a circuit for output `y`
-    /// must enter when leaving stage `j`.
-    pub fn required_half(&self, y: u32, j: u32) -> u32 {
-        (y >> (self.k - 1 - j)) & 1
-    }
-
-    /// Whether `link` (an index within stage `j+1`) lies in the correct
-    /// half-block for output `y` given the block structure at stage `j+1`.
-    pub fn on_route(&self, y: u32, stage: u32, link: u32) -> bool {
-        // after `stage` hops the top `stage` bits of the link index must
-        // agree with y's top bits
-        if stage == 0 {
-            return true;
-        }
-        let shift = self.k - stage;
-        (link >> shift) == (y >> shift)
-    }
 }
 
 #[cfg(test)]
@@ -126,6 +108,21 @@ mod tests {
     use super::*;
     use ft_graph::gen::rng;
     use ft_graph::traversal::{bfs, Direction};
+
+    impl Multibutterfly {
+        /// Whether `link` (an index within stage `j+1`) lies in the
+        /// correct half-block for output `y` given the block structure at
+        /// stage `j+1`.
+        fn on_route(&self, y: u32, stage: u32, link: u32) -> bool {
+            // after `stage` hops the top `stage` bits of the link index
+            // must agree with y's top bits
+            if stage == 0 {
+                return true;
+            }
+            let shift = self.k - stage;
+            (link >> shift) == (y >> shift)
+        }
+    }
 
     #[test]
     fn shape() {
@@ -191,15 +188,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn required_half_matches_bits() {
-        let mut r = rng(4);
-        let mb = Multibutterfly::new(3, 1, &mut r);
-        // y = 0b101: halves from stage 0,1,2 are 1, 0, 1
-        assert_eq!(mb.required_half(0b101, 0), 1);
-        assert_eq!(mb.required_half(0b101, 1), 0);
-        assert_eq!(mb.required_half(0b101, 2), 1);
     }
 }

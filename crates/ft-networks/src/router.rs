@@ -317,7 +317,7 @@ impl<'a> CircuitRouter<'a> {
     /// The `(input, output)` terminal pair of a live session — the
     /// first and last vertices of its path. `None` for unknown or
     /// already-released sessions.
-    pub fn session_endpoints(&self, id: SessionId) -> Option<(VertexId, VertexId)> {
+    pub(crate) fn session_endpoints(&self, id: SessionId) -> Option<(VertexId, VertexId)> {
         let path = self.session_path(id)?;
         Some((*path.first()?, *path.last()?))
     }
@@ -348,19 +348,6 @@ impl<'a> CircuitRouter<'a> {
     pub fn session_through(&self, v: VertexId) -> Option<SessionId> {
         let ow = self.owner[v.index()];
         (ow != NO_OWNER).then_some(SessionId(ow))
-    }
-
-    /// Kills every live session whose path crosses vertex `v` (a switch
-    /// endpoint that just failed). Freed vertices become idle again;
-    /// the killed sessions' slots return to the free list. Returns the
-    /// killed ids (at most one — circuits are vertex-disjoint).
-    pub fn kill_sessions_through(&mut self, v: VertexId) -> Vec<SessionId> {
-        let mut killed = Vec::new();
-        if let Some(id) = self.session_through(v) {
-            self.release_slot(id.0 as usize);
-            killed.push(id);
-        }
-        killed
     }
 
     /// Marks `v` newly dead under the repair mask: kills the at most
@@ -844,14 +831,17 @@ mod tests {
         let mut router = CircuitRouter::new(&net);
         let a = router.connect(net.inputs()[0], net.outputs()[0]).unwrap();
         let b = router.connect(net.inputs()[1], net.outputs()[1]).unwrap();
-        let killed = router.kill_sessions_through(net.inputs()[0]);
+        let mut killed = Vec::new();
+        router.kill_vertex_into(net.inputs()[0], &mut killed);
         assert_eq!(killed, vec![a]);
         assert_eq!(router.active_sessions(), 1);
         assert!(router.session_path(a).is_none());
         assert!(router.session_path(b).is_some());
-        // the killed path's vertices are idle again
-        assert!(router.is_idle(net.inputs()[0]));
+        // the killed path's other vertices are idle again; the dead one
+        // is withdrawn until revived
         assert!(router.is_idle(net.outputs()[0]));
+        assert!(!router.is_idle(net.inputs()[0]));
+        router.revive_vertex(net.inputs()[0]);
         router.connect(net.inputs()[0], net.outputs()[0]).unwrap();
     }
 

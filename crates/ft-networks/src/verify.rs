@@ -18,7 +18,7 @@ use ft_graph::StagedNetwork;
 /// as vertex-disjoint paths by backtracking over BFS-shortest choices.
 /// `budget` bounds the number of search nodes; `None` on exhaustion or
 /// genuine unroutability.
-pub fn route_permutation_backtracking(
+pub(crate) fn route_permutation_backtracking(
     net: &StagedNetwork,
     perm: &[u32],
     budget: &mut u64,
@@ -143,7 +143,7 @@ pub fn verify_rearrangeable_exhaustive(net: &StagedNetwork) -> Result<(), Vec<u3
 
 /// Witness of a blocking configuration: the established `(input, output)`
 /// calls plus the idle pair that could not be connected.
-pub type BlockingWitness = (Vec<(usize, usize)>, usize, usize);
+pub(crate) type BlockingWitness = (Vec<(usize, usize)>, usize, usize);
 
 /// State of the exhaustive nonblocking game: which inputs are connected
 /// to which outputs.
@@ -237,21 +237,6 @@ pub fn verify_strictly_nonblocking_exhaustive(
         }
     }
     Ok(())
-}
-
-/// Convenience re-export: sampled superconcentrator check.
-pub fn verify_superconcentrator_sampled(
-    net: &StagedNetwork,
-    trials: usize,
-    rng: &mut rand::rngs::SmallRng,
-) -> Option<(Vec<VertexId>, Vec<VertexId>)> {
-    ft_graph::menger::verify_superconcentrator_sampled(
-        net.graph(),
-        net.inputs(),
-        net.outputs(),
-        trials,
-        rng,
-    )
 }
 
 /// Blocked-pair search by randomized churn: returns true if a greedy
@@ -391,11 +376,20 @@ mod tests {
     #[test]
     fn sampled_superconcentrator_checks() {
         let mut r = rng(33);
+        let sampled = |net: &StagedNetwork, trials, r: &mut _| {
+            ft_graph::menger::verify_superconcentrator_sampled(
+                net.graph(),
+                net.inputs(),
+                net.outputs(),
+                trials,
+                r,
+            )
+        };
         let x = crossbar(4);
-        assert!(verify_superconcentrator_sampled(&x, 100, &mut r).is_none());
+        assert!(sampled(&x, 100, &mut r).is_none());
         let b = Benes::new(2);
         assert!(
-            verify_superconcentrator_sampled(&b.net, 200, &mut r).is_none(),
+            sampled(&b.net, 200, &mut r).is_none(),
             "Beneš is rearrangeable hence a superconcentrator"
         );
     }

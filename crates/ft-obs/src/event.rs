@@ -114,26 +114,6 @@ pub enum TraceEvent<'a> {
     },
 }
 
-impl TraceEvent<'_> {
-    /// The `ev` tag the NDJSON serialization uses.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::Arrival { .. } => "arrival",
-            TraceEvent::Connect { .. } => "connect",
-            TraceEvent::BusyReject { .. } => "busy_reject",
-            TraceEvent::Block { .. } => "block",
-            TraceEvent::Hangup { .. } => "hangup",
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::Kill { .. } => "kill",
-            TraceEvent::Reroute { .. } => "reroute",
-            TraceEvent::Retry { .. } => "retry",
-            TraceEvent::Shed { .. } => "shed",
-            TraceEvent::Repair { .. } => "repair",
-            TraceEvent::RecoveryClose { .. } => "recovery_close",
-        }
-    }
-}
-
 /// A sink for the engine's structured event stream.
 ///
 /// Implementations must be deterministic functions of the event sequence
@@ -347,6 +327,26 @@ impl Observer for TraceBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceEvent<'_> {
+        /// The `ev` tag the NDJSON serialization uses.
+        fn tag(&self) -> &'static str {
+            match self {
+                TraceEvent::Arrival { .. } => "arrival",
+                TraceEvent::Connect { .. } => "connect",
+                TraceEvent::BusyReject { .. } => "busy_reject",
+                TraceEvent::Block { .. } => "block",
+                TraceEvent::Hangup { .. } => "hangup",
+                TraceEvent::Fault { .. } => "fault",
+                TraceEvent::Kill { .. } => "kill",
+                TraceEvent::Reroute { .. } => "reroute",
+                TraceEvent::Retry { .. } => "retry",
+                TraceEvent::Shed { .. } => "shed",
+                TraceEvent::Repair { .. } => "repair",
+                TraceEvent::RecoveryClose { .. } => "recovery_close",
+            }
+        }
+    }
 
     #[test]
     fn noop_is_zero_sized_and_disabled() {

@@ -178,16 +178,6 @@ impl Hist {
         self.buckets.iter().map(|&(_, c)| c).sum()
     }
 
-    /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Number of occupied buckets (the memory bound).
-    pub fn occupied(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Fold another histogram into this one: a sorted merge summing
     /// counts per bucket. Associative and commutative, and therefore
     /// byte-identical no matter how the sample stream was partitioned.
@@ -244,11 +234,6 @@ impl Hist {
         bucket_lower_edge(self.buckets[self.buckets.len() - 1].0)
     }
 
-    /// Iterate occupied `(bucket index, count)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets.iter().copied()
-    }
-
     /// Canonical text form for the flat cell-cache format:
     /// `idx:count,idx:count,...` in index order, or `-` when empty.
     pub fn to_compact_string(&self) -> String {
@@ -291,6 +276,18 @@ impl Hist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Hist {
+        /// Number of occupied buckets (the memory bound).
+        fn occupied(&self) -> usize {
+            self.buckets.len()
+        }
+
+        /// Iterate occupied `(bucket index, count)` pairs in index order.
+        fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+            self.buckets.iter().copied()
+        }
+    }
 
     /// Exact nearest-rank quantile over a sorted slice — the reference
     /// the streaming histogram is checked against.

@@ -10,8 +10,8 @@
 //!   first diverging event between two trace files.
 //! * **Serialization** — [`JsonWriter`], the one writer behind the
 //!   `ftsim` and `ftserve` reports, the `ftexp` study tables and the
-//!   replay streams; it shares [`json`]'s byte-level number renderers
-//!   with [`TraceBuf`].
+//!   replay streams; it shares the `json` module's byte-level number
+//!   renderers with [`TraceBuf`].
 //! * **Streaming histograms** — [`Hist`], a sparse log-bucketed
 //!   histogram with an exact `u64`-count sorted-bucket merge, so
 //!   p50/p99/p999 summaries are byte-identical however the sample
@@ -30,11 +30,11 @@
 
 #![warn(missing_docs)]
 
-pub mod atomicio;
-pub mod diff;
-pub mod event;
-pub mod hist;
-pub mod json;
+pub(crate) mod atomicio;
+pub(crate) mod diff;
+pub(crate) mod event;
+pub(crate) mod hist;
+pub(crate) mod json;
 pub mod profile;
 
 pub use atomicio::{fnv1a, seal, unseal, write_atomic, write_atomic_with};

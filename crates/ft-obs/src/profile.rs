@@ -65,11 +65,6 @@ impl Profiler {
         }
     }
 
-    /// Whether sections are recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Times `f` as phase `name` (when enabled) and returns its result.
     pub fn section<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
         if !self.enabled {
@@ -172,7 +167,6 @@ mod tests {
         p.section("work", || ran = true);
         p.add_ms("ignored", 9.9);
         assert!(ran);
-        assert!(!p.enabled());
         assert!(p.lines().is_empty());
     }
 }

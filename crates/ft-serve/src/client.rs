@@ -31,7 +31,7 @@ impl Client {
     }
 
     /// Sends `req`, awaits its response.
-    pub fn request(&mut self, req: &Request) -> io::Result<Response> {
+    pub(crate) fn request(&mut self, req: &Request) -> io::Result<Response> {
         write_frame(&mut self.stream, &req.encode())?;
         self.read_response()
     }

@@ -18,7 +18,7 @@
 //! swaps in the freshly built fabric, then *migrates* every live
 //! circuit onto it in ascending circuit-id order, counting the ones the
 //! new topology cannot carry as dropped. Counters and histograms
-//! survive generations — and, via [`Snapshot`], `kill -9`.
+//! survive generations — and, via the `snapshot` module, `kill -9`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -42,19 +42,19 @@ macro_rules! counter_fields {
         /// version.
         #[derive(Clone, Debug, Default, PartialEq, Eq)]
         #[allow(missing_docs)] // field names are the documentation (and the snapshot format)
-        pub struct Counters {
+        pub(crate) struct Counters {
             $(pub $name: u64,)*
         }
 
         impl Counters {
             /// `(name, value)` pairs in fixed snapshot order.
-            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+            pub(crate) fn fields(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name)),*]
             }
 
             /// Restores from parsed `(names, values)`; `None` on any
             /// name/order mismatch (stale snapshot layout).
-            pub fn set_fields(&mut self, names: &[String], values: &[u64]) -> Option<()> {
+            pub(crate) fn set_fields(&mut self, names: &[String], values: &[u64]) -> Option<()> {
                 let expected = [$(stringify!($name)),*];
                 if names.len() != expected.len() || values.len() != expected.len() {
                     return None;
@@ -101,7 +101,7 @@ counter_fields!(
 #[derive(Debug, Default)]
 pub struct SharedFlags {
     /// Connects shed at the frontends (queue full). Folded into
-    /// [`Counters::shed`] at render/snapshot time.
+    /// the engine's `shed` counter at render/snapshot time.
     pub shed: AtomicU64,
     /// Malformed frames answered at the frontends.
     pub bad_frames: AtomicU64,
@@ -110,7 +110,7 @@ pub struct SharedFlags {
     /// saw these clients); tests and operators read it here.
     pub refused: AtomicU64,
     /// Set by the engine on shutdown; frontends and the acceptor poll it.
-    pub shutdown: AtomicBool,
+    pub(crate) shutdown: AtomicBool,
 }
 
 /// One queued request plus its reply channel and admission timestamp.

@@ -16,13 +16,13 @@
 //!   discipline, transplanted), per-request deadlines, generational
 //!   topology reload with live-circuit migration, fault/repair
 //!   injection with recovery-episode accounting;
-//! * [`server`] — the thread-per-connection frontend and the
+//! * `server` ([`Server`]) — the thread-per-connection frontend and the
 //!   backpressure boundary (queue-full connects shed at the frontend;
 //!   the control plane always gets through);
-//! * [`snapshot`] — crash-consistent counter snapshots (temp sibling +
+//! * `snapshot` — crash-consistent counter snapshots (temp sibling +
 //!   rename) that a restarted server resumes from;
-//! * [`client`] — the blocking lockstep client the replay tool, tests
-//!   and benches speak through.
+//! * `client` ([`Client`]) — the blocking lockstep client the replay
+//!   tool, tests and benches speak through.
 //!
 //! Two binaries ship with the crate: `ftserve` (the server, boot from
 //! any `ftsim` scenario file) and `ftserve-replay` (replays an
@@ -35,14 +35,13 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
+pub(crate) mod client;
 pub mod engine;
 pub mod protocol;
-pub mod server;
-pub mod snapshot;
+pub(crate) mod server;
+pub(crate) mod snapshot;
 
 pub use client::Client;
-pub use engine::{Counters, EngineConfig, Job, SharedFlags};
-pub use protocol::{Request, Response, Status, MAX_FRAME};
+pub use engine::{EngineConfig, Job, SharedFlags};
+pub use protocol::{Request, Response, Status};
 pub use server::{Server, ServerConfig};
-pub use snapshot::Snapshot;

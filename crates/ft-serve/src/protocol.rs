@@ -2,7 +2,7 @@
 //!
 //! Every message — request or response — is one *frame*: a 4-byte
 //! little-endian payload length followed by that many payload bytes.
-//! Lengths are capped at [`MAX_FRAME`]; a peer announcing more is
+//! Lengths are capped at `MAX_FRAME` (1 MiB); a peer announcing more is
 //! desynchronized or hostile, and the connection is closed after a
 //! typed [`Status::BadFrame`] response. All integers are little-endian.
 //!
@@ -34,7 +34,7 @@ use std::io::{self, Read, Write};
 
 /// Hard cap on a frame's payload length, both directions. Metrics and
 /// report bodies are far below this; anything larger is a framing error.
-pub const MAX_FRAME: usize = 1 << 20;
+pub(crate) const MAX_FRAME: usize = 1 << 20;
 
 /// A decoded request frame.
 #[derive(Clone, Debug, PartialEq)]
@@ -136,7 +136,7 @@ pub enum Status {
 
 impl Status {
     /// Decodes a status byte.
-    pub fn from_u8(b: u8) -> Option<Status> {
+    pub(crate) fn from_u8(b: u8) -> Option<Status> {
         use Status::*;
         Some(match b {
             0 => Ok,
@@ -185,7 +185,7 @@ pub struct Response {
 
 impl Response {
     /// A bodyless response.
-    pub fn new(status: Status, tag: u64) -> Response {
+    pub(crate) fn new(status: Status, tag: u64) -> Response {
         Response {
             status,
             tag,
@@ -385,7 +385,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one frame. `Ok(None)` = the peer closed cleanly *before* the
 /// frame started; EOF mid-frame is an [`io::ErrorKind::UnexpectedEof`]
-/// error. A length prefix above [`MAX_FRAME`] (or zero) is
+/// error. A length prefix above `MAX_FRAME` (1 MiB, or zero) is
 /// [`io::ErrorKind::InvalidData`] — the caller answers
 /// [`Status::BadFrame`] and closes, since the stream position is
 /// unrecoverable.
@@ -400,7 +400,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// never blocked on an idle peer. Partial frames survive timeouts — the
 /// accumulated bytes are kept until the frame completes or the stop
 /// predicate fires (reported as [`io::ErrorKind::Interrupted`]).
-pub fn read_frame_with(
+pub(crate) fn read_frame_with(
     r: &mut impl Read,
     should_stop: impl Fn() -> bool,
 ) -> io::Result<Option<Vec<u8>>> {

@@ -89,7 +89,7 @@ pub struct Server {
     acceptor: JoinHandle<()>,
     shared: Arc<SharedFlags>,
     /// Live connection threads, shared with the acceptor (which reaps
-    /// finished ones and enforces the cap) and joined by [`wait`].
+    /// finished ones and enforces the cap) and joined by [`Server::wait`].
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 

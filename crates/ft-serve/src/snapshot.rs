@@ -39,16 +39,16 @@ const VERSION: &str = "ftserve snapshot v2";
 
 /// A parsed (or about-to-be-written) snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Cumulative engine counters at dump time.
-    pub counters: Counters,
+    pub(crate) counters: Counters,
     /// Path-length histogram at dump time.
-    pub hist: Hist,
+    pub(crate) hist: Hist,
 }
 
 impl Snapshot {
     /// Renders the snapshot body (the bytes handed to `write_atomic`).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let fields = self.counters.fields();
         let mut out = String::with_capacity(64 + fields.len() * 24);
         out.push_str(VERSION);
@@ -65,7 +65,7 @@ impl Snapshot {
 
     /// Parses a snapshot body. `None` = corrupt/stale/truncated; the
     /// caller recomputes from zero.
-    pub fn parse(text: &str) -> Option<Snapshot> {
+    pub(crate) fn parse(text: &str) -> Option<Snapshot> {
         // Checksum first: the final `ok` line covers every preceding
         // byte, so any tear or bit-flip is caught before field parsing.
         let mut lines = unseal(text)?.lines();
@@ -95,13 +95,13 @@ impl Snapshot {
     }
 
     /// Writes the snapshot atomically to `path`.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
+    pub(crate) fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
         ft_obs::write_atomic(path, self.render())
     }
 
     /// Loads and parses `path`. Missing file is a silent `None`; any
     /// other failure gets a stderr note (and still degrades to `None`).
-    pub fn load(path: &std::path::Path) -> Option<Snapshot> {
+    pub(crate) fn load(path: &std::path::Path) -> Option<Snapshot> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,

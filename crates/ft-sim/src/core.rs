@@ -64,12 +64,12 @@ impl<'a> SwitchingCore<'a> {
     }
 
     /// Gives the buffers back for the next core.
-    pub fn into_buffers(self) -> CoreBuffers {
+    pub(crate) fn into_buffers(self) -> CoreBuffers {
         self.bufs
     }
 
     /// The fabric under the core.
-    pub fn fabric(&self) -> &'a Fabric {
+    pub(crate) fn fabric(&self) -> &'a Fabric {
         self.fabric
     }
 
@@ -101,7 +101,7 @@ impl<'a> SwitchingCore<'a> {
     }
 
     /// Number of currently healthy switches.
-    pub fn healthy(&self) -> usize {
+    pub(crate) fn healthy(&self) -> usize {
         self.inst.len() - self.failed
     }
 
@@ -120,7 +120,7 @@ impl<'a> SwitchingCore<'a> {
     /// in `batch`'s wave — started by
     /// [`CircuitRouter::begin_mincost_batch`] since the idle set last
     /// changed outside such placements.
-    pub fn admit_mincost(
+    pub(crate) fn admit_mincost(
         &mut self,
         batch: &mut MincostBatch,
         src: usize,

@@ -96,7 +96,7 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Whether the configured fault process can fail any switch at all
     /// (gates the fabric fault-capability assertion).
-    pub fn has_faults(&self) -> bool {
+    pub(crate) fn has_faults(&self) -> bool {
         self.faults.active(self.fault_rate)
     }
 }
@@ -1143,6 +1143,39 @@ mod tests {
         let fb: u64 = full.metrics.buckets.iter().map(|b| b.offered).sum();
         let ub: u64 = ungated.metrics.buckets.iter().map(|b| b.offered).sum();
         assert_eq!(fb, ub);
+    }
+
+    /// Records the sim-time of the first fault event.
+    struct FirstFault(Option<f64>);
+
+    impl Observer for FirstFault {
+        fn event(&mut self, time: f64, _seq: u64, ev: &TraceEvent<'_>) {
+            if self.0.is_none() && matches!(ev, TraceEvent::Fault { .. }) {
+                self.0 = Some(time);
+            }
+        }
+    }
+
+    #[test]
+    fn warmup_gates_time_integrals() {
+        // A permanent fault (no repair) before the warm-up ends keeps the
+        // fabric degraded for the rest of the run, so the degraded-time
+        // integral must cover exactly the measured window.
+        let fabric = Fabric::clos_strict(2, 2);
+        let mut cfg = base_cfg();
+        cfg.fault_rate = 0.02;
+        cfg.mttr = 0.0;
+        cfg.warmup = 20.0;
+        let mut first = FirstFault(None);
+        let out = run_seed_obs(&fabric, &cfg, 3, &mut SimWorkspace::default(), &mut first);
+        let t = first.0.expect("no fault struck");
+        assert!(t < cfg.warmup, "first fault at {t}, after the warm-up");
+        let want = cfg.duration - cfg.warmup;
+        assert!(
+            (out.metrics.degraded_time - want).abs() < 1e-9,
+            "degraded_time {} != duration - warmup {want}",
+            out.metrics.degraded_time
+        );
     }
 
     #[test]

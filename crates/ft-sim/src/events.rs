@@ -68,11 +68,11 @@ pub enum EventKind {
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// Virtual time at which the event fires.
-    pub time: f64,
+    pub(crate) time: f64,
     /// Monotone insertion counter breaking time ties deterministically.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The event payload.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 impl PartialEq for Event {
@@ -259,15 +259,6 @@ impl EventQueue {
         self.slots.first().map(|s| f64::from_bits(s.key))
     }
 
-    /// `(time, seq)` of the earliest pending event, if any — the key a
-    /// caller-owned priority lane compares against (see
-    /// [`Self::reserve_seq`]).
-    pub fn peek_key(&self) -> Option<(f64, u64)> {
-        self.slots
-            .first()
-            .map(|s| (f64::from_bits(s.key), s.seq as u64))
-    }
-
     /// Allocates the next sequence number *without* enqueueing
     /// anything. A caller that keeps its own priority lane for one
     /// event class (the engine holds pending call arrivals in a tiny
@@ -275,23 +266,13 @@ impl EventQueue {
     /// numbers from this same counter, so the `(time, seq)` total
     /// order — and with it the popped event stream — spans both
     /// structures unchanged.
-    pub fn reserve_seq(&mut self) -> u64 {
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq = self
             .next_seq
             .checked_add(1)
             .expect("event sequence overflow");
         seq as u64
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Clears pending events and resets the sequence counter (workspace
@@ -308,6 +289,25 @@ mod tests {
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+
+    impl EventQueue {
+        /// `(time, seq)` of the earliest pending event, if any.
+        fn peek_key(&self) -> Option<(f64, u64)> {
+            self.slots
+                .first()
+                .map(|s| (f64::from_bits(s.key), s.seq as u64))
+        }
+
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            self.slots.len()
+        }
+
+        /// Whether no events are pending.
+        fn is_empty(&self) -> bool {
+            self.slots.is_empty()
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

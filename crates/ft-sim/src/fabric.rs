@@ -173,7 +173,11 @@ impl Fabric {
 /// terminals are exempt, and a failed terminal-incident switch is
 /// masked by discarding its internal endpoint. Writes into a
 /// caller-held buffer and allocates nothing once it has grown.
-pub fn generic_routable_alive_into(g: &StagedNetwork, inst: &FailureInstance, out: &mut Vec<bool>) {
+pub(crate) fn generic_routable_alive_into(
+    g: &StagedNetwork,
+    inst: &FailureInstance,
+    out: &mut Vec<bool>,
+) {
     assert_eq!(inst.len(), g.num_edges(), "instance/network size mismatch");
     let is_terminal = g.terminal_mask();
     out.clear();
@@ -192,7 +196,7 @@ pub fn generic_routable_alive_into(g: &StagedNetwork, inst: &FailureInstance, ou
 /// Lane-parallel generic §4 repair: per lane identical to
 /// [`generic_routable_alive_into`], computed for all 64 lanes from the
 /// failed-switch word planes in one pass over the failed switches.
-pub fn generic_routable_alive_words_into(
+pub(crate) fn generic_routable_alive_words_into(
     g: &StagedNetwork,
     sliced: &SlicedFailureMask,
     out: &mut Vec<u64>,

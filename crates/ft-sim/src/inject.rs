@@ -101,7 +101,7 @@ impl FaultSpec {
 
     /// Whether the process can produce any fault at all (drives the
     /// engine's fault-capability assertion and the scenario validator).
-    pub fn active(&self, fault_rate: f64) -> bool {
+    pub(crate) fn active(&self, fault_rate: f64) -> bool {
         match self {
             FaultSpec::Iid => fault_rate > 0.0,
             _ => true,
@@ -129,7 +129,7 @@ impl FaultSpec {
     }
 
     /// Instantiates the injector for one seed's run.
-    pub fn build(&self, cfg: &SimConfig) -> Box<dyn FaultInjector> {
+    pub(crate) fn build(&self, cfg: &SimConfig) -> Box<dyn FaultInjector> {
         let open_share = cfg.fault_open_share;
         match *self {
             FaultSpec::Iid => Box::new(IidExp {
@@ -249,15 +249,15 @@ impl RerouteMode {
 }
 
 /// One fault the process wants to land *now*.
-pub struct Strike {
+pub(crate) struct Strike {
     /// The victim switch (guaranteed healthy at strike time).
-    pub edge: EdgeId,
+    pub(crate) edge: EdgeId,
     /// Failure mode (open or closed).
-    pub state: SwitchState,
+    pub(crate) state: SwitchState,
     /// Whether this strike opens a new fault episode (a storm/burst
     /// start, a targeted attack, or — for the i.i.d. process — every
     /// fault). Drives the `storms` recovery metric.
-    pub new_episode: bool,
+    pub(crate) new_episode: bool,
 }
 
 /// A fault process behind the engine's deterministic event discipline.
@@ -267,7 +267,7 @@ pub struct Strike {
 /// points of the event order, which is what makes every process
 /// byte-reproducible per seed and independent of sweep thread count.
 /// `ctx` is the engine's switching core, read-only.
-pub trait FaultInjector {
+pub(crate) trait FaultInjector {
     /// Absolute time of the next fault, or `None` if the process is
     /// currently inert. Called at `t = 0` and after every fault/repair
     /// event; the engine discards the previous answer (epoch guard), so

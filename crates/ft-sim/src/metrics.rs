@@ -29,11 +29,11 @@ pub struct Bucket {
     /// Call arrivals in the bucket.
     pub offered: u64,
     /// Calls connected.
-    pub connected: u64,
+    pub(crate) connected: u64,
     /// Calls refused for lack of an idle path.
-    pub blocked: u64,
+    pub(crate) blocked: u64,
     /// Live sessions killed by switch faults.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 /// Aggregated outcome of one simulated seed.
@@ -48,7 +48,7 @@ pub struct Metrics {
     /// Calls refused for lack of an idle path — *blocking* proper.
     pub blocked: u64,
     /// Calls that completed naturally (hangup).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Live sessions killed because a fault discarded a vertex on
     /// their path.
     pub dropped: u64,
@@ -66,7 +66,7 @@ pub struct Metrics {
     pub abandoned: u64,
     /// Total fault/repair events a rerouted call waited through before
     /// re-establishment (0 = rerouted within the killing fault event).
-    pub reroute_latency_events: u64,
+    pub(crate) reroute_latency_events: u64,
     /// Switch-fault events.
     pub faults: u64,
     /// Repair completions.
@@ -84,11 +84,11 @@ pub struct Metrics {
     pub degraded_time: f64,
     /// Sum of completed degraded-interval lengths (recovery episodes
     /// whose falling edge landed in the measured window).
-    pub recovery_sum: f64,
+    pub(crate) recovery_sum: f64,
     /// Number of completed recovery episodes.
     pub recovery_count: u64,
     /// Longest completed recovery episode.
-    pub recovery_max: f64,
+    pub(crate) recovery_max: f64,
     /// Reroute-latency distribution in churn epochs (fault/repair
     /// events waited), one sample per counted reroute; basis for
     /// p50/p99/p999. Epoch counts are small integers, so the
@@ -99,20 +99,20 @@ pub struct Metrics {
     /// Setup-cost distribution: vertices the route search scanned
     /// (`KernelStats::bibfs_pops`) per arrival connect attempt — the deterministic search-effort analogue of
     /// setup latency (wall-clock would break byte-reproducibility).
-    pub setup_cost_hist: Hist,
+    pub(crate) setup_cost_hist: Hist,
     /// Path-length distribution (switches) over established circuits.
-    pub path_len_hist: Hist,
+    pub(crate) path_len_hist: Hist,
     /// Occupancy distribution: the live-circuit count — equal to the
     /// busy-vertex count of every stage — sampled at call arrival
     /// instants (PASTA: Poisson arrivals see time averages).
-    pub occupancy_hist: Hist,
+    pub(crate) occupancy_hist: Hist,
     /// Total switch count over established paths.
-    pub total_path_len: u64,
+    pub(crate) total_path_len: u64,
     /// Longest established path (switches).
-    pub max_path_len: u64,
+    pub(crate) max_path_len: u64,
     /// ∫ active-session count dt over the measured window — also each
     /// stage's ∫ busy-vertex count dt (see the module docs).
-    pub active_time: f64,
+    pub(crate) active_time: f64,
     /// Length of the measured window (duration − warmup).
     pub measured_time: f64,
     /// Full-run time series.
@@ -197,14 +197,14 @@ impl Metrics {
     /// Nearest-rank `p`-th percentile of reroute latency in churn
     /// epochs (fault/repair events waited). Exact for sample values
     /// below 64 (the practical range); 0 with no samples.
-    pub fn reroute_latency_events_pct(&self, p: f64) -> u64 {
+    pub(crate) fn reroute_latency_events_pct(&self, p: f64) -> u64 {
         self.reroute_hist_events.quantile(p) as u64
     }
 
     /// Nearest-rank `p`-th percentile of reroute latency in sim-time:
     /// the lower edge of the histogram bucket holding that rank (within
     /// 3.125% below the true sample). 0 with no samples.
-    pub fn reroute_latency_time_pct(&self, p: f64) -> f64 {
+    pub(crate) fn reroute_latency_time_pct(&self, p: f64) -> f64 {
         self.reroute_hist_time.quantile(p)
     }
 }

@@ -16,15 +16,15 @@ use ft_obs::{Hist, JsonWriter, Layout};
 #[derive(Clone, Debug)]
 pub struct Report {
     /// The scenario that produced the sweep.
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
     /// Fabric label (family and size actually built).
-    pub fabric_label: String,
+    pub(crate) fabric_label: String,
     /// Switch count of the fabric.
-    pub fabric_switches: usize,
+    pub(crate) fabric_switches: usize,
     /// Terminal count of the fabric.
-    pub fabric_terminals: usize,
+    pub(crate) fabric_terminals: usize,
     /// Vertex count of each stage (utilisation denominators).
-    pub stage_sizes: Vec<usize>,
+    pub(crate) stage_sizes: Vec<usize>,
     /// One outcome per seed, in seed order.
     pub outcomes: Vec<SeedOutcome>,
 }

@@ -83,7 +83,7 @@ impl FabricSpec {
     /// [`Fabric::supports_faults`] without building the fabric: false
     /// exactly on the two-stage specs — `crossbar N`, `benes 1` and
     /// `multibutterfly 1 D SEED` — whose switches join two terminals.
-    pub fn supports_faults(&self) -> bool {
+    pub(crate) fn supports_faults(&self) -> bool {
         !matches!(
             *self,
             FabricSpec::Crossbar(_) | FabricSpec::Benes(1) | FabricSpec::Multibutterfly(1, ..)

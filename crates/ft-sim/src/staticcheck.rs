@@ -146,7 +146,7 @@ fn pair_blocking_block_scalar(
     let mut alive = Vec::new();
     let mut successes = 0u64;
     for lane in 0..count as usize {
-        sliced.extract_lane_into(lane, inst.mask_mut());
+        sliced.extract_lane_into(lane, &mut inst);
         fabric.alive_mask_into(&inst, &mut alive);
         let i = pair_rng.random_range(0..n);
         let o = pair_rng.random_range(0..n);

@@ -40,7 +40,7 @@ pub enum HoldingTime {
 
 impl HoldingTime {
     /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         match *self {
             HoldingTime::Exponential { mean } | HoldingTime::Pareto { mean, .. } => mean,
         }
@@ -122,7 +122,7 @@ impl TrafficPattern {
     }
 
     /// The burst parameters, if this pattern modulates the arrival rate.
-    pub fn burst_params(&self) -> Option<(f64, f64, f64)> {
+    pub(crate) fn burst_params(&self) -> Option<(f64, f64, f64)> {
         match *self {
             TrafficPattern::Bursty {
                 mean_on,

@@ -26,7 +26,7 @@ fn check_block(fabric: &Fabric, sliced: &SlicedFailureMask, what: &str) -> u64 {
     let mut lane_inst = FailureInstance::perfect(sliced.len());
     let mut discarded = 0;
     for lane in 0..LANES {
-        sliced.extract_lane_into(lane, lane_inst.mask_mut());
+        sliced.extract_lane_into(lane, &mut lane_inst);
         let oracle = Survivor::new(ftn, &lane_inst).routable_alive();
         assert_eq!(
             fabric.alive_mask(&lane_inst),

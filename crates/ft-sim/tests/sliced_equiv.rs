@@ -62,7 +62,7 @@ fn every_lane_matches_the_scalar_pipeline() {
             let mut lane_inst = FailureInstance::perfect(m);
             let mut alive = Vec::new();
             for lane in 0..LANES {
-                sliced.extract_lane_into(lane, lane_inst.mask_mut());
+                sliced.extract_lane_into(lane, &mut lane_inst);
                 // switch states must be the lane's column of the planes
                 for s in 0..m {
                     assert_eq!(

@@ -10,7 +10,7 @@
 //! changed and every recorded experiment/baseline seed is invalidated —
 //! treat that as a breaking change, not a test to update casually.
 
-use fault_tolerant_switching::failure::{FailureInstance, FailureMask, FailureModel};
+use fault_tolerant_switching::failure::{FailureInstance, FailureModel};
 use fault_tolerant_switching::graph::gen::rng;
 use fault_tolerant_switching::graph::{EdgeId, VertexId};
 use rand::Rng;
@@ -88,7 +88,7 @@ fn resample_matches_fresh_sample() {
     assert_eq!(fingerprint(&fresh), fingerprint(&reused));
 }
 
-/// The packed [`FailureMask`] sampler must reproduce the exact golden
+/// The packed [`FailureInstance`] sampler must reproduce the exact golden
 /// stream the unpacked `Vec<SwitchState>` reference sampler is pinned to
 /// (above, `failure_sampling_is_pinned`): in the sparse regime both
 /// consume the RNG identically, so the byte-for-byte states — and hence
@@ -96,14 +96,13 @@ fn resample_matches_fresh_sample() {
 #[test]
 fn mask_sampling_matches_reference_golden_fingerprint() {
     let model = FailureModel::new(1e-2, 1e-2);
-    // the mask-backed FailureInstance reproduces the pinned fingerprint
+    // the packed FailureInstance reproduces the pinned fingerprint
     let inst = FailureInstance::sample(&model, &mut rng(42), 10_000);
     assert_eq!(fingerprint(&inst), 0x8d90346320db69e1);
     // and matches the unpacked reference sampler state by state
     let states = model.sample_states(&mut rng(42), 10_000);
-    let mask = model.sample_mask(&mut rng(42), 10_000);
-    assert_eq!(mask.to_states(), states);
-    assert_eq!(FailureMask::from_states(&states), mask);
+    assert_eq!(inst.to_states(), states);
+    assert_eq!(FailureInstance::from_states(states), inst);
 }
 
 /// Sparse equivalence across asymmetric models: every total failure
@@ -117,7 +116,7 @@ fn mask_matches_reference_across_sparse_models() {
         for seed in [0u64, 7, 0x5EED_CAFE] {
             let states = model.sample_states(&mut rng(seed), 4096);
             let inst = FailureInstance::sample(&model, &mut rng(seed), 4096);
-            assert_eq!(inst.mask().to_states(), states, "({e1}, {e2}) seed {seed}");
+            assert_eq!(inst.to_states(), states, "({e1}, {e2}) seed {seed}");
         }
     }
 }
