@@ -11,7 +11,7 @@ use ft_failure::contraction::contract;
 use ft_failure::{FailureInstance, FailureModel, SlicedFailureMask};
 use ft_graph::gen::rng;
 use ft_graph::Digraph;
-use ft_sim::{pair_blocking_estimate, Fabric};
+use ft_sim::{pair_blocking_estimate, FabricSpec};
 use std::hint::black_box;
 
 fn bench_sampling(c: &mut Criterion) {
@@ -69,7 +69,7 @@ fn bench_repair(c: &mut Criterion) {
 fn bench_pair_blocking(c: &mut Criterion) {
     // 32 sliced blocks of sample → §4 repair → reach on 𝒩 ν = 2: the
     // estimator behind every ftexp cell's `static_p` column
-    let fabric = Fabric::ftn_reduced(2, 8, 8, 1.0);
+    let fabric = FabricSpec::Ftn(2, 8, 8, 1.0).build();
     let model = FailureModel::symmetric(0.02);
     c.bench_function("pair_blocking_ftn_nu2", |b| {
         b.iter(|| black_box(pair_blocking_estimate(&fabric, &model, 2048, 7)))

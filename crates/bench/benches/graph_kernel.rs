@@ -13,7 +13,7 @@ use ft_graph::menger::max_disjoint_paths;
 use ft_graph::sliced::{sliced_reach_into, SlicedWorkspace};
 use ft_graph::traversal::{bfs_into, Direction};
 use ft_graph::{Digraph, TraversalWorkspace, VertexId, LANES};
-use ft_sim::Fabric;
+use ft_sim::FabricSpec;
 use rand::Rng;
 use std::hint::black_box;
 
@@ -41,10 +41,10 @@ fn bench_bfs_reused(c: &mut Criterion) {
 /// sample, repaired by `alive_words_into`.
 fn bench_sliced_reach_pairs(c: &mut Criterion) {
     for (name, fabric) in [
-        ("sliced_reach_pairs_benes10", Fabric::benes(10)),
+        ("sliced_reach_pairs_benes10", FabricSpec::Benes(10).build()),
         (
             "sliced_reach_pairs_ftn_nu2",
-            Fabric::ftn_reduced(2, 8, 8, 1.0),
+            FabricSpec::Ftn(2, 8, 8, 1.0).build(),
         ),
     ] {
         let net = fabric.net();

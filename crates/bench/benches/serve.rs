@@ -3,11 +3,9 @@
 //! the engine's fault handling alone through its job queue.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ft_core::network::FtNetwork;
-use ft_core::params::Params;
 use ft_graph::Digraph;
 use ft_serve::{Client, EngineConfig, Job, Request, Server, ServerConfig, SharedFlags, Status};
-use ft_sim::{Fabric, FabricSpec};
+use ft_sim::FabricSpec;
 use std::hint::black_box;
 use std::sync::mpsc;
 use std::time::Instant;
@@ -57,7 +55,8 @@ fn bench_serve_connects(c: &mut Criterion) {
 /// fault path, and anything on it that grows with the fabric shows up
 /// here: a scan over every switch per job reads ≈ 35× slower.
 fn bench_engine_fault_repair(c: &mut Criterion) {
-    let fabric = Fabric::Ftn(Box::new(FtNetwork::build(Params::paper_exact(1))));
+    // `ftn 1 64 10 34` is `Params::paper_exact(1)`
+    let fabric = FabricSpec::Ftn(1, 64, 10, 34.0).build();
     let switch = (fabric.net().num_edges() / 2) as u32;
     let (tx, rx) = mpsc::sync_channel::<Job>(64);
     let engine = std::thread::spawn(move || {

@@ -6,9 +6,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ft_graph::ids::EdgeId;
 use ft_obs::{Observer, TraceBuf, TraceEvent};
 use ft_sim::{
-    export_stream, run_seed_obs, run_seed_with, EventKind, EventQueue, Fabric, FaultSpec,
-    HoldingTime, RerouteMode, RetryPolicy, Scenario, SimConfig, SimWorkspace, StreamKind,
-    TrafficPattern,
+    export_stream, run_seed_obs, run_seed_with, EventKind, EventQueue, Fabric, FabricSpec,
+    FaultSpec, HoldingTime, RerouteMode, RetryPolicy, Scenario, SimConfig, SimWorkspace,
+    StreamKind, TrafficPattern,
 };
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -34,7 +34,7 @@ fn cfg_1k_calls() -> SimConfig {
 /// [`ft_obs::Observer`] path: emission sites are monomorphized away,
 /// so these numbers ARE the disabled-observer cost the gate pins.
 fn bench_sim_churn(c: &mut Criterion) {
-    let fabric = Fabric::clos_strict(4, 4);
+    let fabric = FabricSpec::ClosStrict(4, 4).build();
     let cfg = cfg_1k_calls();
     let mut ws = SimWorkspace::default();
     let mut seed = 0u64;
@@ -50,7 +50,7 @@ fn bench_sim_churn(c: &mut Criterion) {
 /// --trace` pays over the no-op path. Each iteration renders one seed
 /// into a fresh `TraceBuf`, as a traced sweep does per seed.
 fn bench_sim_churn_traced(c: &mut Criterion) {
-    let fabric = Fabric::clos_strict(4, 4);
+    let fabric = FabricSpec::ClosStrict(4, 4).build();
     let cfg = cfg_1k_calls();
     let mut ws = SimWorkspace::default();
     let mut seed = 0u64;
@@ -68,7 +68,7 @@ fn bench_sim_churn_traced(c: &mut Criterion) {
 /// The same workload with the temporal fault process on: every fault
 /// and repair recomputes the §4 alive mask and reapplies it.
 fn bench_sim_churn_faulty(c: &mut Criterion) {
-    let fabric = Fabric::clos_strict(4, 4);
+    let fabric = FabricSpec::ClosStrict(4, 4).build();
     let mut cfg = cfg_1k_calls();
     cfg.fault_rate = 0.002;
     cfg.mttr = 10.0;
@@ -106,7 +106,7 @@ fn cfg_100k_calls() -> SimConfig {
 }
 
 fn ftn_nu2() -> Fabric {
-    Fabric::ftn_reduced(2, 8, 8, 1.0)
+    FabricSpec::Ftn(2, 8, 8, 1.0).build()
 }
 
 /// 100k-arrival hotspot run on 𝒩 (ν = 2), fault-free: routing and
@@ -165,7 +165,7 @@ fn storm_cfg() -> SimConfig {
 }
 
 fn bench_reroute_storm(c: &mut Criterion) {
-    let fabric = Fabric::clos_strict(4, 4);
+    let fabric = FabricSpec::ClosStrict(4, 4).build();
     let cfg = storm_cfg();
     let mut ws = SimWorkspace::default();
     let mut seed = 0u64;
@@ -185,7 +185,7 @@ fn bench_reroute_storm(c: &mut Criterion) {
 /// the same: the planners differ in their tie-break and in booking
 /// failed probes, not in how many victims they save.
 fn bench_reroute_storm_mincost(c: &mut Criterion) {
-    let fabric = Fabric::clos_strict(4, 4);
+    let fabric = FabricSpec::ClosStrict(4, 4).build();
     let mut cfg = storm_cfg();
     cfg.reroute = RerouteMode::Mincost;
     let mut ws = SimWorkspace::default();

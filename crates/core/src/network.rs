@@ -120,6 +120,11 @@ impl FtNetwork {
         &self.net
     }
 
+    /// Consumes 𝒩 and keeps only its staged network.
+    pub fn into_net(self) -> StagedNetwork {
+        self.net
+    }
+
     /// The network's graph, [`StagedNetwork::csr`] — the representation
     /// every Monte Carlo hot path traverses.
     pub fn csr(&self) -> &ft_graph::Csr {

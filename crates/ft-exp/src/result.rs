@@ -299,10 +299,11 @@ impl CellData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_sim::FabricSpec;
 
     #[test]
     fn seed_rows_flatten_outcomes() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let cfg = ft_sim::SimConfig {
             arrival_rate: 4.0,
             holding: ft_sim::HoldingTime::Exponential { mean: 1.0 },

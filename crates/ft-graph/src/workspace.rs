@@ -20,7 +20,6 @@
 //! marks and its own stack: it runs on a [`RouteWorkspace`].
 
 use crate::ids::{EdgeId, VertexId};
-use crate::traversal::UNREACHED;
 use crate::Csr;
 use std::ops::Range;
 
@@ -174,25 +173,21 @@ impl TraversalWorkspace {
     }
 
     /// Distance of `v` from the sources of the last traversal, or
-    /// `UNREACHED` (`u32::MAX`) if it was not reached.
+    /// `None` if it was not reached.
     #[inline]
-    pub fn dist(&self, v: VertexId) -> u32 {
-        if self.marks.is_set(v.index()) {
-            self.dist[v.index()]
-        } else {
-            UNREACHED
-        }
+    pub fn dist(&self, v: VertexId) -> Option<u32> {
+        self.marks.is_set(v.index()).then(|| self.dist[v.index()])
     }
 
-    /// Edge by which `v` was discovered (`EdgeId::NONE`, i.e. `u32::MAX`,
-    /// for sources and unreached vertices).
+    /// Edge by which `v` was discovered, or `None` for sources and
+    /// unreached vertices.
     #[inline]
-    pub fn parent_edge(&self, v: VertexId) -> EdgeId {
-        if self.marks.is_set(v.index()) {
-            EdgeId(self.parent[v.index()])
-        } else {
-            EdgeId::NONE
+    pub fn parent_edge(&self, v: VertexId) -> Option<EdgeId> {
+        if !self.marks.is_set(v.index()) {
+            return None;
         }
+        let e = EdgeId(self.parent[v.index()]);
+        (!e.is_none()).then_some(e)
     }
 
     /// Vertices reached by the last traversal, in discovery order.
@@ -223,11 +218,7 @@ impl TraversalWorkspace {
         }
         let mut path = vec![v];
         let mut cur = v;
-        loop {
-            let e = self.parent_edge(cur);
-            if e.is_none() {
-                break;
-            }
+        while let Some(e) = self.parent_edge(cur) {
             cur = g.other_endpoint(e, cur);
             path.push(cur);
         }
@@ -301,8 +292,8 @@ mod tests {
         bfs_into(&g, &[v(3)], Direction::Forward, |_| true, |_| true, &mut ws);
         assert!(ws.reached(v(3)));
         assert!(!ws.reached(v(0)));
-        assert_eq!(ws.dist(v(0)), UNREACHED);
-        assert_eq!(ws.parent_edge(v(0)), EdgeId::NONE);
+        assert_eq!(ws.dist(v(0)), None);
+        assert_eq!(ws.parent_edge(v(0)), None);
     }
 
     #[test]
@@ -328,7 +319,7 @@ mod tests {
             &mut ws,
         );
         assert_eq!(ws.num_reached(), 50);
-        assert_eq!(ws.dist(v(49)), 49);
+        assert_eq!(ws.dist(v(49)), Some(49));
     }
 
     #[test]

@@ -212,8 +212,12 @@ proptest! {
             bfs_into(&g, &[src, src2], dir, |e| e.0 != banned_e, |v| v != banned_v, &mut ws);
             for u in 0..n {
                 let u = VertexId::from(u);
-                prop_assert_eq!(reference.dist[u.index()], ws.dist(u));
-                prop_assert_eq!(reference.parent_edge[u.index()], ws.parent_edge(u));
+                // the reference marks "unreached" and "no parent" with
+                // sentinels where the workspace returns `None`
+                let want_dist = reference.reached(u).then(|| reference.dist[u.index()]);
+                let want_parent = Some(reference.parent_edge[u.index()]).filter(|e| !e.is_none());
+                prop_assert_eq!(want_dist, ws.dist(u));
+                prop_assert_eq!(want_parent, ws.parent_edge(u));
             }
             prop_assert_eq!(&reference.order, ws.order());
         }

@@ -17,11 +17,11 @@ use ft_graph::{StagedBuilder, StagedNetwork, VertexId};
 #[derive(Clone, Debug)]
 pub struct Clos {
     /// Middle-stage crossbar count.
-    pub m: usize,
+    pub(crate) m: usize,
     /// Inputs per input crossbar.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Number of input (and output) crossbars.
-    pub r: usize,
+    pub(crate) r: usize,
     /// The staged network (4 link stages, depth 3).
     pub net: StagedNetwork,
 }

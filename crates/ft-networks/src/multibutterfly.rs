@@ -24,8 +24,6 @@ use rand::rngs::SmallRng;
 pub struct Multibutterfly {
     /// Dimension (stages − 1).
     pub(crate) k: u32,
-    /// Splitter degree (edges per link per direction).
-    pub d: usize,
     /// The staged network (`k+1` link stages).
     pub net: StagedNetwork,
 }
@@ -66,11 +64,7 @@ impl Multibutterfly {
         }
         b.set_inputs(ranges[0].clone().map(VertexId).collect());
         b.set_outputs(ranges[k as usize].clone().map(VertexId).collect());
-        Multibutterfly {
-            k,
-            d,
-            net: b.finish(),
-        }
+        Multibutterfly { k, net: b.finish() }
     }
 
     /// Builds a random `d`-multibutterfly from a bare seed — the

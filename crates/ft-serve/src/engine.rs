@@ -333,6 +333,7 @@ fn run_generation(
     let started = Instant::now();
     let mut core = SwitchingCore::new(fabric, CoreBuffers::default());
     let num_switches = core.net().num_edges();
+    let faults_ok = fabric.spec().fault_support().is_ok();
     let n = fabric.terminals();
     // Client circuit id holding each router slot.
     let mut slot_owner: Vec<Option<u64>> = Vec::new();
@@ -449,7 +450,7 @@ fn run_generation(
                 } else {
                     SwitchState::Closed
                 };
-                let resp = if (switch as usize) >= num_switches || !fabric.supports_faults() {
+                let resp = if (switch as usize) >= num_switches || !faults_ok {
                     state.counters.bad_arg += 1;
                     Response::new(Status::BadArg, tag)
                 } else if let Some(killed) = core.fail(EdgeId(switch), mode) {
@@ -468,7 +469,7 @@ fn run_generation(
                 let _ = reply.send(resp);
             }
             Request::Repair { tag, switch } => {
-                let resp = if (switch as usize) >= num_switches || !fabric.supports_faults() {
+                let resp = if (switch as usize) >= num_switches || !faults_ok {
                     state.counters.bad_arg += 1;
                     Response::new(Status::BadArg, tag)
                 } else if core.repair(EdgeId(switch)) {

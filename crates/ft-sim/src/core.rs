@@ -218,10 +218,11 @@ impl<'a> SwitchingCore<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricSpec;
 
     #[test]
     fn fault_kills_the_crossing_circuit_once_and_repair_restores_routing() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let mut core = SwitchingCore::new(&fabric, CoreBuffers::default());
         let a = core.admit(0, 3).unwrap();
         let b = core.admit(1, 2).unwrap();
@@ -249,7 +250,7 @@ mod tests {
 
     #[test]
     fn one_fault_under_two_circuits_kills_them_in_ascending_slot_order() {
-        let fabric = Fabric::benes(2);
+        let fabric = FabricSpec::Benes(2).build();
         let mut core = SwitchingCore::new(&fabric, CoreBuffers::default());
         for i in 0..fabric.terminals() {
             core.admit(i, i).unwrap();

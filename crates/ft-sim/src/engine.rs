@@ -267,7 +267,7 @@ pub fn run_seed_obs<O: Observer>(
     obs: &mut O,
 ) -> SeedOutcome {
     assert!(
-        !cfg.has_faults() || fabric.supports_faults(),
+        !cfg.has_faults() || fabric.spec().fault_support().is_ok(),
         "fabric {} cannot express switch faults as vertex discards",
         fabric.label()
     );
@@ -982,6 +982,7 @@ impl<'a, O: Observer> Engine<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricSpec;
 
     fn base_cfg() -> SimConfig {
         SimConfig {
@@ -1002,7 +1003,7 @@ mod tests {
 
     #[test]
     fn arrival_accounting_is_conserved() {
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let out = run_seed(&fabric, &base_cfg(), 7);
         let m = &out.metrics;
         assert!(m.offered > 100);
@@ -1018,7 +1019,7 @@ mod tests {
 
     #[test]
     fn strictly_nonblocking_fabric_never_blocks() {
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let mut cfg = base_cfg();
         cfg.arrival_rate = 20.0; // saturating load
         let out = run_seed(&fabric, &cfg, 11);
@@ -1028,7 +1029,7 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_fingerprint_and_metrics() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let mut cfg = base_cfg();
         cfg.fault_rate = 0.002;
         cfg.mttr = 5.0;
@@ -1041,7 +1042,7 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_fresh_buffers() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let mut cfg = base_cfg();
         cfg.fault_rate = 0.005;
         cfg.mttr = 3.0;
@@ -1054,7 +1055,7 @@ mod tests {
 
     #[test]
     fn faults_drop_and_reroute_sessions() {
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let mut cfg = base_cfg();
         cfg.arrival_rate = 3.0;
         cfg.holding = HoldingTime::Exponential { mean: 4.0 };
@@ -1073,7 +1074,7 @@ mod tests {
 
     #[test]
     fn mincost_reroute_keeps_identities_and_moves_no_more_than_greedy() {
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let mut cfg = base_cfg();
         cfg.arrival_rate = 6.0;
         cfg.holding = HoldingTime::Exponential { mean: 2.0 };
@@ -1106,7 +1107,7 @@ mod tests {
         // `reroute = greedy` is the pre-portfolio behaviour: the enum
         // only branches at the kill wave, so the whole outcome — not
         // just the fingerprint — must be identical.
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let mut cfg = base_cfg();
         cfg.fault_rate = 0.01;
         cfg.mttr = 5.0;
@@ -1119,7 +1120,7 @@ mod tests {
 
     #[test]
     fn permanent_faults_degrade_until_blocked() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let mut cfg = base_cfg();
         cfg.fault_rate = 0.02;
         cfg.mttr = 0.0; // no repair: the fabric decays
@@ -1131,7 +1132,7 @@ mod tests {
 
     #[test]
     fn warmup_gates_headline_counters_not_buckets() {
-        let fabric = Fabric::crossbar(4);
+        let fabric = FabricSpec::Crossbar(4).build();
         let mut cfg = base_cfg();
         cfg.warmup = 25.0;
         let full = run_seed(&fabric, &cfg, 9);
@@ -1161,7 +1162,7 @@ mod tests {
         // A permanent fault (no repair) before the warm-up ends keeps the
         // fabric degraded for the rest of the run, so the degraded-time
         // integral must cover exactly the measured window.
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let mut cfg = base_cfg();
         cfg.fault_rate = 0.02;
         cfg.mttr = 0.0;
@@ -1180,7 +1181,7 @@ mod tests {
 
     #[test]
     fn bursty_pattern_raises_offered_load() {
-        let fabric = Fabric::crossbar(8);
+        let fabric = FabricSpec::Crossbar(8).build();
         let mut quiet = base_cfg();
         quiet.duration = 200.0;
         let mut bursty = quiet.clone();
@@ -1203,7 +1204,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot express switch faults")]
     fn crossbar_with_faults_is_rejected() {
-        let fabric = Fabric::crossbar(4);
+        let fabric = FabricSpec::Crossbar(4).build();
         let mut cfg = base_cfg();
         cfg.fault_rate = 0.01;
         run_seed(&fabric, &cfg, 1);

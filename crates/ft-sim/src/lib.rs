@@ -67,11 +67,11 @@ pub mod workload;
 pub use core::{CoreBuffers, SwitchingCore};
 pub use engine::{run_seed, run_seed_obs, run_seed_with, SeedOutcome, SimConfig, SimWorkspace};
 pub use events::{EventKind, EventQueue};
-pub use fabric::Fabric;
+pub use fabric::{Fabric, FabricSpec};
 pub use inject::{FaultSpec, RerouteMode, RetryPolicy};
 pub use metrics::{erlang_b, Metrics};
 pub use report::{stat, Report, Stat};
-pub use scenario::{FabricSpec, Scenario, ScenarioBuilder, SCENARIO_KEYS};
+pub use scenario::{Scenario, ScenarioBuilder, SCENARIO_KEYS};
 pub use staticcheck::{pair_blocking_estimate, pair_blocking_estimate_scalar};
 pub use stream::{export_stream, StreamKind};
 pub use sweep::{run_sweep, run_sweep_traced, run_sweep_traced_to};

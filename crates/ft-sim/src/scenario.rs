@@ -20,9 +20,8 @@
 //! threads     = 0
 //! ```
 //!
-//! Recognised `network` families: `crossbar N`, `clos-strict N R`,
-//! `clos-rearr N R`, `benes K`, `multibutterfly K D SEED`,
-//! `ftn NU WIDTH DEGREE GAMMA`.
+//! The `network` value is a fabric spec, parsed by [`FabricSpec::parse`]
+//! (its variants list the families).
 //! Recognised `pattern`s: `uniform`, `permutation`,
 //! `hotspot FRAC P_HOT`, `bursty MEAN_ON MEAN_OFF BOOST`.
 //! Recognised `holding`s: `exp MEAN`, `pareto SHAPE MEAN`.
@@ -43,89 +42,9 @@
 //! base scenario; see `docs/SCENARIOS.md` for the full grammar.
 
 use crate::engine::SimConfig;
-use crate::fabric::Fabric;
+use crate::fabric::FabricSpec;
 use crate::inject::{FaultSpec, RerouteMode, RetryPolicy};
 use crate::workload::{HoldingTime, TrafficPattern};
-use ft_core::params::Params;
-use ft_networks::{crossbar_census, Benes, Clos, Multibutterfly};
-use std::ops::RangeInclusive;
-
-/// Which fabric a scenario builds (kept symbolic so reports can echo it).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FabricSpec {
-    /// `crossbar N`
-    Crossbar(usize),
-    /// `clos-strict N R`
-    ClosStrict(usize, usize),
-    /// `clos-rearr N R`
-    ClosRearrangeable(usize, usize),
-    /// `benes K`
-    Benes(u32),
-    /// `multibutterfly K D SEED`
-    Multibutterfly(u32, usize, u64),
-    /// `ftn NU WIDTH DEGREE GAMMA`
-    Ftn(u32, usize, usize, f64),
-}
-
-impl FabricSpec {
-    /// Builds the fabric.
-    pub fn build(&self) -> Fabric {
-        match *self {
-            FabricSpec::Crossbar(n) => Fabric::crossbar(n),
-            FabricSpec::ClosStrict(n, r) => Fabric::clos_strict(n, r),
-            FabricSpec::ClosRearrangeable(n, r) => Fabric::clos_rearrangeable(n, r),
-            FabricSpec::Benes(k) => Fabric::benes(k),
-            FabricSpec::Multibutterfly(k, d, seed) => Fabric::multibutterfly(k, d, seed),
-            FabricSpec::Ftn(nu, w, d, g) => Fabric::ftn_reduced(nu, w, d, g),
-        }
-    }
-
-    /// [`Fabric::supports_faults`] without building the fabric: false
-    /// exactly on the two-stage specs — `crossbar N`, `benes 1` and
-    /// `multibutterfly 1 D SEED` — whose switches join two terminals.
-    pub(crate) fn supports_faults(&self) -> bool {
-        !matches!(
-            *self,
-            FabricSpec::Crossbar(_) | FabricSpec::Benes(1) | FabricSpec::Multibutterfly(1, ..)
-        )
-    }
-
-    /// `(vertices, switches)` of the fabric this spec builds, from its
-    /// family's closed-form census (the one its builder allocates from),
-    /// or `None` if a count overflows `usize`. Only for specs whose
-    /// arguments `parse_network` has range-checked.
-    fn census(&self) -> Option<(usize, usize)> {
-        match *self {
-            FabricSpec::Crossbar(n) => crossbar_census(n),
-            FabricSpec::ClosStrict(n, r) => Clos::census(n.checked_mul(2)? - 1, n, r),
-            FabricSpec::ClosRearrangeable(n, r) => Clos::census(n, n, r),
-            FabricSpec::Benes(k) => Benes::census(k),
-            FabricSpec::Multibutterfly(k, d, _) => Multibutterfly::census(k, d),
-            FabricSpec::Ftn(nu, w, d, g) => Params::reduced(nu, w, d, g).checked_counts(),
-        }
-    }
-
-    /// The spec as it appeared in the scenario text.
-    pub fn to_spec_string(&self) -> String {
-        match *self {
-            FabricSpec::Crossbar(n) => format!("crossbar {n}"),
-            FabricSpec::ClosStrict(n, r) => format!("clos-strict {n} {r}"),
-            FabricSpec::ClosRearrangeable(n, r) => format!("clos-rearr {n} {r}"),
-            FabricSpec::Benes(k) => format!("benes {k}"),
-            FabricSpec::Multibutterfly(k, d, seed) => format!("multibutterfly {k} {d} {seed}"),
-            FabricSpec::Ftn(nu, w, d, g) => format!("ftn {nu} {w} {d} {g}"),
-        }
-    }
-
-    /// Parses a bare fabric spec (the value side of a `network =`
-    /// directive, e.g. `clos-strict 4 4`) — the inverse of
-    /// [`FabricSpec::to_spec_string`]. The `ftserve` reload request
-    /// carries specs in this form.
-    pub fn parse(spec: &str) -> Result<FabricSpec, String> {
-        let words: Vec<&str> = spec.split_whitespace().collect();
-        parse_network(&words)
-    }
-}
 
 /// A parsed scenario: fabric, simulation parameters, seeds, threading.
 #[derive(Clone, Debug, PartialEq)]
@@ -212,7 +131,7 @@ impl ScenarioBuilder {
     pub fn set(&mut self, key: &str, value: &str, line: usize) -> Result<(), String> {
         let words: Vec<&str> = value.split_whitespace().collect();
         match key {
-            "network" => self.fabric = Some(parse_network(&words)?),
+            "network" => self.fabric = Some(FabricSpec::parse(value)?),
             "pattern" => self.config.pattern = parse_pattern(&words)?,
             "holding" => self.config.holding = parse_holding(&words)?,
             "arrival_rate" => self.config.arrival_rate = parse_num(value)?,
@@ -437,22 +356,10 @@ impl Scenario {
                 ));
             }
         }
-        if (c.fault_rate > 0.0 || !c.faults.is_iid()) && !self.fabric.supports_faults() {
-            // Study tables carry the crossbar's message as a skip
-            // reason, so its wording stays as it was.
-            let msg = match self.fabric {
-                FabricSpec::Crossbar(_) => "crossbar switches join two terminals: the \
-                     vertex-discard repair discipline cannot express their failures — use \
-                     a staged fabric (clos/benes/multibutterfly/ftn) or disable faults"
-                    .into(),
-                ref two_stage => format!(
-                    "`{}` has two stages, so its switches join two terminals: the \
-                     vertex-discard repair discipline cannot express their failures — use \
-                     K >= 2 or disable faults",
-                    two_stage.to_spec_string()
-                ),
-            };
-            return Err(("network", msg));
+        if c.fault_rate > 0.0 || !c.faults.is_iid() {
+            self.fabric
+                .fault_support()
+                .map_err(|msg| ("network", msg))?;
         }
         Ok(())
     }
@@ -463,7 +370,7 @@ impl Scenario {
     }
 }
 
-fn parse_num(s: &str) -> Result<f64, String> {
+pub(crate) fn parse_num(s: &str) -> Result<f64, String> {
     s.parse::<f64>()
         .map_err(|_| format!("expected a number, got `{s}`"))
         .and_then(|x| {
@@ -475,82 +382,9 @@ fn parse_num(s: &str) -> Result<f64, String> {
         })
 }
 
-fn parse_int(s: &str) -> Result<usize, String> {
+pub(crate) fn parse_int(s: &str) -> Result<usize, String> {
     s.parse::<usize>()
         .map_err(|_| format!("expected a nonnegative integer, got `{s}`"))
-}
-
-fn parse_network(words: &[&str]) -> Result<FabricSpec, String> {
-    let usage = "network = crossbar N | clos-strict N R | clos-rearr N R | benes K \
-                 | multibutterfly K D SEED | ftn NU WIDTH DEGREE GAMMA";
-    // An integer argument `name` of `family`, rejected outside `range`.
-    let arg = |family: &str, name: &str, s: &str, range: RangeInclusive<usize>| {
-        let x = parse_int(s)?;
-        if range.contains(&x) {
-            return Ok(x);
-        }
-        let accepted = match range.end() {
-            &usize::MAX => format!("{name} ≥ {}", range.start()),
-            end => format!("{name} in {}..={end}", range.start()),
-        };
-        Err(format!("`{family}` takes {accepted}, got {x}"))
-    };
-    const ANY: RangeInclusive<usize> = 1..=usize::MAX;
-    let spec = match words {
-        ["crossbar", n] => FabricSpec::Crossbar(arg("crossbar N", "N", n, ANY)?),
-        ["clos-strict", n, r] => {
-            let family = "clos-strict N R";
-            FabricSpec::ClosStrict(arg(family, "N", n, ANY)?, arg(family, "R", r, ANY)?)
-        }
-        ["clos-rearr", n, r] => {
-            let family = "clos-rearr N R";
-            FabricSpec::ClosRearrangeable(arg(family, "N", n, ANY)?, arg(family, "R", r, ANY)?)
-        }
-        ["benes", k] => FabricSpec::Benes(arg("benes K", "K", k, 1..=16)? as u32),
-        ["multibutterfly", k, d, seed] => {
-            let family = "multibutterfly K D SEED";
-            FabricSpec::Multibutterfly(
-                arg(family, "K", k, 1..=16)? as u32,
-                arg(family, "D", d, ANY)?,
-                parse_int(seed)? as u64,
-            )
-        }
-        ["ftn", nu, w, d, g] => {
-            let family = "ftn NU WIDTH DEGREE GAMMA";
-            let nu = arg(family, "NU", nu, 1..=8)? as u32;
-            let w = arg(family, "WIDTH", w, 2..=usize::MAX)?;
-            if w % 2 != 0 {
-                return Err(format!("`{family}` takes an even WIDTH, got {w}"));
-            }
-            let d = arg(family, "DEGREE", d, ANY)?;
-            // γ is the least γ ≥ 1 with 4^γ ≥ GAMMA·NU; Params allows γ ≤ 16
-            let g = parse_num(g)?;
-            if g * nu as f64 > 4f64.powi(16) {
-                return Err(format!("`{family}` takes GAMMA·NU ≤ 4^16, got GAMMA = {g}"));
-            }
-            FabricSpec::Ftn(nu, w, d, g)
-        }
-        _ => {
-            return Err(format!(
-                "unrecognised network `{}`; {usage}",
-                words.join(" ")
-            ))
-        }
-    };
-    let too_big = |count: String| {
-        format!(
-            "`{}` has {count}, but switch and vertex ids are u32: each count must stay below {}",
-            spec.to_spec_string(),
-            u32::MAX
-        )
-    };
-    match spec.census() {
-        Some((v, e)) if v.max(e) < u32::MAX as usize => Ok(spec),
-        Some((v, e)) => Err(too_big(format!("{e} switches on {v} vertices"))),
-        None => Err(too_big(
-            "more switches or vertices than a usize counts".into(),
-        )),
-    }
 }
 
 fn parse_pattern(words: &[&str]) -> Result<TrafficPattern, String> {
@@ -760,21 +594,6 @@ threads = 2
             let err = Scenario::parse(&text).unwrap_err();
             assert!(err.starts_with("line 2:"), "{err}");
             assert!(err.contains(&format!("`{spec}` has two stages")), "{err}");
-        }
-        // the spec-level rule is the built fabric's
-        for spec in [
-            "crossbar 1",
-            "crossbar 4",
-            "clos-strict 1 1",
-            "clos-rearr 2 3",
-            "benes 1",
-            "benes 2",
-            "multibutterfly 1 2 7",
-            "multibutterfly 2 2 7",
-            "ftn 1 8 4 1.0",
-        ] {
-            let fs = FabricSpec::parse(spec).unwrap();
-            assert_eq!(fs.supports_faults(), fs.build().supports_faults(), "{spec}");
         }
     }
 

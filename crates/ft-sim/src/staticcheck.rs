@@ -168,10 +168,11 @@ fn pair_blocking_block_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricSpec;
 
     #[test]
     fn perfect_model_never_blocks() {
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let est = pair_blocking_estimate(&fabric, &FailureModel::perfect(), 200, 1);
         assert_eq!(est.successes, 0);
         assert_eq!(est.trials, 200);
@@ -179,7 +180,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed_and_monotone_in_eps() {
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let lo = pair_blocking_estimate(&fabric, &FailureModel::symmetric(0.02), 4000, 9);
         let again = pair_blocking_estimate(&fabric, &FailureModel::symmetric(0.02), 4000, 9);
         assert_eq!(lo, again);
@@ -200,9 +201,9 @@ mod tests {
         // pins it against `Survivor`)
         for model in [FailureModel::symmetric(0.01), FailureModel::symmetric(0.1)] {
             for fabric in [
-                Fabric::clos_strict(2, 3),
-                Fabric::benes(2),
-                Fabric::ftn_reduced(1, 8, 4, 1.0),
+                FabricSpec::ClosStrict(2, 3).build(),
+                FabricSpec::Benes(2).build(),
+                FabricSpec::Ftn(1, 8, 4, 1.0).build(),
             ] {
                 let sliced = pair_blocking_estimate(&fabric, &model, 200, 5);
                 let scalar = pair_blocking_estimate_scalar(&fabric, &model, 200, 5);
@@ -217,7 +218,7 @@ mod tests {
         // model → snapshot estimate. Smoke-level sanity only (the
         // quantitative sim-vs-static comparison lives in
         // tests/sim_validation.rs).
-        let fabric = Fabric::clos_strict(2, 3);
+        let fabric = FabricSpec::ClosStrict(2, 3).build();
         let model = FailureModel::stationary(0.02, 5.0, 0.5);
         let est = pair_blocking_estimate(&fabric, &model, 8000, 42);
         assert!(est.p() > 0.02, "u ≈ 0.09 must yield visible blocking");

@@ -123,7 +123,7 @@ pub fn export_stream(scenario: &Scenario, seed: u64) -> Vec<StreamEvent> {
     }
 
     // Faults: the open-loop surrogate schedule (see module docs).
-    if fabric.supports_faults() && cfg.faults.active(cfg.fault_rate) {
+    if fabric.spec().fault_support().is_ok() && cfg.faults.active(cfg.fault_rate) {
         push_fault_schedule(&mut events, scenario, &fabric, &mut r);
     }
 

@@ -206,6 +206,7 @@ impl<W: ?Sized> Drop for AbandonOnPanic<'_, '_, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricSpec;
     use crate::workload::{HoldingTime, TrafficPattern};
 
     fn cfg() -> SimConfig {
@@ -225,7 +226,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let cfg = cfg();
         let seeds: Vec<u64> = (1..=6).collect();
         let serial = run_sweep(&fabric, &cfg, &seeds, 1);
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn traced_sweep_is_thread_count_independent() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let cfg = cfg();
         let seeds: Vec<u64> = (1..=5).collect();
         let (serial_out, serial_trace) = run_sweep_traced(&fabric, &cfg, &seeds, 1);
@@ -274,7 +275,7 @@ mod tests {
 
     #[test]
     fn streamed_trace_is_in_seed_order_and_stops_at_a_write_error() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let cfg = cfg();
         let seeds: Vec<u64> = (1..=5).collect();
         let (outcomes, whole) = run_sweep_traced(&fabric, &cfg, &seeds, 1);
@@ -312,7 +313,7 @@ mod tests {
 
     #[test]
     fn single_seed_sweep() {
-        let fabric = Fabric::clos_strict(2, 2);
+        let fabric = FabricSpec::ClosStrict(2, 2).build();
         let out = run_sweep(&fabric, &cfg(), &[9], 4);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].seed, 9);

@@ -10,7 +10,7 @@ use ft_failure::FailureModel;
 use ft_graph::traversal::{bfs_into, Direction};
 use ft_graph::TraversalWorkspace;
 use ft_networks::CircuitRouter;
-use ft_sim::{pair_blocking_estimate, run_seed, Fabric, SimConfig};
+use ft_sim::{pair_blocking_estimate, run_seed, Fabric, FabricSpec, SimConfig};
 
 fn built(fabric: &Fabric) -> bool {
     fabric.net().csr().in_lists_built()
@@ -18,7 +18,10 @@ fn built(fabric: &Fabric) -> bool {
 
 #[test]
 fn the_blocking_estimate_leaves_the_in_lists_unbuilt() {
-    for fabric in [Fabric::benes(4), Fabric::ftn_reduced(1, 8, 4, 1.0)] {
+    for fabric in [
+        FabricSpec::Benes(4).build(),
+        FabricSpec::Ftn(1, 8, 4, 1.0).build(),
+    ] {
         assert!(!built(&fabric), "{} before", fabric.label());
         let est = pair_blocking_estimate(&fabric, &FailureModel::symmetric(0.02), 256, 3);
         assert_eq!(est.trials, 256);
@@ -28,7 +31,7 @@ fn the_blocking_estimate_leaves_the_in_lists_unbuilt() {
 
 #[test]
 fn a_seed_with_iid_faults_leaves_the_in_lists_unbuilt() {
-    let fabric = Fabric::ftn_reduced(1, 8, 4, 1.0);
+    let fabric = FabricSpec::Ftn(1, 8, 4, 1.0).build();
     let cfg = SimConfig {
         arrival_rate: 5.0,
         fault_rate: 0.01,
@@ -43,7 +46,7 @@ fn a_seed_with_iid_faults_leaves_the_in_lists_unbuilt() {
 
 #[test]
 fn a_connect_leaves_the_in_lists_unbuilt_and_a_backward_search_builds_them() {
-    let fabric = Fabric::ftn_reduced(1, 8, 4, 1.0);
+    let fabric = FabricSpec::Ftn(1, 8, 4, 1.0).build();
     let net = fabric.net();
     let mut router = CircuitRouter::new(net);
     router

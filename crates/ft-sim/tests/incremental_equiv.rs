@@ -25,7 +25,7 @@ use ft_failure::SwitchState;
 use ft_graph::gen::rng;
 use ft_graph::{Digraph, EdgeId};
 use ft_networks::{CircuitRouter, SessionId};
-use ft_sim::{CoreBuffers, Fabric, SwitchingCore};
+use ft_sim::{CoreBuffers, Fabric, FabricSpec, SwitchingCore};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -35,12 +35,12 @@ fn fabrics() -> &'static Vec<Fabric> {
     static FABRICS: OnceLock<Vec<Fabric>> = OnceLock::new();
     FABRICS.get_or_init(|| {
         vec![
-            Fabric::crossbar(4),
-            Fabric::clos_strict(2, 3),
-            Fabric::clos_rearrangeable(2, 2),
-            Fabric::benes(3),
-            Fabric::multibutterfly(3, 2, 7),
-            Fabric::ftn_reduced(1, 8, 4, 1.0),
+            FabricSpec::Crossbar(4).build(),
+            FabricSpec::ClosStrict(2, 3).build(),
+            FabricSpec::ClosRearrangeable(2, 2).build(),
+            FabricSpec::Benes(3).build(),
+            FabricSpec::Multibutterfly(3, 2, 7).build(),
+            FabricSpec::Ftn(1, 8, 4, 1.0).build(),
         ]
     })
 }
@@ -63,7 +63,7 @@ fn run_interleaving(fabric: &Fabric, seed: u64, steps: usize) {
     let m = net.num_edges();
     let n = fabric.terminals();
     let num_stages = net.num_stages();
-    let faults_ok = fabric.supports_faults();
+    let faults_ok = fabric.spec().fault_support().is_ok();
 
     // System under test: the switching core's incremental deltas.
     // Reference: wholesale mask.

@@ -8,8 +8,8 @@
 //! around them.
 
 use ft_sim::{
-    run_seed, run_sweep, Fabric, FaultSpec, HoldingTime, RerouteMode, RetryPolicy, SimConfig,
-    TrafficPattern,
+    run_seed, run_sweep, Fabric, FabricSpec, FaultSpec, HoldingTime, RerouteMode, RetryPolicy,
+    SimConfig, TrafficPattern,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -20,9 +20,9 @@ fn fabrics() -> &'static Vec<Fabric> {
     static FABRICS: OnceLock<Vec<Fabric>> = OnceLock::new();
     FABRICS.get_or_init(|| {
         vec![
-            Fabric::clos_strict(2, 3),
-            Fabric::benes(3),
-            Fabric::multibutterfly(3, 2, 7),
+            FabricSpec::ClosStrict(2, 3).build(),
+            FabricSpec::Benes(3).build(),
+            FabricSpec::Multibutterfly(3, 2, 7).build(),
         ]
     })
 }
@@ -145,7 +145,7 @@ proptest! {
 /// recovery metrics.
 #[test]
 fn storm_produces_episodes_and_recovery_metrics() {
-    let fabric = Fabric::clos_strict(2, 3);
+    let fabric = FabricSpec::ClosStrict(2, 3).build();
     let cfg = cfg_for(
         FaultSpec::Storm {
             rate: 0.1,
@@ -174,7 +174,7 @@ fn storm_produces_episodes_and_recovery_metrics() {
 
 #[test]
 fn targeted_adversary_prefers_loaded_switches() {
-    let fabric = Fabric::clos_strict(2, 3);
+    let fabric = FabricSpec::ClosStrict(2, 3).build();
     let cfg = cfg_for(
         FaultSpec::Targeted { rate: 0.08 },
         RetryPolicy::OnRepair,
@@ -213,7 +213,10 @@ fn mincost_storm_reroutes_and_matches_across_thread_counts() {
         ..SimConfig::default()
     };
     let seeds: Vec<u64> = (1..=6).collect();
-    for fabric in [Fabric::clos_strict(2, 3), Fabric::benes(3)] {
+    for fabric in [
+        FabricSpec::ClosStrict(2, 3).build(),
+        FabricSpec::Benes(3).build(),
+    ] {
         let one = run_sweep(&fabric, &cfg, &seeds, 1);
         let rerouted: u64 = one.iter().map(|o| o.metrics.rerouted).sum();
         assert!(

@@ -8,19 +8,36 @@
 //! in the sparse and the dense sampler regime, and with the blocks
 //! dealt to several threads sharing one fabric.
 
+use ft_core::network::FtNetwork;
+use ft_core::params::Params;
 use ft_core::repair::Survivor;
 use ft_failure::sliced::LANES;
 use ft_failure::{block_seed, FailureInstance, FailureModel, SlicedFailureMask};
 use ft_graph::Digraph;
-use ft_sim::Fabric;
+use ft_sim::{Fabric, FabricSpec};
+
+/// `ftn NU WIDTH DEGREE 1.0` as the simulator builds it, beside the
+/// `FtNetwork` the `Survivor` oracle reads, built again from the same
+/// `Params`. The builder is deterministic, so the two graphs must be
+/// equal.
+fn ftn(nu: u32, width: usize, degree: usize) -> (Fabric, FtNetwork) {
+    let fabric = FabricSpec::Ftn(nu, width, degree, 1.0).build();
+    let layout = FtNetwork::build(Params::reduced(nu, width, degree, 1.0));
+    let (a, b) = (fabric.net(), layout.net());
+    assert!(
+        a.csr().edges().eq(b.csr().edges())
+            && (a.inputs(), a.outputs()) == (b.inputs(), b.outputs())
+            && a.stage_table() == b.stage_table(),
+        "ftn {nu} {width} {degree} 1.0: layout differs from the fabric"
+    );
+    (fabric, layout)
+}
 
 /// Checks every lane of one sampled block on 𝒩: [`Fabric::alive_mask`]
 /// and the lane of [`Fabric::alive_words_into`] must both equal
-/// `Survivor::routable_alive`. Returns the discarded vertex-lanes.
-fn check_block(fabric: &Fabric, sliced: &SlicedFailureMask, what: &str) -> u64 {
-    let Fabric::Ftn(ftn) = fabric else {
-        unreachable!("the Survivor oracle is defined on 𝒩 only")
-    };
+/// `Survivor::routable_alive` on `ftn`, the fabric's layout. Returns
+/// the discarded vertex-lanes.
+fn check_block(fabric: &Fabric, ftn: &FtNetwork, sliced: &SlicedFailureMask, what: &str) -> u64 {
     let mut alive_words = Vec::new();
     fabric.alive_words_into(sliced, &mut alive_words);
     let mut lane_inst = FailureInstance::perfect(sliced.len());
@@ -47,7 +64,7 @@ fn check_block(fabric: &Fabric, sliced: &SlicedFailureMask, what: &str) -> u64 {
 fn ftn_repair_equals_the_survivor_oracle_in_every_lane() {
     let mut sliced = SlicedFailureMask::new();
     for (nu, width, degree) in [(1, 8, 4), (2, 8, 8)] {
-        let fabric = Fabric::ftn_reduced(nu, width, degree, 1.0);
+        let (fabric, layout) = ftn(nu, width, degree);
         let m = fabric.net().num_edges();
         // symmetric ε: totals 0.002 and 0.04 are sparse, 0.4 is dense
         for (k, eps) in [1e-3, 0.02, 0.2].into_iter().enumerate() {
@@ -59,7 +76,7 @@ fn ftn_repair_equals_the_survivor_oracle_in_every_lane() {
                 sliced.iter_failed_switches().count() > 0,
                 "nothing to repair"
             );
-            check_block(&fabric, &sliced, &format!("nu={nu} eps={eps}"));
+            check_block(&fabric, &layout, &sliced, &format!("nu={nu} eps={eps}"));
         }
     }
 }
@@ -70,7 +87,7 @@ const ORACLE_BLOCKS: usize = 8;
 #[test]
 fn survivor_oracle_holds_with_blocks_dealt_to_one_and_four_threads() {
     // one shared fabric, the blocks dealt round-robin to the workers
-    let fabric = &Fabric::ftn_reduced(1, 8, 4, 1.0);
+    let (fabric, layout) = &ftn(1, 8, 4);
     let model = FailureModel::new(0.02, 0.01);
     let m = fabric.net().num_edges();
     let discarded = [4, 1].map(|threads| {
@@ -83,7 +100,8 @@ fn survivor_oracle_holds_with_blocks_dealt_to_one_and_four_threads() {
                         for b in (first..ORACLE_BLOCKS).step_by(threads) {
                             let mut rng = ft_graph::gen::rng(block_seed(17, b as u64));
                             model.sample_sliced_into(&mut rng, m, &mut sliced);
-                            discarded += check_block(fabric, &sliced, &format!("block {b}"));
+                            discarded +=
+                                check_block(fabric, layout, &sliced, &format!("block {b}"));
                         }
                         discarded
                     })

@@ -18,7 +18,7 @@
 use ft_failure::montecarlo::estimate_probability;
 use ft_failure::{FailureInstance, FailureModel};
 use ft_graph::traversal::{bfs, Direction};
-use ft_sim::{run_seed, Fabric, HoldingTime, SimConfig, TrafficPattern};
+use ft_sim::{run_seed, FabricSpec, HoldingTime, SimConfig, TrafficPattern};
 use rand::Rng;
 
 fn cfg(arrival_rate: f64, duration: f64) -> SimConfig {
@@ -38,7 +38,7 @@ fn cfg(arrival_rate: f64, duration: f64) -> SimConfig {
 
 #[test]
 fn strictly_nonblocking_fabric_has_zero_blocking_and_monotone_load_sweep() {
-    let fabric = Fabric::clos_strict(2, 3); // 6 terminals, m = 3 = 2n−1
+    let fabric = FabricSpec::ClosStrict(2, 3).build(); // 6 terminals, m = 3 = 2n−1
     let mut busy = Vec::new();
     for rate in [0.2, 2.0, 8.0, 32.0] {
         let out = run_seed(&fabric, &cfg(rate, 1000.0), 42);
@@ -62,7 +62,7 @@ fn strictly_nonblocking_fabric_has_zero_blocking_and_monotone_load_sweep() {
 fn erlang_b_reference_on_a_single_circuit() {
     // crossbar 1: one input, one output, one switch — an M/M/1/1 loss
     // system. Offered load a = λ·h = 0.5 erlangs ⇒ B = 1/3.
-    let fabric = Fabric::crossbar(1);
+    let fabric = FabricSpec::Crossbar(1).build();
     let mut c = cfg(0.5, 40_000.0);
     c.warmup = 100.0;
     let out = run_seed(&fabric, &c, 7);
@@ -106,7 +106,7 @@ fn erlang_b_reference_on_a_single_circuit() {
 /// same pair-blocking event.
 #[test]
 fn temporal_fault_blocking_matches_static_snapshot_estimate() {
-    let fabric = Fabric::clos_strict(2, 3);
+    let fabric = FabricSpec::ClosStrict(2, 3).build();
     let net = fabric.net();
     let n = fabric.terminals();
     let lambda = 0.02; // per-switch failures per time unit
@@ -171,7 +171,7 @@ fn temporal_fault_blocking_matches_static_snapshot_estimate() {
 /// snapshot at ε_total = 1 − e^{−λT} samples.
 #[test]
 fn permanent_fault_count_matches_static_marginal() {
-    let fabric = Fabric::clos_strict(2, 3);
+    let fabric = FabricSpec::ClosStrict(2, 3).build();
     let m = fabric.net().size() as f64;
     let lambda = 0.001f64;
     let t_end = 200.0f64;

@@ -13,15 +13,15 @@ use ft_failure::{block_seed, FailureInstance, FailureModel, SlicedFailureMask};
 use ft_graph::sliced::{sliced_reach_into, SlicedWorkspace};
 use ft_graph::traversal::{bfs_into, Direction};
 use ft_graph::{Digraph, TraversalWorkspace};
-use ft_sim::{pair_blocking_estimate, pair_blocking_estimate_scalar, Fabric};
+use ft_sim::{pair_blocking_estimate, pair_blocking_estimate_scalar, Fabric, FabricSpec};
 
 fn families() -> Vec<Fabric> {
     vec![
-        Fabric::clos_strict(2, 3),
-        Fabric::clos_rearrangeable(2, 2),
-        Fabric::benes(2),
-        Fabric::multibutterfly(2, 2, 7),
-        Fabric::ftn_reduced(1, 8, 4, 1.0),
+        FabricSpec::ClosStrict(2, 3).build(),
+        FabricSpec::ClosRearrangeable(2, 2).build(),
+        FabricSpec::Benes(2).build(),
+        FabricSpec::Multibutterfly(2, 2, 7).build(),
+        FabricSpec::Ftn(1, 8, 4, 1.0).build(),
     ]
 }
 
@@ -108,13 +108,10 @@ fn every_lane_matches_the_scalar_pipeline() {
 /// silently falling back to the worklist.
 #[test]
 fn every_fabric_family_has_ascending_ids() {
-    use ft_core::network::FtNetwork;
-    use ft_core::params::Params;
     let mut fabrics = families();
-    fabrics.push(Fabric::crossbar(4));
-    fabrics.push(Fabric::Ftn(Box::new(FtNetwork::build(
-        Params::paper_exact(1),
-    ))));
+    fabrics.push(FabricSpec::Crossbar(4).build());
+    // paper-exact ν = 1: `Params::paper_exact(1)` is `Params::reduced(1, 64, 10, 34.0)`
+    fabrics.push(FabricSpec::Ftn(1, 64, 10, 34.0).build());
     for fabric in fabrics {
         let net = fabric.net();
         assert!(net.csr().ids_ascend(), "{}", fabric.label());

@@ -19,7 +19,9 @@
 //!
 //! Run with: `cargo run --release --example exchange_day`
 
-use fault_tolerant_switching::sim::{run_seed, Fabric, HoldingTime, SimConfig, TrafficPattern};
+use fault_tolerant_switching::sim::{
+    run_seed, Fabric, FabricSpec, HoldingTime, SimConfig, TrafficPattern,
+};
 
 fn day_config(fault_rate_per_hour: f64) -> SimConfig {
     SimConfig {
@@ -41,8 +43,8 @@ fn day_config(fault_rate_per_hour: f64) -> SimConfig {
 }
 
 fn main() {
-    let ftn = Fabric::ftn_reduced(2, 8, 8, 1.0); // n = 16 subscribers
-    let clos = Fabric::clos_strict(4, 4); // 16 terminals
+    let ftn = FabricSpec::Ftn(2, 8, 8, 1.0).build(); // n = 16 subscribers
+    let clos = FabricSpec::ClosStrict(4, 4).build(); // 16 terminals
     println!(
         "exchange fabrics for {} subscribers: N = {} switches, Clos = {} switches\n",
         ftn.terminals(),

@@ -10,7 +10,8 @@
 # (one file per bench executable, written by the vendored criterion
 # shim). Benchmarks present only on one side are reported but do not
 # fail the gate — new benches need a baseline refresh, which is exactly
-# the signal we want in CI output.
+# the signal we want in CI output. A current row that reads 0 ns/iter
+# fails the gate: it times nothing.
 #
 # Regenerate baselines (same machine you compare on!) with:
 #   BENCH_JSON=$PWD/bench-results cargo bench
@@ -76,6 +77,16 @@ for b in $REQUIRED_BENCHES; do
         exit 1
     fi
 done
+
+# A row that reads 0 ns/iter times nothing: the optimiser folded its
+# body away, so no regression can ever show there. That is a hard
+# failure, like a missing required bench.
+ZERO_ROWS="$(awk -F '\t' '$2 == 0 { print $1 }' "$RUN_DIR/current.tsv")"
+if [ -n "$ZERO_ROWS" ]; then
+    echo "$ZERO_ROWS" | sed 's/^/  times nothing (0 ns\/iter): /' >&2
+    echo "bench_check: benchmark(s) above read 0 ns/iter" >&2
+    exit 1
+fi
 
 # Surface (but do not fail on) benches missing from either side — print
 # this BEFORE the gate so the diagnostic survives a failing exit below.

@@ -13,7 +13,7 @@ use fault_tolerant_switching::networks::verify::{
     churn_finds_blocking, verify_rearrangeable_exhaustive,
 };
 use fault_tolerant_switching::networks::{Benes, Butterfly, CircuitRouter, Clos};
-use fault_tolerant_switching::sim::Fabric;
+use fault_tolerant_switching::sim::FabricSpec;
 
 /// P[two inputs of `net` short] with only closed failures at rate
 /// `eps_close`, over `trials` seeded trials.
@@ -135,7 +135,7 @@ fn ftn_inputs_are_all_good_at_threshold_4() {
     // Theorem 1's structure, present in 𝒩: every input is good and
     // every zone out to h = 2 holds the 32 switches of its grid fan
     for nu in [1u32, 2] {
-        let fabric = Fabric::ftn_reduced(nu, 8, 8, 1.0);
+        let fabric = FabricSpec::Ftn(nu, 8, 8, 1.0).build();
         let net = fabric.net();
         let audit = zone_audit_with(net.graph(), net.inputs(), 4, 2);
         assert_eq!(audit.good_terminals, net.inputs().len(), "nu={nu}");
@@ -182,8 +182,8 @@ fn ftn_vs_benes_input_shorting_crossover() {
     // *more* than Beneš (0.80 vs 0.16): with 87× the switches it offers
     // far more closed paths. At 0.02 the two are not separable in 1000
     // trials (0 vs 5 events), so no order is claimed there.
-    let ftn = Fabric::ftn_reduced(2, 8, 8, 1.0);
-    let benes = Fabric::benes(4);
+    let ftn = FabricSpec::Ftn(2, 8, 8, 1.0).build();
+    let benes = FabricSpec::Benes(4).build();
     for eps2 in [0.005, 0.02] {
         let est = input_short_estimate(ftn.net(), eps2, 1000);
         assert!(est.wilson95().1 <= 0.01, "eps2={eps2}: {est:?}");

@@ -9,14 +9,15 @@
 //! upper end, and "Monte Carlo ≤ analytic bound" is refuted only when
 //! the lower end exceeds the bound (at 0 events in 2000 trials the
 //! upper end, ≈ 0.002, still sits far above Lemma 3's 4.25·10⁻⁵).
-//! Every 𝒩 is built as the simulator builds it, through
-//! [`Fabric::ftn_reduced`], and repaired by the fabric's §4 discipline.
+//! Every 𝒩 is built as the simulator builds it, from its
+//! `FabricSpec::Ftn`, and repaired by the fabric's §4 discipline.
 
 use fault_tolerant_switching::core::access::{
     access_profile, all_grids_majority, busy_mask, grid_access_count, majority_access_report,
 };
 use fault_tolerant_switching::core::certify::certify_with_budget;
 use fault_tolerant_switching::core::network::{FtNetwork, Side, StageKind};
+use fault_tolerant_switching::core::params::Params;
 use fault_tolerant_switching::core::routing;
 use fault_tolerant_switching::core::theory;
 use fault_tolerant_switching::failure::contraction::terminals_shorted;
@@ -28,22 +29,30 @@ use fault_tolerant_switching::graph::distance::nearest_other_terminal;
 use fault_tolerant_switching::graph::gen::{random_permutation, rng};
 use fault_tolerant_switching::graph::{Csr, Digraph, VertexId};
 use fault_tolerant_switching::networks::{Benes, Butterfly, CircuitRouter};
-use fault_tolerant_switching::sim::Fabric;
+use fault_tolerant_switching::sim::{Fabric, FabricSpec};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// The 𝒩 inside a fabric built by [`Fabric::ftn_reduced`].
-fn ftn(fabric: &Fabric) -> &FtNetwork {
-    match fabric {
-        Fabric::Ftn(f) => f,
-        _ => panic!("not the fault-tolerant network"),
-    }
+/// `ftn NU WIDTH DEGREE GAMMA` as the simulator builds it, beside its
+/// layout: `FtNetwork` built again from the same `Params`, for the grid
+/// and stage queries a fabric does not answer. The builder is
+/// deterministic, so the two graphs must be equal.
+fn ftn(nu: u32, width: usize, degree: usize, gamma: f64) -> (Fabric, FtNetwork) {
+    let fabric = FabricSpec::Ftn(nu, width, degree, gamma).build();
+    let layout = FtNetwork::build(Params::reduced(nu, width, degree, gamma));
+    let (a, b) = (fabric.net(), layout.net());
+    assert!(
+        a.csr().edges().eq(b.csr().edges())
+            && (a.inputs(), a.outputs()) == (b.inputs(), b.outputs())
+            && a.stage_table() == b.stage_table(),
+        "ftn {nu} {width} {degree} {gamma}: layout differs from the fabric"
+    );
+    (fabric, layout)
 }
 
 /// Whether 𝒩, repaired from `inst`, greedily routes `perm` (input `j`
 /// → output `perm[j]`) in full.
-fn routes(fabric: &Fabric, inst: &FailureInstance, perm: &[u32]) -> bool {
-    let f = ftn(fabric);
+fn routes(fabric: &Fabric, f: &FtNetwork, inst: &FailureInstance, perm: &[u32]) -> bool {
     let mut router = CircuitRouter::with_alive_mask(f.net(), fabric.alive_mask(inst));
     routing::route_permutation(&mut router, f, perm)
         .0
@@ -52,10 +61,15 @@ fn routes(fabric: &Fabric, inst: &FailureInstance, perm: &[u32]) -> bool {
 
 /// One end-to-end trial: sample failures, repair, route a random
 /// permutation in full.
-fn carries_random_permutation(fabric: &Fabric, model: &FailureModel, rng: &mut SmallRng) -> bool {
+fn carries_random_permutation(
+    fabric: &Fabric,
+    f: &FtNetwork,
+    model: &FailureModel,
+    rng: &mut SmallRng,
+) -> bool {
     let inst = FailureInstance::sample(model, rng, fabric.net().num_edges());
     let perm = random_permutation(rng, fabric.terminals());
-    routes(fabric, &inst, &perm)
+    routes(fabric, f, &inst, &perm)
 }
 
 /// Whether every switch on every path is normal: a natively routed
@@ -75,8 +89,7 @@ fn paths_survive(g: &Csr, inst: &FailureInstance, paths: &[Vec<VertexId>]) -> bo
 #[test]
 fn lemma3_grid_majority_access() {
     for (nu, width) in [(1u32, 8usize), (2, 8), (2, 16)] {
-        let fabric = Fabric::ftn_reduced(nu, width, 8, 1.0);
-        let f = ftn(&fabric);
+        let (fabric, f) = &ftn(nu, width, 8, 1.0);
         let (m, l) = (f.net().num_edges(), f.rows());
         let mut alive = Vec::new();
         for (eps, trials) in [(0.005, 2000), (0.1, 200), (0.15, 200)] {
@@ -133,8 +146,12 @@ fn lemma4_outlet_fault_tail_is_under_its_bound() {
 /// permutation (each pair kept with probability ½) as the busy pattern,
 /// then ask whether every idle terminal on both sides (Corollary 2's
 /// mirror included) reaches a strict majority of stage 2ν.
-fn majority_access_trial(fabric: &Fabric, model: &FailureModel, rng: &mut SmallRng) -> bool {
-    let f = ftn(fabric);
+fn majority_access_trial(
+    fabric: &Fabric,
+    f: &FtNetwork,
+    model: &FailureModel,
+    rng: &mut SmallRng,
+) -> bool {
     let inst = FailureInstance::sample(model, rng, f.net().num_edges());
     let alive = fabric.alive_mask(&inst);
     let mut router = CircuitRouter::with_alive_mask(f.net(), alive.clone());
@@ -160,11 +177,12 @@ fn majority_access_trial(fabric: &Fabric, model: &FailureModel, rng: &mut SmallR
 #[test]
 fn lemma6_majority_access_holds_in_every_trial() {
     for nu in [1u32, 2] {
-        let fabric = Fabric::ftn_reduced(nu, 8, 8, 1.0);
+        let (fabric, f) = &ftn(nu, 8, 8, 1.0);
         for eps in [1e-4, 1e-3, 5e-3] {
             let model = FailureModel::symmetric(eps);
-            let est =
-                estimate_probability(100, 0xE8, |rng| majority_access_trial(&fabric, &model, rng));
+            let est = estimate_probability(100, 0xE8, |rng| {
+                majority_access_trial(fabric, f, &model, rng)
+            });
             assert_eq!(est.successes, est.trials, "nu={nu} eps={eps}");
         }
     }
@@ -186,9 +204,10 @@ fn lemma6_needs_degree_above_four() {
 
     let model = FailureModel::symmetric(1e-3);
     for d in [3usize, 4, 5, 6, 8, 10] {
-        let fabric = Fabric::ftn_reduced(2, 8, d, 1.0);
-        let est =
-            estimate_probability(50, 0xE8D, |rng| majority_access_trial(&fabric, &model, rng));
+        let (fabric, f) = &ftn(2, 8, d, 1.0);
+        let est = estimate_probability(50, 0xE8D, |rng| {
+            majority_access_trial(fabric, f, &model, rng)
+        });
         let (lo, hi) = est.wilson95();
         if d <= 4 {
             assert!(hi < 0.1, "d={d} keeps majority access: {est:?}");
@@ -203,8 +222,7 @@ fn lemma6_needs_degree_above_four() {
 /// ends above ½ at stage 2ν (it reads 0.81).
 #[test]
 fn lemma6_access_share_exceeds_half_at_stage_2nu() {
-    let fabric = Fabric::ftn_reduced(2, 8, 8, 1.0);
-    let f = ftn(&fabric);
+    let (fabric, f) = &ftn(2, 8, 8, 1.0);
     let nu = f.params().nu as usize;
     let mut r = rng(0x8E8);
     let inst = FailureInstance::sample(&FailureModel::symmetric(1e-3), &mut r, f.net().num_edges());
@@ -240,7 +258,7 @@ fn lemma6_access_share_exceeds_half_at_stage_2nu() {
 fn lemma7_shorting_needs_long_closed_paths() {
     let mut shorts = Vec::new();
     for (nu, measured) in [(1u32, 4u32), (2, 6)] {
-        let fabric = Fabric::ftn_reduced(nu, 8, 8, 1.0);
+        let fabric = FabricSpec::Ftn(nu, 8, 8, 1.0).build();
         let net = fabric.net();
         let terminals: Vec<VertexId> = net.inputs().iter().chain(net.outputs()).copied().collect();
         let min = *nearest_other_terminal(net.graph(), &terminals)
@@ -276,11 +294,11 @@ fn lemma7_shorting_needs_long_closed_paths() {
 #[test]
 fn theorem2_sturdy_ftn_carries_every_permutation() {
     for nu in [1u32, 2] {
-        let fabric = Fabric::ftn_reduced(nu, 16, 10, 4.0);
+        let (fabric, f) = &ftn(nu, 16, 10, 4.0);
         for eps in [1e-5, 1e-4, 1e-3, 5e-3, 2e-2] {
             let model = FailureModel::symmetric(eps);
             let est = estimate_probability(100, 0xE10, |rng| {
-                carries_random_permutation(&fabric, &model, rng)
+                carries_random_permutation(fabric, f, &model, rng)
             });
             assert_eq!(est.successes, est.trials, "nu={nu} eps={eps}");
         }
@@ -332,8 +350,7 @@ fn theorem2_baselines_collapse_where_ftn_routes() {
 /// permutation (certified ⇒ routed).
 #[test]
 fn theorem2_certified_survivors_route() {
-    let fabric = Fabric::ftn_reduced(2, 16, 10, 4.0);
-    let f = ftn(&fabric);
+    let (fabric, f) = &ftn(2, 16, 10, 4.0);
     let m = f.net().num_edges();
     for eps in [1e-4, 1e-3] {
         let model = FailureModel::symmetric(eps);
@@ -341,7 +358,7 @@ fn theorem2_certified_survivors_route() {
             let inst = FailureInstance::sample(&model, rng, m);
             let certified = certify_with_budget(f, &inst, 0.10).implies_nonblocking();
             let perm = random_permutation(rng, f.n());
-            assert!(!certified || routes(&fabric, &inst, &perm));
+            assert!(!certified || routes(fabric, f, &inst, &perm));
             certified
         });
         assert!(est.wilson95().0 > 0.9, "eps={eps}: certified {est:?}");
@@ -357,8 +374,7 @@ fn gamma_scaleup_lifts_grid_majority() {
     let ests: Vec<Estimate> = [1u32, 2]
         .into_iter()
         .map(|gamma| {
-            let fabric = Fabric::ftn_reduced(2, 8, 8, (1 << (2 * gamma)) as f64 / 2.0);
-            let f = ftn(&fabric);
+            let (fabric, f) = &ftn(2, 8, 8, (1 << (2 * gamma)) as f64 / 2.0);
             assert_eq!(f.params().gamma, gamma);
             let mut alive = Vec::new();
             estimate_probability(100, 0x12A, |rng| {
@@ -389,10 +405,10 @@ fn substituted_gadget_restores_clean_routing() {
     let (eps_dirty, eps_clean) = (0.1, 1e-3);
     let gadget = construct_onenet(eps_dirty, eps_clean);
     assert_eq!((gadget.size(), gadget.depth()), (64, 8));
-    let fabric = Fabric::ftn_reduced(1, 8, 8, 1.0);
+    let (fabric, f) = &ftn(1, 8, 8, 1.0);
     let carried = |model: FailureModel, seed: u64| {
         estimate_probability(300, seed, |rng| {
-            carries_random_permutation(&fabric, &model, rng)
+            carries_random_permutation(fabric, f, &model, rng)
         })
     };
     let clean = carried(FailureModel::symmetric(eps_clean), 0x13A);
